@@ -54,7 +54,8 @@ def run_reads(local_replica: bool) -> dict:
         for i in range(3):
             yield from writer.append(b"record-%d" % i)
         yield 1.0  # replication settles
-        crossings_before = uplink.stats_sent
+        crossings = uplink.metrics.counter("net.sent")
+        crossings_before = crossings.value
         latencies = []
         for i in range(N_READS):
             t0 = net.sim.now
@@ -64,7 +65,7 @@ def run_reads(local_replica: bool) -> dict:
             "mean_ms": statistics.mean(latencies),
             "first_ms": latencies[0],
             "warm_ms": statistics.mean(latencies[1:]),
-            "uplink_crossings": uplink.stats_sent - crossings_before,
+            "uplink_crossings": crossings.value - crossings_before,
         }
 
     return net.sim.run_process(scenario())

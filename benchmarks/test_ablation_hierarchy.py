@@ -69,16 +69,17 @@ def run_depth(depth: int) -> dict:
         yield 0.5
         writer = writer_client.open_writer(metadata, writer_key)
         yield from writer.append(b"deep")
-        queries_before = sum(
-            d.glookup.stats_queries
-            for d in _all_domains(root)
-        )
+        def queries():
+            return sum(
+                d.glookup.metrics.counter("glookup.queries").value
+                for d in _all_domains(root)
+            )
+
+        queries_before = queries()
         t0 = net.sim.now
         yield from reader.read(metadata.name, 1)
         cold = net.sim.now - t0
-        queries_cold = sum(
-            d.glookup.stats_queries for d in _all_domains(root)
-        ) - queries_before
+        queries_cold = queries() - queries_before
         t0 = net.sim.now
         yield from reader.read(metadata.name, 1)
         warm = net.sim.now - t0
@@ -142,12 +143,12 @@ def test_a6b_dht_lookup_scaling(benchmark, report):
             )
             key = GdpName.derive("a6.key", 1)
             dht.put(GdpName.derive("a6.dht", 0), key, "v")
-            dht.messages = 0
+            dht.stats.messages = 0
             probes = 12
             for i in range(probes):
                 dht.get(GdpName.derive("a6.dht", (i * 7) % n), key)
             rows.append(
-                {"nodes": n, "avg_messages": dht.messages / probes}
+                {"nodes": n, "avg_messages": dht.stats.messages / probes}
             )
         return rows
 

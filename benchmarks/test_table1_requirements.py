@@ -77,18 +77,19 @@ def run_matrix() -> list[tuple[str, str, bool]]:
         writer = w["writer_client"].open_writer(metadata, w["writer_key"])
         yield from writer.append(b"federated")
         yield 1.0
-        record = yield from w["reader_client"].read(metadata.name, 1)
+        record = (yield from w["reader_client"].read(metadata.name, 1)).record
         results.append(
             ("Federated architecture", "flat name as trust anchor",
              record.payload == b"federated")
         )
 
         # 3. Locality: local reads never cross the uplink.
-        before = w["uplink"].stats_sent
+        uplink_sent = w["uplink"].metrics.counter("net.sent")
+        before = uplink_sent.value
         yield from w["writer_client"].read(metadata.name, 1)
         results.append(
             ("Locality", "hierarchical routing domains",
-             w["uplink"].stats_sent == before)
+             uplink_sent.value == before)
         )
 
         # 4. Secure storage: tamper -> detect.

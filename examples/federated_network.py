@@ -129,9 +129,9 @@ def main():
         root_glookup.register(forged_entry, propagate=False)
         for router in topo.routers.values():
             router.flush_fib()
-        record = yield from reader_far.read(metadata.name, 2)
+        result = yield from reader_far.read(metadata.name, 2)
         print(f"attack 2 (compromised GLookupService): forged route "
-              f"skipped, read still verified: {record.payload!r}")
+              f"skipped, read still verified: {result.record.payload!r}")
         return True
 
     net.sim.run_process(scenario())

@@ -63,19 +63,18 @@ def main():
         # The single writer appends; anycast picks the edge replica.
         writer = client.open_writer(metadata, writer_key)
         for i in range(5):
-            record, acks = yield from writer.append(
-                b"reading=%d" % (20 + i)
-            )
-            print(f"  appended record {record.seqno} (acks={acks})")
-        record, acks = yield from writer.append(b"critical=1", acks="all")
-        print(f"  appended record {record.seqno} durably (acks={acks})")
+            receipt = yield from writer.append(b"reading=%d" % (20 + i))
+            print(f"  appended record {receipt.seqno} (acks={receipt.acks})")
+        receipt = yield from writer.append(b"critical=1", acks="all")
+        print(f"  appended record {receipt.seqno} durably "
+              f"(acks={receipt.acks})")
         yield 1.0  # background replication
 
         # A reader elsewhere fetches with cryptographic proofs.
-        record = yield from reader.read(metadata.name, 3)
-        print(f"verified read: record 3 = {record.payload!r}")
-        records = yield from reader.read_range(metadata.name, 1, 6)
-        print(f"verified range: {[r.payload for r in records]}")
+        result = yield from reader.read(metadata.name, 3)
+        print(f"verified read: record 3 = {result.record.payload!r}")
+        result = yield from reader.read_range(metadata.name, 1, 6)
+        print(f"verified range: {[r.payload for r in result.records]}")
 
         # An evil operator tampers with the cloud replica...
         StorageTamperer(cloud_server).corrupt_record(metadata.name, 2)

@@ -105,8 +105,8 @@ def main():
 
     net.sim.run_process(scenario())
     print(f"done at simulated t={net.sim.now:.2f}s; "
-          f"committed={service.stats_committed}, "
-          f"rejected={service.stats_rejected}")
+          f"committed={service.metrics.counter('commit.committed').value}, "
+          f"rejected={service.metrics.counter('commit.rejected').value}")
 
 
 if __name__ == "__main__":

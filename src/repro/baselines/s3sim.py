@@ -58,19 +58,8 @@ class ObjectStoreServer(Endpoint):
         super().__init__(network, node_id, metadata, key)
         self.request_latency = request_latency
         self.objects: dict[str, bytes] = {}
-        metrics = network.metrics.node(node_id)
-        self._c_puts = metrics.counter("s3.puts")
-        self._c_gets = metrics.counter("s3.gets")
-
-    @property
-    def stats_puts(self) -> int:
-        """PUT requests served (registry: ``s3.puts``)."""
-        return self._c_puts.value
-
-    @property
-    def stats_gets(self) -> int:
-        """GET requests served (registry: ``s3.gets``)."""
-        return self._c_gets.value
+        self._c_puts = self.metrics.counter("s3.puts")
+        self._c_gets = self.metrics.counter("s3.gets")
 
     def on_request(self, pdu: Pdu) -> Any:
         """Serve one application request (see class docstring) after

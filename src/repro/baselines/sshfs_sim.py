@@ -47,19 +47,8 @@ class SshfsServer(Endpoint):
         super().__init__(network, node_id, metadata, key)
         self.request_latency = request_latency
         self.files: dict[str, bytearray] = {}
-        metrics = network.metrics.node(node_id)
-        self._c_reads = metrics.counter("sshfs.reads")
-        self._c_writes = metrics.counter("sshfs.writes")
-
-    @property
-    def stats_reads(self) -> int:
-        """Block reads served (registry: ``sshfs.reads``)."""
-        return self._c_reads.value
-
-    @property
-    def stats_writes(self) -> int:
-        """Block writes served (registry: ``sshfs.writes``)."""
-        return self._c_writes.value
+        self._c_reads = self.metrics.counter("sshfs.reads")
+        self._c_writes = self.metrics.counter("sshfs.writes")
 
     def on_request(self, pdu: Pdu) -> Any:
         """Serve one application request (see class docstring) after

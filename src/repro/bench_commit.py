@@ -205,7 +205,11 @@ def _run_cell(n_shards: int, mix: str) -> dict:
 
     net.sim.run_process(drive(), "bench-commit-drive")
     intended = WORKERS * OPS_PER_WORKER
-    committed = sum(shard.stats_committed for shard in shards)
+
+    def total(name: str) -> int:
+        return sum(shard.metrics.counter(name).value for shard in shards)
+
+    committed = total("commit.committed")
     if mix == "hot":
         _verify_no_lost_updates(shards, receipts, intended)
     elif committed != intended:
@@ -216,8 +220,8 @@ def _run_cell(n_shards: int, mix: str) -> dict:
     return {
         "shards": n_shards,
         "committed": committed,
-        "conflicts": sum(shard.stats_conflicts for shard in shards),
-        "rejected": sum(shard.stats_rejected for shard in shards),
+        "conflicts": total("commit.conflicts"),
+        "rejected": total("commit.rejected"),
         "seconds": round(seconds, 6),
         "committed_per_sec": round(committed / seconds, 1),
         "lost_updates": intended - len(receipts),

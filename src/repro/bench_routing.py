@@ -300,7 +300,10 @@ def _bench_forwarding(quick: bool) -> dict:
     t0 = time.perf_counter()
     net.sim.run_process(scenario())
     elapsed = time.perf_counter() - t0
-    forwarded = sum(r.stats_forwarded for r in topo.routers.values())
+    forwarded = sum(
+        r.metrics.counter("router.forwarded").value
+        for r in topo.routers.values()
+    )
     return {
         "reads": reads,
         "pdus_forwarded": forwarded,

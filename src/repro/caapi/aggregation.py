@@ -59,14 +59,7 @@ class AggregationService(GdpClient):
         self.combine = combine or _default_combine
         self._writer: ClientWriter | None = None
         self._append_chain: Future | None = None
-        self._c_aggregated = network.metrics.node(node_id).counter(
-            "aggregate.records"
-        )
-
-    @property
-    def stats_aggregated(self) -> int:
-        """Registry counter ``aggregate.records`` (back-compat name)."""
-        return self._c_aggregated.value
+        self._c_aggregated = self.metrics.counter("aggregate.records")
 
     def create_output(
         self,

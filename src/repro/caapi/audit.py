@@ -182,7 +182,7 @@ class AuditedLog(CapsuleApp):
             raise CapsuleError(
                 f"entry {entry_index} is not covered by a summary yet"
             )
-        entry_record = yield from self.client.read(
+        entry = yield from self.client.read(
             self.name, self.data_seqno(entry_index, interval)
         )
         # Fetch the summary record keeping the server's position proof
@@ -203,7 +203,7 @@ class AuditedLog(CapsuleApp):
         inclusion_proof = self._tree.prove(entry_index - 1, size=covered)
         return AuditProof(
             entry_index,
-            entry_record.payload,
+            entry.record.payload,
             summary_record,
             position_proof,
             inclusion_proof,

@@ -34,7 +34,6 @@ The plane has three pieces:
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, Callable, Generator, Sequence
 
 from repro import encoding
@@ -102,15 +101,6 @@ def _shard_of_bytes(data: bytes, shard_count: int) -> int:
     return int.from_bytes(digest[:8], "big") % shard_count
 
 
-def _warn(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (removal scheduled for the "
-        "next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class CommitReceipt:
     """What an accepted submission produced (PR 4 envelope style).
 
@@ -144,16 +134,6 @@ class CommitReceipt:
         self.key = key
         self.conflict = None
 
-    # -- deprecation shims: submit_update used to return a bare int ----
-
-    def __int__(self) -> int:
-        _warn("int(CommitReceipt)", "CommitReceipt.seqno")
-        return self.seqno
-
-    def __index__(self) -> int:
-        _warn("using a CommitReceipt as an integer", "CommitReceipt.seqno")
-        return self.seqno
-
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, CommitReceipt):
             return (
@@ -161,12 +141,6 @@ class CommitReceipt:
                 and self.shard == other.shard
                 and self.key == other.key
             )
-        if isinstance(other, int):
-            _warn(
-                "comparing a CommitReceipt to an int",
-                "CommitReceipt.seqno",
-            )
-            return self.seqno == other
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -313,27 +287,9 @@ class CommitShard(GdpClient):
         #: ground truth for the ``commit_order`` oracle: every commit
         #: this shard ever acknowledged, in commit order
         self.commit_log: list[dict] = []
-        metrics = network.metrics.node(node_id)
-        self._c_committed = metrics.counter("commit.committed")
-        self._c_rejected = metrics.counter("commit.rejected")
-        self._c_conflicts = metrics.counter("commit.conflicts")
-
-    # -- back-compat counter surface (PR 1 convention) ------------------
-
-    @property
-    def stats_committed(self) -> int:
-        """Registry counter ``commit.committed`` (back-compat name)."""
-        return self._c_committed.value
-
-    @property
-    def stats_rejected(self) -> int:
-        """Registry counter ``commit.rejected`` (back-compat name)."""
-        return self._c_rejected.value
-
-    @property
-    def stats_conflicts(self) -> int:
-        """Registry counter ``commit.conflicts`` (back-compat name)."""
-        return self._c_conflicts.value
+        self._c_committed = self.metrics.counter("commit.committed")
+        self._c_rejected = self.metrics.counter("commit.rejected")
+        self._c_conflicts = self.metrics.counter("commit.conflicts")
 
     def allow_writer(self, key: VerifyingKey) -> None:
         """Add a key to the write ACL."""
@@ -565,9 +521,8 @@ class ShardedCommitService(GdpClient):
             shard.shard_index = index
             shard.shard_count = len(self.shards)
         self._map: ShardMap | None = None
-        metrics = network.metrics.node(node_id)
-        self._c_routed = metrics.counter("commit.routed")
-        self._c_map_served = metrics.counter("commit.map_served")
+        self._c_routed = self.metrics.counter("commit.routed")
+        self._c_map_served = self.metrics.counter("commit.map_served")
 
     @property
     def shard_map(self) -> ShardMap:
@@ -884,8 +839,7 @@ def submit_update(
     timeout: float = 30.0,
 ) -> Generator:
     """Client-side submission to a commit service; returns a
-    :class:`CommitReceipt` (which still compares equal to the bare
-    seqno int through a deprecation shim)."""
+    :class:`CommitReceipt`."""
     payload = build_submission(
         client.key,
         capsule_name,

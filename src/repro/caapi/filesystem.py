@@ -252,7 +252,7 @@ class CapsuleFileSystem(CapsuleApp):
                 if latest is None:
                     continue
                 result = yield from self.client.read_range(
-                    capsule, 1, latest.seqno
+                    capsule, 1, latest.record.seqno
                 )
                 for record in result.records:
                     wrapped = read_committed_entry(record.payload)
@@ -264,10 +264,10 @@ class CapsuleFileSystem(CapsuleApp):
         latest = yield from self.client.read_latest(self._name)
         if latest is None:
             return view
-        records = yield from self.client.read_range(
-            self._name, 1, latest.seqno
+        result = yield from self.client.read_range(
+            self._name, 1, latest.record.seqno
         )
-        for record in records:
+        for record in result.records:
             self._apply_dir_entry(view, encoding.decode(record.payload))
         return view
 
@@ -377,9 +377,10 @@ class CapsuleFileSystem(CapsuleApp):
         latest = yield from self.client.read_latest(file_name)
         if latest is None:
             raise RecordNotFoundError(f"file capsule for {path!r} is empty")
-        records = yield from self.client.read_range(
-            file_name, 1, latest.seqno
+        result = yield from self.client.read_range(
+            file_name, 1, latest.record.seqno
         )
+        records = result.records
         if encrypted:
             content_key = self._content_keys.get(file_name)
             if content_key is None:

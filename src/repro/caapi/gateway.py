@@ -53,7 +53,7 @@ class GatewayService(GdpClient):
         super().__init__(network, node_id, **kwargs)
         self._ws_subscribers: dict[GdpName, list[Node]] = {}
         self._commit: CommitClient | None = None
-        metrics = network.metrics.node(node_id)
+        metrics = self.metrics
         self._c_http_ok = metrics.counter("gateway.http_ok")
         self._c_http_errors = metrics.counter("gateway.http_errors")
         self._c_pushes = metrics.counter("gateway.pushes")
@@ -66,16 +66,6 @@ class GatewayService(GdpClient):
         key — the legacy client trusts its terminator, exactly as for
         reads — so the gateway's key must be on the shards' write ACL."""
         self._commit = commit
-
-    @property
-    def stats_http(self) -> dict:
-        """Counter snapshot, keyed by the historical short names
-        (registry names: ``gateway.http_ok`` etc.)."""
-        return {
-            "ok": self._c_http_ok.value,
-            "errors": self._c_http_errors.value,
-            "pushes": self._c_pushes.value,
-        }
 
     # -- legacy-side transport ------------------------------------------------
 

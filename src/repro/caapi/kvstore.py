@@ -170,13 +170,13 @@ class CapsuleKVStore(CapsuleApp):
         latest = yield from self.client.read_latest(name)
         if latest is None:
             return {}
-        last = latest.seqno
+        last = latest.record.seqno
         # Walk backwards to the nearest snapshot (bounded by interval).
         view: dict[str, Any] = {}
         start = 1
         for seqno in range(last, max(0, last - self.snapshot_interval), -1):
-            record = yield from self.client.read(name, seqno)
-            entry = encoding.decode(record.payload)
+            result = yield from self.client.read(name, seqno)
+            entry = encoding.decode(result.record.payload)
             if entry["op"] == _OP_SNAPSHOT:
                 view = dict(entry["state"])
                 start = seqno + 1
@@ -187,8 +187,8 @@ class CapsuleKVStore(CapsuleApp):
                 # No snapshot in the window: fall back to full replay.
                 start = 1
         if start <= last:
-            records = yield from self.client.read_range(name, start, last)
-            for record in records:
+            result = yield from self.client.read_range(name, start, last)
+            for record in result.records:
                 entry = encoding.decode(record.payload)
                 if entry["op"] == _OP_PUT:
                     view[entry["key"]] = entry["value"]
@@ -211,7 +211,7 @@ class CapsuleKVStore(CapsuleApp):
             if latest is None:
                 continue
             result = yield from self.client.read_range(
-                capsule, 1, latest.seqno
+                capsule, 1, latest.record.seqno
             )
             for record in result.records:
                 wrapped = read_committed_entry(record.payload)

@@ -160,9 +160,9 @@ class StreamSubscriber:
         missing: list[int] = []
         for seqno in range(first, last + 1):
             try:
-                record = yield from self.client.read(self.name, seqno)
+                result = yield from self.client.read(self.name, seqno)
             except GdpError:
                 missing.append(seqno)
                 continue
-            frames.append(Frame.from_record(record))
+            frames.append(Frame.from_record(result.record))
         return frames, missing

@@ -73,15 +73,15 @@ class TimeSeriesLog(CapsuleApp):
     # -- reads ----------------------------------------------------------------
 
     def _sample_at(self, seqno: int) -> Generator:
-        record = yield from self.client.read(self.name, seqno)
-        return Sample.from_record(record)
+        result = yield from self.client.read(self.name, seqno)
+        return Sample.from_record(result.record)
 
     def last_sample(self) -> Generator:
         """The newest sample, or None."""
-        record = yield from self.client.read_latest(self.name)
-        if record is None:
+        result = yield from self.client.read_latest(self.name)
+        if result is None:
             return None
-        return Sample.from_record(record)
+        return Sample.from_record(result.record)
 
     def window(self, t_start: float, t_end: float) -> Generator:
         """All samples with ``t_start <= timestamp <= t_end``, found by
@@ -91,7 +91,7 @@ class TimeSeriesLog(CapsuleApp):
         tip = yield from self.client.read_latest(self.name)
         if tip is None:
             return []
-        last = tip.seqno
+        last = tip.record.seqno
 
         def bisect_left(target: float) -> Generator:
             lo, hi = 1, last + 1
@@ -108,10 +108,10 @@ class TimeSeriesLog(CapsuleApp):
         after = yield from bisect_left(t_end + 1e-9)
         if first >= after:
             return []
-        records = yield from self.client.read_range(
+        result = yield from self.client.read_range(
             self.name, first, after - 1
         )
-        return [Sample.from_record(r) for r in records]
+        return [Sample.from_record(r) for r in result.records]
 
     def aggregate(self, t_start: float, t_end: float) -> Generator:
         """``(count, min, max, mean)`` over a time window."""

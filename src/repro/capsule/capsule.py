@@ -367,8 +367,7 @@ class DataCapsule:
         return replica
 
     def state_summary(self) -> dict:
-        """Compact description for anti-entropy exchange: which seqnos
-        (and digests) this replica holds."""
+        """Which seqnos (and digests) this replica holds."""
         return {
             "last_seqno": self.last_seqno,
             "digests": {
@@ -376,15 +375,6 @@ class DataCapsule:
                 for seqno, digests in self._by_seqno.items()
             },
         }
-
-    def missing_from(self, summary: dict) -> list[bytes]:
-        """Digests present in *summary* but absent here (what to fetch)."""
-        wanted = []
-        for digests in summary.get("digests", {}).values():
-            for digest in digests:
-                if digest not in self._by_digest:
-                    wanted.append(digest)
-        return wanted
 
     def canonical_summary(self) -> tuple:
         """Hashable, order-canonical record-set summary — two replicas

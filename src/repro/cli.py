@@ -10,8 +10,6 @@ Commands
 ``stats``       run the same scenario with the metrics/trace plane on
                 and print the per-node counter table (``--trace N``
                 also dumps the first N deterministic trace events)
-``results``     print the experiment tables from the last benchmark run
-``inventory``   list the implemented subsystems and their test counts
 ``simtest``     run seeded chaos episodes against the invariant oracles
                 (``--seed N --episodes K``); every failure prints a
                 one-line repro command, ``--shrink`` minimizes the
@@ -19,8 +17,8 @@ Commands
 ``bench``       run a hot-path benchmark suite: ``--suite crypto``
                 (default: sign, verify cold/warm, append,
                 verify_history, fig8 e2e, accelerated vs naive) or
-                ``--suite replication`` (Merkle-delta anti-entropy vs
-                full-scan, batched vs per-record append pipeline);
+                ``--suite replication`` (Merkle-delta anti-entropy,
+                batched vs per-record append pipeline);
                 ``--json PATH`` writes the BENCH_<suite>.json document,
                 ``--check BASELINE`` exits non-zero on a >30%
                 regression (the CI perf gate)
@@ -37,7 +35,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -164,59 +161,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print()
         for line in tracer.lines()[: args.trace]:
             print(line)
-    return 0
-
-
-def cmd_results(_args: argparse.Namespace) -> int:
-    """The ``results`` command: print benchmark tables."""
-    results_dir = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        "benchmarks",
-        "results",
-    )
-    if not os.path.isdir(results_dir):
-        print("no benchmark results yet — run: "
-              "pytest benchmarks/ --benchmark-only")
-        return 1
-    for filename in sorted(os.listdir(results_dir)):
-        if not filename.endswith(".txt"):
-            continue
-        print(f"== {filename[:-4]} ==")
-        with open(os.path.join(results_dir, filename)) as fh:
-            print(fh.read())
-    return 0
-
-
-def cmd_inventory(_args: argparse.Namespace) -> int:
-    """The ``inventory`` command: list subsystems."""
-    import repro.adversary
-    import repro.baselines
-    import repro.caapi
-    import repro.capsule
-    import repro.client
-    import repro.crypto
-    import repro.delegation
-    import repro.naming
-    import repro.routing
-    import repro.server
-    import repro.sim
-
-    packages = [
-        ("crypto", repro.crypto, "ECDSA P-256, ChaCha20, HKDF, Merkle"),
-        ("naming", repro.naming, "flat self-certifying names + metadata"),
-        ("capsule", repro.capsule, "the DataCapsule ADS + proofs + writers"),
-        ("delegation", repro.delegation, "AdCerts/RtCerts/memberships/SubGrants"),
-        ("routing", repro.routing, "routers, domains, GLookup, DHT, catalogs"),
-        ("server", repro.server, "DataCapsule-servers + replication"),
-        ("client", repro.client, "GDP client library + owner console"),
-        ("caapi", repro.caapi, "fs / kv / time-series / stream / multi-writer"),
-        ("baselines", repro.baselines, "simulated S3 + SSHFS"),
-        ("adversary", repro.adversary, "threat-model fault injection"),
-        ("sim", repro.sim, "discrete-event network simulator"),
-    ]
-    for name, module, blurb in packages:
-        exported = len(getattr(module, "__all__", []))
-        print(f"  repro.{name:<11} {exported:>3} public symbols  — {blurb}")
     return 0
 
 
@@ -443,8 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="also print the first N deterministic trace events",
     )
-    sub.add_parser("results", help="print the last benchmark tables")
-    sub.add_parser("inventory", help="list implemented subsystems")
     simtest = sub.add_parser(
         "simtest",
         help="run seeded chaos episodes against the invariant oracles",
@@ -550,8 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         "version": cmd_version,
         "selfcheck": cmd_selfcheck,
         "stats": cmd_stats,
-        "results": cmd_results,
-        "inventory": cmd_inventory,
         "simtest": cmd_simtest,
         "bench": cmd_bench,
         "serve": cmd_serve,

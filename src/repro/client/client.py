@@ -16,12 +16,9 @@ an object that can be appended to, read from, or subscribed to."
 Every read returns a :class:`~repro.client.results.ReadResult` and every
 append a :class:`~repro.client.results.AppendReceipt` — uniform
 envelopes carrying the verified records plus the proof, the answering
-server, and the observed round-trip latency.  The pre-envelope shapes
-(bare records, ``(record, acks)`` tuples, record lists) still work
-through deprecation shims on the envelopes; see ``docs/CLIENT_API.md``
-for the migration table and removal timeline.  All network-facing
-methods take a consistent ``timeout=`` keyword and writers a
-consistent ``acks=`` override.
+server, and the observed round-trip latency (see
+``docs/CLIENT_API.md``).  All network-facing methods take a consistent
+``timeout=`` keyword and writers a consistent ``acks=`` override.
 
 All network-facing methods are *generator coroutines*: call them inside
 a simulation process with ``yield from`` (or via ``sim.run_process``).
@@ -597,9 +594,8 @@ class ClientWriter:
         timeout: float | None = 60.0,
     ) -> Generator:
         """Append one record; returns an :class:`AppendReceipt` (its
-        ``.record``/``.acks``/``.server``/``.rtt`` fields; the old
-        ``(record, acks)`` tuple shape still unpacks through the
-        deprecation shim).  Raises :class:`DurabilityError` if the
+        ``.record``/``.acks``/``.server``/``.rtt`` fields).  Raises
+        :class:`DurabilityError` if the
         requested durability could not be met (the paper's "writer must
         block and retry")."""
         start = self.client.sim.now
@@ -623,7 +619,6 @@ class ClientWriter:
             server=self.client._server_of(wrapped),
             rtt=self.client.sim.now - start,
             batches=1,
-            legacy_shape="pair",
         )
 
     def append_stream(
@@ -647,8 +642,7 @@ class ClientWriter:
 
         Returns an :class:`AppendReceipt` covering every record
         (``.acks`` is the minimum acknowledgment count over the
-        batches; the old bare-list shape still iterates through the
-        deprecation shim).  Raises on the first failed batch (later
+        batches).  Raises on the first failed batch (later
         batches may still be in flight; anti-entropy reconciles
         whatever landed)."""
         if window < 1:
@@ -657,9 +651,7 @@ class ClientWriter:
             raise CapsuleError("batch_records must be >= 1")
         start = self.client.sim.now
         if not payloads:
-            return AppendReceipt(
-                [], acks=0, batches=0, legacy_shape="list"
-            )
+            return AppendReceipt([], acks=0, batches=0)
         chunks: list[list[bytes]] = []
         current: list[bytes] = []
         current_bytes = 0
@@ -733,5 +725,4 @@ class ClientWriter:
             server=last_server,
             rtt=self.client.sim.now - start,
             batches=len(minted),
-            legacy_shape="list",
         )

@@ -1,34 +1,20 @@
 """Uniform client result envelopes: :class:`ReadResult` and
 :class:`AppendReceipt`.
 
-Three PRs of organic growth left ``GdpClient`` with one return shape per
-method: ``read`` returned a bare :class:`Record`, ``read_range`` a list,
-``append`` a ``(record, acks)`` tuple, ``append_stream`` a record list.
-Every call now returns one of the two envelopes here, each carrying the
-same cross-cutting context — the verified proof, which server answered,
-and the observed round-trip latency — so batched and single-shot paths
-present identical semantics to callers.
-
-The old shapes keep working through deprecation shims (attribute and
-tuple/list protocols that emit :class:`DeprecationWarning`); they are
-scheduled for removal in the next PR (see ``docs/CLIENT_API.md``).
+Every ``GdpClient`` / ``ClientWriter`` verb returns one of the two
+envelopes here, each carrying the same cross-cutting context — the
+verified proof, which server answered, and the observed round-trip
+latency — so batched and single-shot paths present identical semantics
+to callers.  The envelopes are plain records: they do not delegate to
+the record they carry and are not sequences (see
+``docs/CLIENT_API.md``).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["ReadResult", "AppendReceipt"]
-
-
-def _warn(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (removal scheduled for the "
-        "next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ReadResult:
@@ -58,37 +44,9 @@ class ReadResult:
             return None
         return self.records[-1]
 
-    # -- deprecation shims: the pre-envelope shapes ---------------------
-
-    def __getattr__(self, name: str) -> Any:
-        # Old callers treated the result as the Record itself
-        # (``result.payload``, ``result.seqno``, ``result.digest``...).
-        if name.startswith("_") or not self.records:
-            raise AttributeError(name)
-        record = self.records[-1]
-        if not hasattr(record, name):
-            raise AttributeError(name)
-        _warn(f"ReadResult.{name}", f"ReadResult.record.{name}")
-        return getattr(record, name)
-
-    def __len__(self) -> int:
-        _warn("len(ReadResult)", "len(ReadResult.records)")
-        return len(self.records)
-
-    def __iter__(self) -> Iterator:
-        _warn("iterating a ReadResult", "ReadResult.records")
-        return iter(self.records)
-
-    def __getitem__(self, index):
-        _warn("indexing a ReadResult", "ReadResult.records[i]")
-        return self.records[index]
-
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, ReadResult):
             return self.records == other.records
-        if isinstance(other, list):
-            _warn("comparing a ReadResult to a list", "ReadResult.records")
-            return self.records == other
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -114,24 +72,14 @@ class AppendReceipt:
             single append).
     """
 
-    __slots__ = ("records", "acks", "server", "rtt", "batches", "_legacy")
+    __slots__ = ("records", "acks", "server", "rtt", "batches")
 
-    def __init__(
-        self,
-        records,
-        *,
-        acks=1,
-        server=None,
-        rtt=0.0,
-        batches=1,
-        legacy_shape="pair",
-    ):
+    def __init__(self, records, *, acks=1, server=None, rtt=0.0, batches=1):
         self.records = list(records)
         self.acks = acks
         self.server = server
         self.rtt = rtt
         self.batches = batches
-        self._legacy = legacy_shape  # "pair" (append) | "list" (stream)
 
     @property
     def record(self):
@@ -147,47 +95,11 @@ class AppendReceipt:
             return 0
         return self.records[-1].seqno
 
-    # -- deprecation shims: the pre-envelope shapes ---------------------
-    # append() used to return ``(record, acks)``; append_stream() used to
-    # return ``list[Record]``.  Both unpack styles keep working.
-
-    def _legacy_items(self) -> list:
-        if self._legacy == "pair":
-            return [self.record, self.acks]
-        return self.records
-
-    def __iter__(self) -> Iterator:
-        if self._legacy == "pair":
-            _warn(
-                "unpacking AppendReceipt as (record, acks)",
-                "AppendReceipt.record / .acks",
-            )
-        else:
-            _warn(
-                "iterating an AppendReceipt as a record list",
-                "AppendReceipt.records",
-            )
-        return iter(self._legacy_items())
-
-    def __len__(self) -> int:
-        _warn("len(AppendReceipt)", "len(AppendReceipt.records)")
-        return len(self._legacy_items())
-
-    def __getitem__(self, index):
-        _warn("indexing an AppendReceipt", "AppendReceipt.records[i]")
-        return self._legacy_items()[index]
-
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, AppendReceipt):
             return (
                 self.records == other.records and self.acks == other.acks
             )
-        if isinstance(other, (list, tuple)):
-            _warn(
-                "comparing an AppendReceipt to a sequence",
-                "AppendReceipt.records",
-            )
-            return self._legacy_items() == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:

@@ -403,21 +403,6 @@ class DhtNode(Node):
                 del self.store[key]
         return reclaimed
 
-    # -- legacy local helpers (tests / seeding) ----------------------------
-
-    def put_local(
-        self, key: GdpName, value: Any, *, expires_at: float | None = None
-    ) -> None:
-        """Store a value locally (no replication)."""
-        expiry = expires_at if expires_at is not None else self.now + RECORD_TTL
-        self.merge_record(
-            key, make_record(value_principal(value), 0, value, expiry)
-        )
-
-    def get_local(self, key: GdpName) -> list[Any]:
-        """Values stored locally under *key*."""
-        return self.live_values(key)
-
     # -- the RPC plane -----------------------------------------------------
 
     def _peer_for(self, peer_name: GdpName):
@@ -650,22 +635,6 @@ class KademliaDht:
         #: lookup rounds (the O(log n)-bounded quantity) and RPCs sent
         self.last_hops = 0
         self.last_messages = 0
-
-    # -- message counters (legacy surface) ---------------------------------
-
-    @property
-    def messages(self) -> int:
-        """Lookup-plane RPCs sent across the whole DHT."""
-        return self.stats.messages
-
-    @messages.setter
-    def messages(self, value: int) -> None:
-        self.stats.messages = value
-
-    @property
-    def under_replicated(self) -> int:
-        """Puts that landed on fewer replicas than requested."""
-        return self.stats.under_replicated
 
     # -- membership --------------------------------------------------------
 

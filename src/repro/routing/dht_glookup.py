@@ -92,12 +92,12 @@ class DhtGLookupService(GLookupService):
         self._names: set[GdpName] = set()
         # Per-query DHT cost, surfaced through the metrics registry so
         # bench/tests can assert the O(log n) hop bound (§VII).
-        self._c_dht_lookups = self._metrics.counter("dht.lookups")
-        self._c_dht_messages = self._metrics.counter("dht.messages")
-        self._c_dht_under_replicated = self._metrics.counter(
+        self._c_dht_lookups = self.metrics.counter("dht.lookups")
+        self._c_dht_messages = self.metrics.counter("dht.messages")
+        self._c_dht_under_replicated = self.metrics.counter(
             "dht.under_replicated"
         )
-        self._h_dht_hops = self._metrics.histogram("dht.hops")
+        self._h_dht_hops = self.metrics.histogram("dht.hops")
 
     # -- internals ---------------------------------------------------------
 

@@ -60,36 +60,24 @@ def wire_expiry(expires_at: float | None) -> bytes | None:
 
 
 def expiry_from_wire(raw) -> float | None:
-    """Inverse of :func:`wire_expiry`; also accepts the legacy int-ms
-    form (``-1`` sentinel) so pre-upgrade stored entries still decode."""
+    """Inverse of :func:`wire_expiry`."""
     if raw is None:
         return None
     if isinstance(raw, bytes):
         return encoding.unpack_float(raw)
-    if isinstance(raw, int):  # legacy millisecond form
-        return None if raw == -1 else raw / 1000
     raise AdvertisementError(
         f"malformed expiry wire form: {type(raw).__name__}"
     )
 
 
-def _metadata_from_wire(value) -> Metadata:
-    """A Metadata sub-field: interned blob (bytes) or legacy dict."""
-    if isinstance(value, (bytes, bytearray)):
-        return decode_blob("metadata", value, Metadata.from_wire)
-    return Metadata.from_wire(value)
-
-
-def _rtcert_from_wire(value) -> RtCert:
-    if isinstance(value, (bytes, bytearray)):
-        return decode_blob("rtcert", value, RtCert.from_wire)
-    return RtCert.from_wire(value)
-
-
-def _chain_from_wire(value) -> ServiceChain:
-    if isinstance(value, (bytes, bytearray)):
-        return decode_blob("chain", value, ServiceChain.from_wire)
-    return ServiceChain.from_wire(value)
+def _evidence_from_wire(kind: str, value, decoder):
+    """An evidence sub-field travels as one interned blob; any other
+    shape is malformed."""
+    if not isinstance(value, (bytes, bytearray)):
+        raise AdvertisementError(
+            f"malformed {kind} sub-wire: {type(value).__name__}"
+        )
+    return decode_blob(kind, value, decoder)
 
 
 class RouteEntry:
@@ -212,9 +200,8 @@ class RouteEntry:
     def from_wire(cls, wire: dict) -> "RouteEntry":
         """Rebuild from a wire form; raises on malformed input.
 
-        Accepts both interned evidence blobs (bytes) and the legacy
-        nested-dict sub-fields, so pre-upgrade stored entries decode.
-        Repeated blobs decode to *shared* evidence objects.
+        Evidence sub-fields are interned blobs (bytes); repeated blobs
+        decode to *shared* evidence objects.
         """
         try:
             return cls(
@@ -222,16 +209,22 @@ class RouteEntry:
                 router=GdpName(wire["router"]) if "router" in wire else None,
                 via_child=wire.get("via_child"),
                 principal=GdpName(wire["principal"]),
-                principal_metadata=_metadata_from_wire(
-                    wire["principal_metadata"]
+                principal_metadata=_evidence_from_wire(
+                    "metadata", wire["principal_metadata"], Metadata.from_wire
                 ),
-                rtcert=_rtcert_from_wire(wire["rtcert"])
+                rtcert=_evidence_from_wire(
+                    "rtcert", wire["rtcert"], RtCert.from_wire
+                )
                 if "rtcert" in wire
                 else None,
-                chain=_chain_from_wire(wire["chain"])
+                chain=_evidence_from_wire(
+                    "chain", wire["chain"], ServiceChain.from_wire
+                )
                 if "chain" in wire
                 else None,
-                router_metadata=_metadata_from_wire(wire["router_metadata"])
+                router_metadata=_evidence_from_wire(
+                    "metadata", wire["router_metadata"], Metadata.from_wire
+                )
                 if "router_metadata" in wire
                 else None,
                 expires_at=expiry_from_wire(wire.get("expires_at")),
@@ -420,23 +413,12 @@ class GLookupService:
         #: names physically reclaimed by the lease wheel
         self.purged = 0
         # Counters live in the supplied registry (scope
-        # ``glookup:<domain>``) or a private one; ``stats_*`` stay as
-        # read-only views.
+        # ``glookup:<domain>``) or a private one.
         registry = metrics if metrics is not None else MetricsRegistry()
-        self._metrics = registry.node(f"glookup:{domain_name}")
-        self._c_queries = self._metrics.counter("glookup.queries")
-        self._c_misses = self._metrics.counter("glookup.misses")
-        self._c_purged = self._metrics.counter("glookup.purged")
-
-    @property
-    def stats_queries(self) -> int:
-        """Lookups served (registry: ``glookup.queries``)."""
-        return self._c_queries.value
-
-    @property
-    def stats_misses(self) -> int:
-        """Lookups with no live entry (registry: ``glookup.misses``)."""
-        return self._c_misses.value
+        self.metrics = registry.node(f"glookup:{domain_name}")
+        self._c_queries = self.metrics.counter("glookup.queries")
+        self._c_misses = self.metrics.counter("glookup.misses")
+        self._c_purged = self.metrics.counter("glookup.purged")
 
     @property
     def now(self) -> float:

@@ -114,7 +114,7 @@ class GdpRouter(Node):
         #: socket fleet turns it on so responses can cross processes that
         #: share no GLookupService.
         self.learn_source_routes = False
-        metrics = network.metrics.node(node_id)
+        metrics = self.metrics
         self._c_forwarded = metrics.counter("router.forwarded")
         self._c_bytes = metrics.counter("router.bytes")
         self._c_no_route = metrics.counter("router.no_route")
@@ -124,47 +124,6 @@ class GdpRouter(Node):
         self._c_negative_hits = metrics.counter("glookup.negative_hits")
         self._c_parked = metrics.counter("router.parked")
         domain.add_router(self)
-
-    # -- backwards-compatible counter views --------------------------------
-
-    @property
-    def stats_forwarded(self) -> int:
-        """Data PDUs forwarded (registry: ``router.forwarded``)."""
-        return self._c_forwarded.value
-
-    @property
-    def stats_bytes(self) -> int:
-        """Data bytes forwarded (registry: ``router.bytes``)."""
-        return self._c_bytes.value
-
-    @property
-    def stats_no_route(self) -> int:
-        """PDUs with no resolvable route (registry: ``router.no_route``)."""
-        return self._c_no_route.value
-
-    @property
-    def stats_verified_installs(self) -> int:
-        """Verified GLookup installs (registry: ``router.verified_installs``)."""
-        return self._c_verified_installs.value
-
-    @property
-    def stats_ttl_expired(self) -> int:
-        """PDUs dropped for exhausted hop budget (registry:
-        ``router.ttl_expired``) — loop/black-hole symptom, counted
-        separately from resolution misses."""
-        return self._c_ttl_expired.value
-
-    @property
-    def stats_failovers(self) -> int:
-        """Client-reported route invalidations processed (registry:
-        ``router.failovers``)."""
-        return self._c_failovers.value
-
-    @property
-    def stats_negative_hits(self) -> int:
-        """Resolutions short-circuited by the negative cache (registry:
-        ``glookup.negative_hits``)."""
-        return self._c_negative_hits.value
 
     # -- link layer -------------------------------------------------------
 

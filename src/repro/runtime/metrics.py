@@ -1,11 +1,10 @@
 """The metrics plane: uniform named counters/histograms per node.
 
-Before this layer existed, every role counted its own way — ``Router``
-kept loose ``stats_forwarded`` attributes, ``DCServer`` a ``self.stats``
-dict, links a third style.  A :class:`MetricsRegistry` replaces all of
-them: instruments are named ``<subsystem>.<event>`` (``router.forwarded``,
+Every role counts through one :class:`MetricsRegistry`: instruments
+are named ``<subsystem>.<event>`` (``router.forwarded``,
 ``server.appends``, ``net.bytes``) and scoped by node, so a benchmark or
-the ``repro stats`` CLI can snapshot the whole network uniformly.
+the ``repro stats`` CLI can snapshot the whole network uniformly.  Each
+node, link and lookup service keeps its scope as ``self.metrics``.
 
 Instruments are plain objects with an ``inc``/``observe`` hot path (no
 locks — the simulator is single-threaded and deterministic).  A registry

@@ -136,8 +136,7 @@ class NodePipeline:
 class DeliveryMiddleware:
     """Base class for link-delivery middlewares.
 
-    ``on_deliver`` verdicts: ``None``/``True`` pass, ``False`` or
-    :data:`DROP` drop (``False`` kept for legacy delivery hooks),
+    ``on_deliver`` verdicts: ``None`` passes, :data:`DROP` drops,
     :class:`Delay` adds arrival delay, anything else replaces the
     message.
     """
@@ -149,27 +148,13 @@ class DeliveryMiddleware:
         return None
 
 
-class _HookMiddleware(DeliveryMiddleware):
-    """Adapter wrapping a legacy delivery-hook callable."""
-
-    __slots__ = ("hook",)
-
-    def __init__(self, hook):
-        self.hook = hook
-
-    def on_deliver(self, link, sender, receiver, message, size):
-        verdict = self.hook(link, sender, receiver, message, size)
-        return DROP if verdict is False else None
-
-
 class DeliveryPipeline:
     """An ordered chain of :class:`DeliveryMiddleware` on one network."""
 
-    __slots__ = ("_middlewares", "_hook_adapters")
+    __slots__ = ("_middlewares",)
 
     def __init__(self):
         self._middlewares: list[DeliveryMiddleware] = []
-        self._hook_adapters: dict[Any, _HookMiddleware] = {}
 
     def use(self, middleware: DeliveryMiddleware) -> DeliveryMiddleware:
         """Append *middleware* (returns it, for chaining)."""
@@ -180,26 +165,15 @@ class DeliveryPipeline:
         """Remove a previously installed middleware."""
         self._middlewares.remove(middleware)
 
-    def use_hook(self, hook) -> None:
-        """Install a legacy ``(link, sender, receiver, message, size) ->
-        bool | None`` delivery hook as a middleware."""
-        adapter = _HookMiddleware(hook)
-        self._hook_adapters[hook] = adapter
-        self.use(adapter)
-
-    def remove_hook(self, hook) -> None:
-        """Remove a hook installed with :meth:`use_hook`."""
-        self.remove(self._hook_adapters.pop(hook))
-
     def run(self, link, sender, receiver, message: Any, size: int):
         """Run the chain; returns ``(message, extra_delay)`` or None
         when the message was dropped."""
         extra_delay = 0.0
         for middleware in self._middlewares:
             verdict = middleware.on_deliver(link, sender, receiver, message, size)
-            if verdict is None or verdict is True:
+            if verdict is None:
                 continue
-            if verdict is False or verdict is DROP:
+            if verdict is DROP:
                 return None
             if isinstance(verdict, Delay):
                 extra_delay += verdict.seconds

@@ -13,7 +13,6 @@ from repro.server.replication import (
     AntiEntropyDaemon,
     SyncConfig,
     SyncSession,
-    full_sync_once,
     sync_once,
 )
 from repro.server.secure import (
@@ -35,7 +34,6 @@ __all__ = [
     "SyncConfig",
     "SyncSession",
     "sync_once",
-    "full_sync_once",
     "FsyncPolicy",
     "StorageBackend",
     "MemoryStore",

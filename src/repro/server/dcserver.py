@@ -28,7 +28,6 @@ Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 ``subscribe``  register the requester for future pushes
 ``unsubscribe``
 ``session``    authenticated ECDH handshake -> HMAC fast path
-``sync_summary`` / ``sync_fetch``   full-scan anti-entropy (legacy)
 ``sync_root`` / ``sync_nodes`` / ``sync_fetch_batch``
                Merkle-delta anti-entropy (see replication.py)
 =============  =========================================================
@@ -135,7 +134,7 @@ class DataCapsuleServer(Endpoint):
         #: in-flight ones, and flushes storage before shutdown
         self.draining = False
         self._inflight = 0
-        metrics = network.metrics.node(node_id)
+        metrics = self.metrics
         self._h_drain_ms = metrics.histogram("server.drain_ms")
         self._c_appends = metrics.counter("server.appends")
         self._c_replications = metrics.counter("server.replications")
@@ -777,24 +776,6 @@ class DataCapsuleServer(Endpoint):
         # the *next* message), so the client can authenticate the offer.
         self._sign_anyway.add((pdu.src, pdu.corr_id))
         return {"ok": True, "offer": handshake.offer()}
-
-    @op("sync_summary", capsule=bytes)
-    def _op_sync_summary(self, pdu: Pdu, payload: dict) -> dict:
-        hosted = self._hosted(payload)
-        self._c_sync_rounds.inc()
-        return {"ok": True, "summary": hosted.capsule.state_summary()}
-
-    @op("sync_fetch", capsule=bytes, digests=list)
-    def _op_sync_fetch(self, pdu: Pdu, payload: dict) -> dict:
-        hosted = self._hosted(payload)
-        records = []
-        for digest in payload["digests"]:
-            try:
-                records.append(hosted.capsule.get_by_digest(digest).to_wire())
-            except RecordNotFoundError:
-                continue
-        heartbeats = [h.to_wire() for h in hosted.capsule.heartbeats()]
-        return {"ok": True, "records": records, "heartbeats": heartbeats}
 
     # -- Merkle-delta anti-entropy (see server/replication.py) ------------
 

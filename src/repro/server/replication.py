@@ -5,9 +5,8 @@ state in the background. This effectively leads us to a leaderless
 replication design, which is much more efficient in presence of
 failures."
 
-The original protocol shipped a full seqno->digest map every round and
-one record per fetch entry — O(capsule length) bytes per round, hopeless
-at scale.  The protocol here is bandwidth-proportional to *divergence*:
+The protocol is bandwidth-proportional to *divergence*, not to capsule
+length:
 
 1. ``sync_root`` — the peer answers with its tip seqno and one Merkle
    root over its whole sync index (see
@@ -24,9 +23,7 @@ at scale.  The protocol here is bandwidth-proportional to *divergence*:
 
 Records and their heartbeats are inserted through the normal validation
 path (a malicious sibling cannot poison us), and per-(capsule, peer)
-:class:`SyncSession` bookkeeping feeds the daemon's stats.  The old
-full-scan protocol remains as :func:`full_sync_once` — the baseline the
-replication bench pairs against (``repro bench --suite replication``).
+:class:`SyncSession` bookkeeping feeds the daemon's stats.
 
 Because capsule state is a join-semilattice (record-set union), rounds
 stay idempotent and order-independent; transient *holes* left by the
@@ -52,7 +49,6 @@ __all__ = [
     "SyncConfig",
     "SyncSession",
     "sync_once",
-    "full_sync_once",
 ]
 
 
@@ -354,51 +350,6 @@ def sync_once(
         session.records_fetched += fetched
         session.last_synced = server.sim.now
     return fetched
-
-
-def full_sync_once(
-    server: DataCapsuleServer,
-    capsule_name: GdpName,
-    sibling: GdpName,
-    *,
-    timeout: float = 15.0,
-) -> Generator:
-    """The original full-scan protocol: the peer ships its complete
-    seqno->digest summary, then every missing record in one reply plus
-    every heartbeat it has.  O(capsule length) bytes per round — kept as
-    the paired-trial baseline for the replication bench, and as a wire
-    -compatibility fallback for pre-delta peers."""
-    hosted = server.hosted[capsule_name]
-    try:
-        reply = yield server.rpc(
-            sibling,
-            {"op": "sync_summary", "capsule": capsule_name.raw},
-            timeout=timeout,
-        )
-    except GdpError:
-        return 0
-    body = _reply_body(reply)
-    if body is None:
-        return 0
-    missing = hosted.capsule.missing_from(body["summary"])
-    if not missing:
-        return 0
-    try:
-        reply = yield server.rpc(
-            sibling,
-            {
-                "op": "sync_fetch",
-                "capsule": capsule_name.raw,
-                "digests": missing,
-            },
-            timeout=2 * timeout,
-        )
-    except GdpError:
-        return 0
-    body = _reply_body(reply)
-    if body is None:
-        return 0
-    return _absorb(server, hosted, body, None)
 
 
 class AntiEntropyDaemon:

@@ -21,7 +21,7 @@ deterministic trace stream.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable
+from typing import Any
 
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.middleware import (
@@ -47,6 +47,8 @@ class Node:
         self.network = network
         self.node_id = node_id
         self.links: list["Link"] = []
+        #: this node's scope in the network metrics registry
+        self.metrics = network.metrics.node(node_id)
         network._register(self)
 
     @property
@@ -95,8 +97,7 @@ class Link:
 
     Per-link counters live in the network metrics registry under the
     scope ``link:<a>~<b>`` (names ``net.sent`` / ``net.dropped`` /
-    ``net.bytes``); the historical ``stats_*`` attributes remain as
-    read-only views.
+    ``net.bytes`` / ``net.delivered``).
     """
 
     def __init__(
@@ -126,42 +127,19 @@ class Link:
         self.loss = loss
         self._busy_until = {(a, b): 0.0, (b, a): 0.0}
         self.up = True
-        metrics = network.metrics.node(f"link:{a.node_id}~{b.node_id}")
+        self.metrics = metrics = network.metrics.node(
+            f"link:{a.node_id}~{b.node_id}"
+        )
+        # Conservation invariant (the simtest ``conservation`` oracle):
+        # at quiesce ``net.sent == net.dropped + net.delivered`` on every
+        # link — an offered message is dropped (link down, loss, fault
+        # middleware) or delivered, never lost silently.
         self._c_sent = metrics.counter("net.sent")
         self._c_dropped = metrics.counter("net.dropped")
         self._c_bytes = metrics.counter("net.bytes")
         self._c_delivered = metrics.counter("net.delivered")
         a.links.append(self)
         b.links.append(self)
-
-    # -- backwards-compatible counter views --------------------------------
-
-    @property
-    def stats_sent(self) -> int:
-        """Messages offered to the link (registry: ``net.sent``)."""
-        return self._c_sent.value
-
-    @property
-    def stats_dropped(self) -> int:
-        """Messages lost or suppressed (registry: ``net.dropped``)."""
-        return self._c_dropped.value
-
-    @property
-    def stats_bytes(self) -> int:
-        """Bytes serialized onto the line (registry: ``net.bytes``)."""
-        return self._c_bytes.value
-
-    @property
-    def stats_delivered(self) -> int:
-        """Messages handed to the receiver (registry: ``net.delivered``).
-
-        Conservation invariant (checked by the simtest ``conservation``
-        oracle): at quiesce, ``net.sent == net.dropped + net.delivered``
-        on every link — a message offered to a link is either dropped
-        (link down, loss, fault middleware) or delivered, never lost
-        silently.
-        """
-        return self._c_delivered.value
 
     def peer(self, node: Node) -> Node:
         """The node on the other end of this link."""
@@ -233,7 +211,7 @@ class SimNetwork:
       scopes its named counters into (``metrics_enabled=False`` makes
       all instruments no-ops for zero-overhead hot loops);
     - ``delivery`` — the link-level middleware pipeline (fault
-      injection; ``add_delivery_hook`` remains as a thin legacy shim);
+      injection);
     - node middlewares — installed with :meth:`install_node_middleware`,
       seeded into every node pipeline created via :meth:`node_pipeline`
       (tracing via :meth:`enable_tracing`, generic PDU counting via
@@ -291,7 +269,7 @@ class SimNetwork:
         """Total bytes serialized onto every link so far — the
         bandwidth-weighted transfer cost the replication bench and the
         O(missing)-bytes property test measure."""
-        return sum(link.stats_bytes for link in self.links)
+        return sum(link._c_bytes.value for link in self.links)
 
     # -- the node middleware plane -----------------------------------------
 
@@ -340,16 +318,3 @@ class SimNetwork:
             if isinstance(middleware, MetricsMiddleware):
                 return
         self.install_node_middleware(MetricsMiddleware(self.metrics))
-
-    # -- legacy delivery hooks ----------------------------------------------
-
-    def add_delivery_hook(
-        self, hook: Callable[[Link, Node, Node, Any, int], bool | None]
-    ) -> None:
-        """Install a delivery interception hook (legacy shim over the
-        delivery middleware pipeline)."""
-        self.delivery.use_hook(hook)
-
-    def remove_delivery_hook(self, hook: Callable) -> None:
-        """Remove a previously installed hook."""
-        self.delivery.remove_hook(hook)

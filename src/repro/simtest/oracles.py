@@ -515,11 +515,12 @@ def check_commit_order(world) -> list[Violation]:
                     f"version cache says {shard.version_of(key)}, "
                     f"log tip for the key is {versions[key]}",
                 ))
-        if shard.stats_committed != len(log):
+        committed = shard.metrics.counter("commit.committed").value
+        if committed != len(log):
             violations.append(Violation(
                 "commit_order",
                 shard.node_id,
-                f"committed counter {shard.stats_committed} != "
+                f"committed counter {committed} != "
                 f"{len(log)} logged commits",
             ))
     logged = {
@@ -580,9 +581,9 @@ def check_conservation(world) -> list[Violation]:
     receiver; nothing vanishes unaccounted."""
     violations = []
     for link in world.net.links:
-        sent = link.stats_sent
-        dropped = link.stats_dropped
-        delivered = link.stats_delivered
+        sent = link.metrics.counter("net.sent").value
+        dropped = link.metrics.counter("net.dropped").value
+        delivered = link.metrics.counter("net.delivered").value
         if sent != dropped + delivered:
             violations.append(Violation(
                 "conservation",

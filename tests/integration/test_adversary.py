@@ -86,7 +86,7 @@ class TestOnPathAttacks:
             yield from writer.append(b"x")
             yield 1.0
             attacker.install()
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             yield 1.0  # replays arrive, are dropped
             attacker.uninstall()
             return record.payload, attacker.stats["replayed"]
@@ -109,7 +109,7 @@ class TestOnPathAttacks:
             yield from writer.append(b"x")
             yield 1.0
             attacker.install()
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             attacker.uninstall()
             return record.payload
 
@@ -145,7 +145,7 @@ class TestMaliciousServer:
             for i in range(5):
                 yield from writer.append(b"r%d" % i)
             # Reader learns the true frontier (seqno 5).
-            latest = yield from g.reader_client.read_latest(metadata.name)
+            latest = (yield from g.reader_client.read_latest(metadata.name)).record
             assert latest.seqno == 5
             # Server rolls back to seqno 2 and serves stale state.
             StorageTamperer(g.server_root).rollback(metadata.name, keep=2)
@@ -227,7 +227,7 @@ class TestCompromisedGLookup:
             g.root_domain.glookup.register(forged_entry, propagate=False)
             # Reader resolves through the root router: the forged entry
             # must be skipped in favour of the honest one.
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"true-data"
@@ -268,7 +268,8 @@ class TestCompromisedGLookup:
                 router_metadata=g.r_root.metadata,
             )
             g.root_domain.glookup.register(forged_entry, propagate=False)
-            installs_before = g.r_edge.stats_verified_installs
+            installs = g.r_edge.metrics.counter("router.verified_installs")
+            installs_before = installs.value
             # An edge-domain client resolves through the ancestor path.
             corr_id, future = g.writer_client.request(
                 ghost_md.name,
@@ -283,7 +284,7 @@ class TestCompromisedGLookup:
                 raise AssertionError("forged route produced an answer")
             # The forged evidence never made it into the edge FIB.
             assert ghost_md.name not in g.r_edge.fib
-            assert g.r_edge.stats_verified_installs == installs_before
+            assert installs.value == installs_before
             return True
 
         assert g.run(scenario())

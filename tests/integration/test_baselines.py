@@ -59,7 +59,7 @@ class TestObjectStore:
             return (yield from store.get("big"))
 
         assert topo.net.sim.run_process(scenario()) == data
-        assert s3.stats_puts == 3
+        assert s3.metrics.counter("s3.puts").value == 3
 
     def test_overwrite(self, world):
         topo, s3, _, client = world
@@ -112,8 +112,8 @@ class TestSshfs:
 
         topo.net.sim.run_process(scenario())
         expected_blocks = (300_000 + 65535) // 65536
-        assert sshfs.stats_writes == expected_blocks
-        assert sshfs.stats_reads == expected_blocks
+        assert sshfs.metrics.counter("sshfs.writes").value == expected_blocks
+        assert sshfs.metrics.counter("sshfs.reads").value == expected_blocks
 
     def test_missing_file(self, world):
         topo, _, sshfs, client = world

@@ -8,7 +8,7 @@ from repro.errors import CapsuleError, DurabilityError
 
 
 def _total_sent(net) -> int:
-    return sum(link.stats_sent for link in net.links)
+    return sum(link.metrics.counter("net.sent").value for link in net.links)
 
 
 class TestAppendStream:

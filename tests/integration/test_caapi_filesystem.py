@@ -100,7 +100,7 @@ class TestFileLifecycle:
             yield from fs.write_file("f", b"v1")
             old_name, _ = yield from fs.stat("f")
             yield from fs.write_file("f", b"v2")
-            record = yield from g.writer_client.read(old_name, 1)
+            record = (yield from g.writer_client.read(old_name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"v1"

@@ -143,11 +143,11 @@ class TestCommitService:
             s2 = yield from submit_update(bob, service.name, capsule, b"from-bob")
             s3 = yield from submit_update(alice, service.name, capsule, b"alice-again")
             yield 1.0
-            records = yield from g.reader_client.read_range(capsule, 1, 3)
+            records = (yield from g.reader_client.read_range(capsule, 1, 3)).records
             return (s1, s2, s3), records
 
         (s1, s2, s3), records = g.run(scenario())
-        assert (s1, s2, s3) == (1, 2, 3)
+        assert (s1.seqno, s2.seqno, s3.seqno) == (1, 2, 3)
         submitters = [read_committed(r.payload)[0] for r in records]
         assert submitters == [
             alice.key.public.to_bytes(),
@@ -181,10 +181,10 @@ class TestCommitService:
                 yield from submit_update(
                     outsider, service.name, capsule, b"rejected"
                 )
-            seqno = yield from submit_update(
+            receipt = yield from submit_update(
                 insider, service.name, capsule, b"accepted"
             )
-            return seqno, service.stats_rejected
+            return receipt.seqno, service.metrics.counter("commit.rejected").value
 
         seqno, rejected = g.run(scenario())
         assert seqno == 1 and rejected == 1
@@ -255,8 +255,8 @@ class TestAggregation:
             yield from writer_b.append(b"b1")
             yield from writer_a.append(b"a2")
             yield 3.0
-            latest = yield from g.reader_client.read_latest(out)
-            records = yield from g.reader_client.read_range(out, 1, latest.seqno)
+            latest = (yield from g.reader_client.read_latest(out)).record
+            records = (yield from g.reader_client.read_range(out, 1, latest.seqno)).records
             return md_a, md_b, records
 
         md_a, md_b, records = g.run(scenario())

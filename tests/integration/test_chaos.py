@@ -47,9 +47,10 @@ def test_chaos_convergence(seed, small_net, seeded_rng):
             if action < 0.55:
                 policy = rng.choice(["any", "any", "quorum", "all"])
                 try:
-                    record, acks = yield from writer.append(
+                    receipt = yield from writer.append(
                         b"chaos-%d" % step, acks=policy
                     )
+                    record, acks = receipt.record, receipt.acks
                     appended += 1
                     if policy == "all" and acks == 3:
                         durable_seqnos.append(record.seqno)

@@ -1,4 +1,4 @@
-"""The CLI: selfcheck, stats, version, inventory, simtest."""
+"""The CLI: selfcheck, stats, version, simtest."""
 
 import contextlib
 
@@ -29,12 +29,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("event=pdu_") == 3
         assert "seq=1" in out
-
-    def test_inventory(self, capsys):
-        assert main(["inventory"]) == 0
-        out = capsys.readouterr().out
-        assert "repro.capsule" in out
-        assert "repro.routing" in out
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0

@@ -45,8 +45,8 @@ class TestClientRejections:
             reborn = g.writer_client.open_writer(
                 metadata, g.writer_key, state_path=state_path
             )
-            record, _ = yield from reborn.append(b"three")
-            return record.seqno
+            receipt = yield from reborn.append(b"three")
+            return receipt.seqno
 
         assert g.run(scenario()) == 3
 
@@ -82,8 +82,8 @@ class TestClientRejections:
             yield from writer_a.append(b"for-a")
             yield from writer_b.append(b"for-b")
             yield 1.0
-            rec_a = yield from g.reader_client.read(md_a.name, 1)
-            rec_b = yield from g.reader_client.read(md_b.name, 1)
+            rec_a = (yield from g.reader_client.read(md_a.name, 1)).record
+            rec_b = (yield from g.reader_client.read(md_b.name, 1)).record
             return rec_a.payload, rec_b.payload
 
         assert g.run(scenario()) == (b"for-a", b"for-b")

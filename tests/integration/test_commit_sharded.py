@@ -1,7 +1,5 @@
 """Sharded commit plane: routing, CAS conflicts, provenance, receipts."""
 
-import warnings
-
 import pytest
 
 from repro.caapi import (
@@ -109,8 +107,8 @@ class TestShardRouting:
         assert body["ok"] is False
         assert body["wrong_shard"] is True
         assert body["shard"] == owner
-        assert shards[wrong].stats_rejected == 1
-        assert shards[wrong].stats_committed == 0
+        assert shards[wrong].metrics.counter("commit.rejected").value == 1
+        assert shards[wrong].metrics.counter("commit.committed").value == 0
 
     def test_stale_map_self_heals(self, mini_gdp, owner_keys):
         """A client holding a rotated (stale) map gets ``wrong_shard``,
@@ -204,7 +202,7 @@ class TestOptimisticConcurrency:
         assert conflict.expected == 0
         assert second.seqno > first.seqno
         owning = shards[shard_of("k", 2)]
-        assert owning.stats_conflicts == 1
+        assert owning.metrics.counter("commit.conflicts").value == 1
 
     def test_concurrent_race_exactly_one_winner(self, mini_gdp, owner_keys):
         """Two truly concurrent expect-0 submissions on one key: the
@@ -274,7 +272,8 @@ class TestOptimisticConcurrency:
         for entry in log:
             assert entry["expect"] == previous
             previous = entry["seqno"]
-        assert owning.stats_conflicts > 0  # the hot key really contended
+        # the hot key really contended
+        assert owning.metrics.counter("commit.conflicts").value > 0
 
     def test_forged_precondition_fails_signature(self, mini_gdp, owner_keys):
         """expect_seqno is inside the signed preimage: a relay that
@@ -295,7 +294,7 @@ class TestOptimisticConcurrency:
         body = g.run(scenario())
         assert body["ok"] is False
         assert "signature" in body["error"]
-        assert shards[0].stats_rejected == 1
+        assert shards[0].metrics.counter("commit.rejected").value == 1
 
 
 class TestReceiptAndMetrics:
@@ -316,14 +315,9 @@ class TestReceiptAndMetrics:
         assert receipt.shard == shard_map.shard_of("k")
         assert receipt.capsule == shard_map.capsules[receipt.shard]
         assert receipt.conflict is None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert receipt == 1
-            assert int(receipt) == 1
-        assert all(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert len(caught) == 2
+        assert (receipt == 1) is False  # an envelope, not an int
+        with pytest.raises(TypeError):
+            int(receipt)
 
     def test_metrics_registry_names(self, mini_gdp, owner_keys):
         g = mini_gdp
@@ -343,10 +337,9 @@ class TestReceiptAndMetrics:
         snapshot = g.net.metrics.node("shard0").snapshot()
         assert snapshot["commit.committed"] == 1
         assert snapshot["commit.conflicts"] == 1
-        # Back-compat properties mirror the registry.
-        assert shards[0].stats_committed == 1
-        assert shards[0].stats_conflicts == 1
-        assert shards[0].stats_rejected == 0
+        assert shards[0].metrics.counter("commit.committed").value == 1
+        assert shards[0].metrics.counter("commit.conflicts").value == 1
+        assert shards[0].metrics.counter("commit.rejected").value == 0
         front_snap = g.net.metrics.node("commit_front").snapshot()
         assert front_snap["commit.map_served"] == 2
 

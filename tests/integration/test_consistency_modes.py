@@ -22,7 +22,7 @@ class TestAnycastConsistency:
             yield from writer.append(b"v2-unreplicated")
             yield 0.5
             # The reader (root side) sees only v1 — stale, verified.
-            latest = yield from g.reader_client.read_latest(metadata.name)
+            latest = (yield from g.reader_client.read_latest(metadata.name)).record
             link.recover()
             return latest
 
@@ -58,7 +58,7 @@ class TestStrictConsistency:
             )
             return latest
 
-        latest = g.run(scenario())
+        latest = g.run(scenario()).record
         assert latest.seqno == 2
         assert latest.payload == b"v2"
 

@@ -9,12 +9,12 @@ from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.naming import make_capsule_metadata
 from repro.routing import GdpRouter, RoutingDomain
+from repro.runtime.middleware import DROP, DeliveryMiddleware
 from repro.server import (
     AntiEntropyDaemon,
     DataCapsuleServer,
     SyncConfig,
     SyncSession,
-    full_sync_once,
     sync_once,
 )
 from repro.sim import SimNetwork
@@ -133,16 +133,17 @@ class TestDeltaSyncEdgeCases:
         link = g.r_edge.link_to(g.r_root)
         dropped = {"n": 0}
 
-        def drop_first_batches(link_, sender, receiver, message, size):
-            payload = getattr(message, "payload", None)
-            if (
-                isinstance(payload, dict)
-                and payload.get("op") == "sync_fetch_batch"
-                and dropped["n"] < 2
-            ):
-                dropped["n"] += 1
-                return False
-            return None
+        class DropFirstBatches(DeliveryMiddleware):
+            def on_deliver(self, link_, sender, receiver, message, size):
+                payload = getattr(message, "payload", None)
+                if (
+                    isinstance(payload, dict)
+                    and payload.get("op") == "sync_fetch_batch"
+                    and dropped["n"] < 2
+                ):
+                    dropped["n"] += 1
+                    return DROP
+                return None
 
         config = SyncConfig(
             batch_records=4, window=2,
@@ -163,12 +164,12 @@ class TestDeltaSyncEdgeCases:
             link.recover()
             g.r_edge.flush_fib()
             g.r_root.flush_fib()
-            g.net.add_delivery_hook(drop_first_batches)
+            drop_first_batches = g.net.delivery.use(DropFirstBatches())
             fetched = yield from sync_once(
                 g.server_root, metadata.name, g.server_edge.name,
                 timeout=1.0, config=config, session=session,
             )
-            g.net.remove_delivery_hook(drop_first_batches)
+            g.net.delivery.remove(drop_first_batches)
             return metadata, fetched
 
         metadata, fetched = g.run(scenario())
@@ -233,14 +234,14 @@ def _build_divergent_world(n_records: int, missing: set, *, seed: int):
     return net, server_a, server_b, metadata
 
 
-def _measure_sync(protocol, n_records: int, missing: set, *, seed: int):
-    """Heal one divergence with *protocol*; returns (fetched, bytes)."""
+def _measure_sync(n_records: int, missing: set, *, seed: int):
+    """Heal one divergence with ``sync_once``; returns (fetched, bytes)."""
     net, server_a, server_b, metadata = _build_divergent_world(
         n_records, missing, seed=seed
     )
     before = net.bytes_on_wire()
     fetched = net.sim.run_process(
-        protocol(server_b, metadata.name, server_a.name, timeout=60.0),
+        sync_once(server_b, metadata.name, server_a.name, timeout=60.0),
         "measured-sync",
     )
     assert (
@@ -252,37 +253,22 @@ def _measure_sync(protocol, n_records: int, missing: set, *, seed: int):
 
 class TestBytesProportionalToDivergence:
     """Delta-sync wire cost must track the number of *missing* records
-    (plus an O(log n) bisection term), not the capsule length.  The
-    full-scan baseline, measured on the same divergence, grows linearly
-    — that gap is the protocol's whole reason to exist."""
+    (plus an O(log n) bisection term), not the capsule length."""
 
     MISSING = {40, 80, 120, 160, 199}
 
     def test_delta_bytes_scale_with_missing_not_length(self):
         fetched_small, delta_small = _measure_sync(
-            sync_once, 200, self.MISSING, seed=31
+            200, self.MISSING, seed=31
         )
         fetched_large, delta_large = _measure_sync(
-            sync_once, 800, self.MISSING, seed=37
+            800, self.MISSING, seed=37
         )
         assert fetched_small == len(self.MISSING)
         assert fetched_large == len(self.MISSING)
         # 4x the records must cost far less than 4x the bytes: only the
         # bisection depth (log n) may grow, never the transfer itself.
         assert delta_large < 2 * delta_small
-
-    def test_delta_beats_full_scan_on_same_divergence(self):
-        _, full_small = _measure_sync(
-            full_sync_once, 200, self.MISSING, seed=41
-        )
-        _, full_large = _measure_sync(
-            full_sync_once, 800, self.MISSING, seed=43
-        )
-        _, delta_large = _measure_sync(sync_once, 800, self.MISSING, seed=47)
-        # The baseline is O(capsule length)...
-        assert full_large > 3 * full_small
-        # ...and the delta protocol beats it by a wide margin.
-        assert full_large > 4 * delta_large
 
 
 class TestDaemonJitter:

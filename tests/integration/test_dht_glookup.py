@@ -84,7 +84,7 @@ class TestDhtBackedGlobalTier:
             yield 0.5
             writer = w["writer_client"].open_writer(metadata, w["writer_key"])
             yield from writer.append(b"via-dht")
-            record = yield from w["reader_client"].read(metadata.name, 1)
+            record = (yield from w["reader_client"].read(metadata.name, 1)).record
             return record.payload
 
         assert net.sim.run_process(scenario()) == b"via-dht"
@@ -116,7 +116,7 @@ class TestDhtBackedGlobalTier:
                     node.store[metadata.name][b"\xee" * 32] = dict(poison)
             for router in (w["r_root"], w["r_edge"]):
                 router.flush_fib()
-            record = yield from w["reader_client"].read(metadata.name, 1)
+            record = (yield from w["reader_client"].read(metadata.name, 1)).record
             return record.payload
 
         assert net.sim.run_process(scenario()) == b"still-true"
@@ -177,7 +177,7 @@ class TestDhtBackedGlobalTier:
                     node.store[metadata.name][b"\xbb" * 32] = dict(planted)
             for router in (w["r_root"], w["r_edge"]):
                 router.flush_fib()
-            record = yield from w["reader_client"].read(metadata.name, 1)
+            record = (yield from w["reader_client"].read(metadata.name, 1)).record
             return record.payload
 
         assert net.sim.run_process(scenario()) == b"authentic"

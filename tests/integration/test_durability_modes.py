@@ -13,8 +13,8 @@ class TestAckModes:
             yield from g.bootstrap()
             metadata = yield from g.place()
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            record, acks = yield from writer.append(b"fast", acks="any")
-            return acks
+            receipt = yield from writer.append(b"fast", acks="any")
+            return receipt.acks
 
         assert g.run(scenario()) == 1
 
@@ -25,8 +25,8 @@ class TestAckModes:
             yield from g.bootstrap()
             metadata = yield from g.place()
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            record, acks = yield from writer.append(b"durable", acks="all")
-            return acks
+            receipt = yield from writer.append(b"durable", acks="all")
+            return receipt.acks
 
         assert g.run(scenario()) == 2
 
@@ -37,8 +37,8 @@ class TestAckModes:
             yield from g.bootstrap()
             metadata = yield from g.place()
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            record, acks = yield from writer.append(b"q", acks="quorum")
-            return acks
+            receipt = yield from writer.append(b"q", acks="quorum")
+            return receipt.acks
 
         assert g.run(scenario()) == 2
 
@@ -67,8 +67,8 @@ class TestAckModes:
             metadata = yield from g.place()
             g.server_root.crash()
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            record, acks = yield from writer.append(b"fine", acks="any")
-            return acks
+            receipt = yield from writer.append(b"fine", acks="any")
+            return receipt.acks
 
         assert g.run(scenario()) == 1
 
@@ -86,8 +86,8 @@ class TestAckModes:
             # The record was already minted; a retry is a fresh append of
             # the next payload plus anti-entropy catching r1 up — here we
             # just verify the durable path works again.
-            record, acks = yield from writer.append(b"r2", acks="all")
-            return acks
+            receipt = yield from writer.append(b"r2", acks="all")
+            return receipt.acks
 
         assert g.run(scenario()) == 2
 

@@ -16,11 +16,11 @@ class TestBasicFlow:
             for i in range(8):
                 yield from writer.append(b"measurement-%d" % i)
             yield 1.0  # background replication to the root replica
-            record = yield from g.reader_client.read(metadata.name, 5)
+            record = (yield from g.reader_client.read(metadata.name, 5)).record
             assert record.payload == b"measurement-4"
-            latest = yield from g.reader_client.read_latest(metadata.name)
+            latest = (yield from g.reader_client.read_latest(metadata.name)).record
             assert latest.seqno == 8
-            records = yield from g.reader_client.read_range(metadata.name, 2, 6)
+            records = (yield from g.reader_client.read_range(metadata.name, 2, 6)).records
             assert [r.seqno for r in records] == [2, 3, 4, 5, 6]
             return True
 
@@ -128,7 +128,7 @@ class TestAnycastLocality:
             metadata = yield from g.place(servers=[g.server_edge.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"solo")
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"solo"
@@ -149,7 +149,7 @@ class TestResponseSecurity:
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"x")
             yield 1.0
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"x"
@@ -187,7 +187,7 @@ class TestResponseSecurity:
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"x")
             yield 1.0
-            record = yield from naive.read(metadata.name, 1)
+            record = (yield from naive.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"x"

@@ -103,7 +103,7 @@ class TestWriteGrants:
         listing, data = g.run(scenario())
         assert listing == ["/home/alice/notes.txt"]
         assert data == b"mine"
-        assert shard.stats_committed == 1
+        assert shard.metrics.counter("commit.committed").value == 1
 
     def test_grantee_rejected_outside_prefix(self, mini_gdp, owner_keys):
         g = mini_gdp
@@ -125,8 +125,8 @@ class TestWriteGrants:
                 yield from fs.write_file("/home/aliceX", b"x")
 
         g.run(scenario())
-        assert shard.stats_committed == 0
-        assert shard.stats_rejected == 2
+        assert shard.metrics.counter("commit.committed").value == 0
+        assert shard.metrics.counter("commit.rejected").value == 2
 
     def test_no_credential_rejected(self, mini_gdp, owner_keys):
         g = mini_gdp
@@ -140,7 +140,7 @@ class TestWriteGrants:
                 yield from fs.write_file("/home/alice/f", b"x")
 
         g.run(scenario())
-        assert shard.stats_rejected == 1
+        assert shard.metrics.counter("commit.rejected").value == 1
 
     def test_forged_credential_rejected(self, mini_gdp, owner_keys):
         """A cert signed by anyone but the directory owner is useless."""
@@ -161,7 +161,7 @@ class TestWriteGrants:
                 yield from fs.write_file("/home/alice/f", b"x")
 
         g.run(scenario())
-        assert shard.stats_rejected == 1
+        assert shard.metrics.counter("commit.rejected").value == 1
 
     def test_expired_credential_rejected(self, mini_gdp, owner_keys):
         """Expiry is judged against the shard's clock at commit time."""
@@ -183,8 +183,8 @@ class TestWriteGrants:
                 yield from fs.write_file("/home/alice/late", b"no")
 
         g.run(scenario())
-        assert shard.stats_committed == 1
-        assert shard.stats_rejected == 1
+        assert shard.metrics.counter("commit.committed").value == 1
+        assert shard.metrics.counter("commit.rejected").value == 1
 
     def test_grantee_can_tombstone_own_subtree(self, mini_gdp, owner_keys):
         g = mini_gdp
@@ -206,4 +206,4 @@ class TestWriteGrants:
             return listing
 
         assert g.run(scenario()) == []
-        assert shard.stats_committed == 2  # bind + tombstone
+        assert shard.metrics.counter("commit.committed").value == 2  # bind + tombstone

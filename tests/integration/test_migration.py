@@ -68,7 +68,7 @@ class TestMigration:
             )
             yield 1.0
             g.r_root.flush_fib()
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"durable-fact"

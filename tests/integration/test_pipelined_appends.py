@@ -13,11 +13,11 @@ class TestAppendStream:
             yield from g.bootstrap()
             metadata = yield from g.place(servers=[g.server_edge.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            records = yield from writer.append_stream(
+            receipt = yield from writer.append_stream(
                 [b"p%d" % i for i in range(12)], window=4
             )
             yield 0.5
-            return metadata, [r.seqno for r in records]
+            return metadata, [r.seqno for r in receipt.records]
 
         metadata, seqnos = g.run(scenario())
         assert seqnos == list(range(1, 13))
@@ -93,7 +93,7 @@ class TestAppendStream:
             yield from g.bootstrap()
             metadata = yield from g.place(servers=[g.server_edge.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            records = yield from writer.append_stream([])
+            records = (yield from writer.append_stream([])).records
             return records
 
         assert g.run(scenario()) == []

@@ -28,7 +28,7 @@ class TestNetworkedQswRecovery:
             # Writer 'crashes'; a new handle with no state recovers by
             # reading the replica's tip.
             reborn = g.writer_client.open_writer(metadata, g.writer_key)
-            tip = yield from g.writer_client.read_latest(metadata.name)
+            tip = (yield from g.writer_client.read_latest(metadata.name)).record
             reborn.writer.capsule.insert(tip, enforce_strategy=False)
             reborn.writer.resume_from_tip(tip)
             yield from reborn.append(b"post-recovery")
@@ -63,7 +63,7 @@ class TestNetworkedQswRecovery:
             # The writer crashes; the recovery client sits at the ROOT
             # and resumes from the stale root replica (tip = record 1).
             recovery = g.reader_client.open_writer(metadata, g.writer_key)
-            tip = yield from g.reader_client.read_latest(metadata.name)
+            tip = (yield from g.reader_client.read_latest(metadata.name)).record
             assert tip.seqno == 1  # the stale view
             recovery.writer.capsule.insert(tip, enforce_strategy=False)
             recovery.writer.resume_from_tip(tip)
@@ -116,7 +116,7 @@ class TestNetworkedQswRecovery:
             from repro.capsule import QuasiWriter  # noqa: F401 (doc)
 
             recovery = g.reader_client.open_writer(metadata, g.writer_key)
-            tip = yield from g.reader_client.read_latest(metadata.name)
+            tip = (yield from g.reader_client.read_latest(metadata.name)).record
             recovery.writer.capsule.insert(tip, enforce_strategy=False)
             # SSW writers have no resume API; emulate a writer that
             # rebuilt state by hand and try to push the fork.

@@ -70,7 +70,7 @@ class TestTableI:
             stranger = GdpClient(g.net, "stranger")
             stranger.attach(g.r_root)
             yield stranger.advertise()
-            record = yield from stranger.read(metadata.name, 1)
+            record = (yield from stranger.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"federated"
@@ -86,9 +86,9 @@ class TestTableI:
             metadata = yield from g.place(servers=[g.server_edge.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"local")
-            before = uplink.stats_sent
-            record = yield from g.writer_client.read(metadata.name, 1)
-            after = uplink.stats_sent
+            before = uplink.metrics.counter("net.sent").value
+            record = (yield from g.writer_client.read(metadata.name, 1)).record
+            after = uplink.metrics.counter("net.sent").value
             return record.payload, after - before
 
         payload, crossings = g.run(scenario())
@@ -106,7 +106,7 @@ class TestTableI:
             metadata = yield from g.place(servers=[g.server_root.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"original")
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             assert record.payload == b"original"
             StorageTamperer(g.server_root).corrupt_record(metadata.name, 1)
             with pytest.raises(GdpError):

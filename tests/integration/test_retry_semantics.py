@@ -152,7 +152,7 @@ class TestOrgDelegationViaConsole:
             yield 0.5
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"via-org")
-            record = yield from g.writer_client.read(metadata.name, 1)
+            record = (yield from g.writer_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"via-org"

@@ -99,7 +99,7 @@ class TestClientFailover:
             # counted the failover.
             router = g.reader_client.router
             assert dead.name in router._quarantine
-            assert router.stats_failovers >= 1
+            assert router.metrics.counter("router.failovers").value >= 1
             return True
 
         assert g.run(scenario())
@@ -161,12 +161,12 @@ class TestClientFailover:
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"steered", acks="all")
             router = g.reader_client.router
-            before = router.stats_failovers
+            before = router.metrics.counter("router.failovers").value
             g.reader_client.report_route_failure(
                 metadata.name, principal=g.server_root.name
             )
             yield 0.5  # report lands
-            assert router.stats_failovers == before + 1
+            assert router.metrics.counter("router.failovers").value == before + 1
             assert g.server_root.name in router._quarantine
             result = yield from g.reader_client.read(metadata.name, 1)
             # Anycast would otherwise pick the root-local replica.
@@ -222,11 +222,12 @@ class TestNegativeCache:
         def scenario():
             yield from g.bootstrap()
             yield from probe()
-            queries_before = g.root_domain.glookup.stats_queries
+            queries = g.root_domain.glookup.metrics.counter("glookup.queries")
+            queries_before = queries.value
             yield 0.2  # still inside the 1 s neg_ttl
             yield from probe()
-            assert g.root_domain.glookup.stats_queries == queries_before
+            assert queries.value == queries_before
             return True
 
         assert g.run(scenario())
-        assert g.r_root.stats_negative_hits >= 1
+        assert g.r_root.metrics.counter("glookup.negative_hits").value >= 1

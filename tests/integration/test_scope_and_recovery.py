@@ -27,7 +27,7 @@ class TestScopePolicies:
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"proprietary")
             # In-scope read works (writer_client is in the edge domain).
-            record = yield from g.writer_client.read(metadata.name, 1)
+            record = (yield from g.writer_client.read(metadata.name, 1)).record
             assert record.payload == b"proprietary"
             # Out-of-scope reader cannot even route to the name.
             with pytest.raises((RoutingError, TimeoutError_)):
@@ -46,7 +46,7 @@ class TestScopePolicies:
             metadata = yield from g.place(servers=[g.server_edge.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"public")
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"public"
@@ -99,7 +99,7 @@ class TestCrashRecovery:
                 hosted.capsule._by_digest.clear()
                 hosted.capsule._by_seqno.clear()
             durable.restart()
-            record = yield from g.writer_client.read(metadata.name, 3)
+            record = (yield from g.writer_client.read(metadata.name, 3)).record
             return record.payload
 
         assert g.run(scenario()) == b"persisted-2"
@@ -143,7 +143,7 @@ class TestCrashRecovery:
             with pytest.raises(TimeoutError_):
                 yield future
             g.server_root.restart()
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"x"
@@ -166,7 +166,7 @@ class TestCrashRecovery:
             g.root_domain.glookup.unregister(
                 metadata.name, g.server_root.name
             )
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(scenario()) == b"redundant"

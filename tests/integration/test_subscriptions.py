@@ -108,7 +108,7 @@ class TestSubscriptions:
                 metadata.name, lambda r, h: received.append(r.seqno)
             )
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            record, _acks = yield from writer.append(b"real")
+            record = (yield from writer.append(b"real")).record
             heartbeat = writer.writer.capsule.latest_heartbeat
             yield 1.0
             # The adversary pushes a forged record reusing the real

@@ -8,9 +8,9 @@ scheduler seed, so every example is a different interleaving of
 concurrent submitters hammering one key.
 """
 
-import warnings
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,13 +66,10 @@ class TestReceiptShim:
     @settings(max_examples=40, deadline=None)
     def test_int_compat_matches_seqno(self, seqno):
         receipt = CommitReceipt(seqno, shard=1, key="k")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert receipt == seqno
-            assert int(receipt) == seqno
-        assert all(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        assert receipt.seqno == seqno
+        assert (receipt == seqno) is False  # an envelope, not an int
+        with pytest.raises(TypeError):
+            int(receipt)
 
 
 class _FakeWriter:
@@ -154,5 +151,5 @@ class TestNoLostUpdates:
             # precondition is exactly the seqno it overwrites.
             assert entry["expect"] == previous
             previous = entry["seqno"]
-        assert shard.stats_committed == total
+        assert shard.metrics.counter("commit.committed").value == total
         assert shard.version_of("hot") == previous

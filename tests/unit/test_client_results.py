@@ -1,4 +1,5 @@
-"""The uniform client result envelopes and their deprecation shims."""
+"""The uniform client result envelopes (plain records: no delegation to
+the carried record, no sequence protocol)."""
 
 import warnings
 from types import SimpleNamespace
@@ -35,34 +36,29 @@ class TestReadResult:
             assert result.rtt == 0.25
             assert result.record.seqno == 3
 
-    def test_attribute_delegation_warns(self):
-        result = ReadResult([_record(7, b"payload")])
-        with pytest.warns(DeprecationWarning):
-            assert result.payload == b"payload"
-        with pytest.warns(DeprecationWarning):
-            assert result.seqno == 7
-
     def test_unknown_attribute_raises(self):
-        result = ReadResult([_record(1)])
+        result = ReadResult([_record(7, b"payload")])
         with pytest.raises(AttributeError):
             result.nonexistent
         with pytest.raises(AttributeError):
+            result.payload  # no delegation to the carried record
+        with pytest.raises(AttributeError):
+            result.seqno
+        with pytest.raises(AttributeError):
             ReadResult([]).payload
 
-    def test_sequence_shims_warn(self):
-        records = [_record(1), _record(2)]
-        result = ReadResult(records)
-        with pytest.warns(DeprecationWarning):
-            assert len(result) == 2
-        with pytest.warns(DeprecationWarning):
-            assert list(result) == records
-        with pytest.warns(DeprecationWarning):
-            assert result[0] is records[0]
+    def test_not_a_sequence(self):
+        result = ReadResult([_record(1), _record(2)])
+        with pytest.raises(TypeError):
+            len(result)
+        with pytest.raises(TypeError):
+            list(result)
+        with pytest.raises(TypeError):
+            result[0]
 
-    def test_list_comparison_warns(self):
+    def test_list_comparison_is_false(self):
         records = [_record(1)]
-        with pytest.warns(DeprecationWarning):
-            assert ReadResult(records) == records
+        assert (ReadResult(records) == records) is False
 
     def test_envelope_comparison_does_not_warn(self):
         records = [_record(1)]
@@ -91,39 +87,22 @@ class TestAppendReceipt:
         assert receipt.record is None
         assert receipt.seqno == 0
 
-    def test_pair_unpack_warns(self):
-        record = _record(4)
-        receipt = AppendReceipt([record], acks=2, legacy_shape="pair")
-        with pytest.warns(DeprecationWarning):
-            got_record, got_acks = receipt
-        assert got_record is record
-        assert got_acks == 2
+    def test_not_a_sequence(self):
+        receipt = AppendReceipt([_record(4)], acks=2)
+        with pytest.raises(TypeError):
+            record, acks = receipt
+        with pytest.raises(TypeError):
+            receipt[0]
+        with pytest.raises(TypeError):
+            len(receipt)
+        with pytest.raises(TypeError):
+            AppendReceipt([_record(4)], legacy_shape="list")
 
-    def test_pair_indexing_warns(self):
+    def test_sequence_comparison_is_false(self):
         record = _record(4)
-        receipt = AppendReceipt([record], acks=2, legacy_shape="pair")
-        with pytest.warns(DeprecationWarning):
-            assert receipt[0] is record
-        with pytest.warns(DeprecationWarning):
-            assert receipt[1] == 2
-
-    def test_list_shape_iterates_records(self):
-        records = [_record(1), _record(2), _record(3)]
-        receipt = AppendReceipt(records, legacy_shape="list")
-        with pytest.warns(DeprecationWarning):
-            assert list(receipt) == records
-        with pytest.warns(DeprecationWarning):
-            assert len(receipt) == 3
-
-    def test_sequence_comparison_warns(self):
-        record = _record(4)
-        pair = AppendReceipt([record], acks=2, legacy_shape="pair")
-        with pytest.warns(DeprecationWarning):
-            assert pair == (record, 2)
-        records = [_record(1), _record(2)]
-        stream = AppendReceipt(records, legacy_shape="list")
-        with pytest.warns(DeprecationWarning):
-            assert stream == records
+        receipt = AppendReceipt([record], acks=2)
+        assert (receipt == (record, 2)) is False
+        assert (receipt == [record]) is False
 
     def test_envelope_comparison_does_not_warn(self):
         record = _record(4)

@@ -77,10 +77,10 @@ class TestKademlia:
 
     def test_logarithmic_lookup_cost(self):
         dht = build_dht([name(i) for i in range(128)], k=8)
-        dht.messages = 0
+        dht.stats.messages = 0
         dht.get(name(0), name(5000))
         # Iterative lookup should touch far fewer than all nodes.
-        assert dht.messages < 64
+        assert dht.stats.messages < 64
 
     def test_join_grows_network(self):
         dht = KademliaDht()

@@ -56,14 +56,14 @@ def ring():
 class TestMessageLevelProtocol:
     def test_put_get_travels_as_pdus(self, ring):
         """put/get cost real lookup-plane RPCs, not dict reads."""
-        ring.messages = 0
+        ring.stats.messages = 0
         via = sorted(ring.nodes)[0]
         ring.put(via, key_of(1), b"payload")
-        assert ring.messages > 0
-        sent = ring.messages
+        assert ring.stats.messages > 0
+        sent = ring.stats.messages
         values = ring.get(sorted(ring.nodes)[3], key_of(1))
         assert b"payload" in values
-        assert ring.messages > sent
+        assert ring.stats.messages > sent
 
     def test_put_replicates_to_k_holders(self, ring):
         via = sorted(ring.nodes)[0]
@@ -280,20 +280,20 @@ class TestAckedReplicaCounting:
     counted metric, never silently absorbed."""
 
     def test_healthy_put_acks_k(self, ring):
-        before = ring.under_replicated
+        before = ring.stats.under_replicated
         acked = ring.put(sorted(ring.nodes)[0], key_of(20), b"healthy")
         assert acked >= ring.k
-        assert ring.under_replicated == before
+        assert ring.stats.under_replicated == before
 
     def test_lonely_put_reports_one_honest_replica(self, ring):
         via = sorted(ring.nodes)[0]
         for other, node in ring.nodes.items():
             if other != via:
                 node.crash()
-        before = ring.under_replicated
+        before = ring.stats.under_replicated
         acked = ring.put(via, key_of(21), b"lonely")
         assert acked == 1, "unacked replicas were counted as durable"
-        assert ring.under_replicated == before + 1
+        assert ring.stats.under_replicated == before + 1
         for node in ring.nodes.values():
             node.restart()
 
@@ -335,6 +335,22 @@ class TestGrepGuard:
     def test_entry_node_is_the_only_sanctioned_access(self):
         source = inspect.getsource(KademliaDht._entry_node)
         assert "self.nodes[via]" in source
+
+    #: spellings of the back-compat layer deleted in PR 16
+    REMOVED = (
+        "def stats_", "DeprecationWarning", "legacy_shape",
+        "add_delivery_hook", "full_sync_once",
+    )
+
+    def test_back_compat_layer_stays_deleted(self):
+        import pathlib
+
+        import repro
+
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            source = path.read_text()
+            for needle in self.REMOVED:
+                assert needle not in source, f"{path}: {needle!r} is back"
 
 
 class TestOracleReplicationInvariant:

@@ -115,7 +115,7 @@ class TestRegistration:
     def test_lookup_miss(self, world):
         service = GLookupService("global")
         assert service.lookup(world["capsule_md"].name) == []
-        assert service.stats_misses == 1
+        assert service.metrics.counter("glookup.misses").value == 1
 
     def test_reregistration_replaces(self, world):
         service = GLookupService("global")

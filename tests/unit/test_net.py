@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime.middleware import DROP, DeliveryMiddleware
 from repro.sim.net import Node, SimNetwork
 
 
@@ -81,7 +82,7 @@ class TestLossAndFailure:
         net.sim.run()
         delivered = len(b.received)
         assert 30 <= delivered <= 70
-        assert link.stats_dropped == 100 - delivered
+        assert link.metrics.counter("net.dropped").value == 100 - delivered
         # Same seed -> same outcome.
         net2, a2, b2, _ = pair(loss=0.5, seed=42)
         for i in range(100):
@@ -145,16 +146,17 @@ class TestTopologyBookkeeping:
         net, a, b, _ = pair()
         dropped = []
 
-        def hook(link, sender, receiver, message, size):
-            dropped.append(message)
-            return False  # drop everything
+        class DropAll(DeliveryMiddleware):
+            def on_deliver(self, link, sender, receiver, message, size):
+                dropped.append(message)
+                return DROP
 
-        net.add_delivery_hook(hook)
+        hook = net.delivery.use(DropAll())
         a.send(b, "x", 1)
         net.sim.run()
         assert b.received == []
         assert dropped == ["x"]
-        net.remove_delivery_hook(hook)
+        net.delivery.remove(hook)
         a.send(b, "y", 1)
         net.sim.run()
         assert [m for m, _ in b.received] == ["y"]
@@ -163,5 +165,5 @@ class TestTopologyBookkeeping:
         net, a, b, link = pair()
         a.send(b, "m", 500)
         net.sim.run()
-        assert link.stats_sent == 1
-        assert link.stats_bytes == 500
+        assert link.metrics.counter("net.sent").value == 1
+        assert link.metrics.counter("net.bytes").value == 500

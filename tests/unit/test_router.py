@@ -73,7 +73,7 @@ class TestForwardingMechanics:
         assert len(bounced) == 1
         assert bounced[0].corr_id == request.corr_id
         assert GdpName(bounced[0].payload["unreachable"]) == ghost
-        assert router.stats_no_route == 1
+        assert router.metrics.counter("router.no_route").value == 1
 
     def test_no_route_bounce_never_bounces(self, star):
         """A no_route about an unroutable source must not loop."""
@@ -86,12 +86,12 @@ class TestForwardingMechanics:
     def test_stats_accumulate(self, star):
         net, router, a, b = star
         b.on_request = lambda pdu: None
-        before = router.stats_forwarded
+        before = router.metrics.counter("router.forwarded").value
         for i in range(4):
             a.send_pdu(Pdu(a.name, b.name, T_DATA, {"i": i}))
         net.sim.run(until=net.sim.now + 1.0)
-        assert router.stats_forwarded == before + 4
-        assert router.stats_bytes > 0
+        assert router.metrics.counter("router.forwarded").value == before + 4
+        assert router.metrics.counter("router.bytes").value > 0
 
     def test_fib_expiry_forces_relookup(self, star):
         """An expired cache entry is dropped and re-resolved through the
@@ -101,12 +101,13 @@ class TestForwardingMechanics:
         b.on_request = lambda pdu: None
         endpoint_node = router.attached.pop(b.name)
         router.fib[b.name] = (endpoint_node, net.sim.now - 1.0)  # expired
-        queries_before = router.domain.glookup.stats_queries
+        queries = router.domain.glookup.metrics.counter("glookup.queries")
+        queries_before = queries.value
         got = []
         b.on_request = lambda pdu: got.append(1) or None
         a.send_pdu(Pdu(a.name, b.name, T_DATA, {}))
         net.sim.run(until=net.sim.now + 0.5)
-        assert router.domain.glookup.stats_queries > queries_before
+        assert queries.value > queries_before
         # Resolution recovered via the GLookup entry + attachment
         # restoration is not required for delivery through glookup path.
         assert b.name not in router.fib or router.fib[b.name][1] > net.sim.now - 0.5

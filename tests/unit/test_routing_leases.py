@@ -72,13 +72,10 @@ class TestWireExpiry:
         assert wire_expiry(None) is None
         assert expiry_from_wire(None) is None
 
-    def test_legacy_int_ms_still_decodes(self):
-        assert expiry_from_wire(-1) is None
-        assert expiry_from_wire(8001) == pytest.approx(8.001)
-
     def test_garbage_raises(self):
-        with pytest.raises(AdvertisementError):
-            expiry_from_wire("soon")
+        for garbage in ("soon", -1, 8001):  # incl. the old int-ms form
+            with pytest.raises(AdvertisementError):
+                expiry_from_wire(garbage)
 
 
 class TestLeaseCappedInstall:
@@ -164,8 +161,8 @@ class TestCountersAndIndex:
         net, router, a, b = star
         a.send_pdu(Pdu(a.name, GdpName(b"\xbb" * 32), T_DATA, {}, ttl=0))
         net.sim.run(until=net.sim.now + 0.5)
-        assert router.stats_ttl_expired == 1
-        assert router.stats_no_route == 0
+        assert router.metrics.counter("router.ttl_expired").value == 1
+        assert router.metrics.counter("router.no_route").value == 0
 
     def test_domain_router_index_is_maintained(self):
         net = SimNetwork(seed=29)

@@ -85,10 +85,22 @@ class TestDispatch:
         assert result == {"ok": True, "sum": 5}
 
     def test_unknown_op_envelope(self):
-        result = dispatch_op(Server(), None, {"op": "nope"})
-        assert result["ok"] is False
-        assert result["error_kind"] == "unknown_op"
-        assert "unknown op 'nope'" in result["error"]
+        from repro.server import DataCapsuleServer
+        from repro.sim import SimNetwork
+
+        # The full-scan sync ops are gone: a capsule server answers them
+        # like any other op it never had.
+        dcserver = DataCapsuleServer(SimNetwork(), "dc")
+        for handler, name in [
+            (Server(), "nope"),
+            (dcserver, "sync_summary"),
+            (dcserver, "sync_fetch"),
+        ]:
+            payload = {"op": name, "capsule": b"c" * 32, "digests": []}
+            result = dispatch_op(handler, None, payload)
+            assert result["ok"] is False
+            assert result["error_kind"] == "unknown_op"
+            assert f"unknown op {name!r}" in result["error"]
 
     def test_non_dict_payload_is_unknown_op(self):
         result = dispatch_op(Server(), None, "not a dict")

@@ -109,16 +109,6 @@ class TestDeliveryPipeline:
         pipeline.use(Dropper())
         assert pipeline.run(None, None, None, "m", 10) is None
 
-    def test_legacy_hook_false_drops(self):
-        pipeline = DeliveryPipeline()
-        verdicts = iter([False, None])
-        hook = lambda link, s, r, m, size: next(verdicts)  # noqa: E731
-        pipeline.use_hook(hook)
-        assert pipeline.run(None, None, None, "m", 1) is None
-        assert pipeline.run(None, None, None, "m", 1) == ("m", 0.0)
-        pipeline.remove_hook(hook)
-        assert not pipeline
-
 
 class TestFaultMiddlewares:
     def test_drop_faults_counts_and_drops(self):

@@ -46,7 +46,7 @@ class TestCrash:
         g.server_edge.restart()
 
         def read_again():
-            record = yield from g.reader_client.read(metadata.name, 1)
+            record = (yield from g.reader_client.read(metadata.name, 1)).record
             return record.payload
 
         assert g.run(read_again()) == b"rec-0"

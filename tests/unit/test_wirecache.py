@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto import SigningKey
 from repro.delegation import AdCert, RtCert, ServiceChain
+from repro.errors import AdvertisementError
 from repro.naming import (
     make_capsule_metadata,
     make_router_metadata,
@@ -103,20 +104,12 @@ class TestDecodeInterning:
         assert clone == entry
         assert clone.name == entry.name
         clone.verify()
-
-    def test_legacy_dict_subwires_still_decode(self, world):
-        """Entries stored before blob interning carry nested dicts."""
-        entry = world["entry"](1)
-        legacy = {
-            "name": entry.name.raw,
-            "router": entry.router.raw,
-            "principal": entry.principal.raw,
-            "principal_metadata": entry.principal_metadata.to_wire(),
-            "rtcert": entry.rtcert.to_wire(),
-            "chain": entry.chain.to_wire(),
-            "router_metadata": entry.router_metadata.to_wire(),
-            "expires_at": None,
-        }
-        decoded = RouteEntry.from_wire(legacy)
-        decoded.verify()
-        assert decoded == entry
+        # Only the emitted form decodes: a nested-dict sub-wire or an
+        # int-millisecond expiry is malformed input.
+        wire = entry.to_wire()
+        for bad in (
+            {"principal_metadata": entry.principal_metadata.to_wire()},
+            {"expires_at": 8001},
+        ):
+            with pytest.raises(AdvertisementError):
+                RouteEntry.from_wire({**wire, **bad})

@@ -1,0 +1,212 @@
+"""Crypto hot-path suite (``repro bench --suite crypto``).
+
+Measures op/s for the operations the acceleration layer targets — sign,
+verify (cold ladder / warm memo), capsule append, full-history
+verification — each in accelerated and naive mode, and emits the
+``BENCH_crypto.json`` document.
+
+The gate compares **speedup ratios** (accelerated vs naive *on the same
+machine and run*), not absolute op/s: absolute throughput varies
+several-fold across runner hardware, while the ratio isolates exactly
+what this layer is responsible for.
+"""
+
+from __future__ import annotations
+
+import time
+
+from repro.bench.gate import Gate
+
+__all__ = ["run", "GATES", "table"]
+
+#: the acceleration layer's acceptance floors, plus the 30% band
+GATES = (
+    Gate("speedup.verify", "higher", floor=5.0),
+    Gate("speedup.sign", "higher", floor=2.0),
+)
+
+_TRIALS = 3
+
+
+def _trial(fn, seconds: float) -> float:
+    """One timed burst of *fn*; returns op/s."""
+    iters = 0
+    start = time.perf_counter()
+    while True:
+        fn()
+        iters += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= seconds and iters >= 2:
+            return iters / elapsed
+
+
+def _paired(fn, *, seconds: float = 0.1) -> tuple[float, float]:
+    """Best-of-N op/s for *fn* under accelerated and naive crypto.
+
+    The two modes alternate within the same measurement window
+    (A/N/A/N/...), so slow machine phases — scheduler contention, a
+    co-tenant burst, thermal throttling — hit both sides equally and
+    cancel out of the speedup ratio.  Best-of-N then discards the
+    trials that measured the machine instead of the code.
+    """
+    from repro.crypto import cache
+
+    best = {True: 0.0, False: 0.0}
+    try:
+        for _ in range(_TRIALS):
+            for mode in (True, False):
+                cache.set_accel_enabled(mode)
+                fn()  # warm-up under this mode (tables, cache priming)
+                best[mode] = max(best[mode], _trial(fn, seconds))
+    finally:
+        cache.set_accel_enabled(True)
+    return best[True], best[False]
+
+
+def _build_capsule(n_records: int):
+    from repro.capsule import CapsuleWriter, DataCapsule
+    from repro.crypto import SigningKey
+    from repro.naming import make_capsule_metadata
+
+    owner = SigningKey.from_seed(b"bench-owner")
+    writer_key = SigningKey.from_seed(b"bench-writer")
+    metadata = make_capsule_metadata(
+        owner, writer_key.public, pointer_strategy="skiplist"
+    )
+    capsule = DataCapsule(metadata)
+    writer = CapsuleWriter(capsule, writer_key)
+    for i in range(n_records):
+        writer.append(b"bench-record-%d" % i)
+    return capsule, writer
+
+
+def _rebuilt_copy(capsule):
+    """A fresh DataCapsule holding the same history, repopulated from
+    wire forms — the state a replica has after anti-entropy."""
+    from repro.capsule import DataCapsule
+    from repro.capsule.heartbeat import Heartbeat
+    from repro.capsule.records import Record
+
+    clone = DataCapsule(capsule.metadata)
+    for seqno in sorted(capsule.seqnos()):
+        record = Record.from_wire(
+            capsule.name, capsule.get(seqno).to_wire()
+        )
+        clone.insert(record, enforce_strategy=False)
+    for heartbeat in capsule.heartbeats():
+        clone.add_heartbeat(Heartbeat.from_wire(heartbeat.to_wire()))
+    return clone
+
+
+def _bench_primitives(accel: dict, naive: dict, note) -> None:
+    from repro.crypto import SigningKey, cache
+
+    key = SigningKey.from_seed(b"bench-prim")
+    public = key.public
+    messages = [b"bench-msg-%d" % i for i in range(4096)]
+    signatures = {m: key.sign(m) for m in messages[:512]}
+    counter = {"n": 0}
+
+    def sign_once():
+        counter["n"] += 1
+        key.sign(messages[counter["n"] % len(messages)])
+
+    note("sign")
+    accel["sign"], naive["sign"] = _paired(sign_once)
+
+    # Cold verify: clear the memo each call so the ladder actually runs.
+    def verify_cold():
+        cache.reset()
+        message = messages[counter["n"] % 512]
+        counter["n"] += 1
+        assert public.verify(message, signatures[message])
+
+    note("verify (cold)")
+    accel["verify_cold"], naive["verify_cold"] = _paired(verify_cold)
+
+    # Warm verify: the same triple every call — memoized under accel, a
+    # full ladder under naive.
+    warm_msg, warm_sig = messages[0], signatures[messages[0]]
+
+    def verify_warm():
+        assert public.verify(warm_msg, warm_sig)
+
+    note("verify (warm)")
+    accel["verify_warm"], naive["verify_warm"] = _paired(
+        verify_warm, seconds=0.05
+    )
+
+
+def _bench_capsule_ops(accel: dict, naive: dict, note) -> None:
+    from repro.crypto import cache
+
+    _, writer = _build_capsule(64)
+    counter = {"n": 0}
+
+    def append_once():
+        counter["n"] += 1
+        writer.append(b"bench-extra-%d" % counter["n"])
+
+    note("append")
+    accel["append"], naive["append"] = _paired(append_once)
+
+    history, _ = _build_capsule(128)
+    replica = _rebuilt_copy(history)
+
+    def verify_history_cold():
+        cache.reset()
+        replica.verify_history()
+
+    note("verify_history")
+    walks_accel, walks_naive = _paired(verify_history_cold, seconds=0.15)
+    # Normalize to records verified per second (walks cover 128 records).
+    accel["verify_history"] = 128 * walks_accel
+    naive["verify_history"] = 128 * walks_naive
+
+
+#: the measured operations: (table label, ops_per_sec key, speedup key)
+_ROWS = (
+    ("sign", "sign", "sign"),
+    ("verify (cold)", "verify_cold", "verify"),
+    ("verify (warm)", "verify_warm", "verify_warm"),
+    ("append", "append", "append"),
+    ("verify_history r/s", "verify_history", "verify_history"),
+)
+
+
+def run(quick: bool = False, note=lambda message: None) -> dict:
+    """Run every benchmark in accelerated and naive mode; returns the
+    BENCH_crypto.json document (dict); already CI-sized, so *quick*
+    changes nothing."""
+    from repro.crypto import cache, ec
+
+    accel: dict[str, float] = {}
+    naive: dict[str, float] = {}
+
+    cache.set_accel_enabled(True)
+    ec.clear_point_tables()
+    _bench_primitives(accel, naive, note)
+    _bench_capsule_ops(accel, naive, note)
+
+    return {
+        "schema": "gdp-bench-crypto/1",
+        "ops_per_sec": {k: round(v, 1) for k, v in accel.items()},
+        "naive_ops_per_sec": {k: round(v, 1) for k, v in naive.items()},
+        "speedup": {
+            ratio: round(accel[ops] / naive[ops], 2)
+            for _label, ops, ratio in _ROWS
+        },
+    }
+
+
+def table(doc: dict) -> list:
+    """Accelerated vs naive op/s and the speedup, one row per operation."""
+    accel, naive = doc["ops_per_sec"], doc["naive_ops_per_sec"]
+    return [(
+        ("operation", "accel op/s", "naive op/s", "speedup"),
+        [
+            (label, f"{accel[ops]:,.0f}", f"{naive[ops]:,.0f}",
+             f"{doc['speedup'][ratio]:.2f}x")
+            for label, ops, ratio in _ROWS
+        ],
+    )]

@@ -1,5 +1,4 @@
-"""Replication-plane benchmark: the engine behind
-``repro bench --suite replication``.
+"""Replication-plane suite (``repro bench --suite replication``).
 
 Two scenarios, both run inside the deterministic network simulator (so
 every number is a function of the protocol, not of runner hardware — the
@@ -18,25 +17,22 @@ heartbeat, one round trip each) and through the batched/windowed
 ``append_stream`` (multi-record PDUs under a single tip heartbeat,
 ``window`` PDUs in flight).  Measured: records per simulated second.
 
-The CI gate (``--check BENCH_replication.json``) enforces the >=5x
-append-throughput floor plus a 30% no-regression band against the
-committed baseline on bytes per healed record, sync seconds and batched
-records/sec.
+The gate enforces the >=5x append-throughput floor plus the 30% band on
+bytes per healed record, sync seconds and batched records/sec.
 """
 
 from __future__ import annotations
 
-import json
+from repro.bench.gate import Gate
 
-__all__ = ["run_bench", "check_regression", "GATED_RATIOS"]
+__all__ = ["run", "GATES", "table"]
 
-#: ratio keys the CI gate enforces, with the floor each must beat even
-#: before regression comparison (the ISSUE's acceptance criteria).
-GATED_RATIOS = {
-    "append_speedup": 5.0,
-}
-
-_REGRESSION_TOLERANCE = 0.30
+GATES = (
+    Gate("ratios.append_speedup", "higher", floor=5.0),
+    Gate("sync.bytes_per_synced_record", "lower"),
+    Gate("sync.merkle_delta.seconds", "lower"),
+    Gate("append.batched.records_per_sec", "higher"),
+)
 
 #: sync scenario shape (5k records, 1% divergence)
 SYNC_RECORDS = 5_000
@@ -73,24 +69,29 @@ def _mint_history():
     return owner, metadata, minted
 
 
+def _two_site_net(seed: int):
+    """Two routers joined by the constrained link; returns
+    ``(net, r0, r1)``."""
+    from repro.routing import GdpRouter, RoutingDomain
+    from repro.sim import SimNetwork
+
+    net = SimNetwork(seed=seed)
+    domain = RoutingDomain("global", clock=lambda: net.sim.now)
+    r0 = GdpRouter(net, "r0", domain)
+    r1 = GdpRouter(net, "r1", domain)
+    net.connect(r0, r1, latency=_LINK_LATENCY, bandwidth=_LINK_BANDWIDTH)
+    return net, r0, r1
+
+
 def _build_sync_world(owner, metadata, minted):
     """Two servers across the constrained link, capsule placed on both,
     then the divergence injected directly: server ``a`` holds the full
     history, server ``b`` is missing every ``SYNC_DIVERGENCE_STRIDE``-th
     record (and its heartbeat)."""
     from repro.client import GdpClient, OwnerConsole
-    from repro.routing import GdpRouter, RoutingDomain
     from repro.server import DataCapsuleServer
-    from repro.sim import SimNetwork
 
-    net = SimNetwork(seed=1009)
-    clock = lambda: net.sim.now  # noqa: E731
-    domain = RoutingDomain("global", clock=clock)
-    r0 = GdpRouter(net, "r0", domain)
-    r1 = GdpRouter(net, "r1", domain)
-    net.connect(
-        r0, r1, latency=_LINK_LATENCY, bandwidth=_LINK_BANDWIDTH
-    )
+    net, r0, r1 = _two_site_net(seed=1009)
     server_a = DataCapsuleServer(net, "a")
     server_a.attach(r0, latency=0.0001)
     server_b = DataCapsuleServer(net, "b")
@@ -154,18 +155,9 @@ def _run_append(batched: bool) -> dict:
     records-per-simulated-second measurement."""
     from repro.client import GdpClient, OwnerConsole
     from repro.crypto import SigningKey
-    from repro.routing import GdpRouter, RoutingDomain
     from repro.server import DataCapsuleServer
-    from repro.sim import SimNetwork
 
-    net = SimNetwork(seed=2003)
-    clock = lambda: net.sim.now  # noqa: E731
-    domain = RoutingDomain("global", clock=clock)
-    r0 = GdpRouter(net, "r0", domain)
-    r1 = GdpRouter(net, "r1", domain)
-    net.connect(
-        r0, r1, latency=_LINK_LATENCY, bandwidth=_LINK_BANDWIDTH
-    )
+    net, r0, r1 = _two_site_net(seed=2003)
     server = DataCapsuleServer(net, "srv")
     server.attach(r0, latency=0.0001)
     client = GdpClient(net, "bench_writer")
@@ -213,15 +205,11 @@ def _run_append(batched: bool) -> dict:
     }
 
 
-def run_bench(*, progress=None) -> dict:
+def run(quick: bool = False, note=lambda message: None) -> dict:
     """Run both scenarios; returns the BENCH_replication.json
     document (dict).  Deterministic: simulated time and simulated bytes
-    only, so the document is identical on every machine."""
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
+    only, so the document is identical on every machine (and already
+    CI-sized: *quick* changes nothing)."""
     note(f"minting {SYNC_RECORDS}-record history")
     owner, metadata, minted = _mint_history()
     note("sync: merkle-delta")
@@ -258,96 +246,29 @@ def run_bench(*, progress=None) -> dict:
     }
 
 
-def check_regression(current: dict, baseline: dict) -> list[str]:
-    """Compare a fresh run against the checked-in baseline; returns a
-    list of failure strings (empty = gate passes).
-
-    Gated: every ratio in :data:`GATED_RATIOS` must (a) be present, (b)
-    beat its absolute floor, and (c) be within 30% of the baseline;
-    additionally bytes-per-synced-record and the sync's simulated
-    seconds must not grow >30% and batched records/sec must not drop
-    >30%.  The simulator is deterministic, so
-    these comparisons are machine-independent.
-    """
-    failures = []
-    cur = current.get("ratios", {})
-    base = baseline.get("ratios", {})
-    for key, floor in GATED_RATIOS.items():
-        if key not in cur:
-            failures.append(f"ratios.{key}: missing from current run")
-            continue
-        if cur[key] < floor:
-            failures.append(
-                f"ratios.{key}: {cur[key]:.2f}x is below the "
-                f"{floor:.1f}x acceptance floor"
-            )
-        if key in base and cur[key] < base[key] * (1 - _REGRESSION_TOLERANCE):
-            failures.append(
-                f"ratios.{key}: {cur[key]:.2f}x regressed >30% from "
-                f"baseline {base[key]:.2f}x"
-            )
-    cur_bpr = current.get("sync", {}).get("bytes_per_synced_record")
-    base_bpr = baseline.get("sync", {}).get("bytes_per_synced_record")
-    if cur_bpr is None:
-        failures.append("sync.bytes_per_synced_record: missing")
-    elif base_bpr and cur_bpr > base_bpr * (1 + _REGRESSION_TOLERANCE):
-        failures.append(
-            f"sync.bytes_per_synced_record: {cur_bpr:.0f} grew >30% "
-            f"from baseline {base_bpr:.0f}"
-        )
-    cur_sec = current.get("sync", {}).get("merkle_delta", {}).get("seconds")
-    base_sec = baseline.get("sync", {}).get("merkle_delta", {}).get("seconds")
-    if cur_sec is None:
-        failures.append("sync.merkle_delta.seconds: missing")
-    elif base_sec and cur_sec > base_sec * (1 + _REGRESSION_TOLERANCE):
-        failures.append(
-            f"sync.merkle_delta.seconds: {cur_sec:.4f} grew >30% "
-            f"from baseline {base_sec:.4f}"
-        )
-    cur_rps = (
-        current.get("append", {}).get("batched", {}).get("records_per_sec")
-    )
-    base_rps = (
-        baseline.get("append", {}).get("batched", {}).get("records_per_sec")
-    )
-    if cur_rps is None:
-        failures.append("append.batched.records_per_sec: missing")
-    elif base_rps and cur_rps < base_rps * (1 - _REGRESSION_TOLERANCE):
-        failures.append(
-            f"append.batched.records_per_sec: {cur_rps:.0f} dropped >30% "
-            f"from baseline {base_rps:.0f}"
-        )
-    return failures
-
-
-def format_table(doc: dict) -> str:
-    """Human-readable summary of a benchmark document."""
-    sync = doc["sync"]
-    append = doc["append"]
-    ratios = doc["ratios"]
-    lines = [
+def table(doc: dict) -> list:
+    """The sync heal, then the two append pipelines."""
+    sync, append = doc["sync"], doc["append"]
+    delta = sync["merkle_delta"]
+    return [
         f"sync: {sync['capsule_records']} records, "
         f"{sync['divergent_records']} divergent",
-        "protocol          bytes on wire     sim seconds",
-        "-" * 48,
-        f"{'merkle delta':<16} {sync['merkle_delta']['bytes']:>13,} "
-        f"{sync['merkle_delta']['seconds']:>15.4f}",
-        f"bytes per synced record: {sync['bytes_per_synced_record']:,.0f}",
+        (
+            ("protocol", "bytes on wire", "sim seconds", "bytes/record"),
+            [("merkle delta", f"{delta['bytes']:,}", f"{delta['seconds']:.4f}",
+              f"{sync['bytes_per_synced_record']:,.0f}")],
+        ),
         "",
         f"append: {append['records']} x {append['payload_bytes']}B records "
         f"(batch={append['batch_records']}, window={append['window']})",
-        "pipeline            records/sec     sim seconds",
-        "-" * 48,
-        f"{'one PDU each':<16} {append['per_record']['records_per_sec']:>13,.0f} "
-        f"{append['per_record']['seconds']:>15.4f}",
-        f"{'batched stream':<16} {append['batched']['records_per_sec']:>13,.0f} "
-        f"{append['batched']['seconds']:>15.4f}",
-        f"{'speedup':<16} {ratios['append_speedup']:>12.2f}x",
+        (
+            ("pipeline", "records/sec", "sim seconds"),
+            [
+                (label, f"{append[cell]['records_per_sec']:,.0f}",
+                 f"{append[cell]['seconds']:.4f}")
+                for label, cell in (("one PDU each", "per_record"),
+                                    ("batched stream", "batched"))
+            ],
+        ),
+        f"speedup: {doc['ratios']['append_speedup']:.2f}x",
     ]
-    return "\n".join(lines)
-
-
-def load_baseline(path: str) -> dict:
-    """Read a BENCH_replication.json document from *path*."""
-    with open(path) as fh:
-        return json.load(fh)

@@ -1,7 +1,6 @@
-"""Storage-engine benchmark: the engine behind
-``repro bench --suite storage``.
+"""Storage-engine suite (``repro bench --suite storage``).
 
-Three scenarios over the two durable backends (ROADMAP item 3):
+Three scenarios over the two durable backends:
 
 **Durable append** (gated).  The server's actual persistence shape —
 one ``append_entries([record, heartbeat])`` call per acknowledged
@@ -9,7 +8,7 @@ append, durability required — against :class:`FileStore` (whose only
 contract is fsync-per-call) and :class:`SegmentedStore` under
 ``FsyncPolicy("batch:65536")`` (the engine's bounded-loss batched
 fsync).  The gate requires the segmented engine to at least match the
-FileStore baseline; in practice the policy amortization wins by ~4x.
+FileStore baseline; in practice the policy amortization wins by ~3x.
 
 **Drain append** (sanity floor).  Both stores with ``fsync=False`` in
 large batches — pure frame-encode/write throughput.  The segmented
@@ -17,16 +16,16 @@ engine pays for what FileStore does not do at all (per-frame CRC,
 sparse indexing, the persisted sync-index digest per record), so the
 floor only guards against a catastrophic regression, not parity.
 
-**Sustained build + cold reads**.  A single capsule grown to 10M
-records (``--quick``: 200k) through seal/tier cycles against the
-directory object tier, reporting sustained records/sec, then — after a
-cold reopen — point-read latency percentiles where most samples must
-read through to the object tier.
+**Sustained build + cold reads** (shape-checked).  A single capsule
+grown to 10M records (``--quick``: 200k) through seal/tier cycles
+against the directory object tier, reporting sustained records/sec,
+then — after a cold reopen — point-read latency percentiles where most
+samples must read through to the object tier.
 
 Record wires are synthesized (correct shape, no real signatures):
 storage engines never verify signatures, and minting 10M signed records
 would measure the signer, not the store.  Wall-clock numbers are
-machine-dependent; the CI gate therefore enforces floors and bands on
+machine-dependent; the gate therefore puts floors and the 30% band on
 the *ratios* (both sides measured on the same machine) plus a very
 generous absolute ceiling on cold-read p99.
 """
@@ -34,26 +33,29 @@ generous absolute ceiling on cold-read p99.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import tempfile
 import time
 
-__all__ = ["run_bench", "check_regression", "GATED_RATIOS"]
+from repro.bench.gate import Gate, latency_summary
 
-#: ratio keys the CI gate enforces, with the floor each must beat even
-#: before regression comparison (the ISSUE's acceptance criteria).
-GATED_RATIOS = {
-    "durable_append_ratio": 1.0,
-    "drain_append_ratio": 0.25,
-}
+__all__ = ["run", "GATES", "table"]
 
-_REGRESSION_TOLERANCE = 0.30
-#: generous absolute ceiling for tiered cold reads (a 4 MiB object
-#: fetch + frame scan; even a slow CI runner clears this by an order
-#: of magnitude)
-_COLD_READ_P99_CEILING_MS = 500.0
+GATES = (
+    Gate("ratios.durable_append_ratio", "higher", floor=1.0),
+    Gate("ratios.drain_append_ratio", "higher", floor=0.25),
+    # The sustained scenario is checked for shape only: its absolute
+    # throughput is hardware, and --quick runs a smaller build than the
+    # committed 10M-record baseline.
+    Gate("sustained.records", "higher", band=None),
+    Gate("sustained.records_per_sec", "higher", band=None),
+    Gate("sustained.tiered_segments", "higher", floor=1, band=None,
+         why="nothing tiered — cold reads never left the local disk"),
+    # A 4 MiB object fetch + frame scan; even a slow CI runner clears
+    # this ceiling by an order of magnitude.
+    Gate("sustained.cold_read.p99_ms", "lower", ceiling=500.0, band=None),
+)
 
 DURABLE_ACKS = 5_000
 DRAIN_RECORDS = 100_000
@@ -96,6 +98,28 @@ def _heartbeat_wire(seqno: int) -> dict:
     }
 
 
+def _race_engines(
+    label: str, batches: list, count: int, rate: str, file_store, segmented
+) -> dict:
+    """Time the same ``append_entries`` batches through both engines;
+    *count* units (acks or records) per elapsed second lands in *rate*."""
+    name = _capsule_name(label)
+    results = {}
+    for engine, store in (("file_store", file_store), ("segmented", segmented)):
+        store.store_metadata(name, _metadata_wire())
+        start = time.perf_counter()
+        for batch in batches:
+            store.append_entries(name, batch)
+        store.sync()
+        elapsed = time.perf_counter() - start
+        store.close()
+        results[engine] = {
+            "seconds": round(elapsed, 3),
+            rate: round(count / elapsed, 1),
+        }
+    return results
+
+
 def _bench_durable(root: str) -> dict:
     """One fsync-required ack at a time: FileStore's fsync-per-call vs
     the segmented engine's batched fsync policy."""
@@ -103,32 +127,19 @@ def _bench_durable(root: str) -> dict:
     from repro.server.segmented import SegmentedStore
     from repro.server.storage import FileStore
 
-    name = _capsule_name("durable")
     pairs = [
         [("r", _record_wire(i)), ("h", _heartbeat_wire(i))]
         for i in range(1, DURABLE_ACKS + 1)
     ]
-    results = {}
-    for label, store in (
-        ("file_store", FileStore(os.path.join(root, "d-file"), fsync=True)),
-        ("segmented", SegmentedStore(
+    return _race_engines(
+        "durable", pairs, DURABLE_ACKS, "acks_per_sec",
+        FileStore(os.path.join(root, "d-file"), fsync=True),
+        SegmentedStore(
             os.path.join(root, "d-seg"),
             fsync_policy=FsyncPolicy("batch:65536"),
             segment_bytes=SUSTAINED_SEGMENT_BYTES,
-        )),
-    ):
-        store.store_metadata(name, _metadata_wire())
-        start = time.perf_counter()
-        for pair in pairs:
-            store.append_entries(name, pair)
-        store.sync()
-        elapsed = time.perf_counter() - start
-        store.close()
-        results[label] = {
-            "seconds": round(elapsed, 3),
-            "acks_per_sec": round(DURABLE_ACKS / elapsed, 1),
-        }
-    return results
+        ),
+    )
 
 
 def _bench_drain(root: str) -> dict:
@@ -136,31 +147,22 @@ def _bench_drain(root: str) -> dict:
     from repro.server.segmented import SegmentedStore
     from repro.server.storage import FileStore
 
-    name = _capsule_name("drain")
     entries = [
         ("r", _record_wire(i)) for i in range(1, DRAIN_RECORDS + 1)
     ]
-    results = {}
-    for label, store in (
-        ("file_store", FileStore(os.path.join(root, "r-file"), fsync=False)),
-        ("segmented", SegmentedStore(
+    batches = [
+        entries[i : i + DRAIN_BATCH]
+        for i in range(0, DRAIN_RECORDS, DRAIN_BATCH)
+    ]
+    return _race_engines(
+        "drain", batches, DRAIN_RECORDS, "records_per_sec",
+        FileStore(os.path.join(root, "r-file"), fsync=False),
+        SegmentedStore(
             os.path.join(root, "r-seg"),
             fsync=False,
             segment_bytes=SUSTAINED_SEGMENT_BYTES,
-        )),
-    ):
-        store.store_metadata(name, _metadata_wire())
-        start = time.perf_counter()
-        for i in range(0, DRAIN_RECORDS, DRAIN_BATCH):
-            store.append_entries(name, entries[i : i + DRAIN_BATCH])
-        store.sync()
-        elapsed = time.perf_counter() - start
-        store.close()
-        results[label] = {
-            "seconds": round(elapsed, 3),
-            "records_per_sec": round(DRAIN_RECORDS / elapsed, 1),
-        }
-    return results
+        ),
+    )
 
 
 def _bench_sustained(root: str, quick: bool, note) -> dict:
@@ -220,7 +222,6 @@ def _bench_sustained(root: str, quick: bool, note) -> dict:
         if wire is None or wire["seqno"] != seqno:
             raise RuntimeError(f"cold read of seqno {seqno} failed")
     cold.close()
-    latencies.sort()
     return {
         "records": records,
         "payload_bytes": PAYLOAD_BYTES,
@@ -230,23 +231,13 @@ def _bench_sustained(root: str, quick: bool, note) -> dict:
         "mb_per_sec": round(bytes_written / elapsed / 1e6, 1),
         "segments": len(segments),
         "tiered_segments": tiered,
-        "cold_read": {
-            "samples": len(latencies),
-            "p50_ms": round(latencies[len(latencies) // 2], 3),
-            "p99_ms": round(latencies[int(len(latencies) * 0.99)], 3),
-            "max_ms": round(latencies[-1], 3),
-        },
+        "cold_read": latency_summary(latencies, 3),
     }
 
 
-def run_bench(*, quick: bool = False, progress=None) -> dict:
+def run(quick: bool = False, note=lambda message: None) -> dict:
     """Run all three scenarios; returns the BENCH_storage.json document
     (dict).  Wall-clock based — gate on the ratios, not the absolutes."""
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
     root = tempfile.mkdtemp(prefix="gdp-bench-storage-")
     try:
         note(f"durable append: {DURABLE_ACKS} fsynced acks per engine")
@@ -288,83 +279,25 @@ def run_bench(*, quick: bool = False, progress=None) -> dict:
     }
 
 
-def check_regression(current: dict, baseline: dict) -> list[str]:
-    """Compare a fresh run against the checked-in baseline; returns a
-    list of failure strings (empty = gate passes).
-
-    Gated: both ratios must (a) be present, (b) beat their absolute
-    floor, and (c) be within 30% of the baseline ratio (both sides of a
-    ratio run on the same machine, so the ratio travels across machines
-    far better than the absolutes).  The sustained scenario is checked
-    for shape and a generous cold-read p99 ceiling only — its absolute
-    throughput is hardware, and ``--quick`` runs a smaller build than
-    the committed 10M-record baseline.
-    """
-    failures = []
-    cur = current.get("ratios", {})
-    base = baseline.get("ratios", {})
-    for key, floor in GATED_RATIOS.items():
-        if key not in cur:
-            failures.append(f"ratios.{key}: missing from current run")
-            continue
-        if cur[key] < floor:
-            failures.append(
-                f"ratios.{key}: {cur[key]:.2f}x is below the "
-                f"{floor:.2f}x acceptance floor"
-            )
-        if key in base and cur[key] < base[key] * (1 - _REGRESSION_TOLERANCE):
-            failures.append(
-                f"ratios.{key}: {cur[key]:.2f}x regressed >30% from "
-                f"baseline {base[key]:.2f}x"
-            )
-    sustained = current.get("sustained", {})
-    cold = sustained.get("cold_read", {})
-    for field in ("records", "records_per_sec", "tiered_segments"):
-        if field not in sustained:
-            failures.append(f"sustained.{field}: missing")
-    if sustained.get("tiered_segments") == 0:
-        failures.append(
-            "sustained.tiered_segments: nothing tiered — cold reads "
-            "never left the local disk"
-        )
-    p99 = cold.get("p99_ms")
-    if p99 is None:
-        failures.append("sustained.cold_read.p99_ms: missing")
-    elif p99 > _COLD_READ_P99_CEILING_MS:
-        failures.append(
-            f"sustained.cold_read.p99_ms: {p99:.1f}ms exceeds the "
-            f"{_COLD_READ_P99_CEILING_MS:.0f}ms ceiling"
-        )
-    return failures
-
-
-def format_table(doc: dict) -> str:
-    """Human-readable summary of a benchmark document."""
-    durable = doc["durable_append"]
-    drain = doc["drain_append"]
-    sustained = doc["sustained"]
+def table(doc: dict) -> list:
+    """Both engine comparisons, then the sustained build and cold reads."""
+    durable, drain = doc["durable_append"], doc["drain_append"]
+    sustained, ratios = doc["sustained"], doc["ratios"]
     cold = sustained["cold_read"]
-    ratios = doc["ratios"]
-    lines = [
-        f"durable append ({durable['acks']} acks, fsync required)",
-        "engine                  acks/sec         seconds",
-        "-" * 48,
-        f"{'file (per-ack fsync)':<20} "
-        f"{durable['file_store']['acks_per_sec']:>10,.0f} "
-        f"{durable['file_store']['seconds']:>15.2f}",
-        f"{'segmented (batch:64K)':<20} "
-        f"{durable['segmented']['acks_per_sec']:>10,.0f} "
-        f"{durable['segmented']['seconds']:>15.2f}",
-        f"{'ratio':<20} {ratios['durable_append_ratio']:>9.2f}x",
-        "",
-        f"drain append ({drain['records']:,} records, no fsync)",
-        "engine                records/sec         seconds",
-        "-" * 48,
-        f"{'file':<20} {drain['file_store']['records_per_sec']:>10,.0f} "
-        f"{drain['file_store']['seconds']:>15.2f}",
-        f"{'segmented':<20} {drain['segmented']['records_per_sec']:>10,.0f} "
-        f"{drain['segmented']['seconds']:>15.2f}",
-        f"{'ratio':<20} {ratios['drain_append_ratio']:>9.2f}x",
+    return [
+        (
+            ("scenario", "file /s", "segmented /s", "ratio"),
+            [
+                (label, f"{cell['file_store'][rate]:,.0f}",
+                 f"{cell['segmented'][rate]:,.0f}", f"{ratios[ratio]:.2f}x")
+                for label, cell, rate, ratio in (
+                    (f"durable append ({durable['acks']:,} fsynced acks)",
+                     durable, "acks_per_sec", "durable_append_ratio"),
+                    (f"drain append ({drain['records']:,} records, no fsync)",
+                     drain, "records_per_sec", "drain_append_ratio"),
+                )
+            ],
+        ),
         "",
         f"sustained build: {sustained['records']:,} records "
         f"({sustained['segments']} segments, "
@@ -376,10 +309,3 @@ def format_table(doc: dict) -> str:
         f"p50 {cold['p50_ms']:.2f}ms, p99 {cold['p99_ms']:.2f}ms, "
         f"max {cold['max_ms']:.2f}ms",
     ]
-    return "\n".join(lines)
-
-
-def load_baseline(path: str) -> dict:
-    """Read a BENCH_storage.json document from *path*."""
-    with open(path) as fh:
-        return json.load(fh)

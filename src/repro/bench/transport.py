@@ -1,4 +1,4 @@
-"""Open-loop load generator: the engine behind ``repro loadgen``.
+"""Open-loop load generator (``repro loadgen``, suite ``transport``).
 
 Drives a real (socket-mode) GDP fleet with an *open-loop* arrival
 process: operations are injected on a fixed schedule regardless of how
@@ -11,62 +11,39 @@ is ``k / rate`` — not the moment the op actually got to run.
 Each level offers a fixed rate for a fixed duration against a capsule
 replicated across two fleet processes, alternating appends and verified
 reads, and reports p50/p99/p999 per op kind plus sustained PDU/s from
-the client transport counters.  The machine-readable document
-(``BENCH_transport.json``) feeds the CI perf gate: generous absolute
-bounds plus a >30% regression comparison against the checked-in
-baseline (see ``check_regression``).
+the client transport counters (``BENCH_transport.json``).
 """
 
 from __future__ import annotations
 
-import json
 import time
 
-__all__ = [
-    "run_loadgen",
-    "check_regression",
-    "format_table",
-    "load_baseline",
-    "GATED_FLOORS",
-    "GATED_CEILINGS",
-]
+from repro.bench.gate import Gate, percentile
 
-#: throughput keys that must beat an absolute floor (values chosen far
-#: below any healthy run — they catch collapse, not hardware variance)
-GATED_FLOORS = {"pdus_per_sec": 100.0}
+__all__ = ["run", "GATES", "table", "DEFAULT_RATES"]
 
-#: latency keys that must stay under an absolute ceiling (ms)
-GATED_CEILINGS = {"append_p99_ms": 500.0, "read_p99_ms": 500.0}
-
-_REGRESSION_TOLERANCE = 0.30
-
-#: absolute slack (ms) added on top of the relative latency tolerance:
-#: near saturation a p99 in the tens of milliseconds can double from
-#: scheduler jitter alone, which is a 100% relative move on a tiny
-#: absolute base.  A regression only fails the gate when it clears both
-#: the 30% relative bound *and* this absolute margin.
-_LATENCY_SLACK_MS = 75.0
+#: Gated from the top load level.  Floor and ceilings sit far from any
+#: healthy run — they catch collapse, not hardware variance.  Near
+#: saturation a p99 in the tens of milliseconds can double from
+#: scheduler jitter alone (a 100% relative move on a tiny absolute
+#: base), so a latency regression must clear the 30% band *and* 75 ms.
+GATES = (
+    Gate("gated.pdus_per_sec", "higher", floor=100.0),
+    Gate("gated.append_p99_ms", "lower", ceiling=500.0, slack=75.0),
+    Gate("gated.read_p99_ms", "lower", ceiling=500.0, slack=75.0),
+)
 
 #: default offered rates (ops/second) — three open-loop levels, the top
 #: one near the single-client saturation point so queueing is visible
 DEFAULT_RATES = (25, 50, 100)
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of *samples* (q in [0, 1])."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _latency_summary(samples_ms: list[float]) -> dict:
     return {
         "count": len(samples_ms),
-        "p50": round(_percentile(samples_ms, 0.50), 3),
-        "p99": round(_percentile(samples_ms, 0.99), 3),
-        "p999": round(_percentile(samples_ms, 0.999), 3),
+        "p50": round(percentile(samples_ms, 0.50), 3),
+        "p99": round(percentile(samples_ms, 0.99), 3),
+        "p999": round(percentile(samples_ms, 0.999), 3),
         "max": round(max(samples_ms), 3) if samples_ms else 0.0,
     }
 
@@ -129,16 +106,20 @@ def _run_level(ctx, client, writer, capsule_name, *, rate, duration):
     }
 
 
-def run_loadgen(
+def run(
+    quick: bool = False,
+    note=lambda message: None,
     *,
     processes: int = 3,
     rates: tuple = DEFAULT_RATES,
     duration: float = 2.0,
     rendezvous: str | None = None,
-    progress=None,
 ) -> dict:
     """Boot a fleet, drive every load level, and return the
-    BENCH_transport.json document (dict)."""
+    BENCH_transport.json document (dict).  *quick* changes nothing —
+    the default levels are already CI-sized.  A *rendezvous* directory
+    the caller supplies is left alone; one created here is removed."""
+    import shutil
     import tempfile
 
     from repro.client import GdpClient, OwnerConsole
@@ -148,16 +129,12 @@ def run_loadgen(
     from repro.runtime.context import AsyncioContext
     from repro.runtime.socketnet import SocketNetwork
 
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
     workdir = rendezvous or tempfile.mkdtemp(prefix="gdp_loadgen_")
     spec = FleetSpec(processes, workdir)
     launcher = FleetLauncher(spec)
     note(f"booting {processes}-process fleet")
-    launcher.start()
     try:
+        launcher.start()
         ports = launcher.wait_ready()
         ctx = AsyncioContext()
         net = SocketNetwork(ctx, seed=7)
@@ -205,9 +182,11 @@ def run_loadgen(
     finally:
         if launcher.alive():
             launcher.stop()
+        if not rendezvous:
+            shutil.rmtree(workdir, ignore_errors=True)
 
     top = levels[-1]
-    doc = {
+    return {
         "schema": "gdp-bench-transport/1",
         "fleet": {
             "processes": processes,
@@ -222,84 +201,27 @@ def run_loadgen(
             "read_p99_ms": top["read_ms"]["p99"],
         },
     }
-    return doc
 
 
-def check_regression(current: dict, baseline: dict) -> list[str]:
-    """Compare a fresh run against the checked-in baseline; returns a
-    list of failure strings (empty = gate passes).
+def table(doc: dict) -> list:
+    """One row per load level, then the fleet's drain times."""
+    def ms(summary: dict) -> str:
+        return "/".join(f"{summary[q]:.2f}" for q in ("p50", "p99", "p999"))
 
-    Gated (from the top load level): ``pdus_per_sec`` must beat its
-    floor and stay within 30% of the baseline; ``append_p99_ms`` /
-    ``read_p99_ms`` must stay under their ceilings and within 30%
-    *above* the baseline (plus ``_LATENCY_SLACK_MS`` of absolute slack,
-    so jitter on a small base cannot flake the gate).  Per-level
-    absolute numbers are informational — they track runner hardware.
-    """
-    failures = []
-    cur = current.get("gated", {})
-    base = baseline.get("gated", {})
-    for key, floor in GATED_FLOORS.items():
-        if key not in cur:
-            failures.append(f"gated.{key}: missing from current run")
-            continue
-        if cur[key] < floor:
-            failures.append(
-                f"gated.{key}: {cur[key]:.1f} is below the "
-                f"{floor:.1f} acceptance floor"
-            )
-        if key in base and cur[key] < base[key] * (1 - _REGRESSION_TOLERANCE):
-            failures.append(
-                f"gated.{key}: {cur[key]:.1f} regressed >30% from "
-                f"baseline {base[key]:.1f}"
-            )
-    for key, ceiling in GATED_CEILINGS.items():
-        if key not in cur:
-            failures.append(f"gated.{key}: missing from current run")
-            continue
-        if cur[key] > ceiling:
-            failures.append(
-                f"gated.{key}: {cur[key]:.3f}ms exceeds the "
-                f"{ceiling:.0f}ms acceptance ceiling"
-            )
-        if key in base and base[key] > 0 and (
-            cur[key] > base[key] * (1 + _REGRESSION_TOLERANCE)
-            and cur[key] > base[key] + _LATENCY_SLACK_MS
-        ):
-            failures.append(
-                f"gated.{key}: {cur[key]:.3f}ms regressed >30% (and "
-                f">{_LATENCY_SLACK_MS:.0f}ms) from "
-                f"baseline {base[key]:.3f}ms"
-            )
-    return failures
-
-
-def format_table(doc: dict) -> str:
-    """Human-readable summary of a loadgen document."""
-    lines = [
-        "rate     append p50/p99/p999 (ms)     read p50/p99/p999 (ms)"
-        "     PDU/s    err",
-        "-" * 76,
+    drains = [d for d in doc["drain_ms"] if d is not None]
+    return [
+        (
+            ("rate", "append p50/p99/p999 ms", "read p50/p99/p999 ms",
+             "PDU/s", "err"),
+            [
+                (f"{level['target_rate']}/s", ms(level["append_ms"]),
+                 ms(level["read_ms"]), f"{level['pdus_per_sec']:,.0f}",
+                 level["errors"])
+                for level in doc["levels"]
+            ],
+        ),
+        *(
+            [f"fleet drain: {len(drains)} processes, max {max(drains):.1f} ms"]
+            if drains else []
+        ),
     ]
-    for level in doc.get("levels", []):
-        a, r = level["append_ms"], level["read_ms"]
-        lines.append(
-            f"{level['target_rate']:>4}/s "
-            f"{a['p50']:>8.2f} {a['p99']:>7.2f} {a['p999']:>8.2f}   "
-            f"{r['p50']:>8.2f} {r['p99']:>7.2f} {r['p999']:>8.2f}   "
-            f"{level['pdus_per_sec']:>8,.0f} "
-            f"{level['errors']:>5}"
-        )
-    drains = [d for d in doc.get("drain_ms", []) if d is not None]
-    if drains:
-        lines.append(
-            f"fleet drain: {len(drains)} processes, "
-            f"max {max(drains):.1f} ms"
-        )
-    return "\n".join(lines)
-
-
-def load_baseline(path: str) -> dict:
-    """Read a BENCH_transport.json document from *path*."""
-    with open(path) as fh:
-        return json.load(fh)

@@ -14,14 +14,12 @@ Commands
                 (``--seed N --episodes K``); every failure prints a
                 one-line repro command, ``--shrink`` minimizes the
                 fault schedule of each failing episode
-``bench``       run a hot-path benchmark suite: ``--suite crypto``
-                (default: sign, verify cold/warm, append,
-                verify_history, fig8 e2e, accelerated vs naive) or
-                ``--suite replication`` (Merkle-delta anti-entropy,
-                batched vs per-record append pipeline);
-                ``--json PATH`` writes the BENCH_<suite>.json document,
-                ``--check BASELINE`` exits non-zero on a >30%
-                regression (the CI perf gate)
+``bench``       run a per-layer benchmark suite from the ``repro.bench``
+                registry (``--suite crypto`` by default; ``--suite all``
+                runs every in-process suite in turn); ``--json PATH``
+                writes the BENCH_<suite>.json document, ``--check
+                BASELINE`` exits non-zero when a gated row fails (the
+                CI perf gate; with ``all`` both name a directory)
 ``serve``       boot a real multi-process fleet over TCP
                 (``--fleet N`` shared-nothing processes, each one
                 router + one DataCapsule-server); Ctrl-C drains
@@ -198,68 +196,60 @@ def cmd_simtest(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` command: hot-path op/s + speedups for the selected
-    suite (``crypto`` primitives, the ``replication`` plane, the
-    ``storage`` engines, the ``routing`` fabric, or the sharded
-    ``commit`` plane)."""
-    import json
+def _note(message: str) -> None:
+    print(f"  ... {message}", flush=True)
 
-    if args.suite == "commit":
-        from repro import bench_commit as bench
 
-        doc = bench.run_bench(
-            quick=args.quick,
-            progress=lambda msg: print(f"  ... {msg}", flush=True),
-        )
-    elif args.suite == "routing":
-        from repro import bench_routing as bench
+def _run_and_gate(suite, run, json_path, check_path) -> int:
+    """The one run -> print -> ``--json`` -> ``--check`` tail behind
+    ``bench`` and ``loadgen``: 0 = ok, 1 = gate failed, 2 = baseline
+    unreadable."""
+    from repro.bench import gate
 
-        doc = bench.run_bench(
-            quick=args.quick,
-            progress=lambda msg: print(f"  ... {msg}", flush=True),
-        )
-    elif args.suite == "replication":
-        from repro import bench_replication as bench
-
-        doc = bench.run_bench(
-            progress=lambda msg: print(f"  ... {msg}", flush=True),
-        )
-    elif args.suite == "storage":
-        from repro import bench_storage as bench
-
-        doc = bench.run_bench(
-            quick=args.quick,
-            progress=lambda msg: print(f"  ... {msg}", flush=True),
-        )
-    else:
-        from repro import bench
-
-        doc = bench.run_bench(
-            skip_fig8=args.quick,
-            progress=lambda msg: print(f"  ... {msg}", flush=True),
-        )
+    doc = run()
     print()
-    print(bench.format_table(doc))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    if args.check:
+    print(gate.format_table(suite.table(doc)))
+    if json_path:
+        gate.dump(doc, json_path)
+        print(f"\nwrote {json_path}")
+    if check_path:
         try:
-            baseline = bench.load_baseline(args.check)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"\nperf gate: cannot read baseline {args.check}: {exc}")
+            baseline = gate.load(check_path)
+        except (OSError, ValueError) as exc:
+            print(f"\nperf gate: cannot read baseline {check_path}: {exc}")
             return 2
-        failures = bench.check_regression(doc, baseline)
+        failures = gate.check(doc, baseline, suite.gates)
         if failures:
-            print(f"\nperf gate FAILED vs {args.check}:")
+            print(f"\nperf gate FAILED vs {check_path}:")
             for failure in failures:
                 print(f"  - {failure}")
             return 1
-        print(f"\nperf gate PASS vs {args.check}")
+        print(f"\nperf gate PASS vs {check_path}")
     return 0
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    """The ``bench`` command: run, print and gate one registered suite,
+    or (``--suite all``) every in-process suite in turn with ``--json``
+    / ``--check`` naming the directory of ``BENCH_<suite>.json`` files."""
+    import functools
+    import os
+
+    from repro.bench import IN_PROCESS, SUITES
+
+    everything = args.suite == "all"
+    worst = 0
+    for name in IN_PROCESS if everything else (args.suite,):
+        suite = SUITES[name]
+        json_path, check_path = args.json, args.check
+        if everything:
+            print(f"\n== {name} ==")
+            current = suite.baseline.replace(".json", ".current.json")
+            json_path = json_path and os.path.join(json_path, current)
+            check_path = check_path and os.path.join(check_path, suite.baseline)
+        run = functools.partial(suite.run, args.quick, _note)
+        worst = max(worst, _run_and_gate(suite, run, json_path, check_path))
+    return worst
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -332,40 +322,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """The ``loadgen`` command: open-loop load against a real fleet."""
-    import json
+    """The ``loadgen`` command: the transport suite — open-loop load
+    against a real fleet — with its own fleet/level flags."""
+    import functools
 
-    from repro import loadgen
+    from repro.bench import SUITES, transport
 
     rates = tuple(int(r) for r in args.rates.split(",")) if args.rates \
-        else loadgen.DEFAULT_RATES
-    doc = loadgen.run_loadgen(
+        else transport.DEFAULT_RATES
+    run = functools.partial(
+        transport.run,
+        note=_note,
         processes=args.processes,
         rates=rates,
         duration=args.duration,
-        progress=lambda msg: print(f"  ... {msg}", flush=True),
     )
-    print()
-    print(loadgen.format_table(doc))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    if args.check:
-        try:
-            baseline = loadgen.load_baseline(args.check)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"\nperf gate: cannot read baseline {args.check}: {exc}")
-            return 2
-        failures = loadgen.check_regression(doc, baseline)
-        if failures:
-            print(f"\nperf gate FAILED vs {args.check}:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(f"\nperf gate PASS vs {args.check}")
-    return 0
+    return _run_and_gate(SUITES["transport"], run, args.json, args.check)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -412,28 +384,33 @@ def main(argv: list[str] | None = None) -> int:
         "submitters, dht_churn crashes Kademlia overlay nodes under the "
         "DHT-backed global tier (default: default)",
     )
+    from repro.bench import SUITES
+
     bench_cmd = sub.add_parser(
-        "bench", help="run a hot-path benchmark suite"
+        "bench", help="run a per-layer benchmark suite"
     )
     bench_cmd.add_argument(
         "--suite",
-        choices=("crypto", "replication", "storage", "routing", "commit"),
+        choices=(*SUITES, "all"),
         default="crypto",
-        help="which benchmark suite to run (default: crypto)",
+        help="which benchmark suite to run (default: crypto); all = "
+        "every in-process suite in turn",
     )
     bench_cmd.add_argument(
         "--json", metavar="PATH", default=None,
-        help="write the BENCH_<suite>.json document to PATH",
+        help="write the BENCH_<suite>.json document to PATH (all: "
+        "BENCH_<suite>.current.json files into directory PATH)",
     )
     bench_cmd.add_argument(
         "--check", metavar="BASELINE", default=None,
-        help="exit non-zero on >30% speedup regression vs BASELINE",
+        help="exit non-zero when a gated row fails vs BASELINE (all: "
+        "the directory holding the BENCH_<suite>.json files)",
     )
     bench_cmd.add_argument(
         "--quick", action="store_true",
-        help="smaller run: crypto skips the fig8 end-to-end pass, "
-        "storage builds 200k records instead of 10M, commit runs "
-        "only the gated cells",
+        help="smaller run: storage builds 200k records instead of "
+        "10M, routing fills only the 10k level and the 32-node ring, "
+        "commit runs only the gated cells",
     )
     serve = sub.add_parser(
         "serve", help="boot a real multi-process fleet over TCP"

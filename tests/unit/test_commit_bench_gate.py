@@ -1,11 +1,17 @@
-"""The commit-plane perf gate (``bench_commit.check_regression``):
-the 3x shard-scaling floor, the 30% regression band, quick-vs-full
-cell matching, and the zero-lost-updates hard gate."""
+"""The commit suite's gate rows: the 3x shard-scaling floor, the 30%
+regression band, and quick-vs-full cell matching."""
 
-from repro.bench_commit import GATED_RATIOS, check_regression
+from repro.bench import gate
+from repro.bench.commit import GATES
+
+ROW = {row.path: row for row in GATES}
 
 
-def cell(shards, rate, lost=0):
+def check_regression(current, baseline):
+    return gate.check(current, baseline, GATES)
+
+
+def cell(shards, rate):
     return {
         "shards": shards,
         "committed": 192,
@@ -13,25 +19,21 @@ def cell(shards, rate, lost=0):
         "rejected": 0,
         "seconds": 1.0,
         "committed_per_sec": rate,
-        "lost_updates": lost,
+        "lost_updates": 0,
     }
 
 
-def doc(scaling=3.2, rate1=500.0, rate4=1600.0, hot_lost=0, quick=False):
+def doc(scaling=3.2, rate1=500.0, rate4=1600.0, quick=False):
     uniform = {
         "shards_1": cell(1, rate1),
         "shards_4": cell(4, rate4),
     }
-    hot = {"shards_4": cell(4, 5.0, lost=hot_lost)}
     if not quick:
         uniform["shards_8"] = cell(8, rate4 * 1.2)
-        hot["shards_1"] = cell(1, 5.0)
-        hot["shards_8"] = cell(8, 5.0)
     return {
         "schema": "gdp-bench-commit/1",
         "quick": quick,
         "uniform": uniform,
-        "hot": hot,
         "ratios": {"shard_scaling_4x": scaling},
     }
 
@@ -41,7 +43,7 @@ class TestGate:
         assert check_regression(doc(), doc()) == []
 
     def test_scaling_floor(self):
-        floor = GATED_RATIOS["shard_scaling_4x"]
+        floor = ROW["ratios.shard_scaling_4x"].floor
         failures = check_regression(doc(scaling=floor - 0.1), doc())
         assert any("acceptance floor" in f for f in failures)
 
@@ -66,7 +68,3 @@ class TestGate:
         # run (no shards_8 cell) must gate cleanly against the full
         # committed baseline.
         assert check_regression(doc(quick=True), doc()) == []
-
-    def test_lost_updates_fail_hard(self):
-        failures = check_regression(doc(hot_lost=2), doc())
-        assert any("lost updates" in f for f in failures)

@@ -336,10 +336,13 @@ class TestGrepGuard:
         source = inspect.getsource(KademliaDht._entry_node)
         assert "self.nodes[via]" in source
 
-    #: spellings of the back-compat layer deleted in PR 16
+    #: spellings of the back-compat layer deleted in PR 16, and of the
+    #: six per-suite bench harnesses folded into ``repro.bench`` (PR 18)
     REMOVED = (
         "def stats_", "DeprecationWarning", "legacy_shape",
         "add_delivery_hook", "full_sync_once",
+        "bench_commit", "bench_routing", "bench_storage",
+        "bench_replication", "repro.loadgen", "def check_regression",
     )
 
     def test_back_compat_layer_stays_deleted(self):

@@ -1,12 +1,15 @@
-"""The transport perf gate (``loadgen.check_regression``): floors,
-ceilings, directional 30% regression, and the absolute latency slack
-that keeps small-base jitter from flaking CI."""
+"""The transport suite's gate rows: floors, ceilings, directional 30%
+regression, and the absolute latency slack that keeps small-base jitter
+from flaking CI."""
 
-from repro.loadgen import (
-    GATED_CEILINGS,
-    GATED_FLOORS,
-    check_regression,
-)
+from repro.bench import gate
+from repro.bench.transport import GATES
+
+ROW = {row.path: row for row in GATES}
+
+
+def check_regression(current, baseline):
+    return gate.check(current, baseline, GATES)
 
 
 def doc(pdus=200.0, append_p99=50.0, read_p99=50.0):
@@ -24,12 +27,12 @@ class TestGate:
         assert check_regression(doc(), doc()) == []
 
     def test_throughput_floor(self):
-        floor = GATED_FLOORS["pdus_per_sec"]
+        floor = ROW["gated.pdus_per_sec"].floor
         failures = check_regression(doc(pdus=floor - 1), doc())
         assert any("acceptance floor" in f for f in failures)
 
     def test_latency_ceiling(self):
-        ceiling = GATED_CEILINGS["append_p99_ms"]
+        ceiling = ROW["gated.append_p99_ms"].ceiling
         failures = check_regression(doc(append_p99=ceiling + 1), doc())
         assert any("acceptance ceiling" in f for f in failures)
 

@@ -1,8 +1,15 @@
-"""The routing perf gate (``bench_routing.check_regression``): memory
-and latency ceilings, the DHT hop bound, the purge-scaling ratio, and
-the level-matched 30% regression band."""
+"""The routing suite's gate rows: memory and latency ceilings, the DHT
+hop bound and churn survival, and the level-matched 30% regression
+band."""
 
-from repro.bench_routing import GATED_LIMITS, check_regression
+from repro.bench import gate
+from repro.bench.routing import GATES
+
+ROW = {row.path: row for row in GATES}
+
+
+def check_regression(current, baseline):
+    return gate.check(current, baseline, GATES)
 
 
 def level(n, fib_bytes=80.0, gl_p99=0.03):
@@ -21,8 +28,7 @@ def level(n, fib_bytes=80.0, gl_p99=0.03):
     }
 
 
-def doc(fib_bytes=80.0, p99=0.03, hops_ok=True, purge_ratio=1.2,
-        churn_ok=True):
+def doc(fib_bytes=80.0, p99=0.03, hops_ok=True, churn_ok=True):
     return {
         "levels": [level(10_000), level(1_000_000, fib_bytes, p99)],
         "dht": [
@@ -33,7 +39,6 @@ def doc(fib_bytes=80.0, p99=0.03, hops_ok=True, purge_ratio=1.2,
             "warm_resolution_p99_ms": p99,
             "dht_hops_within_bound": hops_ok,
             "dht_churn_survival": churn_ok,
-            "purge_cost_ratio": purge_ratio,
         },
     }
 
@@ -43,12 +48,12 @@ class TestGate:
         assert check_regression(doc(), doc()) == []
 
     def test_fib_memory_ceiling(self):
-        limit = GATED_LIMITS["fib_bytes_per_entry"]
+        limit = ROW["gates.fib_bytes_per_entry"].ceiling
         failures = check_regression(doc(fib_bytes=limit + 50), doc())
         assert any("fib_bytes_per_entry" in f for f in failures)
 
     def test_warm_p99_ceiling(self):
-        limit = GATED_LIMITS["warm_resolution_p99_ms"]
+        limit = ROW["gates.warm_resolution_p99_ms"].ceiling
         failures = check_regression(doc(p99=limit * 2), doc())
         assert any("warm_resolution_p99_ms" in f for f in failures)
 
@@ -59,11 +64,6 @@ class TestGate:
     def test_dht_churn_survival_gate(self):
         failures = check_regression(doc(churn_ok=False), doc())
         assert any("dht_churn_survival" in f for f in failures)
-
-    def test_purge_ratio_ceiling(self):
-        limit = GATED_LIMITS["purge_cost_ratio"]
-        failures = check_regression(doc(purge_ratio=limit + 1), doc())
-        assert any("purge_cost_ratio" in f for f in failures)
 
     def test_regression_band_per_level(self):
         failures = check_regression(

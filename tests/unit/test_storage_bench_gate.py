@@ -1,8 +1,14 @@
-"""The storage perf gate (``bench_storage.check_regression``): ratio
-floors, the 30% regression band, sustained-scenario shape checks, and
-the cold-read p99 ceiling."""
+"""The storage suite's gate rows: ratio floors, the 30% regression
+band, sustained-scenario shape checks, and the cold-read p99 ceiling."""
 
-from repro.bench_storage import GATED_RATIOS, check_regression
+from repro.bench import gate
+from repro.bench.storage import GATES
+
+ROW = {row.path: row for row in GATES}
+
+
+def check_regression(current, baseline):
+    return gate.check(current, baseline, GATES)
 
 
 def doc(durable=4.0, drain=0.45, tiered=24, p99=25.0):
@@ -25,12 +31,12 @@ class TestGate:
         assert check_regression(doc(), doc()) == []
 
     def test_durable_ratio_floor(self):
-        floor = GATED_RATIOS["durable_append_ratio"]
+        floor = ROW["ratios.durable_append_ratio"].floor
         failures = check_regression(doc(durable=floor - 0.1), doc())
         assert any("acceptance floor" in f for f in failures)
 
     def test_drain_ratio_floor(self):
-        floor = GATED_RATIOS["drain_append_ratio"]
+        floor = ROW["ratios.drain_append_ratio"].floor
         failures = check_regression(doc(drain=floor - 0.05), doc())
         assert any("drain_append_ratio" in f for f in failures)
 

@@ -169,13 +169,13 @@ def _bench_glookup_level(n: int, server_md) -> dict:
         service = GLookupService(
             "bench", verify_on_register=False, clock=lambda: 0.0
         )
-        return service, service.register, service.lookup
+        return service._table, service.register, service.lookup
 
     entries = [
         _synthetic_entry(_name(b"bench-routing:%d" % i), server_md)
         for i in range(n)
     ]
-    service, fill_seconds, bytes_per_entry, warm = _fill_and_probe(
+    table, fill_seconds, bytes_per_entry, warm = _fill_and_probe(
         n, entries, make
     )
     return {
@@ -183,7 +183,7 @@ def _bench_glookup_level(n: int, server_md) -> dict:
         "fill_seconds": round(fill_seconds, 3),
         "registers_per_sec": round(n / fill_seconds, 1),
         "bytes_per_entry": bytes_per_entry,
-        "evidence_records": len(service._pool),
+        "evidence_records": len(table._pool),
         "warm_lookup": warm,
     }
 

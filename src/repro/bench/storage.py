@@ -1,32 +1,27 @@
 """Storage-engine suite (``repro bench --suite storage``).
 
-Three scenarios over the two durable backends:
+Two scenarios over :class:`SegmentedStore`, the one durable backend:
 
 **Durable append** (gated).  The server's actual persistence shape —
 one ``append_entries([record, heartbeat])`` call per acknowledged
-append, durability required — against :class:`FileStore` (whose only
-contract is fsync-per-call) and :class:`SegmentedStore` under
-``FsyncPolicy("batch:65536")`` (the engine's bounded-loss batched
-fsync).  The gate requires the segmented engine to at least match the
-FileStore baseline; in practice the policy amortization wins by ~3x.
-
-**Drain append** (sanity floor).  Both stores with ``fsync=False`` in
-large batches — pure frame-encode/write throughput.  The segmented
-engine pays for what FileStore does not do at all (per-frame CRC,
-sparse indexing, the persisted sync-index digest per record), so the
-floor only guards against a catastrophic regression, not parity.
+append, durability required — under ``FsyncPolicy("always")`` (an
+fsync per ack) and under ``FsyncPolicy("batch:65536")`` (the fleet's
+bounded-loss batched fsync).  Same engine, same frames; the ratio is
+what the policy's amortization buys, and the gate requires batching
+never to lose to fsync-per-ack.
 
 **Sustained build + cold reads** (shape-checked).  A single capsule
 grown to 10M records (``--quick``: 200k) through seal/tier cycles
-against the directory object tier, reporting sustained records/sec,
-then — after a cold reopen — point-read latency percentiles where most
-samples must read through to the object tier.
+against the directory object tier, reporting sustained records/sec —
+the engine's batch-append rate, CRC, sparse index and sync-index digest
+included — then, after a cold reopen, point-read latency percentiles
+where most samples must read through to the object tier.
 
 Record wires are synthesized (correct shape, no real signatures):
 storage engines never verify signatures, and minting 10M signed records
 would measure the signer, not the store.  Wall-clock numbers are
-machine-dependent; the gate therefore puts floors and the 30% band on
-the *ratios* (both sides measured on the same machine) plus a very
+machine-dependent; the gate therefore puts its floor and the 30% band
+on the *ratio* (both sides measured on the same machine) plus a very
 generous absolute ceiling on cold-read p99.
 """
 
@@ -44,7 +39,6 @@ __all__ = ["run", "GATES", "table"]
 
 GATES = (
     Gate("ratios.durable_append_ratio", "higher", floor=1.0),
-    Gate("ratios.drain_append_ratio", "higher", floor=0.25),
     # The sustained scenario is checked for shape only: its absolute
     # throughput is hardware, and --quick runs a smaller build than the
     # committed 10M-record baseline.
@@ -58,8 +52,9 @@ GATES = (
 )
 
 DURABLE_ACKS = 5_000
-DRAIN_RECORDS = 100_000
-DRAIN_BATCH = 200
+#: the fsync policies raced in the durable-append scenario: an fsync
+#: per ack, and the fleet's bounded-loss batch
+ALWAYS, BATCHED = "always", "batch:65536"
 PAYLOAD_BYTES = 64
 
 SUSTAINED_RECORDS = 10_000_000
@@ -98,78 +93,41 @@ def _heartbeat_wire(seqno: int) -> dict:
     }
 
 
-def _race_engines(
-    label: str, batches: list, count: int, rate: str, file_store, segmented
-) -> dict:
-    """Time the same ``append_entries`` batches through both engines;
-    *count* units (acks or records) per elapsed second lands in *rate*."""
-    name = _capsule_name(label)
-    results = {}
-    for engine, store in (("file_store", file_store), ("segmented", segmented)):
-        store.store_metadata(name, _metadata_wire())
-        start = time.perf_counter()
-        for batch in batches:
-            store.append_entries(name, batch)
-        store.sync()
-        elapsed = time.perf_counter() - start
-        store.close()
-        results[engine] = {
-            "seconds": round(elapsed, 3),
-            rate: round(count / elapsed, 1),
-        }
-    return results
-
-
 def _bench_durable(root: str) -> dict:
-    """One fsync-required ack at a time: FileStore's fsync-per-call vs
-    the segmented engine's batched fsync policy."""
-    from repro.server.durability import FsyncPolicy
+    """One fsync-required ack at a time through the same engine under
+    :data:`ALWAYS` and under :data:`BATCHED`."""
     from repro.server.segmented import SegmentedStore
-    from repro.server.storage import FileStore
 
+    name = _capsule_name("durable")
     pairs = [
         [("r", _record_wire(i)), ("h", _heartbeat_wire(i))]
         for i in range(1, DURABLE_ACKS + 1)
     ]
-    return _race_engines(
-        "durable", pairs, DURABLE_ACKS, "acks_per_sec",
-        FileStore(os.path.join(root, "d-file"), fsync=True),
-        SegmentedStore(
-            os.path.join(root, "d-seg"),
-            fsync_policy=FsyncPolicy("batch:65536"),
+    results = {}
+    for policy in (ALWAYS, BATCHED):
+        store = SegmentedStore(
+            os.path.join(root, "d-" + policy.replace(":", "-")),
+            fsync_policy=policy,
             segment_bytes=SUSTAINED_SEGMENT_BYTES,
-        ),
-    )
-
-
-def _bench_drain(root: str) -> dict:
-    """Large fsync-free batches: raw frame throughput of both engines."""
-    from repro.server.segmented import SegmentedStore
-    from repro.server.storage import FileStore
-
-    entries = [
-        ("r", _record_wire(i)) for i in range(1, DRAIN_RECORDS + 1)
-    ]
-    batches = [
-        entries[i : i + DRAIN_BATCH]
-        for i in range(0, DRAIN_RECORDS, DRAIN_BATCH)
-    ]
-    return _race_engines(
-        "drain", batches, DRAIN_RECORDS, "records_per_sec",
-        FileStore(os.path.join(root, "r-file"), fsync=False),
-        SegmentedStore(
-            os.path.join(root, "r-seg"),
-            fsync=False,
-            segment_bytes=SUSTAINED_SEGMENT_BYTES,
-        ),
-    )
+        )
+        store.store_metadata(name, _metadata_wire())
+        start = time.perf_counter()
+        for pair in pairs:
+            store.append_entries(name, pair)
+        store.sync()
+        elapsed = time.perf_counter() - start
+        store.close()
+        results[policy] = {
+            "seconds": round(elapsed, 3),
+            "acks_per_sec": round(DURABLE_ACKS / elapsed, 1),
+        }
+    return results
 
 
 def _bench_sustained(root: str, quick: bool, note) -> dict:
     """Grow one capsule through seal/tier cycles, then measure tiered
     point-read latency after a cold reopen."""
     from repro.baselines.s3sim import DirectoryObjectTier
-    from repro.server.durability import FsyncPolicy
     from repro.server.segmented import SegmentedStore
 
     records = SUSTAINED_RECORDS_QUICK if quick else SUSTAINED_RECORDS
@@ -183,7 +141,7 @@ def _bench_sustained(root: str, quick: bool, note) -> dict:
     def make_store():
         return SegmentedStore(
             store_root,
-            fsync_policy=FsyncPolicy("batch:1048576"),
+            fsync_policy="batch:1048576",
             segment_bytes=segment_bytes,
             hot_segments=4,
             tier=DirectoryObjectTier(tier_root),
@@ -236,14 +194,12 @@ def _bench_sustained(root: str, quick: bool, note) -> dict:
 
 
 def run(quick: bool = False, note=lambda message: None) -> dict:
-    """Run all three scenarios; returns the BENCH_storage.json document
-    (dict).  Wall-clock based — gate on the ratios, not the absolutes."""
+    """Run both scenarios; returns the BENCH_storage.json document
+    (dict).  Wall-clock based — gate on the ratio, not the absolutes."""
     root = tempfile.mkdtemp(prefix="gdp-bench-storage-")
     try:
-        note(f"durable append: {DURABLE_ACKS} fsynced acks per engine")
+        note(f"durable append: {DURABLE_ACKS} fsynced acks per policy")
         durable = _bench_durable(root)
-        note(f"drain append: {DRAIN_RECORDS} records per engine")
-        drain = _bench_drain(root)
         note(
             "sustained build: "
             f"{(SUSTAINED_RECORDS_QUICK if quick else SUSTAINED_RECORDS):,}"
@@ -253,50 +209,34 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    ratios = {
-        "durable_append_ratio": round(
-            durable["segmented"]["acks_per_sec"]
-            / durable["file_store"]["acks_per_sec"],
-            2,
-        ),
-        "drain_append_ratio": round(
-            drain["segmented"]["records_per_sec"]
-            / drain["file_store"]["records_per_sec"],
-            2,
-        ),
-    }
     return {
-        "schema": "gdp-bench-storage/1",
+        "schema": "gdp-bench-storage/2",
         "quick": quick,
         "durable_append": {"acks": DURABLE_ACKS, **durable},
-        "drain_append": {
-            "records": DRAIN_RECORDS,
-            "batch": DRAIN_BATCH,
-            **drain,
-        },
         "sustained": sustained,
-        "ratios": ratios,
+        "ratios": {
+            "durable_append_ratio": round(
+                durable[BATCHED]["acks_per_sec"]
+                / durable[ALWAYS]["acks_per_sec"],
+                2,
+            ),
+        },
     }
 
 
 def table(doc: dict) -> list:
-    """Both engine comparisons, then the sustained build and cold reads."""
-    durable, drain = doc["durable_append"], doc["drain_append"]
-    sustained, ratios = doc["sustained"], doc["ratios"]
+    """The two fsync policies, then the sustained build and cold reads."""
+    durable, sustained = doc["durable_append"], doc["sustained"]
     cold = sustained["cold_read"]
     return [
         (
-            ("scenario", "file /s", "segmented /s", "ratio"),
-            [
-                (label, f"{cell['file_store'][rate]:,.0f}",
-                 f"{cell['segmented'][rate]:,.0f}", f"{ratios[ratio]:.2f}x")
-                for label, cell, rate, ratio in (
-                    (f"durable append ({durable['acks']:,} fsynced acks)",
-                     durable, "acks_per_sec", "durable_append_ratio"),
-                    (f"drain append ({drain['records']:,} records, no fsync)",
-                     drain, "records_per_sec", "drain_append_ratio"),
-                )
-            ],
+            ("scenario", f"{ALWAYS} /s", f"{BATCHED} /s", "ratio"),
+            [(
+                f"durable append ({durable['acks']:,} fsynced acks)",
+                f"{durable[ALWAYS]['acks_per_sec']:,.0f}",
+                f"{durable[BATCHED]['acks_per_sec']:,.0f}",
+                f"{doc['ratios']['durable_append_ratio']:.2f}x",
+            )],
         ),
         "",
         f"sustained build: {sustained['records']:,} records "

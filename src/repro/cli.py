@@ -275,7 +275,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         rendezvous,
         host=args.host,
         storage_root=args.storage,
-        storage_engine=args.storage_engine,
         fsync=args.fsync,
     )
     launcher = FleetLauncher(spec)
@@ -431,15 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         help="durable storage root (default: in-memory storage)",
     )
     serve.add_argument(
-        "--storage-engine", choices=("file", "segmented"), default="file",
-        help="durable backend: one append-only file per capsule, or "
-        "the segmented log with crash recovery + cold tiering "
-        "(default: file)",
-    )
-    serve.add_argument(
         "--fsync", action="store_true",
-        help="durable appends: file fsyncs every append, segmented "
-        "batches fsyncs (batch:65536)",
+        help="durable appends: fsync once 64 KiB is pending "
+        "(batch:65536) instead of only at drain",
     )
     loadgen_cmd = sub.add_parser(
         "loadgen", help="open-loop load against a real fleet"

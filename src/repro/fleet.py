@@ -53,19 +53,15 @@ class FleetSpec:
         *,
         host: str = "127.0.0.1",
         storage_root: str | None = None,
-        storage_engine: str = "file",
         fsync: bool = False,
         seed: int = 0,
     ):
         if processes < 1:
             raise ValueError("a fleet needs at least one process")
-        if storage_engine not in ("file", "segmented"):
-            raise ValueError(f"unknown storage engine {storage_engine!r}")
         self.processes = processes
         self.rendezvous = rendezvous
         self.host = host
         self.storage_root = storage_root
-        self.storage_engine = storage_engine
         self.fsync = fsync
         self.seed = seed
 
@@ -159,7 +155,6 @@ class FleetSpec:
             "rendezvous": self.rendezvous,
             "host": self.host,
             "storage_root": self.storage_root,
-            "storage_engine": self.storage_engine,
             "fsync": self.fsync,
             "seed": self.seed,
         }
@@ -171,7 +166,6 @@ class FleetSpec:
             data["rendezvous"],
             host=data.get("host", "127.0.0.1"),
             storage_root=data.get("storage_root"),
-            storage_engine=data.get("storage_engine", "file"),
             fsync=data.get("fsync", False),
             seed=data.get("seed", 0),
         )
@@ -189,7 +183,7 @@ def serve_process(index: int, spec: FleetSpec) -> dict:
     from repro.runtime.socketnet import SocketNetwork
     from repro.runtime.transport import local_pair
     from repro.server.dcserver import DataCapsuleServer
-    from repro.server.storage import FileStore
+    from repro.server.segmented import SegmentedStore
 
     ctx = AsyncioContext()
     net = SocketNetwork(ctx, seed=spec.seed + index)
@@ -201,18 +195,12 @@ def serve_process(index: int, spec: FleetSpec) -> dict:
 
     storage = None
     if spec.storage_root is not None:
-        root = os.path.join(spec.storage_root, f"s{index}")
-        if spec.storage_engine == "segmented":
-            from repro.server.segmented import SegmentedStore
-
-            # Batched fsync: durability with bounded loss instead of
-            # one fsync per ack (ARCHITECTURE.md §14.2).
-            storage = SegmentedStore(
-                root,
-                fsync_policy="batch:65536" if spec.fsync else "drain",
-            )
-        else:
-            storage = FileStore(root, fsync=spec.fsync)
+        # Batched fsync: durability with bounded loss instead of one
+        # fsync per ack (ARCHITECTURE.md §14.2).
+        storage = SegmentedStore(
+            os.path.join(spec.storage_root, f"s{index}"),
+            fsync_policy="batch:65536" if spec.fsync else "drain",
+        )
     server = DataCapsuleServer(
         net, spec.server_node_id(index), storage=storage
     )

@@ -841,17 +841,26 @@ class KademliaDht:
 
     # -- synchronous facades ----------------------------------------------
 
-    def _drive_or_spawn(self, generator, name: str):
+    def _drive_or_spawn(self, generator, name: str, midrun: str = "refuse"):
         """Run a DHT process to completion when the simulation is
-        quiescent (tests, benches, build time); raise if called mid-run
-        — in-simulation callers must use the ``*_proc`` generators."""
+        quiescent (tests, benches, build time, a private overlay under
+        someone else's event loop) and return its result.  Mid-run that
+        would re-enter the event loop, so *midrun* says what happens
+        instead: ``"spawn"`` starts the process in the background,
+        ``"defer"`` hands it back unstarted for the caller to spawn or
+        drop, and ``"refuse"`` — the sync facades, which must use the
+        ``*_proc`` generators from sim processes — raises."""
         sim = self.net.sim
-        if getattr(sim, "running", False):
-            raise RuntimeError(
-                "DHT sync facade called while the simulation is running; "
-                "use the *_proc generator API from sim processes"
-            )
-        return sim.run_process(generator, name)
+        if not getattr(sim, "running", False):
+            return sim.run_process(generator, name)
+        if midrun == "defer":
+            return generator
+        if midrun == "spawn":
+            return sim.spawn(generator, name)
+        raise RuntimeError(
+            "DHT sync facade called while the simulation is running; "
+            "use the *_proc generator API from sim processes"
+        )
 
     def put(self, via: GdpName, key: GdpName, value: Any, **kwargs) -> int:
         """Synchronous STORE (drives the private/quiescent simulation);

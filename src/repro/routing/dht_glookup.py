@@ -5,12 +5,14 @@ not required to be trusted; existing technologies such as distributed
 hash tables (DHTs) can be used to implement a highly distributed and
 scalable GLookupService."
 
-:class:`DhtGLookupService` is a drop-in GLookupService whose entry
-storage is a message-level Kademlia DHT.  Entries travel as wire forms
-inside per-principal *versioned* records: replacing a binding publishes
-a higher version, removing one publishes a tombstone, and holders merge
-newest-wins — so replacement and deletion work through STORE messages
-alone, with no reach into other nodes' stores.  Records are TTL'd;
+:class:`DhtGLookupService` is a GLookupService — the same register /
+unregister / lookup policy, stated once in
+:mod:`repro.routing.glookup` — whose storage backing is a message-level
+Kademlia DHT.  Entries travel as wire forms inside per-principal
+*versioned* records: replacing a binding publishes a higher version,
+removing one publishes a tombstone, and holders merge newest-wins — so
+replacement and deletion work through STORE messages alone, with no
+reach into other nodes' stores.  Records are TTL'd;
 :class:`DhtRepublishDaemon` re-puts the authoritative copies before the
 TTL lapses, which doubles as re-replication after holder churn (each
 republish lands on the *currently* closest live nodes).
@@ -37,51 +39,34 @@ from repro.routing.glookup import GLookupService, RouteEntry
 __all__ = ["DhtGLookupService", "DhtRepublishDaemon"]
 
 
-class DhtGLookupService(GLookupService):
-    """GLookupService storing entries in a Kademlia DHT.
+def _decode(wires: list) -> list[RouteEntry]:
+    entries = []
+    for wire in wires:
+        try:
+            entries.append(RouteEntry.from_wire(wire))
+        except Exception:
+            continue  # garbage from an untrusted DHT node: skip
+    return entries
 
-    ``home`` is this service's access point into the DHT (the node it
-    issues put/get through — e.g. the tier-1 provider's own DHT node).
-    Hierarchy semantics (parent / scope propagation) are inherited
-    unchanged; only the storage substrate differs.
 
-    The service is **asynchronous**: resolution RPCs take simulated
-    time, so in-simulation consumers (routers) must use :meth:`fetch`
-    and park the triggering PDU until the future resolves.  The
-    synchronous :meth:`lookup` drives the simulation when it is
-    quiescent (tests, benches) and falls back to the home node's local
-    replica when called mid-run.
+class _DhtTable:
+    """The DHT backing of a GLookupService: publish, tombstone, fetch
+    and republish through *home*, the service's own DHT node.
+
+    Resolution RPCs take simulated time.  While the overlay's
+    simulation is running, :meth:`fetch` therefore answers with the
+    lookup *process* instead of the entries, and publishes run in the
+    background; when it is quiescent (tests, benches, an overlay on its
+    own private simulator) both are driven to completion on the spot.
     """
 
-    #: routers check this to decide between sync lookup and fetch()
-    asynchronous = True
-
-    def __init__(
-        self,
-        domain_name: str,
-        dht: KademliaDht,
-        home: GdpName,
-        parent: "GLookupService | None" = None,
-        *,
-        verify_on_register: bool = True,
-        clock: Callable[[], float] | None = None,
-        metrics=None,
-        record_ttl: float = RECORD_TTL,
-    ):
-        super().__init__(
-            domain_name,
-            parent,
-            verify_on_register=verify_on_register,
-            clock=clock,
-            metrics=metrics,
-        )
-        if home not in dht.nodes:
-            dht.join(home)
+    def __init__(self, dht: KademliaDht, home: GdpName, record_ttl, clock, metrics):
         self.dht = dht
         self.home = home
         self.record_ttl = record_ttl
-        # Monotonic publish clock: every register/unregister bumps it,
-        # so newest-wins merging on the holders is total-ordered.
+        self._clock = clock
+        # Monotonic publish clock: every store/drop bumps it, so
+        # newest-wins merging on the holders is total-ordered.
         self._version = 0
         # Authoritative published records: name -> principal -> record
         # (what the republish daemon re-puts; tombstones live here too
@@ -92,12 +77,10 @@ class DhtGLookupService(GLookupService):
         self._names: set[GdpName] = set()
         # Per-query DHT cost, surfaced through the metrics registry so
         # bench/tests can assert the O(log n) hop bound (§VII).
-        self._c_dht_lookups = self.metrics.counter("dht.lookups")
-        self._c_dht_messages = self.metrics.counter("dht.messages")
-        self._c_dht_under_replicated = self.metrics.counter(
-            "dht.under_replicated"
-        )
-        self._h_dht_hops = self.metrics.histogram("dht.hops")
+        self._c_dht_lookups = metrics.counter("dht.lookups")
+        self._c_dht_messages = metrics.counter("dht.messages")
+        self._c_dht_under_replicated = metrics.counter("dht.under_replicated")
+        self._h_dht_hops = metrics.histogram("dht.hops")
 
     # -- internals ---------------------------------------------------------
 
@@ -106,101 +89,75 @@ class DhtGLookupService(GLookupService):
         whose state is *ours* rather than the untrusted fabric's)."""
         return self.dht._entry_node(self.home)
 
-    def _record_for(self, entry: RouteEntry, wire: dict) -> dict:
-        """One versioned record carrying *entry*'s wire form.  The
+    def _record_for(self, entry: RouteEntry) -> dict:
+        """The next-version record carrying *entry*'s wire form.  The
         record TTL is capped by the entry's lease — a record must not
         outlive the binding it carries."""
-        expiry = self.now + self.record_ttl
+        self._version += 1
+        expiry = self._clock() + self.record_ttl
         if entry.expires_at is not None:
             expiry = min(expiry, entry.expires_at)
         return make_record(
-            entry.principal.raw, self._version, wire, expiry
+            entry.principal.raw, self._version, entry.to_wire(), expiry
         )
 
-    def _publish(self, name: GdpName, records: list[dict]) -> None:
-        """Replicate *records* through the DHT: drive to completion when
-        the simulation is quiescent, spawn a process when it is mid-run
-        (router-triggered registrations during chaos)."""
-        sim = self.dht.net.sim
-        if getattr(sim, "running", False):
-            sim.spawn(
-                self._publish_proc(name, records),
-                name=f"dht-publish:{name.human()}",
-            )
-        else:
-            sim.run_process(
-                self._publish_proc(name, records),
-                name=f"dht-publish:{name.human()}",
-            )
+    def _publish(self, name: GdpName, record: dict) -> None:
+        """Merge *record* into the home node's authoritative replica
+        immediately (mid-run lookups and republish never race the
+        publish RPCs), then replicate it through the DHT."""
+        self._home_node().merge_record(name, dict(record))
+        self.dht._drive_or_spawn(
+            self._put_proc(name, [dict(record)]),
+            f"dht-publish:{name.human()}",
+            midrun="spawn",
+        )
 
-    def _publish_proc(self, name: GdpName, records: list[dict]):
+    def _put_proc(self, name: GdpName, records: list[dict]):
         acked = yield from self.dht.put_records_proc(self.home, name, records)
         if acked < min(self.dht.k, len(self.dht)):
             self._c_dht_under_replicated.inc()
         return acked
 
-    def _decode_live(self, wires: list, now: float) -> list[RouteEntry]:
-        entries = []
-        for wire in wires:
-            try:
-                entry = RouteEntry.from_wire(wire)
-            except Exception:
-                continue  # garbage from an untrusted DHT node: skip
-            if not entry.is_expired(now):
-                entries.append(entry)
-        return entries
-
-    def _observe_query(self) -> None:
+    def _fetch_proc(self, name: GdpName):
+        """One full message-level lookup; returns the live entries."""
+        try:
+            result = yield from self.dht.get_proc(self.home, name)
+        except Exception:
+            return []  # resolution failure == miss
         self._c_dht_lookups.inc()
         self._c_dht_messages.inc(self.dht.last_messages)
         self._h_dht_hops.observe(self.dht.last_hops)
+        now = self._clock()
+        return [e for e in _decode(result.values) if not e.is_expired(now)]
 
-    # -- the GLookupService surface ----------------------------------------
+    # -- the backing surface ------------------------------------------------
 
-    def register(self, entry: RouteEntry, *, propagate: bool = True) -> None:
-        """Verify (unless compromised) and publish an entry.
-
-        Replacement is per-principal and versioned: holders merge the
-        higher version and the old binding dies everywhere the STOREs
-        reach — no global store-wipe, no god-mode.
-        """
-        if self.verify_on_register:
-            entry.verify(now=self.now)
-            if not entry.allows_domain(self.domain_name):
-                from repro.errors import ScopeViolationError
-
-                raise ScopeViolationError(
-                    f"capsule {entry.name.human()} is not allowed in "
-                    f"domain {self.domain_name!r}"
-                )
-        self._version += 1
-        record = self._record_for(entry, entry.to_wire())
-        self._published.setdefault(entry.name, {})[
-            entry.principal.raw
-        ] = record
+    def store(self, entry: RouteEntry) -> None:
+        """Publish *entry*.  Replacement is per-principal and versioned:
+        holders merge the higher version and the old binding dies
+        everywhere the STOREs reach — no global store-wipe, no
+        god-mode."""
+        record = self._record_for(entry)
+        self._published.setdefault(entry.name, {})[entry.principal.raw] = record
         self._names.add(entry.name)
-        # The home node keeps an authoritative local replica immediately
-        # (mid-run lookups and republish never race the publish RPCs).
-        self._home_node().merge_record(entry.name, dict(record))
-        self._publish(entry.name, [dict(record)])
-        if propagate and self.parent is not None:
-            if entry.allows_domain(self.parent.domain_name):
-                self.parent.register(entry.child_copy(self.domain_name))
+        self._publish(entry.name, record)
 
-    def unregister(self, name: GdpName, principal: GdpName) -> None:
-        """Remove the binding for (name, principal), recursively up.
+    def plant(self, name: GdpName, entry: RouteEntry) -> None:
+        """File *entry* under *name* in the home node's replica only."""
+        self._names.add(name)
+        self._home_node().merge_record(name, self._record_for(entry))
 
-        Deletion is a published *tombstone*: a higher-version record
-        that masks the value on every holder it reaches and expires
-        after one record TTL (by which time the value record it masks
-        has expired everywhere too).
-        """
+    def drop(self, name: GdpName, principal: GdpName) -> None:
+        """Publish a *tombstone*: a higher-version record that masks
+        the value on every holder it reaches and expires after one
+        record TTL (by which time the value record it masks has expired
+        everywhere too)."""
         self._version += 1
         tombstone = make_record(
             principal.raw,
             self._version,
             b"",
-            self.now + self.record_ttl,
+            self._clock() + self.record_ttl,
             tombstone=True,
         )
         published = self._published.get(name)
@@ -210,94 +167,33 @@ class DhtGLookupService(GLookupService):
                 not record.get("t") for record in published.values()
             ):
                 self._names.discard(name)
-        self._home_node().merge_record(name, dict(tombstone))
-        self._publish(name, [dict(tombstone)])
-        if self.parent is not None:
-            self.parent.unregister(name, principal)
+        self._publish(name, tombstone)
 
     def fetch(self, name: GdpName):
-        """Asynchronous lookup: returns a Future resolving with the live
-        entries for *name* (the router's parked-PDU resolution path)."""
-        ctx = self.dht.net.ctx
-        future = ctx.future()
-
-        def proc():
-            result = yield from self.dht.get_proc(self.home, name)
-            self._c_queries.inc()
-            self._observe_query()
-            entries = self._decode_live(result.values, self.now)
-            if not entries:
-                self._c_misses.inc()
-            return entries
-
-        def done(completion) -> None:
-            try:
-                future.resolve(completion.result())
-            except Exception:
-                future.resolve([])  # resolution failure == miss
-
-        sim = self.dht.net.sim
-        if not getattr(sim, "running", False):
-            # The overlay lives on its own (quiescent) simulator — e.g.
-            # a privately-built KademliaDht under a router world on a
-            # different SimNetwork.  Drive it to completion here; the
-            # caller sees an already-resolved future and must not rely
-            # on add_callback (which would schedule on *this* sim).
-            try:
-                future.resolve(
-                    sim.run_process(proc(), name=f"dht-fetch:{name.human()}")
-                )
-            except Exception:
-                future.resolve([])
-            return future
-        ctx.spawn(proc(), name=f"dht-fetch:{name.human()}").completion\
-            .add_callback(done)
-        return future
-
-    def lookup(self, name: GdpName) -> list[RouteEntry]:
-        """Live entries for *name* (expired ones culled).
-
-        Quiescent (tests/benches): drives a full message-level lookup.
-        Mid-simulation: serves the home node's local replica — routers
-        use :meth:`fetch` for real resolution, so this fallback only
-        backs auxiliary sync callers.
-        """
-        sim = self.dht.net.sim
-        if getattr(sim, "running", False):
-            self._c_queries.inc()
-            entries = self._decode_live(
-                self._home_node().live_values(name), self.now
-            )
-            if not entries:
-                self._c_misses.inc()
-            return entries
-        self._c_queries.inc()
-        result = sim.run_process(
-            self.dht.get_proc(self.home, name), "dht-lookup"
+        """Live entries for *name* by a full message-level lookup — or,
+        mid-run, that lookup as an unstarted process."""
+        return self.dht._drive_or_spawn(
+            self._fetch_proc(name), f"dht-fetch:{name.human()}", midrun="defer"
         )
-        self._observe_query()
-        entries = self._decode_live(result.values, self.now)
-        if not entries:
-            self._c_misses.inc()
-        return entries
 
     def peek(self, name: GdpName) -> list[RouteEntry]:
-        """Diagnostic view: everything decodable stored for *name* —
-        no counters, no expiry culling (oracles judge staleness)."""
-        sim = self.dht.net.sim
-        if getattr(sim, "running", False):
-            wires = self._home_node().live_values(name)
-        else:
-            wires = sim.run_process(
-                self.dht.get_proc(self.home, name), "dht-peek"
-            ).values
-        entries = []
-        for wire in wires:
-            try:
-                entries.append(RouteEntry.from_wire(wire))
-            except Exception:
-                continue  # undecodable garbage: routers skip it too
-        return entries
+        """Everything decodable stored for *name*, expired included
+        (quiescent callers only: oracles and tests)."""
+        result = self.dht._drive_or_spawn(
+            self.dht.get_proc(self.home, name), "dht-peek"
+        )
+        return _decode(result.values)
+
+    def purge_expired(self, now: float) -> int:
+        """Reclaim the home replica's expired records (every other
+        holder culls its own)."""
+        return self._home_node().cull_expired(now)
+
+    def names(self) -> set[GdpName]:
+        return set(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
     # -- churn maintenance -------------------------------------------------
 
@@ -306,7 +202,7 @@ class DhtGLookupService(GLookupService):
         TTL (same version — holders extend in place, newcomers and
         healed nodes receive a copy).  This is both republish-on-expiry
         and the re-replication path after holder churn."""
-        now = self.now
+        now = self._clock()
         republished = 0
         for name in list(self._published):
             published = self._published.get(name, {})
@@ -341,11 +237,7 @@ class DhtGLookupService(GLookupService):
                 self._names.discard(name)
                 continue
             if fresh:
-                acked = yield from self.dht.put_records_proc(
-                    self.home, name, fresh
-                )
-                if acked < min(self.dht.k, len(self.dht)):
-                    self._c_dht_under_replicated.inc()
+                yield from self._put_proc(name, fresh)
                 republished += 1
         return republished
 
@@ -356,7 +248,7 @@ class DhtGLookupService(GLookupService):
         live_nodes = [
             node for node in self.dht.nodes.values() if not node.crashed
         ]
-        now = self.now
+        now = self._clock()
         names: dict[str, int] = {}
         for name in sorted(self._names):
             published = self._published.get(name, {})
@@ -385,18 +277,55 @@ class DhtGLookupService(GLookupService):
             "under_replicated_puts": self.dht.stats.under_replicated,
         }
 
-    def names(self):
-        """All names with live entries."""
-        return set(self._names)
 
-    def __len__(self) -> int:
-        return len(self._names)
+class DhtGLookupService(GLookupService):
+    """The constructor spelling for a GLookupService backed by a
+    Kademlia DHT.
 
-    def __repr__(self) -> str:
-        return (
-            f"DhtGLookupService(domain={self.domain_name!r}, "
-            f"dht_nodes={len(self.dht)})"
+    ``home`` is this service's access point into the DHT (the node it
+    issues put/get through — e.g. the tier-1 provider's own DHT node).
+    Hierarchy semantics (parent / scope propagation) and the register /
+    unregister / lookup policy are :class:`GLookupService`'s; only the
+    storage substrate differs.
+    """
+
+    def __init__(
+        self,
+        domain_name: str,
+        dht: KademliaDht,
+        home: GdpName,
+        parent: "GLookupService | None" = None,
+        *,
+        verify_on_register: bool = True,
+        clock: Callable[[], float] | None = None,
+        metrics=None,
+        record_ttl: float = RECORD_TTL,
+    ):
+        if home not in dht.nodes:
+            dht.join(home)
+        self.dht = dht
+        self.home = home
+        self.record_ttl = record_ttl
+        super().__init__(
+            domain_name,
+            parent,
+            verify_on_register=verify_on_register,
+            clock=clock,
+            metrics=metrics,
         )
+
+    def _open_table(self) -> _DhtTable:
+        return _DhtTable(
+            self.dht, self.home, self.record_ttl, self._clock, self.metrics
+        )
+
+    def republish_proc(self):
+        """Process body: one republish pass over the backing."""
+        return self._table.republish_proc()
+
+    def replication_report(self) -> dict:
+        """The backing's god-mode replication snapshot (oracle only)."""
+        return self._table.replication_report()
 
 
 class DhtRepublishDaemon:

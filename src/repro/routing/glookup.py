@@ -17,7 +17,8 @@ enforces the owner's AdCert scope policy: an entry whose scope excludes
 the parent domain is kept local (§VII: "this is where any policies for
 the scope of a DataCapsule are adhered to").
 
-Storage is packed for million-name namespaces: names live in a sorted
+Storage is a backing behind the policy; the in-process one is packed
+for million-name namespaces: names live in a sorted
 :class:`~repro.routing.fib.PackedMap` (32-byte key + 12-byte sidecar
 per name), delegation evidence is interned in a refcounted pool — one
 record per distinct (where, principal, chain, certs) combination, not
@@ -380,52 +381,23 @@ def _rebuild_entry(name: GdpName, payload: tuple, expiry: float) -> RouteEntry:
     )
 
 
-class GLookupService:
-    """The per-domain verified route registry.
-
-    ``domain_name`` is the dotted domain label this service belongs to
-    (used for scope checks); ``parent`` links the hierarchy.  The
-    optional ``verify_on_register`` flag exists so adversarial tests can
-    model a *compromised* GLookupService that skips verification — and
-    demonstrate that routers catch the forgery anyway.
+class _PackedTable:
+    """The in-process backing: names in a sorted
+    :class:`~repro.routing.fib.PackedMap` (name -> evidence id, expiry;
+    multi-principal names — anycast replica sets — spill to a side
+    dict), evidence interned in an :class:`_EvidencePool`, leases on an
+    :class:`~repro.routing.fib.ExpiryWheel`.  Every answer is inline.
     """
 
-    def __init__(
-        self,
-        domain_name: str,
-        parent: "GLookupService | None" = None,
-        *,
-        verify_on_register: bool = True,
-        clock: Callable[[], float] | None = None,
-        metrics: "MetricsRegistry | None" = None,
-        wheel_granularity: float = 1.0,
-    ):
-        self.domain_name = domain_name
-        self.parent = parent
-        self.verify_on_register = verify_on_register
-        self._clock = clock or (lambda: 0.0)
-        # Packed storage: name -> (evidence id, expiry); multi-principal
-        # names spill to a side dict (rare: anycast replica sets).
+    __slots__ = ("_clock", "_map", "_spill", "_pool", "_wheel", "_c_purged")
+
+    def __init__(self, clock, metrics):
+        self._clock = clock
         self._map = PackedMap(_VALUE.size)
         self._spill: dict[bytes, list[tuple[int, float]]] = {}
         self._pool = _EvidencePool()
-        self._wheel = ExpiryWheel(wheel_granularity)
-        #: names physically reclaimed by the lease wheel
-        self.purged = 0
-        # Counters live in the supplied registry (scope
-        # ``glookup:<domain>``) or a private one.
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = registry.node(f"glookup:{domain_name}")
-        self._c_queries = self.metrics.counter("glookup.queries")
-        self._c_misses = self.metrics.counter("glookup.misses")
-        self._c_purged = self.metrics.counter("glookup.purged")
-
-    @property
-    def now(self) -> float:
-        """Current (simulated) time."""
-        return self._clock()
-
-    # -- packed-store internals ------------------------------------------
+        self._wheel = ExpiryWheel()
+        self._c_purged = metrics.counter("glookup.purged")
 
     def _load(self, raw: bytes) -> list[tuple[int, float]]:
         """All stored (evidence id, expiry) pairs for a raw name."""
@@ -467,9 +439,19 @@ class GLookupService:
             self._write(raw, live)
         return live
 
-    def _store(self, raw: bytes, entry: RouteEntry) -> None:
-        """File *entry*'s evidence under the raw key (no verification —
-        the callers decide trust)."""
+    def store(self, entry: RouteEntry) -> None:
+        """File *entry* under its own name, replacing the principal's
+        previous binding; registration activity also drives the lease
+        wheel (an O(1) head check, a purge only when a bucket is due)."""
+        self.plant(entry.name, entry)
+        now = self._clock()
+        deadline = self._wheel.next_deadline()
+        if deadline is not None and deadline <= now:
+            self.purge_expired(now)
+
+    def plant(self, name: GdpName, entry: RouteEntry) -> None:
+        """File *entry*'s evidence under *name*, whatever it covers."""
+        raw = name.raw
         payload = (
             entry.router.raw if entry.router is not None else None,
             entry.via_child,
@@ -481,20 +463,114 @@ class GLookupService:
         )
         ev = self._pool.acquire(payload)
         expiry = _NO_EXPIRY if entry.expires_at is None else entry.expires_at
-        principal_raw = entry.principal.raw
-        pairs = self._load(raw)
-        kept = []
-        for old_ev, old_expiry in pairs:
-            if self._pool.principal(old_ev) == principal_raw:
-                self._pool.release(old_ev)  # stale same-principal binding
-            else:
-                kept.append((old_ev, old_expiry))
-        kept.append((ev, expiry))
-        self._write(raw, kept)
+        kept = self._without(self._load(raw), entry.principal.raw)
+        self._write(raw, kept + [(ev, expiry)])
         if expiry != _NO_EXPIRY:
             self._wheel.schedule(raw, expiry)
 
-    # -- public API -------------------------------------------------------
+    def _without(self, pairs: list, principal_raw: bytes) -> list:
+        """*pairs* minus *principal_raw*'s binding, whose evidence
+        reference is released."""
+        kept = []
+        for ev, expiry in pairs:
+            if self._pool.principal(ev) == principal_raw:
+                self._pool.release(ev)
+            else:
+                kept.append((ev, expiry))
+        return kept
+
+    def drop(self, name: GdpName, principal: GdpName) -> None:
+        """Remove the binding for (name, principal)."""
+        pairs = self._load(name.raw)
+        kept = self._without(pairs, principal.raw)
+        if len(kept) != len(pairs):
+            self._write(name.raw, kept)
+
+    def fetch(self, name: GdpName) -> list[RouteEntry]:
+        """Live entries for *name*; expired ones are culled."""
+        pool = self._pool
+        return [
+            _rebuild_entry(name, pool.payload(ev), expiry)
+            for ev, expiry in self._cull(name.raw, self._clock())
+        ]
+
+    def peek(self, name: GdpName) -> list[RouteEntry]:
+        """Everything stored under *name*, expired entries included."""
+        pool = self._pool
+        return [
+            _rebuild_entry(name, pool.payload(ev), expiry)
+            for ev, expiry in self._load(name.raw)
+        ]
+
+    def purge_expired(self, now: float) -> int:
+        """Reclaim every expired binding the wheel has due; cost is
+        proportional to the tokens processed, never the table size."""
+        reclaimed = 0
+        for token in self._wheel.expired(now):
+            before = self._load(token)
+            if not before:
+                continue  # name already dropped: stale token
+            reclaimed += len(before) - len(self._cull(token, now))
+        self._c_purged.inc(reclaimed)
+        return reclaimed
+
+    def names(self) -> Iterable[GdpName]:
+        return (GdpName(raw) for raw in self._map.keys())
+
+    def memory_bytes(self) -> int:
+        """Approximate resident bytes of the packed name table + wheel
+        (evidence objects excluded — they are shared, not per-name)."""
+        return self._map.memory_bytes() + self._wheel.memory_bytes()
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+
+class GLookupService:
+    """The per-domain verified route registry.
+
+    ``domain_name`` is the dotted domain label this service belongs to
+    (used for scope checks); ``parent`` links the hierarchy.  The
+    optional ``verify_on_register`` flag exists so adversarial tests can
+    model a *compromised* GLookupService that skips verification — and
+    demonstrate that routers catch the forgery anyway.
+
+    This class is the policy — what registering, withdrawing and
+    looking up *mean* — stated once over a storage backing ("essentially
+    a key-value store", §VII): :class:`_PackedTable` here, a Kademlia
+    overlay in :mod:`repro.routing.dht_glookup`.
+    """
+
+    def __init__(
+        self,
+        domain_name: str,
+        parent: "GLookupService | None" = None,
+        *,
+        verify_on_register: bool = True,
+        clock: Callable[[], float] | None = None,
+        metrics: "MetricsRegistry | None" = None,
+    ):
+        self.domain_name = domain_name
+        self.parent = parent
+        self.verify_on_register = verify_on_register
+        self._clock = clock or (lambda: 0.0)
+        # Counters live in the supplied registry (scope
+        # ``glookup:<domain>``) or a private one.
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = registry.node(f"glookup:{domain_name}")
+        self._c_queries = self.metrics.counter("glookup.queries")
+        self._c_misses = self.metrics.counter("glookup.misses")
+        self._table = self._open_table()
+
+    def _open_table(self):
+        """The storage backing (a subclass is another backing and
+        nothing else)."""
+        return _PackedTable(self._clock, self.metrics)
+
+    @property
+    def now(self) -> float:
+        """Current (simulated) time."""
+        return self._clock()
 
     def register(self, entry: RouteEntry, *, propagate: bool = True) -> None:
         """Verify (unless compromised) and store an entry; propagate to
@@ -506,8 +582,7 @@ class GLookupService:
                     f"capsule {entry.name.human()} is not allowed in "
                     f"domain {self.domain_name!r}"
                 )
-        self._store(entry.name.raw, entry)
-        self.maybe_purge()
+        self._table.store(entry)
         if propagate and self.parent is not None:
             if entry.allows_domain(self.parent.domain_name):
                 self.parent.register(entry.child_copy(self.domain_name))
@@ -518,33 +593,30 @@ class GLookupService:
         with no verification, no scope check, and no propagation —
         modeling corrupted backing state in the untrusted store (the
         oracles and routers must catch what comes back out)."""
-        self._store(name.raw, entry)
+        self._table.plant(name, entry)
 
     def unregister(self, name: GdpName, principal: GdpName) -> None:
         """Remove the binding for (name, principal), recursively up."""
-        raw = name.raw
-        principal_raw = principal.raw
-        pairs = self._load(raw)
-        kept = []
-        for ev, expiry in pairs:
-            if self._pool.principal(ev) == principal_raw:
-                self._pool.release(ev)
-            else:
-                kept.append((ev, expiry))
-        if len(kept) != len(pairs):
-            self._write(raw, kept)
+        self._table.drop(name, principal)
         if self.parent is not None:
             self.parent.unregister(name, principal)
 
-    def lookup(self, name: GdpName) -> list[RouteEntry]:
-        """Local (this domain only) lookup; expired entries are culled."""
+    def lookup(self, name: GdpName):
+        """Live entries for *name* in this domain only (expired ones
+        culled).  A backing that must go to the network while the
+        simulation is running cannot answer inline: the answer is then
+        the resolution *process* — a generator returning the entries —
+        for the caller to spawn, or to drop unstarted."""
         self._c_queries.inc()
-        pool = self._pool
-        live = self._cull(name.raw, self.now)
-        entries = [
-            _rebuild_entry(name, pool.payload(ev), expiry)
-            for ev, expiry in live
-        ]
+        answer = self._table.fetch(name)
+        if not answer:
+            self._c_misses.inc()
+        elif not isinstance(answer, list):
+            return self._count_pending(answer)
+        return answer
+
+    def _count_pending(self, resolution):
+        entries = yield from resolution
         if not entries:
             self._c_misses.inc()
         return entries
@@ -553,18 +625,14 @@ class GLookupService:
         """Diagnostic view of everything stored under *name* — no
         counters, no culling, expired entries included (the simtest
         oracles judge staleness themselves)."""
-        pool = self._pool
-        return [
-            _rebuild_entry(name, pool.payload(ev), expiry)
-            for ev, expiry in self._load(name.raw)
-        ]
+        return self._table.peek(name)
 
     def lookup_recursive(
         self, name: GdpName
     ) -> tuple["GLookupService | None", list[RouteEntry]]:
         """Walk up the hierarchy until some ancestor knows *name*;
         returns (service that answered, entries) — (None, []) if even
-        the global service has never heard of it."""
+        the global service has never heard of it.  Inline answers only."""
         service: GLookupService | None = self
         while service is not None:
             entries = service.lookup(name)
@@ -573,47 +641,24 @@ class GLookupService:
             service = service.parent
         return None, []
 
-    # -- lease-wheel purge -------------------------------------------------
-
-    def maybe_purge(self, now: float | None = None) -> int:
-        """O(1) head check; purges only when the earliest wheel bucket
-        has elapsed (run amortized from registration activity)."""
-        if now is None:
-            now = self.now
-        deadline = self._wheel.next_deadline()
-        if deadline is None or deadline > now:
-            return 0
-        return self.purge_expired(now)
-
     def purge_expired(self, now: float | None = None) -> int:
-        """Reclaim every expired binding the wheel has due; cost is
-        proportional to the tokens processed, never the table size."""
-        if now is None:
-            now = self.now
-        reclaimed = 0
-        for token in self._wheel.expired(now):
-            before = self._load(token)
-            if not before:
-                continue  # name already dropped: stale token
-            reclaimed += len(before) - len(self._cull(token, now))
-        self.purged += reclaimed
-        self._c_purged.inc(reclaimed)
-        return reclaimed
+        """Reclaim every expired binding the backing has due; returns
+        how many."""
+        return self._table.purge_expired(self.now if now is None else now)
 
     def names(self) -> Iterable[GdpName]:
         """All names with stored entries."""
-        return (GdpName(raw) for raw in self._map.keys())
+        return self._table.names()
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes of the packed name table + wheel
-        (evidence objects excluded — they are shared, not per-name)."""
-        return self._map.memory_bytes() + self._wheel.memory_bytes()
+        """Approximate resident bytes of the backing's name table."""
+        return self._table.memory_bytes()
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._table)
 
     def __repr__(self) -> str:
         return (
-            f"GLookupService(domain={self.domain_name!r}, "
-            f"names={len(self._map)})"
+            f"{type(self).__name__}(domain={self.domain_name!r}, "
+            f"names={len(self)})"
         )

@@ -18,6 +18,10 @@ Forwarding algorithm per PDU (destination name *N*):
    until step 2/3 applies).
 5. Nothing anywhere -> emit a ``no_route`` error back to the source.
 
+Steps 2-4 are one loop over the GLookup tiers (``_walk``); a tier whose
+answer is pending (a DHT lookup mid-run) parks the PDU and the loop
+resumes with the answer.
+
 Processing cost is modelled as a single-server queue with a configurable
 per-PDU service time, which is what gives the Figure 6 forwarding-rate
 curve its small-PDU plateau; link bandwidth supplies the large-PDU
@@ -48,8 +52,8 @@ ADVERT_DOMAIN_TAG = b"gdp.advertise"
 #: default per-PDU service time ~ the paper's 120k PDU/s plateau (Fig. 6)
 DEFAULT_SERVICE_TIME = 1.0 / 120_000.0
 
-#: resolution verdict for an asynchronous GLookup tier (the DHT): the
-#: answer is in flight, park the PDU instead of bouncing it
+#: resolution verdict while a GLookup tier's answer is in flight (the
+#: DHT, mid-run): the PDU is parked, not bounced
 _PENDING = object()
 
 #: ceiling on PDUs parked per destination while its resolution runs
@@ -100,8 +104,8 @@ class GdpRouter(Node):
         self.fib = CompactFib(clock=lambda: self.sim.now)
         #: name -> expiry sim-time of a cached resolution *miss*
         self._neg_cache: dict[GdpName, float] = {}
-        #: name -> PDUs parked while an asynchronous (DHT) resolution
-        #: is in flight; one fetch per name, late arrivals pile on
+        #: name -> PDUs parked while a tier's pending answer is in
+        #: flight; one resolution walk per name, late arrivals pile on
         self._parked: dict[GdpName, list[tuple[Pdu, Node]]] = {}
         #: principal -> expiry sim-time of a client-reported dead replica
         self._quarantine: dict[GdpName, float] = {}
@@ -385,10 +389,9 @@ class GdpRouter(Node):
             # missing route — keep the diagnostics separable.
             self._c_ttl_expired.inc()
             return
-        next_hop = self._resolve_next_hop(pdu.dst)
+        next_hop = self._resolve_next_hop(pdu.dst, pdu, from_node)
         if next_hop is _PENDING:
-            self._park_for_resolution(pdu, from_node)
-            return
+            return  # parked: the resolution forwards or bounces it
         if next_hop is None:
             self._c_no_route.inc()
             self._bounce_no_route(pdu, from_node)
@@ -414,11 +417,18 @@ class GdpRouter(Node):
         if back is not None and back is not _PENDING:
             self._send_pdu(back, error)
         elif from_node is not self:
-            # A pending async resolution toward the *source* is not
-            # worth parking an error for: retrace the arrival link.
+            # A pending resolution toward the *source* is not worth
+            # parking an error (or starting a fetch) for: retrace the
+            # arrival link.
             self._send_pdu(from_node, error)
 
-    def _resolve_next_hop(self, dst: GdpName) -> Node | None:
+    def _resolve_next_hop(
+        self, dst: GdpName, pdu: Pdu | None = None, from_node: Node | None = None
+    ) -> Node | None:
+        """The next hop for *dst*, None for no route, or ``_PENDING``
+        when a GLookup tier's answer is in flight — in which case *pdu*
+        (with its ingress) has been parked; a caller with nothing to
+        park (a bounce) parks and starts nothing."""
         # 0. Directly attached endpoint.
         direct = self.attached.get(dst)
         if direct is not None:
@@ -441,127 +451,106 @@ class GdpRouter(Node):
                 self._c_negative_hits.inc()
                 return None
             del self._neg_cache[dst]
-        # 2. Local domain GLookupService.  An *asynchronous* service
-        #    (the message-level DHT tier) cannot answer inline — its
-        #    lookup is RPCs on the simulated clock — so the verdict is
-        #    "pending": the caller parks the PDU and a fetch resolves it.
-        if getattr(self.domain.glookup, "asynchronous", False):
-            return _PENDING
-        entries = self.domain.glookup.lookup(dst)
-        if entries:
-            hop = self._install_from_entries(dst, entries)
-            if hop is not None:
-                return hop
-        # 3. Ancestors ("when a specific name cannot be found in the
-        #    local GLookupService, such a name is queried in the
-        #    GLookupService of the parent routing domain, and so on").
-        #    The walk stops at the first asynchronous tier the same way.
-        service = (
-            self.domain.parent.glookup
-            if self.domain.parent is not None
-            else None
-        )
+        # 2. The GLookup hierarchy — unless a walk for this name is
+        #    already parked on a pending tier, which late arrivals ride.
+        waiter = None if pdu is None else (pdu, from_node)
+        waiters = self._parked.get(dst)
+        if waiters is None:
+            return self._advance(dst, self._walk(dst), None, waiter)
+        if waiter is not None:
+            if len(waiters) >= MAX_PARKED_PER_DST:
+                return None
+            waiters.append(waiter)
+            self._c_parked.inc()
+        return _PENDING
+
+    def _walk(self, dst: GdpName):
+        """The one resolution walk, local tier → parent → … ("when a
+        specific name cannot be found in the local GLookupService, such
+        a name is queried in the GLookupService of the parent routing
+        domain, and so on"), as a generator returning the next hop or
+        None.  Every tier is asked the same question.  An inline answer
+        is used on the spot, so a walk over inline tiers never yields;
+        a pending one — the tier's resolution process — is yielded for
+        :meth:`_advance` to run, and the entries it sends back resume
+        this same loop, so a miss there climbs on to the ancestors."""
+        local = service = self.domain.glookup
         while service is not None:
-            if getattr(service, "asynchronous", False):
-                return _PENDING
-            remote = service.lookup(dst)
-            # The remote GLookupService is no more trusted than the
-            # local one: re-verify before installing the upward route,
-            # and cap the cache lifetime at the evidence's lease.
-            for entry in remote:
-                try:
-                    entry.verify(now=self.sim.now)
-                except Exception:
-                    continue
-                self._c_verified_installs.inc()
-                hop = self.domain.next_hop_upward(self)
-                self._install(dst, hop, lease=entry.expires_at)
-                return hop
+            answer = service.lookup(dst)
+            if not isinstance(answer, list):
+                answer = yield answer
+            if answer:
+                install = (
+                    self._install_from_entries
+                    if service is local
+                    else self._install_upward
+                )
+                hop = install(dst, answer)
+                if hop is not None:
+                    return hop
             service = service.parent
         self._neg_cache[dst] = self.sim.now + self.neg_ttl
         return None
 
-    def _first_async_service(self):
-        """The first asynchronous GLookup tier the resolution walk hits;
-        returns ``(service, is_local_domain)`` or ``(None, False)``."""
-        if getattr(self.domain.glookup, "asynchronous", False):
-            return self.domain.glookup, True
-        service = (
-            self.domain.parent.glookup
-            if self.domain.parent is not None
-            else None
-        )
-        while service is not None:
-            if getattr(service, "asynchronous", False):
-                return service, False
-            service = service.parent
-        return None, False
-
-    def _park_for_resolution(self, pdu: Pdu, from_node: Node) -> None:
-        """Hold *pdu* while the asynchronous (DHT) tier resolves its
-        destination; the first parker per name triggers the fetch, late
-        arrivals ride the same resolution."""
-        waiters = self._parked.get(pdu.dst)
-        if waiters is not None:
-            if len(waiters) >= MAX_PARKED_PER_DST:
-                self._c_no_route.inc()
-                self._bounce_no_route(pdu, from_node)
-                return
-            waiters.append((pdu, from_node))
-            self._c_parked.inc()
-            return
-        service, local = self._first_async_service()
-        if service is None:  # resolution raced a domain re-parent: miss
-            self._c_no_route.inc()
-            self._bounce_no_route(pdu, from_node)
-            return
-        self._parked[pdu.dst] = [(pdu, from_node)]
-        self._c_parked.inc()
-        dst = pdu.dst
-        future = service.fetch(dst)
-        if future.done:
-            # The service resolved synchronously (overlay on its own
-            # quiescent simulator): its ctx won't run our callback.
-            self._resolution_done(dst, local, future)
-        else:
-            future.add_callback(
-                lambda future: self._resolution_done(dst, local, future)
-            )
-
-    def _resolution_done(self, dst: GdpName, local: bool, future) -> None:
-        """The DHT answered (or failed): install the route and release
-        every parked PDU — forwarded on success, bounced on a miss."""
-        waiters = self._parked.pop(dst, [])
+    def _advance(
+        self,
+        dst: GdpName,
+        walk,
+        answer: list[RouteEntry] | None,
+        waiter: tuple[Pdu, Node] | None = None,
+    ) -> Node | None:
+        """Send *answer* into *walk* and run it to its verdict — or to
+        its next pending tier, whose resolution is started with *waiter*
+        parked behind it (``_PENDING``)."""
         try:
-            entries = future.result()
-        except Exception:
-            entries = []
-        hop = None
-        if entries:
-            if local:
-                hop = self._install_from_entries(dst, entries)
-            else:
-                # Upward install, same trust stance as the sync walk:
-                # verify before caching, lease-capped.
-                for entry in entries:
-                    try:
-                        entry.verify(now=self.sim.now)
-                    except Exception:
-                        continue
-                    self._c_verified_installs.inc()
-                    hop = self.domain.next_hop_upward(self)
-                    self._install(dst, hop, lease=entry.expires_at)
-                    break
-        if hop is None:
-            self._neg_cache[dst] = self.sim.now + self.neg_ttl
-            for pdu, from_node in waiters:
+            resolution = walk.send(answer)
+        except StopIteration as verdict:
+            return verdict.value
+        if dst not in self._parked:
+            if waiter is None:
+                return _PENDING  # never park or fetch for a bounce
+            self._parked[dst] = [waiter]
+            self._c_parked.inc()
+        self.sim.spawn(
+            resolution, f"glookup-resolve:{dst.human()}"
+        ).completion.add_callback(
+            lambda future: self._resolution_done(dst, walk, future)
+        )
+        return _PENDING
+
+    def _resolution_done(self, dst: GdpName, walk, future) -> None:
+        """A pending tier answered: resume the walk, and once it
+        reaches a verdict release every parked PDU — forwarded on
+        success, bounced on a miss."""
+        hop = self._advance(dst, walk, future.result())
+        if hop is _PENDING:
+            return  # now waiting on an ancestor tier
+        for pdu, from_node in self._parked.pop(dst):
+            if hop is None:
                 self._c_no_route.inc()
                 self._bounce_no_route(pdu, from_node)
-            return
-        for pdu, from_node in waiters:
-            self._c_forwarded.inc()
-            self._c_bytes.inc(pdu.size_bytes)
-            self._send_pdu(hop, pdu.decremented())
+            else:
+                self._c_forwarded.inc()
+                self._c_bytes.inc(pdu.size_bytes)
+                self._send_pdu(hop, pdu.decremented())
+
+    def _install_upward(
+        self, dst: GdpName, entries: list[RouteEntry]
+    ) -> Node | None:
+        """Install the upward route for an ancestor tier's answer.  The
+        remote GLookupService is no more trusted than the local one:
+        re-verify before installing, and cap the cache lifetime at the
+        evidence's lease."""
+        for entry in entries:
+            try:
+                entry.verify(now=self.sim.now)
+            except Exception:
+                continue
+            self._c_verified_installs.inc()
+            hop = self.domain.next_hop_upward(self)
+            self._install(dst, hop, lease=entry.expires_at)
+            return hop
+        return None
 
     def _install_from_entries(
         self, dst: GdpName, entries: list[RouteEntry]

@@ -45,11 +45,6 @@ class Future:
         self._waiters: list[Callable[["Future"], None]] = []
 
     @property
-    def sim(self) -> "RuntimeContext":
-        """Backwards-compatible alias for :attr:`ctx`."""
-        return self.ctx
-
-    @property
     def done(self) -> bool:
         """Whether the future has resolved or failed."""
         return self._done
@@ -113,11 +108,6 @@ class Process:
         self.completion = Future(ctx)
         self.name = name or getattr(generator, "__name__", "process")
         ctx.schedule(0.0, self._step, None, None)
-
-    @property
-    def sim(self) -> "RuntimeContext":
-        """Backwards-compatible alias for :attr:`ctx`."""
-        return self.ctx
 
     def _step(self, send_value: Any, throw_error: BaseException | None) -> None:
         try:

@@ -21,7 +21,7 @@ from repro.server.secure import (
     verify_mac_response,
     verify_signed_response,
 )
-from repro.server.storage import FileStore, MemoryStore, StorageBackend
+from repro.server.storage import MemoryStore, StorageBackend
 
 __all__ = [
     "DataCapsuleServer",
@@ -37,7 +37,6 @@ __all__ = [
     "FsyncPolicy",
     "StorageBackend",
     "MemoryStore",
-    "FileStore",
     "SegmentedStore",
     "SegmentInfo",
     "SimulatedCrash",

@@ -131,7 +131,7 @@ class ScheduleConfig:
     segment_bytes: int = 700  # tiny: force many seals
     hot_segments: int = 1
     compact_every: int = 0  # explicit compact() every N appends (0: off)
-    fsync: bool = True
+    fsync_policy: str = "always"
     sync_index: bool = True
 
 
@@ -155,7 +155,7 @@ def _make_store(
 ) -> SegmentedStore:
     return SegmentedStore(
         root,
-        fsync=config.fsync,
+        fsync_policy=config.fsync_policy,
         segment_bytes=config.segment_bytes,
         hot_segments=config.hot_segments,
         tier=tier,

@@ -246,7 +246,6 @@ class DataCapsuleServer(Endpoint):
         """
         recovered = 0
         report = {"records": 0, "seeded_leaves": 0, "index_mismatches": 0}
-        sync_leaves = getattr(self.storage, "sync_leaves", None)
         for name, hosted in self.hosted.items():
             capsule = hosted.capsule
             for tag, wire in self.storage.load_entries(name):
@@ -259,15 +258,14 @@ class DataCapsuleServer(Endpoint):
                         capsule.add_heartbeat(Heartbeat.from_wire(wire))
                 except GdpError:
                     continue  # corrupt frame: skip, do not crash recovery
-            if sync_leaves is not None:
-                try:
-                    leaves = sync_leaves(name)
-                except StorageError:
-                    leaves = {}
-                if leaves:
-                    seeded, mismatched = capsule.seed_sync_leaves(leaves)
-                    report["seeded_leaves"] += seeded
-                    report["index_mismatches"] += mismatched
+            try:
+                leaves = self.storage.sync_leaves(name)
+            except StorageError:
+                leaves = {}
+            if leaves:
+                seeded, mismatched = capsule.seed_sync_leaves(leaves)
+                report["seeded_leaves"] += seeded
+                report["index_mismatches"] += mismatched
         report["records"] = recovered
         self.last_recovery = report
         return recovered
@@ -402,16 +400,13 @@ class DataCapsuleServer(Endpoint):
         self.advertise(self.catalog_entries())
 
     def _note_checkpoint(self, hosted: HostedCapsule, record: Record) -> None:
-        """Tell a checkpoint-aware backend when a checkpoint record
-        lands — segments wholly below it become compactable."""
-        note = getattr(self.storage, "note_checkpoint", None)
-        if note is None:
-            return
+        """Tell the backend when a checkpoint record lands — segments
+        wholly below it become compactable."""
         is_checkpoint = getattr(
             hosted.capsule.strategy, "is_checkpoint", None
         )
         if is_checkpoint is not None and is_checkpoint(record.seqno):
-            note(hosted.capsule.name, record.seqno)
+            self.storage.note_checkpoint(hosted.capsule.name, record.seqno)
 
     def _persist(self, hosted: HostedCapsule, record: Record, heartbeat: Heartbeat) -> bool:
         """Validate + store locally; returns True when the record is new."""

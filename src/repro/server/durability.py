@@ -69,14 +69,13 @@ class FsyncPolicy:
     is acknowledged; this decides what "persist" means on each replica:
 
     - ``"always"`` — fsync before every append returns (an acked record
-      survives power loss; the FileStore/SegmentedStore default).
+      survives power loss; the SegmentedStore default).
     - ``"batch:N"`` — fsync once at least N bytes are pending; bounds
       the power-loss window to N bytes while amortizing the sync cost
       over a run of appends.
     - ``"drain"`` — never fsync on the append path; only an explicit
       ``StorageBackend.sync()`` (the graceful-drain lifecycle) pushes
-      bytes down.  Matches ``fsync=False``: the caller has batched
-      durability elsewhere.
+      bytes down: the caller has batched durability elsewhere.
     """
 
     def __init__(self, spec: str):

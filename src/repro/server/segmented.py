@@ -1,12 +1,11 @@
-"""Segmented-log storage engine (ROADMAP item 3).
+"""Segmented-log storage engine: the one durable backend.
 
 The paper pitches DataCapsules as "cryptographically hardened bundles"
 holding entire application histories on federated edge infrastructure
-(§IV); :class:`~repro.server.storage.FileStore` — one flat frame-per-
-record log — stops scaling long before the billion-record capsules that
-vision implies.  :class:`SegmentedStore` keeps the same
-:class:`~repro.server.storage.StorageBackend` contract but organises
-each capsule as a sequence of *segments*:
+(§IV), and gives each capsule its own database on the server (§VIII).
+:class:`SegmentedStore` meets the
+:class:`~repro.server.storage.StorageBackend` contract at that scale by
+organising each capsule as a sequence of *segments*:
 
 - The **active** (tail) segment absorbs appends through a user-space
   buffer; every frame carries a CRC32 so a crash mid-write is detected
@@ -70,6 +69,13 @@ __all__ = ["SegmentedStore", "SegmentInfo", "SimulatedCrash", "CRASH_POINTS"]
 _MAGIC = b"GDPSEG1\n"
 _FRAME = struct.Struct(">BII")  # tag byte, payload length, crc32(payload)
 _MANIFEST = "MANIFEST"
+
+#: one sparse seqno→offset index entry per this many in-order records
+_SPARSE_EVERY = 64
+#: un-fsynced appends leave user space once this many bytes are buffered
+_FLUSH_BYTES = 64 * 1024
+#: automatic compaction waits for a run of at least this many segments
+_COMPACT_MIN_SEGMENTS = 4
 
 #: sidecar-index packing: (seqno, file offset) pairs and
 #: (seqno, digest count) leaf headers.  The sidecar carries one leaf
@@ -275,9 +281,10 @@ class SegmentedStore(StorageBackend):
         <capsule-hex>/seg-00000001.seg   frames (magic + tag/len/crc)
         <capsule-hex>/seg-00000001.idx   sealed-segment sidecar index
 
-    ``fsync=True`` maps to :class:`FsyncPolicy` ``"always"`` (every
-    acked append is on disk), ``False`` to ``"drain"`` (fsync only at
-    seal/:meth:`sync`, matching FileStore's opt-out).
+    *fsync_policy* (a :class:`FsyncPolicy` or its spec string) says
+    when an append reaches the platter: ``"always"`` before every ack,
+    ``"batch:N"`` once N bytes are pending, ``"drain"`` only at
+    seal/:meth:`sync`.
     """
 
     _MAX_HANDLES = 64
@@ -288,36 +295,34 @@ class SegmentedStore(StorageBackend):
         self,
         root: str,
         *,
-        fsync: bool = True,
-        fsync_policy: FsyncPolicy | str | None = None,
+        fsync_policy: FsyncPolicy | str = "always",
         segment_bytes: int = 1 << 20,
-        sparse_every: int = 64,
-        flush_bytes: int = 64 * 1024,
         hot_segments: int = 2,
         tier=None,
         tier_cache_bytes: int = 8 << 20,
         sync_index: bool = True,
         auto_compact: bool = True,
-        compact_min_segments: int = 4,
         crash_hook: Callable[[str], None] | None = None,
     ):
         self.root = root
-        if fsync_policy is None:
-            fsync_policy = FsyncPolicy("always" if fsync else "drain")
-        elif isinstance(fsync_policy, str):
+        if isinstance(fsync_policy, str):
             fsync_policy = FsyncPolicy(fsync_policy)
         self.fsync_policy = fsync_policy
         self.segment_bytes = segment_bytes
-        self.sparse_every = sparse_every
-        self.flush_bytes = flush_bytes
         self.hot_segments = hot_segments
         self.tier = tier
         self.tier_cache_bytes = tier_cache_bytes
         self.sync_index = sync_index
         self.auto_compact = auto_compact
-        self.compact_min_segments = compact_min_segments
         self.crash_hook = crash_hook
         os.makedirs(root, exist_ok=True)
+        if any(entry.endswith(".dclog") for entry in os.listdir(root)):
+            # list_capsules() skips plain files, so opening such a root
+            # would serve an empty store and report success.
+            raise StorageError(
+                f"{root} holds flat-file .dclog capsule logs, which this "
+                "engine does not read; refusing to serve it as empty"
+            )
         self._logs: dict[GdpName, _CapsuleLog] = {}
         self._handles: "OrderedDict[GdpName, object]" = OrderedDict()
         self._mmaps: "OrderedDict[tuple, mmap.mmap]" = OrderedDict()
@@ -709,7 +714,7 @@ class SegmentedStore(StorageBackend):
         policy = self.fsync_policy
         if policy.should_fsync(log.pending_fsync):
             self._fsync_active(log)
-        elif len(log.buffer) >= self.flush_bytes:
+        elif len(log.buffer) >= _FLUSH_BYTES:
             self._flush(log)
         self._crashpoint("append.after")
         return appended
@@ -737,7 +742,7 @@ class SegmentedStore(StorageBackend):
         if seqno >= active.last:
             if log.countdown == 0:
                 log.sparse.append((seqno, offset))
-                log.countdown = self.sparse_every
+                log.countdown = _SPARSE_EVERY
             log.countdown -= 1
             active.last = seqno
         else:
@@ -848,7 +853,7 @@ class SegmentedStore(StorageBackend):
 
     def _maybe_compact(self, log: _CapsuleLog) -> None:
         run = self._compact_run(log)
-        if len(run) >= self.compact_min_segments:
+        if len(run) >= _COMPACT_MIN_SEGMENTS:
             self._compact(log, run)
 
     def compact(self, name: GdpName) -> int:
@@ -901,7 +906,7 @@ class SegmentedStore(StorageBackend):
             if seqno >= merged.last:
                 if countdown == 0:
                     sparse.append([seqno, offset])
-                    countdown = self.sparse_every
+                    countdown = _SPARSE_EVERY
                 countdown -= 1
                 merged.last = seqno
             else:

@@ -5,11 +5,12 @@ DataCapsule is stored in its own separate SQLite database" (§VIII) so
 random reads are efficient.  Here the same contract is met by two
 backends behind one interface:
 
-- :class:`MemoryStore` — dict-backed, for simulations and tests.
-- :class:`FileStore` — one append-only log file per capsule
-  (length-prefixed canonical-encoded entries) plus an in-memory index
-  rebuilt on open; crash-restart tests use it to show that a restarted
-  server recovers exactly the records it had acknowledged.
+- :class:`MemoryStore` — dict-backed, for simulations and as the
+  conformance reference.
+- :class:`~repro.server.segmented.SegmentedStore` — every disk: one
+  directory of CRC-framed segments per capsule, crash-recovered on
+  open, so a restarted server recovers exactly the records it had
+  acknowledged.
 
 Backends store *wire forms* (dicts of bytes/ints), not live objects —
 whatever comes back is re-validated by the capsule layer, so a corrupt
@@ -18,17 +19,13 @@ disk shows up as an integrity error, not silent data loss.
 
 from __future__ import annotations
 
-import os
-import struct
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Iterator
 
-from repro import encoding
 from repro.errors import StorageError
 from repro.naming.names import GdpName
 
-__all__ = ["StorageBackend", "MemoryStore", "FileStore", "SegmentedStore"]
+__all__ = ["StorageBackend", "MemoryStore", "SegmentedStore"]
 
 _TAG_METADATA = "m"
 _TAG_RECORD = "r"
@@ -95,6 +92,16 @@ class StorageBackend(ABC):
         """Flush everything buffered to the durable medium (no-op for
         backends that persist synchronously)."""
 
+    def sync_leaves(self, name: GdpName) -> dict[int, bytes]:
+        """Persisted Merkle sync-index leaves (``seqno -> leaf``) that
+        recovery may seed a capsule's cache from; none for backends
+        that keep no index."""
+        return {}
+
+    def note_checkpoint(self, name: GdpName, seqno: int) -> None:
+        """*seqno* is a checkpoint record: history below it may be
+        compacted (no-op for backends that never compact)."""
+
 
 class MemoryStore(StorageBackend):
     """Dict-backed storage for simulations and tests.
@@ -103,8 +110,7 @@ class MemoryStore(StorageBackend):
     medium: :meth:`DataCapsuleServer.crash` wipes the in-memory capsule
     and session state but leaves the backend intact, and ``restart``
     replays it.  (Simulated crash-restart therefore behaves the same
-    over MemoryStore and FileStore; FileStore additionally survives
-    real process death, which the FileStore tests exercise.)"""
+    over every backend; only a disk survives real process death.)"""
 
     def __init__(self):
         self._data: dict[GdpName, list[tuple[str, dict]]] = {}
@@ -157,195 +163,7 @@ class MemoryStore(StorageBackend):
         self._data.pop(name, None)
 
 
-class FileStore(StorageBackend):
-    """One append-only log file per capsule under *root*.
-
-    Entry framing: 1 tag byte + u32 big-endian length + canonical
-    encoding.  A torn final entry (crash mid-write) is detected by the
-    length check and discarded on load.
-
-    Hot-path notes (profiled via ``repro bench``): append handles are
-    kept open in a small LRU pool instead of re-opening the log for
-    every record, each frame goes out in a single buffered ``write``,
-    and hosting checks hit an in-memory set instead of ``stat``-ing the
-    log per append.  ``fsync=False`` trades the per-append disk sync for
-    throughput where the caller batches durability elsewhere (the
-    default stays ``True``: an acknowledged append must survive a
-    crash).
-    """
-
-    _MAX_HANDLES = 64
-
-    def __init__(self, root: str, *, fsync: bool = True):
-        self.root = root
-        self.fsync = fsync
-        os.makedirs(root, exist_ok=True)
-        self._handles: "OrderedDict[GdpName, object]" = OrderedDict()
-        self._hosted: set[GdpName] = set()
-
-    def _path(self, name: GdpName) -> str:
-        return os.path.join(self.root, name.hex() + ".dclog")
-
-    def _handle(self, name: GdpName):
-        fh = self._handles.get(name)
-        if fh is not None:
-            self._handles.move_to_end(name)
-            return fh
-        try:
-            fh = open(self._path(name), "ab")
-        except OSError as exc:
-            raise StorageError(f"open failed: {exc}") from exc
-        self._handles[name] = fh
-        while len(self._handles) > self._MAX_HANDLES:
-            _, old = self._handles.popitem(last=False)
-            old.close()
-        return fh
-
-    def _release(self, name: GdpName) -> None:
-        fh = self._handles.pop(name, None)
-        if fh is not None:
-            fh.close()
-
-    def _hosts(self, name: GdpName) -> bool:
-        if name in self._hosted:
-            return True
-        if os.path.exists(self._path(name)):
-            self._hosted.add(name)
-            return True
-        return False
-
-    def _append(self, name: GdpName, tag: str, wire: dict) -> None:
-        blob = encoding.encode(wire)
-        frame = tag.encode("ascii") + struct.pack(">I", len(blob)) + blob
-        try:
-            fh = self._handle(name)
-            fh.write(frame)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            raise StorageError(f"write failed: {exc}") from exc
-
-    def store_metadata(self, name: GdpName, metadata_wire: dict) -> None:
-        """Persist capsule metadata (idempotent)."""
-        if self.load_metadata(name) is None:
-            self._append(name, _TAG_METADATA, metadata_wire)
-            self._hosted.add(name)
-
-    def load_metadata(self, name: GdpName) -> dict | None:
-        """The stored metadata wire form, or None."""
-        for tag, wire in self.load_entries(name):
-            if tag == _TAG_METADATA:
-                return wire
-        return None
-
-    def append_record(self, name: GdpName, record_wire: dict) -> None:
-        """Persist one record wire form."""
-        if not self._hosts(name):
-            raise StorageError(f"capsule {name.human()} is not hosted here")
-        self._append(name, _TAG_RECORD, record_wire)
-
-    def append_heartbeat(self, name: GdpName, heartbeat_wire: dict) -> None:
-        """Persist one heartbeat wire form."""
-        if not self._hosts(name):
-            raise StorageError(f"capsule {name.human()} is not hosted here")
-        self._append(name, _TAG_HEARTBEAT, heartbeat_wire)
-
-    def append_entries(
-        self, name: GdpName, entries: list[tuple[str, dict]]
-    ) -> int:
-        """Persist a run of entries as one buffered write and (with
-        ``fsync=True``) one disk sync, instead of a sync per frame."""
-        if not entries:
-            return 0
-        if not self._hosts(name):
-            raise StorageError(f"capsule {name.human()} is not hosted here")
-        chunk = bytearray()
-        for tag, wire in entries:
-            if tag not in (_TAG_RECORD, _TAG_HEARTBEAT):
-                raise StorageError(f"cannot batch-append tag {tag!r}")
-            blob = encoding.encode(wire)
-            chunk += tag.encode("ascii")
-            chunk += struct.pack(">I", len(blob))
-            chunk += blob
-        try:
-            fh = self._handle(name)
-            fh.write(bytes(chunk))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            raise StorageError(f"write failed: {exc}") from exc
-        return len(entries)
-
-    def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
-        """Yield (tag, wire) entries in write order.
-
-        The file bytes are read *now* (snapshot at call time — the
-        conformance contract; previously the read happened lazily at
-        the first ``next()``, so frames appended in between leaked into
-        the iteration); decoding stays lazy."""
-        # An open append handle may hold buffered frames; push them to
-        # the OS so this read sees everything written so far.
-        fh = self._handles.get(name)
-        if fh is not None:
-            fh.flush()
-        path = self._path(name)
-        if not os.path.exists(path):
-            return iter(())
-        try:
-            with open(path, "rb") as reader:
-                data = reader.read()
-        except OSError as exc:
-            raise StorageError(f"read failed: {exc}") from exc
-
-        def entries() -> Iterator[tuple[str, dict]]:
-            offset = 0
-            size = len(data)
-            while offset + 5 <= size:
-                tag = chr(data[offset])
-                (length,) = struct.unpack_from(">I", data, offset + 1)
-                end = offset + 5 + length
-                if end > size:
-                    break  # torn payload: crash mid-write; drop it
-                yield tag, encoding.decode(data[offset + 5 : end])
-                offset = end
-
-        return entries()
-
-    def list_capsules(self) -> list[GdpName]:
-        """Names of all capsules with stored state."""
-        names = []
-        for filename in sorted(os.listdir(self.root)):
-            if filename.endswith(".dclog"):
-                names.append(GdpName.from_hex(filename[: -len(".dclog")]))
-        return names
-
-    def delete_capsule(self, name: GdpName) -> None:
-        """Remove all state for a capsule."""
-        self._release(name)
-        self._hosted.discard(name)
-        try:
-            os.unlink(self._path(name))
-        except FileNotFoundError:
-            pass
-
-    def sync(self) -> None:
-        """Flush and fsync every pooled append handle (the drain path:
-        even with ``fsync=False`` appends, nothing buffered survives in
-        volatile memory after a sync)."""
-        for fh in self._handles.values():
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def close(self) -> None:
-        """Close any pooled append handles (flushing buffered frames)."""
-        for fh in self._handles.values():
-            fh.close()
-        self._handles.clear()
-
-
 # The segmented-log engine lives in its own module (it is an order of
-# magnitude more machinery than the flat backends) but is part of this
-# package's public surface; the bottom-of-file import avoids a cycle.
+# magnitude more machinery than the in-memory backend) but is part of
+# this package's public surface; the bottom-of-file import avoids a cycle.
 from repro.server.segmented import SegmentedStore  # noqa: E402

@@ -204,11 +204,58 @@ class TestDhtBackedGlobalTier:
             return True
 
         net.sim.run_process(scenario())
-        before = glookup._c_dht_lookups.value
+        lookups = glookup.metrics.counter("dht.lookups")
+        before = lookups.value
         glookup.lookup(w["server"].name)
-        assert glookup._c_dht_lookups.value == before + 1
-        assert glookup._c_dht_messages.value >= 1
-        hops = glookup._h_dht_hops
+        assert lookups.value == before + 1
+        assert glookup.metrics.counter("dht.messages").value >= 1
+        hops = glookup.metrics.histogram("dht.hops")
         assert hops.count >= 1
         # 16-node ring: every lookup must be within the log bound.
         assert hops.max <= 6
+
+
+class TestOneResolutionWalk:
+    def test_miss_at_a_pending_tier_climbs_to_its_ancestors(self, owner_keys):
+        """The *edge* tier is DHT-backed on the routers' own network, so
+        its answers are pending mid-run; the server's name lives only in
+        the packed root tier above it.  The PDU parked on the edge
+        tier's miss must resume the walk and be forwarded upward, not
+        bounced."""
+        net = SimNetwork(seed=37)
+        clock = lambda: net.sim.now  # noqa: E731
+        dht = KademliaDht(k=4, network=net)
+        for i in range(8):
+            dht.join(dht_name(i))
+        root = RoutingDomain("global", clock=clock)
+        edge = RoutingDomain(
+            "global.edge",
+            root,
+            glookup=DhtGLookupService(
+                "global.edge", dht, dht_name(0), clock=clock
+            ),
+        )
+        r_root = GdpRouter(net, "r_root", root)
+        r_edge = GdpRouter(net, "r_edge", edge)
+        net.connect(r_edge, r_root, latency=0.02, bandwidth=GBPS)
+        edge.attach_to_parent(r_edge, r_root)
+        server = DataCapsuleServer(net, "srv_root")
+        server.attach(r_root)
+        client = GdpClient(net, "edgec")
+        client.attach(r_edge)
+        writer_key = owner_keys(b"walk-writer")
+        console = OwnerConsole(client, owner_keys(b"walk-owner"))
+
+        def scenario():
+            yield server.advertise()
+            yield client.advertise()
+            metadata = console.design_capsule(writer_key.public)
+            yield from console.place_capsule(metadata, [server.metadata])
+            yield 0.5
+            writer = client.open_writer(metadata, writer_key)
+            yield from writer.append(b"climbed")
+            return (yield from client.read(metadata.name, 1)).record.payload
+
+        assert net.sim.run_process(scenario()) == b"climbed"
+        assert r_edge.metrics.counter("router.parked").value >= 1
+        assert r_edge.metrics.counter("router.no_route").value == 0

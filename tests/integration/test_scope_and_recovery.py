@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GdpError, RoutingError, TimeoutError_
-from repro.server import DataCapsuleServer, FileStore
+from repro.server import DataCapsuleServer, SegmentedStore
 
 
 class TestScopePolicies:
@@ -78,9 +78,10 @@ class TestScopePolicies:
 
 class TestCrashRecovery:
     def test_filestore_server_recovers_records(self, mini_gdp, tmp_path):
+        """A server over the on-disk store (``SegmentedStore``)."""
         g = mini_gdp
         durable = DataCapsuleServer(
-            g.net, "durable_srv", storage=FileStore(str(tmp_path / "srv"))
+            g.net, "durable_srv", storage=SegmentedStore(str(tmp_path / "srv"))
         )
         durable.attach(g.r_root)
 

@@ -49,7 +49,7 @@ configs = st.builds(
     segment_bytes=st.integers(min_value=300, max_value=1600),
     hot_segments=st.integers(min_value=1, max_value=3),
     compact_every=st.sampled_from([0, 5, 8, 12]),
-    fsync=st.just(True),
+    fsync_policy=st.just("always"),
     sync_index=st.booleans(),
 )
 

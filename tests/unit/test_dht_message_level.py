@@ -26,7 +26,8 @@ from repro.routing.dht import (
     make_record,
     record_expiry,
 )
-from repro.routing.dht_glookup import DhtGLookupService
+from repro.routing.dht_glookup import DhtGLookupService, _DhtTable
+from repro.routing.glookup import GLookupService
 
 
 def name(i: int) -> GdpName:
@@ -167,22 +168,20 @@ class TestRegisterUnregisterVersioned:
             verify_on_register=False,
             clock=lambda: ring.net.sim.now,
         )
+        table = service._table
         capsule = key_of(13)
         a, b = GdpName(b"\xa1" * 32), GdpName(b"\xb2" * 32)
         for principal in (a, b):
+            table._version += 1
             record = make_record(
                 principal.raw,
-                service._version + 1,
+                table._version,
                 {"who": principal.raw},
                 service.now + service.record_ttl,
             )
-            service._version += 1
-            service._published.setdefault(capsule, {})[
-                principal.raw
-            ] = record
-            service._names.add(capsule)
-            service._home_node().merge_record(capsule, dict(record))
-            service._publish(capsule, [dict(record)])
+            table._published.setdefault(capsule, {})[principal.raw] = record
+            table._names.add(capsule)
+            table._publish(capsule, record)
         service.unregister(capsule, a)
         for node in holders_of(ring, capsule):
             slot = node.store[capsule]
@@ -196,6 +195,60 @@ class TestRegisterUnregisterVersioned:
             and not node.store[capsule][b.raw].get("t")
             for node in holders_of(ring, capsule)
         )
+
+
+class TestDhtBackedSurface:
+    """A DHT-backed service is the GLookupService policy over the DHT
+    and nothing else: no packed tables behind it, and no inherited
+    method that quietly acts on one."""
+
+    def _service(self, ring):
+        return DhtGLookupService(
+            "global", ring, sorted(ring.nodes)[0],
+            verify_on_register=False,
+            clock=lambda: ring.net.sim.now,
+        )
+
+    def test_allocates_no_packed_tables(self, ring, monkeypatch):
+        from repro.routing import glookup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DHT-backed service built a packed table")
+
+        for packed in ("PackedMap", "_EvidencePool", "ExpiryWheel"):
+            monkeypatch.setattr(glookup, packed, refuse)
+        service = self._service(ring)
+        assert len(service) == 0
+        with pytest.raises(AttributeError):
+            service.memory_bytes()  # a packed-table figure: not defined here
+
+    def test_plant_and_purge_act_on_the_home_replica(self, ring):
+        from repro.crypto import SigningKey
+        from repro.naming import make_server_metadata
+        from repro.routing.glookup import RouteEntry
+
+        service = self._service(ring)
+        key = SigningKey.from_seed(b"dht-msg-planted")
+        metadata = make_server_metadata(key, key.public)
+        entry = RouteEntry(
+            metadata.name,
+            router=name(0),
+            principal=metadata.name,
+            principal_metadata=metadata,
+            rtcert=None,
+            chain=None,
+            router_metadata=None,
+            expires_at=service.now + 5.0,
+        )
+        filed_under = key_of(40)  # not the name the evidence covers
+        service.plant(filed_under, entry)
+        assert service.peek(filed_under) == [entry]
+        assert service.lookup(filed_under) == [entry]
+        assert filed_under in service.names()
+        home = ring.nodes[service.home]
+        assert filed_under in home.store
+        assert service.purge_expired(service.now + 60.0) == 1
+        assert filed_under not in home.store
 
 
 class TestPingBeforeEvict:
@@ -314,11 +367,16 @@ class TestGrepGuard:
         DhtNode._rpc,
         DhtNode.observe,
         DhtNode.merge_record,
-        DhtGLookupService.register,
-        DhtGLookupService.unregister,
-        DhtGLookupService.lookup,
-        DhtGLookupService.fetch,
-        DhtGLookupService.republish_proc,
+        GLookupService.register,
+        GLookupService.unregister,
+        GLookupService.lookup,
+        _DhtTable.store,
+        _DhtTable.drop,
+        _DhtTable.fetch,
+        _DhtTable._publish,
+        _DhtTable._put_proc,
+        _DhtTable._fetch_proc,
+        _DhtTable.republish_proc,
     ]
 
     FORBIDDEN = ("self.nodes[", "dht.nodes", ".nodes.values()", ".nodes.items()")
@@ -336,13 +394,16 @@ class TestGrepGuard:
         source = inspect.getsource(KademliaDht._entry_node)
         assert "self.nodes[via]" in source
 
-    #: spellings of the back-compat layer deleted in PR 16, and of the
-    #: six per-suite bench harnesses folded into ``repro.bench`` (PR 18)
+    #: spellings of the back-compat layer deleted in PR 16, of the six
+    #: per-suite bench harnesses folded into ``repro.bench`` (PR 18), and
+    #: of the second durable engine and second resolution walk (PR 19)
     REMOVED = (
         "def stats_", "DeprecationWarning", "legacy_shape",
         "add_delivery_hook", "full_sync_once",
         "bench_commit", "bench_routing", "bench_storage",
         "bench_replication", "repro.loadgen", "def check_regression",
+        "FileStore", "storage_engine", "_first_async_service",
+        "asynchronous =",
     )
 
     def test_back_compat_layer_stays_deleted(self):

@@ -12,7 +12,7 @@ from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.routing import GdpRouter, RoutingDomain
 from repro.server import DataCapsuleServer
-from repro.server.storage import FileStore
+from repro.server.storage import SegmentedStore
 from repro.sim import SimNetwork
 
 
@@ -21,9 +21,9 @@ def world(tmp_path):
     net = SimNetwork(seed=5)
     domain = RoutingDomain("global", clock=lambda: net.sim.now)
     router = GdpRouter(net, "r0", domain)
-    # fsync=False leaves appends buffered in user space — exactly what
+    # "drain" leaves appends buffered in user space — exactly what
     # drain's sync() must flush before the process exits.
-    storage = FileStore(str(tmp_path / "srv"), fsync=False)
+    storage = SegmentedStore(str(tmp_path / "srv"), fsync_policy="drain")
     server = DataCapsuleServer(net, "srv", storage=storage)
     server.attach(router)
     client = GdpClient(net, "cli")
@@ -65,7 +65,7 @@ class TestDrain:
         storage.close()
 
         # Reopen the same directory cold — what a restarted process sees.
-        reopened = FileStore(str(storage.root), fsync=False)
+        reopened = SegmentedStore(storage.root)
         entries = [
             wire for tag, wire in reopened.load_entries(metadata.name)
             if tag == "r"

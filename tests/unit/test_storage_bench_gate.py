@@ -1,4 +1,4 @@
-"""The storage suite's gate rows: ratio floors, the 30% regression
+"""The storage suite's gate rows: the ratio floor, the 30% regression
 band, sustained-scenario shape checks, and the cold-read p99 ceiling."""
 
 from repro.bench import gate
@@ -11,12 +11,9 @@ def check_regression(current, baseline):
     return gate.check(current, baseline, GATES)
 
 
-def doc(durable=4.0, drain=0.45, tiered=24, p99=25.0):
+def doc(durable=4.0, tiered=24, p99=25.0):
     return {
-        "ratios": {
-            "durable_append_ratio": durable,
-            "drain_append_ratio": drain,
-        },
+        "ratios": {"durable_append_ratio": durable},
         "sustained": {
             "records": 200_000,
             "records_per_sec": 26_000.0,
@@ -34,11 +31,6 @@ class TestGate:
         floor = ROW["ratios.durable_append_ratio"].floor
         failures = check_regression(doc(durable=floor - 0.1), doc())
         assert any("acceptance floor" in f for f in failures)
-
-    def test_drain_ratio_floor(self):
-        floor = ROW["ratios.drain_append_ratio"].floor
-        failures = check_regression(doc(drain=floor - 0.05), doc())
-        assert any("drain_append_ratio" in f for f in failures)
 
     def test_regression_band_is_downward_only(self):
         # 2x the baseline ratio is an improvement, never a failure.

@@ -2,8 +2,8 @@
 
 Measures op/s for the operations the acceleration layer targets — sign,
 verify (cold ladder / warm memo), capsule append, full-history
-verification — each in accelerated and naive mode, and emits the
-``BENCH_crypto.json`` document.
+verification, one secure response checked end to end — each in
+accelerated and naive mode, and emits the ``BENCH_crypto.json`` document.
 
 The gate compares **speedup ratios** (accelerated vs naive *on the same
 machine and run*), not absolute op/s: absolute throughput varies
@@ -23,6 +23,7 @@ __all__ = ["run", "GATES", "table"]
 GATES = (
     Gate("speedup.verify", "higher", floor=5.0),
     Gate("speedup.sign", "higher", floor=2.0),
+    Gate("speedup.response_verify", "higher", floor=3.0),
 )
 
 _TRIALS = 3
@@ -164,6 +165,39 @@ def _bench_capsule_ops(accel: dict, naive: dict, note) -> None:
     naive["verify_history"] = 128 * walks_naive
 
 
+def _bench_response(accel: dict, naive: dict, note) -> None:
+    """A ``sig`` response as a remote client checks it: signature new."""
+    from repro.crypto import SigningKey, cache
+    from repro.delegation import AdCert, ServiceChain
+    from repro.naming import GdpName, make_capsule_metadata, make_server_metadata
+    from repro.server.secure import sign_response, verify_signed_response
+
+    owner = SigningKey.from_seed(b"bench-owner")
+    server = SigningKey.from_seed(b"bench-server")
+    capsule_md = make_capsule_metadata(owner, owner.public)
+    server_md = make_server_metadata(server, server.public)
+    adcert = AdCert.issue(owner, capsule_md.name, server_md.name)
+    chain = ServiceChain(capsule_md, adcert, server_md)
+    client = GdpName(b"\xc1" * 32)
+    # More than a trial gets through (``_paired`` clears between trials).
+    pool = [
+        sign_response(server, server_md, chain, client, i, {"ok": True, "n": i})
+        for i in range(1024)
+    ]
+    cache.reset()  # signing primed the signature memo
+    counter = {"n": 0}
+
+    def verify_response():
+        corr_id = counter["n"] = (counter["n"] + 1) % len(pool)
+        verify_signed_response(
+            pool[corr_id], client=client, corr_id=corr_id,
+            capsule=capsule_md.name,
+        )
+
+    note("response verify")
+    accel["response_verify"], naive["response_verify"] = _paired(verify_response)
+
+
 #: the measured operations: (table label, ops_per_sec key, speedup key)
 _ROWS = (
     ("sign", "sign", "sign"),
@@ -171,6 +205,7 @@ _ROWS = (
     ("verify (warm)", "verify_warm", "verify_warm"),
     ("append", "append", "append"),
     ("verify_history r/s", "verify_history", "verify_history"),
+    ("response verify", "response_verify", "response_verify"),
 )
 
 
@@ -187,6 +222,7 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
     ec.clear_point_tables()
     _bench_primitives(accel, naive, note)
     _bench_capsule_ops(accel, naive, note)
+    _bench_response(accel, naive, note)
 
     return {
         "schema": "gdp-bench-crypto/1",

@@ -34,7 +34,7 @@ GATES = (
 )
 
 #: default offered rates (ops/second) — three open-loop levels, the top
-#: one near the single-client saturation point so queueing is visible
+#: one ~0.2x of one closed-loop client's rate (ROADMAP 6b re-levels them)
 DEFAULT_RATES = (25, 50, 100)
 
 

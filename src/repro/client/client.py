@@ -102,25 +102,16 @@ class GdpClient(Endpoint):
         """Send an op request; returns ``(corr_id, future)`` so the
         caller can verify the secure response binding."""
         request = Pdu(self.name, dst, "data", payload)
-        future = self.sim.future()
-        self._pending_rpcs[request.corr_id] = future
-        self.send_pdu(request)
+        future = self._call(
+            request, timeout, f"op {payload.get('op')} to {dst.human()}"
+        )
         if self.qos is not None:
             self.qos.request_sent(request.corr_id)
 
             def qos_watch(fut, corr_id=request.corr_id):
-                from repro.errors import TimeoutError_
-
-                if fut._error is not None and isinstance(
-                    fut._error, TimeoutError_
-                ):
+                if isinstance(fut._error, TimeoutError_):
                     self.qos.request_timed_out(corr_id)
 
-        if timeout is not None:
-            future = self.sim.timeout(
-                future, timeout, f"op {payload.get('op')} to {dst.human()}"
-            )
-        if self.qos is not None:
             future.add_callback(qos_watch)
         return request.corr_id, future
 
@@ -136,10 +127,12 @@ class GdpClient(Endpoint):
         or RPC timeout invalidates the cached resolution (ours *and*
         the router's, via ``T_ROUTE_INVALIDATE``), backs off, and
         retries — the name re-resolves through the hierarchy and
-        anycast lands on the next replica.  Returns
-        ``(corr_id, wrapped)``; server refusals and verification
-        failures are never retried (a different replica would refuse
-        too, and hammering on an integrity failure helps an attacker).
+        anycast lands on the next replica.  Returns the verified
+        ``(body, server)``; server refusals and verification failures
+        are never retried (a different replica would refuse too, and
+        hammering on an integrity failure helps an attacker).  Only a
+        verified answer updates the resolution cache: a forged one must
+        not aim a later route-failure report at an innocent replica.
         """
         policy = policy or self.failover
         last_error: GdpError | None = None
@@ -157,26 +150,35 @@ class GdpClient(Endpoint):
                 if attempt + 1 < max(policy.attempts, 1):
                     yield policy.delay(attempt)
                 continue
-            server = self._server_of(wrapped)
+            body, server = self._open(
+                wrapped, corr_id=corr_id, capsule=capsule
+            )
             if server is not None:
                 self._resolutions[capsule] = server
-            return corr_id, wrapped
+            return self._ok(body), server
         assert last_error is not None
         raise last_error
 
-    def _unwrap(
+    def _open(
         self,
         wrapped: Any,
         *,
         corr_id: int,
         capsule: GdpName | None = None,
         session_with: GdpName | None = None,
-    ) -> dict:
-        """Verify the secure-response envelope and the op-level result;
-        returns the body.  Raises on any verification or server-reported
-        failure."""
+    ) -> tuple[dict, GdpName | None]:
+        """Verify the secure-response envelope; returns ``(body,
+        server)`` — the answering server as verification established it
+        (``verify=False``: a best-effort parse; HMAC responses: none)."""
+        server = None
         if not self.verify:
             body = wrapped.get("body", wrapped)
+            try:  # whom a ``sig`` response *claims* to be from
+                server = Metadata.from_wire(
+                    wrapped["auth"]["server_metadata"]
+                ).name
+            except (KeyError, TypeError, GdpError):
+                pass
         elif (
             session_with is not None
             and session_with in self._sessions
@@ -190,39 +192,30 @@ class GdpClient(Endpoint):
                 corr_id=corr_id,
             )
         else:
-            body = verify_signed_response(
+            body, server = verify_signed_response(
                 wrapped,
                 client=self.name,
                 corr_id=corr_id,
                 capsule=capsule,
                 now=self.sim.now,
+                with_server=True,
             )
-        if self.qos is not None and isinstance(wrapped, dict):
-            auth = wrapped.get("auth", {})
-            if auth.get("mode") == "sig" and "server_metadata" in auth:
-                try:
-                    server = Metadata.from_wire(auth["server_metadata"]).name
-                    self.qos.response_attributed(
-                        corr_id, server, bool(body.get("ok"))
-                    )
-                except GdpError:
-                    pass
+        if self.qos is not None and server is not None:
+            self.qos.response_attributed(corr_id, server, bool(body.get("ok")))
+        return body, server
+
+    @staticmethod
+    def _ok(body: dict) -> dict:
+        """The body, unless it reports a server-side failure."""
         if not body.get("ok"):
             raise CapsuleError(body.get("error", "server refused"))
         return body
 
-    def _server_of(self, wrapped: Any) -> GdpName | None:
-        """The verified identity of the answering server (for result
-        envelopes), when the secure response carries one."""
-        if not isinstance(wrapped, dict):
-            return None
-        auth = wrapped.get("auth", {})
-        if "server_metadata" not in auth:
-            return None
-        try:
-            return Metadata.from_wire(auth["server_metadata"]).name
-        except GdpError:
-            return None
+    def _unwrap(self, wrapped: Any, **binding: Any) -> dict:
+        """Verify the secure-response envelope and the op-level result;
+        returns the body.  Raises on any verification or server-reported
+        failure."""
+        return self._ok(self._open(wrapped, **binding)[0])
 
     def _reader(self, capsule: GdpName) -> VerifyingReader:
         if capsule not in self.readers:
@@ -237,10 +230,9 @@ class GdpClient(Endpoint):
         reader = self._reader(capsule)
         if reader._capsule is not None:
             return reader.capsule.metadata
-        corr_id, wrapped = yield from self.failover_request(
+        body, _ = yield from self.failover_request(
             capsule, {"op": "metadata", "capsule": capsule.raw}
         )
-        body = self._unwrap(wrapped, corr_id=corr_id, capsule=capsule)
         metadata = Metadata.from_wire(body["metadata"])
         reader.accept_metadata(metadata)
         return metadata
@@ -255,12 +247,11 @@ class GdpClient(Endpoint):
         start = self.sim.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
-        corr_id, wrapped = yield from self.failover_request(
+        body, server = yield from self.failover_request(
             capsule,
             {"op": "read", "capsule": capsule.raw, "seqno": seqno},
             timeout=timeout,
         )
-        body = self._unwrap(wrapped, corr_id=corr_id, capsule=capsule)
         record = Record.from_wire(capsule, body["record"])
         proof = PositionProof.from_wire(body["proof"])
         if self.verify:
@@ -268,7 +259,7 @@ class GdpClient(Endpoint):
         return ReadResult(
             [record],
             proof=proof,
-            server=self._server_of(wrapped),
+            server=server,
             rtt=self.sim.now - start,
         )
 
@@ -285,7 +276,7 @@ class GdpClient(Endpoint):
         start = self.sim.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
-        corr_id, wrapped = yield from self.failover_request(
+        body, server = yield from self.failover_request(
             capsule,
             {
                 "op": "read_range",
@@ -295,7 +286,6 @@ class GdpClient(Endpoint):
             },
             timeout=timeout,
         )
-        body = self._unwrap(wrapped, corr_id=corr_id, capsule=capsule)
         records = [Record.from_wire(capsule, w) for w in body["records"]]
         proof = RangeProof.from_wire(body["proof"])
         if self.verify:
@@ -303,7 +293,7 @@ class GdpClient(Endpoint):
         return ReadResult(
             records,
             proof=proof,
-            server=self._server_of(wrapped),
+            server=server,
             rtt=self.sim.now - start,
         )
 
@@ -315,10 +305,9 @@ class GdpClient(Endpoint):
         start = self.sim.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
-        corr_id, wrapped = yield from self.failover_request(
+        body, server = yield from self.failover_request(
             capsule, {"op": "latest", "capsule": capsule.raw}, timeout=timeout
         )
-        body = self._unwrap(wrapped, corr_id=corr_id, capsule=capsule)
         if body.get("empty"):
             return None
         record = Record.from_wire(capsule, body["record"])
@@ -329,7 +318,7 @@ class GdpClient(Endpoint):
         return ReadResult(
             [record],
             proof=proof,
-            server=self._server_of(wrapped),
+            server=server,
             rtt=self.sim.now - start,
         )
 
@@ -373,8 +362,10 @@ class GdpClient(Endpoint):
             # Any failure here (timeout, no-route, refusal) propagates:
             # strict mode must not silently drop a replica's answer.
             wrapped = yield future
-            body = self._unwrap(wrapped, corr_id=corr_id, capsule=capsule)
-            if body.get("empty"):
+            body, signer = self._open(
+                wrapped, corr_id=corr_id, capsule=capsule
+            )
+            if self._ok(body).get("empty"):
                 continue
             record = Record.from_wire(capsule, body["record"])
             proof = PositionProof.from_wire(body["proof"])
@@ -382,7 +373,7 @@ class GdpClient(Endpoint):
                 proof.verify_record(record, reader.capsule.writer_key)
             if best is None or record.seqno > best.seqno:
                 best, best_proof = record, proof
-                best_server = self._server_of(wrapped) or server
+                best_server = signer or server
         if best is None:
             return None
         if self.verify and best_proof is not None:
@@ -407,16 +398,11 @@ class GdpClient(Endpoint):
         """Open the (strict or quasi, per metadata) single-writer handle
         for a capsule this client holds the writer key of."""
         capsule = DataCapsule(metadata)
-        if metadata.properties.get("writer_mode") == MODE_QSW:
-            writer: CapsuleWriter = QuasiWriter(
-                capsule, writer_key, state_path=state_path,
-                clock=lambda: int(self.sim.now * 1000),
-            )
-        else:
-            writer = CapsuleWriter(
-                capsule, writer_key, state_path=state_path,
-                clock=lambda: int(self.sim.now * 1000),
-            )
+        quasi = metadata.properties.get("writer_mode") == MODE_QSW
+        writer = (QuasiWriter if quasi else CapsuleWriter)(
+            capsule, writer_key, state_path=state_path,
+            clock=lambda: int(self.sim.now * 1000),
+        )
         return ClientWriter(self, writer, acks=acks)
 
     # -- subscriptions ----------------------------------------------------------
@@ -455,12 +441,10 @@ class GdpClient(Endpoint):
         payload: dict = {"op": "subscribe", "capsule": capsule.raw}
         if sub.subgrant is not None:
             payload["subgrant"] = sub.subgrant.to_wire()
-        corr_id, wrapped = yield from self.failover_request(
+        body, sub.server = yield from self.failover_request(
             capsule, payload, timeout=timeout
         )
-        body = self._unwrap(wrapped, corr_id=corr_id, capsule=capsule)
         from_seqno = body["from_seqno"]
-        sub.server = self._server_of(wrapped)
         if sub.last_delivered is None:
             # Initial subscribe: only *future* records are promised.
             sub.last_delivered = from_seqno - 1
@@ -576,11 +560,14 @@ class ClientWriter:
         """The last locally minted sequence number."""
         return self.writer.last_seqno
 
-    def _unwrap_append(self, wrapped: Any, corr_id: int) -> dict:
+    def _unwrap_append(
+        self, wrapped: Any, corr_id: int
+    ) -> tuple[dict, GdpName | None]:
+        body, server = self.client._open(
+            wrapped, corr_id=corr_id, capsule=self.capsule_name
+        )
         try:
-            return self.client._unwrap(
-                wrapped, corr_id=corr_id, capsule=self.capsule_name
-            )
+            return self.client._ok(body), server
         except CapsuleError as exc:
             if "durability" in str(exc):
                 raise DurabilityError(str(exc)) from exc
@@ -612,11 +599,11 @@ class ClientWriter:
             timeout=timeout,
         )
         wrapped = yield future
-        body = self._unwrap_append(wrapped, corr_id)
+        body, server = self._unwrap_append(wrapped, corr_id)
         return AppendReceipt(
             [record],
             acks=body.get("acks", 1),
-            server=self.client._server_of(wrapped),
+            server=server,
             rtt=self.client.sim.now - start,
             batches=1,
         )
@@ -711,12 +698,11 @@ class ClientWriter:
             corr_id, fut = completed.popleft()
             inflight -= 1
             wrapped = fut.result()  # re-raises timeout / transport errors
-            body = self._unwrap_append(wrapped, corr_id)
+            body, server = self._unwrap_append(wrapped, corr_id)
             batch_acks = body.get("acks", 1)
             min_acks = (
                 batch_acks if min_acks is None else min(min_acks, batch_acks)
             )
-            server = self.client._server_of(wrapped)
             if server is not None:
                 last_server = server
         return AppendReceipt(

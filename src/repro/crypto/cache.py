@@ -1,31 +1,39 @@
 """Process-wide bounded caches for the crypto hot path.
 
-Two memoization layers sit here, shared by every subsystem that signs,
-verifies, or hashes:
+Four memoization layers sit here, shared by every subsystem that signs,
+verifies, or hashes.  Each key commits to *every* input of the pure
+function it short-cuts, so changed content can never inherit an entry:
 
-- the **signature cache**: ECDSA verification is a pure function of
-  ``(public key, message digest, signature)``, and the same triple is
-  re-verified on every anti-entropy merge, ``verify_history`` walk, and
-  proof check.  A triple that verified once per process is never
-  re-laddered.  Only *successes* are remembered, so a forged signature
-  can never turn into a hit — it always re-verifies (and fails).
-- the **record-digest cache**: record digests are a pure function of the
-  header content ``(capsule, seqno, payload_hash, pointers)``.  Caching
-  them means ``merge_from``, the simtest oracles, proof verification,
-  and storage replay stop re-encoding the same immutable objects.
-  Tampered content necessarily changes the key, so a corrupted record
-  can never inherit a cached digest.
+- the **signature cache**, keyed ``(public key, message digest,
+  signature)``: the same triple is re-verified on every anti-entropy
+  merge, ``verify_history`` walk, and proof check; one that verified
+  once is never re-laddered.  Only *successes* are remembered, so a
+  forged signature never becomes a hit — it re-verifies (and fails).
+- the **record-digest cache**, keyed on the full header content
+  ``(capsule, seqno, payload_hash, pointers)``: ``merge_from``, the
+  simtest oracles, proof verification, and storage replay stop
+  re-encoding the same immutable objects; tampered content changes the
+  key.
+- the **key intern**, keyed on the exact SEC1 encoding: decompressing a
+  point is a 256-bit modular square root, and one response names the
+  same few keys five times.  Only validated points are kept; a
+  malformed encoding raises every time.
+- the **verified-metadata memo**, keyed ``(name, signature)``, *name*
+  being the hash ``Metadata.__init__`` computes locally from the
+  received content (never a name the peer supplied), so it commits to
+  the properties and the owner key inside them.  Successes only;
+  expected-name, expiry and binding checks stay with the caller.
 
-Both caches are LRU-bounded (a long-running server must not grow without
-bound) and instrumented: module-level counters (``crypto.sign``,
-``crypto.verify``, ``crypto.verify_cached``, ``crypto.encode``,
-``crypto.encode_cached``) are always collected and can additionally be
-mirrored into a :class:`~repro.runtime.metrics.MetricsRegistry` via
-:func:`bind_metrics` (``SimNetwork.enable_node_metrics`` does this under
-the ``crypto`` scope).
+All are LRU-bounded (a long-running server must not grow without bound).
+Module-level counters (``crypto.sign``, ``crypto.verify``,
+``crypto.verify_cached``, ``crypto.encode``, ``crypto.encode_cached``)
+are always collected and can be mirrored into a
+:class:`~repro.runtime.metrics.MetricsRegistry` via :func:`bind_metrics`
+(``SimNetwork.enable_node_metrics`` does, under the ``crypto`` scope);
+the last two caches sit in front of verification and count nothing.
 
 The environment variable ``GDP_CRYPTO_ACCEL=0`` — or
-:func:`set_accel_enabled` at runtime — disables both caches *and* the
+:func:`set_accel_enabled` at runtime — disables the caches *and* the
 precomputed-table paths in :mod:`repro.crypto.ec`, forcing the naive
 reference implementations (used by benchmarks to measure the speedup and
 by property tests to cross-check bit-identity).
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "LruCache",
@@ -81,20 +89,18 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def __repr__(self) -> str:
-        return f"LruCache({len(self._data)}/{self.maxsize})"
-
 
 _enabled = os.environ.get("GDP_CRYPTO_ACCEL", "1") != "0"
 
 VERIFY_CACHE_SIZE = 8192
 DIGEST_CACHE_SIZE = 16384
+EVIDENCE_CACHE_SIZE = 4096
 
 _VERIFIED: LruCache = LruCache(VERIFY_CACHE_SIZE)
 _DIGESTS: LruCache = LruCache(DIGEST_CACHE_SIZE)
+_KEYS: LruCache = LruCache(EVIDENCE_CACHE_SIZE)
+_METADATA: LruCache = LruCache(EVIDENCE_CACHE_SIZE)
+_CACHES = (_VERIFIED, _DIGESTS, _KEYS, _METADATA)
 
 _COUNTERS: dict[str, int] = {
     "crypto.sign": 0,
@@ -120,8 +126,8 @@ def set_accel_enabled(flag: bool) -> None:
     global _enabled
     _enabled = bool(flag)
     if not _enabled:
-        _VERIFIED.clear()
-        _DIGESTS.clear()
+        for cache in _CACHES:
+            cache.clear()
 
 
 def bind_metrics(node_metrics) -> None:
@@ -150,8 +156,8 @@ def counters() -> dict[str, int]:
 
 def reset() -> None:
     """Clear caches and zero counters (test isolation)."""
-    _VERIFIED.clear()
-    _DIGESTS.clear()
+    for cache in _CACHES:
+        cache.clear()
     for name in _COUNTERS:
         _COUNTERS[name] = 0
 
@@ -183,6 +189,28 @@ def remember_verified(pub: bytes, digest: bytes, signature: bytes) -> None:
 def count_verify() -> None:
     """Record one real (non-cached) ECDSA verification."""
     _inc("crypto.verify")
+
+
+def intern_key(encoded: bytes, decode: Callable[[bytes], Any]) -> Any:
+    """``decode(encoded)``, run once per distinct encoding.  *decode*
+    raises on malformed input, so only validated keys are kept."""
+    key = _KEYS.get(encoded) if _enabled else None
+    if key is None:
+        key = decode(encoded)
+        if _enabled:
+            _KEYS.put(encoded, key)
+    return key
+
+
+def metadata_verified(name_raw: bytes, signature: bytes) -> bool:
+    """True iff metadata named *name_raw* verified under *signature*."""
+    return _enabled and _METADATA.get((name_raw, signature)) is True
+
+
+def remember_metadata(name_raw: bytes, signature: bytes) -> None:
+    """Remember a *successful* metadata verification."""
+    if _enabled:
+        _METADATA.put((name_raw, signature), True)
 
 
 # -- record-digest memoization ------------------------------------------------

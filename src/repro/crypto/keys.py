@@ -41,9 +41,12 @@ class VerifyingKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerifyingKey":
-        """Deserialize from bytes; raises on malformed input."""
+        """Deserialize from bytes; raises on malformed input.  Keys are
+        immutable, so each encoding is decompressed once per process."""
         try:
-            return cls(ec.decode_point(bytes(data)))
+            return _cache.intern_key(
+                bytes(data), lambda raw: cls(ec.decode_point(raw))
+            )
         except ValueError as exc:
             raise SignatureError(f"malformed public key: {exc}") from exc
 
@@ -108,8 +111,6 @@ class SigningKey:
     def from_seed(cls, seed: bytes) -> "SigningKey":
         """Derive a key deterministically from *seed* (test fixtures and
         simulation reproducibility; do not use for production keys)."""
-        import hashlib
-
         counter = 0
         while True:
             digest = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()

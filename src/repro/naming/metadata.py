@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro import encoding
+from repro.crypto import cache as _cache
 from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.errors import NameError_, SignatureError
 from repro.naming.names import GdpName
@@ -109,13 +110,17 @@ class Metadata:
 
     def verify(self, expected_name: GdpName | None = None) -> None:
         """Verify self-certification: name matches the content hash and
-        the owner's signature is valid.  Raises on failure."""
+        the owner's signature is valid.  Raises on failure.  (The name
+        hashes the signed content: one that passed is not re-checked.)"""
         if expected_name is not None and self._name != expected_name:
             raise NameError_(
                 f"metadata hashes to {self._name!r}, expected {expected_name!r}"
             )
+        if _cache.metadata_verified(self._name.raw, self.signature):
+            return
         if not self.owner_key.verify(self.signing_preimage(), self.signature):
             raise SignatureError("metadata owner signature invalid")
+        _cache.remember_metadata(self._name.raw, self.signature)
 
     def to_wire(self) -> dict:
         """Wire-encodable representation.

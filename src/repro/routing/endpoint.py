@@ -255,14 +255,17 @@ class Endpoint(Node):
     ) -> Future:
         """Send a request PDU to a name; the future resolves with the
         response payload (or fails on no-route / timeout)."""
-        request = Pdu(self.name, dst, ptype, payload)
+        return self._call(
+            Pdu(self.name, dst, ptype, payload), timeout, f"rpc to {dst.human()}"
+        )
+
+    def _call(self, request: Pdu, timeout: float | None, what: str) -> Future:
+        """Send *request*; its response settles the returned future."""
         future = self.sim.future()
         self._pending_rpcs[request.corr_id] = future
         self.send_pdu(request)
         if timeout is not None:
-            return self.sim.timeout(
-                future, timeout, f"rpc to {dst.human()}"
-            )
+            return self.sim.timeout(future, timeout, what)
         return future
 
     # -- inbound dispatch ----------------------------------------------------

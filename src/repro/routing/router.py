@@ -31,6 +31,7 @@ throughput ceiling.
 from __future__ import annotations
 
 import secrets
+from collections import deque
 from typing import Any
 
 from repro.errors import AdvertisementError, RoutingError
@@ -95,6 +96,8 @@ class GdpRouter(Node):
         #: how long a replica reported dead by a client is steered around
         self.quarantine_ttl = quarantine_ttl
         self._busy_until = 0.0
+        #: PDUs waiting out their service time, in arrival order
+        self._inbox: deque[tuple[Pdu, Any]] = deque()
         self._egress_busy_until = 0.0
         #: directly attached endpoints (advertisement bindings); these
         #: are ground truth, not cache, and survive FIB flushes
@@ -148,7 +151,8 @@ class GdpRouter(Node):
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + self.service_time
         delay = self._busy_until - self.sim.now
-        self.sim.schedule(delay, self._process, message, peer)
+        self._inbox.append((message, peer))
+        self.sim.schedule(delay, self._process)
 
     def _send_pdu(self, next_hop: Node, pdu: Pdu) -> None:
         if self.pipeline:
@@ -171,7 +175,10 @@ class GdpRouter(Node):
 
     # -- control plane: secure advertisement ------------------------------
 
-    def _process(self, pdu: Pdu, from_node: Node) -> None:
+    def _process(self) -> None:
+        # Serve the *oldest* PDU: arrival order holds even where a
+        # wall-clock loop runs a short delay before an earlier long timer.
+        pdu, from_node = self._inbox.popleft()
         if pdu.dst == self.name:
             self._handle_control(pdu, from_node)
             return

@@ -57,25 +57,22 @@ class Future:
             raise self._error
         return self._value
 
-    def resolve(self, value: Any = None) -> None:
-        """Resolve with *value* (idempotent; later calls ignored)."""
+    def _settle(self, value: Any, error: BaseException | None) -> None:
         if self._done:
             return
         self._done = True
-        self._value = value
+        self._value, self._error = value, error
         for waiter in self._waiters:
             self.ctx.schedule(0.0, waiter, self)
         self._waiters.clear()
 
+    def resolve(self, value: Any = None) -> None:
+        """Resolve with *value* (idempotent; later calls ignored)."""
+        self._settle(value, None)
+
     def fail(self, error: BaseException) -> None:
         """Fail with *error* (idempotent; later calls ignored)."""
-        if self._done:
-            return
-        self._done = True
-        self._error = error
-        for waiter in self._waiters:
-            self.ctx.schedule(0.0, waiter, self)
-        self._waiters.clear()
+        self._settle(None, error)
 
     def add_callback(self, fn: Callable[["Future"], None]) -> None:
         """Invoke *fn* with this future once it settles."""
@@ -156,8 +153,9 @@ class RuntimeContext:
         """Current time in seconds (virtual or monotonic wall clock)."""
         raise NotImplementedError
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` *delay* seconds from now."""
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> Any:
+        """Run ``fn(*args)`` *delay* seconds from now; returns a handle
+        whose ``cancel()`` drops the callback if it has not run."""
         raise NotImplementedError
 
     def future(self) -> Future:
@@ -175,21 +173,16 @@ class RuntimeContext:
         wrapped = self.future()
 
         def on_done(fut: Future) -> None:
-            if wrapped.done:
-                return
-            try:
-                wrapped.resolve(fut.result())
-            except BaseException as exc:  # noqa: BLE001
-                wrapped.fail(exc)
+            # A settled RPC must not leave its deadline (and, through
+            # this closure, its response) in the timer heap for 30-60 s.
+            timer.cancel()
+            wrapped._settle(fut._value, fut._error)
 
         def on_deadline() -> None:
-            if not wrapped.done:
-                wrapped.fail(
-                    TimeoutError_(f"timed out after {deadline}s: {what}")
-                )
+            wrapped.fail(TimeoutError_(f"timed out after {deadline}s: {what}"))
 
         future.add_callback(on_done)
-        self.schedule(deadline, on_deadline)
+        timer = self.schedule(deadline, on_deadline)
         return wrapped
 
     def gather(self, futures: Iterable[Future]) -> Future:
@@ -239,7 +232,6 @@ class AsyncioContext(RuntimeContext):
     def __init__(self, loop=None):
         import asyncio
 
-        self._asyncio = asyncio
         self.loop = loop if loop is not None else asyncio.new_event_loop()
 
     @property
@@ -247,7 +239,7 @@ class AsyncioContext(RuntimeContext):
         """The event loop's monotonic clock."""
         return self.loop.time()
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> Any:
         """Run ``fn(*args)`` on the loop after *delay* seconds.
 
         Negative delays clamp to "run now": against a wall clock,
@@ -255,11 +247,14 @@ class AsyncioContext(RuntimeContext):
         element code computing ``deadline - now`` legitimately lands a
         hair in the past (the simulator, whose clock only advances
         between callbacks, keeps its strict negative-delay error).
+
+        So does any delay under the selector's 1 ms granularity (a
+        router's 8.3 us model service time, armed as a timer, stalls the
+        loop for 1 ms); ``call_soon`` still polls I/O between callbacks.
         """
-        if delay <= 0:
-            self.loop.call_soon(fn, *args)
-        else:
-            self.loop.call_later(delay, fn, *args)
+        if delay < 1e-3:
+            return self.loop.call_soon(fn, *args)
+        return self.loop.call_later(delay, fn, *args)
 
     def as_asyncio_future(self, future: Future):
         """Bridge a runtime :class:`Future` into an awaitable

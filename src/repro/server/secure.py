@@ -81,8 +81,10 @@ def verify_signed_response(
     corr_id: int,
     capsule: GdpName | None = None,
     now: float = 0.0,
+    with_server: bool = False,
 ) -> Any:
-    """Verify a signed secure response; returns the body.
+    """Verify a signed secure response; returns the body — with
+    ``with_server=True``, ``(body, name of the server just verified)``.
 
     When *capsule* is given, the attached service chain must prove the
     responding server is delegated for that capsule — this is what stops
@@ -119,7 +121,7 @@ def verify_signed_response(
             raise IntegrityError(
                 "delegation chain names a different server than the signer"
             )
-    return body
+    return (body, server_metadata.name) if with_server else body
 
 
 def mac_response(

@@ -29,6 +29,20 @@ from repro.runtime.context import Future, Process, RuntimeContext
 __all__ = ["Simulator", "Future", "Process"]
 
 
+def _cancelled() -> None:
+    """What a cancelled event runs when its time comes."""
+
+
+class _Event(list):
+    """A queue entry ``[time, seq, fn, args]`` and its own handle: a
+    cancelled one still pops at its time (clock and counts hold)."""
+
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        self[2:] = (_cancelled, ())
+
+
 class Simulator(RuntimeContext):
     """The event loop: a priority queue over (time, seq) keys.
 
@@ -39,7 +53,7 @@ class Simulator(RuntimeContext):
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, Callable, tuple]] = []
+        self._queue: list[_Event] = []
         self._seq = 0
         #: True while run()/run_process() is draining the queue — sync
         #: facades (the DHT tier) check it to decide whether driving the
@@ -51,12 +65,14 @@ class Simulator(RuntimeContext):
         """Current (simulated) time."""
         return self._now
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> _Event:
         """Run ``fn(*args)`` *delay* simulated seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        event = _Event((self._now + delay, self._seq, fn, args))
+        heapq.heappush(self._queue, event)
+        return event
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""

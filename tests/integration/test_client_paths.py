@@ -70,6 +70,48 @@ class TestClientRejections:
 
         assert g.run(scenario())
 
+    def test_forged_response_cannot_repoint_the_resolution_cache(
+        self, mini_gdp
+    ):
+        """Only a *verified* answer names the replica a later
+        route-failure report will quarantine: a forged envelope quoting
+        an innocent server's (public) metadata must not."""
+        g = mini_gdp
+        client = g.reader_client
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append(b"one")
+            yield 0.5
+            genuine = (yield from client.read(metadata.name, 1)).server
+            assert client._resolutions[metadata.name] == genuine
+            innocent = next(
+                server
+                for server in (g.server_root, g.server_edge)
+                if server.name != genuine
+            )
+
+            def forged_request(dst, payload, **kwargs):
+                future = client.sim.future()
+                future.resolve({
+                    "body": {"ok": True},
+                    "auth": {
+                        "mode": "sig",
+                        "server_metadata": innocent.metadata.to_wire(),
+                        "signature": bytes(64),
+                    },
+                })
+                return 77, future
+
+            client.request = forged_request
+            with pytest.raises(GdpError):
+                yield from client.read(metadata.name, 1)
+            return client._resolutions[metadata.name] == genuine
+
+        assert g.run(scenario())
+
     def test_two_capsules_do_not_cross_talk(self, mini_gdp):
         g = mini_gdp
 

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import MerkleTree, SigningKey, chacha
-from repro.crypto import ec
+from repro.crypto import MerkleTree, SigningKey, VerifyingKey, chacha
+from repro.crypto import cache, ec
+from repro.errors import SignatureError
 
 
 # One fixed key pair: keygen is the expensive part, the properties are
@@ -43,6 +44,42 @@ class TestPointProperties:
     def test_point_encoding_roundtrip(self, k):
         point = ec.scalar_mult(k, ec.GENERATOR)
         assert ec.decode_point(ec.encode_point(point)) == point
+
+
+def _decode(data):
+    """``from_bytes`` as an outcome: the key's point, or the refusal."""
+    try:
+        return VerifyingKey.from_bytes(data).point
+    except SignatureError:
+        return SignatureError
+
+
+class TestKeyInternProperties:
+    #: compressed-looking encodings (about half name a curve point),
+    #: genuine keys, and arbitrary junk
+    encodings = st.one_of(
+        st.tuples(
+            st.sampled_from([b"\x02", b"\x03"]),
+            st.binary(min_size=32, max_size=32),
+        ).map(b"".join),
+        st.integers(1, ec.N - 1).map(
+            lambda k: ec.encode_point(ec.scalar_mult(k, ec.GENERATOR))
+        ),
+        st.binary(max_size=66),
+    )
+
+    @given(encodings)
+    @settings(max_examples=60, deadline=None)
+    def test_interned_from_bytes_is_a_fresh_decode(self, data):
+        cold, warm = _decode(data), _decode(data)
+        cache.set_accel_enabled(False)
+        try:
+            fresh = _decode(data)
+        finally:
+            cache.set_accel_enabled(True)
+        assert cold == warm == fresh
+        if fresh is SignatureError:
+            assert cache._KEYS.get(bytes(data)) is None
 
 
 class TestAccelBitIdentity:

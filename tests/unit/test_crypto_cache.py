@@ -1,7 +1,7 @@
 """The crypto memoization layer: LRU semantics, signature-cache safety
 ("a cache must never turn a forged signature into a hit"), the
 record-digest cache, counter wiring, and the one-encode-per-record
-regression guard."""
+regression guard, the key intern and the verified-metadata memo."""
 
 import hashlib
 
@@ -9,8 +9,21 @@ import pytest
 
 from repro.capsule.records import Record, metadata_anchor
 from repro.crypto import cache, ec, ecdsa
-from repro.crypto.keys import SigningKey
-from repro.naming import GdpName
+from repro.crypto.keys import SigningKey, VerifyingKey
+from repro.delegation import AdCert, ServiceChain
+from repro.errors import (
+    DelegationError,
+    IntegrityError,
+    NameError_,
+    SignatureError,
+)
+from repro.naming import (
+    GdpName,
+    Metadata,
+    make_capsule_metadata,
+    make_server_metadata,
+)
+from repro.server.secure import sign_response, verify_signed_response
 
 NAME = GdpName(b"\x33" * 32)
 
@@ -208,6 +221,197 @@ class TestRecordDigestCache:
             NAME.raw, 1, b"\x00" * 32, [[1, bytearray(b"x")]]
         )
         assert len(digest) == 32
+
+
+def malformed_keys():
+    """One encoding per way ``from_bytes`` must refuse."""
+    good = SigningKey.from_seed(b"intern-malformed").public.to_bytes()
+    return {
+        "bad prefix": b"\x05" + good[1:],
+        "x >= P": b"\x02" + ec.P.to_bytes(32, "big"),
+        "off curve": b"\x02" + (1).to_bytes(32, "big"),  # x=1: no such y
+        "wrong length": good[:-1],
+        "infinity": b"\x00",
+    }
+
+
+class TestKeyIntern:
+    def test_interned_equals_fresh_decode(self):
+        encoded = SigningKey.from_seed(b"intern-a").public.to_bytes()
+        first = VerifyingKey.from_bytes(encoded)
+        again = VerifyingKey.from_bytes(bytearray(encoded))
+        assert again is first  # decoded once
+        cache.set_accel_enabled(False)
+        try:
+            fresh = VerifyingKey.from_bytes(encoded)
+        finally:
+            cache.set_accel_enabled(True)
+        assert fresh is not first
+        assert fresh == first and fresh.point == first.point
+
+    @pytest.mark.parametrize("case", sorted(malformed_keys()))
+    def test_malformed_raises_before_and_after_a_hit(self, case):
+        bad = malformed_keys()[case]
+        good = SigningKey.from_seed(b"intern-malformed").public.to_bytes()
+        for _ in range(2):
+            with pytest.raises(SignatureError):
+                VerifyingKey.from_bytes(bad)
+            VerifyingKey.from_bytes(good)  # warm the neighbouring entry
+        assert cache._KEYS.get(bad) is None
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(cache._KEYS, "maxsize", 4)
+        for i in range(12):
+            encoded = SigningKey.from_seed(b"intern-%d" % i).public.to_bytes()
+            VerifyingKey.from_bytes(encoded)
+        assert len(cache._KEYS) == 4
+
+
+class TestVerifiedMetadataMemo:
+    OWNER = SigningKey.from_seed(b"memo-owner")
+
+    def metadata(self, label="a"):
+        return make_server_metadata(
+            self.OWNER, self.OWNER.public, extra={"label": label}
+        )
+
+    def test_second_verify_skips_encode_and_signature(self):
+        metadata = self.metadata()
+        received = Metadata.from_wire(metadata.to_wire())
+        received.verify()
+        before = cache.counters()
+        Metadata.from_wire(metadata.to_wire()).verify()
+        # in front of the signature cache: neither counter moves
+        assert cache.counters() == before
+        assert len(cache._METADATA) == 1
+
+    def test_forged_signature_never_memoised(self):
+        wire = self.metadata().to_wire()
+        wire["signature"] = bytes(64)
+        for _ in range(3):
+            with pytest.raises(SignatureError):
+                Metadata.from_wire(wire).verify()
+        assert len(cache._METADATA) == 0
+
+    def test_forgery_misses_beside_a_warm_genuine_entry(self):
+        genuine = self.metadata()
+        genuine.verify()
+        other_signature = self.metadata("b").signature
+        forged = Metadata(genuine.kind, genuine.properties, other_signature)
+        assert forged.name == genuine.name
+        for _ in range(2):
+            with pytest.raises(SignatureError):
+                forged.verify()
+
+    def test_flipped_property_byte_changes_name_and_misses(self):
+        genuine = self.metadata()
+        genuine.verify()
+        properties = dict(genuine.properties, label="b")
+        tampered = Metadata(genuine.kind, properties, genuine.signature)
+        assert tampered.name != genuine.name
+        for _ in range(2):
+            with pytest.raises(SignatureError):
+                tampered.verify()
+
+    def test_expected_name_checked_on_every_call(self):
+        metadata = self.metadata()
+        metadata.verify()
+        for _ in range(2):
+            with pytest.raises(NameError_):
+                metadata.verify(expected_name=NAME)
+        metadata.verify(expected_name=metadata.name)
+
+    def test_disabled_accel_bypasses_and_clears(self):
+        metadata = self.metadata()
+        metadata.verify()
+        VerifyingKey.from_bytes(self.OWNER.public.to_bytes())
+        assert len(cache._METADATA) == 1 and len(cache._KEYS) >= 1
+        cache.set_accel_enabled(False)
+        try:
+            assert len(cache._METADATA) == 0 and len(cache._KEYS) == 0
+            metadata.verify()
+            metadata.verify()
+            assert len(cache._METADATA) == 0 and len(cache._KEYS) == 0
+        finally:
+            cache.set_accel_enabled(True)
+
+    def test_reset_clears(self):
+        self.metadata().verify()
+        cache.reset()
+        assert len(cache._METADATA) == 0 and len(cache._KEYS) == 0
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(cache._METADATA, "maxsize", 3)
+        for i in range(8):
+            self.metadata(str(i)).verify()
+        assert len(cache._METADATA) == 3
+
+
+class TestWarmCachesStillCheckEverything:
+    """The checks the memos do *not* cover run on every presentation:
+    each rejection repeats identically once every cache is warm."""
+
+    CLIENT = GdpName(b"\xc1" * 32)
+
+    @pytest.fixture()
+    def world(self):
+        owner = SigningKey.from_seed(b"warm-owner")
+        server = SigningKey.from_seed(b"warm-server")
+        capsule_md = make_capsule_metadata(owner, owner.public)
+        server_md = make_server_metadata(server, server.public)
+
+        def response(corr_id, *, capsule=capsule_md, expires_at=None):
+            adcert = AdCert.issue(
+                owner, capsule.name, server_md.name, expires_at=expires_at
+            )
+            chain = ServiceChain(capsule, adcert, server_md)
+            return sign_response(
+                server, server_md, chain, self.CLIENT, corr_id, {"ok": True}
+            )
+
+        warm = response(1)
+        for _ in range(2):  # every memo now holds this evidence
+            verify_signed_response(
+                warm, client=self.CLIENT, corr_id=1, capsule=capsule_md.name
+            )
+        return owner, capsule_md, response
+
+    def rejected_twice(self, error, wrapped, **binding):
+        for _ in range(2):
+            with pytest.raises(error):
+                verify_signed_response(
+                    wrapped, client=self.CLIENT, **binding
+                )
+
+    def test_forged_metadata_signature(self, world):
+        _, capsule_md, response = world
+        wrapped = response(2)
+        wrapped["auth"]["server_metadata"]["signature"] = bytes(64)
+        self.rejected_twice(
+            SignatureError, wrapped, corr_id=2, capsule=capsule_md.name
+        )
+
+    def test_expired_adcert(self, world):
+        _, capsule_md, response = world
+        wrapped = response(3, expires_at=10.0)
+        binding = dict(corr_id=3, capsule=capsule_md.name)
+        verify_signed_response(wrapped, client=self.CLIENT, now=9.0, **binding)
+        self.rejected_twice(DelegationError, wrapped, now=11.0, **binding)
+
+    def test_chain_for_another_capsule(self, world):
+        owner, capsule_md, response = world
+        other = make_capsule_metadata(owner, owner.public, extra={"n": 2})
+        wrapped = response(4, capsule=other)
+        self.rejected_twice(
+            IntegrityError, wrapped, corr_id=4, capsule=capsule_md.name
+        )
+
+    def test_replayed_corr_id(self, world):
+        _, capsule_md, response = world
+        wrapped = response(5)
+        binding = dict(capsule=capsule_md.name)
+        verify_signed_response(wrapped, client=self.CLIENT, corr_id=5, **binding)
+        self.rejected_twice(SignatureError, wrapped, corr_id=6, **binding)
 
 
 class TestCounterWiring:

@@ -20,6 +20,7 @@ from repro.bench import (
     commit,
     crypto,
     gate,
+    paper,
     replication,
     routing,
     storage,
@@ -43,7 +44,9 @@ SUITES: dict[str, Suite] = {
     (name := module.__name__.rpartition(".")[2]): Suite(
         module.run, module.GATES, module.table, f"BENCH_{name}.json"
     )
-    for module in (crypto, replication, storage, routing, commit, transport)
+    for module in (
+        crypto, replication, storage, routing, commit, paper, transport
+    )
 }
 
 #: what ``--suite all`` runs: every suite that needs no process fleet

@@ -12,7 +12,10 @@ same rule for every row:
    ``better`` direction — improvements never fail.  ``slack`` is an
    absolute margin a regression must *also* exceed (jitter on a small
    base is not a regression); a value at or under ``noise_floor`` is
-   exempt from the band but never from the ceiling.
+   exempt from the band but never from the ceiling.  A row whose
+   ``better`` is ``"equal"`` (:func:`exact` — a deterministic cell)
+   must instead *equal* the baseline: a move in either direction is a
+   reviewed diff of the committed file, not silent drift.
 
 A path containing ``.*.`` expands over the cells of a container — the
 values of a dict, or the elements of a list matched between the two
@@ -28,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 __all__ = [
-    "Gate", "check", "cells", "percentile", "latency_summary",
+    "Gate", "exact", "check", "cells", "percentile", "latency_summary",
     "format_table", "load", "dump",
 ]
 
@@ -41,7 +44,7 @@ class Gate:
     """One gated field of a benchmark document (see the module doc)."""
 
     path: str
-    better: str  # "higher" | "lower"
+    better: str  # "higher" | "lower" | "equal"
     floor: float | None = None
     ceiling: float | None = None
     band: float | None = BAND
@@ -49,6 +52,13 @@ class Gate:
     noise_floor: float | None = None
     key: str | None = None
     why: str = ""
+
+
+def exact(path: str, **limits) -> Gate:
+    """The row for a cell that is a function of the code alone (simulated
+    time, byte and structure counts): equal to the baseline, plus any
+    ``floor`` / ``ceiling``."""
+    return Gate(path, "equal", band=None, **limits)
 
 
 def _get(node, dotted: str):
@@ -95,6 +105,13 @@ def _judge(gate: Gate, label: str, value, base) -> list[str]:
             f"{label}: {value} exceeds the {gate.ceiling} acceptance "
             f"ceiling{why}"
         )
+    if gate.better == "equal":
+        if base is not None and value != base:
+            failures.append(
+                f"{label}: {value} differs from baseline {base} (a "
+                "deterministic cell: commit the new value if it is meant)"
+            )
+        return failures
     if gate.band is None or not base:
         return failures  # presence/absolute row, or nothing to compare to
     if gate.noise_floor is not None and value <= gate.noise_floor:

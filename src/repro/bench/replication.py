@@ -69,9 +69,11 @@ def _mint_history():
     return owner, metadata, minted
 
 
-def _two_site_net(seed: int):
-    """Two routers joined by the constrained link; returns
-    ``(net, r0, r1)``."""
+def _two_site_net(
+    seed: int, latency: float = _LINK_LATENCY, bandwidth: float = _LINK_BANDWIDTH
+):
+    """Two routers joined by one link (the constrained one unless told
+    otherwise); returns ``(net, r0, r1)``."""
     from repro.routing import GdpRouter, RoutingDomain
     from repro.sim import SimNetwork
 
@@ -79,7 +81,7 @@ def _two_site_net(seed: int):
     domain = RoutingDomain("global", clock=lambda: net.sim.now)
     r0 = GdpRouter(net, "r0", domain)
     r1 = GdpRouter(net, "r1", domain)
-    net.connect(r0, r1, latency=_LINK_LATENCY, bandwidth=_LINK_BANDWIDTH)
+    net.connect(r0, r1, latency=latency, bandwidth=bandwidth)
     return net, r0, r1
 
 

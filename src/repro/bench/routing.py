@@ -2,7 +2,7 @@
 
 The paper's scaling claim (§VII) — a flat 256-bit namespace resolved
 through hierarchical GLookup over untrusted key-value state — turns
-into four measured scenarios:
+into five measured scenarios:
 
 **Packed tables** (gated).  Fill :class:`~repro.routing.fib.CompactFib`
 and the packed :class:`~repro.routing.glookup.GLookupService` at
@@ -23,6 +23,13 @@ the O(log n) bound (ceil(log2 n) + 2).
 **DHT churn** (gated).  Store keys in a 64-node ring, crash up to k-1
 of each key's replica holders, and resolve through a surviving access
 point: every get must still return the value.
+
+**Trace overhead** (gated).  The Fig. 6 forwarding loop
+(:func:`repro.bench.paper.forwarding_star`) timed on the wall clock in
+three configurations: ``plain`` (empty pipelines, always-on counters),
+``disabled`` (the metrics registry off — every counter the shared no-op
+instrument, which must cost nothing) and ``full`` (node metrics plus
+tracing: two middlewares and a trace event per PDU per node).
 
 Purge cost per name and the forwarding path are measured end to end by
 the ruler (``BENCHMARK.json``: ``name_churn/routing.*.purge_us_per_name``,
@@ -54,6 +61,12 @@ GATES = (
     # runner.  The absolute 1 ms ceiling above still applies.
     Gate("levels.*.glookup.warm_lookup.p99_ms", "lower", key="names",
          noise_floor=0.25),
+    Gate("trace_overhead.disabled_vs_plain", "lower", ceiling=1.05, band=None,
+         why="the no-op instrument path is not free any more"),
+    # No ceiling yet: the runtime refactor's 1.10 budget is unmet (see
+    # docs/PERFORMANCE.md); until the in-tree span hooks land it may
+    # only not get worse.
+    Gate("trace_overhead.full_vs_plain", "lower"),
 )
 
 LEVELS = (10_000, 100_000, 1_000_000)
@@ -65,6 +78,9 @@ DHT_RINGS_QUICK = (32,)
 DHT_OPS_PER_RING = 64
 DHT_CHURN_NODES = 64
 DHT_CHURN_KEYS = 32
+TRACE_PAIRS = 8
+TRACE_PDUS_PER_PAIR = 150
+TRACE_ROUNDS = 5
 
 
 def _name(tag: bytes):
@@ -327,6 +343,42 @@ def _bench_dht_churn() -> dict:
     }
 
 
+def _bench_trace_overhead() -> dict:
+    """Best wall time of the Fig. 6 loop per configuration, rounds
+    interleaved so drift hits all three alike (the extra first round is
+    the warm-up; a minimum ignores it)."""
+    from repro.bench.paper import forwarding_star
+    from repro.crypto import cache
+
+    def disabled(net):
+        net.metrics.enabled = False
+
+    def full(net):
+        net.enable_node_metrics()
+        net.enable_tracing()
+
+    modes = {"plain": None, "disabled": disabled, "full": full}
+    best = dict.fromkeys(modes, float("inf"))
+    try:
+        for _ in range(TRACE_ROUNDS + 1):
+            for mode, configure in modes.items():
+                drive = forwarding_star(
+                    256, pairs=TRACE_PAIRS, pdus_per_pair=TRACE_PDUS_PER_PAIR,
+                    seed=7, configure=configure,
+                )
+                t0 = time.perf_counter()
+                drive()
+                best[mode] = min(best[mode], time.perf_counter() - t0)
+    finally:
+        cache.bind_metrics(None)  # enable_node_metrics bound a dead world
+    return {
+        "pdus": TRACE_PAIRS * TRACE_PDUS_PER_PAIR,
+        "plain_ms": round(best["plain"] * 1000, 2),
+        "disabled_vs_plain": round(best["disabled"] / best["plain"], 3),
+        "full_vs_plain": round(best["full"] / best["plain"], 3),
+    }
+
+
 def run(quick: bool = False, note=lambda message: None) -> dict:
     """Run every scenario; returns the BENCH_routing.json document."""
     levels = LEVELS_QUICK if quick else LEVELS
@@ -349,6 +401,8 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
         ring_docs.append(_bench_dht_ring(n_nodes))
     note(f"dht churn: kill k-1 holders per key, {DHT_CHURN_KEYS} keys")
     churn = _bench_dht_churn()
+    note(f"trace overhead: best of {TRACE_ROUNDS} interleaved rounds")
+    trace_overhead = _bench_trace_overhead()
 
     top = level_docs[-1]
     gates = {
@@ -366,6 +420,7 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
         "cold_resolution": cold,
         "dht": ring_docs,
         "dht_churn": churn,
+        "trace_overhead": trace_overhead,
         "gates": gates,
     }
 
@@ -373,6 +428,7 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
 def table(doc: dict) -> list:
     """Packed-table levels, cold resolution, DHT rings, the churn cell."""
     cold, churn = doc["cold_resolution"], doc["dht_churn"]
+    trace = doc["trace_overhead"]
     return [
         "packed tables",
         (
@@ -402,4 +458,9 @@ def table(doc: dict) -> list:
         f"churn: {churn['survived']}/{churn['keys']} gets survived "
         f"{churn['replicas_killed_per_key']} dark holders "
         f"({churn['nodes']} nodes, mean {churn['mean_hops']:.2f} hops)",
+        "",
+        f"trace overhead on the Fig. 6 loop ({trace['pdus']} PDUs, plain "
+        f"{trace['plain_ms']:.1f} ms): metrics disabled "
+        f"{trace['disabled_vs_plain']:.2f}x, metrics + tracing "
+        f"{trace['full_vs_plain']:.2f}x",
     ]

@@ -409,7 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smaller run: storage builds 200k records instead of "
         "10M, routing fills only the 10k level and the 32-node ring, "
-        "commit runs only the gated cells",
+        "commit runs only the gated cells, paper skips the 115 MB model "
+        "and the deeper / larger ablation cells",
     )
     serve = sub.add_parser(
         "serve", help="boot a real multi-process fleet over TCP"

@@ -77,6 +77,11 @@ MAX_SYNC_RANGES = 64
 #: default reply budget for sync_fetch_batch (bytes of records+heartbeats)
 DEFAULT_SYNC_BATCH_BYTES = 64 * 1024
 
+#: payload bytes one read_range reply carries — half a transport frame
+#: (``DEFAULT_MAX_FRAME``); record framing may take a quarter more, which
+#: leaves the last quarter to the proof and the signed envelope
+MAX_RANGE_REPLY_BYTES = 8 * 1024 * 1024
+
 
 class HostedCapsule:
     """A capsule replica this server is delegated for."""
@@ -631,10 +636,22 @@ class DataCapsuleServer(Endpoint):
 
     @op("read_range", capsule=bytes, first=int, last=int)
     def _op_read_range(self, pdu: Pdu, payload: dict) -> dict:
+        """Answers with a prefix of the range: records up to
+        ``MAX_RANGE_REPLY_BYTES`` (always at least one) and a proof for
+        exactly those; the reader continues after the last one served."""
         hosted = self._hosted(payload)
         first, last = payload["first"], payload["last"]
-        records = hosted.capsule.read_range(first, last)
-        proof = build_range_proof(hosted.capsule, first, last)
+        records = []
+        payload_room = MAX_RANGE_REPLY_BYTES
+        framing_room = MAX_RANGE_REPLY_BYTES // 2
+        for record in hosted.capsule.read_range(first, last):
+            payload_room -= len(record.payload)
+            # 64 B bounds the encoded seqno and each encoded pointer
+            framing_room -= 64 * (1 + len(record.pointers))
+            if records and (payload_room < 0 or framing_room < 0):
+                break
+            records.append(record)
+        proof = build_range_proof(hosted.capsule, first, records[-1].seqno)
         self._c_reads.inc()
         return {
             "ok": True,

@@ -149,6 +149,67 @@ class TestClientRejections:
         assert g.run(scenario()) == 1
 
 
+class TestLongRangeReads:
+    def test_range_over_a_frame_arrives_in_verified_pieces(self, mini_gdp):
+        """A range holding more than a transport frame comes back as
+        byte-capped prefixes, each verified against its own proof; a
+        range under the cap is still exactly one request."""
+        from repro.runtime.transport import DEFAULT_MAX_FRAME
+
+        g = mini_gdp
+        chunks = [bytes([i]) * (4 * 1024 * 1024) for i in range(5)]
+        assert sum(map(len, chunks)) > DEFAULT_MAX_FRAME
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_edge.metadata])
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for chunk in chunks:
+                yield from writer.append(chunk)
+            served = g.server_edge.metrics.counter("server.reads")
+            before = served.value
+            whole = yield from g.reader_client.read_range(metadata.name, 1, 5)
+            pieces = served.value - before
+            short = yield from g.reader_client.read_range(metadata.name, 2, 3)
+            return whole, pieces, short, served.value - before - pieces
+
+        whole, pieces, short, short_requests = g.run(scenario())
+        assert [record.seqno for record in whole.records] == [1, 2, 3, 4, 5]
+        assert [record.payload for record in whole.records] == chunks
+        assert pieces == 3  # 2 + 2 + 1 chunks: 8 MiB of payload a reply
+        assert [record.seqno for record in short.records] == [2, 3]
+        assert short_requests == 1
+
+    def test_reply_that_does_not_continue_the_range_is_rejected(
+        self, mini_gdp, monkeypatch
+    ):
+        """The continuation trusts no reply to say where it starts: a
+        server answering from the wrong seqno cannot skip a record (or
+        keep the reader looping), verified reader or not."""
+        from repro.capsule import DataCapsule
+        from repro.errors import IntegrityError
+
+        g = mini_gdp
+        honest = DataCapsule.read_range
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_edge.metadata])
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(4):
+                yield from writer.append(b"r%d" % i)
+            monkeypatch.setattr(
+                DataCapsule, "read_range",
+                lambda self, first, last: honest(self, first + 1, last),
+            )
+            g.reader_client.verify = False
+            with pytest.raises(IntegrityError, match="does not continue"):
+                yield from g.reader_client.read_range(metadata.name, 1, 4)
+            return True
+
+        assert g.run(scenario())
+
+
 class TestKvStoreEdgeCases:
     def test_full_replay_fallback_without_snapshot(self, mini_gdp):
         """Fewer writes than the snapshot interval: readers replay from

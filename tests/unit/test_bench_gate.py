@@ -1,11 +1,13 @@
 """The one gate engine judged through the suite registry: properties
 that must hold for every row of every suite (missing-field rule, a
 ``--quick``-shaped run gates cleanly and no row is vacuous on it), the
-rows of the two suites without a file of their own (crypto,
-replication), the ``repro bench`` exit codes, the loadgen rendezvous
-cleanup, and the gated-rows table in docs/PERFORMANCE.md."""
+equality rule of deterministic cells, the rows of the two suites
+without a file of their own (crypto, replication), the ``repro bench``
+exit codes, the loadgen rendezvous cleanup, the gated-rows table in
+docs/PERFORMANCE.md and the tables of EXPERIMENTS.md."""
 
 import copy
+import itertools
 import pathlib
 import re
 import tempfile
@@ -59,6 +61,13 @@ def quick_shaped(name):
         doc["quick"] = True
     elif name == "storage":
         doc["quick"] = True
+    elif name == "paper":
+        doc["quick"] = True
+        fig8, a5, a6a = doc["fig8"], doc["a5"], doc["a6a"]
+        fig8["times"] = [c for c in fig8["times"] if c["cell"].startswith("28MB/")]
+        fig8["shape"] = {"28MB": fig8["shape"]["28MB"]}
+        a5["cells"] = [c for c in a5["cells"] if c["replicas"] == 3]
+        a6a["depths"] = [c for c in a6a["depths"] if c["depth"] <= 2]
     return doc
 
 
@@ -138,6 +147,23 @@ def test_crypto_and_replication_rows(name, path, change, expect):
         assert any(expect in f for f in failures)
 
 
+@pytest.mark.parametrize("measured, failing", [
+    ({"a": 12.5, "b": 3}, ["cells.a"]),  # moved up
+    ({"a": 7.5, "b": 3}, ["cells.a"]),  # moved down: not an improvement
+    ({"a": 10.0, "b": 3}, []),
+    ({"b": 3}, []),  # a --quick run that skipped the cell
+    ({"a": 10.0, "b": 3, "new": 1}, []),  # nothing committed to equal yet
+])
+def test_exact_rows_hold_a_cell_equal_to_the_baseline(measured, failing):
+    rows = (gate.exact("cells.*.x"),)
+    base = {"cells": {"a": {"x": 10.0}, "b": {"x": 3}}}
+    doc = {"cells": {name: {"x": value} for name, value in measured.items()}}
+    failures = gate.check(doc, base, rows)
+    assert [f.split(".x: ")[0] for f in failures] == failing
+    if "a" in measured and measured["a"] != 10.0:
+        assert f"{measured['a']} differs from baseline 10.0" in failures[0]
+
+
 def test_cli_bench_exit_codes(tmp_path, monkeypatch, capsys):
     fake = bench.Suite(
         run=lambda quick, note: {"score": 10.0},
@@ -203,3 +229,36 @@ def test_performance_doc_table_lists_the_registry_rows():
         if re.match(r"\| \w+ +\| `", line)
     }
     assert listed == registry
+
+
+def test_experiments_doc_tables_are_the_committed_documents():
+    """Every table in EXPERIMENTS.md is a table of the committed
+    ``BENCH_{paper,crypto,routing}.json`` (found by its header row), every
+    quoted line one of their captions, and no paper table is left out."""
+    rendered, captions = {}, set()
+    for name in ("paper", "crypto", "routing"):
+        for section in bench.SUITES[name].table(baseline(name)):
+            if isinstance(section, str):
+                captions.add(section)
+            else:
+                headers, rows = section
+                rendered[tuple(map(str, headers))] = [
+                    tuple(map(str, row)) for row in rows
+                ]
+        if name == "paper":
+            paper_headers = set(rendered)
+    lines = (ROOT / "EXPERIMENTS.md").read_text().splitlines()
+    tables = [
+        [tuple(cell.strip() for cell in line.split("|")[1:-1]) for line in block]
+        for is_table, block in itertools.groupby(
+            lines, key=lambda line: line.startswith("|")
+        )
+        if is_table
+    ]
+    assert tables
+    for headers, _rule, *rows in tables:
+        assert rows == rendered[headers], headers
+    assert paper_headers <= {block[0] for block in tables}
+    quoted = [line[2:] for line in lines if line.startswith("> ")]
+    assert quoted and set(quoted) <= captions
+

@@ -40,6 +40,7 @@ def doc(fib_bytes=80.0, p99=0.03, hops_ok=True, churn_ok=True):
             "dht_hops_within_bound": hops_ok,
             "dht_churn_survival": churn_ok,
         },
+        "trace_overhead": {"disabled_vs_plain": 0.98, "full_vs_plain": 2.1},
     }
 
 

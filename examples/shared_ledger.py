@@ -16,7 +16,7 @@ original submitter's signature.
 Run:  python examples/shared_ledger.py
 """
 
-from repro.caapi import CommitService, read_committed, submit_update
+from repro.caapi import CommitShard, read_committed_entry, submit_update
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.routing import GdpRouter, RoutingDomain
@@ -37,7 +37,7 @@ def main():
     server = DataCapsuleServer(net, "ledger_server")
     server.attach(r_plant)
 
-    service = CommitService(net, "commit_service")
+    service = CommitShard(net, "commit_service")
     service.attach(r_plant)
 
     technicians = []
@@ -97,9 +97,9 @@ def main():
         }
         print("audited ledger (verified, totally ordered):")
         for record in result.records:
-            submitter, note = read_committed(record.payload)
-            who = key_names.get(submitter, "unknown")
-            print(f"  #{record.seqno} [{who}] {note.decode()}")
+            entry = read_committed_entry(record.payload)
+            who = key_names.get(entry["submitter"], "unknown")
+            print(f"  #{record.seqno} [{who}] {entry['data'].decode()}")
         assert tip == 4
         return True
 

@@ -33,7 +33,7 @@ from repro.runtime.faults import (
     TamperFaults,
 )
 from repro.server.dcserver import DataCapsuleServer
-from repro.sim.net import SimNetwork
+from repro.runtime.network import Network
 
 __all__ = [
     "PathAttacker",
@@ -54,7 +54,7 @@ class PathAttacker:
     schedule.
     """
 
-    def __init__(self, network: SimNetwork, *, seed: int = 1337):
+    def __init__(self, network: Network, *, seed: int = 1337):
         self.network = network
         self.rng = random.Random(seed)
         # The current match predicate is read through a level of

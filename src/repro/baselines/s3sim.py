@@ -28,7 +28,7 @@ from repro.naming.metadata import make_server_metadata
 from repro.routing.endpoint import Endpoint
 from repro.routing.pdu import Pdu
 from repro.runtime.dispatch import dispatch_op, op, opt
-from repro.sim.net import SimNetwork
+from repro.runtime.network import Network
 
 __all__ = [
     "ObjectStoreServer",
@@ -46,7 +46,7 @@ class ObjectStoreServer(Endpoint):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         *,
         request_latency: float = DEFAULT_REQUEST_LATENCY,
@@ -64,8 +64,8 @@ class ObjectStoreServer(Endpoint):
     def on_request(self, pdu: Pdu) -> Any:
         """Serve one application request (see class docstring) after
         the per-request service latency, through typed op dispatch."""
-        result = self.sim.future()
-        self.sim.schedule(
+        result = self.ctx.future()
+        self.ctx.schedule(
             self.request_latency,
             lambda: result.resolve(dispatch_op(self, pdu, pdu.payload)),
         )

@@ -24,8 +24,8 @@ from repro.naming.metadata import make_server_metadata
 from repro.routing.endpoint import Endpoint
 from repro.routing.pdu import Pdu
 from repro.runtime.dispatch import dispatch_op, op
-from repro.sim.engine import Future
-from repro.sim.net import SimNetwork
+from repro.runtime.context import Future
+from repro.runtime.network import Network
 
 __all__ = ["SshfsServer", "SshfsClient"]
 
@@ -35,7 +35,7 @@ class SshfsServer(Endpoint):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         *,
         request_latency: float = 0.0005,
@@ -53,8 +53,8 @@ class SshfsServer(Endpoint):
     def on_request(self, pdu: Pdu) -> Any:
         """Serve one application request (see class docstring) after
         the per-request service latency, through typed op dispatch."""
-        result = self.sim.future()
-        self.sim.schedule(
+        result = self.ctx.future()
+        self.ctx.schedule(
             self.request_latency,
             lambda: result.resolve(dispatch_op(self, pdu, pdu.payload)),
         )

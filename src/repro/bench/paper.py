@@ -179,16 +179,16 @@ def forwarding_star(
     def scenario():
         for endpoint in senders + receivers:
             yield endpoint.advertise()
-        start = topo.sim.now
+        start = topo.net.sim.now
         payload = b"\x00" * payload_size
         for sender, receiver in zip(senders, receivers):
             for _ in range(pdus_per_pair):
                 sender.send_pdu(Pdu(sender.name, receiver.name, T_DATA, payload))
         while received[0] < pairs * pdus_per_pair:
             yield 0.001
-        return topo.sim.now - start
+        return topo.net.sim.now - start
 
-    return lambda: topo.sim.run_process(scenario())
+    return lambda: topo.net.sim.run_process(scenario())
 
 
 def _fig6() -> dict:

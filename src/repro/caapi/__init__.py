@@ -8,11 +8,9 @@ from repro.caapi.base import CapsuleApp, create_backed_capsule
 from repro.caapi.commit_service import (
     CommitClient,
     CommitReceipt,
-    CommitService,
     CommitShard,
     ShardedCommitService,
     ShardMap,
-    read_committed,
     read_committed_entry,
     shard_of,
     submit_update,
@@ -41,7 +39,6 @@ __all__ = [
     "StreamPublisher",
     "StreamSubscriber",
     "Frame",
-    "CommitService",
     "CommitShard",
     "ShardedCommitService",
     "ShardMap",
@@ -49,7 +46,6 @@ __all__ = [
     "CommitReceipt",
     "shard_of",
     "submit_update",
-    "read_committed",
     "read_committed_entry",
     "AggregationService",
     "GatewayService",

@@ -26,8 +26,8 @@ from repro.crypto.keys import SigningKey
 from repro.errors import CapsuleError
 from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
-from repro.sim.engine import Future
-from repro.sim.net import SimNetwork
+from repro.runtime.context import Future
+from repro.runtime.network import Network
 
 __all__ = ["AggregationService"]
 
@@ -49,7 +49,7 @@ class AggregationService(GdpClient):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         *,
         key: SigningKey | None = None,
@@ -107,12 +107,12 @@ class AggregationService(GdpClient):
         """Serialize output appends (the service is a single writer —
         appends must not interleave)."""
         previous = self._append_chain
-        slot = self.sim.future()
+        slot = self.ctx.future()
         self._append_chain = slot
 
         def run(_: Future | None = None) -> None:
             payload = self.combine(source, record)
-            process = self.sim.spawn(
+            process = self.ctx.spawn(
                 self._writer.append(payload), name="aggregate.append"
             )
 

@@ -15,8 +15,8 @@ The plane has three pieces:
   ACL and/or a pluggable credential authorizer), serializes, appends
   through the normal writer path, and answers with the assigned seqno.
   Each committed record wraps the submitter identity, so provenance
-  survives the indirection.  :class:`CommitService` is the single-shard
-  surface (the pre-sharding API, unchanged).
+  survives the indirection.  One shard on its own (the defaults) is
+  the single-shard deployment.
 - :class:`ShardedCommitService` — the front.  It owns N shards, routes
   ``submit`` by a deterministic key→shard hash, and serves a *signed*
   :class:`ShardMap` so clients can verify the shard set once and route
@@ -53,11 +53,10 @@ from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
 from repro.routing.pdu import Pdu
 from repro.runtime.dispatch import dispatch_op, op, opt
-from repro.sim.engine import Future
-from repro.sim.net import SimNetwork
+from repro.runtime.context import Future
+from repro.runtime.network import Network
 
 __all__ = [
-    "CommitService",
     "CommitShard",
     "ShardedCommitService",
     "ShardMap",
@@ -66,7 +65,6 @@ __all__ = [
     "shard_of",
     "submit_update",
     "build_submission",
-    "read_committed",
     "read_committed_entry",
 ]
 
@@ -263,7 +261,7 @@ class CommitShard(GdpClient):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         *,
         key: SigningKey | None = None,
@@ -408,7 +406,7 @@ class CommitShard(GdpClient):
         chain behind each other.  CAS preconditions are judged here —
         when the submission's turn in the serial order comes, against
         the then-current version — never at arrival time."""
-        result = self.sim.future()
+        result = self.ctx.future()
         previous = self._commit_chain
         self._commit_chain = result
         key = payload.get("key")
@@ -439,7 +437,7 @@ class CommitShard(GdpClient):
             if key is not None:
                 entry["key"] = key
                 entry["shard"] = self.shard_index
-            process = self.sim.spawn(
+            process = self.ctx.spawn(
                 self._writer.append(encoding.encode(entry)),
                 name="commit.append",
             )
@@ -475,31 +473,6 @@ class CommitShard(GdpClient):
         return result
 
 
-class CommitService(CommitShard):
-    """The single-shard commit service: the pre-sharding surface, now a
-    1-shard special case of the plane (§V-A's "distributed commit
-    service" in its simplest deployment)."""
-
-    def __init__(
-        self,
-        network: SimNetwork,
-        node_id: str,
-        *,
-        key: SigningKey | None = None,
-        allowed_writers: Sequence[VerifyingKey] = (),
-        authorizer: Authorizer | None = None,
-    ):
-        super().__init__(
-            network,
-            node_id,
-            key=key,
-            allowed_writers=allowed_writers,
-            shard_index=0,
-            shard_count=1,
-            authorizer=authorizer,
-        )
-
-
 class ShardedCommitService(GdpClient):
     """The commit-plane front: routes ``submit`` by the deterministic
     key→shard map and serves the signed :class:`ShardMap` so clients can
@@ -507,7 +480,7 @@ class ShardedCommitService(GdpClient):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         shards: Sequence[CommitShard],
         *,
@@ -596,7 +569,7 @@ class ShardedCommitService(GdpClient):
             return {"ok": False, "error": "service not ready"}
         index = self._map.route(payload.get("key"), payload["data"])
         self._c_routed.inc()
-        result = self.sim.future()
+        result = self.ctx.future()
         target = self.shards[index].name
 
         def forward() -> Generator:
@@ -611,7 +584,7 @@ class ShardedCommitService(GdpClient):
             body = reply.get("body", reply) if isinstance(reply, dict) else reply
             result.resolve(body)
 
-        self.sim.spawn(forward(), name=f"commit.route:{index}")
+        self.ctx.spawn(forward(), name=f"commit.route:{index}")
         return result
 
 
@@ -859,13 +832,6 @@ def submit_update(
         capsule=capsule_name,
         key=key,
     )
-
-
-def read_committed(record_payload: bytes) -> tuple[bytes, bytes]:
-    """Unwrap a committed record: ``(submitter key bytes, data)`` —
-    provenance through the commit indirection."""
-    entry = encoding.decode(record_payload)
-    return entry["submitter"], entry["data"]
 
 
 def read_committed_entry(record_payload: bytes) -> dict:

@@ -137,7 +137,7 @@ def path_write_authorizer(owner_key: VerifyingKey) -> Authorizer:
             cert = AdCert.from_wire(wire)
             cert.verify(
                 owner_key,
-                now=shard.sim.now,
+                now=shard.ctx.now,
                 capsule=shard.capsule_name,
                 delegate=writer_principal(submitter),
             )

@@ -35,7 +35,7 @@ from repro.client.client import GdpClient
 from repro.errors import CommitConflictError, GdpError
 from repro.naming.names import GdpName
 from repro.runtime.dispatch import handles, resolve_route
-from repro.sim.net import Link, Node, SimNetwork
+from repro.runtime.network import Network, Node
 
 __all__ = ["GatewayService", "LegacyHttpClient"]
 
@@ -49,7 +49,7 @@ class GatewayService(GdpClient):
     ``{"event": "record", ...}`` frames.
     """
 
-    def __init__(self, network: SimNetwork, node_id: str, **kwargs):
+    def __init__(self, network: Network, node_id: str, **kwargs):
         super().__init__(network, node_id, **kwargs)
         self._ws_subscribers: dict[GdpName, list[Node]] = {}
         self._commit: CommitClient | None = None
@@ -69,10 +69,10 @@ class GatewayService(GdpClient):
 
     # -- legacy-side transport ------------------------------------------------
 
-    def receive(self, message: Any, sender: Node, link: Link) -> None:
+    def receive(self, message: Any, sender: Node, link: Any) -> None:
         """Inbound message dispatch (overrides the base handler)."""
         if isinstance(message, dict) and "method" in message:
-            self.sim.spawn(
+            self.ctx.spawn(
                 self._serve_http(message, sender),
                 name=f"gateway:{message.get('path')}",
             )
@@ -223,7 +223,7 @@ class GatewayService(GdpClient):
 class LegacyHttpClient(Node):
     """A plain node that speaks only the HTTP-shaped dialect."""
 
-    def __init__(self, network: SimNetwork, node_id: str):
+    def __init__(self, network: Network, node_id: str):
         super().__init__(network, node_id)
         self.gateway: GatewayService | None = None
         self._pending: dict[int, Any] = {}
@@ -243,7 +243,7 @@ class LegacyHttpClient(Node):
             raise RuntimeError("not connected to a gateway")
         self._next_id += 1
         request_id = self._next_id
-        future = self.sim.future()
+        future = self.ctx.future()
         self._pending[request_id] = future
         message = {"method": method, "path": path, "id": request_id}
         if body is not None:
@@ -251,9 +251,9 @@ class LegacyHttpClient(Node):
         self.send(
             self.gateway, message, 200 + len(path) + len(repr(body or ""))
         )
-        return self.sim.timeout(future, 30.0, f"{method} {path}")
+        return self.ctx.timeout(future, 30.0, f"{method} {path}")
 
-    def receive(self, message: Any, sender: Node, link: Link) -> None:
+    def receive(self, message: Any, sender: Node, link: Any) -> None:
         """Inbound message dispatch (overrides the base handler)."""
         if not isinstance(message, dict):
             return

@@ -52,7 +52,7 @@ from repro.naming.names import GdpName
 from repro.routing.endpoint import Endpoint
 from repro.routing.pdu import Pdu
 from repro.server.secure import verify_mac_response, verify_signed_response
-from repro.sim.net import SimNetwork
+from repro.runtime.network import Network
 
 __all__ = [
     "GdpClient",
@@ -68,7 +68,7 @@ class GdpClient(Endpoint):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         *,
         key: SigningKey | None = None,
@@ -197,7 +197,7 @@ class GdpClient(Endpoint):
                 client=self.name,
                 corr_id=corr_id,
                 capsule=capsule,
-                now=self.sim.now,
+                now=self.ctx.now,
                 with_server=True,
             )
         if self.qos is not None and server is not None:
@@ -244,7 +244,7 @@ class GdpClient(Endpoint):
     ) -> Generator:
         """Read one record with proof verification; returns a
         :class:`ReadResult` (``.record`` is the verified record)."""
-        start = self.sim.now
+        start = self.ctx.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
         body, server = yield from self.failover_request(
@@ -260,7 +260,7 @@ class GdpClient(Endpoint):
             [record],
             proof=proof,
             server=server,
-            rtt=self.sim.now - start,
+            rtt=self.ctx.now - start,
         )
 
     def read_range(
@@ -276,7 +276,7 @@ class GdpClient(Endpoint):
         server answers a long range with a byte-capped prefix, so this
         continues after the last record served until the range is
         covered; every piece is verified against its own proof."""
-        start = self.sim.now
+        start = self.ctx.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
         records: list[Record] = []
@@ -307,7 +307,7 @@ class GdpClient(Endpoint):
             records,
             proof=proof,
             server=server,
-            rtt=self.sim.now - start,
+            rtt=self.ctx.now - start,
         )
 
     def read_latest(
@@ -315,7 +315,7 @@ class GdpClient(Endpoint):
     ) -> Generator:
         """Read the newest record; returns a :class:`ReadResult` (or
         None for an empty capsule)."""
-        start = self.sim.now
+        start = self.ctx.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
         body, server = yield from self.failover_request(
@@ -332,7 +332,7 @@ class GdpClient(Endpoint):
             [record],
             proof=proof,
             server=server,
-            rtt=self.sim.now - start,
+            rtt=self.ctx.now - start,
         )
 
     def read_latest_strict(
@@ -357,7 +357,7 @@ class GdpClient(Endpoint):
         """
         if not servers:
             raise CapsuleError("strict read needs the replica list")
-        start = self.sim.now
+        start = self.ctx.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
         pending = []
@@ -395,7 +395,7 @@ class GdpClient(Endpoint):
             [best],
             proof=best_proof,
             server=best_server,
-            rtt=self.sim.now - start,
+            rtt=self.ctx.now - start,
         )
 
     # -- writes ---------------------------------------------------------------
@@ -414,7 +414,7 @@ class GdpClient(Endpoint):
         quasi = metadata.properties.get("writer_mode") == MODE_QSW
         writer = (QuasiWriter if quasi else CapsuleWriter)(
             capsule, writer_key, state_path=state_path,
-            clock=lambda: int(self.sim.now * 1000),
+            clock=lambda: int(self.ctx.now * 1000),
         )
         return ClientWriter(self, writer, acks=acks)
 
@@ -598,7 +598,7 @@ class ClientWriter:
         :class:`DurabilityError` if the
         requested durability could not be met (the paper's "writer must
         block and retry")."""
-        start = self.client.sim.now
+        start = self.client.ctx.now
         record, heartbeat = self.writer.append(payload)
         corr_id, future = self.client.request(
             self.capsule_name,
@@ -617,7 +617,7 @@ class ClientWriter:
             [record],
             acks=body.get("acks", 1),
             server=server,
-            rtt=self.client.sim.now - start,
+            rtt=self.client.ctx.now - start,
             batches=1,
         )
 
@@ -649,7 +649,7 @@ class ClientWriter:
             raise CapsuleError("window must be >= 1")
         if batch_records < 1:
             raise CapsuleError("batch_records must be >= 1")
-        start = self.client.sim.now
+        start = self.client.ctx.now
         if not payloads:
             return AppendReceipt([], acks=0, batches=0)
         chunks: list[list[bytes]] = []
@@ -704,7 +704,7 @@ class ClientWriter:
                 inflight += 1
                 index += 1
             if not completed:
-                waiter = self.client.sim.future()
+                waiter = self.client.ctx.future()
                 state["waiter"] = waiter
                 yield waiter
                 continue
@@ -722,6 +722,6 @@ class ClientWriter:
             all_records,
             acks=min_acks if min_acks is not None else 0,
             server=last_server,
-            rtt=self.client.sim.now - start,
+            rtt=self.client.ctx.now - start,
             batches=len(minted),
         )

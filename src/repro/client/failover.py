@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.errors import GdpError
 from repro.naming.names import GdpName
+from repro.runtime.context import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.client.client import GdpClient
@@ -102,7 +103,7 @@ class Subscription:
         return True
 
 
-class SubscriptionMonitor:
+class SubscriptionMonitor(Periodic):
     """Background liveness check for a client's subscriptions.
 
     Each tick reads the tip of every subscribed capsule (an anycast
@@ -113,9 +114,9 @@ class SubscriptionMonitor:
     pushes stopped.  Stalled subscriptions are re-subscribed (anycast
     lands on a live replica) and the push gap is backfilled with reads.
 
-    Same cadence scheme as the other daemons: seeded jitter around a
-    nominal ``interval`` so a fleet of clients stays desynchronized and
-    replays stay byte-identical.
+    The cadence is :class:`~repro.runtime.context.Periodic`'s: seeded
+    jitter around a nominal ``interval`` so a fleet of clients stays
+    desynchronized and replays stay byte-identical.
     """
 
     def __init__(
@@ -126,56 +127,36 @@ class SubscriptionMonitor:
         jitter: float = 0.25,
         rng: random.Random | None = None,
     ):
-        self.client = client
-        self.interval = interval
-        self.jitter = jitter
-        self.rng = rng or random.Random(f"submonitor:{client.node_id}")
-        self.resubscribes = 0
-        self._running = False
-
-    def start(self) -> None:
-        """Start the background process (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.client.sim.spawn(
-            self._loop(), name=f"submonitor:{self.client.node_id}"
+        super().__init__(
+            client.ctx,
+            f"submonitor:{client.node_id}",
+            interval,
+            jitter=jitter,
+            rng=rng,
         )
+        self.client = client
+        self.resubscribes = 0
 
-    def stop(self) -> None:
-        """Stop after the current tick."""
-        self._running = False
-
-    def _next_delay(self) -> float:
-        if self.jitter <= 0:
-            return self.interval
-        spread = self.jitter * (self.rng.random() - 0.5)
-        return self.interval * (1.0 + spread)
-
-    def _loop(self) -> Generator:
-        while self._running:
-            yield self._next_delay()
-            if not self._running:
-                return
-            for capsule, sub in list(self.client._subscriptions.items()):
-                if sub.last_delivered is None:
-                    continue  # initial handshake still in flight
-                try:
-                    result = yield from self.client.read_latest(
-                        capsule, timeout=max(self.interval, 1.0)
-                    )
-                except GdpError:
-                    continue  # capsule unreachable this tick: try later
-                stalled = (
-                    result is not None
-                    and result.record.seqno > sub.last_delivered
-                    and sub.last_delivered == sub._probe_delivered
+    def _tick(self) -> Generator:
+        for capsule, sub in list(self.client._subscriptions.items()):
+            if sub.last_delivered is None:
+                continue  # initial handshake still in flight
+            try:
+                result = yield from self.client.read_latest(
+                    capsule, timeout=max(self.interval, 1.0)
                 )
-                sub._probe_delivered = sub.last_delivered
-                if not stalled:
-                    continue
-                try:
-                    yield from self.client._resubscribe(capsule, sub)
-                    self.resubscribes += 1
-                except GdpError:
-                    continue  # still unreachable: next tick retries
+            except GdpError:
+                continue  # capsule unreachable this tick: try later
+            stalled = (
+                result is not None
+                and result.record.seqno > sub.last_delivered
+                and sub.last_delivered == sub._probe_delivered
+            )
+            sub._probe_delivered = sub.last_delivered
+            if not stalled:
+                continue
+            try:
+                yield from self.client._resubscribe(capsule, sub)
+                self.resubscribes += 1
+            except GdpError:
+                continue  # still unreachable: next tick retries

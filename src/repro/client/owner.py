@@ -105,7 +105,7 @@ class OwnerConsole:
         chain = ServiceChain(
             metadata, adcert, server_metadata, org_metadata, membership
         )
-        chain.verify(now=self.client.sim.now)
+        chain.verify(now=self.client.ctx.now)
         return chain
 
     def migrate_replica(

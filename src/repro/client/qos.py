@@ -75,7 +75,7 @@ class ProviderStats:
 class QosTracker:
     """Aggregates per-provider response quality for one client.
 
-    Attach with ``client.qos = QosTracker(clock=lambda: net.sim.now)``;
+    Attach with ``client.qos = QosTracker(clock=lambda: net.ctx.now)``;
     the client feeds it from the secure-response path (attribution comes
     from the authenticated ``server_metadata`` in each response — an
     on-path adversary cannot shift blame to an honest provider, §III-D).

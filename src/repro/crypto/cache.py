@@ -29,7 +29,7 @@ Module-level counters (``crypto.sign``, ``crypto.verify``,
 ``crypto.verify_cached``, ``crypto.encode``, ``crypto.encode_cached``)
 are always collected and can be mirrored into a
 :class:`~repro.runtime.metrics.MetricsRegistry` via :func:`bind_metrics`
-(``SimNetwork.enable_node_metrics`` does, under the ``crypto`` scope);
+(``Network.enable_node_metrics`` does, under the ``crypto`` scope);
 the last two caches sit in front of verification and count nothing.
 
 The environment variable ``GDP_CRYPTO_ACCEL=0`` — or

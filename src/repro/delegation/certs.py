@@ -36,7 +36,14 @@ __all__ = ["AdCert", "RtCert", "OrgMembership", "SubGrant"]
 
 
 class _SignedStatement:
-    """Shared machinery: domain-tagged canonical signing and expiry.
+    """An expiring, domain-tagged signed statement binding two names.
+
+    A subclass declares its tags and fields — ``DOMAIN`` (signature
+    domain), ``KIND`` (the signed body's leading tag), ``NAMES`` (the
+    two bound names, in constructor, body and wire order) and
+    ``MISMATCH`` (which names :meth:`verify` can be asked to check, and
+    the error each raises) — and inherits construction, issuing,
+    verification and the wire form.
 
     Signed bodies canonicalize ``expires_at`` to whole milliseconds
     with ``round()`` — ``int()`` truncation is not idempotent across a
@@ -45,13 +52,104 @@ class _SignedStatement:
     """
 
     DOMAIN: bytes = b""
+    KIND: str = ""
+    NAMES: tuple[str, str] = ("", "")
+    MISMATCH: dict[str, str] = {}
 
-    def _body(self) -> Any:
-        raise NotImplementedError
+    __slots__ = ("expires_at", "signature")
+
+    def __init__(
+        self,
+        first: GdpName,
+        second: GdpName,
+        expires_at: float | None = None,
+        signature: bytes = b"",
+    ):
+        setattr(self, self.NAMES[0], first)
+        setattr(self, self.NAMES[1], second)
+        self.expires_at = expires_at
+        self.signature = bytes(signature)
+
+    @classmethod
+    def issue(
+        cls,
+        issuer: SigningKey,
+        first: GdpName,
+        second: GdpName,
+        *,
+        expires_at: float | None = None,
+        **extras: Any,
+    ):
+        """Create and sign the statement."""
+        statement = cls(first, second, expires_at=expires_at, **extras)
+        statement.signature = issuer.sign(statement.signing_preimage())
+        return statement
+
+    def _extras(self) -> dict:
+        """Wire fields between the names and the expiry (signed too)."""
+        return {}
+
+    @staticmethod
+    def _extras_from_wire(wire: dict) -> dict:
+        """The constructor keywords :meth:`_extras` round-trips to."""
+        return {}
+
+    def to_wire(self) -> dict:
+        """Wire-encodable representation."""
+        first, second = self.NAMES
+        return {
+            first: getattr(self, first).raw,
+            second: getattr(self, second).raw,
+            **self._extras(),
+            "expires_at": -1 if self.expires_at is None
+            else round(self.expires_at * 1000),
+            "signature": self.signature,
+        }
+
+    @classmethod
+    def from_wire(cls, wire: dict):
+        """Rebuild from a wire form; raises on malformed input."""
+        try:
+            raw_expiry = wire["expires_at"]
+            return cls(
+                *(GdpName(wire[field]) for field in cls.NAMES),
+                expires_at=None if raw_expiry == -1 else raw_expiry / 1000,
+                signature=wire["signature"],
+                **cls._extras_from_wire(wire),
+            )
+        except (KeyError, TypeError) as exc:
+            raise DelegationError(f"malformed {cls.__name__}: {exc}") from exc
+
+    def _body(self) -> list:
+        """What is signed: the kind tag, then every wire field but the
+        signature, in wire order."""
+        fields = self.to_wire()
+        del fields["signature"]
+        return [self.KIND, *fields.values()]
 
     def signing_preimage(self) -> bytes:
         """The exact bytes the signature covers."""
         return self.DOMAIN + encoding.encode(self._body())
+
+    def verify(
+        self,
+        issuer_key: VerifyingKey,
+        *,
+        now: float = 0.0,
+        **expected: GdpName | None,
+    ) -> None:
+        """Full check: the optional bindings to expected names (the
+        ``MISMATCH`` keywords), not expired, signed by the issuer."""
+        for field, message in self.MISMATCH.items():
+            name = expected.pop(field, None)
+            if name is not None and getattr(self, field) != name:
+                raise DelegationError(message)
+        if expected:
+            raise TypeError(
+                f"{type(self).__name__}.verify() cannot bind {sorted(expected)}"
+            )
+        self.check_expiry(now)
+        self.check_signature(issuer_key)
 
     def check_expiry(self, now: float) -> None:
         """Raise :class:`DelegationError` if expired at *now*."""
@@ -69,71 +167,44 @@ class _SignedStatement:
                 "the issuer key"
             )
 
+    def __repr__(self) -> str:
+        names = ", ".join(
+            f"{field}={getattr(self, field).human()}" for field in self.NAMES
+        )
+        return f"{type(self).__name__}({names})"
+
 
 class AdCert(_SignedStatement):
     """Owner-signed delegation: *delegate* may store / respond for
     *capsule*, within *scopes* (empty = unrestricted)."""
 
     DOMAIN = b"gdp.adcert"
+    KIND = "adcert"
+    NAMES = ("capsule", "delegate")
+    MISMATCH = {
+        "capsule": "AdCert is for a different capsule",
+        "delegate": "AdCert delegates to a different principal",
+    }
 
-    __slots__ = ("capsule", "delegate", "scopes", "expires_at", "signature")
+    __slots__ = ("capsule", "delegate", "scopes")
 
     def __init__(
         self,
         capsule: GdpName,
         delegate: GdpName,
-        scopes: Sequence[str],
-        expires_at: float | None,
-        signature: bytes,
-    ):
-        self.capsule = capsule
-        self.delegate = delegate
-        self.scopes = tuple(scopes)
-        self.expires_at = expires_at
-        self.signature = bytes(signature)
-
-    def _body(self) -> Any:
-        return [
-            "adcert",
-            self.capsule.raw,
-            self.delegate.raw,
-            list(self.scopes),
-            -1 if self.expires_at is None else round(self.expires_at * 1000),
-        ]
-
-    @classmethod
-    def issue(
-        cls,
-        owner: SigningKey,
-        capsule: GdpName,
-        delegate: GdpName,
-        *,
         scopes: Sequence[str] = (),
         expires_at: float | None = None,
-    ) -> "AdCert":
-        """Create and sign the statement."""
-        cert = cls(capsule, delegate, scopes, expires_at, b"")
-        return cls(
-            capsule, delegate, scopes, expires_at,
-            owner.sign(cert.signing_preimage()),
-        )
+        signature: bytes = b"",
+    ):
+        super().__init__(capsule, delegate, expires_at, signature)
+        self.scopes = tuple(scopes)
 
-    def verify(
-        self,
-        owner_key: VerifyingKey,
-        *,
-        now: float = 0.0,
-        capsule: GdpName | None = None,
-        delegate: GdpName | None = None,
-    ) -> None:
-        """Full check: signature by the capsule owner, not expired, and
-        (optionally) binding to expected capsule/delegate names."""
-        if capsule is not None and self.capsule != capsule:
-            raise DelegationError("AdCert is for a different capsule")
-        if delegate is not None and self.delegate != delegate:
-            raise DelegationError("AdCert delegates to a different principal")
-        self.check_expiry(now)
-        self.check_signature(owner_key)
+    def _extras(self) -> dict:
+        return {"scopes": list(self.scopes)}
+
+    @staticmethod
+    def _extras_from_wire(wire: dict) -> dict:
+        return {"scopes": [str(s) for s in wire["scopes"]]}
 
     def allows_domain(self, domain: str) -> bool:
         """Scope policy: is the capsule allowed to be visible in
@@ -146,37 +217,8 @@ class AdCert(_SignedStatement):
             for scope in self.scopes
         )
 
-    def to_wire(self) -> dict:
-        """Wire-encodable representation."""
-        return {
-            "capsule": self.capsule.raw,
-            "delegate": self.delegate.raw,
-            "scopes": list(self.scopes),
-            "expires_at": -1 if self.expires_at is None
-            else round(self.expires_at * 1000),
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AdCert":
-        """Rebuild from a wire form; raises on malformed input."""
-        try:
-            raw_expiry = wire["expires_at"]
-            return cls(
-                GdpName(wire["capsule"]),
-                GdpName(wire["delegate"]),
-                [str(s) for s in wire["scopes"]],
-                None if raw_expiry == -1 else raw_expiry / 1000,
-                wire["signature"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise DelegationError(f"malformed AdCert: {exc}") from exc
-
     def __repr__(self) -> str:
-        return (
-            f"AdCert(capsule={self.capsule.human()}, "
-            f"delegate={self.delegate.human()}, scopes={list(self.scopes)})"
-        )
+        return f"{super().__repr__()[:-1]}, scopes={list(self.scopes)})"
 
 
 class RtCert(_SignedStatement):
@@ -184,87 +226,11 @@ class RtCert(_SignedStatement):
     behalf of *principal* (a server, client, or other endpoint)."""
 
     DOMAIN = b"gdp.rtcert"
+    KIND = "rtcert"
+    NAMES = ("principal", "router")
+    MISMATCH = {"router": "RtCert names a different router"}
 
-    __slots__ = ("principal", "router", "expires_at", "signature")
-
-    def __init__(
-        self,
-        principal: GdpName,
-        router: GdpName,
-        expires_at: float | None,
-        signature: bytes,
-    ):
-        self.principal = principal
-        self.router = router
-        self.expires_at = expires_at
-        self.signature = bytes(signature)
-
-    def _body(self) -> Any:
-        return [
-            "rtcert",
-            self.principal.raw,
-            self.router.raw,
-            -1 if self.expires_at is None else round(self.expires_at * 1000),
-        ]
-
-    @classmethod
-    def issue(
-        cls,
-        principal_key: SigningKey,
-        principal: GdpName,
-        router: GdpName,
-        *,
-        expires_at: float | None = None,
-    ) -> "RtCert":
-        """Create and sign the statement."""
-        cert = cls(principal, router, expires_at, b"")
-        return cls(
-            principal, router, expires_at,
-            principal_key.sign(cert.signing_preimage()),
-        )
-
-    def verify(
-        self,
-        principal_key: VerifyingKey,
-        *,
-        now: float = 0.0,
-        router: GdpName | None = None,
-    ) -> None:
-        """Check signature, expiry, and the optional name bindings."""
-        if router is not None and self.router != router:
-            raise DelegationError("RtCert names a different router")
-        self.check_expiry(now)
-        self.check_signature(principal_key)
-
-    def to_wire(self) -> dict:
-        """Wire-encodable representation."""
-        return {
-            "principal": self.principal.raw,
-            "router": self.router.raw,
-            "expires_at": -1 if self.expires_at is None
-            else round(self.expires_at * 1000),
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "RtCert":
-        """Rebuild from a wire form; raises on malformed input."""
-        try:
-            raw_expiry = wire["expires_at"]
-            return cls(
-                GdpName(wire["principal"]),
-                GdpName(wire["router"]),
-                None if raw_expiry == -1 else raw_expiry / 1000,
-                wire["signature"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise DelegationError(f"malformed RtCert: {exc}") from exc
-
-    def __repr__(self) -> str:
-        return (
-            f"RtCert(principal={self.principal.human()}, "
-            f"router={self.router.human()})"
-        )
+    __slots__ = NAMES
 
 
 class OrgMembership(_SignedStatement):
@@ -274,80 +240,11 @@ class OrgMembership(_SignedStatement):
     §VII "membership in a given organization")."""
 
     DOMAIN = b"gdp.orgmember"
+    KIND = "orgmember"
+    NAMES = ("org", "member")
+    MISMATCH = {"member": "membership names a different member"}
 
-    __slots__ = ("org", "member", "expires_at", "signature")
-
-    def __init__(
-        self,
-        org: GdpName,
-        member: GdpName,
-        expires_at: float | None,
-        signature: bytes,
-    ):
-        self.org = org
-        self.member = member
-        self.expires_at = expires_at
-        self.signature = bytes(signature)
-
-    def _body(self) -> Any:
-        return [
-            "orgmember",
-            self.org.raw,
-            self.member.raw,
-            -1 if self.expires_at is None else round(self.expires_at * 1000),
-        ]
-
-    @classmethod
-    def issue(
-        cls,
-        org_key: SigningKey,
-        org: GdpName,
-        member: GdpName,
-        *,
-        expires_at: float | None = None,
-    ) -> "OrgMembership":
-        """Create and sign the statement."""
-        cert = cls(org, member, expires_at, b"")
-        return cls(
-            org, member, expires_at, org_key.sign(cert.signing_preimage())
-        )
-
-    def verify(
-        self,
-        org_key: VerifyingKey,
-        *,
-        now: float = 0.0,
-        member: GdpName | None = None,
-    ) -> None:
-        """Check signature, expiry, and the optional name bindings."""
-        if member is not None and self.member != member:
-            raise DelegationError("membership names a different member")
-        self.check_expiry(now)
-        self.check_signature(org_key)
-
-    def to_wire(self) -> dict:
-        """Wire-encodable representation."""
-        return {
-            "org": self.org.raw,
-            "member": self.member.raw,
-            "expires_at": -1 if self.expires_at is None
-            else round(self.expires_at * 1000),
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "OrgMembership":
-        """Rebuild from a wire form; raises on malformed input."""
-        try:
-            raw_expiry = wire["expires_at"]
-            return cls(
-                GdpName(wire["org"]),
-                GdpName(wire["member"]),
-                None if raw_expiry == -1 else raw_expiry / 1000,
-                wire["signature"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise DelegationError(f"malformed membership: {exc}") from exc
+    __slots__ = NAMES
 
 
 class SubGrant(_SignedStatement):
@@ -364,81 +261,11 @@ class SubGrant(_SignedStatement):
     """
 
     DOMAIN = b"gdp.subgrant"
+    KIND = "subgrant"
+    NAMES = ("capsule", "subscriber")
+    MISMATCH = {
+        "capsule": "SubGrant is for a different capsule",
+        "subscriber": "SubGrant names a different subscriber",
+    }
 
-    __slots__ = ("capsule", "subscriber", "expires_at", "signature")
-
-    def __init__(
-        self,
-        capsule: GdpName,
-        subscriber: GdpName,
-        expires_at: float | None,
-        signature: bytes,
-    ):
-        self.capsule = capsule
-        self.subscriber = subscriber
-        self.expires_at = expires_at
-        self.signature = bytes(signature)
-
-    def _body(self) -> Any:
-        return [
-            "subgrant",
-            self.capsule.raw,
-            self.subscriber.raw,
-            -1 if self.expires_at is None else round(self.expires_at * 1000),
-        ]
-
-    @classmethod
-    def issue(
-        cls,
-        owner: SigningKey,
-        capsule: GdpName,
-        subscriber: GdpName,
-        *,
-        expires_at: float | None = None,
-    ) -> "SubGrant":
-        """Create and sign the statement."""
-        grant = cls(capsule, subscriber, expires_at, b"")
-        return cls(
-            capsule, subscriber, expires_at,
-            owner.sign(grant.signing_preimage()),
-        )
-
-    def verify(
-        self,
-        owner_key: VerifyingKey,
-        *,
-        now: float = 0.0,
-        capsule: GdpName | None = None,
-        subscriber: GdpName | None = None,
-    ) -> None:
-        """Check signature, expiry, and the optional name bindings."""
-        if capsule is not None and self.capsule != capsule:
-            raise DelegationError("SubGrant is for a different capsule")
-        if subscriber is not None and self.subscriber != subscriber:
-            raise DelegationError("SubGrant names a different subscriber")
-        self.check_expiry(now)
-        self.check_signature(owner_key)
-
-    def to_wire(self) -> dict:
-        """Wire-encodable representation."""
-        return {
-            "capsule": self.capsule.raw,
-            "subscriber": self.subscriber.raw,
-            "expires_at": -1 if self.expires_at is None
-            else round(self.expires_at * 1000),
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SubGrant":
-        """Rebuild from a wire form; raises on malformed input."""
-        try:
-            raw_expiry = wire["expires_at"]
-            return cls(
-                GdpName(wire["capsule"]),
-                GdpName(wire["subscriber"]),
-                None if raw_expiry == -1 else raw_expiry / 1000,
-                wire["signature"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise DelegationError(f"malformed SubGrant: {exc}") from exc
+    __slots__ = NAMES

@@ -55,7 +55,7 @@ from repro.routing.pdu import (
     T_DHT_STORE_ACK,
     T_DHT_VALUES,
 )
-from repro.sim.net import Node
+from repro.runtime.network import Node
 
 __all__ = ["DhtNode", "KademliaDht", "DhtStats", "LookupResult", "build_dht"]
 
@@ -850,13 +850,13 @@ class KademliaDht:
         ``"defer"`` hands it back unstarted for the caller to spawn or
         drop, and ``"refuse"`` — the sync facades, which must use the
         ``*_proc`` generators from sim processes — raises."""
-        sim = self.net.sim
-        if not getattr(sim, "running", False):
-            return sim.run_process(generator, name)
+        ctx = self.net.ctx
+        if not getattr(ctx, "running", False):
+            return ctx.run_process(generator, name)
         if midrun == "defer":
             return generator
         if midrun == "spawn":
-            return sim.spawn(generator, name)
+            return ctx.spawn(generator, name)
         raise RuntimeError(
             "DHT sync facade called while the simulation is running; "
             "use the *_proc generator API from sim processes"

@@ -35,6 +35,7 @@ from repro.routing.dht import (
     record_expiry,
 )
 from repro.routing.glookup import GLookupService, RouteEntry
+from repro.runtime.context import Periodic
 
 __all__ = ["DhtGLookupService", "DhtRepublishDaemon"]
 
@@ -328,38 +329,24 @@ class DhtGLookupService(GLookupService):
         return self._table.replication_report()
 
 
-class DhtRepublishDaemon:
+class DhtRepublishDaemon(Periodic):
     """Periodic republish driver (one per DHT-backed service).
 
     Runs :meth:`DhtGLookupService.republish_proc` every ``interval``
-    simulated seconds — well inside the record TTL, so records neither
-    vanish early (republish beats expiry) nor accumulate forever
-    (unrefreshed records die one TTL after their last publish).
+    simulated seconds (unjittered) — well inside the record TTL, so
+    records neither vanish early (republish beats expiry) nor accumulate
+    forever (unrefreshed records die one TTL after their last publish).
     """
 
     def __init__(
         self, service: DhtGLookupService, interval: float | None = None
     ):
+        super().__init__(
+            service.dht.net.ctx,
+            f"dht-republish:{service.domain_name}",
+            interval if interval is not None else service.record_ttl / 3.0,
+        )
         self.service = service
-        self.interval = (
-            interval if interval is not None else service.record_ttl / 3.0
-        )
-        self._running = False
 
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.service.dht.net.ctx.spawn(
-            self._loop(), name=f"dht-republish:{self.service.domain_name}"
-        )
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _loop(self):
-        while self._running:
-            yield self.interval
-            if not self._running:
-                return
-            yield from self.service.republish_proc()
+    def _tick(self):
+        return self.service.republish_proc()

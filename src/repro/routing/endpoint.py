@@ -26,7 +26,7 @@ from repro.routing.pdu import Pdu
 from repro.routing.router import ADVERT_DOMAIN_TAG, GdpRouter
 from repro.runtime.dispatch import find_handler, on_ptype
 from repro.runtime.context import Future
-from repro.sim.net import Link, Node, SimNetwork
+from repro.runtime.network import Network, Node
 
 __all__ = ["Endpoint"]
 
@@ -36,7 +36,7 @@ class Endpoint(Node):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         metadata: Metadata,
         key: SigningKey,
@@ -74,7 +74,7 @@ class Endpoint(Node):
         bandwidth: float = 125_000_000.0,
         bandwidth_up: float | None = None,
         loss: float = 0.0,
-    ) -> Link:
+    ) -> Any:
         """Create the physical link to *router* (defaults: 0.5 ms LAN,
         1 Gbps) and remember it as our attachment point."""
         link = self.network.connect(
@@ -119,10 +119,10 @@ class Endpoint(Node):
         if self._pending_adv is not None and not self._pending_adv.done:
             raise RoutingError("advertisement already in progress")
         if expires_at is None and self.lease_ttl is not None:
-            expires_at = self.sim.now + self.lease_ttl
+            expires_at = self.ctx.now + self.lease_ttl
         self._adv_catalog = list(catalog or [])
         self._adv_expires = expires_at
-        self._pending_adv = self.sim.future()
+        self._pending_adv = self.ctx.future()
         hello = Pdu(
             self.name,
             self.router_name,
@@ -261,16 +261,16 @@ class Endpoint(Node):
 
     def _call(self, request: Pdu, timeout: float | None, what: str) -> Future:
         """Send *request*; its response settles the returned future."""
-        future = self.sim.future()
+        future = self.ctx.future()
         self._pending_rpcs[request.corr_id] = future
         self.send_pdu(request)
         if timeout is not None:
-            return self.sim.timeout(future, timeout, what)
+            return self.ctx.timeout(future, timeout, what)
         return future
 
     # -- inbound dispatch ----------------------------------------------------
 
-    def receive(self, message: Any, sender: Node, link: Link) -> None:
+    def receive(self, message: Any, sender: Node, link: Any) -> None:
         """Link-layer entry (sim mode): hand off to the transport."""
         self.transport.deliver(message, sender)
 

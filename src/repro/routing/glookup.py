@@ -627,20 +627,6 @@ class GLookupService:
         oracles judge staleness themselves)."""
         return self._table.peek(name)
 
-    def lookup_recursive(
-        self, name: GdpName
-    ) -> tuple["GLookupService | None", list[RouteEntry]]:
-        """Walk up the hierarchy until some ancestor knows *name*;
-        returns (service that answered, entries) — (None, []) if even
-        the global service has never heard of it.  Inline answers only."""
-        service: GLookupService | None = self
-        while service is not None:
-            entries = service.lookup(name)
-            if entries:
-                return service, entries
-            service = service.parent
-        return None, []
-
     def purge_expired(self, now: float | None = None) -> int:
         """Reclaim every expired binding the backing has due; returns
         how many."""

@@ -7,10 +7,10 @@ trust in the death being reported.  The flip side is that live endpoints
 must re-advertise before their lease runs out; that is this daemon's
 whole job.
 
-The cadence mirrors :class:`~repro.server.replication.AntiEntropyDaemon`:
-a nominal interval (default: half the endpoint's lease) with seeded
-jitter so a fleet of servers does not stampede its routers in lockstep,
-while simtest replays stay byte-identical.
+The cadence is :class:`~repro.runtime.context.Periodic`'s: a nominal
+interval (default: half the endpoint's lease) with seeded jitter so a
+fleet of servers does not stampede its routers in lockstep, while
+simtest replays stay byte-identical.
 """
 
 from __future__ import annotations
@@ -20,20 +20,20 @@ from typing import Generator
 
 from repro.errors import GdpError
 from repro.routing.endpoint import Endpoint
+from repro.runtime.context import Periodic
 
 __all__ = ["LeaseRefreshDaemon"]
 
 
-class LeaseRefreshDaemon:
+class LeaseRefreshDaemon(Periodic):
     """Background process re-advertising an endpoint before its
     advertisement lease expires.
 
     ``interval`` defaults to half the endpoint's ``lease_ttl`` so every
-    refresh lands with a comfortable margin; ``jitter`` draws each pause
-    from ``interval * [1 - jitter/2, 1 + jitter/2]`` with a dedicated
-    seeded RNG.  Crashed endpoints (``endpoint.crashed`` truthy) skip
-    their turn — their routes are *supposed* to lapse; ``restart()``
-    re-advertises explicitly.
+    refresh lands with a comfortable margin; the jittered cadence is
+    :class:`~repro.runtime.context.Periodic`'s.  Crashed endpoints
+    (``endpoint.crashed`` truthy) skip their turn — their routes are
+    *supposed* to lapse; ``restart()`` re-advertises explicitly.
     """
 
     def __init__(
@@ -51,53 +51,33 @@ class LeaseRefreshDaemon:
                     "with a lease_ttl"
                 )
             interval = endpoint.lease_ttl / 2.0
+        super().__init__(
+            endpoint.ctx,
+            f"leaserefresh:{endpoint.node_id}",
+            interval,
+            jitter=jitter,
+            rng=rng,
+        )
         self.endpoint = endpoint
-        self.interval = interval
-        self.jitter = jitter
-        self.rng = rng or random.Random(f"leaserefresh:{endpoint.node_id}")
         self.refreshes = 0
         self.failures = 0
-        self._running = False
 
-    def start(self) -> None:
-        """Start the background process (idempotent)."""
-        if self._running:
+    def _tick(self) -> Generator:
+        if getattr(self.endpoint, "crashed", False):
             return
-        self._running = True
-        self.endpoint.sim.spawn(
-            self._loop(), name=f"leaserefresh:{self.endpoint.node_id}"
-        )
-
-    def stop(self) -> None:
-        """Stop after the current refresh."""
-        self._running = False
-
-    def _next_delay(self) -> float:
-        if self.jitter <= 0:
-            return self.interval
-        spread = self.jitter * (self.rng.random() - 0.5)
-        return self.interval * (1.0 + spread)
-
-    def _loop(self) -> Generator:
-        while self._running:
-            yield self._next_delay()
-            if not self._running:
-                return
-            if getattr(self.endpoint, "crashed", False):
-                continue
-            try:
-                # A handshake stalled by a lost PDU must not wedge the
-                # daemon: abandon it and retry next tick, and bound each
-                # attempt by our own period.
-                self.endpoint.abandon_advertisement()
-                yield self.endpoint.sim.timeout(
-                    self.endpoint.advertise(self.endpoint.current_catalog()),
-                    max(self.interval, 1.0),
-                    f"lease refresh {self.endpoint.node_id}",
-                )
-                self.refreshes += 1
-            except GdpError:
-                # Rejected, unroutable, or timed out this round; the
-                # next tick (well inside the remaining lease) retries
-                # with a fresh HELLO.
-                self.failures += 1
+        try:
+            # A handshake stalled by a lost PDU must not wedge the
+            # daemon: abandon it and retry next tick, and bound each
+            # attempt by our own period.
+            self.endpoint.abandon_advertisement()
+            yield self.ctx.timeout(
+                self.endpoint.advertise(self.endpoint.current_catalog()),
+                max(self.interval, 1.0),
+                f"lease refresh {self.endpoint.node_id}",
+            )
+            self.refreshes += 1
+        except GdpError:
+            # Rejected, unroutable, or timed out this round; the
+            # next tick (well inside the remaining lease) retries
+            # with a fresh HELLO.
+            self.failures += 1

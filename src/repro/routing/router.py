@@ -44,7 +44,7 @@ from repro.routing.fib import CompactFib
 from repro.routing.glookup import RouteEntry, expiry_from_wire
 from repro.routing.pdu import Pdu
 from repro.runtime.dispatch import find_handler, on_ptype
-from repro.sim.net import Link, Node, SimNetwork
+from repro.runtime.network import Network, Node
 
 __all__ = ["GdpRouter", "ADVERT_DOMAIN_TAG"]
 
@@ -66,7 +66,7 @@ class GdpRouter(Node):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         domain: RoutingDomain,
         *,
@@ -104,7 +104,7 @@ class GdpRouter(Node):
         self.attached: dict[GdpName, Node] = {}
         #: name -> (next-hop node, expiry sim-time) — the route *cache*,
         #: packed (44 bytes/route) with lease-wheel reclamation
-        self.fib = CompactFib(clock=lambda: self.sim.now)
+        self.fib = CompactFib(clock=lambda: self.ctx.now)
         #: name -> expiry sim-time of a cached resolution *miss*
         self._neg_cache: dict[GdpName, float] = {}
         #: name -> PDUs parked while a tier's pending answer is in
@@ -134,7 +134,7 @@ class GdpRouter(Node):
 
     # -- link layer -------------------------------------------------------
 
-    def receive(self, message: Any, sender: Node, link: Link) -> None:
+    def receive(self, message: Any, sender: Node, link: Any) -> None:
         """Link-layer entry (sim mode): hand off to the transport."""
         self.transport.deliver(message, sender)
 
@@ -148,11 +148,11 @@ class GdpRouter(Node):
                 return
         # Single-server processing queue: each PDU occupies the
         # forwarding engine for service_time seconds.
-        start = max(self.sim.now, self._busy_until)
+        start = max(self.ctx.now, self._busy_until)
         self._busy_until = start + self.service_time
-        delay = self._busy_until - self.sim.now
+        delay = self._busy_until - self.ctx.now
         self._inbox.append((message, peer))
-        self.sim.schedule(delay, self._process)
+        self.ctx.schedule(delay, self._process)
 
     def _send_pdu(self, next_hop: Node, pdu: Pdu) -> None:
         if self.pipeline:
@@ -165,13 +165,13 @@ class GdpRouter(Node):
             return
         # Shared-NIC egress queue: transmissions serialize across all
         # output links at the aggregate line rate.
-        start = max(self.sim.now, self._egress_busy_until)
+        start = max(self.ctx.now, self._egress_busy_until)
         self._egress_busy_until = start + pdu.size_bytes / self.egress_bandwidth
-        delay = start - self.sim.now
+        delay = start - self.ctx.now
         if delay <= 0:
             self.transport.send(next_hop, pdu)
         else:
-            self.sim.schedule(delay, self.transport.send, next_hop, pdu)
+            self.ctx.schedule(delay, self.transport.send, next_hop, pdu)
 
     # -- control plane: secure advertisement ------------------------------
 
@@ -297,7 +297,7 @@ class GdpRouter(Node):
                 principal = None
             if principal is not None:
                 self._quarantine[principal] = (
-                    self.sim.now + self.quarantine_ttl
+                    self.ctx.now + self.quarantine_ttl
                 )
         self._c_failovers.inc()
 
@@ -321,7 +321,7 @@ class GdpRouter(Node):
             raise AdvertisementError("challenge-response signature invalid")
         accepted: list[GdpName] = []
         leases: dict[GdpName, float | None] = {}
-        now = self.sim.now
+        now = self.ctx.now
         # The endpoint's own name.
         from repro.delegation.certs import RtCert
 
@@ -444,7 +444,7 @@ class GdpRouter(Node):
         cached = self.fib.get(dst)
         if cached is not None:
             node, expiry = cached
-            if self.sim.now <= expiry:
+            if self.ctx.now <= expiry:
                 return node
             # Expired: treat as a miss.  Physical reclamation is the
             # lease wheel's job, not this lookup's.
@@ -454,7 +454,7 @@ class GdpRouter(Node):
         #     storms through the hierarchy.
         neg = self._neg_cache.get(dst)
         if neg is not None:
-            if self.sim.now <= neg:
+            if self.ctx.now <= neg:
                 self._c_negative_hits.inc()
                 return None
             del self._neg_cache[dst]
@@ -496,7 +496,7 @@ class GdpRouter(Node):
                 if hop is not None:
                     return hop
             service = service.parent
-        self._neg_cache[dst] = self.sim.now + self.neg_ttl
+        self._neg_cache[dst] = self.ctx.now + self.neg_ttl
         return None
 
     def _advance(
@@ -518,7 +518,7 @@ class GdpRouter(Node):
                 return _PENDING  # never park or fetch for a bounce
             self._parked[dst] = [waiter]
             self._c_parked.inc()
-        self.sim.spawn(
+        self.ctx.spawn(
             resolution, f"glookup-resolve:{dst.human()}"
         ).completion.add_callback(
             lambda future: self._resolution_done(dst, walk, future)
@@ -550,7 +550,7 @@ class GdpRouter(Node):
         evidence's lease."""
         for entry in entries:
             try:
-                entry.verify(now=self.sim.now)
+                entry.verify(now=self.ctx.now)
             except Exception:
                 continue
             self._c_verified_installs.inc()
@@ -568,14 +568,14 @@ class GdpRouter(Node):
 
         # Steer around replicas under failover quarantine, unless they
         # are all quarantined (a possibly-stale route beats no route).
-        now = self.sim.now
+        now = self.ctx.now
         live = [e for e in entries if not self._is_quarantined(e.principal, now)]
         choice = select_entry(self, live or entries)
         if choice is None:
             return None
         # Routers do not trust the GLookupService: re-verify evidence.
         try:
-            choice.verify(now=self.sim.now)
+            choice.verify(now=self.ctx.now)
             self._c_verified_installs.inc()
         except Exception:
             # Forged entry (compromised GLookupService): refuse, and try
@@ -622,7 +622,7 @@ class GdpRouter(Node):
     ) -> None:
         """Cache a route; the entry can never outlive its evidence — the
         FIB expiry is capped at the advertisement lease."""
-        expiry = self.sim.now + self.fib_ttl
+        expiry = self.ctx.now + self.fib_ttl
         if lease is not None:
             expiry = min(expiry, lease)
         self.fib[dst] = (hop, expiry)

@@ -1,8 +1,16 @@
-"""Unified node runtime shared by every GDP node role.
+"""The substrate every GDP node role is written against.
 
 The paper's GDP is *one* substrate with many roles — DataCapsule-servers,
 GDP-routers, GLookupServices, clients, gateways (§IV, §VII, §VIII).  This
-package is the role-independent plumbing those nodes share:
+package is the role-independent plumbing those nodes share; the
+simulator (:mod:`repro.sim`) and ``socketnet`` are its two
+implementations:
+
+``network`` / ``context`` / ``transport``
+    :class:`Network` (context, RNG, node table, metrics, node
+    middlewares) and the element base :class:`Node`; the clock and
+    scheduler (``RuntimeContext``, ``Future``, ``Process``, and
+    ``Periodic``, every daemon's cadence); how PDUs move.
 
 ``dispatch``
     A typed op-dispatch registry: handlers declare themselves with
@@ -65,9 +73,13 @@ from repro.runtime.middleware import (
     NodeMiddleware,
     NodePipeline,
 )
+from repro.runtime.network import Network, Node
 from repro.runtime.trace import TraceMiddleware, TraceStream
 
 __all__ = [
+    # network
+    "Network",
+    "Node",
     # dispatch
     "op",
     "on_ptype",

@@ -9,7 +9,9 @@ execution*, but must not care where they come from.  A
 - ``schedule(delay, fn, *args)`` — run a callback later;
 - :class:`Future` / :class:`Process` — the one-shot value and
   generator-coroutine primitives every client/daemon is written
-  against.
+  against;
+- :class:`Periodic` — the cadence every background daemon shares
+  (start / stop / jittered sleep), leaving a daemon only its tick.
 
 Two implementations exist:
 
@@ -25,11 +27,12 @@ client.read(...)``) runs unchanged on either substrate.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import TimeoutError_
 
-__all__ = ["RuntimeContext", "AsyncioContext", "Future", "Process"]
+__all__ = ["RuntimeContext", "AsyncioContext", "Future", "Process", "Periodic"]
 
 
 class Future:
@@ -139,6 +142,65 @@ class Process:
             self._step(None, exc)
             return
         self._step(value, None)
+
+
+class Periodic:
+    """A background daemon: run :meth:`_tick` every ``interval`` seconds
+    until stopped.
+
+    ``jitter`` desynchronises a fleet: each pause is drawn uniformly
+    from ``interval * [1 - jitter/2, 1 + jitter/2]`` — one draw per tick
+    from a dedicated RNG seeded with the daemon's *name* (also its
+    process name), so daemons sharing an interval stop firing in
+    lockstep while simulated replays stay byte-identical.
+    """
+
+    #: whether a :meth:`stop` that lands during the sleep still runs the
+    #: tick that sleep was for
+    finishes_round = False
+
+    def __init__(
+        self,
+        ctx: "RuntimeContext",
+        name: str,
+        interval: float,
+        *,
+        jitter: float = 0.0,
+        rng: random.Random | None = None,
+    ):
+        self.ctx = ctx
+        self.name = name
+        self.interval = interval
+        self.jitter = jitter
+        self.rng = rng or random.Random(name)
+        self._running = False
+
+    def start(self) -> None:
+        """Start the background process (idempotent)."""
+        if self._running:
+            return
+        self._running = True
+        self.ctx.spawn(self._loop(), name=self.name)
+
+    def stop(self) -> None:
+        """Stop after the tick in progress."""
+        self._running = False
+
+    def _next_delay(self) -> float:
+        if self.jitter <= 0:
+            return self.interval
+        spread = self.jitter * (self.rng.random() - 0.5)
+        return self.interval * (1.0 + spread)
+
+    def _loop(self) -> Generator:
+        while self._running:
+            yield self._next_delay()
+            if self._running or self.finishes_round:
+                yield from self._tick()
+
+    def _tick(self) -> Generator:
+        """One round of the daemon's work (a process body)."""
+        raise NotImplementedError
 
 
 class RuntimeContext:

@@ -20,23 +20,11 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
+from repro.routing.pdu import Pdu
 from repro.runtime.metrics import Counter
 from repro.runtime.middleware import DROP, DeliveryMiddleware
 
 __all__ = ["DropFaults", "TamperFaults", "ReplayFaults", "DelayFaults"]
-
-_PDU_CLASS = None
-
-
-def _is_pdu(message: Any) -> bool:
-    # Imported lazily: repro.sim.net imports this package, and the
-    # routing package imports repro.sim.net.
-    global _PDU_CLASS
-    if _PDU_CLASS is None:
-        from repro.routing.pdu import Pdu
-
-        _PDU_CLASS = Pdu
-    return isinstance(message, _PDU_CLASS)
 
 
 class _Fault(DeliveryMiddleware):
@@ -69,7 +57,7 @@ class _Fault(DeliveryMiddleware):
         when the rate is armed and the message matches)."""
         if not self.rate:
             return False
-        if not _is_pdu(message):
+        if not isinstance(message, Pdu):
             return False
         if self.match is not None and not self.match(message):
             return False
@@ -176,13 +164,11 @@ class ReplayFaults(_Fault):
 
     def on_deliver(self, link, sender, receiver, message, size):
         if self._hit(message):
-            from repro.routing.pdu import Pdu
-
             copy = Pdu(
                 message.src, message.dst, message.ptype,
                 message.payload, corr_id=message.corr_id, ttl=message.ttl,
             )
-            self.network.sim.schedule(
+            self.network.ctx.schedule(
                 self.seconds,
                 lambda: receiver.receive(copy, sender, link),
             )
@@ -204,7 +190,7 @@ class DelayFaults(_Fault):
     def on_deliver(self, link, sender, receiver, message, size):
         if self._hit(message):
             self.counter.inc()
-            self.network.sim.schedule(
+            self.network.ctx.schedule(
                 self.seconds,
                 lambda: receiver.receive(message, sender, link),
             )

@@ -1,12 +1,12 @@
 """SocketNetwork: the element substrate in socket (real-process) mode.
 
 The protocol elements (endpoints, routers, servers) are written against
-a small substrate surface — ``ctx`` (clock + scheduling), ``rng``,
-``metrics``, ``node_pipeline()``, ``transport_for()`` — that
-:class:`~repro.sim.net.SimNetwork` provides in simulation.  This class
-provides the same surface over an asyncio event loop, so the *same*
-classes run as real networked processes: time is the loop's monotonic
-clock, transports speak TCP, and there are no links.
+:class:`~repro.runtime.network.Network` — ``ctx`` (clock + scheduling),
+``rng``, ``metrics``, the node-middleware plane, ``transport_for()``.
+This class is that plane over an asyncio event loop, so the *same*
+classes that run on :class:`~repro.sim.net.SimNetwork` run as real
+networked processes: time is the loop's monotonic clock, transports
+speak TCP, and there are no links.
 
 One :class:`SocketNetwork` per OS process (shared-nothing fleet model);
 cross-process communication is TCP only.
@@ -14,18 +14,16 @@ cross-process communication is TCP only.
 
 from __future__ import annotations
 
-import random
-
 from repro.runtime.context import AsyncioContext
-from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.middleware import NodeMiddleware, NodePipeline
+from repro.runtime.network import Network
 from repro.runtime.transport import AsyncioTransport
 
 __all__ = ["SocketNetwork"]
 
 
-class SocketNetwork:
-    """An asyncio-backed substrate with the SimNetwork element surface."""
+class SocketNetwork(Network):
+    """A :class:`Network` whose context is an asyncio event loop and
+    whose transports are TCP."""
 
     def __init__(
         self,
@@ -34,47 +32,18 @@ class SocketNetwork:
         seed: int = 0,
         metrics_enabled: bool = True,
     ):
-        self.ctx = ctx if ctx is not None else AsyncioContext()
-        self.rng = random.Random(seed)
-        self.nodes: dict[str, object] = {}
-        self.metrics = MetricsRegistry(enabled=metrics_enabled)
-        self.delivery = None  # no link layer, no delivery pipeline
-        self.tracer = None
-        self._node_middlewares: list[NodeMiddleware] = []
-
-    @property
-    def sim(self) -> AsyncioContext:
-        """Alias kept so element code written as ``self.sim.now`` /
-        ``self.sim.future()`` runs unchanged in socket mode."""
-        return self.ctx
-
-    def _register(self, node) -> None:
-        if node.node_id in self.nodes:
-            raise ValueError(f"duplicate node id {node.node_id!r}")
-        self.nodes[node.node_id] = node
-
-    def node_pipeline(self) -> NodePipeline:
-        """A fresh per-node pipeline (network-wide middlewares seeded)."""
-        return NodePipeline(self._node_middlewares)
-
-    def install_node_middleware(self, middleware: NodeMiddleware) -> NodeMiddleware:
-        """Install *middleware* on every node pipeline, now and later."""
-        self._node_middlewares.append(middleware)
-        for node in self.nodes.values():
-            pipeline = getattr(node, "pipeline", None)
-            if pipeline is not None:
-                pipeline.use(middleware)
-        return middleware
+        super().__init__(
+            ctx or AsyncioContext(), seed=seed, metrics_enabled=metrics_enabled
+        )
 
     def transport_for(self, node, **kwargs) -> AsyncioTransport:
         """An :class:`AsyncioTransport` announcing *node*'s identity."""
+        name = getattr(node, "name", None)
         metadata = getattr(node, "metadata", None)
         return AsyncioTransport(
             self.ctx,
             label=node.node_id,
-            name_raw=getattr(node, "name", None).raw
-            if getattr(node, "name", None) is not None
-            else b"",
+            name_raw=name.raw if name is not None else b"",
             metadata_wire=metadata.to_wire() if metadata is not None else None,
             **kwargs,
         )

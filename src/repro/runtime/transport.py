@@ -20,8 +20,8 @@ the size limit).
 
 Implementations:
 
-- :class:`SimTransport` — wraps the :mod:`repro.sim.net` Link/Node
-  machinery; peers are adjacent :class:`~repro.sim.net.Node` objects.
+- :class:`SimTransport` — wraps the simulator's link layer; peers are
+  adjacent :class:`~repro.runtime.network.Node` objects.
 - :class:`AsyncioTransport` — speaks length-prefixed binary PDU frames
   over TCP via asyncio; peers are :class:`SocketChannel` connections
   (or in-process :class:`LocalChannel` pairs for co-located elements).
@@ -107,7 +107,7 @@ class Transport:
 class SimTransport(Transport):
     """Transport over the simulated link layer.
 
-    Peers are adjacent :class:`~repro.sim.net.Node` objects; ``send``
+    Peers are adjacent :class:`~repro.runtime.network.Node` objects; ``send``
     charges the duplex link exactly as ``Node.send`` always did, so the
     refactor is invisible to simulation timing, RNG draws, and traces.
     """
@@ -125,7 +125,7 @@ class SimTransport(Transport):
                 f"{self.node.node_id} has no link to "
                 f"{getattr(peer, 'node_id', peer)!r}"
             )
-        if link._busy_until[(self.node, peer)] > self.node.sim.now:
+        if link._busy_until[(self.node, peer)] > self.node.ctx.now:
             self.backpressure += 1
         self.sent += 1
         link.transmit(self.node, pdu, pdu.size_bytes)

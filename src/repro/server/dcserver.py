@@ -63,8 +63,8 @@ from repro.runtime.dispatch import dispatch_op, op, opt
 from repro.server.durability import AckPolicy
 from repro.server.secure import mac_response, sign_response
 from repro.server.storage import MemoryStore, StorageBackend
-from repro.sim.engine import Future
-from repro.sim.net import SimNetwork
+from repro.runtime.context import Future
+from repro.runtime.network import Network
 
 __all__ = ["DataCapsuleServer", "HostedCapsule"]
 
@@ -105,7 +105,7 @@ class DataCapsuleServer(Endpoint):
 
     def __init__(
         self,
-        network: SimNetwork,
+        network: Network,
         node_id: str,
         *,
         key: SigningKey | None = None,
@@ -169,7 +169,7 @@ class DataCapsuleServer(Endpoint):
     ) -> HostedCapsule:
         """Start hosting a capsule (local entry point; the ``host`` op
         arrives here too).  Verifies the delegation before accepting."""
-        chain.verify(now=self.sim.now)
+        chain.verify(now=self.ctx.now)
         if chain.server != self.name:
             raise CapsuleError("delegation chain is for a different server")
         if chain.capsule != metadata.name:
@@ -326,7 +326,7 @@ class DataCapsuleServer(Endpoint):
         if isinstance(result, dict) and result.get("error_kind"):
             return self._wrap(pdu, None, result)
         if isinstance(result, Future):
-            wrapped = self.sim.future()
+            wrapped = self.ctx.future()
             capsule_name = self._capsule_of(payload)
             self._inflight += 1
 
@@ -400,7 +400,7 @@ class DataCapsuleServer(Endpoint):
         if self._uplink is None:
             return
         if self._pending_adv is not None and not self._pending_adv.done:
-            self.sim.schedule(0.05, self._schedule_readvertise)
+            self.ctx.schedule(0.05, self._schedule_readvertise)
             return
         self.advertise(self.catalog_entries())
 
@@ -541,7 +541,7 @@ class DataCapsuleServer(Endpoint):
     ) -> Future:
         """Durable path: wait until *required* replicas (including us)
         have persisted the record(s), or report how far we got."""
-        result = self.sim.future()
+        result = self.ctx.future()
         state = {"acks": 1, "outstanding": len(hosted.siblings)}
 
         def check_done() -> None:
@@ -727,8 +727,8 @@ class DataCapsuleServer(Endpoint):
 
         hosted = self._hosted(payload)
         sibling = GdpName(payload["from"])
-        result = self.sim.future()
-        process = self.sim.spawn(
+        result = self.ctx.future()
+        process = self.ctx.spawn(
             sync_once(self, hosted.capsule.name, sibling),
             name=f"sync_now:{self.node_id}",
         )
@@ -762,7 +762,7 @@ class DataCapsuleServer(Endpoint):
             grant = SubGrant.from_wire(grant_wire)
             grant.verify(
                 hosted.capsule.metadata.owner_key,
-                now=self.sim.now,
+                now=self.ctx.now,
                 capsule=hosted.capsule.name,
                 subscriber=pdu.src,
             )

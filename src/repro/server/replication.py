@@ -42,6 +42,7 @@ from repro.capsule.heartbeat import Heartbeat
 from repro.capsule.records import Record
 from repro.errors import GdpError
 from repro.naming.names import GdpName
+from repro.runtime.context import Periodic
 from repro.server.dcserver import DataCapsuleServer, HostedCapsule
 
 __all__ = [
@@ -341,31 +342,30 @@ def sync_once(
             candidates = divergent + candidates
     if not candidates:
         if session is not None:
-            session.last_synced = server.sim.now
+            session.last_synced = server.ctx.now
         return 0
     fetched = yield from _fetch_batches(
         server, hosted, sibling, candidates, timeout, config, session
     )
     if session is not None:
         session.records_fetched += fetched
-        session.last_synced = server.sim.now
+        session.last_synced = server.ctx.now
     return fetched
 
 
-class AntiEntropyDaemon:
+class AntiEntropyDaemon(Periodic):
     """Background process syncing every hosted capsule round-robin.
 
     ``interval`` is the nominal pause between rounds; each round syncs
     each capsule with one sibling (rotating through siblings so full
-    pairwise coverage happens over successive rounds).
-
-    ``jitter`` desynchronizes the fleet: every pause is drawn uniformly
-    from ``interval * [1 - jitter/2, 1 + jitter/2]`` using a dedicated
-    seeded RNG (``rng``; defaults to one derived from the server's node
-    id), so replicas with the same interval stop firing — and hitting
-    the same peers — in lockstep, while simtest replays stay
-    byte-identical.
+    pairwise coverage happens over successive rounds).  The jittered
+    cadence is :class:`~repro.runtime.context.Periodic`'s, so replicas
+    with the same interval stop firing — and hitting the same peers —
+    in lockstep, while simtest replays stay byte-identical.
     """
+
+    #: a stop() mid-sleep still runs the round that sleep was for
+    finishes_round = True
 
     def __init__(
         self,
@@ -376,15 +376,18 @@ class AntiEntropyDaemon:
         rng: random.Random | None = None,
         config: SyncConfig | None = None,
     ):
+        super().__init__(
+            server.ctx,
+            f"antientropy:{server.node_id}",
+            interval,
+            jitter=jitter,
+            rng=rng,
+        )
         self.server = server
-        self.interval = interval
-        self.jitter = jitter
-        self.rng = rng or random.Random(f"antientropy:{server.node_id}")
         self.config = config or DEFAULT_CONFIG
         self.rounds = 0
         self.records_fetched = 0
         self.sessions: dict[tuple[GdpName, GdpName], SyncSession] = {}
-        self._running = False
 
     def session_for(
         self, capsule_name: GdpName, sibling: GdpName
@@ -397,42 +400,21 @@ class AntiEntropyDaemon:
             self.sessions[key] = session
         return session
 
-    def start(self) -> None:
-        """Start the background process (idempotent)."""
-        if self._running:
+    def _tick(self) -> Generator:
+        if self.server.crashed:
             return
-        self._running = True
-        self.server.sim.spawn(self._loop(), name=f"antientropy:{self.server.node_id}")
-
-    def stop(self) -> None:
-        """Stop after the current round."""
-        self._running = False
-
-    def _next_delay(self) -> float:
-        if self.jitter <= 0:
-            return self.interval
-        spread = self.jitter * (self.rng.random() - 0.5)
-        return self.interval * (1.0 + spread)
-
-    def _loop(self) -> Generator:
-        turn = 0
-        while self._running:
-            yield self._next_delay()
-            if self.server.crashed:
+        for capsule_name in list(self.server.hosted):
+            hosted: HostedCapsule = self.server.hosted[capsule_name]
+            if not hosted.siblings:
                 continue
-            for capsule_name in list(self.server.hosted):
-                hosted: HostedCapsule = self.server.hosted[capsule_name]
-                if not hosted.siblings:
-                    continue
-                sibling = hosted.siblings[turn % len(hosted.siblings)]
-                # A gossip round must not outwait its own period, or a
-                # dead sibling head-of-line-blocks the daemon.
-                fetched = yield from sync_once(
-                    self.server, capsule_name, sibling,
-                    timeout=max(self.interval, 1.0),
-                    config=self.config,
-                    session=self.session_for(capsule_name, sibling),
-                )
-                self.records_fetched += fetched
-            self.rounds += 1
-            turn += 1
+            sibling = hosted.siblings[self.rounds % len(hosted.siblings)]
+            # A gossip round must not outwait its own period, or a
+            # dead sibling head-of-line-blocks the daemon.
+            fetched = yield from sync_once(
+                self.server, capsule_name, sibling,
+                timeout=max(self.interval, 1.0),
+                config=self.config,
+                session=self.session_for(capsule_name, sibling),
+            )
+            self.records_fetched += fetched
+        self.rounds += 1

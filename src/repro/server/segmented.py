@@ -873,10 +873,11 @@ class SegmentedStore(StorageBackend):
         merged_id = max(seg.id for seg in log.segments) + 1
         frames = bytearray(_MAGIC)
         merged = SegmentInfo(merged_id, sealed=True)
-        sparse: list[list[int]] = []
-        extras: list[list[int]] = []
-        leaves: dict[int, list[bytes]] = {}
-        countdown = 0
+        # The merged segment's index is built by the code the append
+        # path and tail replay use, over a scratch log whose only
+        # segment is the merged one.
+        scratch = _CapsuleLog(log.name, log.dir)
+        scratch.segments.append(merged)
         # Heartbeats below the checkpoint are superseded by the newest
         # one among the merged segments: the chain strategies all build
         # position proofs from any later heartbeat, so only the newest
@@ -896,44 +897,19 @@ class SegmentedStore(StorageBackend):
             offset = len(frames)
             frames += _FRAME.pack(ord(tag), len(payload), zlib.crc32(payload))
             frames += payload
-            if tag != _TAG_RECORD:
-                continue
-            wire = encoding.decode(payload)
-            seqno = wire["seqno"]
-            merged.records += 1
-            if merged.first == 0 or seqno < merged.first:
-                merged.first = seqno
-            if seqno >= merged.last:
-                if countdown == 0:
-                    sparse.append([seqno, offset])
-                    countdown = _SPARSE_EVERY
-                countdown -= 1
-                merged.last = seqno
-            else:
-                extras.append([seqno, offset])
-            if self.sync_index:
-                digest = record_wire_digest(log.name.raw, wire)
-                bucket = leaves.setdefault(seqno, [])
-                if digest not in bucket:
-                    bucket.append(digest)
-        merged.bytes = len(frames)
+            if tag == _TAG_RECORD:
+                self._index_entry(
+                    scratch, tag, encoding.decode(payload), offset
+                )
+        scratch.size = merged.bytes = len(frames)
         seg_path = self._seg_path(log.dir, merged_id)
         with open(seg_path, "wb") as fh:
             fh.write(bytes(frames))
             fh.flush()
             os.fsync(fh.fileno())
-        idx_wire = {
-            "segment": merged_id,
-            "records": merged.records,
-            "first": merged.first,
-            "last": merged.last,
-            "bytes": merged.bytes,
-            "sparse": _pack_pairs(sparse),
-            "extras": _pack_pairs(extras),
-            "leaves": _pack_leaves(leaves),
-        }
         self._write_atomic(
-            self._idx_path(log.dir, merged_id), encoding.encode(idx_wire)
+            self._idx_path(log.dir, merged_id),
+            encoding.encode(self._index_wire(scratch)),
         )
         self._crashpoint("compact.merged")
         merged_ids = {seg.id for seg in eligible}

@@ -11,80 +11,24 @@ residential-uplink-bound write times come out with the right shape.
 Nodes address each other by attachment; routing above this layer is the
 GDP's job (flat names), not the link layer's.
 
-The network also owns the shared runtime plane (see
-:mod:`repro.runtime`): a :class:`~repro.runtime.metrics.MetricsRegistry`
-every node scopes its counters into, a delivery middleware pipeline that
-every link runs (fault injection installs here), and the optional
-deterministic trace stream.
+The shared plane — context, RNG, node table, metrics registry, node
+middlewares, tracing — is :class:`repro.runtime.network.Network`'s;
+:class:`SimNetwork` adds what only a simulation has: the
+:class:`~repro.sim.engine.Simulator` as that context, the links, and the
+delivery middleware pipeline every link runs (fault injection installs
+here).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any
 
-from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.middleware import (
-    DeliveryPipeline,
-    MetricsMiddleware,
-    NodeMiddleware,
-    NodePipeline,
-)
-from repro.runtime.trace import TraceMiddleware, TraceStream
+from repro.runtime.middleware import DeliveryPipeline
+from repro.runtime.network import Network, Node
+from repro.runtime.transport import SimTransport
 from repro.sim.engine import Simulator
 
 __all__ = ["SimNetwork", "Node", "Link"]
-
-
-class Node:
-    """Base class for anything attached to the network.
-
-    Subclasses override :meth:`receive`.  ``node_id`` is a human label
-    (distinct from GDP names, which live at the routing layer).
-    """
-
-    def __init__(self, network: "SimNetwork", node_id: str):
-        self.network = network
-        self.node_id = node_id
-        self.links: list["Link"] = []
-        #: this node's scope in the network metrics registry
-        self.metrics = network.metrics.node(node_id)
-        network._register(self)
-
-    @property
-    def sim(self) -> Simulator:
-        """The owning simulator."""
-        return self.network.sim
-
-    @property
-    def ctx(self) -> Simulator:
-        """The owning runtime context (the simulator, in sim mode)."""
-        return self.network.ctx
-
-    def link_to(self, other: "Node") -> "Link | None":
-        """The direct link to *other*, or None."""
-        for link in self.links:
-            if link.peer(self) is other:
-                return link
-        return None
-
-    def neighbors(self) -> list["Node"]:
-        """Directly linked peer nodes."""
-        return [link.peer(self) for link in self.links]
-
-    def send(self, target: "Node", message: Any, size: int) -> None:
-        """Send over the direct link to *target* (must be adjacent)."""
-        link = self.link_to(target)
-        if link is None:
-            raise ValueError(f"{self.node_id} has no link to {target.node_id}")
-        link.transmit(self, message, size)
-
-    def receive(self, message: Any, sender: "Node", link: "Link") -> None:
-        """Handle an arriving message; override in subclasses."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.node_id})"
 
 
 class Link:
@@ -153,7 +97,7 @@ class Link:
         """Queue *message* (of *size* bytes) for delivery to the peer."""
         if size < 0:
             raise ValueError("message size must be >= 0")
-        sim = self.network.sim
+        sim = self.network.ctx
         receiver = self.peer(sender)
         direction = (sender, receiver)
         self._c_sent.inc()
@@ -202,48 +146,24 @@ class Link:
         )
 
 
-class SimNetwork:
-    """The network: a simulator plus nodes, links, and a seeded RNG.
-
-    The network owns the shared runtime plane:
-
-    - ``metrics`` — the :class:`MetricsRegistry` every node and link
-      scopes its named counters into (``metrics_enabled=False`` makes
-      all instruments no-ops for zero-overhead hot loops);
-    - ``delivery`` — the link-level middleware pipeline (fault
-      injection);
-    - node middlewares — installed with :meth:`install_node_middleware`,
-      seeded into every node pipeline created via :meth:`node_pipeline`
-      (tracing via :meth:`enable_tracing`, generic PDU counting via
-      :meth:`enable_node_metrics`).
-    """
+class SimNetwork(Network):
+    """The simulated network: a :class:`Network` whose context is a
+    :class:`Simulator`, plus duplex links and ``delivery`` — the
+    link-level middleware pipeline (fault injection)."""
 
     def __init__(self, seed: int = 0, *, metrics_enabled: bool = True):
-        self.sim = Simulator()
-        self.rng = random.Random(seed)
-        self.nodes: dict[str, Node] = {}
+        super().__init__(
+            Simulator(), seed=seed, metrics_enabled=metrics_enabled
+        )
+        #: the simulator handle scenario drivers hold (``net.sim.run()``);
+        #: the same object as ``ctx``
+        self.sim: Simulator = self.ctx
         self.links: list[Link] = []
-        self.metrics = MetricsRegistry(enabled=metrics_enabled)
         self.delivery = DeliveryPipeline()
-        self.tracer: TraceStream | None = None
-        self._node_middlewares: list[NodeMiddleware] = []
 
-    @property
-    def ctx(self) -> Simulator:
-        """The runtime context (the simulator itself in sim mode; see
-        :class:`~repro.runtime.context.RuntimeContext`)."""
-        return self.sim
-
-    def _register(self, node: Node) -> None:
-        if node.node_id in self.nodes:
-            raise ValueError(f"duplicate node id {node.node_id!r}")
-        self.nodes[node.node_id] = node
-
-    def transport_for(self, node: Node, **kwargs):
+    def transport_for(self, node: Node, **kwargs) -> SimTransport:
         """A :class:`~repro.runtime.transport.SimTransport` for *node*
         (peers are adjacent nodes; sends charge the duplex links)."""
-        from repro.runtime.transport import SimTransport
-
         return SimTransport(node, **kwargs)
 
     def connect(
@@ -270,51 +190,3 @@ class SimNetwork:
         bandwidth-weighted transfer cost the replication bench and the
         O(missing)-bytes property test measure."""
         return sum(link._c_bytes.value for link in self.links)
-
-    # -- the node middleware plane -----------------------------------------
-
-    def node_pipeline(self) -> NodePipeline:
-        """A fresh per-node pipeline pre-seeded with the network-wide
-        node middlewares (called by endpoint/router constructors)."""
-        return NodePipeline(self._node_middlewares)
-
-    def install_node_middleware(self, middleware: NodeMiddleware) -> NodeMiddleware:
-        """Install *middleware* on every existing node pipeline and on
-        every pipeline created afterwards."""
-        self._node_middlewares.append(middleware)
-        for node in self.nodes.values():
-            pipeline = getattr(node, "pipeline", None)
-            if pipeline is not None:
-                pipeline.use(middleware)
-        return middleware
-
-    def remove_node_middleware(self, middleware: NodeMiddleware) -> None:
-        """Undo :meth:`install_node_middleware`."""
-        self._node_middlewares.remove(middleware)
-        for node in self.nodes.values():
-            pipeline = getattr(node, "pipeline", None)
-            if pipeline is not None and middleware in pipeline:
-                pipeline.remove(middleware)
-
-    def enable_tracing(self) -> TraceStream:
-        """Turn on the deterministic trace stream (idempotent); every
-        PDU through every node pipeline becomes a span event."""
-        if self.tracer is None:
-            self.tracer = TraceStream(clock=lambda: self.sim.now)
-            self.install_node_middleware(TraceMiddleware(self.tracer))
-        return self.tracer
-
-    def enable_node_metrics(self) -> None:
-        """Count PDUs/bytes through every node pipeline into the
-        registry (``node.pdus_in`` etc.; idempotent).  Also mirrors the
-        process-wide crypto cache counters (``crypto.sign``,
-        ``crypto.verify``, ``crypto.verify_cached``, ...) into this
-        registry's ``crypto`` scope — last network to enable wins, which
-        is fine for the single-threaded simulator."""
-        from repro.crypto import cache as crypto_cache
-
-        crypto_cache.bind_metrics(self.metrics.node("crypto"))
-        for middleware in self._node_middlewares:
-            if isinstance(middleware, MetricsMiddleware):
-                return
-        self.install_node_middleware(MetricsMiddleware(self.metrics))

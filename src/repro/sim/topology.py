@@ -45,11 +45,6 @@ class Topology:
     domains: dict = field(default_factory=dict)
     routers: dict = field(default_factory=dict)
 
-    @property
-    def sim(self):
-        """The owning simulator."""
-        return self.net.sim
-
     def domain(self, name: str) -> "RoutingDomain":
         """Look up a routing domain by name."""
         return self.domains[name]

@@ -3,10 +3,10 @@
 from repro.adversary import PathAttacker
 from repro.caapi import (
     AggregationService,
-    CommitService,
+    CommitShard,
     StreamPublisher,
     StreamSubscriber,
-    read_committed,
+    read_committed_entry,
     submit_update,
 )
 from repro.client import GdpClient
@@ -122,7 +122,7 @@ class TestStream:
 class TestCommitService:
     def test_serializes_multiple_writers(self, mini_gdp, owner_keys):
         g = mini_gdp
-        service = CommitService(g.net, "commit_svc")
+        service = CommitShard(g.net, "commit_svc")
         service.attach(g.r_root)
         alice = GdpClient(g.net, "alice", key=owner_keys(b"alice"))
         bob = GdpClient(g.net, "bob", key=owner_keys(b"bob"))
@@ -148,7 +148,7 @@ class TestCommitService:
 
         (s1, s2, s3), records = g.run(scenario())
         assert (s1.seqno, s2.seqno, s3.seqno) == (1, 2, 3)
-        submitters = [read_committed(r.payload)[0] for r in records]
+        submitters = [read_committed_entry(r.payload)["submitter"] for r in records]
         assert submitters == [
             alice.key.public.to_bytes(),
             bob.key.public.to_bytes(),
@@ -157,7 +157,7 @@ class TestCommitService:
 
     def test_acl_rejects_unauthorized_writer(self, mini_gdp, owner_keys):
         g = mini_gdp
-        service = CommitService(g.net, "commit_acl")
+        service = CommitShard(g.net, "commit_acl")
         service.attach(g.r_root)
         outsider = GdpClient(g.net, "outsider", key=owner_keys(b"out"))
         outsider.attach(g.r_root)
@@ -191,7 +191,7 @@ class TestCommitService:
 
     def test_forged_submission_signature_rejected(self, mini_gdp, owner_keys):
         g = mini_gdp
-        service = CommitService(g.net, "commit_sig")
+        service = CommitShard(g.net, "commit_sig")
         service.attach(g.r_root)
         mallory = GdpClient(g.net, "mallory", key=owner_keys(b"mal"))
         mallory.attach(g.r_root)

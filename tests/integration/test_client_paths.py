@@ -94,7 +94,7 @@ class TestClientRejections:
             )
 
             def forged_request(dst, payload, **kwargs):
-                future = client.sim.future()
+                future = client.ctx.future()
                 future.resolve({
                     "body": {"ok": True},
                     "auth": {

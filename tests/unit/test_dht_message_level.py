@@ -404,6 +404,8 @@ class TestGrepGuard:
         "bench_replication", "repro.loadgen", "def check_regression",
         "FileStore", "storage_engine", "_first_async_service",
         "asynchronous =",
+        # the second spelling of the substrate (PR 23)
+        "self.sim.", ".network.sim", "def sim(",
     )
 
     def test_back_compat_layer_stays_deleted(self):
@@ -415,6 +417,80 @@ class TestGrepGuard:
             source = path.read_text()
             for needle in self.REMOVED:
                 assert needle not in source, f"{path}: {needle!r} is back"
+
+
+class TestLayering:
+    """``repro.runtime`` is the whole substrate and ``repro.sim`` a leaf
+    implementing it: only the simulation drivers know the simulator."""
+
+    #: packages/modules allowed to import ``repro.sim`` and hold ``.sim``
+    DRIVERS = ("sim", "simtest", "bench", "cli.py", "__init__.py")
+    #: (module, line of code) pairs exempt from the import rule
+    ALLOWED = {
+        # The private-overlay default of ``KademliaDht.__init__``: a
+        # DHT built without ``network=`` (build_dht, unit tests,
+        # bench/routing.py) runs on its own simulator.
+        ("routing/dht.py", "from repro.sim.net import SimNetwork"),
+    }
+    #: what ``repro.runtime`` may import from the rest of ``repro``
+    RUNTIME_MAY_IMPORT = (
+        "repro.runtime", "repro.errors", "repro.encoding", "repro.crypto",
+        "repro.routing.pdu",
+    )
+
+    @staticmethod
+    def modules():
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            source = path.read_text()
+            yield rel, source.splitlines(), ast.walk(ast.parse(source))
+
+    @staticmethod
+    def imported(node):
+        """Absolute module names an import statement reaches."""
+        import ast
+
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [f"{node.module}.{alias.name}" for alias in node.names]
+        return []
+
+    def test_only_drivers_know_the_simulator(self):
+        import ast
+
+        for rel, lines, nodes in self.modules():
+            if rel.split("/")[0] in self.DRIVERS:
+                continue
+            for node in nodes:
+                for name in self.imported(node):
+                    if (name + ".").startswith("repro.sim."):
+                        line = lines[node.lineno - 1].strip()
+                        assert (rel, line) in self.ALLOWED, (
+                            f"{rel}:{node.lineno} imports {name}"
+                        )
+                if isinstance(node, ast.Attribute) and node.attr == "sim":
+                    raise AssertionError(
+                        f"{rel}:{node.lineno} reaches through a .sim alias"
+                    )
+
+    def test_runtime_imports_no_element(self):
+        for rel, _, nodes in self.modules():
+            if not rel.startswith("runtime/"):
+                continue
+            for node in nodes:
+                for name in self.imported(node):
+                    if not name.startswith("repro."):
+                        continue
+                    assert (name + ".").startswith(
+                        tuple(m + "." for m in self.RUNTIME_MAY_IMPORT)
+                    ), f"{rel}:{node.lineno} imports {name}"
 
 
 class TestOracleReplicationInvariant:

@@ -75,8 +75,8 @@ class TestRpc:
         net, router, a, b = pair
 
         def slow_handler(pdu):
-            future = b.sim.future()
-            b.sim.schedule(0.5, future.resolve, {"ok": True, "slow": True})
+            future = b.ctx.future()
+            b.ctx.schedule(0.5, future.resolve, {"ok": True, "slow": True})
             return future
 
         b.on_request = slow_handler

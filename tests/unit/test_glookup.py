@@ -159,6 +159,17 @@ class TestHierarchy:
         grandchild = GLookupService("global.site.floor", parent=child)
         return root, child, grandchild
 
+    @staticmethod
+    def climb(service, name):
+        """The resolution walk's climb (``GdpRouter._walk``): ask each
+        tier, leaf → parent → …, until one answers."""
+        while service is not None:
+            entries = service.lookup(name)
+            if entries:
+                return service, entries
+            service = service.parent
+        return None, []
+
     def test_propagates_to_ancestors(self, world):
         root, child, grandchild = self.make_tree()
         grandchild.register(self_entry(world))
@@ -176,16 +187,14 @@ class TestHierarchy:
         root, child, grandchild = self.make_tree()
         sibling = GLookupService("global.other", parent=root)
         grandchild.register(self_entry(world))
-        answered_by, entries = sibling.lookup_recursive(
-            world["server_md"].name
-        )
+        answered_by, entries = self.climb(sibling, world["server_md"].name)
         assert answered_by is root
         assert entries[0].via_child == "global.site"
 
     def test_recursive_miss(self, world):
         root, child, grandchild = self.make_tree()
-        answered_by, entries = grandchild.lookup_recursive(
-            world["capsule_md"].name
+        answered_by, entries = self.climb(
+            grandchild, world["capsule_md"].name
         )
         assert answered_by is None and entries == []
 

@@ -12,7 +12,7 @@ class Sink(Node):
         self.received = []
 
     def receive(self, message, sender, link):
-        self.received.append((message, self.sim.now))
+        self.received.append((message, self.ctx.now))
 
 
 def pair(seed=0, **link_kwargs):

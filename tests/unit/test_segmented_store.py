@@ -3,6 +3,7 @@ sync index, tiering read-through, checkpoint compaction, and recovery
 events.  (Cross-backend contract coverage lives in ``test_storage.py``;
 crash-point sweeps in ``tests/torture/``.)"""
 
+import hashlib
 import os
 
 import pytest
@@ -272,6 +273,36 @@ class TestCompaction:
             e for e in store.recovery_log if e["event"] == "compacted"
         )
         assert len(event["merged"]) == merged
+        store.close()
+
+    def test_compacted_index_bytes_are_pinned(self, tmp_path, filled):
+        """The merged segment's ``.idx`` comes from the index builder
+        the append path and tail replay use; its bytes are the ones the
+        separate builder ``_compact`` used to carry wrote (two
+        out-of-order arrivals keep ``extras`` non-empty)."""
+        capsule, pairs = filled
+        pairs = list(pairs)
+        pairs[2], pairs[3] = pairs[3], pairs[2]
+        pairs[10], pairs[12] = pairs[12], pairs[10]
+        store = SegmentedStore(
+            str(tmp_path), segment_bytes=700, auto_compact=False
+        )
+        fill_store(store, capsule, pairs)
+        store.note_checkpoint(capsule.name, 24)
+        assert store.compact(capsule.name) == 11
+        event = next(
+            e for e in store.recovery_log if e["event"] == "compacted"
+        )
+        idx_path = store._idx_path(
+            store._require(capsule.name).dir, event["into"]
+        )
+        with open(idx_path, "rb") as fh:
+            blob = fh.read()
+        assert len(blob) == 1118
+        assert hashlib.sha256(blob).hexdigest() == (
+            "450a1e8771bddfeeea0e8f6fd5edd255"
+            "f261fa2c5a940ab2a51900a6dcc9cd65"
+        )
         store.close()
 
     def test_compact_without_checkpoint_is_noop(self, tmp_path, filled):

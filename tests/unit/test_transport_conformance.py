@@ -6,13 +6,24 @@ TCP): per-peer FIFO ordering, closed-transport errors plus reconnect,
 oversized-frame rejection, and backpressure accounting.  The asyncio
 cases are marked ``transport`` (they open real sockets) and run in the
 socket-smoke CI job; the sim cases are tier-1.
+
+:class:`TestSubstrateConformance` holds the two network planes to the
+one :class:`~repro.runtime.network.Network` surface the elements are
+written against.  Its socket half needs no socket (``local_pair``), so
+it is tier-1 *and* ``transport``: both jobs run it.
 """
 
 import pytest
 
+from repro.crypto import SigningKey
 from repro.errors import TransportError, WireFormatError
-from repro.naming import GdpName
+from repro.naming import GdpName, make_client_metadata
+from repro.routing import Endpoint, GdpRouter, RoutingDomain
 from repro.routing.pdu import Pdu
+from repro.runtime.middleware import NodeMiddleware
+from repro.runtime.network import Network
+from repro.runtime.socketnet import SocketNetwork
+from repro.runtime.transport import local_pair
 from repro.sim.net import Node, SimNetwork
 
 SRC = GdpName(b"\x0a" * 32)
@@ -253,3 +264,83 @@ class TestConformance:
             assert len(pair.inbox()) == count  # delayed, not dropped
         finally:
             pair.teardown()
+
+
+SUBSTRATES = [
+    pytest.param(SimNetwork, id="sim"),
+    pytest.param(
+        SocketNetwork,
+        id="socket",
+        marks=[pytest.mark.transport, pytest.mark.tier1],
+    ),
+]
+
+
+class TestSubstrateConformance:
+    """One ``Endpoint`` + ``GdpRouter`` on each network plane: the
+    surface the elements use is the same object-for-object."""
+
+    @staticmethod
+    def build(network_cls):
+        net = network_cls(seed=3)
+        router = GdpRouter(
+            net, "r0", RoutingDomain("global", clock=lambda: net.ctx.now)
+        )
+        key = SigningKey.from_seed(b"substrate")
+        endpoint = Endpoint(net, "e0", make_client_metadata(key), key)
+        if isinstance(net, SimNetwork):
+            endpoint.attach(router)
+        else:
+            end, _ = local_pair(net.ctx, endpoint.transport, router.transport)
+            endpoint.attach_channel(end, router.name)
+        return net, router, endpoint
+
+    @staticmethod
+    def advertise(net, endpoint):
+        def scenario():
+            return (yield endpoint.advertise())
+
+        return net.ctx.run_process(scenario())
+
+    @pytest.mark.parametrize("network_cls", SUBSTRATES)
+    def test_shared_surface(self, network_cls):
+        net, router, endpoint = self.build(network_cls)
+        try:
+            assert isinstance(net, Network)
+            assert endpoint.ctx is net.ctx and router.ctx is net.ctx
+            assert net.nodes == {"r0": router, "e0": endpoint}
+            with pytest.raises(ValueError, match="duplicate node id"):
+                Node(net, "e0")
+
+            # Node middlewares reach existing pipelines and later ones, and
+            # removal undoes both.
+            marker = net.install_node_middleware(NodeMiddleware())
+            assert marker in router.pipeline and marker in endpoint.pipeline
+            assert marker in net.node_pipeline()
+            net.remove_node_middleware(marker)
+            assert marker not in router.pipeline
+            assert marker not in endpoint.pipeline
+            assert marker not in net.node_pipeline()
+
+            net.enable_node_metrics()
+            tracer = net.enable_tracing()
+            assert net.enable_tracing() is tracer  # idempotent
+            started = net.ctx.now
+            assert self.advertise(net, endpoint) == [endpoint.name.raw]
+            assert net.metrics.node("r0").counter("node.pdus_in").value >= 2
+            assert net.metrics.node("e0").counter("node.pdus_out").value >= 2
+            assert tracer.events
+            assert all(started <= e[0] <= net.ctx.now for e in tracer.events)
+        finally:
+            loop = getattr(net.ctx, "loop", None)
+            if loop is not None:
+                loop.close()
+
+    def test_implementations_add_only_their_transport(self):
+        def public(cls):
+            return {name for name in vars(cls) if not name.startswith("_")}
+
+        assert public(SimNetwork) & public(SocketNetwork) == {"transport_for"}
+        assert public(SocketNetwork) == {"transport_for"}
+        for cls in (SimNetwork, SocketNetwork):
+            assert cls.__bases__ == (Network,)

@@ -7,7 +7,9 @@ heartbeats seen so far.  It performs the *generalized validation scheme*:
 every inserted record is checked against the capsule name, the declared
 pointer strategy's shape, and the digests of any already-known pointer
 targets; heartbeats are checked against the single writer's key from the
-metadata.
+metadata.  Written data enters through :meth:`DataCapsule.admit`: a run
+of records is stored only once its heartbeat verifies and attests every
+record of the run.
 
 The same class backs every role in the system — writers build onto it,
 DataCapsule-servers store it, and readers accumulate verified state into
@@ -46,6 +48,9 @@ __all__ = ["DataCapsule"]
 #: sync-index leaf for a seqno this replica has no record at — holes must
 #: hash identically on both sides so anti-entropy never "diverges" on them
 _SYNC_HOLE_LEAF = b"\x00gdp.sync.hole"
+
+#: the other records of a one-record run (none; shared, never mutated)
+_NO_RUN: dict = {}
 
 
 class DataCapsule:
@@ -198,7 +203,7 @@ class DataCapsule:
                 f"match strategy {self.strategy.spec!r} (expected {expected})"
             )
 
-    def _check_links(self, record: Record) -> None:
+    def _check_links(self, record: Record, run: dict = _NO_RUN) -> None:
         for ptr in record.pointers:
             if ptr.seqno == 0:
                 if ptr != self._anchor:
@@ -207,7 +212,7 @@ class DataCapsule:
                         "match this capsule's metadata anchor"
                     )
                 continue
-            known = self._by_digest.get(ptr.digest)
+            known = self._by_digest.get(ptr.digest) or run.get(ptr.digest)
             if known is not None and known.seqno != ptr.seqno:
                 raise IntegrityError(
                     f"pointer from record {record.seqno} claims seqno "
@@ -220,19 +225,9 @@ class DataCapsule:
             # and the branches API) rather than rejected, and the
             # equivocation machinery assigns blame from heartbeats.
 
-    def insert(
-        self,
-        record: Record,
-        heartbeat: Heartbeat | None = None,
-        *,
-        enforce_strategy: bool = True,
-    ) -> bool:
-        """Validate and store *record* (idempotent).
-
-        Returns ``True`` if the record was new.  Raises
-        :class:`IntegrityError` on any validation failure; nothing is
-        stored in that case.
-        """
+    def _check_record(
+        self, record: Record, enforce_strategy: bool, run: dict = _NO_RUN
+    ) -> None:
         if record.capsule != self.name:
             raise IntegrityError(
                 f"record for capsule {record.capsule.human()} inserted "
@@ -240,9 +235,9 @@ class DataCapsule:
             )
         if enforce_strategy:
             self._check_shape(record)
-        self._check_links(record)
-        if heartbeat is not None:
-            self.add_heartbeat(heartbeat, matching_record=record)
+        self._check_links(record, run)
+
+    def _store(self, record: Record) -> bool:
         if record.digest in self._by_digest:
             return False
         self._by_digest[record.digest] = record
@@ -251,16 +246,67 @@ class DataCapsule:
         self._range_root_cache.clear()
         return True
 
+    def insert(self, record: Record, *, enforce_strategy: bool = True) -> bool:
+        """Validate and store one record without a heartbeat (idempotent;
+        CRDT merges, storage replay, sync); returns ``True`` if it was
+        new.  Raises :class:`IntegrityError`, storing nothing, on any
+        validation failure."""
+        self._check_record(record, enforce_strategy)
+        return self._store(record)
+
+    def admit(
+        self, records: list[Record], heartbeat: Heartbeat
+    ) -> tuple[list[Record], bool]:
+        """Admit a run of records attested by one heartbeat over its last
+        record (the tip) — the one way a replica stores written data.
+
+        Every check runs before anything is stored: each record's
+        capsule, strategy shape and links; every record reachable from
+        the tip by hash pointers through the run (so the heartbeat
+        attests each one); then the heartbeat's signature, tip binding
+        and equivocation.  Returns ``(new records, heartbeat was new)``.
+        Raises on any failure, leaving the capsule untouched.
+        """
+        tip = records[-1]
+        if len(records) == 1:
+            self._check_record(tip, True)
+        else:
+            run = {record.digest: record for record in records}
+            for record in records:
+                self._check_record(record, True, run)
+            self._check_attested(run, tip)
+        # add_heartbeat raises before it stores; nothing after it can fail
+        heartbeat_new = self.add_heartbeat(heartbeat, matching_record=tip)
+        return [record for record in records if self._store(record)], heartbeat_new
+
+    @staticmethod
+    def _check_attested(run: dict[bytes, Record], tip: Record) -> None:
+        """Every record of *run* must be reachable from *tip* through
+        hash pointers to records of the run.  Pointers only reach lower
+        seqnos, so one descending pass settles reachability."""
+        reached = {tip.digest}
+        for record in sorted(run.values(), key=lambda r: r.seqno, reverse=True):
+            if record.digest not in reached:
+                raise IntegrityError(
+                    f"record {record.seqno} is not attested by the "
+                    f"heartbeat over record {tip.seqno}"
+                )
+            reached.update(ptr.digest for ptr in record.pointers)
+
     def add_heartbeat(
         self, heartbeat: Heartbeat, *, matching_record: Record | None = None
     ) -> bool:
         """Validate and store a heartbeat (idempotent); returns ``True``
         if new.  Checks the writer signature, capsule binding, and —
-        when the record is available — digest agreement."""
+        when the record is available — that it signs that record; on a
+        failed check nothing is stored."""
         if heartbeat.capsule != self.name:
             raise IntegrityError("heartbeat is for a different capsule")
         heartbeat.verify(self._writer_key)
-        if matching_record is not None and heartbeat.digest != matching_record.digest:
+        if matching_record is not None and (
+            heartbeat.digest != matching_record.digest
+            or heartbeat.seqno != matching_record.seqno
+        ):
             raise IntegrityError(
                 f"heartbeat digest does not match record {matching_record.seqno}"
             )

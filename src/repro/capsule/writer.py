@@ -167,35 +167,21 @@ class CapsuleWriter:
         }
 
     def _mint(self, payload: bytes) -> Record:
-        """Create and locally apply the next record (no heartbeat yet)."""
+        """Create the next record and advance the writer state."""
         seqno = self.state.last_seqno + 1
         record = Record(
             self.capsule.name, seqno, payload, self._build_pointers(seqno)
         )
-        self.capsule.insert(record)
         self.state.last_seqno = seqno
         self.state.digests[seqno] = record.digest
         self._retire_stale_digests(seqno)
         return record
 
-    def _sign_heartbeat(self, record: Record) -> Heartbeat:
-        heartbeat = Heartbeat.create(
-            self._key,
-            self.capsule.name,
-            record.seqno,
-            record.digest,
-            self._next_timestamp(),
-        )
-        self.capsule.add_heartbeat(heartbeat, matching_record=record)
-        return heartbeat
-
     def append(self, payload: bytes) -> tuple[Record, Heartbeat]:
-        """Create, sign, and locally apply the next record."""
-        record = self._mint(payload)
-        heartbeat = self._sign_heartbeat(record)
-        if self._state_path is not None:
-            self.state.save(self._state_path)
-        return record, heartbeat
+        """Create, sign, and locally apply the next record (a batch of
+        one)."""
+        records, heartbeat = self.append_batch([payload])
+        return records[0], heartbeat
 
     def append_batch(
         self, payloads: list[bytes]
@@ -206,19 +192,21 @@ class CapsuleWriter:
         record: a tip heartbeat pins the whole batch through the hash
         pointers, so a batch costs one signature (and one state save)
         instead of ``len(payloads)`` — the crypto half of the batched
-        append path's speedup.
+        append path's speedup.  The local replica takes the run through
+        ``DataCapsule.admit``, exactly as a server does.
         """
         if not payloads:
             return [], None
         records = [self._mint(payload) for payload in payloads]
-        heartbeat = self._sign_heartbeat(records[-1])
+        tip = records[-1]
+        heartbeat = Heartbeat.create(
+            self._key, self.capsule.name, tip.seqno, tip.digest,
+            self._next_timestamp(),
+        )
+        self.capsule.admit(records, heartbeat)
         if self._state_path is not None:
             self.state.save(self._state_path)
         return records, heartbeat
-
-    def append_many(self, payloads: list[bytes]) -> list[tuple[Record, Heartbeat]]:
-        """Append several payloads; returns (record, heartbeat) pairs."""
-        return [self.append(payload) for payload in payloads]
 
 
 class QuasiWriter(CapsuleWriter):

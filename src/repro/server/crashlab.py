@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.capsule import CapsuleWriter, DataCapsule, Heartbeat, Record
+from repro.capsule import CapsuleWriter, DataCapsule, Record
 from repro.crypto.keys import SigningKey
 from repro.errors import GdpError
 from repro.naming.metadata import make_capsule_metadata
 from repro.server.segmented import SegmentedStore, SimulatedCrash
+from repro.server.storage import replay_entry
 
 __all__ = [
     "CrashHook",
@@ -172,10 +173,10 @@ def run_schedule(
     hook=None,
 ) -> tuple[int, bool]:
     """Drive the store through the full schedule; returns
-    ``(acked_records, crashed)``.  A record counts as *acked* only once
-    both its frame and its heartbeat's frame were appended without the
-    simulated crash firing — mirroring the server, which acknowledges
-    after persist returns."""
+    ``(acked_records, crashed)``.  Each append is one ``append_entries``
+    of the record and its heartbeat, as the server persists it, and
+    counts as *acked* only once that call returned without the
+    simulated crash firing."""
     name = history.capsule.name
     store = _make_store(root, tier, config, hook)
     acked = 0
@@ -184,8 +185,7 @@ def run_schedule(
         store.store_metadata(name, history.capsule.metadata.to_wire())
         for i, (record_wire, heartbeat_wire) in enumerate(history.steps):
             seqno = record_wire["seqno"]
-            store.append_record(name, record_wire)
-            store.append_heartbeat(name, heartbeat_wire)
+            store.append_entries(name, [("r", record_wire), ("h", heartbeat_wire)])
             acked = i + 1
             if (
                 history.checkpoint_every
@@ -223,18 +223,13 @@ def verify_recovery(
     violations: list[str] = []
     name = history.capsule.name
     store = _make_store(root, tier, config)
-    recovered_digests: set[bytes] = set()
     replica = DataCapsule(history.capsule.metadata, verify_metadata=False)
     for tag, wire in store.load_entries(name):
         try:
-            if tag == "r":
-                record = Record.from_wire(name, wire)
-                replica.insert(record, enforce_strategy=False)
-                recovered_digests.add(record.digest)
-            elif tag == "h":
-                replica.add_heartbeat(Heartbeat.from_wire(wire))
+            replay_entry(replica, tag, wire)
         except GdpError as exc:
             violations.append(f"recovered frame failed validation: {exc}")
+    recovered_digests = {record.digest for record in replica.records()}
     minted = set(history.record_digests)
     for i in range(acked):
         if history.record_digests[i] not in recovered_digests:

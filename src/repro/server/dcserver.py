@@ -21,6 +21,8 @@ Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 ``append_batch``  multi-record append under one tip heartbeat
 ``replicate``  sibling-to-sibling record propagation
 ``replicate_batch``  sibling-to-sibling batch propagation
+               (all four write ops: one ``DataCapsule.admit`` of the run
+               under its tip heartbeat, then one ``append_entries``)
 ``read``       one record + position proof
 ``read_range`` contiguous records + range proof
 ``latest``     newest heartbeat + tip record
@@ -62,7 +64,7 @@ from repro.routing.pdu import Pdu
 from repro.runtime.dispatch import dispatch_op, op, opt
 from repro.server.durability import AckPolicy
 from repro.server.secure import mac_response, sign_response
-from repro.server.storage import MemoryStore, StorageBackend
+from repro.server.storage import MemoryStore, StorageBackend, replay_entry
 from repro.runtime.context import Future
 from repro.runtime.network import Network
 
@@ -220,7 +222,7 @@ class DataCapsuleServer(Endpoint):
         by replaying the storage log, and subscriber sets are dropped
         (subscribers re-subscribe; §V's subscriptions are soft state).
         Anything acknowledged pre-crash was persisted by
-        :meth:`_persist` or anti-entropy, so nothing durable is lost.
+        :meth:`_ingest` or anti-entropy, so nothing durable is lost.
         """
         self.crashed = False
         self._sessions.clear()
@@ -255,12 +257,7 @@ class DataCapsuleServer(Endpoint):
             capsule = hosted.capsule
             for tag, wire in self.storage.load_entries(name):
                 try:
-                    if tag == "r":
-                        record = Record.from_wire(name, wire)
-                        if capsule.insert(record, enforce_strategy=False):
-                            recovered += 1
-                    elif tag == "h":
-                        capsule.add_heartbeat(Heartbeat.from_wire(wire))
+                    recovered += replay_entry(capsule, tag, wire)
                 except GdpError:
                     continue  # corrupt frame: skip, do not crash recovery
             try:
@@ -413,134 +410,80 @@ class DataCapsuleServer(Endpoint):
         if is_checkpoint is not None and is_checkpoint(record.seqno):
             self.storage.note_checkpoint(hosted.capsule.name, record.seqno)
 
-    def _persist(self, hosted: HostedCapsule, record: Record, heartbeat: Heartbeat) -> bool:
-        """Validate + store locally; returns True when the record is new."""
-        new = hosted.capsule.insert(record, heartbeat)
-        if new:
-            self.storage.append_entries(
-                hosted.capsule.name,
-                [("r", record.to_wire()), ("h", heartbeat.to_wire())],
-            )
-            self._note_checkpoint(hosted, record)
-        return new
-
-    def _persist_batch(
-        self,
-        hosted: HostedCapsule,
-        records: list[Record],
-        heartbeat: Heartbeat,
-    ) -> list[Record]:
-        """Validate + store a record run pinned by one tip heartbeat;
-        returns the records that were new.  The whole run goes to the
-        backend as one ``append_entries`` batch — one buffered write and
-        one fsync instead of a sync per frame."""
-        tip = records[-1]
-        if heartbeat.seqno != tip.seqno or heartbeat.digest != tip.digest:
-            from repro.errors import IntegrityError
-
-            raise IntegrityError(
-                "batch heartbeat does not sign the batch tip"
-            )
-        new_records = []
-        entries: list[tuple[str, dict]] = []
-        for record in records:
-            if hosted.capsule.insert(record):
-                entries.append(("r", record.to_wire()))
-                new_records.append(record)
-        if hosted.capsule.add_heartbeat(heartbeat, matching_record=tip):
+    def _ingest(self, payload: dict, *, batch: bool, writer: bool) -> Any:
+        """The one write path of the four write ops: admit the run under
+        its tip heartbeat, persist what was new with one
+        ``append_entries``, then note checkpoints and push to
+        subscribers.  Writer ops go on to the durability tail, which
+        forwards the run to the siblings as the matching replicate op."""
+        hosted = self._hosted(payload)
+        capsule = hosted.capsule
+        wires = payload["records"] if batch else [payload["record"]]
+        if not wires:
+            raise CapsuleError(f"{payload['op']} needs at least one record")
+        records = [Record.from_wire(capsule.name, wire) for wire in wires]
+        heartbeat = Heartbeat.from_wire(payload["heartbeat"])
+        new, heartbeat_new = capsule.admit(records, heartbeat)
+        entries = [("r", record.to_wire()) for record in new]
+        if heartbeat_new:
             entries.append(("h", heartbeat.to_wire()))
         if entries:
-            self.storage.append_entries(hosted.capsule.name, entries)
-        for record in new_records:
+            self.storage.append_entries(capsule.name, entries)
+        for record in new:
             self._note_checkpoint(hosted, record)
-        return new_records
+            self._push_to_subscribers(hosted, record, heartbeat)
+        tip = records[-1]
+        extra = {"count": len(records)} if batch else {}
+        if not writer:
+            self._c_replications.inc(len(records))
+            return {"ok": True, "seqno": tip.seqno, **extra}
+        self._c_appends.inc(len(records))
+        replicate = {
+            "op": "replicate_batch" if batch else "replicate",
+            "capsule": capsule.name.raw,
+        }
+        if batch:
+            replicate["records"] = [r.to_wire() for r in records]
+        else:
+            replicate["record"] = tip.to_wire()
+        replicate["heartbeat"] = heartbeat.to_wire()
+        body = {"ok": True, "seqno": tip.seqno, "acks": 1, **extra}
+        policy = AckPolicy(payload.get("acks", "any"))
+        replica_count = 1 + len(hosted.siblings)
+        if policy.is_fast_path(replica_count) or not hosted.siblings:
+            # Fast path: ack now, propagate in the background (§VI-B);
+            # anti-entropy repairs anything this loses.
+            for sibling in hosted.siblings:
+                self.rpc(sibling, dict(replicate), timeout=None)
+            return body
+        required = policy.required_acks(replica_count)
+        return self._collect_acks(hosted, replicate, required, body)
 
     @op("append", capsule=bytes, record=dict, heartbeat=dict, acks=opt(str))
     def _op_append(self, pdu: Pdu, payload: dict) -> Any:
-        hosted = self._hosted(payload)
-        record = Record.from_wire(hosted.capsule.name, payload["record"])
-        heartbeat = Heartbeat.from_wire(payload["heartbeat"])
-        new = self._persist(hosted, record, heartbeat)
-        self._c_appends.inc()
-        if new:
-            self._push_to_subscribers(hosted, record, heartbeat)
-        policy = AckPolicy(payload.get("acks", "any"))
-        replicate = self._replicate_payload(hosted, record, heartbeat)
-        return self._ack_or_propagate(hosted, policy, record.seqno, replicate)
+        return self._ingest(payload, batch=False, writer=True)
 
-    @op(
-        "append_batch",
-        capsule=bytes,
-        records=list,
-        heartbeat=dict,
-        acks=opt(str),
-    )
+    @op("append_batch", capsule=bytes, records=list, heartbeat=dict, acks=opt(str))
     def _op_append_batch(self, pdu: Pdu, payload: dict) -> Any:
         """Multi-record append: a run of records under one tip heartbeat
         (the batched write path; see ClientWriter.append_stream)."""
-        hosted = self._hosted(payload)
-        if not payload["records"]:
-            raise CapsuleError("append_batch needs at least one record")
-        records = [
-            Record.from_wire(hosted.capsule.name, wire)
-            for wire in payload["records"]
-        ]
-        heartbeat = Heartbeat.from_wire(payload["heartbeat"])
-        new_records = self._persist_batch(hosted, records, heartbeat)
-        self._c_appends.inc(len(records))
-        for record in new_records:
-            self._push_to_subscribers(hosted, record, heartbeat)
-        policy = AckPolicy(payload.get("acks", "any"))
-        replicate = {
-            "op": "replicate_batch",
-            "capsule": hosted.capsule.name.raw,
-            "records": [r.to_wire() for r in records],
-            "heartbeat": heartbeat.to_wire(),
-        }
-        return self._ack_or_propagate(
-            hosted, policy, records[-1].seqno, replicate,
-            extra={"count": len(records)},
-        )
+        return self._ingest(payload, batch=True, writer=True)
 
-    def _replicate_payload(self, hosted: HostedCapsule, record: Record, heartbeat: Heartbeat) -> dict:
-        return {
-            "op": "replicate",
-            "capsule": hosted.capsule.name.raw,
-            "record": record.to_wire(),
-            "heartbeat": heartbeat.to_wire(),
-        }
+    @op("replicate", capsule=bytes, record=dict, heartbeat=dict)
+    def _op_replicate(self, pdu: Pdu, payload: dict) -> dict:
+        return self._ingest(payload, batch=False, writer=False)
 
-    def _ack_or_propagate(
-        self,
-        hosted: HostedCapsule,
-        policy: AckPolicy,
-        seqno: int,
-        replicate: dict,
-        *,
-        extra: dict | None = None,
-    ) -> Any:
-        """Shared durability tail of the append ops: fast-path ack with
-        background propagation, or synchronous ack collection."""
-        replica_count = 1 + len(hosted.siblings)
-        if policy.is_fast_path(replica_count) or not hosted.siblings:
-            # Fast path: ack now, propagate in the background (§VI-B).
-            for sibling in hosted.siblings:
-                # Fire-and-forget; anti-entropy repairs anything lost.
-                self.rpc(sibling, dict(replicate), timeout=None)
-            return {"ok": True, "seqno": seqno, "acks": 1, **(extra or {})}
-        required = policy.required_acks(replica_count)
-        return self._collect_acks(hosted, replicate, seqno, required, extra)
+    @op("replicate_batch", capsule=bytes, records=list, heartbeat=dict)
+    def _op_replicate_batch(self, pdu: Pdu, payload: dict) -> dict:
+        """Sibling-to-sibling propagation of a whole append batch."""
+        return self._ingest(payload, batch=True, writer=False)
 
     def _collect_acks(
-        self,
-        hosted: HostedCapsule,
-        replicate: dict,
-        seqno: int,
-        required: int,
-        extra: dict | None = None,
+        self, hosted: HostedCapsule, replicate: dict, required: int, body: dict
     ) -> Future:
         """Durable path: wait until *required* replicas (including us)
-        have persisted the record(s), or report how far we got."""
+        have persisted the record(s) and answer *body* with the ack
+        count, or report how far we got."""
         result = self.ctx.future()
         state = {"acks": 1, "outstanding": len(hosted.siblings)}
 
@@ -548,20 +491,13 @@ class DataCapsuleServer(Endpoint):
             if result.done:
                 return
             if state["acks"] >= required:
-                result.resolve(
-                    {
-                        "ok": True,
-                        "seqno": seqno,
-                        "acks": state["acks"],
-                        **(extra or {}),
-                    }
-                )
+                result.resolve(dict(body, acks=state["acks"]))
             elif state["outstanding"] == 0:
                 result.resolve(
                     {
                         "ok": False,
                         "error": "insufficient durability acks",
-                        "seqno": seqno,
+                        "seqno": body["seqno"],
                         "acks": state["acks"],
                         "required": required,
                     }
@@ -576,50 +512,15 @@ class DataCapsuleServer(Endpoint):
                 state["outstanding"] -= 1
                 try:
                     reply = fut.result()
-                    body = reply.get("body", reply)
-                    if body.get("ok"):
+                    if reply.get("body", reply).get("ok"):
                         state["acks"] += 1
-                except GdpError:
-                    pass
-                except Exception:
+                except Exception:  # a failed or malformed ack is no ack
                     pass
                 check_done()
 
             future.add_callback(on_ack)
         check_done()
         return result
-
-    @op("replicate", capsule=bytes, record=dict, heartbeat=dict)
-    def _op_replicate(self, pdu: Pdu, payload: dict) -> dict:
-        hosted = self._hosted(payload)
-        record = Record.from_wire(hosted.capsule.name, payload["record"])
-        heartbeat = Heartbeat.from_wire(payload["heartbeat"])
-        new = self._persist(hosted, record, heartbeat)
-        self._c_replications.inc()
-        if new:
-            self._push_to_subscribers(hosted, record, heartbeat)
-        return {"ok": True, "seqno": record.seqno}
-
-    @op("replicate_batch", capsule=bytes, records=list, heartbeat=dict)
-    def _op_replicate_batch(self, pdu: Pdu, payload: dict) -> dict:
-        """Sibling-to-sibling propagation of a whole append batch."""
-        hosted = self._hosted(payload)
-        if not payload["records"]:
-            raise CapsuleError("replicate_batch needs at least one record")
-        records = [
-            Record.from_wire(hosted.capsule.name, wire)
-            for wire in payload["records"]
-        ]
-        heartbeat = Heartbeat.from_wire(payload["heartbeat"])
-        new_records = self._persist_batch(hosted, records, heartbeat)
-        self._c_replications.inc(len(records))
-        for record in new_records:
-            self._push_to_subscribers(hosted, record, heartbeat)
-        return {
-            "ok": True,
-            "seqno": records[-1].seqno,
-            "count": len(records),
-        }
 
     @op("read", capsule=bytes, seqno=int)
     def _op_read(self, pdu: Pdu, payload: dict) -> dict:

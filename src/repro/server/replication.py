@@ -21,8 +21,10 @@ length:
    fetched in size-capped record batches with a windowed in-flight
    limit and deterministic exponential retry/backoff.
 
-Records and their heartbeats are inserted through the normal validation
-path (a malicious sibling cannot poison us), and per-(capsule, peer)
+Fetched records are checked one by one (capsule, links) and fetched
+heartbeats must verify, but unlike the write ops (``DataCapsule.admit``)
+sync does not yet require a heartbeat to attest each record, so a
+sibling can still plant an unattested record here.  Per-(capsule, peer)
 :class:`SyncSession` bookkeeping feeds the daemon's stats.
 
 Because capsule state is a join-semilattice (record-set union), rounds
@@ -117,7 +119,7 @@ def _absorb(
                 entries.append(("r", record.to_wire()))
                 fetched += 1
         except GdpError:
-            continue  # a malicious sibling cannot poison us
+            continue  # a record that fails its own checks is dropped
     for heartbeat_wire in body.get("heartbeats", []):
         try:
             heartbeat = Heartbeat.from_wire(heartbeat_wire)
@@ -299,8 +301,8 @@ def sync_once(
         try:
             heartbeat = Heartbeat.from_wire(heartbeat_wire)
             if capsule.add_heartbeat(heartbeat):
-                server.storage.append_heartbeat(
-                    capsule_name, heartbeat.to_wire()
+                server.storage.append_entries(
+                    capsule_name, [("h", heartbeat.to_wire())]
                 )
         except GdpError:
             pass

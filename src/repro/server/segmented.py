@@ -62,6 +62,7 @@ from repro.server.storage import (
     _TAG_METADATA,
     _TAG_RECORD,
     StorageBackend,
+    _check_tags,
 )
 
 __all__ = ["SegmentedStore", "SegmentInfo", "SimulatedCrash", "CRASH_POINTS"]
@@ -631,28 +632,12 @@ class SegmentedStore(StorageBackend):
         log = self._log_for(name)
         return None if log is None else log.metadata
 
-    def append_record(self, name: GdpName, record_wire: dict) -> None:
-        """Persist one record wire form."""
-        self._append_entries(name, [(_TAG_RECORD, record_wire)])
-
-    def append_heartbeat(self, name: GdpName, heartbeat_wire: dict) -> None:
-        """Persist one heartbeat wire form."""
-        self._append_entries(name, [(_TAG_HEARTBEAT, heartbeat_wire)])
-
     def append_entries(
         self, name: GdpName, entries: list[tuple[str, dict]]
     ) -> int:
         """Persist a run of ``(tag, wire)`` entries with one buffered
-        write and (under ``FsyncPolicy("always")``) one fsync — the
-        batched-append and anti-entropy fast path."""
-        for tag, _ in entries:
-            if tag not in (_TAG_RECORD, _TAG_HEARTBEAT):
-                raise StorageError(f"cannot batch-append tag {tag!r}")
-        return self._append_entries(name, entries)
-
-    def _append_entries(
-        self, name: GdpName, entries: list[tuple[str, dict]]
-    ) -> int:
+        write and (under ``FsyncPolicy("always")``) one fsync."""
+        _check_tags(entries)
         self._check_alive()
         log = self._require(name)
         self._crashpoint("append.before")

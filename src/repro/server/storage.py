@@ -14,7 +14,9 @@ backends behind one interface:
 
 Backends store *wire forms* (dicts of bytes/ints), not live objects —
 whatever comes back is re-validated by the capsule layer, so a corrupt
-disk shows up as an integrity error, not silent data loss.
+disk shows up as an integrity error, not silent data loss.  Records and
+heartbeats have one write, :meth:`StorageBackend.append_entries`: the
+server persists each admitted run with one call.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterator
 
+from repro.capsule import DataCapsule, Heartbeat, Record
 from repro.errors import StorageError
 from repro.naming.names import GdpName
 
-__all__ = ["StorageBackend", "MemoryStore", "SegmentedStore"]
+__all__ = ["StorageBackend", "MemoryStore", "SegmentedStore", "replay_entry"]
 
 _TAG_METADATA = "m"
 _TAG_RECORD = "r"
@@ -44,29 +47,14 @@ class StorageBackend(ABC):
         """The stored metadata wire form, or None."""
 
     @abstractmethod
-    def append_record(self, name: GdpName, record_wire: dict) -> None:
-        """Persist one record."""
-
-    @abstractmethod
-    def append_heartbeat(self, name: GdpName, heartbeat_wire: dict) -> None:
-        """Persist one heartbeat."""
-
     def append_entries(
         self, name: GdpName, entries: list[tuple[str, dict]]
     ) -> int:
-        """Persist a run of ``(tag, wire)`` entries ('r'/'h') in order;
-        returns how many were appended.  Backends with buffered frames
-        override this to coalesce the run into one write (and one fsync)
-        — the batched-append and anti-entropy fast path; the default is
-        a plain loop with identical semantics."""
-        for tag, wire in entries:
-            if tag == _TAG_RECORD:
-                self.append_record(name, wire)
-            elif tag == _TAG_HEARTBEAT:
-                self.append_heartbeat(name, wire)
-            else:
-                raise StorageError(f"cannot batch-append tag {tag!r}")
-        return len(entries)
+        """Persist a run of ``(tag, wire)`` entries in order, as one write
+        (and at most one fsync); returns how many were appended.  The
+        only write of records and heartbeats: tags are 'r'/'h', and any
+        other tag raises :class:`StorageError` before anything is
+        written."""
 
     @abstractmethod
     def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
@@ -128,21 +116,16 @@ class MemoryStore(StorageBackend):
                 return wire
         return None
 
-    def append_record(self, name: GdpName, record_wire: dict) -> None:
-        """Persist one record wire form."""
-        self._require(name).append((_TAG_RECORD, record_wire))
-
-    def append_heartbeat(self, name: GdpName, heartbeat_wire: dict) -> None:
-        """Persist one heartbeat wire form."""
-        self._require(name).append((_TAG_HEARTBEAT, heartbeat_wire))
-
-    def _require(self, name: GdpName) -> list:
-        try:
-            return self._data[name]
-        except KeyError:
-            raise StorageError(
-                f"capsule {name.human()} is not hosted here"
-            ) from None
+    def append_entries(
+        self, name: GdpName, entries: list[tuple[str, dict]]
+    ) -> int:
+        """Persist a run of ``(tag, wire)`` entries in order."""
+        _check_tags(entries)
+        log = self._data.get(name)
+        if log is None:
+            raise StorageError(f"capsule {name.human()} is not hosted here")
+        log.extend(entries)
+        return len(entries)
 
     def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
         """Yield (tag, wire) entries in write order.
@@ -161,6 +144,24 @@ class MemoryStore(StorageBackend):
     def delete_capsule(self, name: GdpName) -> None:
         """Remove all state for a capsule."""
         self._data.pop(name, None)
+
+
+def replay_entry(capsule: DataCapsule, tag: str, wire: dict) -> bool:
+    """Apply one stored ``(tag, wire)`` entry to *capsule* — the one way
+    a log becomes a replica again (recovery, and every check of it).
+    Returns ``True`` for a new record; raises on a failing frame."""
+    if tag == _TAG_RECORD:
+        record = Record.from_wire(capsule.name, wire)
+        return capsule.insert(record, enforce_strategy=False)
+    if tag == _TAG_HEARTBEAT:
+        capsule.add_heartbeat(Heartbeat.from_wire(wire))
+    return False
+
+
+def _check_tags(entries: list[tuple[str, dict]]) -> None:
+    for tag, _ in entries:
+        if tag not in (_TAG_RECORD, _TAG_HEARTBEAT):
+            raise StorageError(f"cannot batch-append tag {tag!r}")
 
 
 # The segmented-log engine lives in its own module (it is an order of

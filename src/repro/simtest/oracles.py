@@ -31,7 +31,7 @@ from repro.caapi.commit_service import (
     read_committed_entry,
     shard_of,
 )
-from repro.capsule import DataCapsule, Heartbeat, Record
+from repro.capsule import DataCapsule
 from repro.capsule.proofs import build_position_proof
 from repro.errors import (
     BranchError,
@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.routing.dht_glookup import DhtGLookupService
 from repro.routing.glookup import RouteEntry
+from repro.server.storage import replay_entry
 
 __all__ = ["Violation", "ORACLES", "oracle", "run_oracles"]
 
@@ -421,13 +422,7 @@ def check_storage_round_trip(world) -> list[Violation]:
         rebuilt = DataCapsule(capsule.metadata, verify_metadata=False)
         try:
             for tag, wire in server.storage.load_entries(capsule.name):
-                if tag == "r":
-                    rebuilt.insert(
-                        Record.from_wire(capsule.name, wire),
-                        enforce_strategy=False,
-                    )
-                elif tag == "h":
-                    rebuilt.add_heartbeat(Heartbeat.from_wire(wire))
+                replay_entry(rebuilt, tag, wire)
         except GdpError as exc:
             violations.append(Violation(
                 "storage_round_trip",

@@ -312,6 +312,6 @@ class TestEquivocatingWriter:
         base, _ = writer.append(b"prefix")
         evil = EquivocatingWriter(capsule, writer_key)
         (rec_a, hb_a), (rec_b, hb_b) = evil.fork_at(base, b"a", b"b")
-        capsule.insert(rec_a, hb_a, enforce_strategy=False)
+        capsule.admit([rec_a], hb_a)
         with pytest.raises(EquivocationError):
-            capsule.insert(rec_b, hb_b, enforce_strategy=False)
+            capsule.admit([rec_b], hb_b)

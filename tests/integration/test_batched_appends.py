@@ -171,3 +171,116 @@ class TestAppendBatchOp:
         assert rejected
         for server in (g.server_root, g.server_edge):
             assert server.hosted[metadata.name].capsule.last_seqno == 0
+
+    @staticmethod
+    def _write_op(g, metadata, dst, op, record_wires, heartbeat):
+        """Process body: send one raw batch write op to *dst*; returns
+        the refusal message, or None if the op was acked."""
+        payload = {
+            "op": op,
+            "capsule": metadata.name.raw,
+            "records": record_wires,
+            "heartbeat": heartbeat.to_wire(),
+        }
+        if op == "append_batch":
+            payload["acks"] = "all"
+        corr_id, future = g.writer_client.request(dst, payload)
+        wrapped = yield future
+        try:
+            g.writer_client._unwrap(
+                wrapped, corr_id=corr_id, capsule=metadata.name
+            )
+        except CapsuleError as exc:
+            return str(exc)
+        return None
+
+    @staticmethod
+    def _tampered_run(g, metadata):
+        """A genuine two-record run under its genuine tip heartbeat, with
+        record 1's payload replaced after signing."""
+        writer = g.writer_client.open_writer(metadata, g.writer_key)
+        records, heartbeat = writer.writer.append_batch([b"first", b"second"])
+        forged = records[0].to_wire()
+        forged["payload"] = b"forged"
+        return [forged, records[1].to_wire()], heartbeat
+
+    @staticmethod
+    def _holds_nothing_at(server, metadata, seqno) -> bool:
+        stored = [
+            wire
+            for tag, wire in server.storage.load_entries(metadata.name)
+            if tag == "r" and wire["seqno"] == seqno
+        ]
+        capsule = server.hosted[metadata.name].capsule
+        return capsule.get_all(seqno) == [] and stored == []
+
+    def test_tampered_non_tip_record_is_refused(self, mini_gdp):
+        """The tip heartbeat attests record 1 only through record 2's
+        hash pointer; a record 1 that pointer does not reach is refused,
+        and no replica keeps it."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            wires, heartbeat = self._tampered_run(g, metadata)
+            refusal = yield from self._write_op(
+                g, metadata, metadata.name, "append_batch", wires, heartbeat
+            )
+            yield 1.0  # any replicate would have landed by now
+            return metadata, refusal
+
+        metadata, refusal = g.run(scenario())
+        assert refusal is not None and "not attested" in refusal
+        for server in (g.server_root, g.server_edge):
+            assert self._holds_nothing_at(server, metadata, 1)
+
+    def test_tampered_run_is_refused_as_replicate_batch(self, mini_gdp):
+        """A sibling (or anyone on the path) pushing the same tampered
+        run straight to one replica meets the same admission rule."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            wires, heartbeat = self._tampered_run(g, metadata)
+            refusal = yield from self._write_op(
+                g, metadata, g.server_root.name, "replicate_batch",
+                wires, heartbeat,
+            )
+            return metadata, refusal
+
+        metadata, refusal = g.run(scenario())
+        assert refusal is not None and "not attested" in refusal
+        assert self._holds_nothing_at(g.server_root, metadata, 1)
+        assert g.server_root.hosted[metadata.name].capsule.seqnos() == []
+
+    def test_forged_tip_heartbeat_leaves_no_state(self, mini_gdp, other_key):
+        """A batch whose heartbeat fails verification is refused before
+        any record is stored — not kept in memory for sync to serve."""
+        from repro.capsule import Heartbeat
+
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            records, genuine = writer.writer.append_batch([b"one", b"two"])
+            forged = Heartbeat.create(
+                other_key, metadata.name, genuine.seqno, genuine.digest,
+                genuine.timestamp,
+            )
+            refusal = yield from self._write_op(
+                g, metadata, metadata.name, "append_batch",
+                [r.to_wire() for r in records], forged,
+            )
+            yield 1.0
+            return metadata, refusal
+
+        metadata, refusal = g.run(scenario())
+        assert refusal is not None and "invalid signature" in refusal
+        for server in (g.server_root, g.server_edge):
+            capsule = server.hosted[metadata.name].capsule
+            assert capsule.seqnos() == []
+            assert list(capsule.heartbeats()) == []

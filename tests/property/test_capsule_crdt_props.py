@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.capsule import CapsuleWriter, DataCapsule
+from repro.capsule import CapsuleWriter, DataCapsule, Heartbeat, Record
 from repro.capsule.branches import resolve_linearization
 from repro.crypto import SigningKey
+from repro.errors import GdpError
 from repro.naming import make_capsule_metadata
 
 _OWNER = SigningKey.from_seed(b"crdt-owner")
 _WRITER = SigningKey.from_seed(b"crdt-writer")
+_INTRUDER = SigningKey.from_seed(b"crdt-intruder")
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,7 @@ def fill(metadata, pairs, indices) -> DataCapsule:
     capsule = fresh(metadata)
     for index in indices:
         record, heartbeat = pairs[index]
-        capsule.insert(record, heartbeat, enforce_strategy=False)
+        capsule.admit([record], heartbeat)
     return capsule
 
 
@@ -117,3 +119,63 @@ class TestLinearizationDeterminism:
         ref_lin = [r.digest for r in resolve_linearization(reference)]
         shuf_lin = [r.digest for r in resolve_linearization(shuffled)]
         assert ref_lin == shuf_lin
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """Four single appends, then a five-record run under one tip
+    heartbeat, plus every forged heartbeat the mutations need (signing
+    is the slow part, so it happens once)."""
+    metadata = make_capsule_metadata(
+        _OWNER, _WRITER.public, extra={"crdt": "admit"}
+    )
+    writer = CapsuleWriter(DataCapsule(metadata), _WRITER)
+    prefix = [writer.append(b"pre-%d" % i) for i in range(4)]
+    run, heartbeat = writer.append_batch([b"run-%d" % i for i in range(5)])
+    tip = run[-1]
+    wrong_key = Heartbeat.create(
+        _INTRUDER, tip.capsule, tip.seqno, tip.digest, heartbeat.timestamp
+    )
+    non_tip = [
+        Heartbeat.create(_WRITER, r.capsule, r.seqno, r.digest, r.seqno)
+        for r in run[:-1]
+    ]
+    return metadata, prefix, run, heartbeat, wrong_key, non_tip
+
+
+class TestAdmission:
+    @given(
+        st.sets(st.integers(0, 3), max_size=4),
+        st.sampled_from(["tampered_record", "wrong_key", "non_tip"]),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_single_mutation_is_refused_without_trace(
+        self, batch, held, mutation, index
+    ):
+        """``admit`` stores a run only if its heartbeat verifies and
+        attests every record: one mutation anywhere raises and leaves the
+        replica exactly as it was; the honest run is then admitted once."""
+        metadata, prefix, run, heartbeat, wrong_key, non_tip = batch
+        replica = fresh(metadata)
+        for i in sorted(held):
+            replica.admit([prefix[i][0]], prefix[i][1])
+        records, signed = list(run), heartbeat
+        if mutation == "tampered_record":
+            victim = run[index]
+            records[index] = Record(
+                victim.capsule, victim.seqno, victim.payload + b"!",
+                victim.pointers,
+            )
+        elif mutation == "wrong_key":
+            signed = wrong_key
+        else:
+            signed = non_tip[index % len(non_tip)]
+        summary = replica.canonical_summary()
+        heartbeats = list(replica.heartbeats())
+        with pytest.raises(GdpError):
+            replica.admit(records, signed)
+        assert replica.canonical_summary() == summary
+        assert list(replica.heartbeats()) == heartbeats
+        assert replica.admit(list(run), heartbeat) == (list(run), True)
+        assert replica.admit(list(run), heartbeat) == ([], False)

@@ -197,7 +197,7 @@ class TestStorageRoundTripOracle:
         capsule = victim.hosted[world.metadata.name].capsule
         wire = capsule.get(1).to_wire()
         wire["payload"] = wire["payload"] + b"!phantom!"
-        victim.storage.append_record(world.metadata.name, wire)
+        victim.storage.append_entries(world.metadata.name, [("r", wire)])
         violations = run_oracles(world, names=["storage_round_trip"])
         assert violations and all(
             v.oracle == "storage_round_trip" and v.subject == victim.node_id
@@ -210,7 +210,7 @@ class TestStorageRoundTripOracle:
         capsule = victim.hosted[world.metadata.name].capsule
         wire = capsule.get(1).to_wire()
         wire["payload"] = wire["payload"] + b"!phantom!"
-        victim.storage.append_record(world.metadata.name, wire)
+        victim.storage.append_entries(world.metadata.name, [("r", wire)])
         victim.crashed = True
         assert run_oracles(world, names=["storage_round_trip"]) == []
 

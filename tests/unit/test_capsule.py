@@ -66,7 +66,8 @@ class TestInsertValidation:
         capsule = capsule_factory()
         writer = CapsuleWriter(capsule, writer_key)
         record, hb = writer.append(b"x")
-        assert not capsule.insert(record, hb)
+        assert not capsule.insert(record)
+        assert capsule.admit([record], hb) == ([], False)
         assert len(capsule) == 1
 
     def test_pointer_digest_mismatch_rejected(self, capsule_factory, writer_key):
@@ -102,7 +103,7 @@ class TestInsertValidation:
         r1, _ = writer.append(b"x")
         hb = Heartbeat.create(writer_key, capsule.name, 2, b"\x07" * 32, 2)
         with pytest.raises(IntegrityError):
-            capsule.insert(r1, hb)
+            capsule.admit([r1], hb)
 
 
 class TestReads:
@@ -170,7 +171,7 @@ class TestHistoryVerification:
         sparse = DataCapsule(source.metadata, verify_metadata=False)
         for record, hb in records:
             if record.seqno != 3:
-                sparse.insert(record, hb, enforce_strategy=False)
+                sparse.admit([record], hb)
         with pytest.raises(HoleError):
             sparse.verify_history()
 
@@ -184,7 +185,7 @@ class TestHistoryVerification:
         sparse = DataCapsule(source.metadata, verify_metadata=False)
         for record, hb in records:
             if record.seqno not in (3, 4):
-                sparse.insert(record, hb, enforce_strategy=False)
+                sparse.admit([record], hb)
         # Two consecutive losses < window 4: history still verifies.
         assert sparse.verify_history() > 0
 
@@ -216,9 +217,9 @@ class TestCrdtJoin:
         a = DataCapsule(capsule.metadata, verify_metadata=False)
         b = DataCapsule(capsule.metadata, verify_metadata=False)
         for record, hb in records[:4]:
-            a.insert(record, hb, enforce_strategy=False)
+            a.admit([record], hb)
         for record, hb in records[2:]:
-            b.insert(record, hb, enforce_strategy=False)
+            b.admit([record], hb)
         ab = a.clone()
         ab.merge_from(b)
         ba = b.clone()

@@ -406,6 +406,10 @@ class TestGrepGuard:
         "asynchronous =",
         # the second spelling of the substrate (PR 23)
         "self.sim.", ".network.sim", "def sim(",
+        # the hand-written write paths beside DataCapsule.admit and
+        # StorageBackend.append_entries
+        "def append_record", "def append_heartbeat", "def _persist",
+        "def append_many", "_replicate_payload", "def _append_entries",
     )
 
     def test_back_compat_layer_stays_deleted(self):

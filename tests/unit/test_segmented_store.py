@@ -96,7 +96,7 @@ class TestPointReads:
         store = SegmentedStore(str(tmp_path), segment_bytes=500)
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for index in (0, 4, 1, 6, 2, 7, 3, 5):  # replication-style order
-            store.append_record(capsule.name, pairs[index][0].to_wire())
+            store.append_entries(capsule.name, [("r", pairs[index][0].to_wire())])
         for record, _ in pairs:
             wire = store.read_record(capsule.name, record.seqno)
             assert wire is not None and wire["seqno"] == record.seqno
@@ -414,8 +414,8 @@ class TestActiveTailDedup:
         store = SegmentedStore(str(tmp_path))
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         wire = pairs[0][0].to_wire()
-        store.append_record(capsule.name, wire)
-        store.append_record(capsule.name, wire)
+        store.append_entries(capsule.name, [("r", wire)])
+        store.append_entries(capsule.name, [("r", wire)])
         frames = [tag for tag, _ in store.load_entries(capsule.name)]
         assert frames == ["m", "r"]
         store.close()

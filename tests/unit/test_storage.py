@@ -44,15 +44,17 @@ class TestBackendContract:
         capsule, pairs = capsule_with_data
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for record, heartbeat in pairs:
-            store.append_record(capsule.name, record.to_wire())
-            store.append_heartbeat(capsule.name, heartbeat.to_wire())
+            store.append_entries(
+                capsule.name,
+                [("r", record.to_wire()), ("h", heartbeat.to_wire())],
+            )
         tags = [tag for tag, _ in store.load_entries(capsule.name)]
         assert tags == ["m"] + ["r", "h"] * 5
 
     def test_append_to_unhosted_rejected(self, store, capsule_with_data):
         capsule, pairs = capsule_with_data
         with pytest.raises(StorageError):
-            store.append_record(capsule.name, pairs[0][0].to_wire())
+            store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
 
     def test_list_capsules(self, store, capsule_factory):
         a, b = capsule_factory(), capsule_factory()
@@ -78,8 +80,10 @@ class TestBackendContract:
         capsule, pairs = capsule_with_data
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for record, heartbeat in pairs:
-            store.append_record(capsule.name, record.to_wire())
-            store.append_heartbeat(capsule.name, heartbeat.to_wire())
+            store.append_entries(
+                capsule.name,
+                [("r", record.to_wire()), ("h", heartbeat.to_wire())],
+            )
         rebuilt = DataCapsule(capsule.metadata, verify_metadata=False)
         for tag, wire in store.load_entries(capsule.name):
             if tag == "r":
@@ -90,15 +94,22 @@ class TestBackendContract:
         assert rebuilt.verify_history() == 5
 
     def test_append_entries_batch_equals_singles(self, store, capsule_with_data):
+        """One call with the whole run stores what one call per entry
+        stores."""
         capsule, pairs = capsule_with_data
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
         entries = []
         for record, heartbeat in pairs:
             entries.append(("r", record.to_wire()))
             entries.append(("h", heartbeat.to_wire()))
+        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        for entry in entries:
+            assert store.append_entries(capsule.name, [entry]) == 1
+        singles = list(store.load_entries(capsule.name))
+        store.delete_capsule(capsule.name)
+        store.store_metadata(capsule.name, capsule.metadata.to_wire())
         assert store.append_entries(capsule.name, entries) == 10
-        tags = [tag for tag, _ in store.load_entries(capsule.name)]
-        assert tags == ["m"] + ["r", "h"] * 5
+        assert list(store.load_entries(capsule.name)) == singles
+        assert [tag for tag, _ in singles] == ["m"] + ["r", "h"] * 5
 
     def test_append_entries_rejects_metadata_tag(self, store, capsule_with_data):
         capsule, _ = capsule_with_data
@@ -107,6 +118,20 @@ class TestBackendContract:
             store.append_entries(
                 capsule.name, [("m", capsule.metadata.to_wire())]
             )
+
+    def test_append_entries_rejects_unknown_tag_writing_nothing(
+        self, store, capsule_with_data
+    ):
+        """Every backend checks the whole run's tags before it writes:
+        a bad tag anywhere leaves the log as it was."""
+        capsule, pairs = capsule_with_data
+        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        with pytest.raises(StorageError, match="'x'"):
+            store.append_entries(
+                capsule.name,
+                [("r", pairs[0][0].to_wire()), ("x", pairs[0][1].to_wire())],
+            )
+        assert [tag for tag, _ in store.load_entries(capsule.name)] == ["m"]
 
 
 class TestIterationOrderConformance:
@@ -125,7 +150,7 @@ class TestIterationOrderConformance:
         arrival = [0, 3, 1, 5, 2, 4]
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for index in arrival:
-            store.append_record(capsule.name, pairs[index][0].to_wire())
+            store.append_entries(capsule.name, [("r", pairs[index][0].to_wire())])
         seqnos = [
             wire["seqno"]
             for tag, wire in store.load_entries(capsule.name)
@@ -137,10 +162,10 @@ class TestIterationOrderConformance:
         capsule, pairs = capsule_with_data
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for record, _ in pairs[:3]:
-            store.append_record(capsule.name, record.to_wire())
+            store.append_entries(capsule.name, [("r", record.to_wire())])
         snapshot = store.load_entries(capsule.name)
         for record, _ in pairs[3:]:
-            store.append_record(capsule.name, record.to_wire())
+            store.append_entries(capsule.name, [("r", record.to_wire())])
         assert sum(1 for tag, _ in snapshot if tag == "r") == 3
         assert sum(
             1 for tag, _ in store.load_entries(capsule.name) if tag == "r"
@@ -157,7 +182,7 @@ class TestFileStoreSpecifics:
         root = str(tmp_path / "persist")
         store = SegmentedStore(root)
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        store.append_record(capsule.name, pairs[0][0].to_wire())
+        store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
         reopened = SegmentedStore(root)
         assert reopened.list_capsules() == [capsule.name]
         tags = [tag for tag, _ in reopened.load_entries(capsule.name)]
@@ -180,7 +205,7 @@ class TestFileStoreSpecifics:
         store = SegmentedStore(str(tmp_path / "buffered"), fsync_policy="drain")
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for record, _ in pairs:
-            store.append_record(capsule.name, record.to_wire())
+            store.append_entries(capsule.name, [("r", record.to_wire())])
         tags = [tag for tag, _ in store.load_entries(capsule.name)]
         assert tags == ["m"] + ["r"] * 5
         store.close()
@@ -191,12 +216,12 @@ class TestFileStoreSpecifics:
         record_wire = {"seqno": 1, "payload": b"p", "pointers": []}
         for capsule in capsules:
             store.store_metadata(capsule.name, capsule.metadata.to_wire())
-            store.append_record(capsule.name, record_wire)
+            store.append_entries(capsule.name, [("r", record_wire)])
         assert len(store._handles) == store._MAX_HANDLES
         # Evicted-handle capsules are still readable and appendable.
         first = capsules[0].name
         assert first not in store._handles
-        store.append_heartbeat(first, {"seqno": 1})
+        store.append_entries(first, [("h", {"seqno": 1})])
         assert [tag for tag, _ in store.load_entries(first)] == ["m", "r", "h"]
         store.close()
 
@@ -204,12 +229,12 @@ class TestFileStoreSpecifics:
         capsule, pairs = capsule_with_data
         store = SegmentedStore(str(tmp_path / "recreate"))
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        store.append_record(capsule.name, pairs[0][0].to_wire())
+        store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
         store.delete_capsule(capsule.name)
         assert capsule.name not in store._handles
         assert store.load_metadata(capsule.name) is None
         with pytest.raises(StorageError):
-            store.append_record(capsule.name, pairs[0][0].to_wire())
+            store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
         # A deleted capsule can be hosted afresh with an empty log.
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         tags = [tag for tag, _ in store.load_entries(capsule.name)]
@@ -222,7 +247,7 @@ class TestFileStoreSpecifics:
         store = SegmentedStore(root, fsync_policy="drain")
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for record, _ in pairs:
-            store.append_record(capsule.name, record.to_wire())
+            store.append_entries(capsule.name, [("r", record.to_wire())])
         store.close()
         reopened = SegmentedStore(root)
         tags = [tag for tag, _ in reopened.load_entries(capsule.name)]
@@ -251,8 +276,10 @@ class TestFileStoreSpecifics:
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         del fsyncs[:]
         for record, heartbeat in pairs:
-            store.append_record(capsule.name, record.to_wire())
-            store.append_heartbeat(capsule.name, heartbeat.to_wire())
+            store.append_entries(
+                capsule.name,
+                [("r", record.to_wire()), ("h", heartbeat.to_wire())],
+            )
         assert fsyncs == []
         store.sync()
         assert len(fsyncs) == 1  # one open tail, one sync
@@ -266,7 +293,7 @@ class TestFileStoreSpecifics:
         store = SegmentedStore(str(tmp_path / "sync"), fsync_policy="always")
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         before = len(fsyncs)
-        store.append_record(capsule.name, pairs[0][0].to_wire())
+        store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
         assert len(fsyncs) == before + 1
         # Batched appends amortize: one fsync for the whole run.
         before = len(fsyncs)

@@ -37,8 +37,9 @@ class TestCapsuleWriter:
 
     def test_append_many(self, capsule_factory, writer_key):
         writer = CapsuleWriter(capsule_factory(), writer_key)
-        results = writer.append_many([b"a", b"b", b"c"])
-        assert [r.seqno for r, _ in results] == [1, 2, 3]
+        records, heartbeat = writer.append_batch([b"a", b"b", b"c"])
+        assert [r.seqno for r in records] == [1, 2, 3]
+        assert heartbeat.seqno == 3
 
     @pytest.mark.parametrize("strategy", ["chain", "skiplist", "checkpoint:4", "stream:3"])
     def test_state_stays_bounded(self, capsule_factory, writer_key, strategy):

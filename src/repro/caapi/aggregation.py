@@ -84,13 +84,6 @@ class AggregationService(GdpClient):
         self._writer = writer
         return metadata.name
 
-    @property
-    def output_name(self) -> GdpName:
-        """The output capsule's name."""
-        if self._writer is None:
-            raise CapsuleError("aggregation service has no output capsule")
-        return self._writer.capsule_name
-
     def follow(self, source: GdpName) -> Generator:
         """Subscribe to one input capsule; every verified new record is
         combined and appended to the output."""

@@ -7,15 +7,16 @@ heartbeats seen so far.  It performs the *generalized validation scheme*:
 every inserted record is checked against the capsule name, the declared
 pointer strategy's shape, and the digests of any already-known pointer
 targets; heartbeats are checked against the single writer's key from the
-metadata.  Written data enters through :meth:`DataCapsule.admit`: a run
-of records is stored only once its heartbeat verifies and attests every
-record of the run.
+metadata.  A record enters a replica only when one rule attests it (a
+verified heartbeat, or a hash pointer from an attested record): written
+runs through :meth:`DataCapsule.admit`, all or nothing, and fetched
+records through :meth:`DataCapsule.admit_fetched`.
 
 The same class backs every role in the system — writers build onto it,
 DataCapsule-servers store it, and readers accumulate verified state into
-it.  Replica synchronization is the CRDT join :meth:`merge_from`
-(§V-A: "a DataCapsule meets the definition of a Conflict-Free Replicated
-Data Type"): record insertion is idempotent and order-independent, so
+it.  Its state is a CRDT with :meth:`merge_from` as the join (§V-A: "a
+DataCapsule meets the definition of a Conflict-Free Replicated Data
+Type"): record insertion is idempotent and order-independent, so
 "append operations ... can be easily forwarded as is to all the
 DataCapsule-servers in arbitrary order".
 """
@@ -30,6 +31,7 @@ from repro.capsule.heartbeat import Heartbeat, detect_equivocation
 from repro.capsule.records import Record, metadata_anchor
 from repro.errors import (
     BranchError,
+    GdpError,
     HoleError,
     IntegrityError,
     RecordNotFoundError,
@@ -248,7 +250,7 @@ class DataCapsule:
 
     def insert(self, record: Record, *, enforce_strategy: bool = True) -> bool:
         """Validate and store one record without a heartbeat (idempotent;
-        CRDT merges, storage replay, sync); returns ``True`` if it was
+        CRDT merges, storage replay); returns ``True`` if it was
         new.  Raises :class:`IntegrityError`, storing nothing, on any
         validation failure."""
         self._check_record(record, enforce_strategy)
@@ -258,14 +260,13 @@ class DataCapsule:
         self, records: list[Record], heartbeat: Heartbeat
     ) -> tuple[list[Record], bool]:
         """Admit a run of records attested by one heartbeat over its last
-        record (the tip) — the one way a replica stores written data.
+        record (the tip) — the write ops' way in, all or nothing.
 
         Every check runs before anything is stored: each record's
-        capsule, strategy shape and links; every record reachable from
-        the tip by hash pointers through the run (so the heartbeat
-        attests each one); then the heartbeat's signature, tip binding
-        and equivocation.  Returns ``(new records, heartbeat was new)``.
-        Raises on any failure, leaving the capsule untouched.
+        capsule, strategy shape and links; every record attested
+        (:meth:`_attest`) from the tip; then the heartbeat's signature,
+        tip binding and equivocation.  Returns ``(new records, heartbeat
+        was new)``.  Raises on any failure, leaving the capsule untouched.
         """
         tip = records[-1]
         if len(records) == 1:
@@ -274,24 +275,84 @@ class DataCapsule:
             run = {record.digest: record for record in records}
             for record in records:
                 self._check_record(record, True, run)
-            self._check_attested(run, tip)
+            # attestation consumes the run: what is left is unattested
+            self._attest(run, [tip])
+            self._attest(run, [r for r in run.values() if self._anchored(r)])
+            if run:
+                unattested = max(run.values(), key=lambda r: r.seqno)
+                raise IntegrityError(
+                    f"record {unattested.seqno} is not attested by the "
+                    f"heartbeat over record {tip.seqno}"
+                )
         # add_heartbeat raises before it stores; nothing after it can fail
         heartbeat_new = self.add_heartbeat(heartbeat, matching_record=tip)
         return [record for record in records if self._store(record)], heartbeat_new
 
-    @staticmethod
-    def _check_attested(run: dict[bytes, Record], tip: Record) -> None:
-        """Every record of *run* must be reachable from *tip* through
-        hash pointers to records of the run.  Pointers only reach lower
-        seqnos, so one descending pass settles reachability."""
-        reached = {tip.digest}
-        for record in sorted(run.values(), key=lambda r: r.seqno, reverse=True):
-            if record.digest not in reached:
-                raise IntegrityError(
-                    f"record {record.seqno} is not attested by the "
-                    f"heartbeat over record {tip.seqno}"
-                )
-            reached.update(ptr.digest for ptr in record.pointers)
+    def admit_fetched(
+        self,
+        records: list[Record],
+        heartbeats: list[Heartbeat],
+        held: dict[bytes, Record],
+    ) -> tuple[list[Record], list[Heartbeat]]:
+        """Admit what anti-entropy fetched — the sync round's way in.
+        Each heartbeat that verifies is stored first; then each record
+        :meth:`_attest` attests and its checks pass, fetched now or
+        waiting in *held* (the caller's, for one round), where the rest
+        are left.  Returns ``(new records, new heartbeats)``."""
+        new_heartbeats = []
+        for heartbeat in heartbeats:
+            try:
+                if self.add_heartbeat(heartbeat):
+                    new_heartbeats.append(heartbeat)
+            except GdpError:
+                continue  # a heartbeat that fails verification attests nothing
+        offered = [r for r in records if r.digest not in self._by_digest]
+        held.update((record.digest, record) for record in offered)
+        anchored = [r for r in offered if self._anchored(r)]
+        anchored += [held[h.digest] for h in new_heartbeats if h.digest in held]
+        new = []  # in seqno order: links are checked against what is stored
+        for record in sorted(self._attest(held, anchored), key=lambda r: r.seqno):
+            try:
+                self._check_record(record, True)
+            except IntegrityError:
+                held[record.digest] = record  # attested, but refused
+                continue
+            if self._store(record):
+                new.append(record)
+        return new, new_heartbeats
+
+    def _attest(self, held: dict[bytes, Record], seeds: list[Record]) -> list[Record]:
+        """The attestation rule, the one test for what a replica may
+        store: a record is attested when its digest is a verified
+        heartbeat's digest, or a hash pointer of an attested record —
+        of the same run, or already stored (so every stored record is
+        attested, by induction).  Moves out of *held* and returns the
+        *seeds*, records known attested (the tip under a write op's
+        heartbeat, or ones :meth:`_anchored` in stored state), and every
+        held record they reach by hash pointers."""
+        reached = []
+        frontier = list(seeds)
+        for record in frontier:  # grows while it is walked: breadth first
+            if held.pop(record.digest, None) is None:
+                continue
+            reached.append(record)
+            frontier.extend(
+                held[ptr.digest] for ptr in record.pointers if ptr.digest in held
+            )
+        return reached
+
+    def _anchored(self, record: Record) -> bool:
+        """Whether stored state attests *record*: a stored heartbeat over
+        it, or a pointer from a stored record at the next seqno (every
+        strategy points at the predecessor, so nothing is scanned)."""
+        beats = self._heartbeats.get(record.seqno, ())
+        if any(h.digest == record.digest for h in beats):
+            return True
+        return any(
+            ptr.digest == record.digest
+            for digest in self._by_seqno.get(record.seqno + 1, ())
+            for ptr in self._by_digest[digest].pointers
+        )
 
     def add_heartbeat(
         self, heartbeat: Heartbeat, *, matching_record: Record | None = None

@@ -132,12 +132,6 @@ class VerifyingReader:
             self.observe_heartbeat(heartbeat)
         return record
 
-    def accept_stream_record(self, record: Record, proof: PositionProof) -> Record:
-        """Like :meth:`accept_record` but also tolerated for
-        hole-tolerant capsules where intermediate records were lost in
-        transmission; the proof still pins the record exactly."""
-        return self.accept_record(record, proof)
-
     def verify_everything(self) -> int:
         """Offline re-verification of the full accumulated history
         against the frontier heartbeat; returns records covered."""

@@ -14,7 +14,7 @@ carried by record 1.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.crypto.hashing import HashPointer, hash_value, sha256
 from repro.errors import IntegrityError
@@ -193,13 +193,3 @@ class Record:
             f"digest={self._digest.hex()[:12]}...)"
         )
 
-
-def link_digests(records: Iterable[Record]) -> dict[int, bytes]:
-    """Map seqno -> digest for a collection of records (helper for
-    strategies and tests); raises on duplicate seqnos."""
-    out: dict[int, bytes] = {}
-    for record in records:
-        if record.seqno in out:
-            raise IntegrityError(f"duplicate seqno {record.seqno}")
-        out[record.seqno] = record.digest
-    return out

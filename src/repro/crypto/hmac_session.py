@@ -24,8 +24,6 @@ from repro.errors import IntegrityError, SignatureError
 
 __all__ = ["hkdf", "SessionKey", "Handshake"]
 
-MAC_LEN = 32
-
 
 def hkdf(ikm: bytes, salt: bytes, info: bytes, length: int = 32) -> bytes:
     """HKDF-SHA256 extract-and-expand (RFC 5869)."""

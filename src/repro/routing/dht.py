@@ -372,14 +372,6 @@ class DhtNode(Node):
             return []
         return [dict(record) for record in slot.values()]
 
-    def live_values(self, key: GdpName) -> list[Any]:
-        """Locally stored live, non-tombstone payloads for *key*."""
-        return [
-            record["d"]
-            for record in self.records_for(key)
-            if not record.get("t")
-        ]
-
     def cull_expired(self, now: float | None = None) -> int:
         """Reclaim records whose TTL elapsed (wheel-driven, O(expired));
         keys left empty are deleted, never parked as ``[]`` husks."""

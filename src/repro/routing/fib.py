@@ -466,10 +466,6 @@ class CompactFib:
         self.purged += reclaimed
         return reclaimed
 
-    def next_purge_deadline(self) -> float | None:
-        """When the earliest wheel bucket becomes purgeable."""
-        return self._wheel.next_deadline()
-
     def memory_bytes(self) -> int:
         """Approximate resident bytes of map + wheel + hop intern."""
         return (

@@ -31,7 +31,8 @@ Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 ``unsubscribe``
 ``session``    authenticated ECDH handshake -> HMAC fast path
 ``sync_root`` / ``sync_nodes`` / ``sync_fetch_batch``
-               Merkle-delta anti-entropy (see replication.py)
+               Merkle-delta anti-entropy (see replication.py): fetched
+               records go in through ``DataCapsule.admit_fetched``
 =============  =========================================================
 """
 
@@ -51,6 +52,7 @@ from repro.crypto.hmac_session import Handshake, SessionKey
 from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.delegation.chain import ServiceChain
 from repro.errors import (
+    AuthorizationError,
     CapsuleError,
     GdpError,
     RecordNotFoundError,
@@ -60,7 +62,7 @@ from repro.naming.metadata import Metadata, make_server_metadata
 from repro.naming.names import GdpName
 from repro.routing import pdu as pdutypes
 from repro.routing.endpoint import Endpoint
-from repro.routing.pdu import Pdu
+from repro.routing.pdu import Pdu, payload_size
 from repro.runtime.dispatch import dispatch_op, op, opt
 from repro.server.durability import AckPolicy
 from repro.server.secure import mac_response, sign_response
@@ -222,7 +224,7 @@ class DataCapsuleServer(Endpoint):
         by replaying the storage log, and subscriber sets are dropped
         (subscribers re-subscribe; §V's subscriptions are soft state).
         Anything acknowledged pre-crash was persisted by
-        :meth:`_ingest` or anti-entropy, so nothing durable is lost.
+        :meth:`_store_admitted`, so nothing durable is lost.
         """
         self.crashed = False
         self._sessions.clear()
@@ -401,21 +403,31 @@ class DataCapsuleServer(Endpoint):
             return
         self.advertise(self.catalog_entries())
 
-    def _note_checkpoint(self, hosted: HostedCapsule, record: Record) -> None:
-        """Tell the backend when a checkpoint record lands — segments
-        wholly below it become compactable."""
-        is_checkpoint = getattr(
-            hosted.capsule.strategy, "is_checkpoint", None
-        )
-        if is_checkpoint is not None and is_checkpoint(record.seqno):
-            self.storage.note_checkpoint(hosted.capsule.name, record.seqno)
+    def _store_admitted(
+        self,
+        hosted: HostedCapsule,
+        records: list[Record],
+        heartbeats: list[Heartbeat],
+    ) -> None:
+        """Persist what the capsule just admitted in one
+        ``append_entries`` — every write op and every sync reply writes a
+        replica here — then tell the backend of each checkpoint record
+        (segments wholly below it become compactable)."""
+        name = hosted.capsule.name
+        entries = [("r", record.to_wire()) for record in records]
+        entries += [("h", heartbeat.to_wire()) for heartbeat in heartbeats]
+        if entries:
+            self.storage.append_entries(name, entries)
+        is_checkpoint = getattr(hosted.capsule.strategy, "is_checkpoint", None)
+        for record in records:
+            if is_checkpoint is not None and is_checkpoint(record.seqno):
+                self.storage.note_checkpoint(name, record.seqno)
 
     def _ingest(self, payload: dict, *, batch: bool, writer: bool) -> Any:
-        """The one write path of the four write ops: admit the run under
-        its tip heartbeat, persist what was new with one
-        ``append_entries``, then note checkpoints and push to
-        subscribers.  Writer ops go on to the durability tail, which
-        forwards the run to the siblings as the matching replicate op."""
+        """The four write ops: admit the run under its tip heartbeat,
+        store what was new, then push it to subscribers.  Writer ops go
+        on to the durability tail, which forwards the run to the
+        siblings as the matching replicate op."""
         hosted = self._hosted(payload)
         capsule = hosted.capsule
         wires = payload["records"] if batch else [payload["record"]]
@@ -424,13 +436,8 @@ class DataCapsuleServer(Endpoint):
         records = [Record.from_wire(capsule.name, wire) for wire in wires]
         heartbeat = Heartbeat.from_wire(payload["heartbeat"])
         new, heartbeat_new = capsule.admit(records, heartbeat)
-        entries = [("r", record.to_wire()) for record in new]
-        if heartbeat_new:
-            entries.append(("h", heartbeat.to_wire()))
-        if entries:
-            self.storage.append_entries(capsule.name, entries)
+        self._store_admitted(hosted, new, [heartbeat] if heartbeat_new else [])
         for record in new:
-            self._note_checkpoint(hosted, record)
             self._push_to_subscribers(hosted, record, heartbeat)
         tip = records[-1]
         extra = {"count": len(records)} if batch else {}
@@ -602,8 +609,6 @@ class DataCapsuleServer(Endpoint):
         preimage = b"gdp.unhost" + _encoding.encode(
             [hosted.capsule.name.raw, self.name.raw]
         )
-        from repro.errors import AuthorizationError
-
         signature = payload.get("auth")
         if not isinstance(signature, bytes) or not owner_key.verify(
             preimage, signature
@@ -653,7 +658,6 @@ class DataCapsuleServer(Endpoint):
         # DataCapsule updates ... who can join a secure multicast tree").
         if hosted.capsule.metadata.properties.get("restricted_subscribe"):
             from repro.delegation.certs import SubGrant
-            from repro.errors import AuthorizationError
 
             grant_wire = payload.get("subgrant")
             if grant_wire is None:
@@ -715,16 +719,20 @@ class DataCapsuleServer(Endpoint):
     @op("sync_nodes", capsule=bytes, ranges=list)
     def _op_sync_nodes(self, pdu: Pdu, payload: dict) -> dict:
         """Bisection probe: Merkle roots for the requested seqno ranges
-        (``[[lo, hi], ...]``, at most ``MAX_SYNC_RANGES`` per request)."""
+        (``[[lo, hi], ...]``, at most ``MAX_SYNC_RANGES`` per request,
+        none past the tip — a root walks one leaf per seqno)."""
         hosted = self._hosted(payload)
         ranges = payload["ranges"]
         if len(ranges) > MAX_SYNC_RANGES:
             raise CapsuleError(
                 f"sync_nodes accepts at most {MAX_SYNC_RANGES} ranges"
             )
+        last = hosted.capsule.last_seqno
         hashes = []
         for entry in ranges:
             lo, hi = int(entry[0]), int(entry[1])
+            if hi > last:
+                raise CapsuleError(f"sync range [{lo}, {hi}] is past the tip {last}")
             hashes.append(hosted.capsule.range_root(lo, hi))
         return {"ok": True, "hashes": hashes}
 
@@ -735,8 +743,6 @@ class DataCapsuleServer(Endpoint):
         would exceed ``max_bytes`` (always serving at least one seqno so
         the requester makes progress).  ``served`` lists the seqnos
         actually processed; the requester re-queues the rest."""
-        from repro.routing.pdu import payload_size
-
         hosted = self._hosted(payload)
         max_bytes = payload.get("max_bytes") or DEFAULT_SYNC_BATCH_BYTES
         records, heartbeats, served = [], [], []

@@ -21,10 +21,12 @@ length:
    fetched in size-capped record batches with a windowed in-flight
    limit and deterministic exponential retry/backoff.
 
-Fetched records are checked one by one (capsule, links) and fetched
-heartbeats must verify, but unlike the write ops (``DataCapsule.admit``)
-sync does not yet require a heartbeat to attest each record, so a
-sibling can still plant an unattested record here.  Per-(capsule, peer)
+Sync stores only what the write ops' one attestation rule admits
+(``DataCapsule.admit_fetched``): heartbeats first, including the tip
+heartbeat on ``sync_root``; then each record a verified heartbeat or an
+attested record's hash pointer attests.  The rest wait for a later
+reply of the round (say the batch carrying a stream's tip heartbeat)
+and are dropped, counted as refused, when it ends.  Per-(capsule, peer)
 :class:`SyncSession` bookkeeping feeds the daemon's stats.
 
 Because capsule state is a join-semilattice (record-set union), rounds
@@ -38,7 +40,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Generator
+from functools import partial
+from typing import Callable, Generator
 
 from repro.capsule.heartbeat import Heartbeat
 from repro.capsule.records import Record
@@ -88,6 +91,8 @@ class SyncSession:
     rounds: int = 0
     records_fetched: int = 0
     heartbeats_fetched: int = 0
+    #: records malformed, or still unattested when their round ended
+    records_refused: int = 0
     batches: int = 0
     retries: int = 0
     failures: int = 0
@@ -101,50 +106,26 @@ def _reply_body(reply) -> dict | None:
     return body
 
 
-def _absorb(
-    server: DataCapsuleServer,
-    hosted: HostedCapsule,
-    body: dict,
-    session: SyncSession | None,
-) -> int:
-    """Insert fetched records/heartbeats through validation; returns how
-    many records were new."""
-    capsule_name = hosted.capsule.name
-    fetched = 0
-    entries: list[tuple[str, dict]] = []
-    for record_wire in body.get("records", []):
+def _decoded(wires: list, decode: Callable) -> tuple[list, int]:
+    """Decode each wire of a reply; returns the objects and how many
+    were malformed."""
+    decoded, malformed = [], 0
+    for wire in wires:
         try:
-            record = Record.from_wire(capsule_name, record_wire)
-            if hosted.capsule.insert(record, enforce_strategy=False):
-                entries.append(("r", record.to_wire()))
-                fetched += 1
+            decoded.append(decode(wire))
         except GdpError:
-            continue  # a record that fails its own checks is dropped
-    for heartbeat_wire in body.get("heartbeats", []):
-        try:
-            heartbeat = Heartbeat.from_wire(heartbeat_wire)
-            if hosted.capsule.add_heartbeat(heartbeat):
-                entries.append(("h", heartbeat.to_wire()))
-                if session is not None:
-                    session.heartbeats_fetched += 1
-        except GdpError:
-            continue
-    if entries:
-        # One buffered write (and one fsync) for the whole validated
-        # batch instead of a storage round trip per frame.
-        server.storage.append_entries(capsule_name, entries)
-    return fetched
+            malformed += 1
+    return decoded, malformed
 
 
 def _bisect(
     server: DataCapsuleServer,
-    capsule_name: GdpName,
     sibling: GdpName,
     capsule,
     common: int,
     timeout: float,
     config: SyncConfig,
-    session: SyncSession | None,
+    session: SyncSession,
 ) -> Generator:
     """Find the divergent seqnos in the shared prefix ``[1, common]``
     (already known to mismatch) by binary bisection over range roots."""
@@ -170,7 +151,7 @@ def _bisect(
                 sibling,
                 {
                     "op": "sync_nodes",
-                    "capsule": capsule_name.raw,
+                    "capsule": capsule.name.raw,
                     "ranges": [[lo, hi] for lo, hi in chunk],
                 },
                 timeout=timeout,
@@ -178,14 +159,12 @@ def _bisect(
         failed = False
         for chunk, future in inflight:
             try:
-                reply = yield future
-                body = _reply_body(reply)
+                body = _reply_body((yield future))
             except GdpError:
                 body = None
             hashes = body.get("hashes", []) if body is not None else None
             if hashes is None or len(hashes) != len(chunk):
-                if session is not None:
-                    session.failures += 1
+                session.failures += 1
                 failed = True
                 continue
             for (lo, hi), remote_root in zip(chunk, hashes):
@@ -208,16 +187,19 @@ def _fetch_batches(
     seqnos: list[int],
     timeout: float,
     config: SyncConfig,
-    session: SyncSession | None,
+    session: SyncSession,
 ) -> Generator:
     """Windowed, size-capped, retried record transfer; returns how many
-    records were fetched."""
-    capsule_name = hosted.capsule.name
+    records were stored and how many refused (malformed, or held
+    unattested until the round ended)."""
+    capsule = hosted.capsule
+    capsule_name = capsule.name
     pending: deque = deque()
     for start in range(0, len(seqnos), config.batch_records):
         pending.append((seqnos[start:start + config.batch_records], 0))
     inflight: deque = deque()
-    fetched = 0
+    fetched = refused = 0
+    held: dict[bytes, Record] = {}
     while pending or inflight:
         while pending and len(inflight) < config.window:
             chunk, attempt = pending.popleft()
@@ -232,27 +214,32 @@ def _fetch_batches(
                 timeout=timeout,
             )
             inflight.append((chunk, attempt, future))
-            if session is not None:
-                session.batches += 1
+            session.batches += 1
         chunk, attempt, future = inflight.popleft()
         try:
-            reply = yield future
-            body = _reply_body(reply)
+            body = _reply_body((yield future))
         except GdpError:
             body = None
         if body is None:
             if attempt < config.max_retries:
-                if session is not None:
-                    session.retries += 1
+                session.retries += 1
                 yield min(
                     config.backoff_base * (2 ** attempt),
                     config.backoff_max,
                 )
                 pending.append((chunk, attempt + 1))
-            elif session is not None:
+            else:
                 session.failures += 1
             continue
-        fetched += _absorb(server, hosted, body, session)
+        records, malformed = _decoded(
+            body.get("records", []), partial(Record.from_wire, capsule_name)
+        )
+        heartbeats, _ = _decoded(body.get("heartbeats", []), Heartbeat.from_wire)
+        new, new_heartbeats = capsule.admit_fetched(records, heartbeats, held)
+        server._store_admitted(hosted, new, new_heartbeats)
+        fetched += len(new)
+        refused += malformed
+        session.heartbeats_fetched += len(new_heartbeats)
         served = set(body.get("served", chunk))
         leftover = [s for s in chunk if s not in served]
         # The server always serves at least one seqno, so a leftover
@@ -260,7 +247,10 @@ def _fetch_batches(
         # rather than loop forever.
         if leftover and len(leftover) < len(chunk):
             pending.append((leftover, 0))
-    return fetched
+    # What no reply of the round attested is dropped (unless a write op
+    # stored it meanwhile); the next round's Merkle roots still differ
+    # there, so it is fetched again.
+    return fetched, refused + sum(1 for digest in held if digest not in capsule)
 
 
 def sync_once(
@@ -275,37 +265,27 @@ def sync_once(
     """One Merkle-delta synchronization round with one sibling (a sim
     process body); returns the number of records fetched."""
     config = config or DEFAULT_CONFIG
+    session = session or SyncSession(capsule=capsule_name, peer=sibling)
     hosted = server.hosted[capsule_name]
     capsule = hosted.capsule
-    if session is not None:
-        session.rounds += 1
+    session.rounds += 1
     try:
-        reply = yield server.rpc(
+        body = _reply_body((yield server.rpc(
             sibling,
             {"op": "sync_root", "capsule": capsule_name.raw},
             timeout=timeout,
-        )
+        )))
     except GdpError:
-        if session is not None:
-            session.failures += 1
-        return 0
-    body = _reply_body(reply)
+        body = None
     if body is None:
-        if session is not None:
-            session.failures += 1
+        session.failures += 1
         return 0
-    # The tip heartbeat rides on the root reply: the frontier advances
-    # even when the record sets already match.
-    heartbeat_wire = body.get("heartbeat")
-    if heartbeat_wire is not None:
-        try:
-            heartbeat = Heartbeat.from_wire(heartbeat_wire)
-            if capsule.add_heartbeat(heartbeat):
-                server.storage.append_entries(
-                    capsule_name, [("h", heartbeat.to_wire())]
-                )
-        except GdpError:
-            pass
+    # The tip heartbeat rides on the root reply and is admitted first:
+    # the frontier advances even when the record sets already match.
+    tip, _ = _decoded(
+        [body["heartbeat"]] if "heartbeat" in body else [], Heartbeat.from_wire
+    )
+    server._store_admitted(hosted, [], capsule.admit_fetched([], tip, {})[1])
     remote_last = int(body.get("last_seqno", 0))
     local_last = capsule.last_seqno
     common = min(local_last, remote_last)
@@ -317,7 +297,7 @@ def sync_once(
             remote_common_root = body.get("root")
         else:
             try:
-                reply = yield server.rpc(
+                node_body = _reply_body((yield server.rpc(
                     sibling,
                     {
                         "op": "sync_nodes",
@@ -325,33 +305,29 @@ def sync_once(
                         "ranges": [[1, common]],
                     },
                     timeout=timeout,
-                )
+                )))
             except GdpError:
-                if session is not None:
-                    session.failures += 1
-                return 0
-            node_body = _reply_body(reply)
+                node_body = None
             if node_body is None or len(node_body.get("hashes", [])) != 1:
-                if session is not None:
-                    session.failures += 1
+                session.failures += 1
                 return 0
             remote_common_root = node_body["hashes"][0]
         if remote_common_root != capsule.range_root(1, common):
             divergent = yield from _bisect(
-                server, capsule_name, sibling, capsule,
-                common, timeout, config, session,
+                server, sibling, capsule, common, timeout, config, session
             )
             candidates = divergent + candidates
     if not candidates:
-        if session is not None:
-            session.last_synced = server.ctx.now
+        session.last_synced = server.ctx.now
         return 0
-    fetched = yield from _fetch_batches(
+    fetched, refused = yield from _fetch_batches(
         server, hosted, sibling, candidates, timeout, config, session
     )
-    if session is not None:
-        session.records_fetched += fetched
-        session.last_synced = server.ctx.now
+    if refused:
+        server.metrics.counter("server.sync.refused").inc(refused)
+    session.records_fetched += fetched
+    session.records_refused += refused
+    session.last_synced = server.ctx.now
     return fetched
 
 
@@ -391,16 +367,12 @@ class AntiEntropyDaemon(Periodic):
         self.records_fetched = 0
         self.sessions: dict[tuple[GdpName, GdpName], SyncSession] = {}
 
-    def session_for(
-        self, capsule_name: GdpName, sibling: GdpName
-    ) -> SyncSession:
+    def session_for(self, capsule_name: GdpName, sibling: GdpName) -> SyncSession:
         """The persistent per-(capsule, peer) session (created lazily)."""
         key = (capsule_name, sibling)
-        session = self.sessions.get(key)
-        if session is None:
-            session = SyncSession(capsule=capsule_name, peer=sibling)
-            self.sessions[key] = session
-        return session
+        if key not in self.sessions:
+            self.sessions[key] = SyncSession(capsule=capsule_name, peer=sibling)
+        return self.sessions[key]
 
     def _tick(self) -> Generator:
         if self.server.crashed:

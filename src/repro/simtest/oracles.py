@@ -39,6 +39,7 @@ from repro.errors import (
     HoleError,
     RecordNotFoundError,
 )
+from repro.naming.metadata import MODE_SSW
 from repro.routing.dht_glookup import DhtGLookupService
 from repro.routing.glookup import RouteEntry
 from repro.server.storage import replay_entry
@@ -98,7 +99,8 @@ def check_hash_chain(world) -> list[Violation]:
     hole-free replica's full history must verify end-to-end.  Holes are
     availability loss and are skipped; a signature or chain failure
     means tampered data survived server-side validation — never
-    acceptable.
+    acceptable.  (The walk follows digests, so a branch never stops it:
+    :func:`check_read_proof` judges branches.)
     """
     violations = []
     for server, capsule in _hosted_capsules(world):
@@ -118,8 +120,8 @@ def check_hash_chain(world) -> list[Violation]:
             continue  # empty or holed replica: nothing to chain-walk
         try:
             capsule.verify_history()
-        except (HoleError, RecordNotFoundError, BranchError):
-            continue  # tip missing or branched: availability loss
+        except (HoleError, RecordNotFoundError):
+            continue  # tip missing: availability loss
         except GdpError as exc:
             violations.append(Violation(
                 "hash_chain",
@@ -133,7 +135,8 @@ def check_hash_chain(world) -> list[Violation]:
 def check_read_proof(world) -> list[Violation]:
     """Read-proof verifiability: every record a replica would serve must
     come with a position proof that verifies against the writer key
-    (§V: readers trust proofs, not servers)."""
+    (§V: readers trust proofs, not servers), and a strict-single-writer
+    replica must hold one record per seqno."""
     violations = []
     for server, capsule in _hosted_capsules(world):
         for seqno in capsule.seqnos():
@@ -142,16 +145,17 @@ def check_read_proof(world) -> list[Violation]:
                 proof.verify_record(capsule.get(seqno), capsule.writer_key)
             except (HoleError, RecordNotFoundError):
                 continue  # proof path crosses a hole: cannot serve, ok
-            except BranchError:
-                # A tampered sync reply can plant an unattested sibling
-                # (absorbed by design — see replication._absorb); the
-                # replica then refuses linear serving of that seqno
-                # (§VI-C branches: readers fall back to the branch API
-                # and its deterministic resolution).  Detected
-                # availability loss, never silently-wrong data — the
-                # chain walk in hash_chain still covers the attested
-                # history.
-                continue
+            except BranchError as exc:
+                # Every stored record is attested, and a strict single
+                # writer's heartbeats attest one record per seqno, so a
+                # branch means an unattested record got in.  QSW may
+                # branch by design (§VI-C): readers use the branch API.
+                if capsule.writer_mode == MODE_SSW:
+                    violations.append(Violation(
+                        "read_proof",
+                        f"{server.node_id}/record{seqno}",
+                        f"single-writer replica is branched: {exc}",
+                    ))
             except GdpError as exc:
                 violations.append(Violation(
                     "read_proof",

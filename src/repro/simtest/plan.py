@@ -40,8 +40,6 @@ FAULT_KINDS = ("partition", "crash", "drop", "tamper", "delay", "replay")
 #: adding it to FAULT_KINDS would perturb the pinned default episodes)
 DHT_FAULT_KIND = "dht_crash"
 
-_MIDDLEWARE_KINDS = frozenset({"drop", "tamper", "delay", "replay"})
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -93,11 +91,6 @@ class EpisodePlan:
     #: sharded-commit-plane workload spec (the ``"commit"`` profile);
     #: ``None`` means the episode runs without a commit plane
     commit_plane: dict | None = None
-
-    @property
-    def workload_span(self) -> float:
-        """Nominal workload duration (sum of inter-op gaps)."""
-        return sum(self.gaps)
 
     @property
     def fault_horizon(self) -> float:

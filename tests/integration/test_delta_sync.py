@@ -4,6 +4,7 @@ property the protocol exists to provide."""
 
 import random
 
+from repro.adversary import StorageTamperer
 from repro.capsule import CapsuleWriter, DataCapsule
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
@@ -180,6 +181,144 @@ class TestDeltaSyncEdgeCases:
         root = g.server_root.hosted[metadata.name].capsule
         edge = g.server_edge.hosted[metadata.name].capsule
         assert root.canonical_summary() == edge.canonical_summary()
+
+    def test_sync_nodes_refuses_ranges_past_the_tip(self, mini_gdp):
+        """A probe reaching past the tip is answered with an error, not
+        with a root that walks (and caches) one leaf per seqno."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(4):
+                yield from writer.append(b"rec-%d" % i)
+            yield 0.5
+            reply = yield g.server_root.rpc(
+                g.server_edge.name,
+                {
+                    "op": "sync_nodes",
+                    "capsule": metadata.name.raw,
+                    "ranges": [[1, 4], [1, 10 ** 5]],
+                },
+                timeout=5.0,
+            )
+            return metadata, reply
+
+        metadata, reply = g.run(scenario())
+        body = reply.get("body", reply)
+        assert body["ok"] is False
+        assert "past the tip 4" in body["error"]
+        capsule = g.server_edge.hosted[metadata.name].capsule
+        assert len(capsule._sync_leaf_cache) <= 4
+
+
+class TestAttestedSync:
+    """Anti-entropy admits fetched records under the write ops' one
+    attestation rule: a sibling serving a tampered record plants
+    nothing, and records a later reply attests wait within the round."""
+
+    def test_tampered_sibling_record_is_not_absorbed(self, mini_gdp):
+        g = mini_gdp
+        link = g.r_edge.link_to(g.r_root)
+        session = SyncSession(capsule=None, peer=None)
+        root, edge = g.server_root, g.server_edge
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(4):
+                yield from writer.append(b"pre-%d" % i)
+            yield 0.5
+            link.fail()
+            yield from writer.append(b"lost")  # seqno 5, root never sees it
+            link.recover()
+            g.r_edge.flush_fib()
+            g.r_root.flush_fib()
+            for i in range(3):
+                yield from writer.append(b"post-%d" % i)
+            yield 0.5
+            StorageTamperer(edge).corrupt_record(metadata.name, 5)
+            fetched = yield from sync_once(
+                root, metadata.name, edge.name, session=session
+            )
+            return metadata, fetched
+
+        def stored_at(seqno):
+            return [
+                wire
+                for tag, wire in root.storage.load_entries(metadata.name)
+                if tag == "r" and wire["seqno"] == seqno
+            ]
+
+        metadata, fetched = g.run(scenario())
+        assert fetched == 0
+        assert session.records_refused == 1
+        assert root.metrics.counter("server.sync.refused").value == 1
+        assert root.hosted[metadata.name].capsule.get_all(5) == []
+        assert stored_at(5) == []
+        root.restart()
+        assert root.hosted[metadata.name].capsule.get_all(5) == []
+
+        # The sibling turns honest (its replica rebuilt from its own
+        # log): the next round repairs seqno 5.
+        edge.restart()
+
+        def repair():
+            yield 1.0  # let the restarted servers re-advertise
+            return (yield from sync_once(
+                root, metadata.name, edge.name, session=session
+            ))
+
+        assert g.run(repair()) == 1
+        assert session.records_refused == 1
+        assert len(stored_at(5)) == 1
+        repaired = root.hosted[metadata.name].capsule
+        assert (
+            repaired.canonical_summary()
+            == edge.hosted[metadata.name].capsule.canonical_summary()
+        )
+        assert repaired.verify_history() == 8
+
+    def test_multi_batch_repair_in_one_round(self, mini_gdp):
+        """A fresh replica of an ``append_stream`` capsule (heartbeats
+        only at the writer's batch tips) repairs five fetch batches in
+        one round: the first batch carries no heartbeat and waits for
+        the second to attest it."""
+        g = mini_gdp
+        link = g.r_edge.link_to(g.r_root)
+        config = SyncConfig(batch_records=8)
+        session = SyncSession(capsule=None, peer=None)
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            link.fail()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append_stream(
+                [b"stream-%d" % i for i in range(40)], batch_records=10
+            )
+            yield 0.5
+            link.recover()
+            g.r_edge.flush_fib()
+            g.r_root.flush_fib()
+            fetched = yield from sync_once(
+                g.server_root, metadata.name, g.server_edge.name,
+                config=config, session=session,
+            )
+            return metadata, fetched
+
+        metadata, fetched = g.run(scenario())
+        assert fetched == 40
+        assert session.rounds == 1
+        assert session.batches == 5
+        assert session.records_refused == 0
+        root = g.server_root.hosted[metadata.name].capsule
+        edge = g.server_edge.hosted[metadata.name].capsule
+        assert [h.seqno for h in root.heartbeats()] == [10, 20, 30, 40]
+        assert root.canonical_summary() == edge.canonical_summary()
+        assert root.verify_history() == 40
 
 
 # -- the O(missing records) bytes property --------------------------------

@@ -14,19 +14,19 @@ from repro.routing.pdu import Pdu
 from repro.sim.net import Node, SimNetwork
 from repro.simtest import run_episode
 
-#: (seed, episode-passes, trace sha256) — the reference episodes.  Seed
-#: 42's episode used to fail read_proof: a tampered sync reply plants
-#: an unattested sibling record on every replica (anti-entropy absorbs
-#: records without heartbeat attestation by design) and `get()` then
-#: refuses linear serving of that seqno.  The oracles now classify a
-#: branched seqno as availability loss (§VI-C branches: readers fall
-#: back to the branch API), so the episode passes — with the *same*
-#: trace, byte for byte, which is what this guard pins.
+#: (seed, episode-passes, trace sha256) — the reference episodes.  In
+#: seed 42 a tampered ``sync_fetch_batch`` reply offers s0 a second
+#: record at seqno 1 that no heartbeat attests.  Anti-entropy refuses it
+#: (s0's ``server.sync.refused`` is 1), so it never spreads: the later
+#: sync rounds that used to carry it to s1 and s2 are gone, and reads of
+#: seqno 1 that failed on the branch now succeed — 144 fewer trace
+#: events than when sync stored whatever parsed, and one SSW replica
+#: set with no branch for the strict oracles to flag.
 REFERENCE_EPISODES = [
     (7, True,
      "ed2b6dfa721ba77dd75fe44e02b6d505d838c8ee9b7c1bff732e30c3546e9ab7"),
     (42, True,
-     "cddd6213a638958e4251e404e3278cbfa8c8b2866412d901a96821f271e2f497"),
+     "e1b6a2a90ffd15d0aa899b2354e96cdd54adf8181a862c819d5ca43872cf2bea"),
 ]
 
 

@@ -179,3 +179,52 @@ class TestAdmission:
         assert list(replica.heartbeats()) == heartbeats
         assert replica.admit(list(run), heartbeat) == (list(run), True)
         assert replica.admit(list(run), heartbeat) == ([], False)
+
+    @given(
+        st.sets(st.integers(0, 3), max_size=4),
+        st.permutations(range(9)),
+        st.lists(st.booleans(), min_size=10, max_size=10),
+        st.none() | st.integers(0, 8),
+        st.integers(0, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fetched_records_are_stored_once_iff_attested(
+        self, batch, stored, order, cuts, tampered, at
+    ):
+        """Anti-entropy's admission: a history split into a stored part
+        and a fetched part, the fetched part offered in any order and
+        batching (each batch with the heartbeats at its seqnos, as
+        ``sync_fetch_batch`` serves them) with at most one tampered
+        record planted among it — exactly the untampered records end up
+        stored, each once, and the tampered one is left held."""
+        metadata, prefix, run, heartbeat, _, _ = batch
+        history = [record for record, _ in prefix] + list(run)
+        beats = {record.seqno: [hb] for record, hb in prefix}
+        beats[run[-1].seqno] = [heartbeat]
+        replica = fresh(metadata)
+        for i in sorted(stored):
+            replica.admit([prefix[i][0]], prefix[i][1])
+        offered = [history[i] for i in order if i not in stored]
+        planted = []
+        if tampered is not None:
+            victim = history[tampered]
+            planted = [Record(
+                victim.capsule, victim.seqno, victim.payload + b"!",
+                victim.pointers,
+            )]
+            offered.insert(at % (len(offered) + 1), planted[0])
+        batches = [[]]
+        for record, cut in zip(offered, cuts):
+            batches[-1].append(record)
+            if cut:
+                batches.append([])
+        held, new = {}, []
+        for records in batches:
+            heartbeats = [hb for r in records for hb in beats.get(r.seqno, [])]
+            new += replica.admit_fetched(records, heartbeats, held)[0]
+        fetched = [history[i] for i in range(9) if i not in stored]
+        assert sorted(r.digest for r in new) == sorted(r.digest for r in fetched)
+        assert replica.canonical_summary() == tuple(
+            (record.seqno, (record.digest,)) for record in history
+        )
+        assert list(held.values()) == planted

@@ -2,8 +2,9 @@
 intentionally broken world, with a precise deterministic diagnostic.
 
 Each test runs a clean fault-free episode to quiesce, breaks exactly one
-invariant by hand (tampered record, forged heartbeat, diverged replica,
-stale FIB entry, misfiled GLookup entry, cooked link counter), and
+invariant by hand (tampered record, forged heartbeat, planted sibling
+record, diverged replica, stale FIB entry, misfiled GLookup entry,
+cooked link counter), and
 asserts the matching oracle — and only a targeted run of it — reports
 the right subject.  A detector that cannot detect is worse than no
 detector; this file is where each one proves itself.
@@ -94,6 +95,26 @@ class TestReadProofOracle:
             and "unverifiable proof" in v.detail
             for v in violations
         ), violations
+
+
+class TestStrictSingleWriter:
+    def test_planted_sibling_record_is_a_violation(self, clean_world):
+        """Under strict single-writer a second record at one seqno can
+        only be one no heartbeat attests: the proof oracle flags it
+        rather than shrug it off as availability loss."""
+        world = clean_world
+        victim = world.servers[1]
+        capsule = victim.hosted[world.metadata.name].capsule
+        genuine = capsule.get(1)
+        capsule.insert(Record(
+            genuine.capsule, 1, genuine.payload + b"!planted!",
+            genuine.pointers,
+        ))
+        violations = run_oracles(world, names=["hash_chain", "read_proof"])
+        assert [(v.oracle, v.subject) for v in violations] == [
+            ("read_proof", f"{victim.node_id}/record1"),
+        ], violations
+        assert "single-writer replica is branched" in violations[0].detail
 
 
 class TestConvergenceOracle:

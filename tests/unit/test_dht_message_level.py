@@ -410,6 +410,8 @@ class TestGrepGuard:
         # StorageBackend.append_entries
         "def append_record", "def append_heartbeat", "def _persist",
         "def append_many", "_replicate_payload", "def _append_entries",
+        # anti-entropy's own write path beside DataCapsule.admit_fetched
+        "def _absorb",
     )
 
     def test_back_compat_layer_stays_deleted(self):

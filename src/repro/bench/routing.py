@@ -271,9 +271,11 @@ def _bench_cold_resolution() -> dict:
 def _bench_dht_ring(n_nodes: int) -> dict:
     """One Kademlia ring: sampled put/get traffic with per-query round
     accounting against the ceil(log2 n) + 2 bound."""
-    from repro.routing.dht import build_dht
+    from repro.sim import SimNetwork, build_dht
 
+    net = SimNetwork(seed=0xD47)
     ring = build_dht(
+        net,
         [_name(b"bench-dht:%d:%d" % (n_nodes, i)) for i in range(n_nodes)],
         k=8,
     )
@@ -282,13 +284,16 @@ def _bench_dht_ring(n_nodes: int) -> dict:
     hops, messages = [], []
     for i in range(DHT_OPS_PER_RING):
         key = _name(b"bench-dht-key:%d" % i)
-        ring.put(vias[i % len(vias)], key, b"v%d" % i)
-        hops.append(ring.last_hops)
-        messages.append(ring.last_messages)
-        values = ring.get(vias[(i * 7 + 3) % len(vias)], key)
-        hops.append(ring.last_hops)
-        messages.append(ring.last_messages)
-        if b"v%d" % i not in values:
+        put = net.ctx.run_process(
+            ring.put_proc(vias[i % len(vias)], key, b"v%d" % i)
+        )
+        got = net.ctx.run_process(
+            ring.get_proc(vias[(i * 7 + 3) % len(vias)], key)
+        )
+        for result in (put, got):
+            hops.append(result.hops)
+            messages.append(result.messages)
+        if b"v%d" % i not in got.values:
             raise RuntimeError("DHT get missed a stored key")
     return {
         "nodes": n_nodes,
@@ -306,11 +311,12 @@ def _bench_dht_churn() -> dict:
     still return the value (k-replica durability is the design point,
     not luck).  Crashed holders restart between keys so churn windows
     stay at exactly k-1 dark replicas."""
-    from repro.routing.dht import build_dht
+    from repro.sim import SimNetwork, build_dht
 
     n_nodes = DHT_CHURN_NODES
+    net = SimNetwork(seed=0xD47)
     ring = build_dht(
-        [_name(b"bench-dht-churn:%d" % i) for i in range(n_nodes)], k=8
+        net, [_name(b"bench-dht-churn:%d" % i) for i in range(n_nodes)], k=8
     )
     vias = sorted(ring.nodes)
     survived = 0
@@ -319,7 +325,7 @@ def _bench_dht_churn() -> dict:
     for i in range(DHT_CHURN_KEYS):
         key = _name(b"bench-dht-churn-key:%d" % i)
         value = b"churn%d" % i
-        ring.put(vias[i % len(vias)], key, value)
+        net.ctx.run_process(ring.put_proc(vias[i % len(vias)], key, value))
         # God-mode holder census (bench harness, not protocol code).
         holders = [
             name
@@ -335,9 +341,9 @@ def _bench_dht_churn() -> dict:
         max_killed = max(max_killed, len(killed))
         dark = {node.name for node in killed}
         via = next(name for name in vias if name not in dark)
-        values = ring.get(via, key)
-        hops.append(ring.last_hops)
-        if value in values:
+        got = net.ctx.run_process(ring.get_proc(via, key))
+        hops.append(got.hops)
+        if value in got.values:
             survived += 1
         for node in killed:
             node.restart()

@@ -12,7 +12,7 @@ from repro.routing.catalog import (
     replay_catalog,
 )
 from repro.routing.dht_glookup import DhtGLookupService
-from repro.routing.dht import KademliaDht, build_dht
+from repro.routing.dht import KademliaDht
 from repro.routing.domain import RoutingDomain
 from repro.routing.endpoint import Endpoint
 from repro.routing.glookup import GLookupService, RouteEntry
@@ -31,7 +31,6 @@ __all__ = [
     "select_entry",
     "rank_entries",
     "KademliaDht",
-    "build_dht",
     "CatalogBuilder",
     "CatalogEntry",
     "replay_catalog",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from repro import encoding
 from repro.errors import TimeoutError_, TransportError, WireFormatError
@@ -57,7 +57,7 @@ from repro.routing.pdu import (
 )
 from repro.runtime.network import Node
 
-__all__ = ["DhtNode", "KademliaDht", "DhtStats", "LookupResult", "build_dht"]
+__all__ = ["DhtNode", "KademliaDht", "DhtStats", "LookupResult"]
 
 KEY_BITS = 256
 
@@ -70,10 +70,6 @@ RECORD_TTL = 30.0
 #: don't ping a bucket head seen more recently than this (Kademlia's
 #: "recently seen nodes are almost certainly alive" optimization)
 PING_STALENESS = 30.0
-#: point-to-point overlay link shape (full mesh; loss stays 0 so the
-#: DHT draws nothing from the network RNG — determinism by construction)
-LINK_LATENCY = 0.0005
-LINK_BANDWIDTH = 10e9
 
 _REPLY_TYPES = frozenset((T_DHT_NODES, T_DHT_VALUES, T_DHT_STORE_ACK, T_DHT_PONG))
 
@@ -98,17 +94,23 @@ class DhtStats:
 
 
 class LookupResult:
-    """What one iterative lookup learned."""
+    """What one DHT operation learned and what it cost.  Each put or
+    get owns its result, so concurrent operations through one node
+    never share a tally."""
 
     __slots__ = (
-        "key", "hops", "closest", "responded", "failed", "holders",
-        "records", "values",
+        "key", "hops", "messages", "acked", "closest", "responded",
+        "failed", "holders", "records", "values",
     )
 
     def __init__(self, key: GdpName):
         self.key = key
         #: iterative rounds (the O(log n)-bounded quantity)
         self.hops = 0
+        #: lookup-plane RPCs this operation sent (retries included)
+        self.messages = 0
+        #: replicas that acknowledged a put (0 for a get)
+        self.acked = 0
         #: k closest *responsive* peers, nearest first
         self.closest: list[GdpName] = []
         self.responded: set[GdpName] = set()
@@ -162,21 +164,22 @@ def value_principal(value: Any) -> bytes:
 
 class DhtNode(Node):
     """One DHT participant: k-buckets + a versioned TTL'd record store,
-    speaking FIND_NODE / FIND_VALUE / STORE / PING over a transport.
+    speaking FIND_NODE / FIND_VALUE / STORE / PING over its network's
+    transport.
 
-    Detached construction (``network=None``) keeps the routing-table
-    data structures testable without a simulator; such a node cannot
-    send RPCs (ping-before-evict degrades to keep-the-oldest, which is
-    Kademlia's behaviour for an unreachable prober too).
+    Peers are reached through :attr:`peers`, a transport address ->
+    peer handle table (a linked node on the simulator, a channel on
+    sockets) filled by whoever wires the underlay; an address missing
+    from it is unreachable.
     """
 
     def __init__(
         self,
+        network,
         name: GdpName,
         k: int = 8,
         *,
         alpha: int = 3,
-        network=None,
         stats: DhtStats | None = None,
     ):
         self.name = name
@@ -195,23 +198,11 @@ class DhtNode(Node):
         self.crashed = False
         self._pending: dict[int, Any] = {}
         self._pinging: set[int] = set()
-        self._op_messages = 0
-        #: addr -> peer handle; overridden for non-sim transports
-        self.resolve_peer: Callable[[str], Any] | None = None
-        if network is not None:
-            super().__init__(network, f"dht:{name.raw.hex()[:16]}")
-            self.transport = network.transport_for(self).bind(self._on_pdu)
-        else:
-            self.network = None
-            self.node_id = f"dht:{name.raw.hex()[:16]}"
-            self.links = []
-            self.transport = None
+        self.peers: dict[str, Any] = {}
+        super().__init__(network, f"dht:{name.raw.hex()[:16]}")
+        self.transport = network.transport_for(self).bind(self._on_pdu)
 
-    # -- clock / wiring ----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.ctx.now if self.network is not None else 0.0
+    # -- wiring ------------------------------------------------------------
 
     def contact(self) -> dict:
         """This node's wire contact (name + transport address)."""
@@ -254,7 +245,7 @@ class DhtNode(Node):
             return
         if addr is not None:
             self.addrs[other] = addr
-        now = self.now
+        now = self.ctx.now
         index = self._bucket_index(other)
         bucket = self.buckets[index]
         self.last_seen[other] = now
@@ -273,8 +264,7 @@ class DhtNode(Node):
             cache.pop(0)
         oldest = bucket[0]
         if (
-            self.transport is not None
-            and not self.crashed
+            not self.crashed
             and index not in self._pinging
             and now - self.last_seen.get(oldest, float("-inf")) > PING_STALENESS
         ):
@@ -292,7 +282,7 @@ class DhtNode(Node):
             if not bucket:
                 return
             oldest = bucket[0]
-            reply = yield from self._rpc(oldest, T_DHT_PING, {}, ping=True)
+            reply = yield from self._rpc(oldest, T_DHT_PING, {})
             if reply is not None and bucket and bucket[0] == oldest:
                 bucket.remove(oldest)
                 bucket.append(oldest)
@@ -345,7 +335,7 @@ class DhtNode(Node):
         """
         if not _valid_record(record):
             return False
-        now = self.now
+        now = self.ctx.now
         expiry = record_expiry(record)
         if expiry <= now:
             return False
@@ -376,7 +366,7 @@ class DhtNode(Node):
         """Reclaim records whose TTL elapsed (wheel-driven, O(expired));
         keys left empty are deleted, never parked as ``[]`` husks."""
         if now is None:
-            now = self.now
+            now = self.ctx.now
         reclaimed = 0
         for token in self.wheel.expired(now):
             key = GdpName(token)
@@ -397,25 +387,16 @@ class DhtNode(Node):
 
     # -- the RPC plane -----------------------------------------------------
 
-    def _peer_for(self, peer_name: GdpName):
-        addr = self.addrs.get(peer_name)
-        if addr is None:
-            return None
-        if self.resolve_peer is not None:
-            return self.resolve_peer(addr)
-        if self.network is not None:
-            return self.network.nodes.get(addr)
-        return None
-
-    def _rpc(self, peer_name: GdpName, ptype: str, payload: dict, *,
-             ping: bool = False):
+    def _rpc(self, peer_name: GdpName, ptype: str, payload: dict,
+             op: LookupResult | None = None):
         """One request/reply exchange with timeout + retry; an exhausted
-        peer is demoted.  Returns the reply payload or None — never
+        peer is demoted.  Lookup-plane attempts are charged to *op*, the
+        operation they serve.  Returns the reply payload or None — never
         raises, so lookup rounds degrade instead of aborting."""
         for _attempt in range(1 + RPC_RETRIES):
-            if self.crashed or self.transport is None:
+            if self.crashed:
                 return None
-            peer = self._peer_for(peer_name)
+            peer = self.peers.get(self.addrs.get(peer_name))
             if peer is None:
                 break
             request = dict(payload)
@@ -423,11 +404,12 @@ class DhtNode(Node):
             pdu = Pdu(self.name, peer_name, ptype, request)
             future = self.ctx.future()
             self._pending[pdu.corr_id] = future
-            if ping:
+            if ptype == T_DHT_PING:
                 self.stats.pings += 1
             else:
                 self.stats.messages += 1
-                self._op_messages += 1
+                if op is not None:
+                    op.messages += 1
             try:
                 self.transport.send(peer, pdu)
             except (TransportError, WireFormatError):
@@ -514,7 +496,7 @@ class DhtNode(Node):
     # -- iterative lookup --------------------------------------------------
 
     def iter_find(self, key: GdpName, *, want_value: bool = False):
-        """Iterative Kademlia lookup from this node (a sim process).
+        """Iterative Kademlia lookup from this node (a process).
 
         Each round queries the alpha closest unqueried candidates among
         the current k closest; unresponsive peers drop out of the
@@ -541,7 +523,7 @@ class DhtNode(Node):
             ptype = T_DHT_FIND_VALUE if want_value else T_DHT_FIND_NODE
             procs = [
                 self.ctx.spawn(
-                    self._rpc(peer, ptype, {"k": key.raw}),
+                    self._rpc(peer, ptype, {"k": key.raw}, result),
                     name=f"dht-rpc:{self.node_id}",
                 )
                 for peer in to_query
@@ -595,84 +577,72 @@ class DhtNode(Node):
 
 
 class KademliaDht:
-    """The DHT fabric: membership wiring plus entry-point facades.
+    """The DHT fabric on one :class:`~repro.runtime.network.Network`:
+    membership plus the put / get / leave processes.
+
+    Every operation is a process the caller runs —
+    ``ctx.run_process(dht.get_proc(...))`` or ``yield from`` it; the DHT
+    never decides when to drive the network.  Underlay wiring (links,
+    channels, each node's peer table) is the topology's job, as is
+    running :meth:`join_proc` once a newcomer can reach its bootstrap
+    contact.
 
     ``nodes`` exists for wiring, benchmarks, and oracles — the put/get
     protocol paths never read it for routing or liveness (the grep-guard
     test in ``tests/unit/test_dht_message_level.py`` enforces that);
     the one sanctioned protocol use is :meth:`_entry_node`, resolving
     the *caller's own* access point.
-
-    By default the DHT runs on a private :class:`SimNetwork` (unit
-    tests, benches); pass ``network=`` to overlay it on a shared chaos
-    network, where the fault middlewares apply to DHT RPCs like any
-    other traffic.
     """
 
     #: how many top-end buckets a joining node refreshes (enough for
     #: networks up to ~2**16 nodes; Kademlia's join-time bucket refresh)
     JOIN_REFRESH_BUCKETS = 16
 
-    def __init__(self, k: int = 8, alpha: int = 3, *, network=None):
-        if network is None:
-            from repro.sim.net import SimNetwork
-
-            network = SimNetwork(seed=0xD47)
+    def __init__(self, network, k: int = 8, alpha: int = 3):
         self.net = network
         self.k = k
         self.alpha = alpha
         self.stats = DhtStats()
         self.nodes: dict[GdpName, DhtNode] = {}
-        #: per-query accounting for the most recent put/get: iterative
-        #: lookup rounds (the O(log n)-bounded quantity) and RPCs sent
-        self.last_hops = 0
-        self.last_messages = 0
 
     # -- membership --------------------------------------------------------
 
     def join(self, name: GdpName) -> DhtNode:
-        """Add a node and integrate it: full-mesh underlay links, a
-        bootstrap contact, a self-lookup, and refreshes of the distant
-        buckets — all through RPCs (peers learn of the newcomer from the
-        sender contact its lookups carry)."""
+        """Add a node whose one contact is a bootstrap member (the
+        lowest name); :meth:`join_proc` then integrates it."""
         node = DhtNode(
-            name, self.k, alpha=self.alpha, network=self.net, stats=self.stats
+            self.net, name, self.k, alpha=self.alpha, stats=self.stats
         )
-        bootstrap = min(self.nodes) if self.nodes else None
-        for other in self.nodes.values():
-            self.net.connect(
-                node, other, latency=LINK_LATENCY, bandwidth=LINK_BANDWIDTH
-            )
+        if self.nodes:
+            bootstrap = self.nodes[min(self.nodes)]
+            node.observe(bootstrap.name, addr=bootstrap.node_id)
         self.nodes[name] = node
-        if bootstrap is not None:
-            node.observe(bootstrap, addr=self.nodes[bootstrap].node_id)
-            self._drive_or_spawn(self._join_proc(node), f"dht-join:{node.node_id}")
         return node
 
-    def _join_proc(self, node: DhtNode):
+    def join_proc(self, node: DhtNode):
+        """A self-lookup and refreshes of the distant buckets — all
+        through RPCs (peers learn of the newcomer from the sender
+        contact its lookups carry)."""
         yield from node.iter_find(node.name)
         node_int = node.name.as_int()
         for bit in range(KEY_BITS - self.JOIN_REFRESH_BUCKETS, KEY_BITS):
             probe = GdpName((node_int ^ (1 << bit)).to_bytes(32, "big"))
             yield from node.iter_find(probe)
 
-    def leave(self, name: GdpName) -> None:
+    def leave_proc(self, name: GdpName):
         """Graceful departure: hand every stored record to the closest
         known peers, then go dark (the node object stays wired so
         in-flight RPCs toward it time out realistically)."""
         node = self.nodes.get(name)
         if node is None or node.crashed:
             return
-        self._drive_or_spawn(self._leave_proc(node), f"dht-leave:{node.node_id}")
-
-    def _leave_proc(self, node: DhtNode):
         for key in list(node.store):
             records = node.records_for(key)
             if not records:
                 continue
             targets = [n for n in node.closest(key, self.k) if n != node.name]
             procs = [
-                self.net.ctx.spawn(
+                node.ctx.spawn(
                     node._rpc(
                         peer,
                         T_DHT_STORE,
@@ -707,8 +677,9 @@ class KademliaDht:
         tombstone: bool = False,
     ):
         """STORE *value* under *key* from entry node *via* (a process);
-        returns the **acked** replica count — an unreachable replica is
-        not durability, so it is not counted."""
+        returns the put's :class:`LookupResult`, whose ``acked`` counts
+        only replicas that acknowledged — an unreachable replica is not
+        durability, so it is not counted."""
         origin = self._entry_node(via)
         if principal is None:
             principal = value_principal(value)
@@ -716,17 +687,16 @@ class KademliaDht:
             principal,
             version,
             value,
-            expires_at if expires_at is not None else origin.now + RECORD_TTL,
+            expires_at if expires_at is not None else origin.ctx.now + RECORD_TTL,
             tombstone=tombstone,
         )
-        acked = yield from self.put_records_proc(via, key, [record])
-        return acked
+        return (yield from self.put_records_proc(via, key, [record]))
 
     def put_records_proc(self, via: GdpName, key: GdpName, records: list[dict]):
-        """Replicate prepared *records* to the k closest live nodes;
-        returns the acked replica count (the republish entry point)."""
+        """Replicate prepared *records* to the k closest live nodes
+        (the republish entry point); returns the :class:`LookupResult`
+        with ``acked`` set."""
         origin = self._entry_node(via)
-        origin._op_messages = 0
         result = yield from origin.iter_find(key)
         targets = result.closest
         acked = 0
@@ -751,6 +721,7 @@ class KademliaDht:
                         peer,
                         T_DHT_STORE,
                         {"k": key.raw, "r": [dict(r) for r in records]},
+                        result,
                     ),
                     name=f"dht-store:{origin.node_id}",
                 )
@@ -772,9 +743,8 @@ class KademliaDht:
         # holders are dark is *counted*, never silently absorbed.
         if acked < min(self.k, max(len(self.nodes), 1)):
             self.stats.under_replicated += 1
-        self.last_hops = result.hops
-        self.last_messages = origin._op_messages
-        return acked
+        result.acked = acked
+        return result
 
     def get_proc(self, via: GdpName, key: GdpName):
         """FIND_VALUE for *key* from entry node *via* (a process);
@@ -785,7 +755,6 @@ class KademliaDht:
         doubling as churn repair).
         """
         origin = self._entry_node(via)
-        origin._op_messages = 0
         result = yield from origin.iter_find(key, want_value=True)
         # The origin's own replica participates like any other holder.
         for record in origin.records_for(key):
@@ -800,7 +769,7 @@ class KademliaDht:
                 )
             ):
                 result.records[principal] = dict(record)
-        now = origin.now
+        now = origin.ctx.now
         live = [
             record
             for record in result.records.values()
@@ -820,6 +789,7 @@ class KademliaDht:
                             peer,
                             T_DHT_STORE,
                             {"k": key.raw, "r": [dict(r) for r in live]},
+                            result,
                         ),
                         name=f"dht-repair:{origin.node_id}",
                     )
@@ -827,52 +797,7 @@ class KademliaDht:
                 ]
                 for proc in procs:
                     yield proc.completion
-        self.last_hops = result.hops
-        self.last_messages = origin._op_messages
         return result
-
-    # -- synchronous facades ----------------------------------------------
-
-    def _drive_or_spawn(self, generator, name: str, midrun: str = "refuse"):
-        """Run a DHT process to completion when the simulation is
-        quiescent (tests, benches, build time, a private overlay under
-        someone else's event loop) and return its result.  Mid-run that
-        would re-enter the event loop, so *midrun* says what happens
-        instead: ``"spawn"`` starts the process in the background,
-        ``"defer"`` hands it back unstarted for the caller to spawn or
-        drop, and ``"refuse"`` — the sync facades, which must use the
-        ``*_proc`` generators from sim processes — raises."""
-        ctx = self.net.ctx
-        if not getattr(ctx, "running", False):
-            return ctx.run_process(generator, name)
-        if midrun == "defer":
-            return generator
-        if midrun == "spawn":
-            return ctx.spawn(generator, name)
-        raise RuntimeError(
-            "DHT sync facade called while the simulation is running; "
-            "use the *_proc generator API from sim processes"
-        )
-
-    def put(self, via: GdpName, key: GdpName, value: Any, **kwargs) -> int:
-        """Synchronous STORE (drives the private/quiescent simulation);
-        returns the acked replica count."""
-        return self._drive_or_spawn(
-            self.put_proc(via, key, value, **kwargs), "dht-put"
-        )
-
-    def get(self, via: GdpName, key: GdpName) -> list[Any]:
-        """Synchronous FIND_VALUE; returns merged live values."""
-        result = self._drive_or_spawn(self.get_proc(via, key), "dht-get")
-        return result.values
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def build_dht(names: Iterable[GdpName], k: int = 8) -> KademliaDht:
-    """Convenience constructor joining every name in order."""
-    dht = KademliaDht(k=k)
-    for name in names:
-        dht.join(name)
-    return dht

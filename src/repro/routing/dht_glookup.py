@@ -54,11 +54,11 @@ class _DhtTable:
     """The DHT backing of a GLookupService: publish, tombstone, fetch
     and republish through *home*, the service's own DHT node.
 
-    Resolution RPCs take simulated time.  While the overlay's
-    simulation is running, :meth:`fetch` therefore answers with the
-    lookup *process* instead of the entries, and publishes run in the
-    background; when it is quiescent (tests, benches, an overlay on its
-    own private simulator) both are driven to completion on the spot.
+    Resolution RPCs take network time, so :meth:`fetch` answers with
+    the lookup *process* for the caller to run, and every publish runs
+    as a background process.  The diagnostic and maintenance surfaces
+    (:meth:`plant`, :meth:`peek`, :meth:`purge_expired`) act on the home
+    node's own replica and send nothing.
     """
 
     def __init__(self, dht: KademliaDht, home: GdpName, record_ttl, clock, metrics):
@@ -106,30 +106,16 @@ class _DhtTable:
         """Merge *record* into the home node's authoritative replica
         immediately (mid-run lookups and republish never race the
         publish RPCs), then replicate it through the DHT."""
-        self._home_node().merge_record(name, dict(record))
-        self.dht._drive_or_spawn(
-            self._put_proc(name, [dict(record)]),
-            f"dht-publish:{name.human()}",
-            midrun="spawn",
+        home = self._home_node()
+        home.merge_record(name, dict(record))
+        home.ctx.spawn(
+            self._put_proc(name, [dict(record)]), f"dht-publish:{name.human()}"
         )
 
     def _put_proc(self, name: GdpName, records: list[dict]):
-        acked = yield from self.dht.put_records_proc(self.home, name, records)
-        if acked < min(self.dht.k, len(self.dht)):
+        result = yield from self.dht.put_records_proc(self.home, name, records)
+        if result.acked < min(self.dht.k, len(self.dht)):
             self._c_dht_under_replicated.inc()
-        return acked
-
-    def _fetch_proc(self, name: GdpName):
-        """One full message-level lookup; returns the live entries."""
-        try:
-            result = yield from self.dht.get_proc(self.home, name)
-        except Exception:
-            return []  # resolution failure == miss
-        self._c_dht_lookups.inc()
-        self._c_dht_messages.inc(self.dht.last_messages)
-        self._h_dht_hops.observe(self.dht.last_hops)
-        now = self._clock()
-        return [e for e in _decode(result.values) if not e.is_expired(now)]
 
     # -- the backing surface ------------------------------------------------
 
@@ -171,19 +157,28 @@ class _DhtTable:
         self._publish(name, tombstone)
 
     def fetch(self, name: GdpName):
-        """Live entries for *name* by a full message-level lookup — or,
-        mid-run, that lookup as an unstarted process."""
-        return self.dht._drive_or_spawn(
-            self._fetch_proc(name), f"dht-fetch:{name.human()}", midrun="defer"
-        )
+        """A full message-level lookup of *name* (a process); returns
+        the live entries."""
+        try:
+            result = yield from self.dht.get_proc(self.home, name)
+        except Exception:
+            return []  # resolution failure == miss
+        self._c_dht_lookups.inc()
+        self._c_dht_messages.inc(result.messages)
+        self._h_dht_hops.observe(result.hops)
+        now = self._clock()
+        return [e for e in _decode(result.values) if not e.is_expired(now)]
 
     def peek(self, name: GdpName) -> list[RouteEntry]:
-        """Everything decodable stored for *name*, expired included
-        (quiescent callers only: oracles and tests)."""
-        result = self.dht._drive_or_spawn(
-            self.dht.get_proc(self.home, name), "dht-peek"
-        )
-        return _decode(result.values)
+        """Everything decodable in the home replica's live records for
+        *name*, lease-expired entries included (oracles and tests)."""
+        now = self._clock()
+        slot = self._home_node().store.get(name, {})
+        return _decode([
+            record["d"]
+            for record in slot.values()
+            if not record.get("t") and record_expiry(record) > now
+        ])
 
     def purge_expired(self, now: float) -> int:
         """Reclaim the home replica's expired records (every other
@@ -284,7 +279,8 @@ class DhtGLookupService(GLookupService):
     Kademlia DHT.
 
     ``home`` is this service's access point into the DHT (the node it
-    issues put/get through — e.g. the tier-1 provider's own DHT node).
+    issues put/get through — e.g. the tier-1 provider's own DHT node);
+    it must already be a member.
     Hierarchy semantics (parent / scope propagation) and the register /
     unregister / lookup policy are :class:`GLookupService`'s; only the
     storage substrate differs.
@@ -303,7 +299,7 @@ class DhtGLookupService(GLookupService):
         record_ttl: float = RECORD_TTL,
     ):
         if home not in dht.nodes:
-            dht.join(home)
+            raise ValueError(f"home {home.human()} is not a DHT member")
         self.dht = dht
         self.home = home
         self.record_ttl = record_ttl

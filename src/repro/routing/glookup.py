@@ -603,10 +603,10 @@ class GLookupService:
 
     def lookup(self, name: GdpName):
         """Live entries for *name* in this domain only (expired ones
-        culled).  A backing that must go to the network while the
-        simulation is running cannot answer inline: the answer is then
-        the resolution *process* — a generator returning the entries —
-        for the caller to spawn, or to drop unstarted."""
+        culled).  A backing that must go to the network cannot answer
+        inline: the answer is then the resolution *process* — a
+        generator returning the entries — for the caller to spawn, or to
+        drop unstarted."""
         self._c_queries.inc()
         answer = self._table.fetch(name)
         if not answer:

@@ -7,6 +7,7 @@ from repro.sim.topology import (
     GBPS,
     MBPS,
     Topology,
+    build_dht,
     federated_campus,
     residential_edge_cloud,
     single_router,
@@ -31,6 +32,7 @@ __all__ = [
     "single_router",
     "residential_edge_cloud",
     "federated_campus",
+    "build_dht",
     "MBPS",
     "GBPS",
     "blob",

@@ -55,10 +55,6 @@ class Simulator(RuntimeContext):
         self._now = 0.0
         self._queue: list[_Event] = []
         self._seq = 0
-        #: True while run()/run_process() is draining the queue — sync
-        #: facades (the DHT tier) check it to decide whether driving the
-        #: simulation themselves is safe or a reentrancy bug.
-        self.running = False
 
     @property
     def now(self) -> float:
@@ -87,35 +83,27 @@ class Simulator(RuntimeContext):
         """Drain the event queue, optionally stopping the clock at
         *until* (events beyond it remain queued)."""
         executed = 0
-        was_running, self.running = self.running, True
-        try:
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
-                    self._now = until
-                    return
-                self.step()
-                executed += 1
-                if executed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events — livelock?"
-                    )
-            if until is not None:
-                self._now = max(self._now, until)
-        finally:
-            self.running = was_running
+        while self._queue:
+            if until is not None and self._queue[0][0] > until:
+                self._now = until
+                return
+            self.step()
+            executed += 1
+            if executed >= max_events:
+                raise RuntimeError(
+                    f"simulation exceeded {max_events} events — livelock?"
+                )
+        if until is not None:
+            self._now = max(self._now, until)
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Spawn a process, run the simulation until it completes, and
         return its result (the common benchmark entry point)."""
         process = self.spawn(generator, name)
-        was_running, self.running = self.running, True
-        try:
-            while not process.completion.done:
-                if not self.step():
-                    raise RuntimeError(
-                        f"deadlock: process {process.name!r} is waiting but "
-                        "the event queue is empty"
-                    )
-        finally:
-            self.running = was_running
+        while not process.completion.done:
+            if not self.step():
+                raise RuntimeError(
+                    f"deadlock: process {process.name!r} is waiting but "
+                    "the event queue is empty"
+                )
         return process.completion.result()

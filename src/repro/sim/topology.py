@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.sim.net import SimNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
+    from repro.naming.names import GdpName
+    from repro.routing.dht import KademliaDht
     from repro.routing.domain import RoutingDomain
     from repro.routing.router import GdpRouter
 
@@ -29,12 +31,17 @@ __all__ = [
     "residential_edge_cloud",
     "federated_campus",
     "random_topology",
+    "build_dht",
     "MBPS",
     "GBPS",
 ]
 
 MBPS = 1_000_000 / 8  # bytes per second per Mbit/s
 GBPS = 1_000_000_000 / 8
+#: point-to-point DHT overlay link shape (full mesh; loss stays 0 so the
+#: DHT draws nothing from the network RNG — determinism by construction)
+LINK_LATENCY = 0.0005
+LINK_BANDWIDTH = 10e9
 
 
 @dataclass
@@ -181,3 +188,26 @@ def random_topology(seed: int, rng: random.Random) -> Topology:
         backbone_latency=backbone_latency,
         routers_per_domain=routers_per_domain,
     )
+
+
+def build_dht(
+    net: SimNetwork, names: Iterable["GdpName"], k: int = 8
+) -> "KademliaDht":
+    """A Kademlia overlay on *net*: join every name in order, each over
+    full-mesh links to the members before it (entered in both peer
+    tables), integrated by its join process before the next arrives."""
+    from repro.routing.dht import KademliaDht
+
+    dht = KademliaDht(net, k)
+    for name in names:
+        members = list(dht.nodes.values())
+        node = dht.join(name)
+        for other in members:
+            net.connect(
+                node, other, latency=LINK_LATENCY, bandwidth=LINK_BANDWIDTH
+            )
+            node.peers[other.node_id] = other
+            other.peers[node.node_id] = node
+        if members:
+            net.ctx.run_process(dht.join_proc(node), f"dht-join:{node.node_id}")
+    return dht

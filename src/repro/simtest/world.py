@@ -31,7 +31,7 @@ from repro.runtime.faults import (
 )
 from repro.server import AntiEntropyDaemon, DataCapsuleServer
 from repro.sim.net import Link, SimNetwork
-from repro.sim.topology import Topology, federated_campus
+from repro.sim.topology import Topology, build_dht, federated_campus
 from repro.simtest.plan import EpisodePlan
 
 __all__ = ["EpisodeWorld", "build_world"]
@@ -128,7 +128,6 @@ def build_world(plan: EpisodePlan, *, dht_root: bool = False) -> EpisodeWorld:
     if dht_root:
         import hashlib
 
-        from repro.routing.dht import KademliaDht
         from repro.routing.dht_glookup import (
             DhtGLookupService,
             DhtRepublishDaemon,
@@ -138,7 +137,6 @@ def build_world(plan: EpisodePlan, *, dht_root: bool = False) -> EpisodeWorld:
         # the same simulated links (and the same fault middlewares), and
         # record TTLs tick on episode time.  Join traffic runs at build
         # time, before tracing starts.
-        dht = KademliaDht(k=4, network=net)
         dht_names = [
             GdpName(
                 hashlib.sha256(
@@ -147,9 +145,8 @@ def build_world(plan: EpisodePlan, *, dht_root: bool = False) -> EpisodeWorld:
             )
             for i in range(8)
         ]
-        for dht_name in dht_names:
-            dht.join(dht_name)
-        dht_nodes = [dht._entry_node(dht_name) for dht_name in dht_names]
+        dht = build_dht(net, dht_names, k=4)
+        dht_nodes = [dht.nodes[dht_name] for dht_name in dht_names]
         root = topo.domains["global"]
         root.glookup = DhtGLookupService(
             "global", dht, dht_names[0], clock=lambda: net.sim.now

@@ -155,6 +155,14 @@ def owner_keys(owner_key, writer_key) -> KeyRing:
     return KeyRing(owner_key, writer_key)
 
 
+@pytest.fixture(scope="session")
+def run_dht():
+    """``run_dht(dht, proc)``: run one DHT process (``put_proc``,
+    ``get_proc``, ``leave_proc``, a service lookup) to completion on the
+    DHT's own network and return its result."""
+    return lambda dht, proc: dht.net.ctx.run_process(proc)
+
+
 @pytest.fixture()
 def seeded_rng():
     """Factory for deterministic ``random.Random`` instances:

@@ -14,7 +14,9 @@ from repro.routing.pdu import Pdu
 from repro.sim.net import Node, SimNetwork
 from repro.simtest import run_episode
 
-#: (seed, episode-passes, trace sha256) — the reference episodes.  In
+#: (seed, profile, episode-passes, trace sha256) — the reference
+#: episodes; ``dht_root`` is the default profile on the DHT-backed global
+#: tier, and the ``dht_churn`` pins cover crash windows on it.  In
 #: seed 42 a tampered ``sync_fetch_batch`` reply offers s0 a second
 #: record at seqno 1 that no heartbeat attests.  Anti-entropy refuses it
 #: (s0's ``server.sync.refused`` is 1), so it never spreads: the later
@@ -23,24 +25,36 @@ from repro.simtest import run_episode
 #: events than when sync stored whatever parsed, and one SSW replica
 #: set with no branch for the strict oracles to flag.
 REFERENCE_EPISODES = [
-    (7, True,
+    (7, "default", True,
      "ed2b6dfa721ba77dd75fe44e02b6d505d838c8ee9b7c1bff732e30c3546e9ab7"),
-    (42, True,
+    (42, "default", True,
      "e1b6a2a90ffd15d0aa899b2354e96cdd54adf8181a862c819d5ca43872cf2bea"),
+    (6, "dht_churn", True,
+     "12a2cbaa7e8681e8adf9d4390b912c25f582ef8168575d75c9c63599e7a23ab3"),
+    (13, "dht_churn", True,
+     "7c32dfa59738f36701cc503268c70a51edfa2faa9fcdc5c9e8fba3c64169bd95"),
+    (4, "dht_root", True,
+     "a01caa3fd925e4729ce228a6e1d8b5677c196b2545cef0521a4a595dbdd48022"),
 ]
+
+
+def reference_episode(seed: int, profile: str):
+    if profile == "dht_root":
+        return run_episode(seed, dht_root=True)
+    return run_episode(seed, profile=profile)
 
 
 class TestReferenceTraces:
     def test_reference_seeds_are_byte_identical(self):
-        for seed, expect_ok, expect_sha in REFERENCE_EPISODES:
-            result = run_episode(seed)
+        for seed, profile, expect_ok, expect_sha in REFERENCE_EPISODES:
+            result = reference_episode(seed, profile)
             assert result.ok is expect_ok, (
-                f"seed {seed}: episode outcome flipped "
+                f"seed {seed} ({profile}): episode outcome flipped "
                 f"(ok={result.ok}, expected {expect_ok})"
             )
             assert result.trace_sha256 == expect_sha, (
-                f"seed {seed}: trace diverged from the pinned reference "
-                f"({result.trace_sha256} != {expect_sha}) — the change "
+                f"seed {seed} ({profile}): trace diverged from the pinned "
+                f"reference ({result.trace_sha256} != {expect_sha}) — the change "
                 "altered simulation behavior; if intentional, update "
                 "REFERENCE_EPISODES in the same PR"
             )

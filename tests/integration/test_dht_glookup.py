@@ -4,11 +4,11 @@ import pytest
 
 from repro.naming import GdpName
 from repro.routing import GdpRouter, RoutingDomain
-from repro.routing.dht import KademliaDht, make_record
+from repro.routing.dht import make_record
 from repro.routing.dht_glookup import DhtGLookupService
 from repro.server import DataCapsuleServer
 from repro.client import GdpClient, OwnerConsole
-from repro.sim import GBPS, SimNetwork
+from repro.sim import GBPS, SimNetwork, build_dht
 
 
 def dht_name(i: int) -> GdpName:
@@ -20,9 +20,7 @@ def dht_world(owner_keys):
     """A two-domain GDP whose *root* GLookupService is DHT-backed."""
     net = SimNetwork(seed=31)
     clock = lambda: net.sim.now  # noqa: E731
-    dht = KademliaDht(k=4)
-    for i in range(16):
-        dht.join(dht_name(i))
+    dht = build_dht(net, [dht_name(i) for i in range(16)], k=4)
 
     root = RoutingDomain("global", clock=clock)
     # Swap the root's storage for the DHT-backed implementation.
@@ -48,7 +46,7 @@ def dht_world(owner_keys):
 
 
 class TestDhtBackedGlobalTier:
-    def test_advertisement_lands_in_dht(self, dht_world):
+    def test_advertisement_lands_in_dht(self, dht_world, run_dht):
         w = dht_world
         net = w["net"]
 
@@ -59,7 +57,7 @@ class TestDhtBackedGlobalTier:
 
         net.sim.run_process(scenario())
         # Names attached in the edge domain propagated into the DHT tier.
-        entries = w["root"].glookup.lookup(w["server"].name)
+        entries = run_dht(w["dht"], w["root"].glookup.lookup(w["server"].name))
         assert len(entries) == 1
         assert entries[0].via_child == "global.edge"
         # And are spread across DHT nodes.
@@ -121,7 +119,21 @@ class TestDhtBackedGlobalTier:
 
         assert net.sim.run_process(scenario()) == b"still-true"
 
-    def test_unregister_removes_from_dht(self, dht_world):
+    def test_unregister_removes_from_dht(self, dht_world, run_dht):
+        w = dht_world
+        net = w["net"]
+        glookup = w["root"].glookup
+
+        def scenario():
+            yield w["server"].advertise()
+            return True
+
+        net.sim.run_process(scenario())
+        assert run_dht(w["dht"], glookup.lookup(w["server"].name))
+        glookup.unregister(w["server"].name, w["server"].name)
+        assert run_dht(w["dht"], glookup.lookup(w["server"].name)) == []
+
+    def test_wire_roundtrip_preserves_verification(self, dht_world, run_dht):
         w = dht_world
         net = w["net"]
 
@@ -130,20 +142,7 @@ class TestDhtBackedGlobalTier:
             return True
 
         net.sim.run_process(scenario())
-        assert w["root"].glookup.lookup(w["server"].name)
-        w["root"].glookup.unregister(w["server"].name, w["server"].name)
-        assert w["root"].glookup.lookup(w["server"].name) == []
-
-    def test_wire_roundtrip_preserves_verification(self, dht_world):
-        w = dht_world
-        net = w["net"]
-
-        def scenario():
-            yield w["server"].advertise()
-            return True
-
-        net.sim.run_process(scenario())
-        for entry in w["root"].glookup.lookup(w["server"].name):
+        for entry in run_dht(w["dht"], w["root"].glookup.lookup(w["server"].name)):
             entry.verify(now=net.sim.now)  # survived the DHT round trip
 
     def test_forged_but_wellformed_entry_rejected(self, dht_world, owner_keys):
@@ -194,7 +193,7 @@ class TestDhtBackedGlobalTier:
         assert alt.glookup is injected
         assert alt.glookup.parent is w["root"].glookup
 
-    def test_dht_query_metrics_recorded(self, dht_world):
+    def test_dht_query_metrics_recorded(self, dht_world, run_dht):
         w = dht_world
         net = w["net"]
         glookup = w["root"].glookup
@@ -206,7 +205,7 @@ class TestDhtBackedGlobalTier:
         net.sim.run_process(scenario())
         lookups = glookup.metrics.counter("dht.lookups")
         before = lookups.value
-        glookup.lookup(w["server"].name)
+        run_dht(w["dht"], glookup.lookup(w["server"].name))
         assert lookups.value == before + 1
         assert glookup.metrics.counter("dht.messages").value >= 1
         hops = glookup.metrics.histogram("dht.hops")
@@ -224,9 +223,7 @@ class TestOneResolutionWalk:
         bounced."""
         net = SimNetwork(seed=37)
         clock = lambda: net.sim.now  # noqa: E731
-        dht = KademliaDht(k=4, network=net)
-        for i in range(8):
-            dht.join(dht_name(i))
+        dht = build_dht(net, [dht_name(i) for i in range(8)], k=4)
         root = RoutingDomain("global", clock=clock)
         edge = RoutingDomain(
             "global.edge",

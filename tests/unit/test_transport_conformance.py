@@ -9,8 +9,9 @@ socket-smoke CI job; the sim cases are tier-1.
 
 :class:`TestSubstrateConformance` holds the two network planes to the
 one :class:`~repro.runtime.network.Network` surface the elements are
-written against.  Its socket half needs no socket (``local_pair``), so
-it is tier-1 *and* ``transport``: both jobs run it.
+written against, and runs the Kademlia DHT on each.  Its socket half
+needs no socket (``local_pair``), so it is tier-1 *and* ``transport``:
+both jobs run it.
 """
 
 import pytest
@@ -19,11 +20,13 @@ from repro.crypto import SigningKey
 from repro.errors import TransportError, WireFormatError
 from repro.naming import GdpName, make_client_metadata
 from repro.routing import Endpoint, GdpRouter, RoutingDomain
+from repro.routing.dht import KademliaDht
 from repro.routing.pdu import Pdu
 from repro.runtime.middleware import NodeMiddleware
 from repro.runtime.network import Network
 from repro.runtime.socketnet import SocketNetwork
 from repro.runtime.transport import local_pair
+from repro.sim import build_dht
 from repro.sim.net import Node, SimNetwork
 
 SRC = GdpName(b"\x0a" * 32)
@@ -276,9 +279,16 @@ SUBSTRATES = [
 ]
 
 
+def close(net) -> None:
+    loop = getattr(net.ctx, "loop", None)
+    if loop is not None:
+        loop.close()
+
+
 class TestSubstrateConformance:
     """One ``Endpoint`` + ``GdpRouter`` on each network plane: the
-    surface the elements use is the same object-for-object."""
+    surface the elements use is the same object-for-object.  A DHT
+    ring runs unchanged on either."""
 
     @staticmethod
     def build(network_cls):
@@ -301,6 +311,26 @@ class TestSubstrateConformance:
             return (yield endpoint.advertise())
 
         return net.ctx.run_process(scenario())
+
+    @staticmethod
+    def dht_ring(network_cls):
+        """Four DHT nodes in a full mesh: simulated links, or in-process
+        channels entered into the peer tables."""
+        net = network_cls(seed=3)
+        names = [GdpName.derive("substrate.dht", i) for i in range(4)]
+        if isinstance(net, SimNetwork):
+            return net, build_dht(net, names, k=4)
+        dht = KademliaDht(net, k=4)
+        for name in names:
+            members = list(dht.nodes.values())
+            node = dht.join(name)
+            for other in members:
+                node.peers[other.node_id], other.peers[node.node_id] = (
+                    local_pair(net.ctx, node.transport, other.transport)
+                )
+            if members:
+                net.ctx.run_process(dht.join_proc(node))
+        return net, dht
 
     @pytest.mark.parametrize("network_cls", SUBSTRATES)
     def test_shared_surface(self, network_cls):
@@ -332,9 +362,21 @@ class TestSubstrateConformance:
             assert tracer.events
             assert all(started <= e[0] <= net.ctx.now for e in tracer.events)
         finally:
-            loop = getattr(net.ctx, "loop", None)
-            if loop is not None:
-                loop.close()
+            close(net)
+
+    @pytest.mark.parametrize("network_cls", SUBSTRATES)
+    def test_dht_put_then_get(self, network_cls):
+        net, dht = self.dht_ring(network_cls)
+        try:
+            first, *_, last = sorted(dht.nodes)
+            key = GdpName.derive("substrate.dht.key", 0)
+            put = net.ctx.run_process(dht.put_proc(first, key, b"both"))
+            assert put.acked == 4
+            got = net.ctx.run_process(dht.get_proc(last, key))
+            assert got.values == [b"both"]
+            assert dht.stats.timeouts == 0
+        finally:
+            close(net)
 
     def test_implementations_add_only_their_transport(self):
         def public(cls):

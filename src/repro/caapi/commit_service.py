@@ -48,6 +48,7 @@ from repro.errors import (
     CommitConflictError,
     DelegationError,
     GdpError,
+    expect_bytes,
 )
 from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
@@ -172,7 +173,7 @@ class ShardMap:
         self.version = version
         self.services = tuple(services)
         self.capsules = tuple(capsules)
-        self.signature = bytes(signature)
+        self.signature = expect_bytes(signature, "shard map signature", CapsuleError)
 
     @property
     def shard_count(self) -> int:
@@ -383,7 +384,9 @@ class CommitShard(GdpClient):
         try:
             submitter = VerifyingKey.from_bytes(payload["submitter"])
             data = payload["data"]
-            signature = payload["signature"]
+            signature = expect_bytes(
+                payload["signature"], "submission signature", AuthorizationError
+            )
         except (KeyError, TypeError) as exc:
             raise AuthorizationError(f"malformed submission: {exc}") from exc
         if self.allowed_writers and submitter.to_bytes() not in self.allowed_writers:

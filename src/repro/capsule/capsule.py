@@ -9,8 +9,9 @@ pointer strategy's shape, and the digests of any already-known pointer
 targets; heartbeats are checked against the single writer's key from the
 metadata.  A record enters a replica only when one rule attests it (a
 verified heartbeat, or a hash pointer from an attested record): written
-runs through :meth:`DataCapsule.admit`, all or nothing, and fetched
-records through :meth:`DataCapsule.admit_fetched`.
+runs (:func:`run_wire` — on a replica and on a subscriber alike) through
+:meth:`DataCapsule.admit`, all or nothing, and fetched records through
+:meth:`DataCapsule.admit_fetched`.
 
 The same class backs every role in the system — writers build onto it,
 DataCapsule-servers store it, and readers accumulate verified state into
@@ -23,7 +24,7 @@ DataCapsule-servers in arbitrary order".
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.capsule.hashptr import PointerStrategy, get_strategy
 from repro.crypto.merkle import MerkleTree
@@ -260,7 +261,7 @@ class DataCapsule:
         self, records: list[Record], heartbeat: Heartbeat
     ) -> tuple[list[Record], bool]:
         """Admit a run of records attested by one heartbeat over its last
-        record (the tip) — the write ops' way in, all or nothing.
+        record (the tip) — every written run's way in, all or nothing.
 
         Every check runs before anything is stored: each record's
         capsule, strategy shape and links; every record attested
@@ -555,6 +556,30 @@ class DataCapsule:
             f"DataCapsule(name={self.name.human()}, records={len(self)}, "
             f"last={self.last_seqno}, strategy={self.strategy.spec})"
         )
+
+
+def run_wire(records: list[Record], heartbeat: Heartbeat) -> dict:
+    """The one shape a write travels in — ``append_batch``,
+    ``replicate_batch`` and a push to subscribers all carry it: a run of
+    records and the writer's heartbeat over the last one (the tip)."""
+    return {
+        "capsule": heartbeat.capsule.raw,
+        "records": [record.to_wire() for record in records],
+        "heartbeat": heartbeat.to_wire(),
+    }
+
+
+def run_from_wire(capsule: GdpName, body: Any) -> tuple[list[Record], Heartbeat]:
+    """Parse a run for *capsule* (admitting it is :meth:`DataCapsule.admit`'s
+    job); raises :class:`IntegrityError` on any malformed body."""
+    try:
+        wires, heartbeat = body["records"], body["heartbeat"]
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed run: {exc!r}") from exc
+    if not isinstance(wires, list) or not wires:
+        raise IntegrityError("a run carries a non-empty list of records")
+    records = [Record.from_wire(capsule, wire) for wire in wires]
+    return records, Heartbeat.from_wire(heartbeat)
 
 
 def build_record(

@@ -7,7 +7,8 @@ from untrusted infrastructure and is verified before acceptance:
 1. Presented metadata must hash to the name (self-certification).
 2. Heartbeats must carry the designated writer's signature.
 3. Records must be pinned by position/range proofs against a verified
-   heartbeat.
+   heartbeat; a pushed run is admitted by :meth:`DataCapsule.admit`,
+   like a replica admits it, under the heartbeat over its tip.
 4. Heartbeat sequence numbers must never regress below what this reader
    has already seen (anti-rollback: a stale replica can lag, but a
    *response* claiming an older history than the reader's own frontier
@@ -109,28 +110,6 @@ class VerifyingReader:
         for record in records:
             capsule.insert(record, enforce_strategy=False)
         return records
-
-    def accept_pushed(
-        self,
-        record: Record,
-        heartbeat: Heartbeat,
-        proof_wire: "dict | None" = None,
-    ) -> Record:
-        """Verify a subscription push and absorb it.
-
-        Batched appends sign one heartbeat per batch, so a pushed record
-        is not necessarily the one its heartbeat pins; such pushes carry
-        an explicit position proof (*proof_wire*).  Legacy pushes omit it
-        and the heartbeat itself is the one-hop proof.
-        """
-        if proof_wire is not None:
-            proof = PositionProof.from_wire(proof_wire)
-        else:
-            proof = PositionProof(heartbeat, [record.header_wire()])
-        self.accept_record(record, proof)
-        if heartbeat is not proof.heartbeat:
-            self.observe_heartbeat(heartbeat)
-        return record
 
     def verify_everything(self) -> int:
         """Offline re-verification of the full accumulated history

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.crypto.hashing import HashPointer, hash_value, sha256
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, expect_bytes
 from repro.naming.names import GdpName
 
 __all__ = ["Record", "metadata_anchor"]
@@ -76,7 +76,8 @@ class Record:
             raise ValueError("duplicate pointer target seqnos")
         object.__setattr__(self, "capsule", capsule)
         object.__setattr__(self, "seqno", seqno)
-        object.__setattr__(self, "payload", bytes(payload))
+        payload = expect_bytes(payload, "record payload", IntegrityError)
+        object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "pointers", tuple(ordered))
         object.__setattr__(self, "_payload_hash", sha256(self.payload))
         object.__setattr__(

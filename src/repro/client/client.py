@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator
 
-from repro.capsule.capsule import DataCapsule
+from repro.capsule.capsule import DataCapsule, run_from_wire, run_wire
 from repro.capsule.heartbeat import Heartbeat
 from repro.capsule.proofs import PositionProof, RangeProof
 from repro.capsule.reader import VerifyingReader
@@ -488,7 +488,9 @@ class GdpClient(Endpoint):
         return resynced
 
     def on_push(self, pdu: Pdu) -> None:
-        """Handle a verified server push (duplicate-suppressed)."""
+        """Handle a pushed run: admitted into the reader's capsule as a
+        replica admits it, then delivered in seqno order
+        (duplicate-suppressed)."""
         try:
             capsule_name = GdpName(pdu.payload["capsule"])
         except (KeyError, TypeError, GdpError):
@@ -498,22 +500,17 @@ class GdpClient(Endpoint):
             return
         reader = self._reader(capsule_name)
         try:
-            record = Record.from_wire(capsule_name, pdu.payload["record"])
-            heartbeat = Heartbeat.from_wire(pdu.payload["heartbeat"])
+            records, heartbeat = run_from_wire(capsule_name, pdu.payload)
             if self.verify:
-                # The server attaches a position proof when the
-                # heartbeat does not directly sign the pushed record
-                # (batched appends sign only the batch tip); without
-                # one, the push is its own one-hop proof.
-                reader.accept_pushed(
-                    record, heartbeat, pdu.payload.get("proof")
-                )
+                reader.capsule.admit(records, heartbeat)
+                reader.observe_heartbeat(heartbeat)
             sub.server = pdu.src
             # Re-subscribing to a second replica overlaps its push
             # stream with the first's: suppress anything already
             # delivered so the application sees each record once.
-            if sub.deliver(record.seqno):
-                sub.callback(record, heartbeat)
+            for record in sorted(records, key=lambda r: r.seqno):
+                if sub.deliver(record.seqno):
+                    sub.callback(record, heartbeat)
         except GdpError:
             # Forged or corrupt push from the network: drop, never
             # surface unverified data to the application.
@@ -573,6 +570,19 @@ class ClientWriter:
         """The last locally minted sequence number."""
         return self.writer.last_seqno
 
+    def _request_run(
+        self,
+        records: list[Record],
+        heartbeat: Heartbeat,
+        acks: str | None,
+        timeout: float | None,
+    ) -> tuple[int, Any]:
+        """Send one run as ``append_batch`` — the one write request this
+        writer builds; returns ``(corr_id, future)``."""
+        payload = {"op": "append_batch", **run_wire(records, heartbeat)}
+        payload["acks"] = acks or self.acks
+        return self.client.request(self.capsule_name, payload, timeout=timeout)
+
     def _unwrap_append(
         self, wrapped: Any, corr_id: int
     ) -> tuple[dict, GdpName | None]:
@@ -593,26 +603,15 @@ class ClientWriter:
         acks: str | None = None,
         timeout: float | None = 60.0,
     ) -> Generator:
-        """Append one record; returns an :class:`AppendReceipt` (its
-        ``.record``/``.acks``/``.server``/``.rtt`` fields).  Raises
-        :class:`DurabilityError` if the
+        """Append one record (a one-record run); returns an
+        :class:`AppendReceipt` (its ``.record``/``.acks``/``.server``/
+        ``.rtt`` fields).  Raises :class:`DurabilityError` if the
         requested durability could not be met (the paper's "writer must
         block and retry")."""
         start = self.client.ctx.now
         record, heartbeat = self.writer.append(payload)
-        corr_id, future = self.client.request(
-            self.capsule_name,
-            {
-                "op": "append",
-                "capsule": self.capsule_name.raw,
-                "record": record.to_wire(),
-                "heartbeat": heartbeat.to_wire(),
-                "acks": acks or self.acks,
-            },
-            timeout=timeout,
-        )
-        wrapped = yield future
-        body, server = self._unwrap_append(wrapped, corr_id)
+        corr_id, future = self._request_run([record], heartbeat, acks, timeout)
+        body, server = self._unwrap_append((yield future), corr_id)
         return AppendReceipt(
             [record],
             acks=body.get("acks", 1),
@@ -686,18 +685,7 @@ class ClientWriter:
         last_server: GdpName | None = None
         while index < len(minted) or inflight:
             while index < len(minted) and inflight < window:
-                records, heartbeat = minted[index]
-                corr_id, future = self.client.request(
-                    self.capsule_name,
-                    {
-                        "op": "append_batch",
-                        "capsule": self.capsule_name.raw,
-                        "records": [r.to_wire() for r in records],
-                        "heartbeat": heartbeat.to_wire(),
-                        "acks": acks or self.acks,
-                    },
-                    timeout=timeout,
-                )
+                corr_id, future = self._request_run(*minted[index], acks, timeout)
                 future.add_callback(
                     lambda fut, corr_id=corr_id: _on_done(fut, corr_id)
                 )

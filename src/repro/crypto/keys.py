@@ -43,6 +43,8 @@ class VerifyingKey:
     def from_bytes(cls, data: bytes) -> "VerifyingKey":
         """Deserialize from bytes; raises on malformed input.  Keys are
         immutable, so each encoding is decompressed once per process."""
+        if not isinstance(data, (bytes, bytearray)):  # bytes(an int) allocates
+            raise SignatureError(f"public key must be bytes, got {type(data).__name__}")
         try:
             return _cache.intern_key(
                 bytes(data), lambda raw: cls(ec.decode_point(raw))

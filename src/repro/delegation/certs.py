@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from repro import encoding
 from repro.crypto.keys import SigningKey, VerifyingKey
-from repro.errors import DelegationError
+from repro.errors import DelegationError, expect_bytes
 from repro.naming.names import GdpName
 
 __all__ = ["AdCert", "RtCert", "OrgMembership", "SubGrant"]
@@ -68,7 +68,7 @@ class _SignedStatement:
         setattr(self, self.NAMES[0], first)
         setattr(self, self.NAMES[1], second)
         self.expires_at = expires_at
-        self.signature = bytes(signature)
+        self.signature = expect_bytes(signature, "signature", DelegationError)
 
     @classmethod
     def issue(

@@ -116,3 +116,12 @@ class DurabilityError(CapsuleError):
 
 class StorageError(GdpError):
     """Backend storage failure on a DataCapsule-server."""
+
+
+def expect_bytes(value: object, what: str, error: type[GdpError]) -> bytes:
+    """*value* if it is ``bytes``, else raise *error*: a parser never
+    calls ``bytes()`` on a wire value, which turns an int into that many
+    zero bytes."""
+    if not isinstance(value, bytes):
+        raise error(f"{what} must be bytes, got {type(value).__name__}")
+    return value

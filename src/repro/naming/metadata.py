@@ -22,7 +22,7 @@ from typing import Any, Mapping
 from repro import encoding
 from repro.crypto import cache as _cache
 from repro.crypto.keys import SigningKey, VerifyingKey
-from repro.errors import NameError_, SignatureError
+from repro.errors import NameError_, SignatureError, expect_bytes
 from repro.naming.names import GdpName
 
 __all__ = [
@@ -72,7 +72,8 @@ class Metadata:
             raise NameError_(f"metadata must include {PROP_OWNER_KEY!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "properties", dict(properties))
-        object.__setattr__(self, "signature", bytes(signature))
+        signature = expect_bytes(signature, "metadata signature", NameError_)
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(
             self, "_name", GdpName.derive(kind, [kind, self.properties])
         )
@@ -140,7 +141,10 @@ class Metadata:
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Metadata":
         """Rebuild from a wire form; raises on malformed input."""
-        return cls(wire["kind"], dict(wire["properties"]), wire["signature"])
+        try:
+            return cls(wire["kind"], dict(wire["properties"]), wire["signature"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NameError_(f"malformed metadata: {exc}") from exc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Metadata):

@@ -30,11 +30,8 @@ class GdpName:
     __slots__ = ("_raw",)
 
     def __init__(self, raw: bytes):
-        raw = bytes(raw)
-        if len(raw) != HASH_LEN:
-            raise NameError_(
-                f"GDP names are {HASH_LEN} bytes, got {len(raw)}"
-            )
+        if not isinstance(raw, bytes) or len(raw) != HASH_LEN:
+            raise NameError_(f"GDP names are {HASH_LEN} bytes, got {raw!r:.80}")
         object.__setattr__(self, "_raw", raw)
 
     def __setattr__(self, name: str, value: Any) -> None:

@@ -148,10 +148,10 @@ def _valid_record(record: Any) -> bool:
     """Shape check for records arriving from untrusted peers."""
     return (
         isinstance(record, dict)
-        and isinstance(record.get("p"), (bytes, bytearray))
+        and isinstance(record.get("p"), bytes)
         and isinstance(record.get("v"), int)
         and "d" in record
-        and isinstance(record.get("e"), (bytes, bytearray))
+        and isinstance(record.get("e"), bytes)
         and len(record["e"]) == 8
     )
 
@@ -339,7 +339,7 @@ class DhtNode(Node):
         expiry = record_expiry(record)
         if expiry <= now:
             return False
-        principal = bytes(record["p"])
+        principal = record["p"]
         slot = self.store.get(key)
         if slot is None:
             slot = self.store[key] = {}
@@ -454,19 +454,19 @@ class DhtNode(Node):
         sender = payload.get("s")
         if (
             isinstance(sender, dict)
-            and isinstance(sender.get("n"), (bytes, bytearray))
+            and isinstance(sender.get("n"), bytes)
             and len(sender["n"]) == 32
             and isinstance(sender.get("a"), str)
         ):
-            self.observe(GdpName(bytes(sender["n"])), addr=sender["a"])
+            self.observe(GdpName(sender["n"]), addr=sender["a"])
         if pdu.ptype == T_DHT_PING:
             self._reply(pdu, peer, T_DHT_PONG, {})
             return
         if pdu.ptype == T_DHT_STORE:
             key_raw = payload.get("k")
-            if not isinstance(key_raw, (bytes, bytearray)) or len(key_raw) != 32:
+            if not isinstance(key_raw, bytes) or len(key_raw) != 32:
                 return
-            key = GdpName(bytes(key_raw))
+            key = GdpName(key_raw)
             stored = 0
             records = payload.get("r")
             if isinstance(records, list):
@@ -477,9 +477,9 @@ class DhtNode(Node):
             return
         if pdu.ptype in (T_DHT_FIND_NODE, T_DHT_FIND_VALUE):
             key_raw = payload.get("k")
-            if not isinstance(key_raw, (bytes, bytearray)) or len(key_raw) != 32:
+            if not isinstance(key_raw, bytes) or len(key_raw) != 32:
                 return
-            key = GdpName(bytes(key_raw))
+            key = GdpName(key_raw)
             reply: dict = {"c": self._contacts_wire(key, self.k)}
             if pdu.ptype == T_DHT_FIND_VALUE:
                 reply["r"] = self.records_for(key)
@@ -540,12 +540,12 @@ class DhtNode(Node):
                     for contact in contacts:
                         if not (
                             isinstance(contact, dict)
-                            and isinstance(contact.get("n"), (bytes, bytearray))
+                            and isinstance(contact.get("n"), bytes)
                             and len(contact["n"]) == 32
                             and isinstance(contact.get("a"), str)
                         ):
                             continue
-                        learned = GdpName(bytes(contact["n"]))
+                        learned = GdpName(contact["n"])
                         if learned == self.name:
                             continue
                         self.observe(learned, addr=contact["a"])
@@ -557,7 +557,7 @@ class DhtNode(Node):
                         if not _valid_record(record):
                             continue
                         got_record = True
-                        principal = bytes(record["p"])
+                        principal = record["p"]
                         best = result.records.get(principal)
                         if (
                             best is None
@@ -758,7 +758,7 @@ class KademliaDht:
         result = yield from origin.iter_find(key, want_value=True)
         # The origin's own replica participates like any other holder.
         for record in origin.records_for(key):
-            principal = bytes(record["p"])
+            principal = record["p"]
             best = result.records.get(principal)
             if (
                 best is None

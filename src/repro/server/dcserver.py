@@ -17,12 +17,11 @@ Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 
 =============  =========================================================
 ``host``       begin hosting (metadata + service chain + sibling list)
-``append``     writer append; ``acks`` selects the durability policy
-``append_batch``  multi-record append under one tip heartbeat
-``replicate``  sibling-to-sibling record propagation
-``replicate_batch``  sibling-to-sibling batch propagation
-               (all four write ops: one ``DataCapsule.admit`` of the run
-               under its tip heartbeat, then one ``append_entries``)
+``append_batch``  a writer's run — records under the heartbeat over the
+               tip; ``acks`` selects the durability policy
+``replicate_batch``  the same run, sibling to sibling
+               (both write ops: one ``DataCapsule.admit`` of the run,
+               one ``append_entries``, one push of the run per subscriber)
 ``read``       one record + position proof
 ``read_range`` contiguous records + range proof
 ``latest``     newest heartbeat + tip record
@@ -40,13 +39,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.capsule.capsule import DataCapsule
+from repro.capsule.capsule import DataCapsule, run_from_wire, run_wire
 from repro.capsule.heartbeat import Heartbeat
-from repro.capsule.proofs import (
-    PositionProof,
-    build_position_proof,
-    build_range_proof,
-)
+from repro.capsule.proofs import build_position_proof, build_range_proof
 from repro.capsule.records import Record
 from repro.crypto.hmac_session import Handshake, SessionKey
 from repro.crypto.keys import SigningKey, VerifyingKey
@@ -423,38 +418,25 @@ class DataCapsuleServer(Endpoint):
             if is_checkpoint is not None and is_checkpoint(record.seqno):
                 self.storage.note_checkpoint(name, record.seqno)
 
-    def _ingest(self, payload: dict, *, batch: bool, writer: bool) -> Any:
-        """The four write ops: admit the run under its tip heartbeat,
-        store what was new, then push it to subscribers.  Writer ops go
-        on to the durability tail, which forwards the run to the
-        siblings as the matching replicate op."""
+    def _ingest(self, payload: dict, *, writer: bool) -> Any:
+        """Both write ops: admit the run under its tip heartbeat, store
+        what was new and, if anything was, push the run to subscribers.
+        ``append_batch`` goes on to the durability tail, which forwards
+        the run to the siblings as ``replicate_batch``."""
         hosted = self._hosted(payload)
         capsule = hosted.capsule
-        wires = payload["records"] if batch else [payload["record"]]
-        if not wires:
-            raise CapsuleError(f"{payload['op']} needs at least one record")
-        records = [Record.from_wire(capsule.name, wire) for wire in wires]
-        heartbeat = Heartbeat.from_wire(payload["heartbeat"])
+        records, heartbeat = run_from_wire(capsule.name, payload)
         new, heartbeat_new = capsule.admit(records, heartbeat)
         self._store_admitted(hosted, new, [heartbeat] if heartbeat_new else [])
-        for record in new:
-            self._push_to_subscribers(hosted, record, heartbeat)
-        tip = records[-1]
-        extra = {"count": len(records)} if batch else {}
+        if new:
+            self._push_to_subscribers(hosted, records, heartbeat)
+        body = {"ok": True, "seqno": records[-1].seqno}
         if not writer:
             self._c_replications.inc(len(records))
-            return {"ok": True, "seqno": tip.seqno, **extra}
+            return body
         self._c_appends.inc(len(records))
-        replicate = {
-            "op": "replicate_batch" if batch else "replicate",
-            "capsule": capsule.name.raw,
-        }
-        if batch:
-            replicate["records"] = [r.to_wire() for r in records]
-        else:
-            replicate["record"] = tip.to_wire()
-        replicate["heartbeat"] = heartbeat.to_wire()
-        body = {"ok": True, "seqno": tip.seqno, "acks": 1, **extra}
+        replicate = {"op": "replicate_batch", **run_wire(records, heartbeat)}
+        body["acks"] = 1
         policy = AckPolicy(payload.get("acks", "any"))
         replica_count = 1 + len(hosted.siblings)
         if policy.is_fast_path(replica_count) or not hosted.siblings:
@@ -466,24 +448,15 @@ class DataCapsuleServer(Endpoint):
         required = policy.required_acks(replica_count)
         return self._collect_acks(hosted, replicate, required, body)
 
-    @op("append", capsule=bytes, record=dict, heartbeat=dict, acks=opt(str))
-    def _op_append(self, pdu: Pdu, payload: dict) -> Any:
-        return self._ingest(payload, batch=False, writer=True)
-
     @op("append_batch", capsule=bytes, records=list, heartbeat=dict, acks=opt(str))
     def _op_append_batch(self, pdu: Pdu, payload: dict) -> Any:
-        """Multi-record append: a run of records under one tip heartbeat
-        (the batched write path; see ClientWriter.append_stream)."""
-        return self._ingest(payload, batch=True, writer=True)
-
-    @op("replicate", capsule=bytes, record=dict, heartbeat=dict)
-    def _op_replicate(self, pdu: Pdu, payload: dict) -> dict:
-        return self._ingest(payload, batch=False, writer=False)
+        """A writer's run (one record or many; see ClientWriter)."""
+        return self._ingest(payload, writer=True)
 
     @op("replicate_batch", capsule=bytes, records=list, heartbeat=dict)
     def _op_replicate_batch(self, pdu: Pdu, payload: dict) -> dict:
-        """Sibling-to-sibling propagation of a whole append batch."""
-        return self._ingest(payload, batch=True, writer=False)
+        """Sibling-to-sibling propagation of a writer's run."""
+        return self._ingest(payload, writer=False)
 
     def _collect_acks(
         self, hosted: HostedCapsule, replicate: dict, required: int, body: dict
@@ -771,38 +744,16 @@ class DataCapsuleServer(Endpoint):
 
     # -- subscriptions ------------------------------------------------------
 
-    def _push_proof(
-        self, hosted: HostedCapsule, record: Record, heartbeat: Heartbeat
-    ):
-        """The position proof accompanying a push.  Batched appends sign
-        only the batch tip, so a non-tip record needs a real path proof;
-        when the heartbeat pins the record directly the one-hop form
-        suffices.  Returns None when no verifiable proof exists yet (the
-        push is withheld — subscribers only ever see provable data)."""
-        try:
-            return build_position_proof(hosted.capsule, record.seqno)
-        except GdpError:
-            if heartbeat.digest == record.digest:
-                return PositionProof(heartbeat, [record.header_wire()])
-            return None
-
     def _push_to_subscribers(
-        self, hosted: HostedCapsule, record: Record, heartbeat: Heartbeat
+        self, hosted: HostedCapsule, records: list[Record], heartbeat: Heartbeat
     ) -> None:
-        """Publish a fresh record to every subscriber (§V 'subscribe'
-        enables "an event-driven programming model")."""
+        """Publish a run that stored something new to every subscriber
+        (§V 'subscribe' enables "an event-driven programming model"): one
+        PDU per run, the run itself, which the subscriber admits as a
+        replica does — no proof is built for it."""
         if not hosted.subscribers:
             return
-        proof = self._push_proof(hosted, record, heartbeat)
-        if proof is None:
-            return
-        payload = {
-            "capsule": hosted.capsule.name.raw,
-            "record": record.to_wire(),
-            "heartbeat": heartbeat.to_wire(),
-            "proof": proof.to_wire(),
-        }
+        run = run_wire(records, heartbeat)
         for subscriber in sorted(hosted.subscribers, key=lambda n: n.raw):
-            push = Pdu(self.name, subscriber, pdutypes.T_PUSH, dict(payload))
-            self.send_pdu(push)
+            self.send_pdu(Pdu(self.name, subscriber, pdutypes.T_PUSH, dict(run)))
             self._c_pushes.inc()

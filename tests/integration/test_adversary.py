@@ -175,22 +175,27 @@ class TestMaliciousServer:
             reply = yield g.writer_client.rpc(
                 metadata.name,
                 {
-                    "op": "append",
+                    "op": "append_batch",
                     "capsule": metadata.name.raw,
-                    "record": fake.to_wire(),
+                    "records": [fake.to_wire()],
                     "heartbeat": fake_hb.to_wire(),
                     "acks": "any",
                 },
             )
             body = reply.get("body", reply)
-            return body
+            return metadata, body
 
-        body = g.run(scenario())
+        metadata, body = g.run(scenario())
         assert not body.get("ok")
+        assert body.get("error_kind") != "unknown_op"
+        # forge_record cannot reach the metadata anchor; admission
+        # refuses that before it would reach mallory's heartbeat
+        assert "anchor pointer does not match" in body["error"]
         # Nothing was stored.
-        assert g.server_root.stats["appends"] == 0 or True
-        cap = list(g.server_root.hosted.values())[0].capsule
-        assert len(cap) == 0
+        assert g.server_root.stats["appends"] == 0
+        entries = g.server_root.storage.load_entries(metadata.name)
+        assert [tag for tag, _ in entries] == ["m"]  # hosting's metadata only
+        assert len(g.server_root.hosted[metadata.name].capsule) == 0
 
 
 class TestCompromisedGLookup:

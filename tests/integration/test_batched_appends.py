@@ -172,6 +172,41 @@ class TestAppendBatchOp:
         for server in (g.server_root, g.server_edge):
             assert server.hosted[metadata.name].capsule.last_seqno == 0
 
+    def test_single_record_write_ops_are_unknown(self, mini_gdp):
+        """A run is the one write shape: ``append`` and ``replicate``
+        are gone from the registry and answer ``unknown_op``."""
+        from repro.runtime.dispatch import op_names
+        from repro.server import DataCapsuleServer
+
+        names = op_names(DataCapsuleServer)
+        assert {"append_batch", "replicate_batch"} <= set(names)
+        assert not {"append", "replicate"} & set(names)
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_root.metadata])
+            record, heartbeat = g.writer_client.open_writer(
+                metadata, g.writer_key
+            ).writer.append(b"one")
+            bodies = []
+            for op in ("append", "replicate"):
+                reply = yield g.writer_client.rpc(
+                    g.server_root.name,
+                    {
+                        "op": op,
+                        "capsule": metadata.name.raw,
+                        "record": record.to_wire(),
+                        "heartbeat": heartbeat.to_wire(),
+                    },
+                )
+                bodies.append(reply.get("body", reply))
+            return metadata, bodies
+
+        metadata, bodies = g.run(scenario())
+        assert [b.get("error_kind") for b in bodies] == ["unknown_op"] * 2
+        assert len(g.server_root.hosted[metadata.name].capsule) == 0
+
     @staticmethod
     def _write_op(g, metadata, dst, op, record_wires, heartbeat):
         """Process body: send one raw batch write op to *dst*; returns

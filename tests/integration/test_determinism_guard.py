@@ -24,17 +24,26 @@ from repro.simtest import run_episode
 #: seqno 1 that failed on the branch now succeed — 144 fewer trace
 #: events than when sync stored whatever parsed, and one SSW replica
 #: set with no branch for the strict oracles to flag.
+#:
+#: Every write travels as a run: an episode's one-record append is an
+#: ``append_batch`` (10 B more on the wire than ``append`` was) and its
+#: sibling copy a ``replicate_batch`` (9 B more), and a push is the run
+#: itself, with no server-built position proof (≈ 330 B less).  Episodes
+#: append one record at a time, so pushes per run stay one and every pin
+#: keeps its event count and outcome; only PDU sizes and the timestamps
+#: they shift move (and, in ``dht_churn`` 13, three push/request pairs
+#: that now land in the other order).
 REFERENCE_EPISODES = [
     (7, "default", True,
-     "ed2b6dfa721ba77dd75fe44e02b6d505d838c8ee9b7c1bff732e30c3546e9ab7"),
+     "24c41c2d935ac58f556af54afa7f8a445dcf4dca41e575f48670a13ae358166f"),
     (42, "default", True,
-     "e1b6a2a90ffd15d0aa899b2354e96cdd54adf8181a862c819d5ca43872cf2bea"),
+     "1cd6b1c1a755053bdaf2e574f5cdbf112ac48080c54ce245386de588669ac17d"),
     (6, "dht_churn", True,
-     "12a2cbaa7e8681e8adf9d4390b912c25f582ef8168575d75c9c63599e7a23ab3"),
+     "fed12c1c25960db5faf93aa676ea817851ec802f48d35ba06e5f8c47b330fade"),
     (13, "dht_churn", True,
-     "7c32dfa59738f36701cc503268c70a51edfa2faa9fcdc5c9e8fba3c64169bd95"),
+     "c5005ebc924532c40b091f77fff8e372a892b719221433b68725fc4d5a1b6541"),
     (4, "dht_root", True,
-     "a01caa3fd925e4729ce228a6e1d8b5677c196b2545cef0521a4a595dbdd48022"),
+     "caac3eefc59809c9c585ff3c1755cdce97027d987d4ff407ce3cdf5e8cf9c7cc"),
 ]
 
 

@@ -128,9 +128,9 @@ class TestNetworkedQswRecovery:
             reply = yield g.reader_client.rpc(
                 g.server_edge.name,
                 {
-                    "op": "append",
+                    "op": "append_batch",
                     "capsule": metadata.name.raw,
-                    "record": record.to_wire(),
+                    "records": [record.to_wire()],
                     "heartbeat": heartbeat.to_wire(),
                     "acks": "any",
                 },
@@ -140,7 +140,8 @@ class TestNetworkedQswRecovery:
 
         metadata, body = g.run(scenario())
         assert not body.get("ok")
-        assert "Equivocation" in body.get("error", "")
+        assert body.get("error_kind") != "unknown_op"
+        assert "EquivocationError: writer equivocated at seqno 2" in body["error"]
         # The honest history is intact.
         capsule = g.server_edge.hosted[metadata.name].capsule
         assert not capsule.is_branched()

@@ -22,9 +22,9 @@ class TestAppendIdempotency:
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             record, heartbeat = writer.writer.append(b"once")  # local mint
             payload = {
-                "op": "append",
+                "op": "append_batch",
                 "capsule": metadata.name.raw,
-                "record": record.to_wire(),
+                "records": [record.to_wire()],
                 "heartbeat": heartbeat.to_wire(),
                 "acks": "any",
             }
@@ -66,9 +66,9 @@ class TestAppendIdempotency:
             reply = yield g.writer_client.rpc(
                 metadata.name,
                 {
-                    "op": "append",
+                    "op": "append_batch",
                     "capsule": metadata.name.raw,
-                    "record": bogus.to_wire(),
+                    "records": [bogus.to_wire()],
                     "heartbeat": heartbeat.to_wire(),
                     "acks": "any",
                 },
@@ -77,6 +77,8 @@ class TestAppendIdempotency:
 
         body = g.run(scenario())
         assert not body.get("ok")
+        assert body.get("error_kind") != "unknown_op"
+        assert "claims seqno 2 but digest belongs to 1" in body["error"]
 
 
 class TestHoleReads:

@@ -1,6 +1,16 @@
 """Publish-subscribe: verified pushes, multiple subscribers, forgery."""
 
 from repro.client import GdpClient
+from repro.routing.pdu import Pdu, T_PUSH
+
+
+def _run(records, heartbeat) -> dict:
+    """A run's wire body, spelled out: what a replica pushes."""
+    return {
+        "capsule": heartbeat.capsule.raw,
+        "records": [record.to_wire() for record in records],
+        "heartbeat": heartbeat.to_wire(),
+    }
 
 
 class TestSubscriptions:
@@ -93,10 +103,10 @@ class TestSubscriptions:
         assert received == [1]
 
     def test_forged_push_dropped(self, mini_gdp):
-        """A push with a forged record never reaches the callback."""
+        """A pushed run with a forged record under the real heartbeat is
+        refused by admission and never reaches the callback."""
         from repro.capsule.records import Record
         from repro.crypto.hashing import HashPointer
-        from repro.routing.pdu import Pdu, T_PUSH
 
         g = mini_gdp
         received = []
@@ -111,8 +121,8 @@ class TestSubscriptions:
             record = (yield from writer.append(b"real")).record
             heartbeat = writer.writer.capsule.latest_heartbeat
             yield 1.0
-            # The adversary pushes a forged record reusing the real
-            # heartbeat (digest mismatch must be caught).
+            # The adversary pushes a forged record 2 reusing the real
+            # heartbeat over record 1 (the tip must match it).
             forged = Record(
                 metadata.name, 2, b"FAKE", [HashPointer(1, record.digest)]
             )
@@ -120,18 +130,15 @@ class TestSubscriptions:
                 g.server_root.name,
                 g.reader_client.name,
                 T_PUSH,
-                {
-                    "capsule": metadata.name.raw,
-                    "record": forged.to_wire(),
-                    "heartbeat": heartbeat.to_wire(),
-                },
+                _run([record, forged], heartbeat),
             )
             g.server_root.send_pdu(push)
             yield 1.0
-            return True
+            return g.reader_client.readers[metadata.name].capsule
 
-        g.run(scenario())
+        capsule = g.run(scenario())
         assert received == [1]  # only the genuine record
+        assert capsule.get_all(2) == []
 
     def test_push_deduplicated_across_replicas(self, mini_gdp):
         """Both replicas may push the same record (writer append +
@@ -154,3 +161,123 @@ class TestSubscriptions:
 
         g.run(scenario())
         assert received == [1]
+
+
+class TestRunPushes:
+    """A push is the run a replica admitted — ``{capsule, records,
+    heartbeat}``, one PDU per run — and the subscriber admits it through
+    ``DataCapsule.admit`` as a replica does."""
+
+    @staticmethod
+    def _subscribed(g, received, pushes):
+        """Process body: one replica, a subscribed reader whose inbound
+        pushes are counted; returns the capsule metadata."""
+        yield from g.bootstrap()
+        metadata = yield from g.place(servers=[g.server_edge.metadata])
+        on_push = g.reader_client.on_push
+
+        def counting(pdu):
+            pushes.append(pdu)
+            on_push(pdu)
+
+        g.reader_client.on_push = counting
+        yield from g.reader_client.subscribe(
+            metadata.name, lambda r, h: received.append(r.seqno)
+        )
+        return metadata
+
+    def test_a_batch_is_one_push(self, mini_gdp):
+        g = mini_gdp
+        received, pushes = [], []
+
+        def scenario():
+            metadata = yield from self._subscribed(g, received, pushes)
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append_stream(
+                [b"event-%d" % i for i in range(8)], batch_records=8
+            )
+            yield 2.0
+            return metadata
+
+        metadata = g.run(scenario())
+        assert len(pushes) == 1
+        assert sorted(pushes[0].payload) == ["capsule", "heartbeat", "records"]
+        assert received == list(range(1, 9))
+        assert g.reader_client.readers[metadata.name].frontier.seqno == 8
+        assert g.server_edge.stats["pushes"] == 1
+
+    def test_retried_run_pushes_nothing(self, mini_gdp):
+        """A run is pushed only if admission stored a new record."""
+        g = mini_gdp
+        received, pushes = [], []
+
+        def scenario():
+            metadata = yield from self._subscribed(g, received, pushes)
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            records, heartbeat = writer.writer.append_batch([b"a", b"b", b"c"])
+            request = dict(_run(records, heartbeat), op="append_batch")
+            for _ in range(2):  # a client retry
+                reply = yield g.writer_client.rpc(metadata.name, dict(request))
+                assert reply.get("body", reply)["ok"]
+            yield 2.0
+            return True
+
+        g.run(scenario())
+        assert len(pushes) == 1
+        assert received == [1, 2, 3]
+
+    def test_tampered_non_tip_record_delivers_nothing(self, mini_gdp):
+        g = mini_gdp
+        received, pushes = [], []
+
+        def scenario():
+            metadata = yield from self._subscribed(g, received, pushes)
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            records, heartbeat = writer.writer.append_batch([b"a", b"b", b"c"])
+            run = _run(records, heartbeat)
+            tampered = dict(run, records=[dict(w) for w in run["records"]])
+            tampered["records"][1]["payload"] = b"forged"
+            for body in (tampered, run):
+                g.reader_client.on_push(
+                    Pdu(g.server_edge.name, g.reader_client.name, T_PUSH, body)
+                )
+            return metadata
+
+        metadata = g.run(scenario())
+        # the tampered run delivered nothing; the genuine one all three
+        assert received == [1, 2, 3]
+        capsule = g.reader_client.readers[metadata.name].capsule
+        assert [r.payload for r in capsule.records()] == [b"a", b"b", b"c"]
+
+    def test_malformed_push_is_dropped(self, mini_gdp):
+        g = mini_gdp
+        received, pushes = [], []
+
+        def scenario():
+            metadata = yield from self._subscribed(g, received, pushes)
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            record, heartbeat = writer.writer.append(b"only")
+            run = _run([record], heartbeat)
+            name = metadata.name.raw
+            malformed = [
+                {"capsule": name, "heartbeat": run["heartbeat"]},
+                {"capsule": name, "records": run["records"]},
+                {"capsule": name, "records": 7, "heartbeat": run["heartbeat"]},
+                {"capsule": name, "records": [], "heartbeat": run["heartbeat"]},
+                {"capsule": name, "records": ["x"], "heartbeat": run["heartbeat"]},
+                {"capsule": name, "records": run["records"], "heartbeat": b"hb"},
+                dict(run, heartbeat=dict(run["heartbeat"], digest=64)),
+                dict(run, records=[dict(run["records"][0], payload=64)]),
+                # the single-record shape pushes used to have
+                {"capsule": name, "record": run["records"][0],
+                 "heartbeat": run["heartbeat"]},
+                ["not", "a", "mapping"],
+            ]
+            for body in malformed + [run]:
+                g.reader_client.on_push(
+                    Pdu(g.server_edge.name, g.reader_client.name, T_PUSH, body)
+                )
+            return True
+
+        g.run(scenario())
+        assert received == [1]  # only the well-formed run at the end

@@ -1,14 +1,37 @@
 """Property tests: the binary PDU wire codec round-trips its domain and
-rejects everything else (truncation, garbage, unknown type codes)."""
+rejects everything else (truncation, garbage, unknown type codes), and
+the parsers of what a PDU carries — records, heartbeats, runs, pushes —
+answer any decodable value with a result or a ``GdpError``."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WireFormatError
-from repro.naming import GdpName
+from repro.caapi.commit_service import ShardMap
+from repro.capsule import CapsuleWriter, DataCapsule, Heartbeat, Record
+from repro.capsule.capsule import run_from_wire, run_wire
+from repro.client import GdpClient, OwnerConsole
+from repro.client.failover import Subscription
+from repro.crypto import SigningKey
+from repro.crypto.keys import VerifyingKey
+from repro.delegation import AdCert
+from repro.errors import (
+    CapsuleError,
+    DelegationError,
+    GdpError,
+    IntegrityError,
+    NameError_,
+    SignatureError,
+    WireFormatError,
+)
+from repro.naming import GdpName, Metadata
 from repro.routing import pdu as pdutypes
 from repro.routing.pdu import HEADER_BYTES, Pdu
+from repro.runtime.dispatch import dispatch_op
+from repro.server import DataCapsuleServer
+from repro.sim import SimNetwork
 
 # The payload value domain the canonical encoding covers.
 payloads = st.recursive(
@@ -95,3 +118,130 @@ class TestWireCodecProperties:
         wire[74] = 0xEE  # no ptype registered anywhere near 238
         with pytest.raises(WireFormatError):
             Pdu.decode_wire(bytes(wire))
+
+
+# -- what a PDU carries: records, heartbeats, runs, pushes -----------------
+
+_OWNER = SigningKey.from_seed(b"wire-props-owner")
+_WRITER_KEY = SigningKey.from_seed(b"wire-props-writer")
+
+
+def _server() -> DataCapsuleServer:
+    """A fresh server (same name every time) — each example gets its own."""
+    return DataCapsuleServer(SimNetwork(seed=5), "wire-props-server")
+
+
+def _client() -> GdpClient:
+    return GdpClient(SimNetwork(seed=5), "wire-props-client")
+
+
+_CONSOLE = OwnerConsole(_client(), _OWNER)
+_METADATA = _CONSOLE.design_capsule(_WRITER_KEY.public)
+_CHAIN = _CONSOLE.delegate(_METADATA, _server().metadata)
+_NAME = _METADATA.name
+_SENDER = _CONSOLE.client.name
+_RECORDS, _HEARTBEAT = CapsuleWriter(
+    DataCapsule(_METADATA), _WRITER_KEY
+).append_batch([b"first", b"second", b"third"])
+_RUN = run_wire(_RECORDS, _HEARTBEAT)
+_GENUINE = {record.digest for record in _RECORDS}
+
+
+def _paths(value, prefix=()):
+    """Every position in a wire tree: each dict key and list index."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_RUN_PATHS = sorted(_paths(_RUN), key=repr)
+
+
+def _substituted(path, value) -> dict:
+    """The genuine run with the value at *path* replaced."""
+    body = copy.deepcopy(_RUN)
+    node = body
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return body
+
+
+class TestWireParsers:
+    @given(st.sampled_from(_RUN_PATHS), payloads)
+    @settings(max_examples=400, deadline=None)
+    def test_substituted_run_parses_or_raises_gdp_error(self, path, value):
+        body = _substituted(path, value)
+        try:
+            records, heartbeat = run_from_wire(_NAME, body)
+        except GdpError:
+            return
+        try:
+            new, _ = DataCapsule(_METADATA).admit(records, heartbeat)
+        except GdpError:
+            return
+        assert {record.digest for record in new} <= _GENUINE
+
+    @given(st.sampled_from(_RUN_PATHS), payloads)
+    @settings(max_examples=150, deadline=None)
+    def test_substituted_append_batch_is_answered(self, path, value):
+        """The server answers, never raises — not even a MemoryError."""
+        server = _server()
+        server.host_capsule(_METADATA, _CHAIN)
+        body = dict(_substituted(path, value), op="append_batch")
+        pdu = Pdu(_SENDER, server.name, pdutypes.T_DATA, body)
+        reply = dispatch_op(server, pdu, body)
+        assert isinstance(reply, dict)
+        stored = server.hosted[_NAME].capsule.records()
+        assert {record.digest for record in stored} <= _GENUINE
+
+    @given(st.sampled_from(_RUN_PATHS), payloads)
+    @settings(max_examples=150, deadline=None)
+    def test_substituted_push_is_dropped_or_admitted(self, path, value):
+        delivered = []
+        client = _client()
+        client._reader(_NAME).accept_metadata(_METADATA)
+        client._subscriptions[_NAME] = sub = Subscription(
+            _NAME, lambda record, heartbeat: delivered.append(record)
+        )
+        sub.last_delivered = 0
+        body = _substituted(path, value)
+        client.on_push(Pdu(_SENDER, client.name, pdutypes.T_PUSH, body))
+        assert {record.digest for record in delivered} <= _GENUINE
+
+    def test_int_for_bytes_is_refused(self):
+        """An int where bytes belong used to become that many zero bytes
+        (a 19-byte TLV int asked the server for 1 TiB)."""
+        record = dict(_RECORDS[0].to_wire(), payload=5_000_000)
+        with pytest.raises(IntegrityError, match="payload must be bytes"):
+            Record.from_wire(_NAME, record)
+        for field, value in (("digest", 3_000_000), ("signature", 7)):
+            with pytest.raises(IntegrityError, match=f"{field} must be bytes"):
+                Heartbeat.from_wire(dict(_HEARTBEAT.to_wire(), **{field: value}))
+        with pytest.raises(NameError_):
+            GdpName(32)
+        with pytest.raises(NameError_, match="signature must be bytes"):
+            Metadata.from_wire(dict(_METADATA.to_wire(), signature=64))
+        adcert = _CHAIN.adcert.to_wire()
+        with pytest.raises(DelegationError, match="signature must be bytes"):
+            AdCert.from_wire(dict(adcert, signature=64))
+        shard_map = ShardMap.issue(_WRITER_KEY, 1, [_NAME], [_NAME]).to_wire()
+        with pytest.raises(CapsuleError, match="signature must be bytes"):
+            ShardMap.from_wire(dict(shard_map, signature=64))
+        with pytest.raises(SignatureError, match="must be bytes"):
+            VerifyingKey.from_bytes(33)
+
+    def test_huge_int_payload_in_append_batch_is_refused(self):
+        server = _server()
+        server.host_capsule(_METADATA, _CHAIN)
+        body = dict(_substituted(("records", 0, "payload"), 2**40), op="append_batch")
+        pdu = Pdu(_SENDER, server.name, pdutypes.T_DATA, body)
+        reply = dispatch_op(server, pdu, body)
+        assert reply["error_kind"] == "handler_error"
+        assert "payload must be bytes" in reply["error"]

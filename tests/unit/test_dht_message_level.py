@@ -455,6 +455,10 @@ class TestGrepGuard:
         # the DHT beside the substrate: its private simulator's drive-or-
         # spawn fork, the hook it never used, the flag only it read
         "_drive_or_spawn", "midrun", "resolve_peer", "self.running",
+        # the second write shape: one-record write ops and per-record
+        # pushes with a server-built proof, beside the run
+        "def _op_append(", "def _op_replicate(", "def _push_proof",
+        "def accept_pushed",
     )
 
     def test_back_compat_layer_stays_deleted(self):

@@ -89,9 +89,8 @@ def main():
 
         # The auditor replays the totally ordered ledger with provenance.
         yield 1.0
-        latest = yield from auditor.read_latest(ledger)
-        tip = latest.record.seqno
-        result = yield from auditor.read_range(ledger, 1, tip)
+        result = yield from auditor.read_range(ledger, 1)
+        tip = result.record.seqno
         key_names = {
             tech.key.public.to_bytes(): tech.node_id for tech in technicians
         }

@@ -27,7 +27,6 @@ from typing import Generator, Sequence
 
 from repro import encoding
 from repro.caapi.base import CapsuleApp
-from repro.capsule.proofs import PositionProof
 from repro.client.client import GdpClient
 from repro.client.owner import OwnerConsole
 from repro.crypto.keys import SigningKey
@@ -173,8 +172,6 @@ class AuditedLog(CapsuleApp):
         :meth:`AuditProof.verify` holding nothing but the capsule name
         and metadata, so a hostile prover gains nothing.
         """
-        from repro.capsule.records import Record
-
         interval = self.summary_interval
         summary_index = (entry_index + interval - 1) // interval
         covered = summary_index * interval
@@ -185,26 +182,16 @@ class AuditedLog(CapsuleApp):
         entry = yield from self.client.read(
             self.name, self.data_seqno(entry_index, interval)
         )
-        # Fetch the summary record keeping the server's position proof
-        # (the client's read() verifies it and we reuse it verbatim).
-        summary_seqno = self.summary_seqno(summary_index, interval)
-        corr_id, future = self.client.request(
-            self.name,
-            {"op": "read", "capsule": self.name.raw, "seqno": summary_seqno},
+        # The summary's read keeps the position proof its range proof
+        # carries, which pins the summary in the capsule history.
+        summary = yield from self.client.read(
+            self.name, self.summary_seqno(summary_index, interval)
         )
-        wrapped = yield future
-        body = self.client._unwrap(
-            wrapped, corr_id=corr_id, capsule=self.name
-        )
-        summary_record = Record.from_wire(self.name, body["record"])
-        position_proof = PositionProof.from_wire(body["proof"])
-        reader = self.client.readers[self.name]
-        position_proof.verify_record(summary_record, reader.capsule.writer_key)
         inclusion_proof = self._tree.prove(entry_index - 1, size=covered)
         return AuditProof(
             entry_index,
             entry.record.payload,
-            summary_record,
-            position_proof,
+            summary.record,
+            summary.proof.position,
             inclusion_proof,
         )

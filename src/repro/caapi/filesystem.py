@@ -248,12 +248,9 @@ class CapsuleFileSystem(CapsuleApp):
             if shard_map is None:
                 shard_map = yield from self.commit.fetch_map()
             for capsule in shard_map.capsules:
-                latest = yield from self.client.read_latest(capsule)
-                if latest is None:
+                result = yield from self.client.read_range(capsule, 1)
+                if result is None:
                     continue
-                result = yield from self.client.read_range(
-                    capsule, 1, latest.record.seqno
-                )
                 for record in result.records:
                     wrapped = read_committed_entry(record.payload)
                     self._apply_dir_entry(
@@ -261,12 +258,9 @@ class CapsuleFileSystem(CapsuleApp):
                     )
             return view
         assert self._name is not None
-        latest = yield from self.client.read_latest(self._name)
-        if latest is None:
+        result = yield from self.client.read_range(self._name, 1)
+        if result is None:
             return view
-        result = yield from self.client.read_range(
-            self._name, 1, latest.record.seqno
-        )
         for record in result.records:
             self._apply_dir_entry(view, encoding.decode(record.payload))
         return view
@@ -374,12 +368,9 @@ class CapsuleFileSystem(CapsuleApp):
             raise RecordNotFoundError(f"no such file: {path!r}")
         raw, size, encrypted = view[path]
         file_name = GdpName(raw)
-        latest = yield from self.client.read_latest(file_name)
-        if latest is None:
+        result = yield from self.client.read_range(file_name, 1)
+        if result is None:
             raise RecordNotFoundError(f"file capsule for {path!r} is empty")
-        result = yield from self.client.read_range(
-            file_name, 1, latest.record.seqno
-        )
         records = result.records
         if encrypted:
             content_key = self._content_keys.get(file_name)

@@ -207,12 +207,9 @@ class CapsuleKVStore(CapsuleApp):
             shard_map = yield from self.commit.fetch_map()
         view: dict[str, Any] = {}
         for capsule in shard_map.capsules:
-            latest = yield from self.client.read_latest(capsule)
-            if latest is None:
+            result = yield from self.client.read_range(capsule, 1)
+            if result is None:
                 continue
-            result = yield from self.client.read_range(
-                capsule, 1, latest.record.seqno
-            )
             for record in result.records:
                 wrapped = read_committed_entry(record.payload)
                 entry = encoding.decode(wrapped["data"])

@@ -184,16 +184,29 @@ class DataCapsule:
             ) from None
 
     def read_range(self, first: int, last: int) -> list[Record]:
-        """Records ``first..last`` inclusive; raises :class:`HoleError`
-        naming the missing seqnos if the range is incomplete."""
+        """Records ``first..last`` inclusive — at the newest heartbeat's
+        seqno the record it signs, so a QSW branch there is no error.
+        Raises :class:`RecordNotFoundError` for a range past the tip and
+        :class:`HoleError`, counting them, if records are missing."""
         if first < 1 or last < first:
             raise RecordNotFoundError(f"bad range [{first}, {last}]")
+        if last not in self._by_seqno and last > self.last_seqno:
+            raise RecordNotFoundError(
+                f"range [{first}, {last}] is past the tip {self.last_seqno}"
+            )
         missing = [s for s in range(first, last + 1) if s not in self._by_seqno]
         if missing:
             raise HoleError(
-                f"range [{first}, {last}] has holes at {missing}"
+                f"range [{first}, {last}] has holes: {len(missing)} "
+                f"missing, the first at {missing[0]}"
             )
-        return [self.get(seqno) for seqno in range(first, last + 1)]
+        newest = self._latest_heartbeat
+        return [
+            self.get_by_digest(newest.digest)
+            if newest is not None and seqno == newest.seqno
+            else self.get(seqno)
+            for seqno in range(first, last + 1)
+        ]
 
     # -- writes ----------------------------------------------------------
 

@@ -6,9 +6,10 @@ from untrusted infrastructure and is verified before acceptance:
 
 1. Presented metadata must hash to the name (self-certification).
 2. Heartbeats must carry the designated writer's signature.
-3. Records must be pinned by position/range proofs against a verified
-   heartbeat; a pushed run is admitted by :meth:`DataCapsule.admit`,
-   like a replica admits it, under the heartbeat over its tip.
+3. Records must be pinned against a verified heartbeat: every read
+   arrives as a range under its range proof (:meth:`accept_range`), and
+   a pushed run is admitted by :meth:`DataCapsule.admit`, like a replica
+   admits it, under the heartbeat over its tip.
 4. Heartbeat sequence numbers must never regress below what this reader
    has already seen (anti-rollback: a stale replica can lag, but a
    *response* claiming an older history than the reader's own frontier

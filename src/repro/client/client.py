@@ -31,7 +31,7 @@ from typing import Any, Callable, Generator
 
 from repro.capsule.capsule import DataCapsule, run_from_wire, run_wire
 from repro.capsule.heartbeat import Heartbeat
-from repro.capsule.proofs import PositionProof, RangeProof
+from repro.capsule.proofs import RangeProof
 from repro.capsule.reader import VerifyingReader
 from repro.capsule.records import Record
 from repro.capsule.writer import CapsuleWriter, QuasiWriter
@@ -239,101 +239,94 @@ class GdpClient(Endpoint):
 
     # -- reads --------------------------------------------------------------
 
-    def read(
-        self, capsule: GdpName, seqno: int, *, timeout: float | None = 30.0
-    ) -> Generator:
-        """Read one record with proof verification; returns a
-        :class:`ReadResult` (``.record`` is the verified record)."""
-        start = self.ctx.now
-        yield from self.fetch_metadata(capsule)
-        reader = self._reader(capsule)
-        body, server = yield from self.failover_request(
-            capsule,
-            {"op": "read", "capsule": capsule.raw, "seqno": seqno},
-            timeout=timeout,
-        )
-        record = Record.from_wire(capsule, body["record"])
-        proof = PositionProof.from_wire(body["proof"])
-        if self.verify:
-            record = reader.accept_record(record, proof)
-        return ReadResult(
-            [record],
-            proof=proof,
-            server=server,
-            rtt=self.ctx.now - start,
-        )
-
-    def read_range(
+    def _read(
         self,
         capsule: GdpName,
-        first: int,
-        last: int,
+        first: int | None,
+        last: int | None,
         *,
-        timeout: float | None = 120.0,
+        timeout: float | None,
+        server: GdpName | None = None,
     ) -> Generator:
-        """Read a verified contiguous range; returns a
-        :class:`ReadResult` whose ``.records`` covers the range.  A
-        server answers a long range with a byte-capped prefix, so this
-        continues after the last record served until the range is
-        covered; every piece is verified against its own proof."""
+        """The one read: ``read_range`` requests until ``first..last`` is
+        covered (a server answers a long range with a byte-capped
+        prefix), each piece checked to continue the range — so no reply
+        can answer with another record — and verified against its own
+        range proof.  ``last`` None reads through the tip the first
+        reply's proof is anchored at, checked for freshness unless
+        *server* names the one replica to ask; ``first`` None is
+        ``last``.  Returns a :class:`ReadResult`, or None when an
+        open-ended read finds no heartbeat."""
         start = self.ctx.now
         yield from self.fetch_metadata(capsule)
         reader = self._reader(capsule)
         records: list[Record] = []
         while True:
-            body, server = yield from self.failover_request(
-                capsule,
-                {
-                    "op": "read_range",
-                    "capsule": capsule.raw,
-                    "first": first,
-                    "last": last,
-                },
-                timeout=timeout,
-            )
+            request = {"op": "read_range", "capsule": capsule.raw}
+            if first is not None:
+                request["first"] = first
+            if last is not None:
+                request["last"] = last
+            if server is None:
+                body, answered = yield from self.failover_request(
+                    capsule, request, timeout=timeout
+                )
+            else:
+                corr_id, future = self.request(server, request, timeout=timeout)
+                body, signer = self._open(
+                    (yield future), corr_id=corr_id, capsule=capsule
+                )
+                body, answered = self._ok(body), signer or server
             piece = [Record.from_wire(capsule, w) for w in body["records"]]
-            proof = RangeProof.from_wire(body["proof"])
+            if not piece and last is None:
+                return None  # no heartbeat: nothing written yet
+            proof = RangeProof.from_wire(body.get("proof"))
+            fresh = last is None and server is None
+            if last is None:
+                last = proof.position.heartbeat.seqno
+            if first is None:
+                first = last
             if not piece or piece[0].seqno != first or piece[-1].seqno > last:
                 raise IntegrityError(
                     f"range reply does not continue [{first}, {last}]"
                 )
             if self.verify:
+                if fresh:
+                    reader.check_freshness(proof.position.heartbeat)
                 piece = reader.accept_range(piece, proof)
             records += piece
             first = piece[-1].seqno + 1
             if first > last:
-                break
-        return ReadResult(
-            records,
-            proof=proof,
-            server=server,
-            rtt=self.ctx.now - start,
-        )
+                return ReadResult(
+                    records, proof=proof, server=answered, rtt=self.ctx.now - start
+                )
+
+    def read(
+        self, capsule: GdpName, seqno: int, *, timeout: float | None = 30.0
+    ) -> Generator:
+        """Read one record — a one-record range; returns a
+        :class:`ReadResult` (``.record`` is the verified record)."""
+        return (yield from self._read(capsule, seqno, seqno, timeout=timeout))
+
+    def read_range(
+        self,
+        capsule: GdpName,
+        first: int,
+        last: int | None = None,
+        *,
+        timeout: float | None = 120.0,
+    ) -> Generator:
+        """Read a verified contiguous range, through the tip when *last*
+        is None; returns a :class:`ReadResult` whose ``.records`` covers
+        the range (None for an open range of a capsule not yet written)."""
+        return (yield from self._read(capsule, first, last, timeout=timeout))
 
     def read_latest(
         self, capsule: GdpName, *, timeout: float | None = 30.0
     ) -> Generator:
-        """Read the newest record; returns a :class:`ReadResult` (or
-        None for an empty capsule)."""
-        start = self.ctx.now
-        yield from self.fetch_metadata(capsule)
-        reader = self._reader(capsule)
-        body, server = yield from self.failover_request(
-            capsule, {"op": "latest", "capsule": capsule.raw}, timeout=timeout
-        )
-        if body.get("empty"):
-            return None
-        record = Record.from_wire(capsule, body["record"])
-        proof = PositionProof.from_wire(body["proof"])
-        if self.verify:
-            reader.check_freshness(proof.heartbeat)
-            record = reader.accept_record(record, proof)
-        return ReadResult(
-            [record],
-            proof=proof,
-            server=server,
-            rtt=self.ctx.now - start,
-        )
+        """Read the newest record — the range of one at the tip; returns
+        a :class:`ReadResult` (or None for an empty capsule)."""
+        return (yield from self._read(capsule, None, None, timeout=timeout))
 
     def read_latest_strict(
         self,
@@ -359,44 +352,24 @@ class GdpClient(Endpoint):
             raise CapsuleError("strict read needs the replica list")
         start = self.ctx.now
         yield from self.fetch_metadata(capsule)
-        reader = self._reader(capsule)
-        pending = []
-        for server in servers:
-            corr_id, future = self.request(
-                server,
-                {"op": "latest", "capsule": capsule.raw},
-                timeout=timeout,
+        reads = [
+            self.ctx.spawn(
+                self._read(capsule, None, None, timeout=timeout, server=server)
             )
-            pending.append((server, corr_id, future))
-        best: Record | None = None
-        best_proof: PositionProof | None = None
-        best_server: GdpName | None = None
-        for server, corr_id, future in pending:
+            for server in servers
+        ]
+        best: ReadResult | None = None
+        for read in reads:
             # Any failure here (timeout, no-route, refusal) propagates:
             # strict mode must not silently drop a replica's answer.
-            wrapped = yield future
-            body, signer = self._open(
-                wrapped, corr_id=corr_id, capsule=capsule
-            )
-            if self._ok(body).get("empty"):
-                continue
-            record = Record.from_wire(capsule, body["record"])
-            proof = PositionProof.from_wire(body["proof"])
-            if self.verify:
-                proof.verify_record(record, reader.capsule.writer_key)
-            if best is None or record.seqno > best.seqno:
-                best, best_proof = record, proof
-                best_server = signer or server
-        if best is None:
-            return None
-        if self.verify and best_proof is not None:
-            reader.accept_record(best, best_proof)
-        return ReadResult(
-            [best],
-            proof=best_proof,
-            server=best_server,
-            rtt=self.ctx.now - start,
-        )
+            result = yield read.completion
+            if result is not None and (
+                best is None or result.record.seqno > best.record.seqno
+            ):
+                best = result
+        if best is not None:
+            best.rtt = self.ctx.now - start
+        return best
 
     # -- writes ---------------------------------------------------------------
 
@@ -470,7 +443,7 @@ class GdpClient(Endpoint):
                 continue  # a hole the fleet lost: tolerated, not fatal
             record = result.record
             if sub.deliver(record.seqno):
-                sub.callback(record, result.proof.heartbeat)
+                sub.callback(record, result.proof.position.heartbeat)
         return from_seqno
 
     def resync_subscriptions(self) -> Generator:

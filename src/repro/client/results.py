@@ -22,8 +22,8 @@ class ReadResult:
 
     Attributes:
         records: every verified record returned (one for point reads).
-        proof: the position/range proof the records verified against
-            (``None`` when the client runs with ``verify=False``).
+        proof: the range proof the last piece verified against (one
+            record long for a point read; unchecked under ``verify=False``).
         server: the :class:`~repro.naming.names.GdpName` of the replica
             that answered (``None`` for unsigned/HMAC-less responses).
         rtt: observed request round-trip time in simulated seconds.

@@ -1,7 +1,7 @@
 """Typed op dispatch: decorator-registered handlers + structured errors.
 
 Every GDP node role serves request "ops" carried in PDU payloads
-(``{"op": "append", ...}``).  Before this layer each role invented its
+(``{"op": "read_range", ...}``).  Before this layer each role invented its
 own convention — ``DCServer`` resolved ``getattr(self, f"_op_{op}")``,
 the baselines chained ``if op == ...``, the router ``if``/``elif``-ed on
 PDU types.  Here handlers declare themselves:
@@ -9,8 +9,8 @@ PDU types.  Here handlers declare themselves:
 .. code-block:: python
 
     class MyServer(Endpoint):
-        @op("read", capsule=bytes, seqno=int)
-        def _op_read(self, pdu, payload): ...
+        @op("read_range", capsule=bytes, first=opt(int), last=opt(int))
+        def _op_read_range(self, pdu, payload): ...
 
 and dispatch is uniform: the payload is validated against the declared
 field types first, unknown ops and validation failures return structured

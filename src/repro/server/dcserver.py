@@ -22,9 +22,9 @@ Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 ``replicate_batch``  the same run, sibling to sibling
                (both write ops: one ``DataCapsule.admit`` of the run,
                one ``append_entries``, one push of the run per subscriber)
-``read``       one record + position proof
-``read_range`` contiguous records + range proof
-``latest``     newest heartbeat + tip record
+``read_range`` the one read op: records ``first..last`` + range proof;
+               ``last`` omitted reads through the tip, ``first``
+               omitted is ``last`` (a point read is a range of one)
 ``metadata``   capsule metadata + this server's delegation chain
 ``subscribe``  register the requester for future pushes
 ``unsubscribe``
@@ -41,7 +41,7 @@ from typing import Any
 
 from repro.capsule.capsule import DataCapsule, run_from_wire, run_wire
 from repro.capsule.heartbeat import Heartbeat
-from repro.capsule.proofs import build_position_proof, build_range_proof
+from repro.capsule.proofs import build_range_proof
 from repro.capsule.records import Record
 from repro.crypto.hmac_session import Handshake, SessionKey
 from repro.crypto.keys import SigningKey, VerifyingKey
@@ -502,57 +502,36 @@ class DataCapsuleServer(Endpoint):
         check_done()
         return result
 
-    @op("read", capsule=bytes, seqno=int)
-    def _op_read(self, pdu: Pdu, payload: dict) -> dict:
-        hosted = self._hosted(payload)
-        seqno = payload["seqno"]
-        record = hosted.capsule.get(seqno)
-        proof = build_position_proof(hosted.capsule, seqno)
-        self._c_reads.inc()
-        return {
-            "ok": True,
-            "record": record.to_wire(),
-            "proof": proof.to_wire(),
-        }
-
-    @op("read_range", capsule=bytes, first=int, last=int)
+    @op("read_range", capsule=bytes, first=opt(int), last=opt(int))
     def _op_read_range(self, pdu: Pdu, payload: dict) -> dict:
-        """Answers with a prefix of the range: records up to
+        """The one read op: records ``first..last`` under a range proof
+        anchored at the newest heartbeat.  ``last`` omitted reads through
+        that heartbeat's record, and ``first`` omitted is ``last``; with
+        no heartbeat yet an open-ended read answers no records.  A long
+        range is answered with a prefix: records up to
         ``MAX_RANGE_REPLY_BYTES`` (always at least one) and a proof for
         exactly those; the reader continues after the last one served."""
-        hosted = self._hosted(payload)
-        first, last = payload["first"], payload["last"]
+        capsule = self._hosted(payload).capsule
+        last = payload.get("last")
+        if last is None:
+            if capsule.latest_heartbeat is None:
+                return {"ok": True, "records": []}
+            last = capsule.latest_heartbeat.seqno
         records = []
         payload_room = MAX_RANGE_REPLY_BYTES
         framing_room = MAX_RANGE_REPLY_BYTES // 2
-        for record in hosted.capsule.read_range(first, last):
+        for record in capsule.read_range(payload.get("first", last), last):
             payload_room -= len(record.payload)
             # 64 B bounds the encoded seqno and each encoded pointer
             framing_room -= 64 * (1 + len(record.pointers))
             if records and (payload_room < 0 or framing_room < 0):
                 break
             records.append(record)
-        proof = build_range_proof(hosted.capsule, first, records[-1].seqno)
+        proof = build_range_proof(capsule, records[0].seqno, records[-1].seqno)
         self._c_reads.inc()
         return {
             "ok": True,
             "records": [r.to_wire() for r in records],
-            "proof": proof.to_wire(),
-        }
-
-    @op("latest", capsule=bytes)
-    def _op_latest(self, pdu: Pdu, payload: dict) -> dict:
-        hosted = self._hosted(payload)
-        heartbeat = hosted.capsule.latest_heartbeat
-        if heartbeat is None:
-            return {"ok": True, "empty": True}
-        record = hosted.capsule.get_by_digest(heartbeat.digest)
-        proof = build_position_proof(hosted.capsule, record.seqno)
-        self._c_reads.inc()
-        return {
-            "ok": True,
-            "record": record.to_wire(),
-            "heartbeat": heartbeat.to_wire(),
             "proof": proof.to_wire(),
         }
 

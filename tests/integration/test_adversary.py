@@ -59,7 +59,12 @@ class TestOnPathAttacks:
             try:
                 corr_id, future = g.reader_client.request(
                     metadata.name,
-                    {"op": "read", "capsule": metadata.name.raw, "seqno": 1},
+                    {
+                        "op": "read_range",
+                        "capsule": metadata.name.raw,
+                        "first": 1,
+                        "last": 1,
+                    },
                     timeout=3.0,
                 )
                 with pytest.raises(TimeoutError_):

@@ -159,3 +159,29 @@ class TestAuditedLog:
         )
         with pytest.raises(IntegrityError):
             hostile.verify(log.name, g.writer_key.public)
+
+    def test_substituted_summary_is_refused(self, audit_log, monkeypatch):
+        """A replica asked for summary 2 (seqno 10) answers with summary
+        1 (seqno 5) under its genuine proof: the summary read refuses a
+        reply that is not the record it asked for."""
+        g, log = audit_log
+        server = g.server_edge
+        honest = server.on_request
+
+        def substitute(pdu):
+            for field in ("first", "last"):
+                if pdu.payload.get(field) == 10:
+                    pdu.payload[field] = 5
+            return honest(pdu)
+
+        def scenario():
+            yield from g.bootstrap()
+            yield from log.create()
+            for i in range(8):
+                yield from log.append(b"entry-%d" % i)
+            monkeypatch.setattr(server, "on_request", substitute)
+            with pytest.raises(IntegrityError, match="does not continue"):
+                yield from log.audit_entry(6)
+            return True
+
+        assert g.run(scenario())

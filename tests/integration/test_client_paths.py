@@ -209,6 +209,157 @@ class TestLongRangeReads:
 
         assert g.run(scenario())
 
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_point_read_answered_with_another_record_is_rejected(
+        self, mini_gdp, monkeypatch, verify
+    ):
+        """A delegated replica asked for record 5 serves record 3 under
+        its genuine proof: the reply does not continue the one-record
+        range, so it is refused, verified reader or not."""
+        from repro.errors import IntegrityError
+
+        g = mini_gdp
+        server = g.server_edge
+        honest = server.on_request
+
+        def substitute(pdu):
+            for field in ("first", "last"):
+                if pdu.payload.get(field) == 5:
+                    pdu.payload[field] = 3
+            return honest(pdu)
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[server.metadata])
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(1, 6):
+                yield from writer.append(b"rec-%d" % i)
+            yield from g.reader_client.fetch_metadata(metadata.name)
+            monkeypatch.setattr(server, "on_request", substitute)
+            g.reader_client.verify = verify
+            with pytest.raises(IntegrityError, match=r"continue \[5, 5\]"):
+                yield from g.reader_client.read(metadata.name, 5)
+            return True
+
+        assert g.run(scenario())
+
+    def test_range_past_the_tip_gets_a_short_refusal(self, mini_gdp):
+        """An unauthenticated request for ten million records of a
+        three-record capsule is refused in one line naming the tip — no
+        per-seqno walk, no reply over the frame limit."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_edge.metadata])
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(3):
+                yield from writer.append(b"r%d" % i)
+            reply = yield g.reader_client.rpc(
+                g.server_edge.name,
+                {
+                    "op": "read_range",
+                    "capsule": metadata.name.raw,
+                    "first": 1,
+                    "last": 10**7,
+                },
+            )
+            return reply.get("body", reply)
+
+        body = g.run(scenario())
+        assert not body["ok"]
+        assert body["error"].endswith("range [1, 10000000] is past the tip 3")
+        assert len(body["error"]) < 100
+
+    def test_freshness_is_checked_on_open_ended_reads_only(self, mini_gdp):
+        """Once the reader has verified heartbeat 3, a replica anchored
+        at heartbeat 2 still serves records 1..2 — they are immutable —
+        but its answer to a read through the tip is stale."""
+        from repro.capsule import DataCapsule
+        from repro.errors import IntegrityError
+
+        g = mini_gdp
+        reader = g.reader_client
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_edge.metadata])
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(3):
+                yield from writer.append(b"r%d" % i)
+            assert (yield from reader.read_latest(metadata.name)).record.seqno == 3
+            hosted = g.server_edge.hosted[metadata.name]
+            stale = DataCapsule(metadata)
+            for seqno in (1, 2):
+                stale.admit(
+                    [hosted.capsule.get(seqno)], hosted.capsule.heartbeats_at(seqno)[0]
+                )
+            hosted.capsule = stale
+            point = yield from reader.read(metadata.name, 2)
+            fixed = yield from reader.read_range(metadata.name, 1, 2)
+            for open_ended in (
+                reader.read_latest(metadata.name),
+                reader.read_range(metadata.name, 1),
+            ):
+                with pytest.raises(IntegrityError, match="stale response"):
+                    yield from open_ended
+            return point, fixed
+
+        point, fixed = g.run(scenario())
+        assert point.proof.position.heartbeat.seqno == 2
+        assert [r.payload for r in fixed.records] == [b"r0", b"r1"]
+
+    def test_open_ended_range_reads_through_the_tip(self, mini_gdp):
+        """``read_range(name, first)`` is one request answered through
+        the newest heartbeat; a capsule with none answers None."""
+        g = mini_gdp
+        reader = g.reader_client
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_edge.metadata])
+            empty = yield from reader.read_range(metadata.name, 1)
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(4):
+                yield from writer.append(b"r%d" % i)
+            served = g.server_edge.metrics.counter("server.reads")
+            before = served.value
+            tail = yield from reader.read_range(metadata.name, 2)
+            return empty, tail, served.value - before
+
+        empty, tail, requests = g.run(scenario())
+        assert empty is None
+        assert [r.seqno for r in tail.records] == [2, 3, 4]
+        assert tail.proof.position.heartbeat.seqno == 4
+        assert requests == 1
+
+    def test_point_and_tip_ops_are_gone(self, mini_gdp):
+        """A verified range is the one read shape: ``read`` and
+        ``latest`` are gone from the registry and answer ``unknown_op``."""
+        from repro.runtime.dispatch import op_names
+        from repro.server import DataCapsuleServer
+
+        names = set(op_names(DataCapsuleServer))
+        assert "read_range" in names
+        assert not {"read", "latest"} & names
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(servers=[g.server_edge.metadata])
+            bodies = []
+            for request in (
+                {"op": "read", "seqno": 1},
+                {"op": "latest"},
+            ):
+                request["capsule"] = metadata.name.raw
+                reply = yield g.reader_client.rpc(g.server_edge.name, request)
+                bodies.append(reply.get("body", reply))
+            return bodies
+
+        bodies = g.run(scenario())
+        assert [b.get("error_kind") for b in bodies] == ["unknown_op"] * 2
+
 
 class TestKvStoreEdgeCases:
     def test_full_replay_fallback_without_snapshot(self, mini_gdp):

@@ -33,17 +33,26 @@ from repro.simtest import run_episode
 #: keeps its event count and outcome; only PDU sizes and the timestamps
 #: they shift move (and, in ``dht_churn`` 13, three push/request pairs
 #: that now land in the other order).
+#:
+#: Every read is a ``read_range``: a point read asks for ``first`` and
+#: ``last`` (15 B more than ``read``) and its reply wraps the position
+#: proof in a range proof (36 B more); a tip read omits both bounds (4 B
+#: more than ``latest``) and its reply drops the heartbeat the proof
+#: already carries (≈ 165 B less); an empty capsule answers
+#: ``records: []`` (2 B more than ``empty``) and a read past the tip is
+#: refused as such (4 B less of error text).  Every pin keeps its event
+#: sequence and outcome; only PDU sizes and the timestamps they shift move.
 REFERENCE_EPISODES = [
     (7, "default", True,
-     "24c41c2d935ac58f556af54afa7f8a445dcf4dca41e575f48670a13ae358166f"),
+     "28d02bb24e1fe1451e8b1c481008c911ec07f9eb153f15c2215ccfce4abf29a6"),
     (42, "default", True,
-     "1cd6b1c1a755053bdaf2e574f5cdbf112ac48080c54ce245386de588669ac17d"),
+     "e5cbf3bf7eba0af02ffe13921b467c53514f686a3c32b85ebbfdc5c6a4bcac9e"),
     (6, "dht_churn", True,
-     "fed12c1c25960db5faf93aa676ea817851ec802f48d35ba06e5f8c47b330fade"),
+     "9f69fe356d7ad6b7e58df0effa80ee67108159fd39a947f9890835c09c29b8f4"),
     (13, "dht_churn", True,
-     "c5005ebc924532c40b091f77fff8e372a892b719221433b68725fc4d5a1b6541"),
+     "a4528b21cedeb6619703c2c72573be0566764bb2e5611ab33137a9c0df541ea4"),
     (4, "dht_root", True,
-     "caac3eefc59809c9c585ff3c1755cdce97027d987d4ff407ce3cdf5e8cf9c7cc"),
+     "086af8330bc20f016ac3a6a38d3663d3db67e6b5470885185ce57a17322d22c0"),
 ]
 
 

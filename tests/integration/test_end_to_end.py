@@ -166,9 +166,14 @@ class TestResponseSecurity:
             yield from g.reader_client.establish_session(g.server_root.name)
             body = yield from g.reader_client.session_request(
                 g.server_root.name,
-                {"op": "read", "capsule": metadata.name.raw, "seqno": 1},
+                {
+                    "op": "read_range",
+                    "capsule": metadata.name.raw,
+                    "first": 1,
+                    "last": 1,
+                },
             )
-            return body["record"]["payload"]
+            return body["records"][0]["payload"]
 
         assert g.run(scenario()) == b"x"
 

@@ -78,9 +78,14 @@ class TestNetworkedQswRecovery:
             yield from sync_once(
                 g.server_edge, metadata.name, g.server_root.name
             )
-            return metadata
+            # A tip read of the branched capsule answers the record the
+            # newest heartbeat signs, taken by its digest.
+            latest = yield from g.reader_client.read_latest(metadata.name)
+            return metadata, latest
 
-        metadata = g.run(scenario())
+        metadata, latest = g.run(scenario())
+        assert latest.record.seqno == 2
+        assert latest.record.digest == latest.proof.position.heartbeat.digest
         edge_capsule = g.server_edge.hosted[metadata.name].capsule
         root_capsule = g.server_root.hosted[metadata.name].capsule
         # Converged record sets.

@@ -133,13 +133,19 @@ class TestTableI:
             # Ask the bystander directly, by its own name.
             reply = yield g.reader_client.rpc(
                 bystander.name,
-                {"op": "read", "capsule": metadata.name.raw, "seqno": 1},
+                {
+                    "op": "read_range",
+                    "capsule": metadata.name.raw,
+                    "first": 1,
+                    "last": 1,
+                },
             )
             body = reply.get("body", reply)
             return body
 
         body = g.run(scenario())
         assert not body.get("ok")
+        assert "not hosted" in body["error"]
 
     def test_secure_routing(self, mini_gdp):
         """Names cannot be claimed without proof: covered in detail by

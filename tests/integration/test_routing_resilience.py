@@ -212,7 +212,7 @@ class TestNegativeCache:
 
         def probe():
             corr_id, future = g.reader_client.request(
-                ghost, {"op": "read", "capsule": ghost.raw}, timeout=2.0
+                ghost, {"op": "read_range", "capsule": ghost.raw}, timeout=2.0
             )
             try:
                 yield future

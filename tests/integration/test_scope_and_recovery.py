@@ -138,7 +138,12 @@ class TestCrashRecovery:
             g.server_root.crash()
             corr_id, future = g.reader_client.request(
                 metadata.name,
-                {"op": "read", "capsule": metadata.name.raw, "seqno": 1},
+                {
+                    "op": "read_range",
+                    "capsule": metadata.name.raw,
+                    "first": 1,
+                    "last": 1,
+                },
                 timeout=2.0,
             )
             with pytest.raises(TimeoutError_):

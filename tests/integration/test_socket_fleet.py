@@ -83,6 +83,12 @@ class TestSocketFleet:
             assert [r.payload for r in result.records] == [
                 b"record-%d" % i for i in range(5)
             ]
+            # The one read op with its open bounds: through the tip.
+            latest = yield from client.read_latest(metadata.name)
+            assert latest.record.payload == b"record-4"
+            assert latest.proof.position.heartbeat.seqno == 5
+            tail = yield from client.read_range(metadata.name, 1)
+            assert tail.records == result.records
             return metadata
 
         metadata = ctx.run_process(scenario(), "smoke")

@@ -132,9 +132,18 @@ class TestReads:
         for record in records:
             if record.seqno != 3:
                 sparse.insert(record, enforce_strategy=False)
-        with pytest.raises(HoleError):
+        with pytest.raises(HoleError, match=r"1 missing, the first at 3$"):
             sparse.read_range(1, 5)
         assert sparse.holes() == [3]
+
+    def test_read_range_past_the_tip_is_refused_without_a_scan(
+        self, filled_capsule
+    ):
+        """A range ending past the tip is refused up front, naming the
+        tip — no walk over the seqnos it asks for."""
+        tip = filled_capsule.last_seqno
+        with pytest.raises(RecordNotFoundError, match=f"past the tip {tip}$"):
+            filled_capsule.read_range(1, 10**15)
 
     def test_get_by_digest(self, filled_capsule):
         record = filled_capsule.get(5)

@@ -459,6 +459,9 @@ class TestGrepGuard:
         # pushes with a server-built proof, beside the run
         "def _op_append(", "def _op_replicate(", "def _push_proof",
         "def accept_pushed",
+        # the second and third read shapes: a point read and a tip read
+        # beside the one verified range
+        "def _op_read(", "def _op_latest(",
     )
 
     def test_back_compat_layer_stays_deleted(self):

@@ -27,6 +27,11 @@ def setup(capsule_factory, writer_key):
     return capsule, writer, reader
 
 
+def one(capsule, seqno):
+    """A one-record range and its proof — the shape every read takes."""
+    return [capsule.get(seqno)], build_range_proof(capsule, seqno, seqno)
+
+
 class TestMetadataBootstrap:
     def test_accept_genuine(self, setup):
         capsule, _, reader = setup
@@ -55,6 +60,8 @@ class TestMetadataBootstrap:
 
 class TestRecordAcceptance:
     def test_accept_valid(self, setup, writer_key):
+        """``accept_record`` is no read's way in any more; this keeps
+        the one entry point that still takes a bare position proof."""
         capsule, _, reader = setup
         reader.accept_metadata(capsule.metadata)
         proof = build_position_proof(capsule, 7)
@@ -65,14 +72,14 @@ class TestRecordAcceptance:
     def test_reject_tampered_record(self, setup):
         capsule, _, reader = setup
         reader.accept_metadata(capsule.metadata)
-        proof = build_position_proof(capsule, 7)
+        _, proof = one(capsule, 7)
         from repro.capsule.records import Record
 
         forged = Record(
             capsule.name, 7, b"EVIL", capsule.get(7).pointers
         )
         with pytest.raises(IntegrityError):
-            reader.accept_record(forged, proof)
+            reader.accept_range([forged], proof)
 
     def test_accept_range(self, setup):
         capsule, _, reader = setup
@@ -95,9 +102,7 @@ class TestFreshness:
         capsule, _, reader = setup
         reader.accept_metadata(capsule.metadata)
         # Reader sees the latest state first.
-        reader.accept_record(
-            capsule.get(15), build_position_proof(capsule, 15)
-        )
+        reader.accept_range(*one(capsule, 15))
         # A stale replica answers anchored at heartbeat 10.
         old_hb = next(hb for hb in capsule.heartbeats() if hb.seqno == 10)
         with pytest.raises(IntegrityError):
@@ -106,19 +111,17 @@ class TestFreshness:
     def test_equal_frontier_accepted(self, setup):
         capsule, _, reader = setup
         reader.accept_metadata(capsule.metadata)
-        proof = build_position_proof(capsule, 15)
-        reader.accept_record(capsule.get(15), proof)
-        reader.check_freshness(proof.heartbeat)  # same seqno: fine
+        records, proof = one(capsule, 15)
+        reader.accept_range(records, proof)
+        reader.check_freshness(proof.position.heartbeat)  # same seqno: fine
 
     def test_frontier_advances_monotonically(self, setup, writer_key):
         capsule, writer, reader = setup
         reader.accept_metadata(capsule.metadata)
-        reader.accept_record(capsule.get(5), build_position_proof(capsule, 5))
+        reader.accept_range(*one(capsule, 5))
         first_frontier = reader.frontier.seqno
         writer.append(b"new")
-        reader.accept_record(
-            capsule.get(16), build_position_proof(capsule, 16)
-        )
+        reader.accept_range(*one(capsule, 16))
         assert reader.frontier.seqno == 16 > first_frontier
 
 
@@ -136,11 +139,9 @@ class TestEquivocationAtReader:
         fork_writer.append(b"DIVERGED")
         reader = VerifyingReader(capsule.name)
         reader.accept_metadata(capsule.metadata)
-        reader.accept_record(capsule.get(3), build_position_proof(capsule, 3))
+        reader.accept_range(*one(capsule, 3))
         with pytest.raises(EquivocationError):
-            reader.accept_record(
-                fork.get(3), build_position_proof(fork, 3)
-            )
+            reader.accept_range(*one(fork, 3))
 
     def test_qsw_fork_tolerated(self, capsule_factory, writer_key):
         capsule = capsule_factory("chain", mode="qsw")
@@ -154,7 +155,7 @@ class TestEquivocationAtReader:
         fork_writer.append(b"DIVERGED")
         reader = VerifyingReader(capsule.name)
         reader.accept_metadata(capsule.metadata)
-        reader.accept_record(capsule.get(3), build_position_proof(capsule, 3))
+        reader.accept_range(*one(capsule, 3))
         # Same evidence, declared-QSW capsule: branch, not equivocation.
-        reader.accept_record(fork.get(3), build_position_proof(fork, 3))
+        reader.accept_range(*one(fork, 3))
         assert reader.capsule.is_branched()

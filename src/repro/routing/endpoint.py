@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import RoutingError, TimeoutError_, TransportError
+from repro.errors import (
+    RoutingError, TimeoutError_, TransportError, WireFormatError,
+)
 from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
 from repro.crypto.keys import SigningKey
@@ -315,7 +317,15 @@ class Endpoint(Node):
             return
 
         def reply(payload: Any) -> None:
-            self.send_pdu(pdu.response(pdutypes.T_RESPONSE, payload))
+            try:
+                self.send_pdu(pdu.response(pdutypes.T_RESPONSE, payload))
+            except WireFormatError as exc:
+                # A reply too large to frame must not escape the delivery
+                # path: the requester gets a short refusal, not a hang.
+                self.send_pdu(pdu.response(
+                    pdutypes.T_RESPONSE,
+                    {"ok": False, "error": f"reply not sent: {exc}"},
+                ))
 
         if isinstance(result, Future):
             result.add_callback(

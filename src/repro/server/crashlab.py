@@ -133,7 +133,6 @@ class ScheduleConfig:
     hot_segments: int = 1
     compact_every: int = 0  # explicit compact() every N appends (0: off)
     fsync_policy: str = "always"
-    sync_index: bool = True
 
 
 @dataclass
@@ -160,7 +159,6 @@ def _make_store(
         segment_bytes=config.segment_bytes,
         hot_segments=config.hot_segments,
         tier=tier,
-        sync_index=config.sync_index,
         crash_hook=hook,
     )
 

@@ -76,7 +76,8 @@ MAX_SYNC_RANGES = 64
 #: default reply budget for sync_fetch_batch (bytes of records+heartbeats)
 DEFAULT_SYNC_BATCH_BYTES = 64 * 1024
 
-#: payload bytes one read_range reply carries — half a transport frame
+#: payload bytes one read_range reply carries (and the most a
+#: sync_fetch_batch may ask for) — half a transport frame
 #: (``DEFAULT_MAX_FRAME``); record framing may take a quarter more, which
 #: leaves the last quarter to the proof and the signed envelope
 MAX_RANGE_REPLY_BYTES = 8 * 1024 * 1024
@@ -109,7 +110,6 @@ class DataCapsuleServer(Endpoint):
         *,
         key: SigningKey | None = None,
         storage: StorageBackend | None = None,
-        sign_responses: bool = True,
         lease_ttl: float | None = None,
     ):
         key = key or SigningKey.from_seed(b"server:" + node_id.encode())
@@ -118,7 +118,6 @@ class DataCapsuleServer(Endpoint):
         )
         super().__init__(network, node_id, metadata, key, lease_ttl=lease_ttl)
         self.storage = storage if storage is not None else MemoryStore()
-        self.sign_responses = sign_responses
         self.hosted: dict[GdpName, HostedCapsule] = {}
         self._sessions: dict[GdpName, SessionKey] = {}
         # (client, corr_id) pairs whose response must stay signed even
@@ -353,8 +352,6 @@ class DataCapsuleServer(Endpoint):
     def _wrap(self, pdu: Pdu, capsule: GdpName | None, body: Any) -> Any:
         """Apply the secure-response envelope (HMAC if a session exists,
         signature otherwise)."""
-        if not self.sign_responses:
-            return body
         session = self._sessions.get(pdu.src)
         if session is not None and (pdu.src, pdu.corr_id) not in self._sign_anyway:
             return mac_response(session, pdu.src, pdu.corr_id, body)
@@ -693,12 +690,16 @@ class DataCapsuleServer(Endpoint):
         """Size-capped record transfer: records + their heartbeats for
         the requested seqnos, in request order, stopping once the reply
         would exceed ``max_bytes`` (always serving at least one seqno so
-        the requester makes progress).  ``served`` lists the seqnos
-        actually processed; the requester re-queues the rest."""
+        the requester makes progress).  The requester picks ``max_bytes``,
+        so it is clamped to ``MAX_RANGE_REPLY_BYTES``: the reply must fit
+        one transport frame.  ``served`` lists the seqnos actually
+        processed; the requester re-queues the rest."""
         hosted = self._hosted(payload)
-        max_bytes = payload.get("max_bytes") or DEFAULT_SYNC_BATCH_BYTES
+        budget = min(
+            payload.get("max_bytes") or DEFAULT_SYNC_BATCH_BYTES,
+            MAX_RANGE_REPLY_BYTES,
+        )
         records, heartbeats, served = [], [], []
-        budget = max_bytes
         for seqno in payload["seqnos"]:
             seqno = int(seqno)
             entry_records = [

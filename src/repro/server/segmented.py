@@ -13,18 +13,22 @@ organising each capsule as a sequence of *segments*:
   to the last intact frame (logged once in :attr:`recovery_log`).
 - When the active segment reaches ``segment_bytes`` it is **sealed**:
   fsynced, made immutable, and described by a sidecar ``.idx`` document
-  holding a sparse seqno→offset index (point reads without a scan) and
-  the per-seqno record digests that feed the PR-4 Merkle sync index —
-  so anti-entropy and restart never re-derive digests from history.
+  holding the per-seqno record digests that feed the Merkle sync
+  index — so a restart seeds anti-entropy from disk and cross-checks
+  the replayed records against it instead of re-deriving digests.
 - Sealed segments are **compacted** when they fall entirely below the
   capsule's last *checkpoint* record (``note_checkpoint``): adjacent
   segments merge into one and superseded heartbeats are dropped
   (records are never dropped — the hash chain must re-verify).
 - Cold sealed segments beyond the ``hot_segments`` newest are
   **tiered** to an object store (the ``baselines/s3sim`` shape: a
-  flat key→blob PUT/GET/DELETE service) and read back transparently
-  through an LRU byte-budgeted cache; the ``.idx`` stays local so point
-  reads know which cold object to fetch.
+  flat key→blob PUT/GET/DELETE service); a replay GETs each one once,
+  and the ``.idx`` stays local so the sync leaves never need a GET.
+
+The server serves every read from its in-memory replica; the store is
+read only when a restart replays it (:meth:`SegmentedStore.load_entries`
+and :meth:`SegmentedStore.sync_leaves`), so it keeps no point-read
+index and no cross-call read cache.
 
 Durability state machine (every mutation is crash-safe at each arrow;
 the torture suite in ``tests/torture/`` kills the store at every named
@@ -71,32 +75,18 @@ _MAGIC = b"GDPSEG1\n"
 _FRAME = struct.Struct(">BII")  # tag byte, payload length, crc32(payload)
 _MANIFEST = "MANIFEST"
 
-#: one sparse seqno→offset index entry per this many in-order records
-_SPARSE_EVERY = 64
 #: un-fsynced appends leave user space once this many bytes are buffered
 _FLUSH_BYTES = 64 * 1024
 #: automatic compaction waits for a run of at least this many segments
 _COMPACT_MIN_SEGMENTS = 4
 
-#: sidecar-index packing: (seqno, file offset) pairs and
-#: (seqno, digest count) leaf headers.  The sidecar carries one leaf
-#: entry per record, so these fields are packed ``struct`` runs instead
-#: of canonically-encoded lists — at bench scale (tens of thousands of
-#: records per segment) canonical encoding was the dominant seal cost.
-_IDX_PAIR = struct.Struct(">QQ")
+#: sidecar-index packing: a (seqno, digest count) header, then that
+#: many digests.  The sidecar carries one leaf entry per record, so the
+#: leaves are a packed ``struct`` run instead of a canonically-encoded
+#: list — at bench scale (tens of thousands of records per segment)
+#: canonical encoding was the dominant seal cost.
 _IDX_LEAF = struct.Struct(">QH")
 _DIGEST_LEN = 32
-
-
-def _pack_pairs(pairs) -> bytes:
-    return b"".join(_IDX_PAIR.pack(s, o) for s, o in pairs)
-
-
-def _unpack_pairs(blob: bytes) -> list[tuple[int, int]]:
-    return [
-        _IDX_PAIR.unpack_from(blob, i)
-        for i in range(0, len(blob), _IDX_PAIR.size)
-    ]
 
 
 def _pack_leaves(leaves: dict[int, list[bytes]]) -> bytes:
@@ -109,20 +99,24 @@ def _pack_leaves(leaves: dict[int, list[bytes]]) -> bytes:
     return bytes(out)
 
 
-def _unpack_leaves(blob: bytes) -> list[tuple[int, list[bytes]]]:
-    leaves = []
+def _unpack_leaves(blob: bytes) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(seqno, leaf)``: the digests are packed sorted, so a
+    seqno's leaf is one slice of the blob."""
     offset = 0
     size = len(blob)
     while offset + _IDX_LEAF.size <= size:
         seqno, count = _IDX_LEAF.unpack_from(blob, offset)
         offset += _IDX_LEAF.size
-        digests = [
-            blob[offset + i * _DIGEST_LEN : offset + (i + 1) * _DIGEST_LEN]
-            for i in range(count)
-        ]
-        offset += count * _DIGEST_LEN
-        leaves.append((seqno, digests))
-    return leaves
+        end = offset + count * _DIGEST_LEN
+        yield seqno, blob[offset:end]
+        offset = end
+
+
+def _digests(leaf: bytes) -> list[bytes]:
+    return [
+        leaf[i : i + _DIGEST_LEN] for i in range(0, len(leaf), _DIGEST_LEN)
+    ]
+
 
 #: Every site where the torture harness may kill the store.  Names are
 #: ``<operation>.<boundary>``; ``append.torn`` additionally simulates a
@@ -221,10 +215,7 @@ class _CapsuleLog:
         "buffer",
         "size",
         "pending_fsync",
-        "sparse",
-        "extras",
         "leaves",
-        "countdown",
     )
 
     def __init__(self, name: GdpName, directory: str):
@@ -236,13 +227,8 @@ class _CapsuleLog:
         self.buffer = bytearray()  # active-segment bytes not yet write()n
         self.size = 0  # active file length incl. magic and buffer
         self.pending_fsync = 0  # bytes written/buffered since last fsync
-        self.reset_active_index()
-
-    def reset_active_index(self) -> None:
-        self.sparse: list[tuple[int, int]] = []
-        self.extras: list[tuple[int, int]] = []
+        #: the active segment's sync leaves: seqno -> record digests
         self.leaves: dict[int, list[bytes]] = {}
-        self.countdown = 0
 
     @property
     def active(self) -> SegmentInfo:
@@ -289,8 +275,6 @@ class SegmentedStore(StorageBackend):
     """
 
     _MAX_HANDLES = 64
-    _MAX_MMAPS = 8
-    _MAX_INDEXES = 16
 
     def __init__(
         self,
@@ -300,9 +284,6 @@ class SegmentedStore(StorageBackend):
         segment_bytes: int = 1 << 20,
         hot_segments: int = 2,
         tier=None,
-        tier_cache_bytes: int = 8 << 20,
-        sync_index: bool = True,
-        auto_compact: bool = True,
         crash_hook: Callable[[str], None] | None = None,
     ):
         self.root = root
@@ -312,9 +293,6 @@ class SegmentedStore(StorageBackend):
         self.segment_bytes = segment_bytes
         self.hot_segments = hot_segments
         self.tier = tier
-        self.tier_cache_bytes = tier_cache_bytes
-        self.sync_index = sync_index
-        self.auto_compact = auto_compact
         self.crash_hook = crash_hook
         os.makedirs(root, exist_ok=True)
         if any(entry.endswith(".dclog") for entry in os.listdir(root)):
@@ -326,10 +304,6 @@ class SegmentedStore(StorageBackend):
             )
         self._logs: dict[GdpName, _CapsuleLog] = {}
         self._handles: "OrderedDict[GdpName, object]" = OrderedDict()
-        self._mmaps: "OrderedDict[tuple, mmap.mmap]" = OrderedDict()
-        self._indexes: "OrderedDict[tuple, dict]" = OrderedDict()
-        self._tier_cache: "OrderedDict[str, bytes]" = OrderedDict()
-        self._tier_cache_used = 0
         #: recovery / integrity events observed by this instance, in
         #: order: ``{"event": ..., "capsule": hex, ...}``
         self.recovery_log: list[dict] = []
@@ -542,7 +516,7 @@ class SegmentedStore(StorageBackend):
             data = fh.read()
         good = len(_MAGIC)
         active = log.active
-        log.reset_active_index()
+        log.leaves = {}
         active.records = 0
         active.first = 0
         active.last = 0
@@ -561,7 +535,7 @@ class SegmentedStore(StorageBackend):
                     break  # corrupt frame: everything after is suspect
                 if chr(tag) == _TAG_RECORD:
                     self._index_entry(
-                        log, _TAG_RECORD, encoding.decode(payload), offset
+                        log, _TAG_RECORD, encoding.decode(payload)
                     )
                 offset = end
                 good = offset
@@ -655,21 +629,19 @@ class SegmentedStore(StorageBackend):
             log.pending_fsync += len(chunk)
             chunk = bytearray()
 
-        sync_index = self.sync_index
         name_raw = name.raw
         hooked = self.crash_hook is not None
         segment_bytes = self.segment_bytes
         for tag, wire in entries:
             blob = encoding.encode(wire)
             digest = None
-            if sync_index and tag == _TAG_RECORD:
+            if tag == _TAG_RECORD:
                 bucket = log.leaves.get(wire["seqno"])
                 if bucket is not None:
                     digest = record_wire_digest(name_raw, wire)
                     if digest in bucket:
                         continue  # duplicate already in the tail
             frame = _FRAME.pack(ord(tag[0]), len(blob), zlib.crc32(blob))
-            offset = log.size + len(chunk)
             if hooked:
                 try:
                     self._crashpoint("append.torn")
@@ -686,7 +658,7 @@ class SegmentedStore(StorageBackend):
                     raise
             chunk += frame
             chunk += blob
-            self._index_entry(log, tag, wire, offset, digest)
+            self._index_entry(log, tag, wire, digest)
             appended += 1
             if log.size + len(chunk) >= segment_bytes:
                 # Roll over mid-batch: a replication burst pushed
@@ -709,14 +681,13 @@ class SegmentedStore(StorageBackend):
         log: _CapsuleLog,
         tag: str,
         wire: dict,
-        offset: int,
         digest: bytes | None = None,
     ) -> None:
-        """Fold one record into the active segment's in-memory index
-        (shared by the append path and tail replay).  *digest* is the
-        record digest when the caller already computed it for the
-        duplicate check — hashing is the append path's largest
-        per-record cost, so it is never paid twice."""
+        """Fold one record into the active segment's span and sync
+        leaves (shared by the append path, tail replay and compaction).
+        *digest* is the record digest when the caller already computed
+        it for the duplicate check — hashing is the append path's
+        largest per-record cost, so it is never paid twice."""
         if tag != _TAG_RECORD:
             return
         seqno = wire["seqno"]
@@ -724,20 +695,13 @@ class SegmentedStore(StorageBackend):
         active.records += 1
         if active.first == 0 or seqno < active.first:
             active.first = seqno
-        if seqno >= active.last:
-            if log.countdown == 0:
-                log.sparse.append((seqno, offset))
-                log.countdown = _SPARSE_EVERY
-            log.countdown -= 1
+        if seqno > active.last:
             active.last = seqno
-        else:
-            log.extras.append((seqno, offset))
-        if self.sync_index:
-            if digest is None:
-                digest = record_wire_digest(log.name.raw, wire)
-            bucket = log.leaves.setdefault(seqno, [])
-            if digest not in bucket:
-                bucket.append(digest)
+        if digest is None:
+            digest = record_wire_digest(log.name.raw, wire)
+        bucket = log.leaves.setdefault(seqno, [])
+        if digest not in bucket:
+            bucket.append(digest)
 
     # -- sealing / tiering / compaction --------------------------------------
 
@@ -749,8 +713,6 @@ class SegmentedStore(StorageBackend):
             "first": active.first,
             "last": active.last,
             "bytes": log.size,
-            "sparse": _pack_pairs(log.sparse),
-            "extras": _pack_pairs(log.extras),
             "leaves": _pack_leaves(log.leaves),
         }
 
@@ -778,8 +740,8 @@ class SegmentedStore(StorageBackend):
             os.fsync(fh.fileno())
         log.size = len(_MAGIC)
         log.pending_fsync = 0
-        log.reset_active_index()
-        if self.auto_compact and log.checkpoint:
+        log.leaves = {}
+        if log.checkpoint:
             self._maybe_compact(log)
         if self.tier is not None:
             self._maybe_tier(log)
@@ -804,7 +766,6 @@ class SegmentedStore(StorageBackend):
         seg.tier = "object"
         self._write_manifest(log)
         self._crashpoint("tier.pre_unlink")
-        self._drop_mmap(log.name, seg.id)
         os.unlink(path)
         self._log_event("segment_tiered", log.name, segment=seg.id)
 
@@ -879,13 +840,10 @@ class SegmentedStore(StorageBackend):
         for i, (tag, payload) in enumerate(scanned):
             if tag == _TAG_HEARTBEAT and i != last_hb_offset:
                 continue
-            offset = len(frames)
             frames += _FRAME.pack(ord(tag), len(payload), zlib.crc32(payload))
             frames += payload
             if tag == _TAG_RECORD:
-                self._index_entry(
-                    scratch, tag, encoding.decode(payload), offset
-                )
+                self._index_entry(scratch, tag, encoding.decode(payload))
         scratch.size = merged.bytes = len(frames)
         seg_path = self._seg_path(log.dir, merged_id)
         with open(seg_path, "wb") as fh:
@@ -906,8 +864,6 @@ class SegmentedStore(StorageBackend):
         self._write_manifest(log)
         self._crashpoint("compact.pre_cleanup")
         for seg_id in merged_ids:
-            self._drop_mmap(log.name, seg_id)
-            self._indexes.pop((log.name, seg_id), None)
             for path in (
                 self._seg_path(log.dir, seg_id),
                 self._idx_path(log.dir, seg_id),
@@ -923,72 +879,55 @@ class SegmentedStore(StorageBackend):
         )
         return len(merged_ids)
 
-    # -- reads ---------------------------------------------------------------
-
-    def _drop_mmap(self, name: GdpName, seg_id: int) -> None:
-        # Drop the cache reference only — never .close(): a live
-        # load_entries snapshot may still read through the mapping
-        # (valid even after the file is unlinked); the OS unmaps when
-        # the last reference is collected.
-        self._mmaps.pop((name, seg_id), None)
+    # -- replay --------------------------------------------------------------
 
     def _segment_buffer(self, log: _CapsuleLog, seg: SegmentInfo):
-        """The full byte content of a segment: mmap for local sealed
-        files, tier read-through (LRU byte-budget cache) for cold ones,
-        a flushed file read for the active tail."""
+        """The full byte content of a segment: an mmap of a local sealed
+        file, one GET of a tiered one, a flushed file read of the active
+        tail.  Nothing is cached across calls."""
         if not seg.sealed:
             self._flush(log)
             with open(self._seg_path(log.dir, seg.id), "rb") as fh:
                 return fh.read()
         if seg.tier == "object":
             key = self._tier_key(log.name, seg.id)
-            cached = self._tier_cache.get(key)
-            if cached is not None:
-                self._tier_cache.move_to_end(key)
-                return cached
             blob = self.tier.get(key)
             if blob is None:
                 raise StorageError(f"tiered segment missing: {key}")
-            self._tier_cache[key] = blob
-            self._tier_cache_used += len(blob)
-            while self._tier_cache_used > self.tier_cache_bytes and len(
-                self._tier_cache
-            ) > 1:
-                _, old = self._tier_cache.popitem(last=False)
-                self._tier_cache_used -= len(old)
             return blob
-        cache_key = (log.name, seg.id)
-        mapped = self._mmaps.get(cache_key)
-        if mapped is not None:
-            self._mmaps.move_to_end(cache_key)
-            return mapped
+        # Never .close()d: the mapping stays readable after the file is
+        # unlinked (tiering, compaction), and GC unmaps it with the
+        # last reference.
         with open(self._seg_path(log.dir, seg.id), "rb") as fh:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        self._mmaps[cache_key] = mapped
-        while len(self._mmaps) > self._MAX_MMAPS:
-            self._mmaps.popitem(last=False)  # GC unmaps; see _drop_mmap
-        return mapped
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
     def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
         """Yield (tag, wire) entries in write order across segments.
 
-        Snapshot semantics: the segment list and every segment's bytes
-        are captured when this is *called* — appends racing the
+        Snapshot semantics: the segment list and every local segment's
+        bytes are captured when this is *called* — appends racing the
         iteration are not seen (sealed segments are immutable; the tail
         is flushed and read once; an unlinked-under-us local file stays
-        readable through its mmap).  Decoding is lazy, so a 10M-record
-        capsule never materializes all wires at once.
+        readable through its mmap).  A tiered object never changes, so
+        it is fetched when the iteration reaches it and only one is
+        held at a time.  Decoding is lazy, so a 10M-record capsule never
+        materializes all wires at once.
         """
         log = self._log_for(name)
         if log is None:
             return iter(())
-        buffers = [
-            (seg.id, self._segment_buffer(log, seg))
-            for seg in list(log.segments)
-        ]
+        segments = list(log.segments)
+        local = {
+            seg.id: self._segment_buffer(log, seg)
+            for seg in segments
+            if seg.tier != "object"
+        }
 
         def entries() -> Iterator[tuple[str, dict]]:
-            for seg_id, buf in buffers:
+            for seg in segments:
+                buf = local.pop(seg.id, None)
+                if buf is None:
+                    buf = self._segment_buffer(log, seg)
                 for tag, payload, offset in _iter_frames(buf):
                     if zlib.crc32(payload) != _crc_at(buf, offset):
                         # Sealed-frame rot: stop this segment (the rest
@@ -998,7 +937,7 @@ class SegmentedStore(StorageBackend):
                         self._log_event(
                             "corrupt_frame_skipped",
                             name,
-                            segment=seg_id,
+                            segment=seg.id,
                             offset=offset,
                         )
                         break
@@ -1006,87 +945,35 @@ class SegmentedStore(StorageBackend):
 
         return entries()
 
-    def read_record(self, name: GdpName, seqno: int) -> dict | None:
-        """Point-read one record wire by seqno (newest match wins):
-        sparse-index seek within the owning segment instead of a scan —
-        the ROADMAP's "random access via per-segment indexes"."""
-        log = self._log_for(name)
-        if log is None:
-            return None
-        for seg in reversed(log.segments):
-            if seg.records == 0 or not (seg.first <= seqno <= seg.last):
-                continue
-            if seg.sealed:
-                idx = self._segment_index(log, seg)
-                start = _sparse_seek(idx["sparse"], seqno)
-                extras = dict((s, o) for s, o in idx["extras"])
-            else:
-                start = _sparse_seek(log.sparse, seqno)
-                extras = dict(log.extras)
-            exact = extras.get(seqno)
-            buf = self._segment_buffer(log, seg)
-            if exact is not None:
-                wire = _decode_frame_at(buf, exact)
-                if wire is not None and wire.get("seqno") == seqno:
-                    return wire
-            if start is None:
-                continue
-            for tag, payload, _ in _iter_frames(buf, start):
-                if tag != _TAG_RECORD:
-                    continue
-                wire = encoding.decode(payload)
-                found = wire["seqno"]
-                if found == seqno:
-                    return wire
-                if found > seqno:
-                    break
-        return None
-
-    def _segment_index(self, log: _CapsuleLog, seg: SegmentInfo) -> dict:
-        key = (log.name, seg.id)
-        idx = self._indexes.get(key)
-        if idx is not None:
-            self._indexes.move_to_end(key)
-            return idx
-        path = self._idx_path(log.dir, seg.id)
-        try:
-            with open(path, "rb") as fh:
-                idx = encoding.decode(fh.read())
-        except OSError as exc:
-            raise StorageError(f"index read failed: {exc}") from exc
-        # Unpack the struct-packed fields once at load; consumers see
-        # plain (seqno, offset) pairs and (seqno, digests) leaves.
-        idx["sparse"] = _unpack_pairs(idx["sparse"])
-        idx["extras"] = _unpack_pairs(idx["extras"])
-        idx["leaves"] = _unpack_leaves(idx["leaves"])
-        self._indexes[key] = idx
-        while len(self._indexes) > self._MAX_INDEXES:
-            self._indexes.popitem(last=False)
-        return idx
-
     def sync_leaves(self, name: GdpName) -> dict[int, bytes]:
         """The persisted Merkle sync-index leaves for every seqno whose
         records live wholly in sealed segments: ``seqno -> b"".join(``
         sorted digests``)``, exactly :meth:`DataCapsule.sync_leaf`'s
-        value.  Seqnos with records still in the active tail are
-        omitted (the capsule computes those lazily), so a seeded cache
-        can never mask a tail divergence."""
+        value.  Reads each sealed ``.idx`` once.  Seqnos with records
+        still in the active tail are omitted (the capsule computes those
+        lazily), so a seeded cache can never mask a tail divergence."""
         log = self._log_for(name)
-        if log is None or not self.sync_index:
+        if log is None:
             return {}
-        merged: dict[int, set[bytes]] = {}
+        leaves: dict[int, bytes] = {}
         for seg in log.segments:
             if not seg.sealed or seg.records == 0:
                 continue
-            idx = self._segment_index(log, seg)
-            for seqno, digests in idx["leaves"]:
-                merged.setdefault(seqno, set()).update(digests)
+            path = self._idx_path(log.dir, seg.id)
+            try:
+                with open(path, "rb") as fh:
+                    packed = encoding.decode(fh.read())["leaves"]
+            except OSError as exc:
+                raise StorageError(f"index read failed: {exc}") from exc
+            for seqno, leaf in _unpack_leaves(packed):
+                have = leaves.get(seqno)
+                if have is not None and have != leaf:
+                    # records of one seqno sealed into two segments
+                    leaf = b"".join(sorted({*_digests(have), *_digests(leaf)}))
+                leaves[seqno] = leaf
         for seqno in log.leaves:
-            merged.pop(seqno, None)
-        return {
-            seqno: b"".join(sorted(digests))
-            for seqno, digests in merged.items()
-        }
+            leaves.pop(seqno, None)
+        return leaves
 
     # -- misc contract -------------------------------------------------------
 
@@ -1116,14 +1003,8 @@ class SegmentedStore(StorageBackend):
             except StorageError:
                 segments = []
         for seg in segments:
-            self._drop_mmap(name, seg.id)
-            self._indexes.pop((name, seg.id), None)
             if seg.tier == "object" and self.tier is not None:
-                key = self._tier_key(name, seg.id)
-                old = self._tier_cache.pop(key, None)
-                if old is not None:
-                    self._tier_cache_used -= len(old)
-                self.tier.delete(key)
+                self.tier.delete(self._tier_key(name, seg.id))
         shutil.rmtree(directory, ignore_errors=True)
 
     def segments(self, name: GdpName) -> list[SegmentInfo]:
@@ -1149,15 +1030,14 @@ class SegmentedStore(StorageBackend):
         for fh in self._handles.values():
             fh.close()
         self._handles.clear()
-        self._mmaps.clear()  # GC unmaps; see _drop_mmap
 
 
-def _iter_frames(buf, start: int = len(_MAGIC)):
+def _iter_frames(buf):
     """Yield ``(tag, payload, frame_offset)`` for intact frames; stops
     at the first torn frame (CRC is *not* checked here — callers that
     care verify it, keeping the sealed-segment hot path cheap)."""
     size = len(buf)
-    offset = start
+    offset = len(_MAGIC)
     while offset + _FRAME.size <= size:
         tag, length, _ = _FRAME.unpack_from(buf, offset)
         end = offset + _FRAME.size + length
@@ -1170,31 +1050,3 @@ def _iter_frames(buf, start: int = len(_MAGIC)):
 def _crc_at(buf, offset: int) -> int:
     _, _, crc = _FRAME.unpack_from(buf, offset)
     return crc
-
-
-def _decode_frame_at(buf, offset: int) -> dict | None:
-    if offset + _FRAME.size > len(buf):
-        return None
-    tag, length, crc = _FRAME.unpack_from(buf, offset)
-    end = offset + _FRAME.size + length
-    if end > len(buf):
-        return None
-    payload = bytes(buf[offset + _FRAME.size : end])
-    if zlib.crc32(payload) != crc:
-        return None
-    return encoding.decode(payload)
-
-
-def _sparse_seek(sparse, seqno: int) -> int | None:
-    """Offset of the last sparse entry at-or-below *seqno* (binary
-    search), or None when the segment's indexed range starts above."""
-    lo, hi = 0, len(sparse)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sparse[mid][0] <= seqno:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
-        return None
-    return sparse[lo - 1][1]

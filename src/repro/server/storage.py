@@ -2,8 +2,10 @@
 
 The paper's server "uses SQLite for the back-end storage; each
 DataCapsule is stored in its own separate SQLite database" (§VIII) so
-random reads are efficient.  Here the same contract is met by two
-backends behind one interface:
+random reads are efficient.  Here every read is served from the
+replica's in-memory :class:`DataCapsule`, and storage is a log the
+server replays on restart (``load_entries`` + ``sync_leaves``), behind
+one interface with two backends:
 
 - :class:`MemoryStore` — dict-backed, for simulations and as the
   conformance reference.

@@ -182,6 +182,38 @@ class TestDeltaSyncEdgeCases:
         edge = g.server_edge.hosted[metadata.name].capsule
         assert root.canonical_summary() == edge.canonical_summary()
 
+    def test_fetch_batch_budget_is_clamped_to_one_frame(self, mini_gdp):
+        """The requester picks ``max_bytes``, but the reply must fit one
+        transport frame: asking for 1 TiB of three 6 MiB records (18 MiB,
+        past the 16 MiB frame) serves only what ``MAX_RANGE_REPLY_BYTES``
+        holds, and the requester re-queues the rest."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(3):
+                yield from writer.append(bytes([i]) * (6 << 20))
+            yield 0.5
+            reply = yield g.server_root.rpc(
+                g.server_edge.name,
+                {
+                    "op": "sync_fetch_batch",
+                    "capsule": metadata.name.raw,
+                    "seqnos": [1, 2, 3],
+                    "max_bytes": 2 ** 40,
+                },
+                timeout=30.0,
+            )
+            return reply
+
+        reply = g.run(scenario())
+        body = reply.get("body", reply)
+        assert body["ok"] is True
+        assert body["served"] == [1]
+        assert len(body["records"]) == 1
+
     def test_sync_nodes_refuses_ranges_past_the_tip(self, mini_gdp):
         """A probe reaching past the tip is answered with an error, not
         with a root that walks (and caches) one leaf per seqno."""

@@ -50,7 +50,6 @@ configs = st.builds(
     hot_segments=st.integers(min_value=1, max_value=3),
     compact_every=st.sampled_from([0, 5, 8, 12]),
     fsync_policy=st.just("always"),
-    sync_index=st.booleans(),
 )
 
 

@@ -462,6 +462,10 @@ class TestGrepGuard:
         # the second and third read shapes: a point read and a tip read
         # beside the one verified range
         "def _op_read(", "def _op_latest(",
+        # the store's point-read path, its cross-call read caches and
+        # the on/off options nothing needed; the unsigned-response switch
+        "def read_record(", "_sparse_seek", "tier_cache", "sync_index",
+        "auto_compact", "sign_responses",
     )
 
     def test_back_compat_layer_stays_deleted(self):

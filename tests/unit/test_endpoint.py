@@ -7,6 +7,7 @@ from repro.errors import RoutingError, TimeoutError_
 from repro.naming import GdpName, make_client_metadata
 from repro.routing import Endpoint, GdpRouter, RoutingDomain
 from repro.routing.pdu import Pdu, T_PUSH, T_RESPONSE
+from repro.runtime.transport import DEFAULT_MAX_FRAME
 from repro.sim import SimNetwork
 
 
@@ -105,6 +106,20 @@ class TestRpc:
         reply = net.sim.run_process(scenario())
         assert not reply["ok"]
         assert "kaput" in reply["error"]
+
+    def test_unframeable_reply_becomes_error_reply(self, pair):
+        """A reply too large for one transport frame is answered with a
+        short error envelope; nothing raises out of the delivery path."""
+        net, router, a, b = pair
+        b.on_request = lambda pdu: {"blob": bytes(DEFAULT_MAX_FRAME + 1)}
+        bootstrap(net, a, b)
+
+        def scenario():
+            return (yield a.rpc(b.name, {}, timeout=5.0))
+
+        reply = net.sim.run_process(scenario())
+        assert not reply["ok"]
+        assert "exceeds frame limit" in reply["error"]
 
     def test_no_route_fails_rpc(self, pair):
         net, router, a, b = pair

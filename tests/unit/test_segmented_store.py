@@ -1,16 +1,19 @@
-"""SegmentedStore engine specifics: sealing, point reads, the persisted
-sync index, tiering read-through, checkpoint compaction, and recovery
-events.  (Cross-backend contract coverage lives in ``test_storage.py``;
-crash-point sweeps in ``tests/torture/``.)"""
+"""SegmentedStore engine specifics: sealing, the persisted sync index,
+tiering, checkpoint compaction, recovery events, and stores whose
+``.idx`` files carry the older layout.  (Cross-backend contract
+coverage lives in ``test_storage.py``; crash-point sweeps in
+``tests/torture/``.)"""
 
 import hashlib
 import os
+import struct
 
 import pytest
 
+from repro import encoding
 from repro.baselines.s3sim import MemoryObjectTier
 from repro.capsule import CapsuleWriter
-from repro.server.segmented import SegmentedStore
+from repro.server.segmented import SegmentedStore, record_wire_digest
 
 
 @pytest.fixture()
@@ -74,33 +77,27 @@ class TestSealing:
         assert seqnos == list(range(1, 31))
         reopened.close()
 
-
-class TestPointReads:
-    def test_read_record_every_seqno(self, tmp_path, filled):
-        capsule, pairs = filled
-        store = SegmentedStore(str(tmp_path), segment_bytes=700)
-        fill_store(store, capsule, pairs)
-        for record, _ in pairs:
-            wire = store.read_record(capsule.name, record.seqno)
-            assert wire is not None and wire["payload"] == record.payload
-        assert store.read_record(capsule.name, 31) is None
-        assert store.read_record(capsule.name, 0) is None
-        store.close()
-
-    def test_read_record_sees_out_of_order_arrivals(
+    def test_out_of_order_arrivals_replay_in_write_order(
         self, tmp_path, capsule_factory, writer_key
     ):
         capsule = capsule_factory()
         writer = CapsuleWriter(capsule, writer_key)
         pairs = [writer.append(b"ooo-%d" % i) for i in range(8)]
+        order = (0, 4, 1, 6, 2, 7, 3, 5)  # replication-style arrivals
         store = SegmentedStore(str(tmp_path), segment_bytes=500)
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        for index in (0, 4, 1, 6, 2, 7, 3, 5):  # replication-style order
+        for index in order:
             store.append_entries(capsule.name, [("r", pairs[index][0].to_wire())])
-        for record, _ in pairs:
-            wire = store.read_record(capsule.name, record.seqno)
-            assert wire is not None and wire["seqno"] == record.seqno
+        assert any(seg.sealed for seg in store.segments(capsule.name))
         store.close()
+        reopened = SegmentedStore(str(tmp_path), segment_bytes=500)
+        seqnos = [
+            wire["seqno"]
+            for tag, wire in reopened.load_entries(capsule.name)
+            if tag == "r"
+        ]
+        assert seqnos == [pairs[index][0].seqno for index in order]
+        reopened.close()
 
 
 class TestSyncIndex:
@@ -134,14 +131,68 @@ class TestSyncIndex:
         assert seeded == 0 and mismatched == 1
         store.close()
 
-    def test_sync_index_off_returns_no_leaves(self, tmp_path, filled):
+    def test_seqno_split_across_segments_merges_its_leaf(
+        self, tmp_path, filled
+    ):
+        """A second record at a seqno that arrives after the first was
+        sealed lands in another segment; the seqno still gets one leaf
+        holding both digests, sorted, as ``DataCapsule.sync_leaf``."""
         capsule, pairs = filled
-        store = SegmentedStore(
-            str(tmp_path), segment_bytes=700, sync_index=False
-        )
+        store = SegmentedStore(str(tmp_path), segment_bytes=700)
         fill_store(store, capsule, pairs)
-        assert store.sync_leaves(capsule.name) == {}
+        first = pairs[2][0].to_wire()
+        branch = dict(first, payload=b"a second record at seqno 3")
+        store.append_entries(
+            capsule.name,
+            [("r", branch)] + [("h", hb.to_wire()) for _, hb in pairs[:8]],
+        )
+        holding = [
+            seg for seg in store.segments(capsule.name)
+            if seg.sealed and seg.first <= 3 <= seg.last
+        ]
+        assert len(holding) == 2
+        digests = [
+            record_wire_digest(capsule.name.raw, wire)
+            for wire in (first, branch)
+        ]
+        leaves = store.sync_leaves(capsule.name)
+        assert leaves[3] == b"".join(sorted(digests))
         store.close()
+
+    def test_older_idx_layout_seeds_the_same_leaves(self, tmp_path, filled):
+        """An ``.idx`` written with the point-read index the engine once
+        kept (packed ``sparse`` / ``extras`` seqno→offset pairs beside
+        the leaves) opens and seeds exactly the same leaves."""
+        capsule, pairs = filled
+        root = str(tmp_path)
+        store = SegmentedStore(root, segment_bytes=700)
+        fill_store(store, capsule, pairs)
+        expected = store.sync_leaves(capsule.name)
+        store.close()
+        capsule_dir = os.path.join(root, capsule.name.hex())
+        rewritten = 0
+        for fname in sorted(os.listdir(capsule_dir)):
+            if not fname.endswith(".idx"):
+                continue
+            path = os.path.join(capsule_dir, fname)
+            with open(path, "rb") as fh:
+                idx = encoding.decode(fh.read())
+            assert set(idx) == {
+                "segment", "records", "first", "last", "bytes", "leaves"
+            }
+            # one packed (seqno, offset) pair each, as that layout held
+            idx["sparse"] = struct.pack(">QQ", idx["first"], 8)
+            idx["extras"] = struct.pack(">QQ", idx["last"], idx["bytes"] // 2)
+            with open(path, "wb") as fh:
+                fh.write(encoding.encode(idx))
+            rewritten += 1
+        assert rewritten > 1
+        reopened = SegmentedStore(root, segment_bytes=700)
+        leaves = reopened.sync_leaves(capsule.name)
+        assert leaves == expected
+        seeded, mismatched = capsule.seed_sync_leaves(leaves)
+        assert seeded == len(leaves) and mismatched == 0
+        reopened.close()
 
 
 class TestTiering:
@@ -158,7 +209,7 @@ class TestTiering:
         assert len(tiered) >= 3
         assert tier.puts == len(tiered)
         # Local .seg files for tiered segments are gone; the sidecar
-        # indexes stay local (point reads seek without a download).
+        # indexes stay local (sync_leaves never needs a download).
         capsule_dir = os.path.join(str(tmp_path), capsule.name.hex())
         for seg in tiered:
             assert not os.path.exists(
@@ -170,44 +221,28 @@ class TestTiering:
         store.close()
 
     def test_read_through_and_cache(self, tmp_path, filled):
+        """A replay GETs each tiered segment once; nothing is cached
+        across replays, and the sync leaves need no GET at all."""
         capsule, pairs = filled
         tier = MemoryObjectTier()
         store = SegmentedStore(
             str(tmp_path), segment_bytes=700, hot_segments=1, tier=tier
         )
         fill_store(store, capsule, pairs)
-        seqnos = [
-            wire["seqno"]
-            for tag, wire in store.load_entries(capsule.name)
-            if tag == "r"
-        ]
-        assert seqnos == list(range(1, 31))
-        fetched = tier.gets
-        assert fetched > 0
-        # A second full read is served from the byte-budget cache.
-        assert sum(1 for _ in store.load_entries(capsule.name)) > 0
-        assert tier.gets == fetched
-        store.close()
-
-    def test_tiny_cache_budget_evicts_but_still_reads(
-        self, tmp_path, filled
-    ):
-        capsule, pairs = filled
-        tier = MemoryObjectTier()
-        store = SegmentedStore(
-            str(tmp_path),
-            segment_bytes=700,
-            hot_segments=1,
-            tier=tier,
-            tier_cache_bytes=1,  # at most one cached blob at a time
+        tiered = sum(
+            1 for seg in store.segments(capsule.name) if seg.tier == "object"
         )
-        fill_store(store, capsule, pairs)
-        for _ in range(2):
-            count = sum(
-                1 for tag, _ in store.load_entries(capsule.name) if tag == "r"
-            )
-            assert count == 30
-        assert len(store._tier_cache) <= 1
+        assert tiered > 0
+        for replay in (1, 2):
+            seqnos = [
+                wire["seqno"]
+                for tag, wire in store.load_entries(capsule.name)
+                if tag == "r"
+            ]
+            assert seqnos == list(range(1, 31))
+            assert tier.gets == replay * tiered
+        assert store.sync_leaves(capsule.name)
+        assert tier.gets == 2 * tiered
         store.close()
 
     def test_delete_capsule_clears_tier_objects(self, tmp_path, filled):
@@ -223,30 +258,11 @@ class TestTiering:
         assert store.list_capsules() == []
         store.close()
 
-    def test_delete_capsule_releases_cache_budget(self, tmp_path, filled):
-        """Cached blobs evicted by delete_capsule must give their bytes
-        back to the LRU budget, or the read-through cache shrinks toward
-        one entry forever (regression)."""
-        capsule, pairs = filled
-        tier = MemoryObjectTier()
-        store = SegmentedStore(
-            str(tmp_path), segment_bytes=700, hot_segments=1, tier=tier
-        )
-        fill_store(store, capsule, pairs)
-        list(store.load_entries(capsule.name))  # warm the read-through cache
-        assert store._tier_cache_used > 0
-        store.delete_capsule(capsule.name)
-        assert not store._tier_cache
-        assert store._tier_cache_used == 0
-        store.close()
-
 
 class TestCompaction:
     def test_checkpoint_compaction_merges_and_prunes(self, tmp_path, filled):
         capsule, pairs = filled
-        store = SegmentedStore(
-            str(tmp_path), segment_bytes=700, auto_compact=False
-        )
+        store = SegmentedStore(str(tmp_path), segment_bytes=700)
         fill_store(store, capsule, pairs)
         before = store.segments(capsule.name)
         store.note_checkpoint(capsule.name, 24)
@@ -266,9 +282,9 @@ class TestCompaction:
             1 for tag, _ in store.load_entries(capsule.name) if tag == "h"
         )
         assert heartbeat_count < len(pairs)
-        # Point reads still resolve through the merged index.
-        for record, _ in pairs:
-            assert store.read_record(capsule.name, record.seqno) is not None
+        # The merged segment's leaves still seed the capsule cleanly.
+        leaves = store.sync_leaves(capsule.name)
+        assert capsule.seed_sync_leaves(leaves) == (len(leaves), 0)
         event = next(
             e for e in store.recovery_log if e["event"] == "compacted"
         )
@@ -277,16 +293,13 @@ class TestCompaction:
 
     def test_compacted_index_bytes_are_pinned(self, tmp_path, filled):
         """The merged segment's ``.idx`` comes from the index builder
-        the append path and tail replay use; its bytes are the ones the
-        separate builder ``_compact`` used to carry wrote (two
-        out-of-order arrivals keep ``extras`` non-empty)."""
+        the append path and tail replay use; its bytes are pinned, two
+        out-of-order arrivals included."""
         capsule, pairs = filled
         pairs = list(pairs)
         pairs[2], pairs[3] = pairs[3], pairs[2]
         pairs[10], pairs[12] = pairs[12], pairs[10]
-        store = SegmentedStore(
-            str(tmp_path), segment_bytes=700, auto_compact=False
-        )
+        store = SegmentedStore(str(tmp_path), segment_bytes=700)
         fill_store(store, capsule, pairs)
         store.note_checkpoint(capsule.name, 24)
         assert store.compact(capsule.name) == 11
@@ -298,18 +311,16 @@ class TestCompaction:
         )
         with open(idx_path, "rb") as fh:
             blob = fh.read()
-        assert len(blob) == 1118
+        assert len(blob) == 1034
         assert hashlib.sha256(blob).hexdigest() == (
-            "450a1e8771bddfeeea0e8f6fd5edd255"
-            "f261fa2c5a940ab2a51900a6dcc9cd65"
+            "8ca79215185e2cbdbace3bd05c315ffb"
+            "000d52653ad7dea21cee2740119c67d5"
         )
         store.close()
 
     def test_compact_without_checkpoint_is_noop(self, tmp_path, filled):
         capsule, pairs = filled
-        store = SegmentedStore(
-            str(tmp_path), segment_bytes=700, auto_compact=False
-        )
+        store = SegmentedStore(str(tmp_path), segment_bytes=700)
         fill_store(store, capsule, pairs)
         assert store.compact(capsule.name) == 0
         store.close()

@@ -1,5 +1,5 @@
 """The storage suite's gate rows: the ratio floor, the 30% regression
-band, sustained-scenario shape checks, and the cold-read p99 ceiling."""
+band, and the sustained-scenario shape checks (build and replay)."""
 
 from repro.bench import gate
 from repro.bench.storage import GATES
@@ -11,14 +11,18 @@ def check_regression(current, baseline):
     return gate.check(current, baseline, GATES)
 
 
-def doc(durable=4.0, tiered=24, p99=25.0):
+def doc(durable=4.0, tiered=24):
     return {
         "ratios": {"durable_append_ratio": durable},
         "sustained": {
             "records": 200_000,
             "records_per_sec": 26_000.0,
             "tiered_segments": tiered,
-            "cold_read": {"samples": 250, "p50_ms": 0.4, "p99_ms": p99},
+            "replay": {
+                "seconds": 2.0,
+                "records_per_sec": 100_000.0,
+                "sync_leaves": 190_000,
+            },
         },
     }
 
@@ -52,9 +56,11 @@ class TestGate:
         failures = check_regression(doc(tiered=0), doc())
         assert any("nothing tiered" in f for f in failures)
 
-    def test_cold_read_ceiling(self):
-        failures = check_regression(doc(p99=900.0), doc())
-        assert any("p99_ms" in f and "ceiling" in f for f in failures)
+    def test_missing_replay_row_fails(self):
+        current = doc()
+        del current["sustained"]["replay"]
+        failures = check_regression(current, doc())
+        assert any("replay.records_per_sec" in f for f in failures)
 
     def test_quick_run_compares_ratios_not_absolutes(self):
         # The committed baseline is a full 10M-record run; a --quick CI

@@ -49,16 +49,18 @@ __all__ = ["run", "GATES", "table"]
 
 GATES = (
     Gate("gates.fib_bytes_per_entry", "lower", ceiling=200.0, band=None),
-    Gate("gates.warm_resolution_p99_ms", "lower", ceiling=1.0, band=None),
+    # Latency regressions below the noise floor are scheduler/timer
+    # noise, not an algorithmic change: a packed-table lookup is a few
+    # microseconds and a 30% band at that scale would flap on every CI
+    # runner.  Above it the band applies, so a 100x slower lookup fails
+    # even while it is still under the absolute 1 ms ceiling.
+    Gate("gates.warm_resolution_p99_ms", "lower", ceiling=1.0,
+         noise_floor=0.25),
     Gate("gates.dht_hops_within_bound", "higher", floor=1, band=None,
          why="a DHT lookup exceeded ceil(log2 n) + 2 iterative rounds"),
     Gate("gates.dht_churn_survival", "higher", floor=1, band=None,
          why="a get failed after k-1 replica holders crashed"),
     Gate("levels.*.fib.bytes_per_entry", "lower", key="names"),
-    # Latency regressions below the noise floor are scheduler/timer
-    # noise, not an algorithmic change: a packed-table lookup is tens of
-    # microseconds and a 30% band at that scale would flap on every CI
-    # runner.  The absolute 1 ms ceiling above still applies.
     Gate("levels.*.glookup.warm_lookup.p99_ms", "lower", key="names",
          noise_floor=0.25),
     Gate("trace_overhead.disabled_vs_plain", "lower", ceiling=1.05, band=None,

@@ -7,12 +7,13 @@ any evidence is attached.  This module provides the packed substrate
 both tables share:
 
 :class:`PackedMap`
-    32-byte keys in one sorted ``bytes`` blob searched by binary
-    search, a fixed-width ``bytearray`` value sidecar, and a small
-    dict write-log merged in batches.  A merge is a handful of
-    ``bytes`` slices joined at C speed, so sustained inserts cost an
-    amortized O(log n) search plus a few bytes of memcpy each — not a
-    per-record Python loop.
+    32-byte keys kept sorted in two parallel packed arrays — each key's
+    first 8 bytes as an ``array('Q')`` of big-endian ints, searched by
+    ``bisect`` in C, and the remaining 24 bytes in one ``bytes`` blob —
+    plus a fixed-width ``bytearray`` value sidecar and a small dict
+    write-log merged in batches.  A merge is a handful of slices joined
+    at C speed, so sustained inserts cost an amortized O(log n) search
+    plus a few bytes of memcpy each — not a per-record Python loop.
 
 :class:`ExpiryWheel`
     Lease expirations bucketed by coarse time slot, each bucket a
@@ -36,6 +37,8 @@ from __future__ import annotations
 import heapq
 import struct
 import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.naming.names import GdpName
@@ -43,30 +46,45 @@ from repro.naming.names import GdpName
 __all__ = ["PackedMap", "ExpiryWheel", "CompactFib"]
 
 KEY_BYTES = 32
+PREFIX_BYTES = 8
+SUFFIX_BYTES = KEY_BYTES - PREFIX_BYTES
+
+#: a key's first 8 bytes as an int that sorts as the bytes do
+_PREFIX = struct.Struct(">Q")
+#: the same int in ``array('Q')``'s own byte order (merge input)
+_NATIVE_Q = struct.Struct("=Q")
 
 #: write-log size that triggers a merge into the sorted base arrays
 DEFAULT_MERGE_THRESHOLD = 8192
+
+#: slot of a key the write log holds (the base arrays were not searched)
+_IN_LOG = -2
 
 
 class PackedMap:
     """A sorted packed map: 32-byte keys -> fixed-width packed values.
 
-    Layout: ``_base_keys`` holds the sorted concatenation of all merged
-    keys (one immutable ``bytes`` object, 32 bytes per record) and
-    ``_base_vals`` the parallel value sidecar (``bytearray``, so a
-    value can be updated in place without touching the key blob).
-    Writes land in ``_log`` (a plain dict; ``None`` marks a pending
-    delete) and are merged once the log reaches ``merge_threshold``.
+    Layout: merged keys are split in two sorted parallel arrays —
+    ``_prefixes``, an ``array('Q')`` of each key's first 8 bytes read
+    as a big-endian int, and ``_suffixes``, one ``bytes`` blob of the
+    other 24 bytes per key — so (prefix, suffix) order is byte order
+    and a key still costs 32 bytes.  ``_base_vals`` is the parallel
+    value sidecar (``bytearray``: a value is updated in place).  Writes
+    land in ``_log`` (a dict; ``None`` marks a pending delete) and are
+    merged once the log reaches ``merge_threshold``.
 
-    The merge walks the sorted log keys with binary search and builds
-    the new blobs from slices — the per-record work happens inside
-    ``bytes.join``, not in Python bytecode.
+    A search is one ``bisect_left`` over the prefixes in C and one
+    24-byte suffix compare; only keys sharing a prefix (never for
+    digests, always for small-int test keys) fall back to a binary
+    search over their suffixes.  The merge locates each sorted log key
+    the same way and builds the new arrays from slices joined in C.
     """
 
     __slots__ = (
         "value_size",
         "merge_threshold",
-        "_base_keys",
+        "_prefixes",
+        "_suffixes",
         "_base_vals",
         "_log",
         "_count",
@@ -82,94 +100,85 @@ class PackedMap:
             raise ValueError("value_size must be positive")
         self.value_size = value_size
         self.merge_threshold = merge_threshold
-        self._base_keys = b""
-        self._base_vals = bytearray()
         self._log: dict[bytes, bytes | None] = {}
-        self._count = 0
+        self.clear()
 
-    # -- binary search over the packed key blob --------------------------
+    # -- search over the packed base arrays ------------------------------
 
-    def _find_base(self, key: bytes) -> int:
-        """Index of *key* in the base arrays, or -1."""
-        keys = self._base_keys
-        lo, hi = 0, len(keys) // KEY_BYTES
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            off = mid * KEY_BYTES
-            if keys[off : off + KEY_BYTES] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        off = lo * KEY_BYTES
-        if keys[off : off + KEY_BYTES] == key:
-            return lo
-        return -1
+    def _locate(self, key: bytes, lo: int = 0) -> tuple[int, bool]:
+        """``(idx, found)``: the first base index >= *lo* whose key is
+        >= *key*, and whether that key is *key*."""
+        prefixes = self._prefixes
+        prefix = _PREFIX.unpack_from(key)[0]
+        idx = bisect_left(prefixes, prefix, lo)
+        if idx == len(prefixes) or prefixes[idx] != prefix:
+            return idx, False
+        suffix, off = key[PREFIX_BYTES:], idx * SUFFIX_BYTES
+        if self._suffixes[off : off + SUFFIX_BYTES] == suffix:
+            return idx, True
+        # Several base keys share this prefix: binary search their suffixes.
+        end = bisect_right(prefixes, prefix, idx)
+        idx = bisect_left(range(end), suffix, idx, key=self._suffix_at)
+        return idx, idx < end and self._suffix_at(idx) == suffix
 
-    @staticmethod
-    def _bisect(keys: bytes, lo: int, hi: int, key: bytes) -> int:
-        """First record index in [lo, hi) whose key is >= *key*."""
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            off = mid * KEY_BYTES
-            if keys[off : off + KEY_BYTES] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def _suffix_at(self, idx: int) -> bytes:
+        return self._suffixes[idx * SUFFIX_BYTES : (idx + 1) * SUFFIX_BYTES]
+
+    def _find(self, key: bytes) -> tuple[bytes | None, int]:
+        """``(value, slot)`` for *key*, searching the base at most once.
+        The slot (base index, ``_IN_LOG``, or -1) lets a read-then-write
+        path call :meth:`_set_at` / :meth:`_delete_at` without searching
+        again; it is valid until the next write."""
+        logged = self._log.get(key, _MISSING)
+        if logged is not _MISSING:
+            return logged, _IN_LOG  # None for a pending delete
+        idx, found = self._locate(key)
+        if not found:
+            return None, -1
+        vsz = self.value_size
+        return bytes(self._base_vals[idx * vsz : (idx + 1) * vsz]), idx
+
+    def _set_at(self, key: bytes, value: bytes, slot: int) -> None:
+        """:meth:`set` at the slot :meth:`_find` returned."""
+        if slot >= 0:
+            # In-place sidecar update: the cheap lease-refresh path.
+            vsz = self.value_size
+            self._base_vals[slot * vsz : (slot + 1) * vsz] = value
+            return
+        if self._log.get(key) is None:  # a new key or a pending delete
+            self._count += 1
+        self._log[key] = value
+        if len(self._log) >= self.merge_threshold:
+            self._merge()
+
+    def _delete_at(self, key: bytes, slot: int) -> bool:
+        """:meth:`delete` at the slot :meth:`_find` returned."""
+        if slot == -1 or (slot == _IN_LOG and self._log[key] is None):
+            return False  # absent, or already a pending delete
+        if slot == _IN_LOG and not self._locate(key)[1]:
+            del self._log[key]  # log-only record: drop outright
+        else:
+            self._log[key] = None
+        self._count -= 1
+        if len(self._log) >= self.merge_threshold:
+            self._merge()
+        return True
 
     # -- core operations -------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
         """The packed value for *key*, or None."""
-        logged = self._log.get(key, _MISSING)
-        if logged is not _MISSING:
-            return logged  # None for a pending delete
-        idx = self._find_base(key)
-        if idx < 0:
-            return None
-        vsz = self.value_size
-        return bytes(self._base_vals[idx * vsz : (idx + 1) * vsz])
+        return self._find(key)[0]
 
     def set(self, key: bytes, value: bytes) -> None:
         """Insert or replace the value for *key*."""
         if len(key) != KEY_BYTES or len(value) != self.value_size:
             raise ValueError("packed key/value size mismatch")
-        logged = self._log.get(key, _MISSING)
-        if logged is not _MISSING:
-            if logged is None:
-                self._count += 1
-            self._log[key] = value
-            return
-        idx = self._find_base(key)
-        if idx >= 0:
-            # In-place sidecar update: the cheap lease-refresh path.
-            vsz = self.value_size
-            self._base_vals[idx * vsz : (idx + 1) * vsz] = value
-            return
-        self._log[key] = value
-        self._count += 1
-        if len(self._log) >= self.merge_threshold:
-            self._merge()
+        self._set_at(key, value, self._find(key)[1])
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; returns whether it was present."""
-        logged = self._log.get(key, _MISSING)
-        if logged is not _MISSING:
-            if logged is None:
-                return False
-            if self._find_base(key) < 0:
-                del self._log[key]  # log-only record: drop outright
-            else:
-                self._log[key] = None
-            self._count -= 1
-            return True
-        if self._find_base(key) < 0:
-            return False
-        self._log[key] = None
-        self._count -= 1
-        if len(self._log) >= self.merge_threshold:
-            self._merge()
-        return True
+        return self._delete_at(key, self._find(key)[1])
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
@@ -179,24 +188,13 @@ class PackedMap:
 
     def keys(self) -> Iterator[bytes]:
         """All live keys (merged order first, then log inserts)."""
-        log = self._log
-        keys = self._base_keys
-        for off in range(0, len(keys), KEY_BYTES):
-            key = keys[off : off + KEY_BYTES]
-            if key not in log:
-                yield key
-        for key, value in log.items():
-            if value is not None:
-                yield key
+        return (key for key, _ in self.items())
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """All live (key, packed value) pairs."""
-        log = self._log
-        keys = self._base_keys
-        vals = self._base_vals
-        vsz = self.value_size
-        for idx in range(len(keys) // KEY_BYTES):
-            key = keys[idx * KEY_BYTES : (idx + 1) * KEY_BYTES]
+        log, vals, vsz = self._log, self._base_vals, self.value_size
+        for idx, prefix in enumerate(self._prefixes):
+            key = _PREFIX.pack(prefix) + self._suffix_at(idx)
             if key not in log:
                 yield key, bytes(vals[idx * vsz : (idx + 1) * vsz])
         for key, value in log.items():
@@ -205,7 +203,8 @@ class PackedMap:
 
     def clear(self) -> None:
         """Drop everything."""
-        self._base_keys = b""
+        self._prefixes = array("Q")
+        self._suffixes = b""
         self._base_vals = bytearray()
         self._log.clear()
         self._count = 0
@@ -218,39 +217,44 @@ class PackedMap:
         log = self._log
         if not log:
             return
-        vsz = self.value_size
-        base_keys = self._base_keys
-        base_vals = self._base_vals
-        n = len(base_keys) // KEY_BYTES
-        out_keys: list[bytes] = []
-        out_vals: list[bytes | bytearray] = []
+        vsz, n = self.value_size, len(self._prefixes)
+        # Pieces are bytes copies: array or memoryview slices are
+        # GC-tracked, and one per log key would trigger collections.
+        prefixes = self._prefixes.tobytes()
+        suffixes, vals = self._suffixes, self._base_vals
+        out_p: list = []  # prefix, suffix and value pieces
+        out_s: list = []
+        out_v: list = []
         pos = 0
-        bisect = self._bisect
         for key, value in sorted(log.items()):
-            idx = bisect(base_keys, pos, n, key)
+            idx, found = self._locate(key, pos)
             if idx > pos:
-                out_keys.append(base_keys[pos * KEY_BYTES : idx * KEY_BYTES])
-                out_vals.append(base_vals[pos * vsz : idx * vsz])
-            off = idx * KEY_BYTES
-            if idx < n and base_keys[off : off + KEY_BYTES] == key:
-                pos = idx + 1  # key exists in base: replaced or deleted
-            else:
-                pos = idx
+                out_p.append(prefixes[pos * PREFIX_BYTES : idx * PREFIX_BYTES])
+                out_s.append(suffixes[pos * SUFFIX_BYTES : idx * SUFFIX_BYTES])
+                out_v.append(vals[pos * vsz : idx * vsz])
+            pos = idx + 1 if found else idx  # a found key is replaced or deleted
             if value is not None:
-                out_keys.append(key)
-                out_vals.append(value)
+                out_p.append(_NATIVE_Q.pack(_PREFIX.unpack_from(key)[0]))
+                out_s.append(key[PREFIX_BYTES:])
+                out_v.append(value)
         if pos < n:
-            out_keys.append(base_keys[pos * KEY_BYTES :])
-            out_vals.append(base_vals[pos * vsz :])
-        self._base_keys = b"".join(out_keys)
-        self._base_vals = bytearray(b"").join(out_vals)
+            out_p.append(prefixes[pos * PREFIX_BYTES :])
+            out_s.append(suffixes[pos * SUFFIX_BYTES :])
+            out_v.append(vals[pos * vsz :])
+        # The merged base holds exactly the live keys; sizing the array
+        # up front avoids array('Q', bytes)'s 1/16 over-allocation.
+        self._prefixes = array("Q", [0]) * self._count
+        memoryview(self._prefixes).cast("B")[:] = b"".join(out_p)
+        self._suffixes = b"".join(out_s)
+        self._base_vals = bytearray(b"").join(out_v)
         log.clear()
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes of the packed state (blobs plus
-        the write log's dict overhead)."""
+        """Approximate resident bytes of the packed state (prefix array,
+        suffix blob, value sidecar and the write log)."""
         return (
-            sys.getsizeof(self._base_keys)
+            sys.getsizeof(self._prefixes)
+            + sys.getsizeof(self._suffixes)
             + sys.getsizeof(self._base_vals)
             + sys.getsizeof(self._log)
             + sum(
@@ -353,17 +357,9 @@ class CompactFib:
 
     __slots__ = ("_map", "_wheel", "_clock", "_hops", "_hop_index", "purged")
 
-    def __init__(
-        self,
-        *,
-        clock: Callable[[], float] | None = None,
-        granularity: float = 1.0,
-        merge_threshold: int = DEFAULT_MERGE_THRESHOLD,
-    ):
-        self._map = PackedMap(
-            _FIB_VALUE.size, merge_threshold=merge_threshold
-        )
-        self._wheel = ExpiryWheel(granularity)
+    def __init__(self, *, clock: Callable[[], float] | None = None):
+        self._map = PackedMap(_FIB_VALUE.size)
+        self._wheel = ExpiryWheel()
         self._clock = clock or (lambda: 0.0)
         #: interned next-hop nodes (index -> node; id(node) -> index)
         self._hops: list[Any] = []
@@ -401,11 +397,12 @@ class CompactFib:
             raise KeyError(name)
 
     def pop(self, name: GdpName, default: Any = None) -> Any:
-        value = self.get(name)
-        if value is None:
+        packed, slot = self._map._find(name.raw)
+        if packed is None:
             return default
-        self._map.delete(name.raw)
-        return value
+        self._map._delete_at(name.raw, slot)
+        idx, expiry = _FIB_VALUE.unpack(packed)
+        return (self._hops[idx], expiry)
 
     def __contains__(self, name: GdpName) -> bool:
         return self._map.get(name.raw) is not None
@@ -454,12 +451,12 @@ class CompactFib:
         table = self._map
         wheel = self._wheel
         for token in wheel.expired(now):
-            packed = table.get(token)
+            packed, slot = table._find(token)
             if packed is None:
                 continue  # already dropped/replaced: stale token
             expiry = _FIB_VALUE.unpack(packed)[1]
             if expiry <= now:
-                table.delete(token)
+                table._delete_at(token, slot)
                 reclaimed += 1
             else:
                 wheel.schedule(token, expiry)  # refreshed since filing

@@ -399,44 +399,41 @@ class _PackedTable:
         self._wheel = ExpiryWheel()
         self._c_purged = metrics.counter("glookup.purged")
 
-    def _load(self, raw: bytes) -> list[tuple[int, float]]:
-        """All stored (evidence id, expiry) pairs for a raw name."""
-        packed = self._map.get(raw)
+    def _load(self, raw: bytes) -> tuple[list[tuple[int, float]], int]:
+        """All stored (evidence id, expiry) pairs for a raw name, and
+        the name's map slot for a follow-up :meth:`_write`."""
+        packed, slot = self._map._find(raw)
         if packed is None:
-            return []
+            return [], slot
         ev, expiry = _VALUE.unpack(packed)
         if ev == _SPILL:
-            return list(self._spill.get(raw, []))
-        return [(ev, expiry)]
+            return list(self._spill.get(raw, [])), slot
+        return [(ev, expiry)], slot
 
-    def _write(self, raw: bytes, pairs: list[tuple[int, float]]) -> None:
-        """Store the pair list for a raw name (collapsing the spill)."""
+    def _write(self, raw: bytes, pairs: list, slot: int) -> None:
+        """Store the pair list for a raw name at the slot :meth:`_load`
+        returned (collapsing the spill)."""
         if not pairs:
-            self._map.delete(raw)
+            self._map._delete_at(raw, slot)
             self._spill.pop(raw, None)
         elif len(pairs) == 1:
             self._spill.pop(raw, None)
-            self._map.set(raw, _VALUE.pack(*pairs[0]))
+            self._map._set_at(raw, _VALUE.pack(*pairs[0]), slot)
         else:
             self._spill[raw] = pairs
-            self._map.set(raw, _VALUE.pack(_SPILL, _NO_EXPIRY))
+            self._map._set_at(raw, _VALUE.pack(_SPILL, _NO_EXPIRY), slot)
 
-    def _cull(self, raw: bytes, now: float) -> list[tuple[int, float]]:
-        """Drop expired pairs for a raw name; returns the live ones."""
-        pairs = self._load(raw)
-        if not pairs:
-            return []
-        live = [
-            (ev, expiry)
-            for ev, expiry in pairs
-            if not (expiry != _NO_EXPIRY and now > expiry)
-        ]
+    def _cull(self, raw: bytes, pairs: list, slot: int, now: float) -> list:
+        """Drop the expired ones of a raw name's loaded *pairs*; returns
+        the live ones."""
+        live = []
+        for ev, expiry in pairs:
+            if expiry != _NO_EXPIRY and now > expiry:
+                self._pool.release(ev)
+            else:
+                live.append((ev, expiry))
         if len(live) != len(pairs):
-            survivors = {ev for ev, _ in live}
-            for ev, expiry in pairs:
-                if ev not in survivors:
-                    self._pool.release(ev)
-            self._write(raw, live)
+            self._write(raw, live, slot)
         return live
 
     def store(self, entry: RouteEntry) -> None:
@@ -463,8 +460,9 @@ class _PackedTable:
         )
         ev = self._pool.acquire(payload)
         expiry = _NO_EXPIRY if entry.expires_at is None else entry.expires_at
-        kept = self._without(self._load(raw), entry.principal.raw)
-        self._write(raw, kept + [(ev, expiry)])
+        pairs, slot = self._load(raw)
+        kept = self._without(pairs, entry.principal.raw)
+        self._write(raw, kept + [(ev, expiry)], slot)
         if expiry != _NO_EXPIRY:
             self._wheel.schedule(raw, expiry)
 
@@ -481,17 +479,19 @@ class _PackedTable:
 
     def drop(self, name: GdpName, principal: GdpName) -> None:
         """Remove the binding for (name, principal)."""
-        pairs = self._load(name.raw)
+        pairs, slot = self._load(name.raw)
         kept = self._without(pairs, principal.raw)
         if len(kept) != len(pairs):
-            self._write(name.raw, kept)
+            self._write(name.raw, kept, slot)
 
     def fetch(self, name: GdpName) -> list[RouteEntry]:
         """Live entries for *name*; expired ones are culled."""
         pool = self._pool
         return [
             _rebuild_entry(name, pool.payload(ev), expiry)
-            for ev, expiry in self._cull(name.raw, self._clock())
+            for ev, expiry in self._cull(
+                name.raw, *self._load(name.raw), self._clock()
+            )
         ]
 
     def peek(self, name: GdpName) -> list[RouteEntry]:
@@ -499,7 +499,7 @@ class _PackedTable:
         pool = self._pool
         return [
             _rebuild_entry(name, pool.payload(ev), expiry)
-            for ev, expiry in self._load(name.raw)
+            for ev, expiry in self._load(name.raw)[0]
         ]
 
     def purge_expired(self, now: float) -> int:
@@ -507,10 +507,9 @@ class _PackedTable:
         proportional to the tokens processed, never the table size."""
         reclaimed = 0
         for token in self._wheel.expired(now):
-            before = self._load(token)
-            if not before:
-                continue  # name already dropped: stale token
-            reclaimed += len(before) - len(self._cull(token, now))
+            pairs, slot = self._load(token)
+            if pairs:  # else the name was already dropped: stale token
+                reclaimed += len(pairs) - len(self._cull(token, pairs, slot, now))
         self._c_purged.inc(reclaimed)
         return reclaimed
 

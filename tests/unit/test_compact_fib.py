@@ -74,6 +74,34 @@ class TestPackedMap:
         m.set(raw(3), b"log3")
         assert dict(m.items()) == {raw(1): b"log1", raw(3): b"log3"}
 
+    def test_shared_prefix_keys_across_a_merge(self):
+        # Digests never share an 8-byte prefix; these keys do, so every
+        # search below takes the suffix fallback.
+        prefix = b"\x42" * 8
+        low, high = prefix + b"\x01" * 24, prefix + b"\x09" * 24
+        absent = prefix + b"\x05" * 24  # between the two
+        # Its suffix heads the next prefix run: a search that overran
+        # its own run would report it present.
+        overrun = prefix + b"\x0a" * 24
+        m = PackedMap(4, merge_threshold=1000)
+        m.set(high, b"hhhh")
+        m.set(b"\x43" * 8 + b"\x0a" * 24, b"next")
+        m.compact()  # high in the base arrays
+        m.set(low, b"llll")  # low in the log, merged in below high
+        assert (m.get(low), m.get(high)) == (b"llll", b"hhhh")
+        m.compact()
+        assert list(m.keys())[:2] == [low, high]
+        assert (m.get(low), m.get(high)) == (b"llll", b"hhhh")
+        assert m.get(absent) is None and m.get(overrun) is None
+        assert m.delete(absent) is False and m.delete(overrun) is False
+        m.set(low, b"LLLL")  # both replaced in place
+        m.set(high, b"HHHH")
+        assert (m.get(low), m.get(high)) == (b"LLLL", b"HHHH")
+        assert m.delete(low) and m.delete(high)
+        assert low not in m and high not in m
+        m.compact()
+        assert list(m.keys()) == [b"\x43" * 8 + b"\x0a" * 24]
+
     def test_size_validation(self):
         m = PackedMap(4)
         with pytest.raises(ValueError):
@@ -89,6 +117,9 @@ class TestPackedMap:
         m.compact()
         # 44 packed bytes per record plus container overhead.
         assert m.memory_bytes() / n < 60
+        # Merged arrays are allocated at their exact size (an
+        # array('Q') grown from bytes would add n/2 bytes).
+        assert m.memory_bytes() < 44 * n + 512
 
 
 class TestExpiryWheel:

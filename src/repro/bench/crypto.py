@@ -102,13 +102,11 @@ def _rebuilt_copy(capsule):
     from repro.capsule.records import Record
 
     clone = DataCapsule(capsule.metadata)
-    for seqno in sorted(capsule.seqnos()):
-        record = Record.from_wire(
-            capsule.name, capsule.get(seqno).to_wire()
-        )
-        clone.insert(record, enforce_strategy=False)
-    for heartbeat in capsule.heartbeats():
-        clone.add_heartbeat(Heartbeat.from_wire(heartbeat.to_wire()))
+    clone.admit_fetched(
+        [Record.from_wire(capsule.name, r.to_wire()) for r in capsule.records()],
+        [Heartbeat.from_wire(h.to_wire()) for h in capsule.heartbeats()],
+        {},
+    )
     return clone
 
 

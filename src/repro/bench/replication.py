@@ -115,11 +115,9 @@ def _build_sync_world(owner, metadata, minted):
     capsule_a = server_a.hosted[metadata.name].capsule
     capsule_b = server_b.hosted[metadata.name].capsule
     for record, heartbeat in minted:
-        capsule_a.insert(record, enforce_strategy=False)
-        capsule_a.add_heartbeat(heartbeat)
+        capsule_a.admit([record], heartbeat)
         if record.seqno % SYNC_DIVERGENCE_STRIDE:
-            capsule_b.insert(record, enforce_strategy=False)
-            capsule_b.add_heartbeat(heartbeat)
+            capsule_b.admit([record], heartbeat)
     return net, server_a, server_b
 
 

@@ -4,27 +4,28 @@ A :class:`DataCapsule` is the in-memory representation of one capsule's
 state: its signed metadata, its records (keyed by digest — in QSW mode a
 sequence number can map to more than one record), and the writer
 heartbeats seen so far.  It performs the *generalized validation scheme*:
-every inserted record is checked against the capsule name, the declared
+every admitted record is checked against the capsule name, the declared
 pointer strategy's shape, and the digests of any already-known pointer
 targets; heartbeats are checked against the single writer's key from the
-metadata.  A record enters a replica only when one rule attests it (a
+metadata.  A record enters any capsule only when one rule attests it (a
 verified heartbeat, or a hash pointer from an attested record): written
-runs (:func:`run_wire` — on a replica and on a subscriber alike) through
-:meth:`DataCapsule.admit`, all or nothing, and fetched records through
-:meth:`DataCapsule.admit_fetched`.
+runs (:func:`run_wire`) through :meth:`DataCapsule.admit`, all or
+nothing; fetched records — sync, log replay, the join — through
+:meth:`DataCapsule.admit_fetched`; a verified read through
+:meth:`DataCapsule.admit_range`, which checks its range proof itself.
 
 The same class backs every role in the system — writers build onto it,
 DataCapsule-servers store it, and readers accumulate verified state into
 it.  Its state is a CRDT with :meth:`merge_from` as the join (§V-A: "a
 DataCapsule meets the definition of a Conflict-Free Replicated Data
-Type"): record insertion is idempotent and order-independent, so
-"append operations ... can be easily forwarded as is to all the
-DataCapsule-servers in arbitrary order".
+Type"): the union of attested record sets, idempotent and
+order-independent, so "append operations ... can be easily forwarded as
+is to all the DataCapsule-servers in arbitrary order".
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.capsule.hashptr import PointerStrategy, get_strategy
 from repro.crypto.merkle import MerkleTree
@@ -45,6 +46,9 @@ from repro.naming.metadata import (
     Metadata,
 )
 from repro.naming.names import GdpName
+
+if TYPE_CHECKING:  # proofs builds on this module
+    from repro.capsule.proofs import RangeProof
 
 __all__ = ["DataCapsule"]
 
@@ -210,7 +214,17 @@ class DataCapsule:
 
     # -- writes ----------------------------------------------------------
 
-    def _check_shape(self, record: Record) -> None:
+    def _check_record(self, record: Record, run: dict = _NO_RUN) -> None:
+        """The checks every way in runs: capsule, strategy shape, links
+        (against stored records and the rest of *run*).  A pointer to an
+        unknown digest is allowed — replication can deliver records out
+        of order (§V-A) — and one to a seqno stored here under another
+        digest is a fork: stored as a branch, blamed from heartbeats."""
+        if record.capsule != self.name:
+            raise IntegrityError(
+                f"record for capsule {record.capsule.human()} admitted "
+                f"into {self.name.human()}"
+            )
         expected = self.strategy.targets(record.seqno)
         actual = [ptr.seqno for ptr in record.pointers]
         if actual != expected:
@@ -218,8 +232,6 @@ class DataCapsule:
                 f"record {record.seqno} pointer targets {actual} do not "
                 f"match strategy {self.strategy.spec!r} (expected {expected})"
             )
-
-    def _check_links(self, record: Record, run: dict = _NO_RUN) -> None:
         for ptr in record.pointers:
             if ptr.seqno == 0:
                 if ptr != self._anchor:
@@ -234,24 +246,13 @@ class DataCapsule:
                     f"pointer from record {record.seqno} claims seqno "
                     f"{ptr.seqno} but digest belongs to {known.seqno}"
                 )
-            # A pointer to an *unknown* digest is allowed: replication
-            # can deliver records out of order (§V-A).  A pointer whose
-            # target seqno exists here under a *different* digest is a
-            # fork: it is stored as a branch (surfaced via is_branched()
-            # and the branches API) rather than rejected, and the
-            # equivocation machinery assigns blame from heartbeats.
 
-    def _check_record(
-        self, record: Record, enforce_strategy: bool, run: dict = _NO_RUN
-    ) -> None:
-        if record.capsule != self.name:
-            raise IntegrityError(
-                f"record for capsule {record.capsule.human()} inserted "
-                f"into {self.name.human()}"
-            )
-        if enforce_strategy:
-            self._check_shape(record)
-        self._check_links(record, run)
+    def _check_run(self, records: list[Record]) -> dict:
+        """Check every record of a run; returns the run by digest."""
+        run = {record.digest: record for record in records}
+        for record in records:
+            self._check_record(record, run)
+        return run
 
     def _store(self, record: Record) -> bool:
         if record.digest in self._by_digest:
@@ -261,14 +262,6 @@ class DataCapsule:
         self._sync_leaf_cache.pop(record.seqno, None)
         self._range_root_cache.clear()
         return True
-
-    def insert(self, record: Record, *, enforce_strategy: bool = True) -> bool:
-        """Validate and store one record without a heartbeat (idempotent;
-        CRDT merges, storage replay); returns ``True`` if it was
-        new.  Raises :class:`IntegrityError`, storing nothing, on any
-        validation failure."""
-        self._check_record(record, enforce_strategy)
-        return self._store(record)
 
     def admit(
         self, records: list[Record], heartbeat: Heartbeat
@@ -283,21 +276,16 @@ class DataCapsule:
         was new)``.  Raises on any failure, leaving the capsule untouched.
         """
         tip = records[-1]
-        if len(records) == 1:
-            self._check_record(tip, True)
-        else:
-            run = {record.digest: record for record in records}
-            for record in records:
-                self._check_record(record, True, run)
-            # attestation consumes the run: what is left is unattested
-            self._attest(run, [tip])
-            self._attest(run, [r for r in run.values() if self._anchored(r)])
-            if run:
-                unattested = max(run.values(), key=lambda r: r.seqno)
-                raise IntegrityError(
-                    f"record {unattested.seqno} is not attested by the "
-                    f"heartbeat over record {tip.seqno}"
-                )
+        run = self._check_run(records)
+        # attestation consumes the run: what is left is unattested
+        self._attest(run, [tip])
+        self._attest(run, [r for r in run.values() if self._anchored(r)])
+        if run:
+            unattested = max(run.values(), key=lambda r: r.seqno)
+            raise IntegrityError(
+                f"record {unattested.seqno} is not attested by the "
+                f"heartbeat over record {tip.seqno}"
+            )
         # add_heartbeat raises before it stores; nothing after it can fail
         heartbeat_new = self.add_heartbeat(heartbeat, matching_record=tip)
         return [record for record in records if self._store(record)], heartbeat_new
@@ -327,13 +315,23 @@ class DataCapsule:
         new = []  # in seqno order: links are checked against what is stored
         for record in sorted(self._attest(held, anchored), key=lambda r: r.seqno):
             try:
-                self._check_record(record, True)
+                self._check_record(record)
             except IntegrityError:
                 held[record.digest] = record  # attested, but refused
                 continue
             if self._store(record):
                 new.append(record)
         return new, new_heartbeats
+
+    def admit_range(self, records: list[Record], proof: RangeProof) -> list[Record]:
+        """Admit a verified read — a reader's way in: the proof's
+        heartbeat attests the last record through its header chain, each
+        record its predecessor; then :meth:`admit`'s record checks.
+        Returns the new records; raises, storing nothing, on a failure."""
+        proof.verify_records(records, self._writer_key)
+        self._check_run(records)
+        self.add_heartbeat(proof.position.heartbeat)
+        return [record for record in records if self._store(record)]
 
     def _attest(self, held: dict[bytes, Record], seeds: list[Record]) -> list[Record]:
         """The attestation rule, the one test for what a replica may
@@ -466,23 +464,25 @@ class DataCapsule:
         return len(covered)
 
     def merge_from(self, other: "DataCapsule") -> int:
-        """CRDT join: absorb every record and heartbeat of *other*
-        (which must be a replica of the same capsule).  Returns the
-        number of new records absorbed.  Commutative, associative, and
-        idempotent — the substance of leaderless replication (§V-A).
-        """
+        """CRDT join: absorb what of *other* (a replica of the same
+        capsule) the attestation rule admits; returns the number of new
+        records.  Commutative, associative, and idempotent — the
+        substance of leaderless replication (§V-A).  A heartbeat that
+        fails :meth:`add_heartbeat` (an SSW equivocation included) is
+        skipped, not raised."""
         if other.name != self.name:
             raise IntegrityError("cannot merge replicas of different capsules")
-        added = 0
-        for record in other.records():
-            if self.insert(record, enforce_strategy=False):
-                added += 1
-        for heartbeat in other.heartbeats():
-            self.add_heartbeat(heartbeat)
-        return added
+        new, _ = self.admit_fetched(
+            list(other.records()), list(other.heartbeats()), {}
+        )
+        return len(new)
 
     def clone(self) -> "DataCapsule":
-        """An independent replica with the same contents."""
+        """An independent replica holding what :meth:`merge_from` admits
+        of this one: every heartbeat, and every record a stored heartbeat
+        or stored successor attests.  A record taken under a later
+        heartbeat's proof (:meth:`admit_range`), with neither stored, is
+        not copied."""
         replica = DataCapsule(self.metadata, verify_metadata=False)
         replica.merge_from(self)
         return replica
@@ -525,29 +525,12 @@ class DataCapsule:
 
     def seed_sync_leaves(self, leaves: dict[int, bytes]) -> tuple[int, int]:
         """Prime the sync-leaf cache from a storage engine's persisted
-        per-segment index (``SegmentedStore.sync_leaves``), returning
-        ``(seeded, mismatched)``.
-
-        Every offered leaf is cross-checked against the records this
-        capsule actually holds at that seqno, so a stale or corrupt
-        persisted index can never poison :meth:`range_root` — a mismatch
-        instead *surfaces* divergence between the replayed log and its
-        sealed-segment index (e.g. a corrupt frame that recovery had to
-        skip), which the server reports as a recovery integrity event.
-        """
-        seeded = 0
-        mismatched = 0
-        for seqno, leaf in leaves.items():
-            digests = self._by_seqno.get(seqno)
-            expected = (
-                b"".join(sorted(digests)) if digests else _SYNC_HOLE_LEAF
-            )
-            if expected == leaf:
-                self._sync_leaf_cache.setdefault(seqno, leaf)
-                seeded += 1
-            else:
-                mismatched += 1
-        return seeded, mismatched
+        index (``SegmentedStore.sync_leaves``); returns ``(seeded,
+        mismatched)``.  Each leaf is cross-checked against the records
+        held at its seqno, so a stale or corrupt index never poisons
+        :meth:`range_root`: a mismatch surfaces as a recovery event."""
+        seeded = sum(self.sync_leaf(seqno) == leaf for seqno, leaf in leaves.items())
+        return seeded, len(leaves) - seeded
 
     def range_root(self, lo: int, hi: int) -> bytes:
         """Merkle root over the sync leaves of seqnos ``lo..hi``

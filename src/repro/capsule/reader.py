@@ -7,9 +7,11 @@ from untrusted infrastructure and is verified before acceptance:
 1. Presented metadata must hash to the name (self-certification).
 2. Heartbeats must carry the designated writer's signature.
 3. Records must be pinned against a verified heartbeat: every read
-   arrives as a range under its range proof (:meth:`accept_range`), and
-   a pushed run is admitted by :meth:`DataCapsule.admit`, like a replica
-   admits it, under the heartbeat over its tip.
+   arrives as a range under its range proof, which
+   :meth:`DataCapsule.admit_range` checks itself (:meth:`accept_range`),
+   and a pushed run under the heartbeat over its tip
+   (:meth:`accept_run`).  SSW equivocation raises
+   :class:`EquivocationError`.
 4. Heartbeat sequence numbers must never regress below what this reader
    has already seen (anti-rollback: a stale replica can lag, but a
    *response* claiming an older history than the reader's own frontier
@@ -24,7 +26,7 @@ possible.
 from __future__ import annotations
 
 from repro.capsule.capsule import DataCapsule
-from repro.capsule.heartbeat import Heartbeat, detect_equivocation
+from repro.capsule.heartbeat import Heartbeat
 from repro.capsule.proofs import PositionProof, RangeProof
 from repro.capsule.records import Record
 from repro.errors import IntegrityError, SecurityError
@@ -40,7 +42,6 @@ class VerifyingReader:
     def __init__(self, name: GdpName):
         self.name = name
         self._capsule: DataCapsule | None = None
-        self._frontier: Heartbeat | None = None
 
     @property
     def capsule(self) -> DataCapsule:
@@ -54,7 +55,7 @@ class VerifyingReader:
     @property
     def frontier(self) -> Heartbeat | None:
         """The newest writer heartbeat this reader has verified."""
-        return self._frontier
+        return None if self._capsule is None else self._capsule.latest_heartbeat
 
     def accept_metadata(self, metadata: Metadata) -> DataCapsule:
         """Verify and adopt metadata as the capsule's trust anchor.
@@ -70,49 +71,37 @@ class VerifyingReader:
             raise IntegrityError("conflicting metadata for the same name")
         return self._capsule
 
-    def observe_heartbeat(self, heartbeat: Heartbeat) -> None:
-        """Verify and record a heartbeat; advances the freshness frontier.
-
-        Equivocation (two valid heartbeats, same seqno, different
-        digests) raises :class:`EquivocationError` for SSW capsules.
-        """
-        capsule = self.capsule
-        capsule.add_heartbeat(heartbeat)
-        if self._frontier is not None and capsule.writer_mode == "ssw":
-            detect_equivocation(self._frontier, heartbeat, capsule.writer_key)
-        if self._frontier is None or heartbeat.seqno > self._frontier.seqno:
-            self._frontier = heartbeat
-
     def check_freshness(self, heartbeat: Heartbeat) -> None:
         """Reject a response anchored on a heartbeat older than this
         reader's frontier (§VI-C: readers "can simply discard stale
         information")."""
-        if self._frontier is not None and heartbeat.seqno < self._frontier.seqno:
+        frontier = self.frontier
+        if frontier is not None and heartbeat.seqno < frontier.seqno:
             raise IntegrityError(
                 f"stale response: anchored at seqno {heartbeat.seqno} but "
-                f"reader has already verified seqno {self._frontier.seqno}"
+                f"reader has already verified seqno {frontier.seqno}"
             )
 
     def accept_record(self, record: Record, proof: PositionProof) -> Record:
-        """Verify a single record against its proof and absorb it."""
-        capsule = self.capsule
-        proof.verify_record(record, capsule.writer_key)
-        self.observe_heartbeat(proof.heartbeat)
-        capsule.insert(record, enforce_strategy=False)
-        return record
+        """Verify a single record against its proof and absorb it (a
+        one-record :meth:`accept_range`)."""
+        return self.accept_range(
+            [record], RangeProof(proof, record.seqno, record.seqno)
+        )[0]
 
     def accept_range(
         self, records: list[Record], proof: RangeProof
     ) -> list[Record]:
         """Verify a contiguous range against its proof and absorb it."""
-        capsule = self.capsule
-        proof.verify_records(records, capsule.writer_key)
-        self.observe_heartbeat(proof.position.heartbeat)
-        for record in records:
-            capsule.insert(record, enforce_strategy=False)
+        self.capsule.admit_range(records, proof)
         return records
+
+    def accept_run(self, records: list[Record], heartbeat: Heartbeat) -> None:
+        """Admit a pushed run under the heartbeat over its tip, as a
+        replica admits it (:meth:`DataCapsule.admit`)."""
+        self.capsule.admit(records, heartbeat)
 
     def verify_everything(self) -> int:
         """Offline re-verification of the full accumulated history
         against the frontier heartbeat; returns records covered."""
-        return self.capsule.verify_history(self._frontier)
+        return self.capsule.verify_history(self.frontier)

@@ -475,8 +475,7 @@ class GdpClient(Endpoint):
         try:
             records, heartbeat = run_from_wire(capsule_name, pdu.payload)
             if self.verify:
-                reader.capsule.admit(records, heartbeat)
-                reader.observe_heartbeat(heartbeat)
+                reader.accept_run(records, heartbeat)
             sub.server = pdu.src
             # Re-subscribing to a second replica overlaps its push
             # stream with the first's: suppress anything already

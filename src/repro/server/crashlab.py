@@ -11,10 +11,14 @@ executable sweep:
    to learn how many times each crash site is reached.
 3. :func:`run_crash_case` replays the schedule with a hook armed to
    kill the store at the N-th hit of one site, reopens a *fresh* store
-   over the surviving files, and checks the recovery invariants:
+   over the surviving files, replays it as the server's recovery does
+   (:func:`~repro.server.storage.replay`), and checks the invariants:
 
    - **No acked loss** — every record whose append returned is present
      after reopen.
+   - **Refusals only past the ack** — a seal between a run's records and
+     its heartbeat can leave records durable, unacked and unattested;
+     every heartbeat frame must verify.
    - **No phantoms** — every recovered record was minted by the writer
      (a torn frame can only destroy data, never invent it).
    - **Chain re-verifies** — ``verify_history`` passes from the newest
@@ -23,7 +27,8 @@ executable sweep:
      ``tail_truncated`` event; a second reopen produces none (recovery
      converges).
    - **Persisted sync index is honest** — ``sync_leaves`` of the
-     reopened store cross-checks clean against the replayed capsule.
+     reopened store matches the record frames it was built from, and a
+     second reopen replays to the same record set.
 
 The torture tests (``tests/torture/``) sweep every (site, hit) pair;
 the hypothesis property tests (``tests/property/``) drive the same
@@ -39,7 +44,7 @@ from repro.crypto.keys import SigningKey
 from repro.errors import GdpError
 from repro.naming.metadata import make_capsule_metadata
 from repro.server.segmented import SegmentedStore, SimulatedCrash
-from repro.server.storage import replay_entry
+from repro.server.storage import replay
 
 __all__ = [
     "CrashHook",
@@ -221,13 +226,20 @@ def verify_recovery(
     violations: list[str] = []
     name = history.capsule.name
     store = _make_store(root, tier, config)
+    entries = list(store.load_entries(name))
     replica = DataCapsule(history.capsule.metadata, verify_metadata=False)
-    for tag, wire in store.load_entries(name):
-        try:
-            replay_entry(replica, tag, wire)
-        except GdpError as exc:
-            violations.append(f"recovered frame failed validation: {exc}")
+    _, refused = replay(replica, entries)
     recovered_digests = {record.digest for record in replica.records()}
+    # Every CRC-valid record frame, stored unchecked: what the persisted
+    # index was built from.
+    framed = DataCapsule(history.capsule.metadata, verify_metadata=False)
+    for tag, wire in entries:
+        if tag == "r":
+            try:
+                framed._store(Record.from_wire(name, wire))
+            except GdpError as exc:
+                violations.append(f"recovered frame failed validation: {exc}")
+                refused -= 1
     minted = set(history.record_digests)
     for i in range(acked):
         if history.record_digests[i] not in recovered_digests:
@@ -235,6 +247,14 @@ def verify_recovery(
                 f"ACKED RECORD LOST: seqno {i + 1} "
                 f"(acked={acked}, recovered={len(recovered_digests)})"
             )
+    unrecovered = [r for r in framed.records() if r.digest not in recovered_digests]
+    violations += [
+        f"replay refused record {r.seqno} (acked={acked})"
+        for r in unrecovered
+        if r.seqno <= acked
+    ]
+    if refused > len(unrecovered):  # the rest are heartbeat frames
+        violations.append(f"replay refused {refused - len(unrecovered)} heartbeats")
     phantoms = recovered_digests - minted
     if phantoms:
         violations.append(f"{len(phantoms)} phantom records recovered")
@@ -245,14 +265,11 @@ def verify_recovery(
         violations.append(f"tail truncation logged {truncations} times")
     # The chain must re-verify from the newest heartbeat whose record
     # survived (later heartbeats may have died with the tail).
-    anchor = None
-    for seqno in sorted(replica.seqnos(), reverse=True):
-        for heartbeat in replica.heartbeats_at(seqno):
-            if heartbeat.digest in recovered_digests:
-                anchor = heartbeat
-                break
-        if anchor is not None:
-            break
+    anchor = max(
+        (h for h in replica.heartbeats() if h.digest in recovered_digests),
+        key=lambda h: h.seqno,
+        default=None,
+    )
     if anchor is not None:
         try:
             replica.verify_history(anchor)
@@ -260,24 +277,17 @@ def verify_recovery(
             violations.append(f"hash chain failed to re-verify: {exc}")
     elif acked > 0:
         violations.append("no usable heartbeat anchor survived")
-    # Persisted sync index must agree with the replayed records.
-    leaves = store.sync_leaves(name)
-    for seqno, leaf in leaves.items():
-        if replica.sync_leaf(seqno) != leaf:
-            violations.append(f"persisted sync leaf diverges at {seqno}")
-            break
+    # The persisted sync index must agree with the frames it was built from.
+    _, mismatched = framed.seed_sync_leaves(store.sync_leaves(name))
+    if mismatched:
+        violations.append(f"{mismatched} persisted sync leaves diverge")
     store.close()
     # Recovery must converge: a second reopen sees a clean tail and the
     # same record set.
     again = _make_store(root, tier, config)
-    digests_again = set()
-    for tag, wire in again.load_entries(name):
-        if tag == "r":
-            try:
-                digests_again.add(Record.from_wire(name, wire).digest)
-            except GdpError:
-                pass
-    if digests_again != recovered_digests:
+    rebuilt = DataCapsule(history.capsule.metadata, verify_metadata=False)
+    replay(rebuilt, again.load_entries(name))
+    if rebuilt.canonical_summary() != replica.canonical_summary():
         violations.append("second reopen produced a different record set")
     if any(e["event"] == "tail_truncated" for e in again.recovery_log):
         violations.append("second reopen truncated the tail again")

@@ -61,7 +61,7 @@ from repro.routing.pdu import Pdu, payload_size
 from repro.runtime.dispatch import dispatch_op, op, opt
 from repro.server.durability import AckPolicy
 from repro.server.secure import mac_response, sign_response
-from repro.server.storage import MemoryStore, StorageBackend, replay_entry
+from repro.server.storage import MemoryStore, StorageBackend, replay
 from repro.runtime.context import Future
 from repro.runtime.network import Network
 
@@ -125,11 +125,13 @@ class DataCapsuleServer(Endpoint):
         # itself: the client has no keys until it reads it).
         self._sign_anyway: set[tuple[GdpName, int]] = set()
         self.crashed = False
-        #: last recover_from_storage() report: records replayed, sync
-        #: leaves seeded from the persisted segment index, and any
-        #: index-vs-log integrity mismatches it surfaced
+        #: last recover_from_storage() report: records replayed, frames
+        #: the attestation rule refused, sync leaves seeded from the
+        #: persisted segment index, and index-vs-replica mismatches (a
+        #: frame the log lost, or a torn run's refused records)
         self.last_recovery: dict = {
             "records": 0,
+            "refused": 0,
             "seeded_leaves": 0,
             "index_mismatches": 0,
         }
@@ -234,28 +236,21 @@ class DataCapsuleServer(Endpoint):
             self._schedule_readvertise()
 
     def recover_from_storage(self) -> int:
-        """Reload records/heartbeats from the backend into any hosted
-        capsule; returns how many records were recovered.
-
-        Backends that persist the Merkle sync index per sealed segment
-        (:class:`~repro.server.segmented.SegmentedStore`) additionally
-        seed each capsule's sync-leaf cache — anti-entropy after a
-        restart starts from the persisted index instead of re-deriving
-        leaves from history — and the seeding doubles as an integrity
-        cross-check: a persisted leaf that disagrees with the replayed
-        records means a sealed segment silently lost or corrupted a
-        frame, which is surfaced in :attr:`last_recovery` instead of
-        being masked by matching roots.
+        """Replay the backend's log into every hosted capsule
+        (:func:`~repro.server.storage.replay`); returns how many records
+        were recovered.  A frame the attestation rule refuses — a record
+        altered at rest, a run torn before its heartbeat — is counted in
+        :attr:`last_recovery`, never stored.  A backend's persisted sync
+        index (``SegmentedStore``) seeds each capsule's sync-leaf cache,
+        cross-checked: a leaf that disagrees with the replayed records
+        is reported there too, not masked by matching roots.
         """
-        recovered = 0
-        report = {"records": 0, "seeded_leaves": 0, "index_mismatches": 0}
+        report = dict.fromkeys(self.last_recovery, 0)
         for name, hosted in self.hosted.items():
             capsule = hosted.capsule
-            for tag, wire in self.storage.load_entries(name):
-                try:
-                    recovered += replay_entry(capsule, tag, wire)
-                except GdpError:
-                    continue  # corrupt frame: skip, do not crash recovery
+            new, refused = replay(capsule, self.storage.load_entries(name))
+            report["records"] += new
+            report["refused"] += refused
             try:
                 leaves = self.storage.sync_leaves(name)
             except StorageError:
@@ -264,9 +259,8 @@ class DataCapsuleServer(Endpoint):
                 seeded, mismatched = capsule.seed_sync_leaves(leaves)
                 report["seeded_leaves"] += seeded
                 report["index_mismatches"] += mismatched
-        report["records"] = recovered
         self.last_recovery = report
-        return recovered
+        return report["records"]
 
     # -- request handling ----------------------------------------------------
 

@@ -824,26 +824,35 @@ class SegmentedStore(StorageBackend):
         # segment is the merged one.
         scratch = _CapsuleLog(log.name, log.dir)
         scratch.segments.append(merged)
-        # Heartbeats below the checkpoint are superseded by the newest
-        # one among the merged segments: the chain strategies all build
-        # position proofs from any later heartbeat, so only the newest
-        # anchor needs to survive (records are never dropped).
-        scanned = []
+        scanned = []  # (tag, payload, wire, record digest)
+        pointers: dict[bytes, list[bytes]] = {}
         for seg in eligible:
-            buf = self._segment_buffer(log, seg)
-            for tag, payload, _ in _iter_frames(buf):
-                scanned.append((tag, payload))
-        hb_indices = [
-            i for i, (tag, _) in enumerate(scanned) if tag == _TAG_HEARTBEAT
-        ]
-        last_hb_offset = hb_indices[-1] if hb_indices else None
-        for i, (tag, payload) in enumerate(scanned):
-            if tag == _TAG_HEARTBEAT and i != last_hb_offset:
-                continue
+            for tag, payload, _ in _iter_frames(self._segment_buffer(log, seg)):
+                wire, digest = encoding.decode(payload), None
+                if tag == _TAG_RECORD:
+                    digest = record_wire_digest(log.name.raw, wire)
+                    pointers[digest] = [ptr[1] for ptr in wire["pointers"]]
+                scanned.append((tag, payload, wire, digest))
+        # Replay keeps a record its heartbeat or an attested successor
+        # attests, so a heartbeat goes only when a newer kept one reaches
+        # its record by hash pointers: the one over a record before a
+        # hole, or over a QSW side branch, stays (records never go).
+        attested: set[bytes] = set()
+        kept = []
+        for frame in reversed(scanned):
+            if frame[0] == _TAG_HEARTBEAT:
+                if frame[2]["digest"] in attested:
+                    continue
+                frontier = [frame[2]["digest"]]
+                for digest in frontier:  # grows while it is walked
+                    if digest not in attested:
+                        attested.add(digest)
+                        frontier.extend(pointers.get(digest, ()))
+            kept.append(frame)
+        for tag, payload, wire, digest in reversed(kept):
             frames += _FRAME.pack(ord(tag), len(payload), zlib.crc32(payload))
             frames += payload
-            if tag == _TAG_RECORD:
-                self._index_entry(scratch, tag, encoding.decode(payload))
+            self._index_entry(scratch, tag, wire, digest)
         scratch.size = merged.bytes = len(frames)
         seg_path = self._seg_path(log.dir, merged_id)
         with open(seg_path, "wb") as fh:

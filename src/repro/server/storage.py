@@ -15,8 +15,9 @@ one interface with two backends:
   acknowledged.
 
 Backends store *wire forms* (dicts of bytes/ints), not live objects —
-whatever comes back is re-validated by the capsule layer, so a corrupt
-disk shows up as an integrity error, not silent data loss.  Records and
+whatever comes back is admitted again by the capsule layer's
+attestation rule (:func:`replay`), so a record altered at rest is
+refused and counted, never replayed as the replica's record.  Records and
 heartbeats have one write, :meth:`StorageBackend.append_entries`: the
 server persists each admitted run with one call.
 """
@@ -24,13 +25,13 @@ server persists each admitted run with one call.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.capsule import DataCapsule, Heartbeat, Record
-from repro.errors import StorageError
+from repro.errors import GdpError, StorageError
 from repro.naming.names import GdpName
 
-__all__ = ["StorageBackend", "MemoryStore", "SegmentedStore", "replay_entry"]
+__all__ = ["StorageBackend", "MemoryStore", "SegmentedStore", "replay"]
 
 _TAG_METADATA = "m"
 _TAG_RECORD = "r"
@@ -130,13 +131,9 @@ class MemoryStore(StorageBackend):
         return len(entries)
 
     def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
-        """Yield (tag, wire) entries in write order.
-
-        Returns an iterator over a snapshot *tuple* of the stored
-        entries — sharing the wire dicts (recovery re-validates through
-        ``from_wire``) but not the list, so appends racing the iteration
-        cannot leak into it (the cross-backend conformance contract;
-        previously this iterated the live list)."""
+        """Yield (tag, wire) entries in write order, from a snapshot
+        tuple: the wire dicts are shared, the list is not, so appends
+        racing the iteration cannot leak into it."""
         return iter(tuple(self._data.get(name, ())))
 
     def list_capsules(self) -> list[GdpName]:
@@ -148,16 +145,36 @@ class MemoryStore(StorageBackend):
         self._data.pop(name, None)
 
 
-def replay_entry(capsule: DataCapsule, tag: str, wire: dict) -> bool:
-    """Apply one stored ``(tag, wire)`` entry to *capsule* — the one way
-    a log becomes a replica again (recovery, and every check of it).
-    Returns ``True`` for a new record; raises on a failing frame."""
-    if tag == _TAG_RECORD:
-        record = Record.from_wire(capsule.name, wire)
-        return capsule.insert(record, enforce_strategy=False)
-    if tag == _TAG_HEARTBEAT:
-        capsule.add_heartbeat(Heartbeat.from_wire(wire))
-    return False
+def replay(
+    capsule: DataCapsule, entries: Iterable[tuple[str, dict]]
+) -> tuple[int, int]:
+    """Rebuild *capsule* from a stored log — the one way a log becomes a
+    replica again (recovery, and every check of it).  The log streams
+    into :meth:`DataCapsule.admit_fetched` under one *held* dict, where
+    a run's records wait for their heartbeat or a stored successor.
+    Returns ``(new records, refused frames)``: records still held at the
+    end, heartbeats that do not verify, frames that do not parse."""
+    held: dict[bytes, Record] = {}
+    records: list[Record] = []
+    new = refused = 0
+    for tag, wire in entries:
+        try:
+            if tag == _TAG_RECORD:
+                records.append(Record.from_wire(capsule.name, wire))
+                continue
+            if tag != _TAG_HEARTBEAT:
+                continue
+            heartbeat = Heartbeat.from_wire(wire)
+        except GdpError:
+            refused += 1
+            continue
+        admitted, beats = capsule.admit_fetched(records, [heartbeat], held)
+        new += len(admitted)
+        if not beats and heartbeat not in capsule.heartbeats_at(heartbeat.seqno):
+            refused += 1  # it does not verify
+        records = []
+    new += len(capsule.admit_fetched(records, [], held)[0])
+    return new, refused + len(held)
 
 
 def _check_tags(entries: list[tuple[str, dict]]) -> None:

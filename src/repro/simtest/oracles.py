@@ -42,7 +42,7 @@ from repro.errors import (
 from repro.naming.metadata import MODE_SSW
 from repro.routing.dht_glookup import DhtGLookupService
 from repro.routing.glookup import RouteEntry
-from repro.server.storage import replay_entry
+from repro.server.storage import replay
 
 __all__ = ["Violation", "ORACLES", "oracle", "run_oracles"]
 
@@ -413,26 +413,24 @@ def check_storage_round_trip(world) -> list[Violation]:
     Every live replica's persisted log must rebuild — via
     ``load_entries`` alone, the crash-recovery path — to exactly the
     in-memory capsule state.  A record the server acknowledged but
-    never persisted, a frame that fails validation on replay, or a
-    stored phantom the capsule does not know about would all surface
-    here: after a real crash the storage rebuild *becomes* the replica,
-    so any drift between the two is silent data loss (or invention)
-    waiting for the next restart.
+    never persisted, a frame the replay refuses (one no heartbeat or
+    stored successor attests, or that does not parse), or a stored
+    phantom the capsule does not know about would all surface here:
+    after a real crash the storage rebuild *becomes* the replica, so any
+    drift between the two is silent data loss (or invention) waiting
+    for the next restart.
     """
     violations = []
     for server, capsule in _hosted_capsules(world):
         if server.crashed:
             continue  # a dead replica's log is judged when it recovers
         rebuilt = DataCapsule(capsule.metadata, verify_metadata=False)
-        try:
-            for tag, wire in server.storage.load_entries(capsule.name):
-                replay_entry(rebuilt, tag, wire)
-        except GdpError as exc:
+        _, refused = replay(rebuilt, server.storage.load_entries(capsule.name))
+        if refused:
             violations.append(Violation(
                 "storage_round_trip",
                 server.node_id,
-                f"stored frame fails replay validation: "
-                f"{type(exc).__name__}: {exc}",
+                f"{refused} stored frame(s) refused on replay",
             ))
             continue
         if rebuilt.canonical_summary() != capsule.canonical_summary():

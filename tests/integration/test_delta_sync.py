@@ -5,7 +5,7 @@ property the protocol exists to provide."""
 import random
 
 from repro.adversary import StorageTamperer
-from repro.capsule import CapsuleWriter, DataCapsule
+from repro.capsule import CapsuleWriter, DataCapsule, Record
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.naming import make_capsule_metadata
@@ -313,6 +313,49 @@ class TestAttestedSync:
         )
         assert repaired.verify_history() == 8
 
+    def test_record_tampered_at_rest_is_refused_on_restart(self, mini_gdp):
+        """A hostile disk rewrites a stored record in place, payload
+        changed and pointers kept: the restart's replay refuses it (no
+        heartbeat or stored successor attests the forged digest) and
+        counts it, and one sync round stores the genuine record."""
+        g = mini_gdp
+        root, edge = g.server_root, g.server_edge
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(8):
+                yield from writer.append(b"rec-%d" % i)
+            yield 0.5
+            return metadata
+
+        metadata = g.run(scenario())
+        log = root.storage._data[metadata.name]
+        at = next(
+            i for i, (tag, wire) in enumerate(log)
+            if tag == "r" and wire["seqno"] == 5
+        )
+        wire = dict(log[at][1], payload=log[at][1]["payload"] + b"!forged!")
+        log[at] = ("r", wire)
+        forged = Record.from_wire(metadata.name, wire)
+        root.restart()
+        assert forged.digest not in root.hosted[metadata.name].capsule
+        assert root.hosted[metadata.name].capsule.get_all(5) == []
+        assert root.last_recovery["refused"] == 1
+
+        def repair():
+            yield 1.0  # let the restarted server re-advertise
+            return (yield from sync_once(root, metadata.name, edge.name))
+
+        assert g.run(repair()) == 1
+        repaired = root.hosted[metadata.name].capsule
+        assert (
+            repaired.canonical_summary()
+            == edge.hosted[metadata.name].capsule.canonical_summary()
+        )
+        assert repaired.verify_history() == 8
+
     def test_multi_batch_repair_in_one_round(self, mini_gdp):
         """A fresh replica of an ``append_stream`` capsule (heartbeats
         only at the writer's batch tips) repairs five fetch batches in
@@ -397,11 +440,9 @@ def _build_divergent_world(n_records: int, missing: set, *, seed: int):
     capsule_a = server_a.hosted[metadata.name].capsule
     capsule_b = server_b.hosted[metadata.name].capsule
     for record, heartbeat in minted:
-        capsule_a.insert(record, enforce_strategy=False)
-        capsule_a.add_heartbeat(heartbeat)
+        capsule_a.admit([record], heartbeat)
         if record.seqno not in missing:
-            capsule_b.insert(record, enforce_strategy=False)
-            capsule_b.add_heartbeat(heartbeat)
+            capsule_b.admit([record], heartbeat)
     return net, server_a, server_b, metadata
 
 

@@ -28,8 +28,9 @@ class TestNetworkedQswRecovery:
             # Writer 'crashes'; a new handle with no state recovers by
             # reading the replica's tip.
             reborn = g.writer_client.open_writer(metadata, g.writer_key)
-            tip = (yield from g.writer_client.read_latest(metadata.name)).record
-            reborn.writer.capsule.insert(tip, enforce_strategy=False)
+            latest = yield from g.writer_client.read_latest(metadata.name)
+            tip = latest.record
+            reborn.writer.capsule.admit([tip], latest.proof.position.heartbeat)
             reborn.writer.resume_from_tip(tip)
             yield from reborn.append(b"post-recovery")
             yield 0.5
@@ -63,9 +64,10 @@ class TestNetworkedQswRecovery:
             # The writer crashes; the recovery client sits at the ROOT
             # and resumes from the stale root replica (tip = record 1).
             recovery = g.reader_client.open_writer(metadata, g.writer_key)
-            tip = (yield from g.reader_client.read_latest(metadata.name)).record
+            stale = yield from g.reader_client.read_latest(metadata.name)
+            tip = stale.record
             assert tip.seqno == 1  # the stale view
-            recovery.writer.capsule.insert(tip, enforce_strategy=False)
+            recovery.writer.capsule.admit([tip], stale.proof.position.heartbeat)
             recovery.writer.resume_from_tip(tip)
             yield from recovery.append(b"root-branch-2")
             yield 1.0
@@ -121,8 +123,9 @@ class TestNetworkedQswRecovery:
             from repro.capsule import QuasiWriter  # noqa: F401 (doc)
 
             recovery = g.reader_client.open_writer(metadata, g.writer_key)
-            tip = (yield from g.reader_client.read_latest(metadata.name)).record
-            recovery.writer.capsule.insert(tip, enforce_strategy=False)
+            latest = yield from g.reader_client.read_latest(metadata.name)
+            tip = latest.record
+            recovery.writer.capsule.admit([tip], latest.proof.position.heartbeat)
             # SSW writers have no resume API; emulate a writer that
             # rebuilt state by hand and try to push the fork.
             recovery.writer.state.last_seqno = tip.seqno

@@ -4,9 +4,12 @@ Hypothesis drives the crashlab checker over *generated* schedules: the
 segment size, tiering, compaction cadence, history length, and the
 (site, hit) kill point are all drawn, so seal/tier/compact boundaries
 land at arbitrary offsets relative to the crash.  The invariant is
-always the same — reopening after the kill yields a verified prefix of
-the acked history, the persisted sync index is honest, and the tail
-truncation is logged at most once (second reopen: never).
+always the same — replaying the reopened log yields a verified prefix of
+the acked history and refuses nothing at or below the ack (a seal that
+split a run from its heartbeat may leave an unacked record refused), the
+persisted sync index matches the record frames it was built from, and
+the tail truncation is logged at most once (second reopen: never, and it
+replays to the same record set).
 """
 
 import shutil

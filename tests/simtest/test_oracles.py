@@ -106,7 +106,8 @@ class TestStrictSingleWriter:
         victim = world.servers[1]
         capsule = victim.hosted[world.metadata.name].capsule
         genuine = capsule.get(1)
-        capsule.insert(Record(
+        # planted by a hostile operator, past every check (like tamper_in_place)
+        capsule._store(Record(
             genuine.capsule, 1, genuine.payload + b"!planted!",
             genuine.pointers,
         ))

@@ -22,8 +22,7 @@ def branched(capsule_factory, writer_key):
         writer.append(b"main-%d" % i)  # seqnos 1..4
     # Second writer instance resumed from seqno 3.
     side = DataCapsule(capsule.metadata, verify_metadata=False)
-    for record in list(capsule.records())[:3]:
-        side.insert(record, enforce_strategy=False)
+    side.admit(list(capsule.records())[:3], capsule.heartbeats_at(3)[0])
     recovered = QuasiWriter(side, writer_key)
     recovered.resume_from_tip(side.get(3))
     recovered.append(b"side-4")
@@ -88,9 +87,7 @@ class TestBranchedHistories:
     def test_common_prefix(self, branched, capsule_factory, writer_key):
         # Replicas that only share records 1..3 agree on exactly that.
         partial = DataCapsule(branched.metadata, verify_metadata=False)
-        for record in list(branched.records()):
-            if record.seqno <= 3:
-                partial.insert(record, enforce_strategy=False)
+        partial.admit(list(branched.records())[:3], branched.heartbeats_at(3)[0])
         assert common_prefix_length([branched, partial]) == 3
 
     def test_common_prefix_identical_replicas(self, branched):
@@ -111,19 +108,19 @@ class TestStrongEventualConsistency:
         for i in range(3):
             writer.append(b"%d" % i)
         side = DataCapsule(capsule.metadata, verify_metadata=False)
-        for record in list(capsule.records())[:2]:
-            side.insert(record, enforce_strategy=False)
+        side.admit(list(capsule.records())[:2], capsule.heartbeats_at(2)[0])
         recovered = QuasiWriter(side, writer_key)
         recovered.resume_from_tip(side.get(2))
         recovered.append(b"fork")
 
         all_records = list(capsule.records()) + [list(side.records())[-1]]
+        beats = {h.digest: h for h in [*capsule.heartbeats(), *side.heartbeats()]}
         replica_a = DataCapsule(capsule.metadata, verify_metadata=False)
         replica_b = DataCapsule(capsule.metadata, verify_metadata=False)
         for record in all_records:
-            replica_a.insert(record, enforce_strategy=False)
+            replica_a.admit([record], beats[record.digest])
         for record in reversed(all_records):
-            replica_b.insert(record, enforce_strategy=False)
+            replica_b.admit([record], beats[record.digest])
         lin_a = [r.digest for r in resolve_linearization(replica_a)]
         lin_b = [r.digest for r in resolve_linearization(replica_b)]
         assert lin_a == lin_b

@@ -1,8 +1,8 @@
-"""The DataCapsule ADS: insertion validation, reads, holes, CRDT join."""
+"""The DataCapsule ADS: admission validation, reads, holes, CRDT join."""
 
 import pytest
 
-from repro.capsule import CapsuleWriter, DataCapsule, build_record
+from repro.capsule import CapsuleWriter, DataCapsule, Heartbeat, build_record
 from repro.capsule.records import Record
 from repro.crypto.hashing import HashPointer
 from repro.errors import (
@@ -37,16 +37,26 @@ class TestConstruction:
         assert not capsule.is_branched()
 
 
+def signed(writer_key, record: Record) -> Heartbeat:
+    """A genuine heartbeat over *record* — the checks under test run
+    before admission looks at it."""
+    return Heartbeat.create(
+        writer_key, record.capsule, record.seqno, record.digest, record.seqno
+    )
+
+
 class TestInsertValidation:
+    """Every way in runs these checks; each case goes through ``admit``."""
+
     def test_wrong_capsule_rejected(self, capsule_factory, writer_key):
         a = capsule_factory()
         b = capsule_factory()
         writer = CapsuleWriter(a, writer_key)
-        record, _ = writer.append(b"x")
+        record, heartbeat = writer.append(b"x")
         with pytest.raises(IntegrityError):
-            b.insert(record)
+            b.admit([record], heartbeat)
 
-    def test_strategy_shape_enforced(self, capsule_factory):
+    def test_strategy_shape_enforced(self, capsule_factory, writer_key):
         capsule = capsule_factory("chain")
         bogus = Record(
             capsule.name, 2,
@@ -54,19 +64,19 @@ class TestInsertValidation:
             [HashPointer(1, b"\x01" * 32), HashPointer(0, b"\x02" * 32)],
         )
         with pytest.raises(IntegrityError):
-            capsule.insert(bogus)
+            capsule.admit([bogus], signed(writer_key, bogus))
 
-    def test_bad_anchor_rejected(self, capsule_factory):
+    def test_bad_anchor_rejected(self, capsule_factory, writer_key):
         capsule = capsule_factory("chain")
         bogus = Record(capsule.name, 1, b"x", [HashPointer(0, b"\x09" * 32)])
         with pytest.raises(IntegrityError):
-            capsule.insert(bogus)
+            capsule.admit([bogus], signed(writer_key, bogus))
 
     def test_insert_idempotent(self, capsule_factory, writer_key):
         capsule = capsule_factory()
         writer = CapsuleWriter(capsule, writer_key)
         record, hb = writer.append(b"x")
-        assert not capsule.insert(record)
+        assert capsule.admit_fetched([record], [hb], {}) == ([], [])
         assert capsule.admit([record], hb) == ([], False)
         assert len(capsule) == 1
 
@@ -74,11 +84,11 @@ class TestInsertValidation:
         capsule = capsule_factory()
         writer = CapsuleWriter(capsule, writer_key)
         r1, _ = writer.append(b"one")
-        # Record 2 pointing at seqno 1 but with a wrong digest that
-        # collides with a *known* record digest under another seqno.
+        # Record 3 pointing at seqno 2 but with a digest that belongs to
+        # a *known* record under another seqno.
         evil = Record(capsule.name, 3, b"x", [HashPointer(2, r1.digest)])
         with pytest.raises(IntegrityError):
-            capsule.insert(evil, enforce_strategy=False)
+            capsule.admit([evil], signed(writer_key, evil))
 
     def test_heartbeat_wrong_writer_rejected(
         self, capsule_factory, writer_key, other_key
@@ -127,11 +137,11 @@ class TestReads:
     def test_read_range_with_hole(self, capsule_factory, writer_key):
         source = capsule_factory()
         writer = CapsuleWriter(source, writer_key)
-        records = [writer.append(b"%d" % i)[0] for i in range(5)]
+        pairs = [writer.append(b"%d" % i) for i in range(5)]
         sparse = DataCapsule(source.metadata, verify_metadata=False)
-        for record in records:
+        for record, heartbeat in pairs:
             if record.seqno != 3:
-                sparse.insert(record, enforce_strategy=False)
+                sparse.admit([record], heartbeat)
         with pytest.raises(HoleError, match=r"1 missing, the first at 3$"):
             sparse.read_range(1, 5)
         assert sparse.holes() == [3]
@@ -234,6 +244,23 @@ class TestCrdtJoin:
         ba = b.clone()
         ba.merge_from(a)
         assert ab.state_summary() == ba.state_summary()
+
+    def test_unattested_record_is_not_joined(self, capsule_factory, writer_key):
+        """The join is the union of *attested* record sets: a record
+        planted in a replica past every check, with no heartbeat or
+        stored successor over it, is not absorbed by a merge or a
+        clone."""
+        capsule = capsule_factory()
+        writer = CapsuleWriter(capsule, writer_key)
+        for i in range(3):
+            writer.append(b"%d" % i)
+        planted = build_record(capsule, 4, b"planted", {3: capsule.get(3).digest})
+        capsule._store(planted)
+        empty = DataCapsule(capsule.metadata, verify_metadata=False)
+        assert empty.merge_from(capsule) == 3
+        assert planted.digest not in empty
+        assert planted.digest not in capsule.clone()
+        assert capsule.clone().verify_history() == 3
 
     def test_merge_rejects_other_capsule(self, capsule_factory):
         with pytest.raises(IntegrityError):

@@ -466,6 +466,9 @@ class TestGrepGuard:
         # the on/off options nothing needed; the unsigned-response switch
         "def read_record(", "_sparse_seek", "tier_cache", "sync_index",
         "auto_compact", "sign_responses",
+        # the unattested way into a capsule beside admit / admit_fetched /
+        # admit_range, its shape-check switch and the replay that used it
+        "def insert(", "enforce_strategy", "replay_entry",
     )
 
     def test_back_compat_layer_stays_deleted(self):

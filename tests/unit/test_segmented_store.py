@@ -12,8 +12,9 @@ import pytest
 
 from repro import encoding
 from repro.baselines.s3sim import MemoryObjectTier
-from repro.capsule import CapsuleWriter
+from repro.capsule import CapsuleWriter, DataCapsule
 from repro.server.segmented import SegmentedStore, record_wire_digest
+from repro.server.storage import replay
 
 
 @pytest.fixture()
@@ -316,6 +317,21 @@ class TestCompaction:
             "8ca79215185e2cbdbace3bd05c315ffb"
             "000d52653ad7dea21cee2740119c67d5"
         )
+        store.close()
+
+    def test_compaction_keeps_the_heartbeat_before_a_hole(self, tmp_path, filled):
+        """A replica that missed record 11 holds record 10 under its own
+        heartbeat alone; compaction must keep that heartbeat, or replay
+        refuses a record this replica acked."""
+        capsule, pairs = filled
+        store = SegmentedStore(str(tmp_path), segment_bytes=700)
+        fill_store(store, capsule, pairs[:10] + pairs[11:])
+        store.note_checkpoint(capsule.name, 24)
+        assert store.compact(capsule.name) >= 2
+        replica = DataCapsule(capsule.metadata)
+        new, refused = replay(replica, store.load_entries(capsule.name))
+        assert (new, refused) == (29, 0)
+        assert replica.get(10) == pairs[9][0]
         store.close()
 
     def test_compact_without_checkpoint_is_noop(self, tmp_path, filled):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.capsule import CapsuleWriter, DataCapsule
 from repro.errors import StorageError
-from repro.server.storage import MemoryStore, SegmentedStore
+from repro.server.storage import MemoryStore, SegmentedStore, replay
 
 
 @pytest.fixture(params=["memory", "segmented"])
@@ -75,8 +75,6 @@ class TestBackendContract:
     def test_full_capsule_rebuild(self, store, capsule_with_data):
         """Records reloaded from storage revalidate into an identical
         capsule (recovery path)."""
-        from repro.capsule import Heartbeat, Record
-
         capsule, pairs = capsule_with_data
         store.store_metadata(capsule.name, capsule.metadata.to_wire())
         for record, heartbeat in pairs:
@@ -85,11 +83,7 @@ class TestBackendContract:
                 [("r", record.to_wire()), ("h", heartbeat.to_wire())],
             )
         rebuilt = DataCapsule(capsule.metadata, verify_metadata=False)
-        for tag, wire in store.load_entries(capsule.name):
-            if tag == "r":
-                rebuilt.insert(Record.from_wire(capsule.name, wire))
-            elif tag == "h":
-                rebuilt.add_heartbeat(Heartbeat.from_wire(wire))
+        assert replay(rebuilt, store.load_entries(capsule.name)) == (5, 0)
         assert rebuilt.state_summary() == capsule.state_summary()
         assert rebuilt.verify_history() == 5
 

@@ -36,8 +36,8 @@ class TestSyncLeaf:
     ):
         full, peer, minted = _replica_pair(capsule_factory, writer_key, 3)
         assert peer.sync_leaf(2) == _SYNC_HOLE_LEAF  # cached as a hole
-        record, _ = minted[1]
-        peer.insert(record, enforce_strategy=False)
+        record, heartbeat = minted[1]
+        peer.admit([record], heartbeat)
         assert peer.sync_leaf(2) == record.digest
 
 
@@ -46,8 +46,8 @@ class TestRangeRoot:
         self, capsule_factory, writer_key
     ):
         full, peer, minted = _replica_pair(capsule_factory, writer_key)
-        for record, _ in minted:
-            peer.insert(record, enforce_strategy=False)
+        for record, heartbeat in minted:
+            peer.admit([record], heartbeat)
         for lo, hi in [(1, 12), (1, 6), (7, 12), (5, 5), (1, 100)]:
             assert full.range_root(lo, hi) == peer.range_root(lo, hi)
 
@@ -55,9 +55,9 @@ class TestRangeRoot:
         self, capsule_factory, writer_key
     ):
         full, peer, minted = _replica_pair(capsule_factory, writer_key)
-        for record, _ in minted:
+        for record, heartbeat in minted:
             if record.seqno != 5:
-                peer.insert(record, enforce_strategy=False)
+                peer.admit([record], heartbeat)
         assert full.range_root(1, 12) != peer.range_root(1, 12)
         assert full.range_root(5, 5) != peer.range_root(5, 5)
         # Every range avoiding seqno 5 still agrees (bisection's pruning
@@ -72,21 +72,21 @@ class TestRangeRoot:
         anti-entropy would chase a divergence neither side can heal."""
         full, peer_a, minted = _replica_pair(capsule_factory, writer_key)
         peer_b = DataCapsule(full.metadata)
-        for record, _ in minted:
+        for record, heartbeat in minted:
             if record.seqno != 7:
-                peer_a.insert(record, enforce_strategy=False)
-                peer_b.insert(record, enforce_strategy=False)
+                peer_a.admit([record], heartbeat)
+                peer_b.admit([record], heartbeat)
         assert peer_a.range_root(1, 12) == peer_b.range_root(1, 12)
 
     def test_insert_invalidates_cached_roots(
         self, capsule_factory, writer_key
     ):
         full, peer, minted = _replica_pair(capsule_factory, writer_key)
-        for record, _ in minted[:-1]:
-            peer.insert(record, enforce_strategy=False)
+        for record, heartbeat in minted[:-1]:
+            peer.admit([record], heartbeat)
         stale = peer.range_root(1, 12)
-        record, _ = minted[-1]
-        peer.insert(record, enforce_strategy=False)
+        record, heartbeat = minted[-1]
+        peer.admit([record], heartbeat)
         assert peer.range_root(1, 12) != stale
         assert peer.range_root(1, 12) == full.range_root(1, 12)
 
@@ -100,14 +100,14 @@ class TestRangeRoot:
 class TestCanonicalSummary:
     def test_order_independent(self, capsule_factory, writer_key):
         full, peer, minted = _replica_pair(capsule_factory, writer_key)
-        for record, _ in reversed(minted):
-            peer.insert(record, enforce_strategy=False)
+        for record, heartbeat in reversed(minted):
+            peer.admit([record], heartbeat)
         assert peer.canonical_summary() == full.canonical_summary()
 
     def test_detects_any_difference(self, capsule_factory, writer_key):
         full, peer, minted = _replica_pair(capsule_factory, writer_key)
-        for record, _ in minted[:-1]:
-            peer.insert(record, enforce_strategy=False)
+        for record, heartbeat in minted[:-1]:
+            peer.admit([record], heartbeat)
         assert peer.canonical_summary() != full.canonical_summary()
 
 

@@ -65,10 +65,10 @@ class TestStatePersistence:
             state_path=path,
         )
         assert resumed.last_seqno == 10
-        record, _ = resumed.append(b"after-restart")
+        record, heartbeat = resumed.append(b"after-restart")
         assert record.seqno == 11
         # The record links correctly into the original replica.
-        capsule.insert(record)
+        capsule.admit([record], heartbeat)
 
     def test_state_wire_roundtrip(self, capsule_factory):
         capsule = capsule_factory()
@@ -137,8 +137,7 @@ class TestQuasiWriter:
             writer.append(b"%d" % i)
         # Replica only saw 3 records; resume from its (stale) tip.
         stale = DataCapsule(capsule.metadata, verify_metadata=False)
-        for record in list(capsule.records())[:3]:
-            stale.insert(record, enforce_strategy=False)
+        stale.admit(list(capsule.records())[:3], capsule.heartbeats_at(3)[0])
         recovered = QuasiWriter(stale, writer_key)
         recovered.resume_from_tip(stale.get(3))
         recovered.append(b"branch")

@@ -16,7 +16,12 @@ original submitter's signature.
 Run:  python examples/shared_ledger.py
 """
 
-from repro.caapi import CommitShard, read_committed_entry, submit_update
+from repro.caapi import (
+    CommitClient,
+    CommitShard,
+    ShardedCommitService,
+    read_committed_entry,
+)
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.routing import GdpRouter, RoutingDomain
@@ -37,15 +42,19 @@ def main():
     server = DataCapsuleServer(net, "ledger_server")
     server.attach(r_plant)
 
+    # A one-shard commit plane: the shard serializes, the front serves
+    # the signed shard map submitters route by.
     service = CommitShard(net, "commit_service")
     service.attach(r_plant)
+    front = ShardedCommitService(net, "commit_front", [service])
+    front.attach(r_plant)
 
     technicians = []
     for name in ("alice", "bob", "carol"):
         tech = GdpClient(net, name, key=SigningKey.from_seed(name.encode()))
         tech.attach(r_plant)
         technicians.append(tech)
-        service.allow_writer(tech.key.public)
+        front.allow_writer(tech.key.public)
 
     auditor = GdpClient(net, "auditor")
     auditor.attach(r_root)
@@ -55,9 +64,10 @@ def main():
     console = OwnerConsole(technicians[0], SigningKey.from_seed(b"plant-owner"))
 
     def scenario():
-        for endpoint in [server, service, auditor, intruder] + technicians:
+        for endpoint in [server, service, front, auditor, intruder] + technicians:
             yield endpoint.advertise()
-        ledger = yield from service.create_capsule(console, [server.metadata])
+        shard_map = yield from front.create(console, [server.metadata])
+        ledger = shard_map.capsules[0]
         print(f"shared ledger {ledger.human()} online "
               f"(single writer = the commit service)")
 
@@ -70,9 +80,9 @@ def main():
         ]
         futures = []
         for tech, note in entries:
+            commit = CommitClient(tech, front.name, coordinator_key=front.key.public)
             futures.append(net.sim.spawn(
-                submit_update(tech, service.name, ledger, note),
-                name=f"submit:{tech.node_id}",
+                commit.submit(note), name=f"submit:{tech.node_id}",
             ).completion)
         receipts = yield net.sim.gather(futures)
         seqnos = sorted(receipt.seqno for receipt in receipts)
@@ -80,8 +90,8 @@ def main():
 
         # An unauthorized writer is refused at the ACL.
         try:
-            yield from submit_update(
-                intruder, service.name, ledger, b"definitely legit"
+            yield from CommitClient(intruder, front.name).submit(
+                b"definitely legit"
             )
             print("!! intruder entry accepted (must not happen)")
         except Exception as exc:

@@ -167,7 +167,7 @@ def forwarding_star(
         received[0] += 1  # and no response traffic
 
     def client(name: str) -> GdpClient:
-        endpoint = GdpClient(topo.net, name, verify=False)
+        endpoint = GdpClient(topo.net, name)
         endpoint.attach(router, latency=0.0001, bandwidth=10 * GBPS)
         return endpoint
 

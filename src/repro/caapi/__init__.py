@@ -13,7 +13,6 @@ from repro.caapi.commit_service import (
     ShardMap,
     read_committed_entry,
     shard_of,
-    submit_update,
 )
 from repro.caapi.filesystem import (
     CapsuleFileSystem,
@@ -45,7 +44,6 @@ __all__ = [
     "CommitClient",
     "CommitReceipt",
     "shard_of",
-    "submit_update",
     "read_committed_entry",
     "AggregationService",
     "GatewayService",

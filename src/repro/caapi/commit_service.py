@@ -64,7 +64,6 @@ __all__ = [
     "CommitReceipt",
     "CommitClient",
     "shard_of",
-    "submit_update",
     "build_submission",
     "read_committed_entry",
 ]
@@ -801,40 +800,6 @@ class CommitClient:
                 expect = exc.winning_seqno
                 yield self.backoff_delay(attempt, base_delay=base_delay)
         raise conflict
-
-
-def submit_update(
-    client: GdpClient,
-    service_name: GdpName,
-    capsule_name: GdpName,
-    data: bytes,
-    *,
-    key: str | None = None,
-    expect_seqno: int | None = None,
-    credential: dict | None = None,
-    timeout: float = 30.0,
-) -> Generator:
-    """Client-side submission to a commit service; returns a
-    :class:`CommitReceipt`."""
-    payload = build_submission(
-        client.key,
-        capsule_name,
-        data,
-        key=key,
-        expect_seqno=expect_seqno,
-        credential=credential,
-    )
-    reply = yield client.rpc(service_name, payload, timeout=timeout)
-    body = _reply_body(reply)
-    if not body.get("ok"):
-        _raise_rejection(body, key)
-    return CommitReceipt(
-        body["seqno"],
-        acks=body.get("acks", 1),
-        shard=body.get("shard", 0),
-        capsule=capsule_name,
-        key=key,
-    )
 
 
 def read_committed_entry(record_payload: bytes) -> dict:

@@ -6,8 +6,9 @@ an object that can be appended to, read from, or subscribed to."
 
 :class:`GdpClient` adds, on top of the raw :class:`Endpoint` RPC:
 
-- response verification (signature or HMAC secure responses, delegation
-  chains checked against the capsule name being asked about);
+- response verification, every reply through :meth:`GdpClient.accept`
+  (signature or HMAC secure responses, delegation chains checked
+  against the capsule name being asked about);
 - proof verification via a per-capsule :class:`VerifyingReader`;
 - the writer side (:class:`ClientWriter`), which serializes appends
   locally and talks the durability (acks) protocol;
@@ -51,7 +52,7 @@ from repro.naming.metadata import MODE_QSW, Metadata, make_client_metadata
 from repro.naming.names import GdpName
 from repro.routing.endpoint import Endpoint
 from repro.routing.pdu import Pdu
-from repro.server.secure import verify_mac_response, verify_signed_response
+from repro.server.secure import open_response
 from repro.runtime.network import Network
 
 __all__ = [
@@ -72,13 +73,11 @@ class GdpClient(Endpoint):
         node_id: str,
         *,
         key: SigningKey | None = None,
-        verify: bool = True,
         failover: FailoverPolicy | None = None,
     ):
         key = key or SigningKey.from_seed(b"client:" + node_id.encode())
         metadata = make_client_metadata(key, extra={"node_id": node_id})
         super().__init__(network, node_id, metadata, key)
-        self.verify = verify
         #: retry/backoff envelope for anycast ops hitting dead routes
         self.failover = failover or FailoverPolicy()
         #: optional QoS accountability tracker (see repro.client.qos)
@@ -99,21 +98,62 @@ class GdpClient(Endpoint):
         *,
         timeout: float | None = 30.0,
     ) -> tuple[int, Any]:
-        """Send an op request; returns ``(corr_id, future)`` so the
-        caller can verify the secure response binding."""
-        request = Pdu(self.name, dst, "data", payload)
-        future = self._call(
-            request, timeout, f"op {payload.get('op')} to {dst.human()}"
-        )
+        """:meth:`Endpoint.request`, timed by the QoS tracker when one
+        is attached."""
+        corr_id, future = super().request(dst, payload, timeout=timeout)
         if self.qos is not None:
-            self.qos.request_sent(request.corr_id)
+            self.qos.request_sent(corr_id)
 
-            def qos_watch(fut, corr_id=request.corr_id):
+            def qos_watch(fut, corr_id=corr_id):
                 if isinstance(fut._error, TimeoutError_):
                     self.qos.request_timed_out(corr_id)
 
             future.add_callback(qos_watch)
-        return request.corr_id, future
+        return corr_id, future
+
+    def accept(
+        self,
+        wrapped: Any,
+        corr_id: int,
+        *,
+        capsule: GdpName | None = None,
+        server: GdpName | None = None,
+        resolve: bool = False,
+    ) -> tuple[dict, GdpName | None]:
+        """Take a reply to request *corr_id* through the one verifier,
+        :func:`~repro.server.secure.open_response`; returns ``(body,
+        server)`` for an ``ok`` body.  A verified refusal raises
+        :class:`CapsuleError` (:class:`DurabilityError`: acks not met).
+
+        Every verified reply, signed or session-MACed, is attributed to
+        its server in the QoS tracker.  With *resolve*, the verified
+        server (of a refusal too) becomes *capsule*'s cached resolution."""
+        body, signer = open_response(
+            wrapped, requester=self.name, corr_id=corr_id, capsule=capsule,
+            server=server, session=self._sessions.get(server), now=self.ctx.now,
+        )
+        if resolve:
+            self._resolutions[capsule] = signer
+        if self.qos is not None:
+            self.qos.response_attributed(corr_id, signer, bool(body.get("ok")))
+        if not body.get("ok"):
+            error = str(body.get("error", "server refused"))
+            raise (DurabilityError if "durability" in error else CapsuleError)(error)
+        return body, signer
+
+    def ask(
+        self,
+        server: GdpName,
+        payload: dict,
+        *,
+        capsule: GdpName | None = None,
+        timeout: float | None = 30.0,
+    ) -> Generator:
+        """One op to a named *server*, its reply taken through
+        :meth:`accept` (which checks *server* signed it); returns
+        ``(body, server)``."""
+        corr_id, future = self.request(server, payload, timeout=timeout)
+        return self.accept((yield future), corr_id, capsule=capsule, server=server)
 
     def failover_request(
         self,
@@ -131,7 +171,8 @@ class GdpClient(Endpoint):
         ``(body, server)``; server refusals and verification failures
         are never retried (a different replica would refuse too, and
         hammering on an integrity failure helps an attacker).  Only a
-        verified answer updates the resolution cache: a forged one must
+        verified answer, a signed refusal included, updates the
+        resolution cache: a forged one must
         not aim a later route-failure report at an innocent replica.
         """
         policy = policy or self.failover
@@ -150,72 +191,9 @@ class GdpClient(Endpoint):
                 if attempt + 1 < max(policy.attempts, 1):
                     yield policy.delay(attempt)
                 continue
-            body, server = self._open(
-                wrapped, corr_id=corr_id, capsule=capsule
-            )
-            if server is not None:
-                self._resolutions[capsule] = server
-            return self._ok(body), server
+            return self.accept(wrapped, corr_id, capsule=capsule, resolve=True)
         assert last_error is not None
         raise last_error
-
-    def _open(
-        self,
-        wrapped: Any,
-        *,
-        corr_id: int,
-        capsule: GdpName | None = None,
-        session_with: GdpName | None = None,
-    ) -> tuple[dict, GdpName | None]:
-        """Verify the secure-response envelope; returns ``(body,
-        server)`` — the answering server as verification established it
-        (``verify=False``: a best-effort parse; HMAC responses: none)."""
-        server = None
-        if not self.verify:
-            body = wrapped.get("body", wrapped)
-            try:  # whom a ``sig`` response *claims* to be from
-                server = Metadata.from_wire(
-                    wrapped["auth"]["server_metadata"]
-                ).name
-            except (KeyError, TypeError, GdpError):
-                pass
-        elif (
-            session_with is not None
-            and session_with in self._sessions
-            and isinstance(wrapped, dict)
-            and wrapped.get("auth", {}).get("mode") == "hmac"
-        ):
-            body = verify_mac_response(
-                self._sessions[session_with],
-                wrapped,
-                client=self.name,
-                corr_id=corr_id,
-            )
-        else:
-            body, server = verify_signed_response(
-                wrapped,
-                client=self.name,
-                corr_id=corr_id,
-                capsule=capsule,
-                now=self.ctx.now,
-                with_server=True,
-            )
-        if self.qos is not None and server is not None:
-            self.qos.response_attributed(corr_id, server, bool(body.get("ok")))
-        return body, server
-
-    @staticmethod
-    def _ok(body: dict) -> dict:
-        """The body, unless it reports a server-side failure."""
-        if not body.get("ok"):
-            raise CapsuleError(body.get("error", "server refused"))
-        return body
-
-    def _unwrap(self, wrapped: Any, **binding: Any) -> dict:
-        """Verify the secure-response envelope and the op-level result;
-        returns the body.  Raises on any verification or server-reported
-        failure."""
-        return self._ok(self._open(wrapped, **binding)[0])
 
     def _reader(self, capsule: GdpName) -> VerifyingReader:
         if capsule not in self.readers:
@@ -272,11 +250,9 @@ class GdpClient(Endpoint):
                     capsule, request, timeout=timeout
                 )
             else:
-                corr_id, future = self.request(server, request, timeout=timeout)
-                body, signer = self._open(
-                    (yield future), corr_id=corr_id, capsule=capsule
+                body, answered = yield from self.ask(
+                    server, request, capsule=capsule, timeout=timeout
                 )
-                body, answered = self._ok(body), signer or server
             piece = [Record.from_wire(capsule, w) for w in body["records"]]
             if not piece and last is None:
                 return None  # no heartbeat: nothing written yet
@@ -290,10 +266,9 @@ class GdpClient(Endpoint):
                 raise IntegrityError(
                     f"range reply does not continue [{first}, {last}]"
                 )
-            if self.verify:
-                if fresh:
-                    reader.check_freshness(proof.position.heartbeat)
-                piece = reader.accept_range(piece, proof)
+            if fresh:
+                reader.check_freshness(proof.position.heartbeat)
+            piece = reader.accept_range(piece, proof)
             records += piece
             first = piece[-1].seqno + 1
             if first > last:
@@ -474,8 +449,7 @@ class GdpClient(Endpoint):
         reader = self._reader(capsule_name)
         try:
             records, heartbeat = run_from_wire(capsule_name, pdu.payload)
-            if self.verify:
-                reader.accept_run(records, heartbeat)
+            reader.accept_run(records, heartbeat)
             sub.server = pdu.src
             # Re-subscribing to a second replica overlaps its push
             # stream with the first's: suppress anything already
@@ -504,12 +478,12 @@ class GdpClient(Endpoint):
             },
         )
         wrapped = yield future
-        body = self._unwrap(wrapped, corr_id=corr_id)
-        server_offer = body["offer"]
-        server_identity_wire = wrapped["auth"]["server_metadata"]
-        server_metadata = Metadata.from_wire(server_identity_wire)
+        body, _ = self.accept(wrapped, corr_id, server=server)
+        # The opener checked *server* signed this reply with the key in
+        # the metadata it carries: that key authenticates the offer.
+        server_metadata = Metadata.from_wire(wrapped["auth"]["server_metadata"])
         session = handshake.finish(
-            server_offer, server_metadata.self_key, initiator=True
+            body["offer"], server_metadata.self_key, initiator=True
         )
         self._sessions[server] = session
         return session
@@ -521,11 +495,8 @@ class GdpClient(Endpoint):
         session; returns the verified body."""
         if server not in self._sessions:
             raise IntegrityError(f"no session with {server.human()}")
-        corr_id, future = self.request(server, payload, timeout=timeout)
-        wrapped = yield future
-        return self._unwrap(
-            wrapped, corr_id=corr_id, session_with=server
-        )
+        body, _ = yield from self.ask(server, payload, timeout=timeout)
+        return body
 
 
 class ClientWriter:
@@ -555,19 +526,6 @@ class ClientWriter:
         payload["acks"] = acks or self.acks
         return self.client.request(self.capsule_name, payload, timeout=timeout)
 
-    def _unwrap_append(
-        self, wrapped: Any, corr_id: int
-    ) -> tuple[dict, GdpName | None]:
-        body, server = self.client._open(
-            wrapped, corr_id=corr_id, capsule=self.capsule_name
-        )
-        try:
-            return self.client._ok(body), server
-        except CapsuleError as exc:
-            if "durability" in str(exc):
-                raise DurabilityError(str(exc)) from exc
-            raise
-
     def append(
         self,
         payload: bytes,
@@ -583,7 +541,9 @@ class ClientWriter:
         start = self.client.ctx.now
         record, heartbeat = self.writer.append(payload)
         corr_id, future = self._request_run([record], heartbeat, acks, timeout)
-        body, server = self._unwrap_append((yield future), corr_id)
+        body, server = self.client.accept(
+            (yield future), corr_id, capsule=self.capsule_name
+        )
         return AppendReceipt(
             [record],
             acks=body.get("acks", 1),
@@ -671,13 +631,13 @@ class ClientWriter:
             corr_id, fut = completed.popleft()
             inflight -= 1
             wrapped = fut.result()  # re-raises timeout / transport errors
-            body, server = self._unwrap_append(wrapped, corr_id)
+            body, last_server = self.client.accept(
+                wrapped, corr_id, capsule=self.capsule_name
+            )
             batch_acks = body.get("acks", 1)
             min_acks = (
                 batch_acks if min_acks is None else min(min_acks, batch_acks)
             )
-            if server is not None:
-                last_server = server
         return AppendReceipt(
             all_records,
             acks=min_acks if min_acks is not None else 0,

@@ -133,7 +133,7 @@ class OwnerConsole:
         survivors = [
             name for name in placement.servers if name != from_server.name
         ]
-        corr_id, future = self.client.request(
+        yield from self.client.ask(
             to_server.name,
             {
                 "op": "host",
@@ -143,10 +143,8 @@ class OwnerConsole:
                 "siblings": [n.raw for n in survivors],
             },
         )
-        wrapped = yield future
-        self.client._unwrap(wrapped, corr_id=corr_id)
         # 2. Warm the new replica from the retiring one.
-        corr_id, future = self.client.request(
+        yield from self.client.ask(
             to_server.name,
             {
                 "op": "sync_now",
@@ -155,14 +153,12 @@ class OwnerConsole:
             },
             timeout=60.0,
         )
-        wrapped = yield future
-        self.client._unwrap(wrapped, corr_id=corr_id)
         yield 0.5  # let the new replica's re-advertisement land
         # 3. Retire the old replica (owner-signed authorization).
         preimage = b"gdp.unhost" + _encoding.encode(
             [metadata.name.raw, from_server.name.raw]
         )
-        corr_id, future = self.client.request(
+        yield from self.client.ask(
             from_server.name,
             {
                 "op": "unhost",
@@ -170,8 +166,6 @@ class OwnerConsole:
                 "auth": self.owner_key.sign(preimage),
             },
         )
-        wrapped = yield future
-        self.client._unwrap(wrapped, corr_id=corr_id)
         chains = {
             name: chain
             for name, chain in placement.chains.items()
@@ -204,7 +198,7 @@ class OwnerConsole:
         all_names = sorted(chains, key=lambda n: n.raw)
         for server_name in all_names:
             siblings = [n.raw for n in all_names if n != server_name]
-            corr_id, future = self.client.request(
+            yield from self.client.ask(
                 server_name,
                 {
                     "op": "host",
@@ -214,6 +208,4 @@ class OwnerConsole:
                     "siblings": siblings,
                 },
             )
-            wrapped = yield future
-            self.client._unwrap(wrapped, corr_id=corr_id)
         return CapsulePlacement(metadata, chains)

@@ -7,7 +7,9 @@ verified proof, which server answered, and the observed round-trip
 latency — so batched and single-shot paths present identical semantics
 to callers.  The envelopes are plain records: they do not delegate to
 the record they carry and are not sequences (see
-``docs/CLIENT_API.md``).
+``docs/CLIENT_API.md``).  Nothing in an envelope is unverified: every
+reply behind one was taken through ``GdpClient.accept``, i.e. the one
+verifier, :func:`repro.server.secure.open_response`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ class ReadResult:
     Attributes:
         records: every verified record returned (one for point reads).
         proof: the range proof the last piece verified against (one
-            record long for a point read; unchecked under ``verify=False``).
+            record long for a point read).
         server: the :class:`~repro.naming.names.GdpName` of the replica
-            that answered (``None`` for unsigned/HMAC-less responses).
+            whose verified reply answered.
         rtt: observed request round-trip time in simulated seconds.
     """
 

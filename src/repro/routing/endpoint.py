@@ -247,6 +247,21 @@ class Endpoint(Node):
             pdu = out
         self.transport.send(self._uplink, pdu)
 
+    def request(
+        self,
+        dst: GdpName,
+        payload: Any,
+        *,
+        timeout: float | None = 30.0,
+    ) -> tuple[int, Future]:
+        """:meth:`rpc` for an op; returns ``(corr_id, future)``, the
+        corr_id being what a secure reply is bound to."""
+        request = Pdu(self.name, dst, pdutypes.T_DATA, payload)
+        future = self._call(
+            request, timeout, f"op {payload.get('op')} to {dst.human()}"
+        )
+        return request.corr_id, future
+
     def rpc(
         self,
         dst: GdpName,

@@ -17,6 +17,7 @@ from repro.server.replication import (
 )
 from repro.server.secure import (
     mac_response,
+    open_response,
     sign_response,
     verify_mac_response,
     verify_signed_response,
@@ -41,6 +42,7 @@ __all__ = [
     "SegmentInfo",
     "SimulatedCrash",
     "CRASH_POINTS",
+    "open_response",
     "sign_response",
     "verify_signed_response",
     "mac_response",

@@ -60,7 +60,7 @@ from repro.routing.endpoint import Endpoint
 from repro.routing.pdu import Pdu, payload_size
 from repro.runtime.dispatch import dispatch_op, op, opt
 from repro.server.durability import AckPolicy
-from repro.server.secure import mac_response, sign_response
+from repro.server.secure import mac_response, open_response, sign_response
 from repro.server.storage import MemoryStore, StorageBackend, replay
 from repro.runtime.context import Future
 from repro.runtime.network import Network
@@ -146,6 +146,7 @@ class DataCapsuleServer(Endpoint):
         self._c_reads = metrics.counter("server.reads")
         self._c_pushes = metrics.counter("server.pushes")
         self._c_sync_rounds = metrics.counter("server.sync_rounds")
+        self._c_replies_refused = metrics.counter("server.replies_refused")
 
     @property
     def stats(self) -> dict:
@@ -454,8 +455,10 @@ class DataCapsuleServer(Endpoint):
     ) -> Future:
         """Durable path: wait until *required* replicas (including us)
         have persisted the record(s) and answer *body* with the ack
-        count, or report how far we got."""
+        count, or report how far we got.  An ack counts only when
+        :meth:`accept_sibling_reply` opens it, so a forger cannot."""
         result = self.ctx.future()
+        capsule = hosted.capsule.name
         state = {"acks": 1, "outstanding": len(hosted.siblings)}
 
         def check_done() -> None:
@@ -475,23 +478,42 @@ class DataCapsuleServer(Endpoint):
                 )
 
         for sibling in hosted.siblings:
-            future = self.rpc(
+            corr_id, future = self.request(
                 sibling, dict(replicate), timeout=REPLICATION_ACK_TIMEOUT
             )
 
-            def on_ack(fut: Future) -> None:
+            def on_ack(fut: Future, corr_id=corr_id, sibling=sibling) -> None:
                 state["outstanding"] -= 1
-                try:
-                    reply = fut.result()
-                    if reply.get("body", reply).get("ok"):
-                        state["acks"] += 1
-                except Exception:  # a failed or malformed ack is no ack
-                    pass
+                if self.accept_sibling_reply(
+                    fut, corr_id, capsule=capsule, sibling=sibling
+                ) is not None:
+                    state["acks"] += 1
                 check_done()
 
             future.add_callback(on_ack)
         check_done()
         return result
+
+    def accept_sibling_reply(
+        self, reply: Future, corr_id: int, *, capsule: GdpName, sibling: GdpName
+    ) -> dict | None:
+        """The body of *sibling*'s reply (the settled *reply* future of
+        request *corr_id*) if it opens
+        (:func:`~repro.server.secure.open_response`) as an ``ok`` for
+        *capsule*, else None; counts each refused reply."""
+        try:
+            wrapped = reply.result()
+        except GdpError:  # no reply (timeout, no route): nothing to open
+            return None
+        try:
+            body, _ = open_response(
+                wrapped, requester=self.name, corr_id=corr_id, capsule=capsule,
+                server=sibling, now=self.ctx.now,
+            )
+        except GdpError:
+            self._c_replies_refused.inc()
+            return None
+        return body if body.get("ok") else None
 
     @op("read_range", capsule=bytes, first=opt(int), last=opt(int))
     def _op_read_range(self, pdu: Pdu, payload: dict) -> dict:

@@ -21,7 +21,11 @@ length:
    fetched in size-capped record batches with a windowed in-flight
    limit and deterministic exponential retry/backoff.
 
-Sync stores only what the write ops' one attestation rule admits
+Every reply is acted on only once it opens through the one verifier
+(:meth:`~repro.server.dcserver.DataCapsuleServer.accept_sibling_reply`):
+signed by the sibling asked, for this request and this capsule.  A
+forged "roots agree" fails the round (``SyncSession.failures``) instead
+of ending it.  Sync stores only what the write ops' one attestation rule admits
 (``DataCapsule.admit_fetched``): heartbeats first, including the tip
 heartbeat on ``sync_root``; then each record a verified heartbeat or an
 attested record's hash pointer attests.  The rest wait for a later
@@ -99,11 +103,17 @@ class SyncSession:
     last_synced: float = field(default=-1.0)
 
 
-def _reply_body(reply) -> dict | None:
-    body = reply.get("body", reply) if isinstance(reply, dict) else None
-    if not isinstance(body, dict) or not body.get("ok"):
-        return None
-    return body
+def _reply(server: DataCapsuleServer, sibling, capsule_name, call) -> Generator:
+    """Process body: the reply to *call* (``server.request``'s result)
+    through ``server.accept_sibling_reply``; None without one."""
+    corr_id, future = call
+    try:
+        yield future
+    except GdpError:  # settled without a reply: the opener says so
+        pass
+    return server.accept_sibling_reply(
+        future, corr_id, capsule=capsule_name, sibling=sibling
+    )
 
 
 def _decoded(wires: list, decode: Callable) -> tuple[list, int]:
@@ -147,7 +157,7 @@ def _bisect(
         inflight = []
         for start in range(0, len(probes), config.max_ranges):
             chunk = probes[start:start + config.max_ranges]
-            inflight.append((chunk, server.rpc(
+            inflight.append((chunk, server.request(
                 sibling,
                 {
                     "op": "sync_nodes",
@@ -157,11 +167,8 @@ def _bisect(
                 timeout=timeout,
             )))
         failed = False
-        for chunk, future in inflight:
-            try:
-                body = _reply_body((yield future))
-            except GdpError:
-                body = None
+        for chunk, call in inflight:
+            body = yield from _reply(server, sibling, capsule.name, call)
             hashes = body.get("hashes", []) if body is not None else None
             if hashes is None or len(hashes) != len(chunk):
                 session.failures += 1
@@ -203,7 +210,7 @@ def _fetch_batches(
     while pending or inflight:
         while pending and len(inflight) < config.window:
             chunk, attempt = pending.popleft()
-            future = server.rpc(
+            call = server.request(
                 sibling,
                 {
                     "op": "sync_fetch_batch",
@@ -213,13 +220,10 @@ def _fetch_batches(
                 },
                 timeout=timeout,
             )
-            inflight.append((chunk, attempt, future))
+            inflight.append((chunk, attempt, call))
             session.batches += 1
-        chunk, attempt, future = inflight.popleft()
-        try:
-            body = _reply_body((yield future))
-        except GdpError:
-            body = None
+        chunk, attempt, call = inflight.popleft()
+        body = yield from _reply(server, sibling, capsule_name, call)
         if body is None:
             if attempt < config.max_retries:
                 session.retries += 1
@@ -269,14 +273,11 @@ def sync_once(
     hosted = server.hosted[capsule_name]
     capsule = hosted.capsule
     session.rounds += 1
-    try:
-        body = _reply_body((yield server.rpc(
-            sibling,
-            {"op": "sync_root", "capsule": capsule_name.raw},
-            timeout=timeout,
-        )))
-    except GdpError:
-        body = None
+    body = yield from _reply(server, sibling, capsule_name, server.request(
+        sibling,
+        {"op": "sync_root", "capsule": capsule_name.raw},
+        timeout=timeout,
+    ))
     if body is None:
         session.failures += 1
         return 0
@@ -296,8 +297,8 @@ def sync_once(
             # The peer's advertised root already covers exactly [1, common].
             remote_common_root = body.get("root")
         else:
-            try:
-                node_body = _reply_body((yield server.rpc(
+            node_body = yield from _reply(
+                server, sibling, capsule_name, server.request(
                     sibling,
                     {
                         "op": "sync_nodes",
@@ -305,9 +306,8 @@ def sync_once(
                         "ranges": [[1, common]],
                     },
                     timeout=timeout,
-                )))
-            except GdpError:
-                node_body = None
+                ),
+            )
             if node_body is None or len(node_body.get("hashes", [])) != 1:
                 session.failures += 1
                 return 0

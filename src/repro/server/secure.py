@@ -24,6 +24,9 @@ modes:
 The corr_id binding is what makes this safe *connectionless*: each
 request/response pair is independently verifiable, so anycast can move
 the conversation between replicas at any time (§III-D).
+
+:func:`open_response` is the one way any node accepts a server's reply:
+a client's answer, a sibling's durability ack or anti-entropy reply.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from repro import encoding
 from repro.crypto.hmac_session import SessionKey
 from repro.crypto.keys import SigningKey
 from repro.delegation.chain import ServiceChain
-from repro.errors import IntegrityError, SignatureError
+from repro.errors import IntegrityError, SignatureError, expect_bytes
 from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
 
 __all__ = [
+    "open_response",
     "sign_response",
     "verify_signed_response",
     "mac_response",
@@ -81,10 +85,9 @@ def verify_signed_response(
     corr_id: int,
     capsule: GdpName | None = None,
     now: float = 0.0,
-    with_server: bool = False,
-) -> Any:
-    """Verify a signed secure response; returns the body — with
-    ``with_server=True``, ``(body, name of the server just verified)``.
+) -> tuple[dict, GdpName]:
+    """Verify a signed secure response; returns ``(body, name of the
+    server just verified)``.
 
     When *capsule* is given, the attached service chain must prove the
     responding server is delegated for that capsule — this is what stops
@@ -97,9 +100,13 @@ def verify_signed_response(
         if auth["mode"] != "sig":
             raise IntegrityError(f"expected sig response, got {auth['mode']!r}")
         server_metadata = Metadata.from_wire(auth["server_metadata"])
-        signature = auth["signature"]
+        signature = expect_bytes(
+            auth["signature"], "response signature", IntegrityError
+        )
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed secure response: {exc}") from exc
+    if not isinstance(body, dict):
+        raise IntegrityError("secure response body is not a map")
     server_metadata.verify()
     if not server_metadata.self_key.verify(
         _preimage(client, corr_id, body), signature
@@ -121,7 +128,41 @@ def verify_signed_response(
             raise IntegrityError(
                 "delegation chain names a different server than the signer"
             )
-    return (body, server_metadata.name) if with_server else body
+    return body, server_metadata.name
+
+
+def open_response(
+    wrapped: Any,
+    *,
+    requester: GdpName,
+    corr_id: int,
+    capsule: GdpName | None = None,
+    server: GdpName | None = None,
+    session: SessionKey | None = None,
+    now: float = 0.0,
+) -> tuple[dict, GdpName | None]:
+    """Accept a DataCapsule-server's reply to *requester*'s request
+    *corr_id*; returns ``(body, server that answered)``.  The body is
+    verified but may be a refusal: acting on ``ok`` is the caller's.
+
+    A ``sig`` reply is checked by :func:`verify_signed_response` (an
+    ``ok`` one for *capsule* needs that capsule's delegation chain); an
+    ``hmac`` reply needs the *session* shared with *server*.  When
+    *server* is given, the reply must be that server's.  Anything else
+    raises a :class:`~repro.errors.SecurityError`.
+    """
+    auth = wrapped.get("auth") if isinstance(wrapped, dict) else None
+    if isinstance(auth, dict) and auth.get("mode") == "hmac":
+        if session is None:
+            raise IntegrityError("hmac response without a session")
+        body = verify_mac_response(session, wrapped, client=requester, corr_id=corr_id)
+        return body, server
+    body, signer = verify_signed_response(
+        wrapped, client=requester, corr_id=corr_id, capsule=capsule, now=now
+    )
+    if server is not None and signer != server:
+        raise IntegrityError(f"response signed by {signer.human()}, not {server.human()}")
+    return body, signer
 
 
 def mac_response(
@@ -146,8 +187,10 @@ def verify_mac_response(
         body = wrapped["body"]
         if auth["mode"] != "hmac":
             raise IntegrityError(f"expected hmac response, got {auth['mode']!r}")
-        mac = auth["mac"]
+        mac = expect_bytes(auth["mac"], "response mac", IntegrityError)
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed secure response: {exc}") from exc
+    if not isinstance(body, dict):
+        raise IntegrityError("secure response body is not a map")
     session.check(_preimage(client, corr_id, body), mac)
     return body

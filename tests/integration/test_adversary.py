@@ -10,11 +10,41 @@ from repro.adversary import (
 )
 from repro.capsule import CapsuleWriter
 from repro.errors import (
+    DurabilityError,
     EquivocationError,
     GdpError,
     TimeoutError_,
 )
 from repro.routing.pdu import T_DATA, T_RESPONSE
+from repro.runtime.middleware import DROP, DeliveryMiddleware
+from repro.server import DataCapsuleServer
+
+
+class AckForger(DeliveryMiddleware):
+    """An on-path forger at a replica's uplink: it swallows the
+    ``replicate_batch`` a replica sends a sibling and answers the
+    replica itself under that request's corr_id with ``forge(request)``."""
+
+    def __init__(self, network, forge):
+        self.network = network
+        self.forge = forge
+        self.forged = 0
+
+    def on_deliver(self, link, sender, receiver, message, size):
+        payload = getattr(message, "payload", None)
+        if not (
+            isinstance(sender, DataCapsuleServer)
+            and message.ptype == T_DATA
+            and isinstance(payload, dict)
+            and payload.get("op") == "replicate_batch"
+        ):
+            return None
+        reply = message.response(T_RESPONSE, self.forge(message))
+        self.network.ctx.schedule(
+            0.001, lambda: sender.receive(reply, receiver, link)
+        )
+        self.forged += 1
+        return DROP
 
 
 class TestOnPathAttacks:
@@ -119,6 +149,56 @@ class TestOnPathAttacks:
             return record.payload
 
         assert g.run(scenario()) == b"x"
+
+
+class TestForgedReplicationAcks:
+    """Only a sibling's own signed ``ok`` for this request counts toward
+    ``acks``: a path forger answering in its stead cannot fake
+    durability (§VI-B)."""
+
+    @pytest.mark.parametrize("forgery", ["unsigned", "flipped", "malformed"])
+    def test_forged_ack_does_not_count(self, mini_gdp, forgery):
+        g = mini_gdp
+        servers = {server.name: server for server in (g.server_root, g.server_edge)}
+
+        def forge(request):
+            if forgery == "unsigned":
+                return {"ok": True}
+            # The sibling's own signed refusal of this very request,
+            # with ``ok`` flipped after signing.
+            refusal = servers[request.dst]._wrap(
+                request, None, {"ok": False, "error": "refused"}
+            )
+            refusal["body"]["ok"] = True
+            if forgery == "malformed":
+                # The sibling's public identity, but a signature that
+                # is not bytes: refused, not a crash of the replica.
+                refusal["auth"]["signature"] = 5
+            return refusal
+
+        forger = AckForger(g.net, forge)
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            g.net.delivery.use(forger)
+            try:
+                with pytest.raises(DurabilityError):
+                    yield from writer.append(b"one real copy", acks="all")
+            finally:
+                g.net.delivery.remove(forger)
+            return metadata
+
+        metadata = g.run(scenario())
+        assert forger.forged == 1
+        copies = {
+            server: len(server.hosted[metadata.name].capsule)
+            for server in servers.values()
+        }
+        assert sorted(copies.values()) == [0, 1]  # the sibling holds nothing
+        primary = next(server for server, n in copies.items() if n == 1)
+        assert primary.metrics.counter("server.replies_refused").value == 1
 
 
 class TestMaliciousServer:

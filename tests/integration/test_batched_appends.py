@@ -160,9 +160,7 @@ class TestAppendBatchOp:
             )
             wrapped = yield future
             try:
-                g.writer_client._unwrap(
-                    wrapped, corr_id=corr_id, capsule=metadata.name
-                )
+                g.writer_client.accept(wrapped, corr_id, capsule=metadata.name)
             except CapsuleError:
                 return metadata, True
             return metadata, False
@@ -222,9 +220,7 @@ class TestAppendBatchOp:
         corr_id, future = g.writer_client.request(dst, payload)
         wrapped = yield future
         try:
-            g.writer_client._unwrap(
-                wrapped, corr_id=corr_id, capsule=metadata.name
-            )
+            g.writer_client.accept(wrapped, corr_id, capsule=metadata.name)
         except CapsuleError as exc:
             return str(exc)
         return None

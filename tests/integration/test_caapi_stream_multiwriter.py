@@ -3,11 +3,12 @@
 from repro.adversary import PathAttacker
 from repro.caapi import (
     AggregationService,
+    CommitClient,
     CommitShard,
+    ShardedCommitService,
     StreamPublisher,
     StreamSubscriber,
     read_committed_entry,
-    submit_update,
 )
 from repro.client import GdpClient
 from repro.routing.pdu import T_PUSH
@@ -119,11 +120,28 @@ class TestStream:
         assert g.run(scenario()) == [True, False, False, True, False, False, True]
 
 
+def one_shard_plane(g, label):
+    """A :class:`CommitShard` behind a one-shard front, both attached;
+    returns ``(shard, front, setup)`` — ``setup()`` advertises both and
+    creates the shard log, returning its capsule name."""
+    shard = CommitShard(g.net, label)
+    shard.attach(g.r_root)
+    front = ShardedCommitService(g.net, f"{label}_front", [shard])
+    front.attach(g.r_root)
+
+    def setup():
+        yield shard.advertise()
+        yield front.advertise()
+        shard_map = yield from front.create(g.console, [g.server_root.metadata])
+        return shard_map.capsules[0]
+
+    return shard, front, setup
+
+
 class TestCommitService:
     def test_serializes_multiple_writers(self, mini_gdp, owner_keys):
         g = mini_gdp
-        service = CommitShard(g.net, "commit_svc")
-        service.attach(g.r_root)
+        service, front, setup = one_shard_plane(g, "commit_svc")
         alice = GdpClient(g.net, "alice", key=owner_keys(b"alice"))
         bob = GdpClient(g.net, "bob", key=owner_keys(b"bob"))
         alice.attach(g.r_edge)
@@ -133,15 +151,14 @@ class TestCommitService:
 
         def scenario():
             yield from g.bootstrap()
-            yield service.advertise()
             yield alice.advertise()
             yield bob.advertise()
-            capsule = yield from service.create_capsule(
-                g.console, [g.server_root.metadata]
-            )
-            s1 = yield from submit_update(alice, service.name, capsule, b"from-alice")
-            s2 = yield from submit_update(bob, service.name, capsule, b"from-bob")
-            s3 = yield from submit_update(alice, service.name, capsule, b"alice-again")
+            capsule = yield from setup()
+            as_alice = CommitClient(alice, front.name)
+            as_bob = CommitClient(bob, front.name)
+            s1 = yield from as_alice.submit(b"from-alice")
+            s2 = yield from as_bob.submit(b"from-bob")
+            s3 = yield from as_alice.submit(b"alice-again")
             yield 1.0
             records = (yield from g.reader_client.read_range(capsule, 1, 3)).records
             return (s1, s2, s3), records
@@ -157,8 +174,7 @@ class TestCommitService:
 
     def test_acl_rejects_unauthorized_writer(self, mini_gdp, owner_keys):
         g = mini_gdp
-        service = CommitShard(g.net, "commit_acl")
-        service.attach(g.r_root)
+        service, front, setup = one_shard_plane(g, "commit_acl")
         outsider = GdpClient(g.net, "outsider", key=owner_keys(b"out"))
         outsider.attach(g.r_root)
         insider = GdpClient(g.net, "insider", key=owner_keys(b"in"))
@@ -167,22 +183,17 @@ class TestCommitService:
 
         def scenario():
             yield from g.bootstrap()
-            yield service.advertise()
             yield outsider.advertise()
             yield insider.advertise()
-            capsule = yield from service.create_capsule(
-                g.console, [g.server_root.metadata]
-            )
+            yield from setup()
             import pytest as _pytest
 
             from repro.errors import CapsuleError
 
             with _pytest.raises(CapsuleError):
-                yield from submit_update(
-                    outsider, service.name, capsule, b"rejected"
-                )
-            receipt = yield from submit_update(
-                insider, service.name, capsule, b"accepted"
+                yield from CommitClient(outsider, front.name).submit(b"rejected")
+            receipt = yield from CommitClient(insider, front.name).submit(
+                b"accepted"
             )
             return receipt.seqno, service.metrics.counter("commit.rejected").value
 

@@ -11,7 +11,6 @@ from repro.caapi import (
     ShardMap,
     read_committed_entry,
     shard_of,
-    submit_update,
 )
 from repro.caapi.commit_service import build_submission
 from repro.client import GdpClient
@@ -145,15 +144,17 @@ class TestShardRouting:
             shard_map = yield from setup()
             key = "via/front"
             capsule = shard_map.capsules[shard_map.shard_of(key)]
-            receipt = yield from submit_update(
-                alice, front.name, capsule, b"through-the-front", key=key
+            payload = build_submission(
+                alice.key, capsule, b"through-the-front", key=key
             )
+            reply = yield alice.rpc(front.name, payload)
             yield 0.5
-            return shard_map, receipt
+            return shard_map, reply.get("body", reply)
 
-        shard_map, receipt = g.run(scenario())
-        assert receipt.shard == shard_map.shard_of("via/front")
-        assert receipt.seqno == 1
+        shard_map, body = g.run(scenario())
+        assert body["ok"] is True
+        assert body["shard"] == shard_map.shard_of("via/front")
+        assert body["seqno"] == 1
 
     def test_tampered_shard_map_rejected(self, mini_gdp, owner_keys):
         g = mini_gdp

@@ -10,6 +10,7 @@ from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.naming import make_capsule_metadata
 from repro.routing import GdpRouter, RoutingDomain
+from repro.routing.pdu import T_DATA, T_RESPONSE, Pdu
 from repro.runtime.middleware import DROP, DeliveryMiddleware
 from repro.server import (
     AntiEntropyDaemon,
@@ -245,6 +246,39 @@ class TestDeltaSyncEdgeCases:
         assert len(capsule._sync_leaf_cache) <= 4
 
 
+class RootsAgree(DeliveryMiddleware):
+    """A path forger: it replaces the body of *replica*'s ``sync_root``
+    reply with the replica's own tip and root, keeping the sibling's
+    signature, so the round looks like "roots agree"."""
+
+    def __init__(self, replica, capsule_name):
+        self.replica = replica
+        self.capsule_name = capsule_name
+        self.asked = set()
+        self.forged = 0
+
+    def on_deliver(self, link, sender, receiver, message, size):
+        ptype = getattr(message, "ptype", None)
+        payload = getattr(message, "payload", None)
+        if ptype == T_DATA and payload.get("op") == "sync_root":
+            self.asked.add(message.corr_id)
+        elif ptype == T_RESPONSE and message.corr_id in self.asked:
+            self.asked.discard(message.corr_id)
+            own = self.replica.hosted[self.capsule_name].capsule
+            body = {
+                "ok": True,
+                "last_seqno": own.last_seqno,
+                "count": len(own),
+                "root": own.range_root(1, own.last_seqno),
+            }
+            self.forged += 1
+            return Pdu(
+                message.src, message.dst, ptype,
+                dict(payload, body=body), corr_id=message.corr_id,
+            )
+        return None
+
+
 class TestAttestedSync:
     """Anti-entropy admits fetched records under the write ops' one
     attestation rule: a sibling serving a tampered record plants
@@ -312,6 +346,57 @@ class TestAttestedSync:
             == edge.hosted[metadata.name].capsule.canonical_summary()
         )
         assert repaired.verify_history() == 8
+
+    def test_forged_roots_agree_reply_is_refused(self, mini_gdp):
+        """A forged "roots agree" answer to a behind replica's
+        ``sync_root`` is refused and fails the round instead of ending
+        repair; the next clean round repairs."""
+        g = mini_gdp
+        link = g.r_edge.link_to(g.r_root)
+        session = SyncSession(capsule=None, peer=None)
+        root, edge = g.server_root, g.server_edge
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(2):
+                yield from writer.append(b"pre-%d" % i)
+            yield 0.5
+            link.fail()
+            for i in range(3):
+                yield from writer.append(b"missed-%d" % i)  # root never sees these
+            link.recover()
+            g.r_edge.flush_fib()
+            g.r_root.flush_fib()
+            yield 0.5
+            forger = g.net.delivery.use(RootsAgree(root, metadata.name))
+            try:
+                fetched = yield from sync_once(
+                    root, metadata.name, edge.name, session=session
+                )
+            finally:
+                g.net.delivery.remove(forger)
+            return metadata, forger, fetched
+
+        metadata, forger, fetched = g.run(scenario())
+        assert forger.forged == 1
+        assert fetched == 0
+        assert session.failures == 1
+        assert root.metrics.counter("server.replies_refused").value == 1
+        assert root.hosted[metadata.name].capsule.last_seqno == 2
+
+        def repair():
+            return (yield from sync_once(
+                root, metadata.name, edge.name, session=session
+            ))
+
+        assert g.run(repair()) == 3
+        assert session.failures == 1
+        assert (
+            root.hosted[metadata.name].capsule.canonical_summary()
+            == edge.hosted[metadata.name].capsule.canonical_summary()
+        )
 
     def test_record_tampered_at_rest_is_refused_on_restart(self, mini_gdp):
         """A hostile disk rewrites a stored record in place, payload

@@ -23,7 +23,12 @@ from repro.simtest import run_episode
 #: sync rounds that used to carry it to s1 and s2 are gone, and reads of
 #: seqno 1 that failed on the branch now succeed — 144 fewer trace
 #: events than when sync stored whatever parsed, and one SSW replica
-#: set with no branch for the strict oracles to flag.
+#: set with no branch for the strict oracles to flag.  Since a replica
+#: opens every sibling reply with the one verifier, that tampered reply
+#: no longer reaches admission at all: its signature fails, s0 counts it
+#: in ``server.replies_refused`` (not ``server.sync.refused``) and the
+#: batch takes the failed-reply path, so the round and its follow-ups
+#: differ — 161 fewer trace events, same outcome.
 #:
 #: Every write travels as a run: an episode's one-record append is an
 #: ``append_batch`` (10 B more on the wire than ``append`` was) and its
@@ -46,7 +51,7 @@ REFERENCE_EPISODES = [
     (7, "default", True,
      "28d02bb24e1fe1451e8b1c481008c911ec07f9eb153f15c2215ccfce4abf29a6"),
     (42, "default", True,
-     "e5cbf3bf7eba0af02ffe13921b467c53514f686a3c32b85ebbfdc5c6a4bcac9e"),
+     "d67b2b18924e734c2d4960c51c2e796332cfb107b21201d9a7fcf9d4787796cc"),
     (6, "dht_churn", True,
      "9f69fe356d7ad6b7e58df0effa80ee67108159fd39a947f9890835c09c29b8f4"),
     (13, "dht_churn", True,

@@ -139,7 +139,7 @@ class TestOrgDelegationViaConsole:
 
         def scenario():
             yield from g.bootstrap()
-            corr_id, future = g.writer_client.request(
+            yield from g.writer_client.ask(
                 g.server_edge.name,
                 {
                     "op": "host",
@@ -149,8 +149,6 @@ class TestOrgDelegationViaConsole:
                     "siblings": [],
                 },
             )
-            wrapped = yield future
-            g.writer_client._unwrap(wrapped, corr_id=corr_id)
             yield 0.5
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"via-org")

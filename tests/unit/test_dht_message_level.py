@@ -469,6 +469,9 @@ class TestGrepGuard:
         # the unattested way into a capsule beside admit / admit_fetched /
         # admit_range, its shape-check switch and the replay that used it
         "def insert(", "enforce_strategy", "replay_entry",
+        # the unverified ways to open a DataCapsule-server's reply beside
+        # open_response, and the client switch that skipped verification
+        "with_server", "def _unwrap", "def _open(", "self.verify =",
     )
 
     def test_back_compat_layer_stays_deleted(self):

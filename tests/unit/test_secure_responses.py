@@ -40,11 +40,12 @@ class TestSignedResponses:
             world["server"], world["server_md"], world["chain"],
             CLIENT, 42, {"ok": True, "value": 7},
         )
-        body = verify_signed_response(
+        body, server = verify_signed_response(
             wrapped, client=CLIENT, corr_id=42,
             capsule=world["capsule_md"].name,
         )
         assert body == {"ok": True, "value": 7}
+        assert server == world["server_md"].name
 
     def test_without_chain(self, world):
         wrapped = sign_response(

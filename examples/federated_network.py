@@ -59,26 +59,13 @@ def main():
         # server proves membership to serve.
         metadata = console.design_capsule(writer_key.public, label="bulletin")
         adcert = AdCert.issue(owner_key, metadata.name, storeco_md.name)
-        for server in (server_a, server_b):
-            chain = ServiceChain(
+        yield from console.place(metadata, {
+            server.name: ServiceChain(
                 metadata, adcert, server.metadata,
                 storeco_md, memberships[server.name],
             )
-            reply_corr, future = publisher.request(
-                server.name,
-                {
-                    "op": "host",
-                    "capsule": metadata.name.raw,
-                    "metadata": metadata.to_wire(),
-                    "chain": chain.to_wire(),
-                    "siblings": [
-                        other.name.raw
-                        for other in (server_a, server_b)
-                        if other is not server
-                    ],
-                },
-            )
-            yield future
+            for server in (server_a, server_b)
+        })
         yield 0.5
         print(f"capsule {metadata.name.human()} delegated to StoreCo "
               "(org-level AdCert + per-server memberships)")

@@ -1,4 +1,4 @@
-"""Owner-side operations: capsule creation, delegation, placement (§V).
+"""Owner-side operations: capsule creation, delegation, placement (§V, §VI).
 
 "The creation of a DataCapsule involves two operations by the
 DataCapsule-owner: (a) placing the signed metadata on appropriate
@@ -9,7 +9,11 @@ specific servers."
 including redundant delegation to several servers/organizations at once
 ("the architecture allows a single DataCapsule to be delegated to
 multiple service providers at the same time", §IV-B) and scope policies
-restricting which routing domains may see the capsule.
+restricting which routing domains may see the capsule.  Where the
+replicas live is one owner-signed, versioned :class:`CapsulePlacement`;
+:meth:`OwnerConsole.place_capsule` issues the first and
+:meth:`OwnerConsole.migrate_replica` the later ones, and every server
+learns of each through the ``host`` op.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from repro.crypto.keys import SigningKey, VerifyingKey
-from repro.delegation.certs import AdCert, OrgMembership
+from repro.delegation.certs import AdCert, OrgMembership, Placement
 from repro.delegation.chain import ServiceChain
 from repro.errors import CapsuleError
 from repro.naming.metadata import (
@@ -31,24 +35,22 @@ from repro.client.client import GdpClient
 __all__ = ["OwnerConsole", "CapsulePlacement"]
 
 
-class CapsulePlacement:
-    """The result of a placement: metadata + per-server chains."""
+class CapsulePlacement(Placement):
+    """A signed placement together with what the owner sends with it:
+    the capsule metadata and each server's delegation chain."""
 
-    __slots__ = ("metadata", "chains", "servers")
+    __slots__ = ("metadata", "chains")
 
     def __init__(
         self,
         metadata: Metadata,
         chains: dict[GdpName, ServiceChain],
+        version: int,
+        signature: bytes = b"",
     ):
+        super().__init__(metadata.name, version, list(chains), signature)
         self.metadata = metadata
         self.chains = dict(chains)
-        self.servers = sorted(chains, key=lambda n: n.raw)
-
-    @property
-    def name(self) -> GdpName:
-        """The flat GDP name of this object."""
-        return self.metadata.name
 
 
 class OwnerConsole:
@@ -117,62 +119,29 @@ class OwnerConsole:
         scopes: Sequence[str] = (),
         expires_at: float | None = None,
     ) -> Generator:
-        """Move one replica: host on *to_server*, warm it from an
-        existing replica, then retire *from_server* (§VI: placement
-        decisions belong to the owner).  Returns the updated
-        :class:`CapsulePlacement`."""
-        from repro import encoding as _encoding
-
-        metadata = placement.metadata
+        """Move one replica from *from_server* to *to_server* (§VI:
+        placement decisions belong to the owner) with two placements.
+        The first adds *to_server*: the current holders learn it first,
+        so every write they take from then on replicates to it, then
+        *to_server*, which copies the history from each holder before it
+        answers.  The second drops *from_server*: the survivors first,
+        so none still counts on its acks, then *from_server*, which
+        retires.  Returns the final :class:`CapsulePlacement`."""
         if from_server.name not in placement.chains:
             raise CapsuleError("from_server does not hold this capsule")
-        # 1. Delegate + host the new replica, siblings = survivors.
-        new_chain = self.delegate(
-            metadata, to_server, scopes=scopes, expires_at=expires_at
+        chains = dict(placement.chains)
+        chains[to_server.name] = self.delegate(
+            placement.metadata, to_server, scopes=scopes, expires_at=expires_at
         )
-        survivors = [
-            name for name in placement.servers if name != from_server.name
-        ]
-        yield from self.client.ask(
-            to_server.name,
-            {
-                "op": "host",
-                "capsule": metadata.name.raw,
-                "metadata": metadata.to_wire(),
-                "chain": new_chain.to_wire(),
-                "siblings": [n.raw for n in survivors],
-            },
-        )
-        # 2. Warm the new replica from the retiring one.
-        yield from self.client.ask(
-            to_server.name,
-            {
-                "op": "sync_now",
-                "capsule": metadata.name.raw,
-                "from": from_server.name.raw,
-            },
-            timeout=60.0,
-        )
+        widened = self._sign(placement.metadata, chains, placement.version + 1)
+        yield from self._send(widened, chains, [*placement.servers, to_server.name])
         yield 0.5  # let the new replica's re-advertisement land
-        # 3. Retire the old replica (owner-signed authorization).
-        preimage = b"gdp.unhost" + _encoding.encode(
-            [metadata.name.raw, from_server.name.raw]
+        del chains[from_server.name]
+        narrowed = self._sign(placement.metadata, chains, widened.version + 1)
+        yield from self._send(
+            narrowed, widened.chains, [*narrowed.servers, from_server.name]
         )
-        yield from self.client.ask(
-            from_server.name,
-            {
-                "op": "unhost",
-                "capsule": metadata.name.raw,
-                "auth": self.owner_key.sign(preimage),
-            },
-        )
-        chains = {
-            name: chain
-            for name, chain in placement.chains.items()
-            if name != from_server.name
-        }
-        chains[to_server.name] = new_chain
-        return CapsulePlacement(metadata, chains)
+        return narrowed
 
     def place_capsule(
         self,
@@ -182,30 +151,46 @@ class OwnerConsole:
         scopes: Sequence[str] = (),
         expires_at: float | None = None,
     ) -> Generator:
-        """Delegate to every server and send each the ``host`` op; the
-        servers become mutual replication siblings.  Returns a
-        :class:`CapsulePlacement`."""
-        if not server_metadatas:
-            raise CapsuleError("placement needs at least one server")
-        chains: dict[GdpName, ServiceChain] = {}
-        for server_metadata in server_metadatas:
-            chains[server_metadata.name] = self.delegate(
-                metadata,
-                server_metadata,
-                scopes=scopes,
-                expires_at=expires_at,
+        """Delegate to every server directly and :meth:`place` the
+        capsule on them.  Returns the :class:`CapsulePlacement`."""
+        chains = {
+            server_metadata.name: self.delegate(
+                metadata, server_metadata, scopes=scopes, expires_at=expires_at
             )
-        all_names = sorted(chains, key=lambda n: n.raw)
-        for server_name in all_names:
-            siblings = [n.raw for n in all_names if n != server_name]
+            for server_metadata in server_metadatas
+        }
+        return (yield from self.place(metadata, chains))
+
+    def place(
+        self, metadata: Metadata, chains: dict[GdpName, ServiceChain]
+    ) -> Generator:
+        """Send every server of *chains* (server name -> its delegation
+        chain, direct or through an organization) the first placement,
+        which names them all: they become mutual replication siblings.
+        Returns the :class:`CapsulePlacement`."""
+        if not chains:
+            raise CapsuleError("placement needs at least one server")
+        placement = self._sign(metadata, chains, 1)
+        yield from self._send(placement, chains, placement.servers)
+        return placement
+
+    def _sign(self, metadata: Metadata, chains: dict, version: int) -> CapsulePlacement:
+        placement = CapsulePlacement(metadata, chains, version)
+        placement.signature = self.owner_key.sign(placement.signing_preimage())
+        return placement
+
+    def _send(self, placement: CapsulePlacement, chains: dict, servers) -> Generator:
+        """Send *placement* to each of *servers* in order as a ``host``
+        op, each with its own delegation chain from *chains*."""
+        for server in servers:
             yield from self.client.ask(
-                server_name,
+                server,
                 {
                     "op": "host",
-                    "capsule": metadata.name.raw,
-                    "metadata": metadata.to_wire(),
-                    "chain": chains[server_name].to_wire(),
-                    "siblings": siblings,
+                    "capsule": placement.capsule.raw,
+                    "metadata": placement.metadata.to_wire(),
+                    "chain": chains[server].to_wire(),
+                    "placement": placement.to_wire(),
                 },
+                timeout=60.0,
             )
-        return CapsulePlacement(metadata, chains)

@@ -1,5 +1,5 @@
 """Cryptographic substrate: SHA-256 hashing, pure-Python ECDSA P-256
-(with a comb-table/Shamir acceleration layer, see :mod:`repro.crypto.ec`),
+(with a comb-table acceleration layer, see :mod:`repro.crypto.ec`),
 process-wide signature/digest memoization (:mod:`repro.crypto.cache`),
 HMAC sessions, and Merkle trees.
 

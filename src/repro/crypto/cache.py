@@ -32,8 +32,7 @@ are always collected and can be mirrored into a
 (``Network.enable_node_metrics`` does, under the ``crypto`` scope);
 the last two caches sit in front of verification and count nothing.
 
-The environment variable ``GDP_CRYPTO_ACCEL=0`` — or
-:func:`set_accel_enabled` at runtime — disables the caches *and* the
+:func:`set_accel_enabled` disables the caches *and* the
 precomputed-table paths in :mod:`repro.crypto.ec`, forcing the naive
 reference implementations (used by benchmarks to measure the speedup and
 by property tests to cross-check bit-identity).
@@ -41,7 +40,6 @@ by property tests to cross-check bit-identity).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
@@ -90,7 +88,7 @@ class LruCache:
         return len(self._data)
 
 
-_enabled = os.environ.get("GDP_CRYPTO_ACCEL", "1") != "0"
+_enabled = True
 
 VERIFY_CACHE_SIZE = 8192
 DIGEST_CACHE_SIZE = 16384

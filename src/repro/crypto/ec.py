@@ -14,8 +14,8 @@ Acceleration layer
 ------------------
 Profiling shows ``scalar_mult`` dominating end-to-end wall-clock (every
 append heartbeat, read proof, advertisement, and delegation check bottoms
-out here), so three precomputation strategies sit behind the public
-entry points:
+out here), so two precomputation strategies sit behind the public entry
+points:
 
 - a process-wide *fixed-base comb* for the generator (built lazily on
   first use): with width ``w`` the table holds ``m * 2^(w*i) * G`` for
@@ -23,16 +23,13 @@ entry points:
   ``ceil(256/w)`` mixed additions with no doublings at all;
 - bounded per-point comb tables for *hot* public keys (writer keys,
   router identities verify thousands of times) — built once a point has
-  been used :data:`PROMOTE_AFTER` times, evicted LRU;
-- Shamir/Strauss simultaneous multiplication for ``u1*G + u2*Q`` (the
-  ECDSA verify shape) interleaving both scalars over one shared doubling
-  ladder when ``Q`` has no table yet.
+  been used :data:`PROMOTE_AFTER` times, evicted LRU.
 
-All accelerated paths are bit-identical to the reference ladder
-(:func:`scalar_mult_naive`), which is kept both as the fallback for cold
-points and as the cross-check oracle for property tests.  Set the
-environment variable ``GDP_CRYPTO_ACCEL=0`` (or call
-:func:`repro.crypto.cache.set_accel_enabled`) to force the naive paths.
+A verify against a key with no comb yet (``u1*G + u2*Q``) takes the base
+comb for ``u1*G`` and the reference 4-bit ladder (:func:`_ladder`) for
+``u2*Q``.  Every path is bit-identical to the reference
+(:func:`scalar_mult_naive`), which property tests cross-check;
+:func:`repro.crypto.cache.set_accel_enabled` forces the reference paths.
 """
 
 from __future__ import annotations
@@ -183,8 +180,8 @@ def _jmadd(jp: _JPoint, ax: int, ay: int) -> _JPoint:
     """Mixed addition: Jacobian *jp* + affine ``(ax, ay)`` (i.e. Z2 = 1).
 
     Saves ~5 field multiplications over the general :func:`_jadd`; the
-    comb and Strauss ladders below keep their tables in affine form
-    precisely so every addition takes this path.
+    comb tables below are kept in affine form precisely so every
+    addition takes this path.
     """
     X1, Y1, Z1 = jp
     if Z1 == 0:
@@ -237,17 +234,12 @@ def point_add(p1: Point, p2: Point) -> Point:
     return _from_jacobian(_jadd(_to_jacobian(p1), _to_jacobian(p2)))
 
 
-def scalar_mult_naive(k: int, point: Point) -> Point:
-    """Compute ``k * point`` via a 4-bit fixed-window method.
-
-    The reference implementation: no shared state, no precomputation
-    beyond the per-call window table.  Kept as the fallback for cold
-    points and as the oracle the accelerated paths are property-tested
-    against.
-    """
-    k %= N
+def _ladder(k: int, point: Point) -> _JPoint:
+    """``k * point`` in Jacobian form via a 4-bit fixed-window ladder;
+    *k* must already be reduced mod N.  No shared state and no
+    precomputation beyond the per-call window table."""
     if k == 0 or point.is_infinity:
-        return INFINITY
+        return _JINF
     base = _to_jacobian(point)
     # Precompute 1..15 multiples of the base.
     table: list[_JPoint] = [_JINF, base]
@@ -259,7 +251,14 @@ def scalar_mult_naive(k: int, point: Point) -> Point:
         window = (k >> shift) & 0xF
         if window:
             acc = _jadd(acc, table[window])
-    return _from_jacobian(acc)
+    return acc
+
+
+def scalar_mult_naive(k: int, point: Point) -> Point:
+    """Compute ``k * point`` with the reference ladder (:func:`_ladder`):
+    the path for cold points and the oracle the comb paths are
+    property-tested against."""
+    return _from_jacobian(_ladder(k % N, point))
 
 
 # -- comb precomputation ----------------------------------------------------
@@ -373,46 +372,20 @@ def scalar_mult(k: int, point: Point) -> Point:
 
 
 def _double_scalar_jacobian(u1: int, u2: int, point: Point) -> _JPoint:
-    """``u1*G + u2*point`` in Jacobian form — the ECDSA verify shape.
-
-    With a comb table available for *point* both halves are pure mixed
-    additions; otherwise Strauss interleaving shares one doubling ladder
-    between the two scalars (half the doublings of two separate mults).
-    """
+    """``u1*G + u2*point`` in Jacobian form — the ECDSA verify shape:
+    the base comb for ``u1*G`` plus *point*'s comb once it is hot, the
+    reference ladder while it is cold."""
     u1 %= N
     u2 %= N
     if not _cache.accel_enabled():
-        return _to_jacobian(
-            point_add(
-                scalar_mult_naive(u1, GENERATOR), scalar_mult_naive(u2, point)
-            )
-        )
+        return _jadd(_ladder(u1, GENERATOR), _ladder(u2, point))
+    acc = _comb_mult(u1, _base_comb(), COMB_WIDTH_BASE)
     if u2 == 0 or point.is_infinity:
-        return _comb_mult(u1, _base_comb(), COMB_WIDTH_BASE)
+        return acc
     table = _point_comb(point)
     if table is not None:
-        acc = _comb_mult(u1, _base_comb(), COMB_WIDTH_BASE)
         return _comb_mult(u2, table, COMB_WIDTH_POINT, acc)
-    # Strauss/Shamir: 4-bit windows of both scalars over one ladder.
-    # G's small multiples come straight from the first window of the
-    # base comb (entries 1..15 of window 0 are 1..15 * G).
-    g_table = _base_comb()[0]
-    q_flat: list[_JPoint] = [_to_jacobian(point)]
-    for _ in range(14):
-        q_flat.append(_jadd(q_flat[-1], q_flat[0]))
-    q_table = _batch_affine(q_flat)
-    acc = _JINF
-    top = max(u1.bit_length(), u2.bit_length())
-    top += (4 - top % 4) % 4
-    for shift in range(top - 4, -1, -4):
-        acc = _jdouble(_jdouble(_jdouble(_jdouble(acc))))
-        w1 = (u1 >> shift) & 0xF
-        if w1:
-            acc = _jmadd(acc, *g_table[w1 - 1])
-        w2 = (u2 >> shift) & 0xF
-        if w2:
-            acc = _jmadd(acc, *q_table[w2 - 1])
-    return acc
+    return _jadd(acc, _ladder(u2, point))
 
 
 def double_scalar_base_mult(u1: int, u2: int, point: Point) -> Point:

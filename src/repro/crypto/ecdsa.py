@@ -10,8 +10,8 @@ high-S malleation (strict mode — used by the simtest oracles, where any
 signature *we* did not produce in canonical form is suspect).
 
 Hot-path notes: signing uses the fixed-base comb behind
-:func:`ec.scalar_mult`; verification computes ``u1*G + u2*Q`` in one
-Shamir/Strauss pass (:func:`ec._double_scalar_jacobian`) and compares
+:func:`ec.scalar_mult`; verification computes ``u1*G + u2*Q`` in Jacobian
+form (:func:`ec._double_scalar_jacobian`) and compares
 ``r`` against the Jacobian result directly, avoiding the final field
 inversion entirely.
 """

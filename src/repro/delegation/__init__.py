@@ -1,7 +1,7 @@
 """Cryptographic delegations: AdCerts, RtCerts, organization
-memberships, and chain verification."""
+memberships, placements, and chain verification."""
 
-from repro.delegation.certs import AdCert, OrgMembership, RtCert, SubGrant
+from repro.delegation.certs import AdCert, OrgMembership, Placement, RtCert, SubGrant
 from repro.delegation.chain import (
     ServiceChain,
     verify_routing_chain,
@@ -13,6 +13,7 @@ __all__ = [
     "RtCert",
     "OrgMembership",
     "SubGrant",
+    "Placement",
     "ServiceChain",
     "verify_service_chain",
     "verify_routing_chain",

@@ -14,6 +14,10 @@ reside in or be routed through (§VII: "any restriction on where can a
 DataCapsule be routed through are specified by the DataCapsule-owner at
 the time of issuance of AdCert").
 
+**Placement** — the owner's versioned statement of which servers hold a
+capsule's replicas (§VI: "Replicas can be migrated ... such placement
+decisions are made by the owner of a DataCapsule").
+
 **RtCert** — "a signed statement issued by a physical machine (e.g. a
 DataCapsule-server) to a GDP-router authorizing the GDP-router to
 send/receive messages on behalf of DataCapsule-server".
@@ -32,7 +36,7 @@ from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.errors import DelegationError, expect_bytes
 from repro.naming.names import GdpName
 
-__all__ = ["AdCert", "RtCert", "OrgMembership", "SubGrant"]
+__all__ = ["AdCert", "RtCert", "OrgMembership", "SubGrant", "Placement"]
 
 
 class _SignedStatement:
@@ -269,3 +273,59 @@ class SubGrant(_SignedStatement):
     }
 
     __slots__ = NAMES
+
+
+class Placement:
+    """Owner-signed placement: the servers holding *capsule*'s replicas
+    as of *version*.  Every ``host`` op carries one, and a server acts
+    only on one newer than it holds (see
+    :meth:`repro.server.dcserver.DataCapsuleServer.host_capsule`)."""
+
+    DOMAIN = b"gdp.placement"
+
+    __slots__ = ("capsule", "version", "servers", "signature")
+
+    def __init__(
+        self,
+        capsule: GdpName,
+        version: int,
+        servers: Sequence[GdpName],
+        signature: bytes = b"",
+    ):
+        if type(version) is not int or version < 1:
+            raise DelegationError("placement version must be a positive int")
+        self.capsule = capsule
+        self.version = version
+        self.servers = sorted(set(servers), key=lambda name: name.raw)
+        self.signature = expect_bytes(signature, "placement signature", DelegationError)
+
+    def signing_preimage(self) -> bytes:
+        """The exact bytes the owner signature covers."""
+        return self.DOMAIN + encoding.encode(
+            [self.capsule.raw, self.version, [name.raw for name in self.servers]]
+        )
+
+    def verify(self, owner_key: VerifyingKey) -> None:
+        """Raise unless the owner signed exactly this placement."""
+        if not owner_key.verify(self.signing_preimage(), self.signature):
+            raise DelegationError("placement signature does not verify")
+
+    def to_wire(self) -> dict:
+        """Wire-encodable representation."""
+        return {
+            "capsule": self.capsule.raw,
+            "version": self.version,
+            "servers": [name.raw for name in self.servers],
+            "signature": self.signature,
+        }
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "Placement":
+        """Rebuild from a wire form; raises on malformed input."""
+        try:
+            servers = [GdpName(raw) for raw in wire["servers"]]
+            return cls(
+                GdpName(wire["capsule"]), wire["version"], servers, wire["signature"]
+            )
+        except (KeyError, TypeError) as exc:
+            raise DelegationError(f"malformed placement: {exc}") from exc

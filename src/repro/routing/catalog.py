@@ -38,7 +38,9 @@ from repro.delegation.chain import ServiceChain
 from repro.errors import AdvertisementError, GdpError
 from repro.naming.metadata import Metadata, make_capsule_metadata
 from repro.naming.names import GdpName
-from repro.routing.glookup import GLookupService, RouteEntry
+from repro.routing.glookup import (
+    GLookupService, RouteEntry, expiry_from_wire, wire_expiry,
+)
 
 __all__ = ["CatalogEntry", "CatalogBuilder", "replay_catalog", "import_catalog"]
 
@@ -119,7 +121,7 @@ class CatalogBuilder:
                 "type": "advert",
                 "name": self.advertiser_metadata.name.raw,
                 "rtcert": rtcert.to_wire(),
-                "expires_at": _ms(expires_at),
+                "expires_at": wire_expiry(expires_at),
             }
         )
 
@@ -135,7 +137,7 @@ class CatalogBuilder:
             "type": "advert",
             "name": chain.capsule.raw,
             "chain": chain.to_wire(),
-            "expires_at": _ms(expires_at),
+            "expires_at": wire_expiry(expires_at),
         }
         if rtcert is not None:
             entry["rtcert"] = rtcert.to_wire()
@@ -149,20 +151,12 @@ class CatalogBuilder:
         """Defer the expiry of every live advertisement as a group —
         the paper's cheap keep-alive."""
         return self._append(
-            {"type": "extend", "expires_at": _ms(new_expires_at)}
+            {"type": "extend", "expires_at": wire_expiry(new_expires_at)}
         )
 
     def _append(self, entry: dict) -> int:
         record, _ = self._writer.append(encoding.encode(entry))
         return record.seqno
-
-
-def _ms(expires_at: float | None) -> int:
-    return -1 if expires_at is None else int(expires_at * 1000)
-
-
-def _from_ms(value: int) -> float | None:
-    return None if value == -1 else value / 1000
 
 
 def replay_catalog(
@@ -206,12 +200,12 @@ def replay_catalog(
                 else None
             )
             view[name] = CatalogEntry(
-                name, chain, rtcert, _from_ms(entry["expires_at"]), seqno
+                name, chain, rtcert, expiry_from_wire(entry["expires_at"]), seqno
             )
         elif kind == "withdraw":
             view.pop(GdpName(entry["name"]), None)
         elif kind == "extend":
-            new_expiry = _from_ms(entry["expires_at"])
+            new_expiry = expiry_from_wire(entry["expires_at"])
             for live in view.values():
                 live.expires_at = new_expiry
         else:

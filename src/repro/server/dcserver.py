@@ -16,7 +16,9 @@ provider can't be framed by an adversary", §III-D).
 Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 
 =============  =========================================================
-``host``       begin hosting (metadata + service chain + sibling list)
+``host``       apply an owner-signed placement (metadata + this
+               server's delegation chain + the placement): host, keep
+               or retire the replica (see ``host_capsule``)
 ``append_batch``  a writer's run — records under the heartbeat over the
                tip; ``acks`` selects the durability policy
 ``replicate_batch``  the same run, sibling to sibling
@@ -45,6 +47,7 @@ from repro.capsule.proofs import build_range_proof
 from repro.capsule.records import Record
 from repro.crypto.hmac_session import Handshake, SessionKey
 from repro.crypto.keys import SigningKey, VerifyingKey
+from repro.delegation.certs import Placement
 from repro.delegation.chain import ServiceChain
 from repro.errors import (
     AuthorizationError,
@@ -84,19 +87,15 @@ MAX_RANGE_REPLY_BYTES = 8 * 1024 * 1024
 
 
 class HostedCapsule:
-    """A capsule replica this server is delegated for."""
+    """A capsule replica this server is delegated for; its siblings are
+    the other servers of the newest placement it applied."""
 
     __slots__ = ("capsule", "chain", "siblings", "subscribers")
 
-    def __init__(
-        self,
-        capsule: DataCapsule,
-        chain: ServiceChain,
-        siblings: list[GdpName],
-    ):
+    def __init__(self, capsule: DataCapsule, chain: ServiceChain):
         self.capsule = capsule
         self.chain = chain
-        self.siblings = list(siblings)
+        self.siblings: list[GdpName] = []
         self.subscribers: set[GdpName] = set()
 
 
@@ -119,6 +118,9 @@ class DataCapsuleServer(Endpoint):
         super().__init__(network, node_id, metadata, key, lease_ttl=lease_ttl)
         self.storage = storage if storage is not None else MemoryStore()
         self.hosted: dict[GdpName, HostedCapsule] = {}
+        #: the newest placement version applied per capsule, hosted or
+        #: retired: an older or equal one changes nothing
+        self.placement_versions: dict[GdpName, int] = {}
         self._sessions: dict[GdpName, SessionKey] = {}
         # (client, corr_id) pairs whose response must stay signed even
         # though a session now exists (the session-establishment reply
@@ -166,19 +168,45 @@ class DataCapsuleServer(Endpoint):
         self,
         metadata: Metadata,
         chain: ServiceChain,
-        siblings: list[GdpName] | None = None,
-    ) -> HostedCapsule:
-        """Start hosting a capsule (local entry point; the ``host`` op
-        arrives here too).  Verifies the delegation before accepting."""
-        chain.verify(now=self.ctx.now)
-        if chain.server != self.name:
-            raise CapsuleError("delegation chain is for a different server")
-        if chain.capsule != metadata.name:
-            raise CapsuleError("delegation chain is for a different capsule")
-        capsule = DataCapsule(metadata)
-        self.storage.store_metadata(metadata.name, metadata.to_wire())
-        hosted = HostedCapsule(capsule, chain, siblings or [])
-        self.hosted[metadata.name] = hosted
+        placement: Placement | None = None,
+    ) -> HostedCapsule | None:
+        """Apply the owner's *placement* of a capsule — the one rule the
+        ``host`` op goes through; without one (local set-up) host it as
+        the only replica.  Returns the hosted replica, or None.
+
+        A placement counts only if the capsule's owner signed it and it
+        is newer than the one this server last applied, so a replay
+        changes nothing.  One that names this server hosts the capsule
+        (after verifying *chain*) or keeps the live replica, with the
+        placement's other servers as siblings; one that omits it retires
+        the replica, deleting its storage and withdrawing its route.
+        """
+        name = metadata.name
+        if placement is not None:
+            if placement.capsule != name:
+                raise CapsuleError("placement is for a different capsule")
+            placement.verify(metadata.owner_key)
+            if placement.version <= self.placement_versions.get(name, 0):
+                return self.hosted.get(name)
+            if self.name not in placement.servers:
+                self.placement_versions[name] = placement.version
+                if self.hosted.pop(name, None) is not None:
+                    self.storage.delete_capsule(name)
+                    if self._uplink is not None:
+                        self.withdraw([name])
+                return None
+        hosted = self.hosted.get(name)
+        if hosted is None:
+            chain.verify(now=self.ctx.now)
+            if chain.server != self.name:
+                raise CapsuleError("delegation chain is for a different server")
+            if chain.capsule != name:
+                raise CapsuleError("delegation chain is for a different capsule")
+            self.storage.store_metadata(name, metadata.to_wire())
+            hosted = self.hosted[name] = HostedCapsule(DataCapsule(metadata), chain)
+        if placement is not None:
+            self.placement_versions[name] = placement.version
+            hosted.siblings = [s for s in placement.servers if s != self.name]
         return hosted
 
     def catalog_entries(self) -> list[dict]:
@@ -215,8 +243,8 @@ class DataCapsuleServer(Endpoint):
     def restart(self) -> None:
         """Come back up with exactly what the storage backend kept.
 
-        Hosted-capsule operator state (delegation chains, sibling
-        lists) persists — the operator configured it — but each
+        Hosted-capsule operator state (delegation chains, placements)
+        persists — the owner set it — but each
         replica's in-memory :class:`DataCapsule` is rebuilt from scratch
         by replaying the storage log, and subscriber sets are dropped
         (subscribers re-subscribe; §V's subscriptions are soft state).
@@ -369,16 +397,34 @@ class DataCapsuleServer(Endpoint):
 
     # -- ops -------------------------------------------------------------
 
-    @op("host", metadata=dict, chain=dict, siblings=opt(list))
-    def _op_host(self, pdu: Pdu, payload: dict) -> dict:
+    @op("host", capsule=bytes, metadata=dict, chain=dict, placement=dict)
+    def _op_host(self, pdu: Pdu, payload: dict) -> Any:
+        """Apply a placement (:meth:`host_capsule`).  A server newly
+        named by a later placement — a migration's target — syncs once
+        with each sibling before it answers, so it holds the history
+        before the owner retires any copy."""
         metadata = Metadata.from_wire(payload["metadata"])
+        placement = Placement.from_wire(payload["placement"])
         chain = ServiceChain.from_wire(payload["chain"])
-        siblings = [GdpName(raw) for raw in payload.get("siblings", [])]
-        self.host_capsule(metadata, chain, siblings)
-        # The new capsule name must become routable: re-run the secure
-        # advertisement with the updated naming catalog.
-        self._schedule_readvertise()
-        return {"ok": True, "capsule": metadata.name.raw}
+        newly_named = metadata.name not in self.hosted
+        hosted = self.host_capsule(metadata, chain, placement)
+        body = {"ok": True, "capsule": metadata.name.raw}
+        if hosted is None or not newly_named:
+            return body
+        self._schedule_readvertise()  # the new name must become routable
+        if placement.version == 1:
+            return body
+        return self.ctx.spawn(self._warm(hosted, body), name="warm").completion
+
+    def _warm(self, hosted: HostedCapsule, body: dict) -> Any:
+        """Process body: one sync round with each sibling; returns *body*
+        with the count of records fetched."""
+        from repro.server.replication import sync_once
+
+        fetched = 0
+        for sibling in list(hosted.siblings):
+            fetched += yield from sync_once(self, hosted.capsule.name, sibling)
+        return dict(body, fetched=fetched)
 
     def _schedule_readvertise(self) -> None:
         """Re-advertise the full catalog, retrying while a previous
@@ -556,64 +602,6 @@ class DataCapsuleServer(Endpoint):
             "metadata": hosted.capsule.metadata.to_wire(),
             "chain": hosted.chain.to_wire(),
         }
-
-    @op("unhost", capsule=bytes, auth=opt(object))
-    def _op_unhost(self, pdu: Pdu, payload: dict) -> dict:
-        """Stop hosting a capsule — owner-authorized replica retirement
-        (§VI: "Replicas can be migrated ... such placement decisions are
-        made by the owner of a DataCapsule").
-
-        Authorization: an owner signature over
-        ``("gdp.unhost", capsule, this server's name)`` so an unhost
-        request cannot be forged or replayed against another server.
-        """
-        from repro import encoding as _encoding
-
-        hosted = self._hosted(payload)
-        owner_key = hosted.capsule.metadata.owner_key
-        preimage = b"gdp.unhost" + _encoding.encode(
-            [hosted.capsule.name.raw, self.name.raw]
-        )
-        signature = payload.get("auth")
-        if not isinstance(signature, bytes) or not owner_key.verify(
-            preimage, signature
-        ):
-            raise AuthorizationError(
-                "unhost requires a valid owner signature"
-            )
-        name = hosted.capsule.name
-        del self.hosted[name]
-        self.storage.delete_capsule(name)
-        # Withdraw the route so traffic stops landing here.
-        if self._uplink is not None:
-            self.withdraw([name])
-        return {"ok": True, "capsule": name.raw}
-
-    @op("sync_now", capsule=bytes, **{"from": bytes})
-    def _op_sync_now(self, pdu: Pdu, payload: dict) -> Any:
-        """Owner-triggered immediate anti-entropy pull from a named
-        sibling (used to warm a freshly placed replica during
-        migration)."""
-        from repro.server.replication import sync_once
-
-        hosted = self._hosted(payload)
-        sibling = GdpName(payload["from"])
-        result = self.ctx.future()
-        process = self.ctx.spawn(
-            sync_once(self, hosted.capsule.name, sibling),
-            name=f"sync_now:{self.node_id}",
-        )
-
-        def done(fut: Future) -> None:
-            try:
-                fetched = fut.result()
-            except Exception as exc:  # noqa: BLE001 — reported to caller
-                result.resolve({"ok": False, "error": str(exc)})
-                return
-            result.resolve({"ok": True, "fetched": fetched})
-
-        process.completion.add_callback(done)
-        return result
 
     @op("subscribe", capsule=bytes, subgrant=opt(object))
     def _op_subscribe(self, pdu: Pdu, payload: dict) -> dict:

@@ -47,17 +47,22 @@ from repro.simtest import run_episode
 #: ``records: []`` (2 B more than ``empty``) and a read past the tip is
 #: refused as such (4 B less of error text).  Every pin keeps its event
 #: sequence and outcome; only PDU sizes and the timestamps they shift move.
+#:
+#: Every ``host`` op carries the owner-signed placement instead of a
+#: sibling list: 179 B more per ``host`` request (one per replica at
+#: set-up).  Every pin keeps its event sequence and outcome; only those
+#: requests' sizes and the timestamps they shift move.
 REFERENCE_EPISODES = [
     (7, "default", True,
-     "28d02bb24e1fe1451e8b1c481008c911ec07f9eb153f15c2215ccfce4abf29a6"),
+     "b8678bc28c3ab25eb38e9b52f5862768c6f429c14db60996ef1bf15f9c5342d4"),
     (42, "default", True,
-     "d67b2b18924e734c2d4960c51c2e796332cfb107b21201d9a7fcf9d4787796cc"),
+     "f02875fb8188ba86b1db6e016f17f240b7bd1e6e6c1a7bdbb3c37a69c2bbd8bb"),
     (6, "dht_churn", True,
-     "9f69fe356d7ad6b7e58df0effa80ee67108159fd39a947f9890835c09c29b8f4"),
+     "7d7c4ed98aa358bd045cd14231688726579b1c12982425702ffc63702a36eefa"),
     (13, "dht_churn", True,
-     "a4528b21cedeb6619703c2c72573be0566764bb2e5611ab33137a9c0df541ea4"),
+     "d0acd72c1b904d0fad1764e02ed96d978abcf23bcbef3c2b1698214888683889"),
     (4, "dht_root", True,
-     "086af8330bc20f016ac3a6a38d3663d3db67e6b5470885185ce57a17322d22c0"),
+     "09ad55c29b9041e861535e70f4123fe3f12ac761c9cffd217067d1b3a368a721"),
 ]
 
 

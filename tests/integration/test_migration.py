@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import CapsuleError
+from repro.delegation import Placement, ServiceChain
+from repro.errors import CapsuleError, GdpError
 from repro.server import DataCapsuleServer
+from repro.server.secure import open_response
 
 
 @pytest.fixture()
@@ -12,6 +14,33 @@ def with_third_server(mini_gdp):
     third = DataCapsuleServer(g.net, "srv_third")
     third.attach(g.r_root)
     return g, third
+
+
+def _signed(g, capsule, version, servers) -> Placement:
+    """A placement the owner signed (what an eavesdropper may replay)."""
+    placement = Placement(capsule, version, servers)
+    placement.signature = g.owner_key.sign(placement.signing_preimage())
+    return placement
+
+
+def _host(g, server, metadata, chain, placement=None, **extra):
+    """Process body: the reader — not the owner — sends *server* a
+    ``host`` op; returns the (verified) reply body, refusals included."""
+    payload = {
+        "op": "host",
+        "capsule": metadata.name.raw,
+        "metadata": metadata.to_wire(),
+        "chain": chain.to_wire(),
+        **extra,
+    }
+    if placement is not None:
+        payload["placement"] = placement.to_wire()
+    corr_id, future = g.reader_client.request(server, payload)
+    wrapped = yield future
+    body, _ = open_response(
+        wrapped, requester=g.reader_client.name, corr_id=corr_id, server=server
+    )
+    return body
 
 
 class TestMigration:
@@ -76,20 +105,16 @@ class TestMigration:
         assert g.server_root.stats["reads"] == 0
 
     def test_unhost_without_owner_signature_rejected(self, mini_gdp):
+        """A placement retiring the server, but not signed by the owner,
+        is refused and the replica stays."""
         g = mini_gdp
 
         def scenario():
             yield from g.bootstrap()
             metadata = yield from g.place(servers=[g.server_root.metadata])
-            reply = yield g.reader_client.rpc(
-                g.server_root.name,
-                {
-                    "op": "unhost",
-                    "capsule": metadata.name.raw,
-                    "auth": b"\x00" * 64,
-                },
-            )
-            body = reply.get("body", reply)
+            chain = g.server_root.hosted[metadata.name].chain
+            retiring = Placement(metadata.name, 2, [g.server_edge.name], b"\x00" * 64)
+            body = yield from _host(g, g.server_root.name, metadata, chain, retiring)
             return metadata, body
 
         metadata, body = g.run(scenario())
@@ -97,29 +122,29 @@ class TestMigration:
         assert metadata.name in g.server_root.hosted  # still hosted
 
     def test_unhost_signature_not_replayable_across_servers(self, mini_gdp):
-        """An unhost authorization for server A is useless at server B."""
-        from repro import encoding
-
+        """An owner-signed placement for another capsule is useless for
+        this one, re-addressed or not."""
         g = mini_gdp
 
         def scenario():
             yield from g.bootstrap()
             metadata = yield from g.place()
-            # Owner signs an unhost for server_root...
-            preimage = b"gdp.unhost" + encoding.encode(
-                [metadata.name.raw, g.server_root.name.raw]
-            )
-            auth = g.owner_key.sign(preimage)
-            # ...an attacker replays it at server_edge.
-            reply = yield g.reader_client.rpc(
-                g.server_edge.name,
-                {"op": "unhost", "capsule": metadata.name.raw, "auth": auth},
-            )
-            body = reply.get("body", reply)
-            return metadata, body
+            other = yield from g.place(label="other")
+            # The owner retires server_edge from the *other* capsule...
+            signed = _signed(g, other.name, 2, [g.server_root.name])
+            # ...and an attacker replays it against this one, as signed
+            # and with the capsule field re-pointed.
+            chain = g.server_edge.hosted[metadata.name].chain
+            bodies = []
+            for capsule in (other.name, metadata.name):
+                replayed = Placement(capsule, 2, signed.servers, signed.signature)
+                bodies.append((yield from _host(
+                    g, g.server_edge.name, metadata, chain, replayed
+                )))
+            return metadata, bodies
 
-        metadata, body = g.run(scenario())
-        assert not body.get("ok")
+        metadata, bodies = g.run(scenario())
+        assert not any(body.get("ok") for body in bodies)
         assert metadata.name in g.server_edge.hosted
 
     def test_migrate_from_nonmember_rejected(self, with_third_server):
@@ -139,6 +164,185 @@ class TestMigration:
             return True
 
         assert g.run(scenario())
+
+
+class TestPlacementAuthority:
+    """Only the owner's newest placement changes where a capsule lives."""
+
+    def test_stranger_rehost_keeps_replica(self, mini_gdp):
+        """A non-owner re-sends ``host`` from public material: the chain
+        the ``metadata`` op hands anyone, an empty sibling list, the
+        newest placement replayed, and that placement with its version
+        raised but not re-signed."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = g.console.design_capsule(g.writer_key.public)
+            placement = yield from g.console.place_capsule(
+                metadata, [g.server_root.metadata, g.server_edge.metadata]
+            )
+            yield 0.5
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(4):
+                yield from writer.append(b"kept-%d" % i, acks="all")
+            public, _ = yield from g.reader_client.ask(
+                g.server_root.name,
+                {"op": "metadata", "capsule": metadata.name.raw},
+            )
+            chain = ServiceChain.from_wire(public["chain"])
+            raised = Placement(
+                metadata.name, placement.version + 1, [g.server_root.name],
+                placement.signature,
+            )
+            bodies = []
+            for forged in (None, placement, raised):
+                bodies.append((yield from _host(
+                    g, g.server_root.name, metadata, chain, forged, siblings=[]
+                )))
+            return metadata, bodies
+
+        metadata, bodies = g.run(scenario())
+        assert [bool(body.get("ok")) for body in bodies] == [False, True, False]
+        hosted = g.server_root.hosted[metadata.name]
+        assert hosted.capsule.last_seqno == 4
+        assert hosted.siblings == [g.server_edge.name]
+
+    def test_survivor_acks_all_after_migration(self, with_third_server):
+        """After root -> third, a survivor's siblings name the new
+        replica, so ``acks="all"`` reaches it synchronously."""
+        g, third = with_third_server
+
+        def scenario():
+            yield from g.bootstrap()
+            yield third.advertise()
+            metadata = g.console.design_capsule(g.writer_key.public)
+            placement = yield from g.console.place_capsule(
+                metadata, [g.server_root.metadata, g.server_edge.metadata]
+            )
+            yield 0.5
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append(b"before", acks="all")
+            yield from g.console.migrate_replica(
+                placement, g.server_root.metadata, third.metadata
+            )
+            yield 1.0
+            receipt = yield from writer.append(b"after", acks="all")
+            return metadata, receipt, third.hosted[metadata.name].capsule.seqnos()
+
+        metadata, receipt, held = g.run(scenario())
+        assert receipt.server == g.server_edge.name
+        assert receipt.acks == 2
+        assert 2 in held  # replicated on the write path, not by gossip
+        assert g.server_edge.hosted[metadata.name].siblings == [third.name]
+
+    def test_superseded_placement_does_not_rehost(self, with_third_server):
+        g, third = with_third_server
+
+        def scenario():
+            yield from g.bootstrap()
+            yield third.advertise()
+            metadata = g.console.design_capsule(g.writer_key.public)
+            first = yield from g.console.place_capsule(
+                metadata, [g.server_root.metadata, g.server_edge.metadata]
+            )
+            yield 0.5
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append(b"x", acks="all")
+            final = yield from g.console.migrate_replica(
+                first, g.server_root.metadata, third.metadata
+            )
+            widened = _signed(g, metadata.name, 2, first.servers + [third.name])
+            root_chain = first.chains[g.server_root.name]
+            edge_chain = final.chains[g.server_edge.name]
+            bodies = []
+            for old in (first, widened):
+                bodies.append((yield from _host(
+                    g, g.server_root.name, metadata, root_chain, old
+                )))
+            g.server_root.crash()
+            g.server_root.restart()
+            yield 0.5
+            for old in (first, widened):
+                bodies.append((yield from _host(
+                    g, g.server_root.name, metadata, root_chain, old
+                )))
+                bodies.append((yield from _host(
+                    g, g.server_edge.name, metadata, edge_chain, old
+                )))
+            return metadata, bodies
+
+        metadata, bodies = g.run(scenario())
+        assert all(body.get("ok") for body in bodies)  # stale: a no-op
+        assert metadata.name not in g.server_root.hosted
+        assert g.server_root.storage.load_metadata(metadata.name) is None
+        assert g.server_edge.hosted[metadata.name].siblings == [third.name]
+        assert third.hosted[metadata.name].siblings == [g.server_edge.name]
+
+    def test_single_replica_move_keeps_history(self, with_third_server):
+        g, third = with_third_server
+
+        def scenario():
+            yield from g.bootstrap()
+            yield third.advertise()
+            metadata = g.console.design_capsule(g.writer_key.public)
+            placement = yield from g.console.place_capsule(
+                metadata, [g.server_edge.metadata]
+            )
+            yield 0.5
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            for i in range(5):
+                yield from writer.append(b"only-copy-%d" % i, acks="all")
+            placement = yield from g.console.migrate_replica(
+                placement, g.server_edge.metadata, third.metadata
+            )
+            return metadata, placement
+
+        metadata, placement = g.run(scenario())
+        assert placement.servers == [third.name]
+        assert metadata.name not in g.server_edge.hosted
+        moved = third.hosted[metadata.name]
+        assert moved.capsule.seqnos() == [1, 2, 3, 4, 5]
+        assert moved.capsule.verify_history() == 5
+        assert moved.siblings == []
+
+    def test_writes_during_a_move_are_kept(self, with_third_server):
+        """A writer keeps appending while its only replica moves: every
+        append acked by a replica is on the new server afterwards."""
+        g, third = with_third_server
+
+        def scenario():
+            yield from g.bootstrap()
+            yield third.advertise()
+            metadata = g.console.design_capsule(g.writer_key.public)
+            placement = yield from g.console.place_capsule(
+                metadata, [g.server_edge.metadata]
+            )
+            yield 0.5
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            acked = []
+
+            def keep_writing():
+                for i in range(200):
+                    try:
+                        receipt = yield from writer.append(b"w-%d" % i, acks="all")
+                    except GdpError:
+                        pass  # refused while the placement changes: not acked
+                    else:
+                        acked.append(receipt.record.seqno)
+                    yield 0.005
+
+            writing = g.net.ctx.spawn(keep_writing(), name="writer")
+            yield 0.05
+            yield from g.console.migrate_replica(
+                placement, g.server_edge.metadata, third.metadata
+            )
+            yield writing.completion
+            return metadata, acked
+
+        metadata, acked = g.run(scenario())
+        held = set(third.hosted[metadata.name].capsule.seqnos())
+        assert acked and set(acked) <= held
 
 
 class TestWithdrawal:

@@ -139,16 +139,7 @@ class TestOrgDelegationViaConsole:
 
         def scenario():
             yield from g.bootstrap()
-            yield from g.writer_client.ask(
-                g.server_edge.name,
-                {
-                    "op": "host",
-                    "capsule": metadata.name.raw,
-                    "metadata": metadata.to_wire(),
-                    "chain": chain.to_wire(),
-                    "siblings": [],
-                },
-            )
+            yield from g.console.place(metadata, {g.server_edge.name: chain})
             yield 0.5
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             yield from writer.append(b"via-org")

@@ -97,6 +97,47 @@ class TestSocketFleet:
         assert client.transport.sent > 0
         assert client.transport.delivered > 0
 
+    def test_migration_over_sockets(self, fleet):
+        """Place on processes 0 and 1, migrate 0 -> 2: an ``acks="all"``
+        append is acked by both remaining replicas and process 2 serves
+        it.  The client attaches to process 1: a fleet routes a capsule
+        name only to its own process's server, so process 0's router has
+        no route once its replica retires."""
+        spec, launcher, ports = fleet
+        ctx, client = connect_client(spec, ports[1])
+        owner_key = SigningKey.from_seed(b"smoke-owner-4")
+        writer_key = SigningKey.from_seed(b"smoke-writer-4")
+        console = OwnerConsole(client, owner_key)
+        servers = [spec.server_metadata(i) for i in range(3)]
+
+        def scenario():
+            yield client.advertise()
+            metadata = console.design_capsule(
+                writer_key.public, pointer_strategy="chain"
+            )
+            placement = yield from console.place_capsule(metadata, servers[:2])
+            yield 0.5
+            writer = client.open_writer(metadata, writer_key)
+            yield from writer.append(b"before", acks="all")
+            placement = yield from console.migrate_replica(
+                placement, servers[0], servers[2]
+            )
+            receipt = yield from writer.append(b"after", acks="all")
+            body, _ = yield from client.ask(
+                servers[2].name,
+                {"op": "read_range", "capsule": metadata.name.raw, "first": 1},
+                capsule=metadata.name,
+            )
+            served = [wire["payload"] for wire in body["records"]]
+            return placement, receipt, served
+
+        placement, receipt, served = ctx.run_process(scenario(), "migrate")
+        assert placement.servers == sorted(
+            [servers[1].name, servers[2].name], key=lambda name: name.raw
+        )
+        assert receipt.acks == 2
+        assert served == [b"before", b"after"]
+
     def test_tampered_record_detected_over_sockets(self, fleet):
         spec, launcher, ports = fleet
         ctx, client = connect_client(spec, ports[0])

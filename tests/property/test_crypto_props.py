@@ -83,13 +83,13 @@ class TestKeyInternProperties:
 
 
 class TestAccelBitIdentity:
-    """The accelerated EC paths (fixed-base comb, per-point combs,
-    Shamir double-scalar) must be bit-identical to the naive
+    """The accelerated EC paths (fixed-base comb, per-point combs, the
+    double-scalar verify shape) must be bit-identical to the naive
     double-and-add reference — checked over 1000+ seeded random cases.
 
     A fixed seed keeps the suite deterministic; the volume is the point
-    (the comb recoding and the Shamir interleave have digit-boundary
-    edge cases that only dense random sampling reaches)."""
+    (the comb recoding has digit-boundary edge cases that only dense
+    random sampling reaches)."""
 
     def test_base_mult_500_random_scalars(self):
         rng = __import__("random").Random(0x6D9A01)
@@ -129,7 +129,7 @@ class TestAccelBitIdentity:
                 ec.scalar_mult_naive(u2, point),
             )
             assert ec.double_scalar_base_mult(u1, u2, point) == expected, (
-                f"Shamir diverged at u1={u1:#x} u2={u2:#x}"
+                f"double-scalar diverged at u1={u1:#x} u2={u2:#x}"
             )
 
     def test_sign_verify_cross_modes(self):

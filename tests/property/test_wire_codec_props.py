@@ -16,7 +16,7 @@ from repro.client import GdpClient, OwnerConsole
 from repro.client.failover import Subscription
 from repro.crypto import SigningKey
 from repro.crypto.keys import VerifyingKey
-from repro.delegation import AdCert
+from repro.delegation import AdCert, Placement
 from repro.errors import (
     CapsuleError,
     DelegationError,
@@ -161,6 +161,12 @@ def _paths(value, prefix=()):
 
 
 _RUN_PATHS = sorted(_paths(_RUN), key=repr)
+_PLACEMENT = Placement(_NAME, 1, [_CHAIN.server])
+_PLACEMENT.signature = _OWNER.sign(_PLACEMENT.signing_preimage())
+_HOST = {
+    "op": "host", "capsule": _NAME.raw, "metadata": _METADATA.to_wire(),
+    "chain": _CHAIN.to_wire(), "placement": _PLACEMENT.to_wire(),
+}
 
 
 def _substituted(path, value) -> dict:
@@ -214,6 +220,21 @@ class TestWireParsers:
         body = _substituted(path, value)
         client.on_push(Pdu(_SENDER, client.name, pdutypes.T_PUSH, body))
         assert {record.digest for record in delivered} <= _GENUINE
+
+    @given(st.sampled_from(sorted(_paths(_PLACEMENT.to_wire()), key=repr)), payloads)
+    @settings(max_examples=150, deadline=None)
+    def test_substituted_placement_hosts_nothing(self, path, value):
+        """A ``host`` op whose owner-signed placement was altered anywhere
+        is answered, never raised, and hosts nothing."""
+        server = _server()
+        body = copy.deepcopy(_HOST)
+        node = body["placement"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        pdu = Pdu(_SENDER, server.name, pdutypes.T_DATA, body)
+        assert isinstance(dispatch_op(server, pdu, body), dict)
+        assert _NAME not in server.hosted or body["placement"] == _PLACEMENT.to_wire()
 
     def test_int_for_bytes_is_refused(self):
         """An int where bytes belong used to become that many zero bytes

@@ -50,6 +50,16 @@ class TestCatalogBuild:
         assert entry.expires_at == 100.0
         assert entry.chain.capsule == world["capsule_md"].name
 
+    @pytest.mark.parametrize("expires_at", [100.0007, -0.001])
+    def test_expiry_replays_exactly(self, world, expires_at):
+        """Sub-millisecond and sub-zero expiries survive the catalog:
+        no rounding to milliseconds, no collision with "never"."""
+        b = world["builder"]
+        b.advertise_capsule(world["chain"], world["rtcert"], expires_at=expires_at)
+        assert replay_catalog(b.capsule)[world["capsule_md"].name].expires_at == expires_at
+        b.extend_all(expires_at * 2)
+        assert replay_catalog(b.capsule)[world["capsule_md"].name].expires_at == expires_at * 2
+
     def test_withdraw(self, world):
         b = world["builder"]
         b.advertise_capsule(world["chain"], world["rtcert"])

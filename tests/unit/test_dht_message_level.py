@@ -472,6 +472,11 @@ class TestGrepGuard:
         # the unverified ways to open a DataCapsule-server's reply beside
         # open_response, and the client switch that skipped verification
         "with_server", "def _unwrap", "def _open(", "self.verify =",
+        # the hosting ops beside the one owner-signed placement (and the
+        # hand-built preimage of the first), the catalog's lossy expiry
+        # codec, and the Strauss ladder's table beside the combs
+        "def _op_unhost", "def _op_sync_now", "gdp.unhost", "def _ms(",
+        "q_table",
     )
 
     def test_back_compat_layer_stays_deleted(self):

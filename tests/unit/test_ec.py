@@ -127,8 +127,8 @@ class TestScalarsNearOrder:
 
 
 class TestAcceleratedPaths:
-    """The comb/Shamir fast paths must be bit-identical to the naive
-    double-and-add reference on every input shape."""
+    """The comb fast paths and the cold-key verify must be bit-identical
+    to the naive double-and-add reference on every input shape."""
 
     def test_base_comb_matches_naive(self):
         for k in [1, 2, 3, 255, 256, 257, 2**64 - 1, 2**255 + 12345]:

@@ -6,13 +6,6 @@ sealed payloads, and branch handling for quasi-single-writer recovery.
 """
 
 from repro.capsule.capsule import DataCapsule, build_record
-from repro.capsule.entanglement import (
-    cross_order,
-    entangle,
-    entanglements_in,
-    happens_before,
-    verify_entanglement,
-)
 from repro.capsule.hashptr import (
     ChainStrategy,
     CheckpointStrategy,
@@ -58,9 +51,4 @@ __all__ = [
     "ReadGrant",
     "seal_payload",
     "open_payload",
-    "entangle",
-    "entanglements_in",
-    "verify_entanglement",
-    "cross_order",
-    "happens_before",
 ]

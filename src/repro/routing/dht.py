@@ -17,9 +17,12 @@ per-bucket replacement cache.
 
 Churn tolerance:
 
-- **records are TTL'd and versioned** — per-principal, newest-wins on
-  merge, with tombstones for deletion; an :class:`~repro.routing.fib.ExpiryWheel`
-  per node reclaims dead records lazily;
+- **records are a value and an expiry** — filed under the SHA-256 of
+  the value's canonical encoding, so copies of one value merge to the
+  later expiry and a different value never replaces it; removal is by
+  expiry only (a holder keeps a record at most :data:`RECORD_TTL` past
+  its arrival), and an :class:`~repro.routing.fib.ExpiryWheel` per node
+  reclaims dead records lazily;
 - **re-replication** — a lookup that observes fewer than k live holders
   re-stores the merged records on the closest responsive non-holders
   (Kademlia caching as repair), and STOREs report *acked* replica
@@ -29,9 +32,11 @@ Churn tolerance:
   republish machinery routes around it.
 
 Because GLookup entries are *independently verifiable* (they carry
-delegation chains), the DHT nodes never need to be trusted — a node
-returning a forged entry fails the verifier exactly like a compromised
-GLookupService does.
+delegation chains) and a record carries nothing else to order or erase
+by, the DHT nodes never need to be trusted — a node returning a forged
+entry fails the verifier exactly like a compromised GLookupService
+does, and a forged value sits beside the genuine one instead of
+replacing it.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ KEY_BITS = 256
 RPC_TIMEOUT = 1.0
 #: extra attempts after the first before a peer is demoted
 RPC_RETRIES = 1
-#: default lifetime of a stored record (republish must beat this)
+#: lifetime of a stored record (republish must beat this); a holder
+#: keeps no record longer than this past its arrival
 RECORD_TTL = 30.0
 #: don't ping a bucket head seen more recently than this (Kademlia's
 #: "recently seen nodes are almost certainly alive" optimization)
@@ -117,26 +123,16 @@ class LookupResult:
         self.failed: set[GdpName] = set()
         #: responsive peers that returned at least one record
         self.holders: set[GdpName] = set()
-        #: merged records, principal raw -> newest record
+        #: merged records, value digest -> latest-expiring copy (the get
+        #: path keeps only the live ones)
         self.records: dict[bytes, dict] = {}
-        #: live non-tombstone record payloads (filled by the get path)
+        #: live record payloads (filled by the get path)
         self.values: list[Any] = []
 
 
-def make_record(
-    principal: bytes, version: int, value: Any, expires_at: float,
-    *, tombstone: bool = False,
-) -> dict:
-    """Build one wire record: per-principal versioned TTL'd value."""
-    record = {
-        "p": bytes(principal),
-        "v": int(version),
-        "d": value,
-        "e": encoding.pack_float(expires_at),
-    }
-    if tombstone:
-        record["t"] = 1
-    return record
+def make_record(value: Any, expires_at: float) -> dict:
+    """Build one wire record: a value and its absolute expiry."""
+    return {"d": value, "e": encoding.pack_float(expires_at)}
 
 
 def record_expiry(record: dict) -> float:
@@ -148,8 +144,6 @@ def _valid_record(record: Any) -> bool:
     """Shape check for records arriving from untrusted peers."""
     return (
         isinstance(record, dict)
-        and isinstance(record.get("p"), bytes)
-        and isinstance(record.get("v"), int)
         and "d" in record
         and isinstance(record.get("e"), bytes)
         and len(record["e"]) == 8
@@ -157,13 +151,25 @@ def _valid_record(record: Any) -> bool:
 
 
 def value_principal(value: Any) -> bytes:
-    """Content identity for anonymous values (the generic put path):
-    distinct values coexist under one key, identical re-puts merge."""
+    """A record's identity: the digest of its value's canonical
+    encoding.  Distinct values coexist under one key, identical re-puts
+    merge."""
     return hashlib.sha256(encoding.encode(value)).digest()
 
 
+def _keep_latest(records: dict[bytes, dict], record: dict) -> bool:
+    """File *record* under its value's digest in *records*, keeping
+    whichever copy expires later; returns whether *record* was kept."""
+    digest = value_principal(record["d"])
+    old = records.get(digest)
+    if old is not None and record_expiry(old) >= record_expiry(record):
+        return False
+    records[digest] = record
+    return True
+
+
 class DhtNode(Node):
-    """One DHT participant: k-buckets + a versioned TTL'd record store,
+    """One DHT participant: k-buckets + a TTL'd record store,
     speaking FIND_NODE / FIND_VALUE / STORE / PING over its network's
     transport.
 
@@ -192,7 +198,7 @@ class DhtNode(Node):
         #: peer -> transport address (underlay label, not liveness)
         self.addrs: dict[GdpName, str] = {}
         self.last_seen: dict[GdpName, float] = {}
-        #: key -> principal raw -> record (versioned, TTL'd, tombstoned)
+        #: key -> value digest -> record (TTL'd)
         self.store: dict[GdpName, dict[bytes, dict]] = {}
         self.wheel = ExpiryWheel(1.0)
         self.crashed = False
@@ -327,35 +333,26 @@ class DhtNode(Node):
     # -- the record store --------------------------------------------------
 
     def merge_record(self, key: GdpName, record: dict) -> bool:
-        """Newest-wins merge of one record; returns whether it landed.
+        """Merge one record; returns whether it is held.
 
-        Same-version re-merges (republish) extend the TTL in place, so a
-        record's lifetime is ``last republish + RECORD_TTL``, not its
-        first arrival.
+        A copy of a value already held extends its expiry in place
+        (republish), so a record's lifetime is ``last republish +
+        RECORD_TTL``, not its first arrival; no expiry is taken further
+        than one :data:`RECORD_TTL` past now.
         """
         if not _valid_record(record):
             return False
         now = self.ctx.now
-        expiry = record_expiry(record)
+        expiry = min(record_expiry(record), now + RECORD_TTL)
         if expiry <= now:
             return False
-        principal = record["p"]
-        slot = self.store.get(key)
-        if slot is None:
-            slot = self.store[key] = {}
-        old = slot.get(principal)
-        if old is not None:
-            if record["v"] < old["v"]:
-                return False
-            if record["v"] == old["v"] and expiry <= record_expiry(old):
-                return True  # identical or staler copy: already merged
-        slot[principal] = dict(record)
-        self.wheel.schedule(key.raw, expiry)
+        slot = self.store.setdefault(key, {})
+        if _keep_latest(slot, make_record(record["d"], expiry)):
+            self.wheel.schedule(key.raw, expiry)
         return True
 
     def records_for(self, key: GdpName) -> list[dict]:
-        """Live records under *key* (tombstones included — they must
-        propagate so deletes win over stale copies elsewhere)."""
+        """Live records under *key*."""
         self.cull_expired()
         slot = self.store.get(key)
         if not slot:
@@ -374,8 +371,8 @@ class DhtNode(Node):
             if not slot:
                 continue
             live = {
-                principal: record
-                for principal, record in slot.items()
+                digest: record
+                for digest, record in slot.items()
                 if record_expiry(record) > now
             }
             reclaimed += len(slot) - len(live)
@@ -557,17 +554,9 @@ class DhtNode(Node):
                         if not _valid_record(record):
                             continue
                         got_record = True
-                        principal = record["p"]
-                        best = result.records.get(principal)
-                        if (
-                            best is None
-                            or record["v"] > best["v"]
-                            or (
-                                record["v"] == best["v"]
-                                and record_expiry(record) > record_expiry(best)
-                            )
-                        ):
-                            result.records[principal] = dict(record)
+                        _keep_latest(result.records, make_record(
+                            record["d"], record_expiry(record)
+                        ))
                     if got_record:
                         result.holders.add(peer)
         result.closest = heapq.nsmallest(
@@ -665,31 +654,13 @@ class KademliaDht:
 
     # -- put / get ---------------------------------------------------------
 
-    def put_proc(
-        self,
-        via: GdpName,
-        key: GdpName,
-        value: Any,
-        *,
-        principal: bytes | None = None,
-        version: int = 0,
-        expires_at: float | None = None,
-        tombstone: bool = False,
-    ):
+    def put_proc(self, via: GdpName, key: GdpName, value: Any):
         """STORE *value* under *key* from entry node *via* (a process);
         returns the put's :class:`LookupResult`, whose ``acked`` counts
         only replicas that acknowledged — an unreachable replica is not
         durability, so it is not counted."""
         origin = self._entry_node(via)
-        if principal is None:
-            principal = value_principal(value)
-        record = make_record(
-            principal,
-            version,
-            value,
-            expires_at if expires_at is not None else origin.ctx.now + RECORD_TTL,
-            tombstone=tombstone,
-        )
+        record = make_record(value, origin.ctx.now + RECORD_TTL)
         return (yield from self.put_records_proc(via, key, [record]))
 
     def put_records_proc(self, via: GdpName, key: GdpName, records: list[dict]):
@@ -758,24 +729,15 @@ class KademliaDht:
         result = yield from origin.iter_find(key, want_value=True)
         # The origin's own replica participates like any other holder.
         for record in origin.records_for(key):
-            principal = record["p"]
-            best = result.records.get(principal)
-            if (
-                best is None
-                or record["v"] > best["v"]
-                or (
-                    record["v"] == best["v"]
-                    and record_expiry(record) > record_expiry(best)
-                )
-            ):
-                result.records[principal] = dict(record)
+            _keep_latest(result.records, record)
         now = origin.ctx.now
-        live = [
-            record
-            for record in result.records.values()
+        result.records = {
+            digest: record
+            for digest, record in result.records.items()
             if record_expiry(record) > now
-        ]
-        result.values = [r["d"] for r in live if not r.get("t")]
+        }
+        live = list(result.records.values())
+        result.values = [record["d"] for record in live]
         if live:
             want = min(self.k, len(result.closest))
             holders = sum(1 for n in result.closest if n in result.holders)

@@ -8,14 +8,16 @@ scalable GLookupService."
 :class:`DhtGLookupService` is a GLookupService — the same register /
 unregister / lookup policy, stated once in
 :mod:`repro.routing.glookup` — whose storage backing is a message-level
-Kademlia DHT.  Entries travel as wire forms inside per-principal
-*versioned* records: replacing a binding publishes a higher version,
-removing one publishes a tombstone, and holders merge newest-wins — so
-replacement and deletion work through STORE messages alone, with no
-reach into other nodes' stores.  Records are TTL'd;
-:class:`DhtRepublishDaemon` re-puts the authoritative copies before the
-TTL lapses, which doubles as re-replication after holder churn (each
-republish lands on the *currently* closest live nodes).
+Kademlia DHT.  An entry travels as its wire form inside a record that is
+only that value and an expiry, filed under the value's digest: there is
+no version, principal or tombstone for an overlay node to forge, so a
+forged record sits beside a genuine binding and never replaces or
+erases it.  Removal is by expiry only.  Records are TTL'd (capped by the
+entry's lease); :class:`DhtRepublishDaemon` re-puts the current
+bindings before the TTL lapses, which doubles as re-replication after
+holder churn (each republish lands on the *currently* closest live
+nodes), and a withdrawn or replaced binding is simply not re-put.  The
+service's own lookups skip a value it replaced or withdrew at once.
 
 Because every entry carries its delegation evidence, the DHT nodes stay
 untrusted: a node returning a forged entry fails the resolving router's
@@ -33,6 +35,7 @@ from repro.routing.dht import (
     KademliaDht,
     make_record,
     record_expiry,
+    value_principal,
 )
 from repro.routing.glookup import GLookupService, RouteEntry
 from repro.runtime.context import Periodic
@@ -40,19 +43,22 @@ from repro.runtime.context import Periodic
 __all__ = ["DhtGLookupService", "DhtRepublishDaemon"]
 
 
-def _decode(wires: list) -> list[RouteEntry]:
+def _decode(wires: list, refused=None) -> list[RouteEntry]:
+    """The decodable entries among *wires*; each undecodable one (garbage
+    from an untrusted DHT node) counts in *refused* when given."""
     entries = []
     for wire in wires:
         try:
             entries.append(RouteEntry.from_wire(wire))
         except Exception:
-            continue  # garbage from an untrusted DHT node: skip
+            if refused is not None:
+                refused.inc()
     return entries
 
 
 class _DhtTable:
-    """The DHT backing of a GLookupService: publish, tombstone, fetch
-    and republish through *home*, the service's own DHT node.
+    """The DHT backing of a GLookupService: publish, fetch and republish
+    through *home*, the service's own DHT node.
 
     Resolution RPCs take network time, so :meth:`fetch` answers with
     the lookup *process* for the caller to run, and every publish runs
@@ -61,18 +67,17 @@ class _DhtTable:
     node's own replica and send nothing.
     """
 
-    def __init__(self, dht: KademliaDht, home: GdpName, record_ttl, clock, metrics):
+    def __init__(self, dht: KademliaDht, home: GdpName, clock, metrics):
         self.dht = dht
         self.home = home
-        self.record_ttl = record_ttl
         self._clock = clock
-        # Monotonic publish clock: every store/drop bumps it, so
-        # newest-wins merging on the holders is total-ordered.
-        self._version = 0
-        # Authoritative published records: name -> principal -> record
-        # (what the republish daemon re-puts; tombstones live here too
-        # until their TTL would have lapsed everywhere).
+        # Current bindings: name -> principal raw -> record (what the
+        # republish daemon re-puts).
         self._published: dict[GdpName, dict[bytes, dict]] = {}
+        # Digest of each value this service replaced or withdrew -> that
+        # record's expiry: copies still live on holders until then, and
+        # this service's own fetch/peek skip them.
+        self._retired: dict[bytes, float] = {}
         # Local name index so names()/len() stay meaningful; contents
         # live in the DHT.
         self._names: set[GdpName] = set()
@@ -81,6 +86,7 @@ class _DhtTable:
         self._c_dht_lookups = metrics.counter("dht.lookups")
         self._c_dht_messages = metrics.counter("dht.messages")
         self._c_dht_under_replicated = metrics.counter("dht.under_replicated")
+        self._c_dht_refused = metrics.counter("dht.records_refused")
         self._h_dht_hops = metrics.histogram("dht.hops")
 
     # -- internals ---------------------------------------------------------
@@ -91,21 +97,21 @@ class _DhtTable:
         return self.dht._entry_node(self.home)
 
     def _record_for(self, entry: RouteEntry) -> dict:
-        """The next-version record carrying *entry*'s wire form.  The
-        record TTL is capped by the entry's lease — a record must not
-        outlive the binding it carries."""
-        self._version += 1
-        expiry = self._clock() + self.record_ttl
+        """The record carrying *entry*'s wire form.  The record TTL is
+        capped by the entry's lease — a record must not outlive the
+        binding it carries."""
+        expiry = self._clock() + RECORD_TTL
         if entry.expires_at is not None:
             expiry = min(expiry, entry.expires_at)
-        return make_record(
-            entry.principal.raw, self._version, entry.to_wire(), expiry
-        )
+        return make_record(entry.to_wire(), expiry)
+
+    def _retire(self, record: dict) -> None:
+        self._retired[value_principal(record["d"])] = record_expiry(record)
 
     def _publish(self, name: GdpName, record: dict) -> None:
-        """Merge *record* into the home node's authoritative replica
-        immediately (mid-run lookups and republish never race the
-        publish RPCs), then replicate it through the DHT."""
+        """Merge *record* into the home node's replica immediately
+        (mid-run lookups and republish never race the publish RPCs),
+        then replicate it through the DHT."""
         home = self._home_node()
         home.merge_record(name, dict(record))
         home.ctx.spawn(
@@ -120,12 +126,15 @@ class _DhtTable:
     # -- the backing surface ------------------------------------------------
 
     def store(self, entry: RouteEntry) -> None:
-        """Publish *entry*.  Replacement is per-principal and versioned:
-        holders merge the higher version and the old binding dies
-        everywhere the STOREs reach — no global store-wipe, no
-        god-mode."""
+        """Publish *entry*, replacing the principal's previous binding:
+        the old value is retired here and expires on the holders."""
         record = self._record_for(entry)
-        self._published.setdefault(entry.name, {})[entry.principal.raw] = record
+        published = self._published.setdefault(entry.name, {})
+        old = published.get(entry.principal.raw)
+        if old is not None and old["d"] != record["d"]:
+            self._retire(old)
+        self._retired.pop(value_principal(record["d"]), None)
+        published[entry.principal.raw] = record
         self._names.add(entry.name)
         self._publish(entry.name, record)
 
@@ -135,26 +144,17 @@ class _DhtTable:
         self._home_node().merge_record(name, self._record_for(entry))
 
     def drop(self, name: GdpName, principal: GdpName) -> None:
-        """Publish a *tombstone*: a higher-version record that masks
-        the value on every holder it reaches and expires after one
-        record TTL (by which time the value record it masks has expired
-        everywhere too)."""
-        self._version += 1
-        tombstone = make_record(
-            principal.raw,
-            self._version,
-            b"",
-            self._clock() + self.record_ttl,
-            tombstone=True,
-        )
+        """Withdraw the (name, principal) binding: it is retired here,
+        no longer republished, and expires on the holders."""
         published = self._published.get(name)
-        if published is not None:
-            published[principal.raw] = tombstone
-            if not any(
-                not record.get("t") for record in published.values()
-            ):
-                self._names.discard(name)
-        self._publish(name, tombstone)
+        if published is None:
+            return
+        old = published.pop(principal.raw, None)
+        if old is not None:
+            self._retire(old)
+        if not published:
+            del self._published[name]
+            self._names.discard(name)
 
     def fetch(self, name: GdpName):
         """A full message-level lookup of *name* (a process); returns
@@ -167,7 +167,15 @@ class _DhtTable:
         self._c_dht_messages.inc(result.messages)
         self._h_dht_hops.observe(result.hops)
         now = self._clock()
-        return [e for e in _decode(result.values) if not e.is_expired(now)]
+        wires = [
+            record["d"]
+            for digest, record in result.records.items()
+            if digest not in self._retired
+        ]
+        return [
+            e for e in _decode(wires, self._c_dht_refused)
+            if not e.is_expired(now)
+        ]
 
     def peek(self, name: GdpName) -> list[RouteEntry]:
         """Everything decodable in the home replica's live records for
@@ -176,13 +184,18 @@ class _DhtTable:
         slot = self._home_node().store.get(name, {})
         return _decode([
             record["d"]
-            for record in slot.values()
-            if not record.get("t") and record_expiry(record) > now
+            for digest, record in slot.items()
+            if digest not in self._retired and record_expiry(record) > now
         ])
 
     def purge_expired(self, now: float) -> int:
         """Reclaim the home replica's expired records (every other
-        holder culls its own)."""
+        holder culls its own) and forget retired values that expired."""
+        self._retired = {
+            digest: expiry
+            for digest, expiry in self._retired.items()
+            if expiry > now
+        }
         return self._home_node().cull_expired(now)
 
     def names(self) -> set[GdpName]:
@@ -194,26 +207,17 @@ class _DhtTable:
     # -- churn maintenance -------------------------------------------------
 
     def republish_proc(self):
-        """Re-put every authoritative published record with a refreshed
-        TTL (same version — holders extend in place, newcomers and
-        healed nodes receive a copy).  This is both republish-on-expiry
-        and the re-replication path after holder churn."""
+        """Re-put every current binding with a refreshed TTL (holders
+        extend the same value in place, newcomers and healed nodes
+        receive a copy).  This is both republish-on-expiry and the
+        re-replication path after holder churn."""
         now = self._clock()
         republished = 0
         for name in list(self._published):
             published = self._published.get(name, {})
             fresh: list[dict] = []
             for principal, record in list(published.items()):
-                if record.get("t"):
-                    # Tombstones republish until their original TTL
-                    # lapses, then fall away for good.
-                    if record_expiry(record) <= now:
-                        del published[principal]
-                        continue
-                    fresh.append(dict(record))
-                    continue
-                record = dict(record)
-                expiry = now + self.record_ttl
+                expiry = now + RECORD_TTL
                 try:
                     lease = RouteEntry.from_wire(record["d"]).expires_at
                 except Exception:
@@ -223,46 +227,43 @@ class _DhtTable:
                         del published[principal]
                         continue
                     expiry = min(expiry, lease)
-                refreshed = make_record(
-                    bytes(record["p"]), record["v"], record["d"], expiry
-                )
+                refreshed = make_record(record["d"], expiry)
                 published[principal] = refreshed
                 fresh.append(dict(refreshed))
             if not published:
                 del self._published[name]
                 self._names.discard(name)
                 continue
-            if fresh:
-                yield from self._put_proc(name, fresh)
-                republished += 1
+            yield from self._put_proc(name, fresh)
+            republished += 1
         return republished
 
     def replication_report(self) -> dict:
         """God-mode *diagnostic* snapshot for the simtest oracle: how
-        many live nodes hold each published name right now.  Never used
-        on the protocol path — the oracle judges it after the heal."""
+        many live nodes hold each published name right now — an
+        unexpired copy of any value naming a principal with a current
+        binding.  Never used on the protocol path — the oracle judges
+        it after the heal."""
         live_nodes = [
             node for node in self.dht.nodes.values() if not node.crashed
         ]
         now = self._clock()
         names: dict[str, int] = {}
         for name in sorted(self._names):
-            published = self._published.get(name, {})
-            live_principals = {
+            principals = {
                 principal
-                for principal, record in published.items()
-                if not record.get("t") and record_expiry(record) > now
+                for principal, record in self._published.get(name, {}).items()
+                if record_expiry(record) > now
             }
-            if not live_principals:
+            if not principals:
                 continue
             holders = 0
             for node in live_nodes:
-                slot = node.store.get(name, {})
                 if any(
-                    principal in slot
-                    and not slot[principal].get("t")
-                    and record_expiry(slot[principal]) > now
-                    for principal in live_principals
+                    isinstance(record["d"], dict)
+                    and record["d"].get("principal") in principals
+                    and record_expiry(record) > now
+                    for record in node.store.get(name, {}).values()
                 ):
                     holders += 1
             names[name.hex()] = holders
@@ -296,13 +297,11 @@ class DhtGLookupService(GLookupService):
         verify_on_register: bool = True,
         clock: Callable[[], float] | None = None,
         metrics=None,
-        record_ttl: float = RECORD_TTL,
     ):
         if home not in dht.nodes:
             raise ValueError(f"home {home.human()} is not a DHT member")
         self.dht = dht
         self.home = home
-        self.record_ttl = record_ttl
         super().__init__(
             domain_name,
             parent,
@@ -312,9 +311,7 @@ class DhtGLookupService(GLookupService):
         )
 
     def _open_table(self) -> _DhtTable:
-        return _DhtTable(
-            self.dht, self.home, self.record_ttl, self._clock, self.metrics
-        )
+        return _DhtTable(self.dht, self.home, self._clock, self.metrics)
 
     def republish_proc(self):
         """Process body: one republish pass over the backing."""
@@ -328,19 +325,17 @@ class DhtGLookupService(GLookupService):
 class DhtRepublishDaemon(Periodic):
     """Periodic republish driver (one per DHT-backed service).
 
-    Runs :meth:`DhtGLookupService.republish_proc` every ``interval``
-    simulated seconds (unjittered) — well inside the record TTL, so
-    records neither vanish early (republish beats expiry) nor accumulate
-    forever (unrefreshed records die one TTL after their last publish).
+    Runs :meth:`DhtGLookupService.republish_proc` every third of the
+    record TTL (unjittered) — well inside it, so records neither vanish
+    early (republish beats expiry) nor accumulate forever (unrefreshed
+    records die one TTL after their last publish).
     """
 
-    def __init__(
-        self, service: DhtGLookupService, interval: float | None = None
-    ):
+    def __init__(self, service: DhtGLookupService):
         super().__init__(
             service.dht.net.ctx,
             f"dht-republish:{service.domain_name}",
-            interval if interval is not None else service.record_ttl / 3.0,
+            RECORD_TTL / 3.0,
         )
         self.service = service
 

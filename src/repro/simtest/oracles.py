@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro import encoding
 from repro.caapi.commit_service import (
     NO_PRECONDITION,
     read_committed_entry,
@@ -286,8 +285,7 @@ def _check_dht_tier(
     other than its own name would be silently routable and is flagged.
 
     Two structural invariants ride along: unregister/expiry must never
-    leave an empty record slot behind (the per-principal merge deletes
-    drained keys), and the heal-phase replication snapshot (taken after
+    leave an empty record slot behind (culling deletes drained keys), and the heal-phase replication snapshot (taken after
     one republish pass, while every overlay node was back up) must show
     every published name on at least ``min(k, live_nodes)`` holders —
     re-replication after churn actually happened, k-replica durability
@@ -307,15 +305,11 @@ def _check_dht_tier(
                     f"{node.node_id}",
                 ))
                 continue
-            for principal in sorted(slot):
-                record = slot[principal]
-                if record.get("t"):
-                    continue  # tombstone: carries no routable value
-                wire = record.get("d")
-                blob = encoding.encode(wire)
-                if blob in seen:
+            for digest in sorted(slot):
+                if digest in seen:
                     continue  # replica copy already judged
-                seen.add(blob)
+                seen.add(digest)
+                wire = slot[digest]["d"]
                 try:
                     entry = RouteEntry.from_wire(wire)
                 except Exception:  # noqa: BLE001 — undecodable: skipped

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import encoding
 from repro.naming import GdpName
 from repro.routing import GdpRouter, RoutingDomain
-from repro.routing.dht import make_record
+from repro.routing.dht import RECORD_TTL, make_record, value_principal
 from repro.routing.dht_glookup import DhtGLookupService
 from repro.server import DataCapsuleServer
 from repro.client import GdpClient, OwnerConsole
@@ -106,18 +107,20 @@ class TestDhtBackedGlobalTier:
             # Poison every DHT replica holding the capsule key with a
             # well-formed record whose payload is junk (test-side
             # tampering — protocol code never reaches into stores).
-            poison = make_record(
-                b"\xee" * 32, 10**6, {"garbage": 1}, net.sim.now + 300.0
-            )
+            poison = make_record({"garbage": 1}, net.sim.now + 300.0)
             for node in w["dht"].nodes.values():
                 if metadata.name in node.store:
-                    node.store[metadata.name][b"\xee" * 32] = dict(poison)
+                    node.store[metadata.name][
+                        value_principal(poison["d"])
+                    ] = dict(poison)
             for router in (w["r_root"], w["r_edge"]):
                 router.flush_fib()
             record = (yield from w["reader_client"].read(metadata.name, 1)).record
             return record.payload
 
+        refused = w["root"].glookup.metrics.counter("dht.records_refused")
         assert net.sim.run_process(scenario()) == b"still-true"
+        assert refused.value >= 1
 
     def test_unregister_removes_from_dht(self, dht_world, run_dht):
         w = dht_world
@@ -132,6 +135,65 @@ class TestDhtBackedGlobalTier:
         assert run_dht(w["dht"], glookup.lookup(w["server"].name))
         glookup.unregister(w["server"].name, w["server"].name)
         assert run_dht(w["dht"], glookup.lookup(w["server"].name)) == []
+
+    def test_member_cannot_erase_or_shadow_a_binding(self, dht_world, run_dht):
+        """A non-home DHT member stores a forged tombstone and a junk
+        value at a huge version for the server's name (records written
+        in the old ``{p, v, d, e[, t]}`` shape).  The binding survives
+        both, right away and after the server advertises again."""
+        w = dht_world
+        net = w["net"]
+        glookup = w["root"].glookup
+        server = w["server"].name
+
+        def advertise():
+            yield w["server"].advertise()
+            return True
+
+        net.sim.run_process(advertise())
+        principal = glookup.peek(server)[0].principal.raw
+        expiry = encoding.pack_float(net.sim.now + 3600.0)
+        forged = [
+            {"p": principal, "v": 10**12, "d": None, "e": expiry, "t": 1},
+            {"p": principal, "v": 10**12, "d": {"junk": 1}, "e": expiry},
+        ]
+        run_dht(w["dht"], w["dht"].put_records_proc(dht_name(5), server, forged))
+
+        def resolved():
+            entries = run_dht(w["dht"], glookup.lookup(server))
+            assert len(entries) == 1
+            assert entries[0].name == server
+            assert entries[0].principal.raw == principal
+            entries[0].verify(now=net.sim.now)
+
+        resolved()
+        assert glookup.metrics.counter("dht.records_refused").value >= 2
+        net.sim.run_process(advertise())
+        resolved()
+
+    def test_replayed_superseded_binding_does_not_displace(
+        self, dht_world, run_dht
+    ):
+        """A member re-puts the server's superseded (genuine) binding
+        with a fresh expiry; the lookup still returns exactly the
+        current one."""
+        w = dht_world
+        net = w["net"]
+        glookup = w["root"].glookup
+        server = w["server"].name
+
+        def advertise(lease):
+            yield w["server"].advertise(expires_at=net.sim.now + lease)
+            return True
+
+        net.sim.run_process(advertise(60.0))
+        superseded = glookup.peek(server)[0].to_wire()
+        net.sim.run_process(advertise(120.0))
+        [current] = glookup.peek(server)
+        assert current.to_wire() != superseded
+        replay = make_record(superseded, net.sim.now + RECORD_TTL)
+        run_dht(w["dht"], w["dht"].put_records_proc(dht_name(5), server, [replay]))
+        assert run_dht(w["dht"], glookup.lookup(server)) == [current]
 
     def test_wire_roundtrip_preserves_verification(self, dht_world, run_dht):
         w = dht_world
@@ -168,12 +230,12 @@ class TestDhtBackedGlobalTier:
             real = w["root"].glookup.peek(w["server"].name)[0]
             forged = real.to_wire()
             forged["name"] = metadata.name.raw
-            planted = make_record(
-                b"\xbb" * 32, 10**6, forged, net.sim.now + 300.0
-            )
+            planted = make_record(forged, net.sim.now + 300.0)
             for node in w["dht"].nodes.values():
                 if metadata.name in node.store:
-                    node.store[metadata.name][b"\xbb" * 32] = dict(planted)
+                    node.store[metadata.name][
+                        value_principal(forged)
+                    ] = dict(planted)
             for router in (w["r_root"], w["r_edge"]):
                 router.flush_fib()
             record = (yield from w["reader_client"].read(metadata.name, 1)).record

@@ -4,9 +4,10 @@ sweep regressions, and the grep-guard keeping protocol paths honest.
 Regression targets (PR 10's bugfix sweep):
 
 1. ``DhtGLookupService.register/unregister`` used to wipe the whole
-   store slot for a name across every node; now replacement is
-   per-principal and versioned, deletion is a published tombstone, and
-   no node is ever left holding an empty ``[]``/``{}`` husk.
+   store slot for a name across every node; now a record is a value
+   and its expiry, a replaced or withdrawn binding is retired by the
+   service and expires on the holders, and no node is ever left
+   holding an empty ``[]``/``{}`` husk.
 2. ``DhtNode.observe`` used to evict the LRU bucket resident
    unconditionally; now a full bucket pings the oldest resident first
    and only a timeout makes room (Kademlia ping-before-evict).
@@ -21,10 +22,11 @@ import pytest
 
 from repro.naming.names import GdpName
 from repro.routing.dht import (
+    RECORD_TTL,
     DhtNode,
     KademliaDht,
     make_record,
-    record_expiry,
+    value_principal,
 )
 from repro.routing.dht_glookup import DhtGLookupService, _DhtTable
 from repro.routing.glookup import GLookupService
@@ -150,90 +152,125 @@ class TestMessageLevelProtocol:
         assert counted.value == dht.stats.messages - sent
 
 
+def route_entry(seed: bytes, expires_at: float, covers: GdpName | None = None):
+    """An unverified but decodable entry advertised by a principal
+    derived from *seed*, for *covers* (default: the principal's own
+    name)."""
+    from repro.crypto import SigningKey
+    from repro.naming import make_server_metadata
+    from repro.routing.glookup import RouteEntry
+
+    key = SigningKey.from_seed(seed)
+    metadata = make_server_metadata(key, key.public)
+    return RouteEntry(
+        covers if covers is not None else metadata.name,
+        router=name(0),
+        principal=metadata.name,
+        principal_metadata=metadata,
+        rtcert=None,
+        chain=None,
+        router_metadata=None,
+        expires_at=expires_at,
+    )
+
+
 class TestRegisterUnregisterVersioned:
-    """Bugfix 1: per-principal versioned records, no store wipe."""
+    """Bugfix 1: bindings change through the service, never by a store
+    wipe; a record is a value and its expiry."""
+
+    def _service(self, ring):
+        return DhtGLookupService(
+            "global", ring, sorted(ring.nodes)[0],
+            verify_on_register=False,
+            clock=lambda: ring.net.sim.now,
+        )
 
     def test_tombstone_masks_only_its_principal(self, ring, run_dht):
-        via = sorted(ring.nodes)[0]
-        key = key_of(10)
+        """Unregistering one principal masks that principal's value
+        alone: its copies stay on the holders until they expire, but
+        the service's lookup skips them, while the other principal's
+        value stays both held and found."""
+        service = self._service(ring)
+        capsule = key_of(10)
+        a = route_entry(b"dht-msg-d", service.now + 60.0, capsule)
+        b = route_entry(b"dht-msg-e", service.now + 60.0, capsule)
+        service.register(a)
+        service.register(b)
+        ring.net.sim.run()
+        a_digest = value_principal(a.to_wire())
+        b_digest = value_principal(b.to_wire())
+        service.unregister(capsule, a.principal)
+        ring.net.sim.run()
+        holders = holders_of(ring, capsule)
+        assert holders
+        # No wipe: both values are still held where they were put.
+        assert all(
+            a_digest in node.store[capsule] and b_digest in node.store[capsule]
+            for node in holders
+        )
+        assert run_dht(ring, service.lookup(capsule)) == [b]
+        assert service.peek(capsule) == [b]
 
-        def put(value, principal, version, **kwargs):
-            run_dht(ring, ring.put_proc(
-                via, key, value, principal=principal, version=version,
-                **kwargs,
-            ))
+    def test_service_unregister_leaves_other_principals(self, ring, run_dht):
+        """Unregistering one principal's binding leaves the other's in
+        the service's lookup, and leaves no empty slot on any holder."""
+        service = self._service(ring)
+        capsule = key_of(13)
+        a = route_entry(b"dht-msg-a", service.now + 60.0, capsule)
+        b = route_entry(b"dht-msg-b", service.now + 60.0, capsule)
+        service.register(a)
+        service.register(b)
+        ring.net.sim.run()  # publishes replicate in the background
+        found = run_dht(ring, service.lookup(capsule))
+        assert sorted(e.principal for e in found) == sorted(
+            [a.principal, b.principal]
+        )
+        service.unregister(capsule, a.principal)
+        assert run_dht(ring, service.lookup(capsule)) == [b]
+        assert service.peek(capsule) == [b]
+        assert capsule in service.names()
+        for node in holders_of(ring, capsule):
+            assert node.store[capsule], "empty slot husk left behind"
 
-        put(b"alice-v1", b"\xaa" * 32, 1)
-        put(b"bob-v1", b"\xbb" * 32, 1)
-        values = run_dht(ring, ring.get_proc(via, key)).values
-        assert sorted(values) == [b"alice-v1", b"bob-v1"]
-        # Unregister alice: a higher-version tombstone, not a wipe.
-        put(b"", b"\xaa" * 32, 2, tombstone=True)
-        assert run_dht(ring, ring.get_proc(via, key)).values == [b"bob-v1"]
-
-    def test_replacement_is_newest_wins(self, ring, run_dht):
-        via = sorted(ring.nodes)[0]
-        key = key_of(11)
-
-        def put(value, version):
-            run_dht(ring, ring.put_proc(
-                via, key, value, principal=b"\xcc" * 32, version=version
-            ))
-
-        put(b"v1", 1)
-        put(b"v2", 2)
-        assert run_dht(ring, ring.get_proc(via, key)).values == [b"v2"]
-        # A stale replayed v1 must not resurrect anywhere.
-        put(b"v1", 1)
-        assert run_dht(ring, ring.get_proc(via, key)).values == [b"v2"]
+    def test_reregistration_replaces_binding(self, ring, run_dht):
+        """A principal's new binding replaces its old one in the
+        service's lookup at once, though the old value's copies live on
+        the holders until they expire."""
+        service = self._service(ring)
+        capsule = key_of(11)
+        old = route_entry(b"dht-msg-c", service.now + 20.0, capsule)
+        new = route_entry(b"dht-msg-c", service.now + 25.0, capsule)
+        service.register(old)
+        ring.net.sim.run()
+        assert run_dht(ring, service.lookup(capsule)) == [old]
+        service.register(new)
+        ring.net.sim.run()
+        assert run_dht(ring, service.lookup(capsule)) == [new]
+        # Re-registering the identical binding does not retire it.
+        service.register(new)
+        assert run_dht(ring, service.lookup(capsule)) == [new]
 
     def test_no_empty_husk_after_expiry(self):
         node = DhtNode(SimNetwork(), name(0))  # local store semantics
         key = key_of(12)
-        node.merge_record(
-            key, make_record(b"\xdd" * 32, 1, b"short-lived", 5.0)
-        )
+        node.merge_record(key, make_record(b"short-lived", 5.0))
         assert node.store[key]
         node.cull_expired(now=100.0)
         assert key not in node.store  # deleted, not parked as {} husk
 
-    def test_service_unregister_leaves_other_principals(self, ring):
-        """The DhtGLookupService path: unregistering one principal's
-        binding publishes a tombstone for *that* principal only."""
-        home = sorted(ring.nodes)[0]
-        service = DhtGLookupService(
-            "global", ring, home,
-            verify_on_register=False,
-            clock=lambda: ring.net.sim.now,
-        )
-        table = service._table
-        capsule = key_of(13)
-        a, b = GdpName(b"\xa1" * 32), GdpName(b"\xb2" * 32)
-        for principal in (a, b):
-            table._version += 1
-            record = make_record(
-                principal.raw,
-                table._version,
-                {"who": principal.raw},
-                service.now + service.record_ttl,
-            )
-            table._published.setdefault(capsule, {})[principal.raw] = record
-            table._names.add(capsule)
-            table._publish(capsule, record)
-        service.unregister(capsule, a)
-        ring.net.sim.run()  # publishes replicate in the background
-        for node in holders_of(ring, capsule):
-            slot = node.store[capsule]
-            assert slot, "empty slot husk left behind"
-            if a.raw in slot:
-                assert slot[a.raw].get("t"), "principal a not tombstoned"
-            if b.raw in slot:
-                assert not slot[b.raw].get("t"), "principal b wiped"
-        assert any(
-            b.raw in node.store[capsule]
-            and not node.store[capsule][b.raw].get("t")
-            for node in holders_of(ring, capsule)
-        )
+    def test_far_future_record_lapses_one_ttl_after_arrival(self, ring, run_dht):
+        """A member cannot make holders keep a record longer than one
+        RECORD_TTL past its arrival by writing a far-future expiry."""
+        via = sorted(ring.nodes)[1]
+        key = key_of(14)
+        squatter = make_record(b"squatter", ring.net.sim.now + 10**6)
+        run_dht(ring, ring.put_records_proc(via, key, [squatter]))
+        assert len(holders_of(ring, key)) >= ring.k
+        # One TTL, plus the expiry wheel's one-second granularity.
+        ring.net.sim.run(until=ring.net.sim.now + RECORD_TTL + 1.0)
+        for node in ring.nodes.values():
+            node.cull_expired()
+        assert holders_of(ring, key) == []
 
 
 class TestDhtBackedSurface:
@@ -262,23 +299,8 @@ class TestDhtBackedSurface:
             service.memory_bytes()  # a packed-table figure: not defined here
 
     def test_plant_and_purge_act_on_the_home_replica(self, ring, run_dht):
-        from repro.crypto import SigningKey
-        from repro.naming import make_server_metadata
-        from repro.routing.glookup import RouteEntry
-
         service = self._service(ring)
-        key = SigningKey.from_seed(b"dht-msg-planted")
-        metadata = make_server_metadata(key, key.public)
-        entry = RouteEntry(
-            metadata.name,
-            router=name(0),
-            principal=metadata.name,
-            principal_metadata=metadata,
-            rtcert=None,
-            chain=None,
-            router_metadata=None,
-            expires_at=service.now + 5.0,
-        )
+        entry = route_entry(b"dht-msg-planted", service.now + 5.0)
         filed_under = key_of(40)  # not the name the evidence covers
         service.plant(filed_under, entry)
         assert service.peek(filed_under) == [entry]
@@ -477,6 +499,9 @@ class TestGrepGuard:
         # codec, and the Strauss ladder's table beside the combs
         "def _op_unhost", "def _op_sync_now", "gdp.unhost", "def _ms(",
         "q_table",
+        # the DHT record's unsigned principal, version and tombstone
+        # flag, and the entanglement library nothing called
+        'record["v"]', 'record["p"]', '.get("t")', "capsule.entanglement",
     )
 
     def test_back_compat_layer_stays_deleted(self):

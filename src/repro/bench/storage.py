@@ -70,8 +70,10 @@ def _capsule_name(label: str):
     return GdpName(hashlib.sha256(b"bench-storage:" + label.encode()).digest())
 
 
-def _metadata_wire() -> dict:
-    return {"owner": b"o" * 32, "writer": b"w" * 32, "strategy": "chain"}
+def _hosting_wire() -> dict:
+    return {
+        "metadata": {"owner": b"o" * 32, "writer": b"w" * 32, "strategy": "chain"}
+    }
 
 
 def _record_wire(seqno: int) -> dict:
@@ -109,7 +111,7 @@ def _bench_durable(root: str) -> dict:
             fsync_policy=policy,
             segment_bytes=SUSTAINED_SEGMENT_BYTES,
         )
-        store.store_metadata(name, _metadata_wire())
+        store.store_hosting(name, _hosting_wire())
         start = time.perf_counter()
         for pair in pairs:
             store.append_entries(name, pair)
@@ -147,7 +149,7 @@ def _bench_sustained(root: str, quick: bool, note) -> dict:
         )
 
     store = make_store()
-    store.store_metadata(name, _metadata_wire())
+    store.store_hosting(name, _hosting_wire())
     start = time.perf_counter()
     written = 0
     batch = []

@@ -13,7 +13,11 @@ roadmap item).
 Identity is deterministic: process *i*'s router/server node ids are
 ``fleet_r{i}`` / ``fleet_s{i}``, and their keys derive from those ids,
 so any client can reconstruct every server's metadata (and therefore
-place capsules on them) from the fleet size alone.
+place capsules on them) from the fleet size alone.  With a storage
+root, process *i* keeps its store in ``s{i}``; a process booted over a
+store that already holds capsules recovers them
+(``DataCapsuleServer.recover_from_storage``) before it advertises, so a
+relaunched fleet serves what it acknowledged.
 
 Discovery uses a rendezvous directory: each process writes
 ``{index}.port`` once listening and ``{index}.ready`` once advertised
@@ -239,6 +243,8 @@ def serve_process(index: int, spec: FleetSpec) -> dict:
             router.transport.dial(spec.host, peer_port)
         )
         wire_remote(peer_index, channel)
+
+    server.recover_from_storage()
 
     def boot():
         yield server.advertise(server.catalog_entries())

@@ -5,12 +5,6 @@ anycast, and a Kademlia DHT backend for the global lookup tier.
 """
 
 from repro.routing.anycast import rank_entries, select_entry
-from repro.routing.catalog import (
-    CatalogBuilder,
-    CatalogEntry,
-    import_catalog,
-    replay_catalog,
-)
 from repro.routing.dht_glookup import DhtGLookupService
 from repro.routing.dht import KademliaDht
 from repro.routing.domain import RoutingDomain
@@ -31,9 +25,5 @@ __all__ = [
     "select_entry",
     "rank_entries",
     "KademliaDht",
-    "CatalogBuilder",
-    "CatalogEntry",
-    "replay_catalog",
-    "import_catalog",
     "DhtGLookupService",
 ]

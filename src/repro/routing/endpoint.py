@@ -208,7 +208,7 @@ class Endpoint(Node):
                 TimeoutError_("advertisement handshake abandoned")
             )
 
-    def current_catalog(self) -> list[dict]:
+    def catalog_entries(self) -> list[dict]:
         """The catalog a re-advertisement should carry (the last one by
         default; servers override with their live hosting table)."""
         return list(self._adv_catalog)

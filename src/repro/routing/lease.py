@@ -71,7 +71,7 @@ class LeaseRefreshDaemon(Periodic):
             # attempt by our own period.
             self.endpoint.abandon_advertisement()
             yield self.ctx.timeout(
-                self.endpoint.advertise(self.endpoint.current_catalog()),
+                self.endpoint.advertise(self.endpoint.catalog_entries()),
                 max(self.interval, 1.0),
                 f"lease refresh {self.endpoint.node_id}",
             )

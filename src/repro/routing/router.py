@@ -60,6 +60,15 @@ _PENDING = object()
 #: ceiling on PDUs parked per destination while its resolution runs
 MAX_PARKED_PER_DST = 64
 
+#: how long a route installed without a lease stays in the FIB
+FIB_TTL = 3600.0
+
+#: how long a full resolution miss is cached (negative cache)
+NEG_TTL = 1.0
+
+#: how long a replica reported dead by a client is steered around
+QUARANTINE_TTL = 10.0
+
 
 class GdpRouter(Node):
     """A flat-namespace router inside one routing domain."""
@@ -73,9 +82,6 @@ class GdpRouter(Node):
         owner: SigningKey | None = None,
         service_time: float = DEFAULT_SERVICE_TIME,
         egress_bandwidth: float | None = None,
-        fib_ttl: float = 3600.0,
-        neg_ttl: float = 1.0,
-        quarantine_ttl: float = 10.0,
     ):
         super().__init__(network, node_id)
         self.domain = domain
@@ -90,11 +96,6 @@ class GdpRouter(Node):
         #: aggregate egress capacity in bytes/s (None = unlimited) —
         #: models the router host's NIC; gives Fig. 6 its 1 Gbps ceiling
         self.egress_bandwidth = egress_bandwidth
-        self.fib_ttl = fib_ttl
-        #: how long a full resolution miss is cached (negative cache)
-        self.neg_ttl = neg_ttl
-        #: how long a replica reported dead by a client is steered around
-        self.quarantine_ttl = quarantine_ttl
         self._busy_until = 0.0
         #: PDUs waiting out their service time, in arrival order
         self._inbox: deque[tuple[Pdu, Any]] = deque()
@@ -297,7 +298,7 @@ class GdpRouter(Node):
                 principal = None
             if principal is not None:
                 self._quarantine[principal] = (
-                    self.ctx.now + self.quarantine_ttl
+                    self.ctx.now + QUARANTINE_TTL
                 )
         self._c_failovers.inc()
 
@@ -496,7 +497,7 @@ class GdpRouter(Node):
                 if hop is not None:
                     return hop
             service = service.parent
-        self._neg_cache[dst] = self.ctx.now + self.neg_ttl
+        self._neg_cache[dst] = self.ctx.now + NEG_TTL
         return None
 
     def _advance(
@@ -622,7 +623,7 @@ class GdpRouter(Node):
     ) -> None:
         """Cache a route; the entry can never outlive its evidence — the
         FIB expiry is capped at the advertisement lease."""
-        expiry = self.ctx.now + self.fib_ttl
+        expiry = self.ctx.now + FIB_TTL
         if lease is not None:
             expiry = min(expiry, lease)
         self.fib[dst] = (hop, expiry)

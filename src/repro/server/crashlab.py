@@ -185,7 +185,9 @@ def run_schedule(
     acked = 0
     crashed = False
     try:
-        store.store_metadata(name, history.capsule.metadata.to_wire())
+        store.store_hosting(
+            name, {"metadata": history.capsule.metadata.to_wire()}
+        )
         for i, (record_wire, heartbeat_wire) in enumerate(history.steps):
             seqno = record_wire["seqno"]
             store.append_entries(name, [("r", record_wire), ("h", heartbeat_wire)])

@@ -118,20 +118,19 @@ class DataCapsuleServer(Endpoint):
         super().__init__(network, node_id, metadata, key, lease_ttl=lease_ttl)
         self.storage = storage if storage is not None else MemoryStore()
         self.hosted: dict[GdpName, HostedCapsule] = {}
-        #: the newest placement version applied per capsule, hosted or
-        #: retired: an older or equal one changes nothing
-        self.placement_versions: dict[GdpName, int] = {}
         self._sessions: dict[GdpName, SessionKey] = {}
         # (client, corr_id) pairs whose response must stay signed even
         # though a session now exists (the session-establishment reply
         # itself: the client has no keys until it reads it).
         self._sign_anyway: set[tuple[GdpName, int]] = set()
         self.crashed = False
-        #: last recover_from_storage() report: records replayed, frames
-        #: the attestation rule refused, sync leaves seeded from the
+        #: last recover_from_storage() report: hosting records that
+        #: failed re-verification, records replayed, frames the
+        #: attestation rule refused, sync leaves seeded from the
         #: persisted segment index, and index-vs-replica mismatches (a
         #: frame the log lost, or a torn run's refused records)
         self.last_recovery: dict = {
+            "hosting_refused": 0,
             "records": 0,
             "refused": 0,
             "seeded_leaves": 0,
@@ -175,52 +174,84 @@ class DataCapsuleServer(Endpoint):
         the only replica.  Returns the hosted replica, or None.
 
         A placement counts only if the capsule's owner signed it and it
-        is newer than the one this server last applied, so a replay
-        changes nothing.  One that names this server hosts the capsule
-        (after verifying *chain*) or keeps the live replica, with the
-        placement's other servers as siblings; one that omits it retires
-        the replica, deleting its storage and withdrawing its route.
+        is newer than the one stored with the capsule, so a replay
+        changes nothing, across restarts too.  One that names this
+        server hosts the capsule (after verifying *chain*) or keeps the
+        live replica, with the placement's other servers as siblings;
+        one that omits it retires the replica.  The capsule's hosting
+        record is stored before the change is applied; a placement-less
+        host stores one only if none is.
         """
+        name = metadata.name
+        self._verify_hosting(metadata, chain, placement)
+        stored = self.storage.load_hosting(name)
+        held = stored and stored["placement"]
+        if placement is not None and held and placement.version <= held["version"]:
+            return self.hosted.get(name)
+        if name in self.hosted:
+            chain = self.hosted[name].chain
+        if placement is not None or stored is None:
+            self.storage.store_hosting(name, {
+                "metadata": metadata.to_wire(),
+                "chain": chain.to_wire(),
+                "placement": None if placement is None else placement.to_wire(),
+            })
+        return self._apply_hosting(metadata, chain, placement)
+
+    def _verify_hosting(
+        self,
+        metadata: Metadata,
+        chain: ServiceChain,
+        placement: Placement | None,
+    ) -> None:
+        """Raise unless the owner signed *placement* for this capsule
+        and, if it would newly host the capsule here, *chain* delegates
+        the capsule to this server."""
         name = metadata.name
         if placement is not None:
             if placement.capsule != name:
                 raise CapsuleError("placement is for a different capsule")
             placement.verify(metadata.owner_key)
-            if placement.version <= self.placement_versions.get(name, 0):
-                return self.hosted.get(name)
             if self.name not in placement.servers:
-                self.placement_versions[name] = placement.version
-                if self.hosted.pop(name, None) is not None:
-                    self.storage.delete_capsule(name)
-                    if self._uplink is not None:
-                        self.withdraw([name])
-                return None
+                return  # a retire needs no delegation
+        if name in self.hosted:
+            return
+        chain.verify(now=self.ctx.now)
+        if chain.server != self.name:
+            raise CapsuleError("delegation chain is for a different server")
+        if chain.capsule != name:
+            raise CapsuleError("delegation chain is for a different capsule")
+
+    def _apply_hosting(
+        self,
+        metadata: Metadata,
+        chain: ServiceChain,
+        placement: Placement | None,
+    ) -> HostedCapsule | None:
+        """Make the hosting table match a verified hosting record (the
+        half the ``host`` op shares with recovery): host or keep the
+        replica, or retire it — withdraw its route, drop its records."""
+        name = metadata.name
+        if placement is not None and self.name not in placement.servers:
+            if self.hosted.pop(name, None) is not None and self._uplink is not None:
+                self.withdraw([name])
+            self.storage.drop_entries(name)
+            return None
         hosted = self.hosted.get(name)
         if hosted is None:
-            chain.verify(now=self.ctx.now)
-            if chain.server != self.name:
-                raise CapsuleError("delegation chain is for a different server")
-            if chain.capsule != name:
-                raise CapsuleError("delegation chain is for a different capsule")
-            self.storage.store_metadata(name, metadata.to_wire())
             hosted = self.hosted[name] = HostedCapsule(DataCapsule(metadata), chain)
         if placement is not None:
-            self.placement_versions[name] = placement.version
             hosted.siblings = [s for s in placement.servers if s != self.name]
         return hosted
 
     def catalog_entries(self) -> list[dict]:
-        """The advertisement catalog for every hosted capsule (what goes
-        into the secure advertisement's naming catalog)."""
+        """The advertisement catalog for every hosted capsule: what the
+        boot advertisement and every re-advertisement carry (the live
+        hosting table, not the catalog of the last handshake)."""
         return [
             {"chain": hosted.chain.to_wire()}
             for hosted in self.hosted.values()
         ]
-
-    def current_catalog(self) -> list[dict]:
-        """Re-advertisements (the lease-refresh daemon) always carry the
-        *live* hosting table, not the catalog of the last handshake."""
-        return self.catalog_entries()
 
     def crash(self) -> None:
         """Kill the process: stop responding and drop all in-memory
@@ -241,22 +272,17 @@ class DataCapsuleServer(Endpoint):
         self.abandon_advertisement()
 
     def restart(self) -> None:
-        """Come back up with exactly what the storage backend kept.
-
-        Hosted-capsule operator state (delegation chains, placements)
-        persists — the owner set it — but each
-        replica's in-memory :class:`DataCapsule` is rebuilt from scratch
-        by replaying the storage log, and subscriber sets are dropped
-        (subscribers re-subscribe; §V's subscriptions are soft state).
-        Anything acknowledged pre-crash was persisted by
+        """Come back up with exactly what the storage backend kept, as
+        a fresh process over the same disk does: the hosting table goes
+        with the rest of memory (subscriber sets too: §V's
+        subscriptions are soft state) and :meth:`recover_from_storage`
+        rebuilds it.  Anything acknowledged pre-crash was persisted by
         :meth:`_store_admitted`, so nothing durable is lost.
         """
         self.crashed = False
         self._sessions.clear()
         self._sign_anyway.clear()
-        for hosted in self.hosted.values():
-            hosted.capsule = DataCapsule(hosted.capsule.metadata)
-            hosted.subscribers.clear()
+        self.hosted.clear()
         self.recover_from_storage()
         # Routes lapsed (or are about to) with the advertisement lease
         # while we were down; re-advertise so the name heals promptly
@@ -265,16 +291,36 @@ class DataCapsuleServer(Endpoint):
             self._schedule_readvertise()
 
     def recover_from_storage(self) -> int:
-        """Replay the backend's log into every hosted capsule
-        (:func:`~repro.server.storage.replay`); returns how many records
-        were recovered.  A frame the attestation rule refuses — a record
-        altered at rest, a run torn before its heartbeat — is counted in
-        :attr:`last_recovery`, never stored.  A backend's persisted sync
-        index (``SegmentedStore``) seeds each capsule's sync-leaf cache,
-        cross-checked: a leaf that disagrees with the replayed records
-        is reported there too, not masked by matching roots.
+        """Bring hosting state back from the backend — the one way it
+        returns, for :meth:`restart` and a fresh process alike; returns
+        how many records were recovered.
+
+        Each stored capsule not already hosted gets its hosting record
+        applied by the ``host`` op's rule, the placement signature and
+        chain verified again; one that fails hosts nothing and counts in
+        :attr:`last_recovery`.  A stored retire drops what a crash left
+        behind.  Then every hosted log is replayed into its replica in
+        place (:func:`~repro.server.storage.replay`): a frame the
+        attestation rule refuses — a record altered at rest, a run torn
+        before its heartbeat — is counted, never stored.  A backend's
+        persisted sync index (``SegmentedStore``) seeds each capsule's
+        sync-leaf cache, cross-checked: a leaf that disagrees with the
+        replayed records is reported there too, not masked by matching
+        roots.
         """
         report = dict.fromkeys(self.last_recovery, 0)
+        for name in self.storage.list_capsules():
+            if name in self.hosted:
+                continue
+            try:
+                metadata, chain, placement = _hosting_from_wire(
+                    name, self.storage.load_hosting(name)
+                )
+                self._verify_hosting(metadata, chain, placement)
+            except GdpError:
+                report["hosting_refused"] += 1
+                continue
+            self._apply_hosting(metadata, chain, placement)
         for name, hosted in self.hosted.items():
             capsule = hosted.capsule
             new, refused = replay(capsule, self.storage.load_entries(name))
@@ -741,3 +787,21 @@ class DataCapsuleServer(Endpoint):
         for subscriber in sorted(hosted.subscribers, key=lambda n: n.raw):
             self.send_pdu(Pdu(self.name, subscriber, pdutypes.T_PUSH, dict(run)))
             self._c_pushes.inc()
+
+
+def _hosting_from_wire(
+    name: GdpName, hosting: dict | None
+) -> tuple[Metadata, ServiceChain, Placement | None]:
+    """Parse a stored hosting record of capsule *name*; raises
+    :class:`GdpError` on any malformed or mismatched part."""
+    try:
+        metadata = Metadata.from_wire(hosting["metadata"])
+        chain = ServiceChain.from_wire(hosting["chain"])
+        placement = hosting["placement"]
+    except (KeyError, TypeError) as exc:
+        raise CapsuleError(f"malformed hosting record: {exc}") from exc
+    if metadata.name != name:
+        raise CapsuleError("hosting record is for a different capsule")
+    if placement is not None:
+        placement = Placement.from_wire(placement)
+    return metadata, chain, placement

@@ -38,6 +38,8 @@ crash point and asserts no acked record is lost):
     seal:    fsync(seg) → write idx.tmp → rename idx → MANIFEST
     tier:    PUT object → MANIFEST(tier=object) → unlink local seg
     compact: write merged seg+idx (fresh id) → MANIFEST → unlink olds
+    hosting: MANIFEST (a new capsule's, before its first segment)
+    drop:    DELETE tier objects → MANIFEST(fresh tail) → unlink olds
 
 The ``MANIFEST`` (atomic tmp+rename) is the commit point for every
 multi-file transition: on open, any local segment whose id the manifest
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import shutil
 import struct
 import zlib
 from collections import OrderedDict
@@ -63,7 +64,6 @@ from repro.naming.names import GdpName
 from repro.server.durability import FsyncPolicy
 from repro.server.storage import (
     _TAG_HEARTBEAT,
-    _TAG_METADATA,
     _TAG_RECORD,
     StorageBackend,
     _check_tags,
@@ -209,7 +209,7 @@ class _CapsuleLog:
     __slots__ = (
         "name",
         "dir",
-        "metadata",
+        "hosting",
         "checkpoint",
         "segments",
         "buffer",
@@ -221,7 +221,7 @@ class _CapsuleLog:
     def __init__(self, name: GdpName, directory: str):
         self.name = name
         self.dir = directory
-        self.metadata: dict | None = None
+        self.hosting: dict | None = None
         self.checkpoint = 0
         self.segments: list[SegmentInfo] = []
         self.buffer = bytearray()  # active-segment bytes not yet write()n
@@ -237,7 +237,7 @@ class _CapsuleLog:
     def manifest_wire(self) -> dict:
         return {
             "version": 1,
-            "metadata": self.metadata,
+            "hosting": self.hosting,
             "checkpoint": self.checkpoint,
             "segments": [seg.to_wire() for seg in self.segments],
         }
@@ -264,7 +264,8 @@ class SegmentedStore(StorageBackend):
 
     Layout under *root*::
 
-        <capsule-hex>/MANIFEST        commit point (atomic rewrite)
+        <capsule-hex>/MANIFEST        hosting record + segment chain;
+                                      the commit point (atomic rewrite)
         <capsule-hex>/seg-00000001.seg   frames (magic + tag/len/crc)
         <capsule-hex>/seg-00000001.idx   sealed-segment sidecar index
 
@@ -411,12 +412,10 @@ class SegmentedStore(StorageBackend):
         if log is not None:
             return log
         directory = self._dir(name)
-        if not os.path.isdir(directory):
+        if not os.path.exists(os.path.join(directory, _MANIFEST)):
+            # Creation writes the manifest before any segment: without
+            # one, nothing of this capsule was ever durable.
             return None
-        if not os.path.exists(
-            os.path.join(directory, _MANIFEST)
-        ) and not self._local_segment_ids(directory):
-            return None  # empty dir: crash before anything durable
         log = self._open_log(name, directory)
         self._logs[name] = log
         return log
@@ -447,28 +446,11 @@ class SegmentedStore(StorageBackend):
             if fname.endswith(".tmp"):
                 os.unlink(os.path.join(directory, fname))
         local = self._local_segment_ids(directory)
-        if os.path.exists(manifest_path):
-            with open(manifest_path, "rb") as fh:
-                wire = encoding.decode(fh.read())
-            log.metadata = wire["metadata"]
-            log.checkpoint = wire["checkpoint"]
-            log.segments = [
-                SegmentInfo.from_wire(w) for w in wire["segments"]
-            ]
-        elif local:
-            # Crash between capsule creation and the first manifest
-            # write: adopt the lowest segment as the active tail and
-            # recover metadata from its first frame.
-            adopt = min(local)
-            for seg_id, path in local.items():
-                if seg_id != adopt:
-                    os.unlink(path)
-            log.segments = [SegmentInfo(adopt)]
-            self._log_event("manifest_rebuilt", name, segment=adopt)
-        else:
-            raise StorageError(
-                f"capsule dir {directory} has no manifest and no segments"
-            )
+        with open(manifest_path, "rb") as fh:
+            wire = encoding.decode(fh.read())
+        log.hosting = wire["hosting"]
+        log.checkpoint = wire["checkpoint"]
+        log.segments = [SegmentInfo.from_wire(w) for w in wire["segments"]]
         known = {seg.id for seg in log.segments}
         for seg_id, path in local.items():
             if seg_id not in known:
@@ -497,8 +479,6 @@ class SegmentedStore(StorageBackend):
             os.unlink(stale_idx)
             self._log_event("stale_index_removed", name, segment=active.id)
         self._replay_tail(log)
-        if log.metadata is None and log.segments:
-            log.metadata = self._metadata_from_frames(log)
         return log
 
     def _replay_tail(self, log: _CapsuleLog) -> None:
@@ -562,49 +542,28 @@ class SegmentedStore(StorageBackend):
         log.active.bytes = good
         log.pending_fsync = 0
 
-    def _metadata_from_frames(self, log: _CapsuleLog) -> dict | None:
-        """Recover metadata from the first frame of the oldest segment
-        (used only when a creation-time crash lost the manifest)."""
-        buf = self._segment_buffer(log, log.segments[0])
-        for tag, payload, _ in _iter_frames(buf):
-            if tag == _TAG_METADATA:
-                return encoding.decode(payload)
-            break
-        return None
-
     # -- StorageBackend contract ---------------------------------------------
 
-    def store_metadata(self, name: GdpName, metadata_wire: dict) -> None:
-        """Persist capsule metadata (idempotent); creates the capsule's
-        segment chain on first call."""
+    def store_hosting(self, name: GdpName, hosting: dict) -> None:
+        """Persist the hosting record with one atomic manifest rewrite
+        (the last write wins).  A new capsule's manifest is written
+        before its first segment, which the tail replay creates."""
         self._check_alive()
         log = self._log_for(name)
-        if log is not None:
-            if log.metadata is None:
-                log.metadata = metadata_wire
-                self._write_manifest(log)
-            return
-        directory = self._dir(name)
-        os.makedirs(directory, exist_ok=True)
-        log = _CapsuleLog(name, directory)
-        log.metadata = metadata_wire
-        log.segments = [SegmentInfo(1)]
-        path = self._seg_path(directory, 1)
-        blob = encoding.encode(metadata_wire)
-        frame = _FRAME.pack(ord(_TAG_METADATA), len(blob), zlib.crc32(blob))
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC + frame + blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        log.size = len(_MAGIC) + _FRAME.size + len(blob)
-        log.active.bytes = log.size
+        if log is None:
+            log = _CapsuleLog(name, self._dir(name))
+            os.makedirs(log.dir, exist_ok=True)
+            log.segments = [SegmentInfo(1)]
+        log.hosting = hosting
         self._write_manifest(log)
-        self._logs[name] = log
+        if name not in self._logs:
+            self._replay_tail(log)
+            self._logs[name] = log
 
-    def load_metadata(self, name: GdpName) -> dict | None:
-        """The stored metadata wire form, or None."""
+    def load_hosting(self, name: GdpName) -> dict | None:
+        """The hosting record of the last manifest, or None."""
         log = self._log_for(name)
-        return None if log is None else log.metadata
+        return None if log is None else log.hosting
 
     def append_entries(
         self, name: GdpName, entries: list[tuple[str, dict]]
@@ -990,7 +949,7 @@ class SegmentedStore(StorageBackend):
         """Names of all capsules with stored state."""
         names = []
         for entry in sorted(os.listdir(self.root)):
-            if not os.path.isdir(os.path.join(self.root, entry)):
+            if not os.path.exists(os.path.join(self.root, entry, _MANIFEST)):
                 continue
             try:
                 names.append(GdpName.from_hex(entry))
@@ -998,23 +957,30 @@ class SegmentedStore(StorageBackend):
                 continue
         return names
 
-    def delete_capsule(self, name: GdpName) -> None:
-        """Remove all state for a capsule, including tiered objects."""
+    def drop_entries(self, name: GdpName) -> None:
+        """Remove every segment, sidecar index and tiered object of a
+        capsule; the manifest, and so the hosting record, stays.  Tier
+        objects go first, then the manifest drops the segment chain
+        (the commit point), then the local files.  A crash part-way
+        leaves the hosting record, so recovery re-applies the retire,
+        which repeats this; local files the manifest no longer lists
+        are debris the next open removes."""
         self._check_alive()
-        log = self._logs.pop(name, None)
+        log = self._log_for(name)
+        if log is None:
+            return
         self._release_handle(name)
-        directory = self._dir(name)
-        segments = log.segments if log is not None else []
-        if log is None and os.path.isdir(directory):
-            try:
-                log = self._open_log(name, directory)
-                segments = log.segments
-            except StorageError:
-                segments = []
-        for seg in segments:
-            if seg.tier == "object" and self.tier is not None:
-                self.tier.delete(self._tier_key(name, seg.id))
-        shutil.rmtree(directory, ignore_errors=True)
+        if self.tier is not None:
+            for seg in log.segments:
+                if seg.tier == "object":
+                    self.tier.delete(self._tier_key(name, seg.id))
+        log.segments = [SegmentInfo(max(seg.id for seg in log.segments) + 1)]
+        log.checkpoint = 0
+        self._write_manifest(log)
+        del self._logs[name]  # the next use reopens the empty chain
+        for fname in os.listdir(log.dir):
+            if fname.startswith("seg-"):
+                os.unlink(os.path.join(log.dir, fname))
 
     def segments(self, name: GdpName) -> list[SegmentInfo]:
         """Snapshot of the capsule's segment chain (tests/bench)."""

@@ -4,15 +4,21 @@ The paper's server "uses SQLite for the back-end storage; each
 DataCapsule is stored in its own separate SQLite database" (§VIII) so
 random reads are efficient.  Here every read is served from the
 replica's in-memory :class:`DataCapsule`, and storage is a log the
-server replays on restart (``load_entries`` + ``sync_leaves``), behind
-one interface with two backends:
+server recovers from on restart, behind one interface with two
+backends.  Per capsule a backend keeps two things: the *hosting record*
+(``store_hosting`` / ``load_hosting``: the metadata, this server's
+delegation chain and the owner-signed placement it last applied; the
+last write wins) and the log of records and heartbeats
+(``append_entries`` / ``load_entries`` + ``sync_leaves``).  What a
+server hosts after a restart is what its hosting records say, re-verified
+(``DataCapsuleServer.recover_from_storage``).  The two backends:
 
 - :class:`MemoryStore` — dict-backed, for simulations and as the
   conformance reference.
 - :class:`~repro.server.segmented.SegmentedStore` — every disk: one
-  directory of CRC-framed segments per capsule, crash-recovered on
-  open, so a restarted server recovers exactly the records it had
-  acknowledged.
+  directory per capsule, a ``MANIFEST`` holding the hosting record and
+  CRC-framed segments holding the log, crash-recovered on open, so a
+  restarted server recovers exactly the records it had acknowledged.
 
 Backends store *wire forms* (dicts of bytes/ints), not live objects —
 whatever comes back is admitted again by the capsule layer's
@@ -33,7 +39,6 @@ from repro.naming.names import GdpName
 
 __all__ = ["StorageBackend", "MemoryStore", "SegmentedStore", "replay"]
 
-_TAG_METADATA = "m"
 _TAG_RECORD = "r"
 _TAG_HEARTBEAT = "h"
 
@@ -42,12 +47,14 @@ class StorageBackend(ABC):
     """Per-server persistent storage for capsule wire data."""
 
     @abstractmethod
-    def store_metadata(self, name: GdpName, metadata_wire: dict) -> None:
-        """Persist capsule metadata (idempotent)."""
+    def store_hosting(self, name: GdpName, hosting: dict) -> None:
+        """Persist the capsule's hosting record, replacing any earlier
+        one (creates the capsule's storage on first call).  The write
+        is atomic: a crash leaves the old record or the new one."""
 
     @abstractmethod
-    def load_metadata(self, name: GdpName) -> dict | None:
-        """The stored metadata wire form, or None."""
+    def load_hosting(self, name: GdpName) -> dict | None:
+        """The last stored hosting record, or None."""
 
     @abstractmethod
     def append_entries(
@@ -62,7 +69,7 @@ class StorageBackend(ABC):
     @abstractmethod
     def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
         """Yield ``(tag, wire)`` for every stored entry of a capsule, in
-        write order; tags are 'm'/'r'/'h'.
+        write order; tags are 'r'/'h'.
 
         Conformance contract (asserted by the cross-backend suite):
         write order is preserved even under interleaved branch appends
@@ -76,8 +83,9 @@ class StorageBackend(ABC):
         """Names of all capsules with stored state."""
 
     @abstractmethod
-    def delete_capsule(self, name: GdpName) -> None:
-        """Remove all state for a capsule."""
+    def drop_entries(self, name: GdpName) -> None:
+        """Remove every record and heartbeat of a capsule (a retired
+        replica); its hosting record stays."""
 
     def sync(self) -> None:
         """Flush everything buffered to the durable medium (no-op for
@@ -98,26 +106,24 @@ class MemoryStore(StorageBackend):
     """Dict-backed storage for simulations and tests.
 
     Like every :class:`StorageBackend` it models the server's *durable*
-    medium: :meth:`DataCapsuleServer.crash` wipes the in-memory capsule
-    and session state but leaves the backend intact, and ``restart``
-    replays it.  (Simulated crash-restart therefore behaves the same
-    over every backend; only a disk survives real process death.)"""
+    medium: :meth:`DataCapsuleServer.restart` wipes everything the
+    server keeps in memory — hosting table included — and recovers from
+    the backend, exactly as a fresh process over a disk does.  Each
+    capsule's hosting record sits in one slot of ``_hosting``; its log
+    is ``_data[name]``, a list of ``(tag, wire)`` entries."""
 
     def __init__(self):
+        self._hosting: dict[GdpName, dict] = {}
         self._data: dict[GdpName, list[tuple[str, dict]]] = {}
 
-    def store_metadata(self, name: GdpName, metadata_wire: dict) -> None:
-        """Persist capsule metadata (idempotent)."""
-        log = self._data.setdefault(name, [])
-        if not any(tag == _TAG_METADATA for tag, _ in log):
-            log.append((_TAG_METADATA, metadata_wire))
+    def store_hosting(self, name: GdpName, hosting: dict) -> None:
+        """Persist the hosting record (the last write wins)."""
+        self._hosting[name] = hosting
+        self._data.setdefault(name, [])
 
-    def load_metadata(self, name: GdpName) -> dict | None:
-        """The stored metadata wire form, or None."""
-        for tag, wire in self._data.get(name, []):
-            if tag == _TAG_METADATA:
-                return wire
-        return None
+    def load_hosting(self, name: GdpName) -> dict | None:
+        """The last stored hosting record, or None."""
+        return self._hosting.get(name)
 
     def append_entries(
         self, name: GdpName, entries: list[tuple[str, dict]]
@@ -138,11 +144,12 @@ class MemoryStore(StorageBackend):
 
     def list_capsules(self) -> list[GdpName]:
         """Names of all capsules with stored state."""
-        return sorted(self._data)
+        return sorted(self._hosting)
 
-    def delete_capsule(self, name: GdpName) -> None:
-        """Remove all state for a capsule."""
-        self._data.pop(name, None)
+    def drop_entries(self, name: GdpName) -> None:
+        """Remove every record and heartbeat; the hosting record stays."""
+        if name in self._data:
+            self._data[name] = []
 
 
 def replay(

@@ -13,11 +13,16 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.capsule import CapsuleWriter, DataCapsule
+from repro.capsule.capsule import run_wire
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
+from repro.delegation import Placement
 from repro.naming import make_capsule_metadata, make_server_metadata
 from repro.routing import GdpRouter, RoutingDomain
+from repro.routing.pdu import T_DATA, Pdu
+from repro.runtime.dispatch import dispatch_op
 from repro.server import AntiEntropyDaemon, DataCapsuleServer
+from repro.server.segmented import SegmentedStore
 from repro.sim import GBPS, SimNetwork
 
 
@@ -243,3 +248,62 @@ def server_metadata_factory():
         )
 
     return build
+
+
+
+class ProcessWorld:
+    """One capsule whose owner signs placements for it on servers that
+    each boot as a fresh process over a :class:`SegmentedStore` root."""
+
+    def __init__(self, root: str):
+        self.root = root
+        self.owner_key = SigningKey.from_seed(b"process-owner")
+        writer_key = SigningKey.from_seed(b"process-writer")
+        self.console = OwnerConsole(
+            GdpClient(SimNetwork(seed=3), "process_owner"), self.owner_key
+        )
+        self.metadata = self.console.design_capsule(writer_key.public)
+        self.name = self.metadata.name
+        self.other = DataCapsuleServer(SimNetwork(seed=3), "process_other")
+        records, heartbeat = CapsuleWriter(
+            DataCapsule(self.metadata), writer_key
+        ).append_batch([b"acked-%d" % i for i in range(3)])
+        self.run = run_wire(records, heartbeat)
+
+    def boot(self) -> DataCapsuleServer:
+        """A fresh server process over the store root."""
+        return DataCapsuleServer(
+            SimNetwork(seed=3), "process_s", storage=SegmentedStore(self.root)
+        )
+
+    def placement(self, version: int, servers) -> Placement:
+        placement = Placement(self.name, version, servers)
+        placement.signature = self.owner_key.sign(placement.signing_preimage())
+        return placement
+
+    def _request(self, server: DataCapsuleServer, body: dict) -> dict:
+        src = self.console.client.name
+        return dispatch_op(server, Pdu(src, server.name, T_DATA, body), body)
+
+    def host(self, server: DataCapsuleServer, placement: Placement) -> dict:
+        """Send *server* a ``host`` op carrying *placement*; its reply."""
+        chain = self.console.delegate(self.metadata, server.metadata)
+        return self._request(server, {
+            "op": "host",
+            "capsule": self.name.raw,
+            "metadata": self.metadata.to_wire(),
+            "chain": chain.to_wire(),
+            "placement": placement.to_wire(),
+        })
+
+    def append(self, server: DataCapsuleServer) -> dict:
+        """Store the three-record run on *server*; its reply."""
+        return self._request(
+            server,
+            {"op": "replicate_batch", "capsule": self.name.raw, **self.run},
+        )
+
+
+@pytest.fixture()
+def process_world(tmp_path) -> ProcessWorld:
+    return ProcessWorld(str(tmp_path / "store"))

@@ -73,7 +73,10 @@ class TestMigration:
         assert migrated.verify_history() == 4
         # The old replica is gone.
         assert metadata.name not in g.server_root.hosted
-        assert g.server_root.storage.load_metadata(metadata.name) is None
+        # No record or heartbeat remains; the stored placement retires it.
+        storage = g.server_root.storage
+        assert list(storage.load_entries(metadata.name)) == []
+        assert storage.load_hosting(metadata.name)["placement"] == placement.to_wire()
         # Placement now names the new server.
         assert third.name in placement.chains
         assert g.server_root.name not in placement.chains
@@ -270,12 +273,14 @@ class TestPlacementAuthority:
                 bodies.append((yield from _host(
                     g, g.server_edge.name, metadata, edge_chain, old
                 )))
-            return metadata, bodies
+            return metadata, bodies, final
 
-        metadata, bodies = g.run(scenario())
+        metadata, bodies, final = g.run(scenario())
         assert all(body.get("ok") for body in bodies)  # stale: a no-op
         assert metadata.name not in g.server_root.hosted
-        assert g.server_root.storage.load_metadata(metadata.name) is None
+        storage = g.server_root.storage
+        assert list(storage.load_entries(metadata.name)) == []
+        assert storage.load_hosting(metadata.name)["placement"] == final.to_wire()
         assert g.server_edge.hosted[metadata.name].siblings == [third.name]
         assert third.hosted[metadata.name].siblings == [g.server_edge.name]
 

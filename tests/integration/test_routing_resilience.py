@@ -204,7 +204,7 @@ class TestWithdrawCoherence:
 
 class TestNegativeCache:
     def test_repeated_misses_short_circuit(self, mini_gdp):
-        """A second request for a dead name inside ``neg_ttl`` is
+        """A second request for a dead name inside ``NEG_TTL`` is
         answered from the router's negative cache without another
         GLookup climb."""
         g = mini_gdp
@@ -224,7 +224,7 @@ class TestNegativeCache:
             yield from probe()
             queries = g.root_domain.glookup.metrics.counter("glookup.queries")
             queries_before = queries.value
-            yield 0.2  # still inside the 1 s neg_ttl
+            yield 0.2  # still inside the 1 s NEG_TTL
             yield from probe()
             assert queries.value == queries_before
             return True

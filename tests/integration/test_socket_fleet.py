@@ -206,3 +206,24 @@ class TestSocketFleet:
         store.close()
         missing = set(acked) - persisted
         assert not missing, f"acked records lost across drain: {missing}"
+        # Relaunch over the same disks: process 0 recovers its hosting
+        # and its records before it advertises, and serves every one.
+        relaunched = FleetSpec(
+            spec.processes,
+            str(tmp_path / "rendezvous-relaunch"),
+            storage_root=spec.storage_root,
+        )
+        relauncher = FleetLauncher(relaunched)
+        relauncher.start()
+        try:
+            ports = relauncher.wait_ready()
+            ctx, client = connect_client(relaunched, ports[0], "relaunch_client")
+
+            def read_back():
+                yield client.advertise()
+                result = yield from client.read_range(metadata.name, 1)
+                return [record.seqno for record in result.records]
+
+            assert ctx.run_process(read_back(), "read_back") == acked
+        finally:
+            relauncher.stop()

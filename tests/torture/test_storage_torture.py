@@ -16,7 +16,13 @@ reachable in the tiered one.  A coverage test at the bottom asserts the
 union of the two schedules reaches every site in ``CRASH_POINTS`` — if
 the engine grows a site neither schedule exercises, that test fails
 rather than the gap going quietly untested.
+
+One case sits outside the sweep: a retire killed between storing the
+retiring placement and dropping the segments, recovered by a fresh
+server (the write order ``DataCapsuleServer.host_capsule`` relies on).
 """
+
+import os
 
 import pytest
 
@@ -29,7 +35,7 @@ from repro.server.crashlab import (
     run_schedule,
     verify_recovery,
 )
-from repro.server.segmented import CRASH_POINTS
+from repro.server.segmented import CRASH_POINTS, SimulatedCrash
 
 #: (config, uses_tier) — segment_bytes=700 forces a seal every ~3
 #: records, so a 48-record history crosses every boundary many times.
@@ -130,3 +136,34 @@ def test_compaction_and_tiering_actually_happened(site_counts):
     assert site_counts["compacting"].get("compact.merged", 0) >= 2
     for counts in site_counts.values():
         assert counts.get("seal.post_manifest", 0) >= 10
+
+
+def test_crash_between_retiring_placement_and_drop(process_world):
+    """Kill the store after a retire stored its placement but before it
+    dropped the capsule's segments: a fresh server over the reopened
+    store does not host the capsule, a replayed earlier placement
+    changes nothing, and recovery removes the leftover segments."""
+    w = process_world
+    server = w.boot()
+    v1 = w.placement(1, [server.name, w.other.name])
+    assert w.host(server, v1)["ok"]
+    assert w.append(server)["ok"]
+
+    def killed(name):
+        raise SimulatedCrash("killed before the drop")
+
+    server.storage.drop_entries = killed
+    with pytest.raises(SimulatedCrash):
+        w.host(server, w.placement(2, [w.other.name]))
+    capsule_dir = os.path.join(w.root, w.name.hex())
+    assert any(f.endswith(".seg") for f in os.listdir(capsule_dir))
+
+    fresh = w.boot()
+    assert len(list(fresh.storage.load_entries(w.name))) == 4  # the leftovers
+    assert fresh.recover_from_storage() == 0
+    assert w.name not in fresh.hosted
+    assert fresh.last_recovery["hosting_refused"] == 0
+    assert w.host(fresh, v1)["ok"]
+    assert w.name not in fresh.hosted
+    assert list(fresh.storage.load_entries(w.name)) == []
+    assert fresh.storage.segments(w.name)[0].records == 0

@@ -502,6 +502,11 @@ class TestGrepGuard:
         # the DHT record's unsigned principal, version and tombstone
         # flag, and the entanglement library nothing called
         'record["v"]', 'record["p"]', '.get("t")', "capsule.entanglement",
+        # hosting state kept beside the stored hosting record, the second
+        # name for a server's catalog, and the catalog-capsule library
+        # nothing called
+        "placement_versions", "current_catalog", "routing.catalog",
+        "CatalogBuilder", "def store_metadata",
     )
 
     def test_back_compat_layer_stays_deleted(self):

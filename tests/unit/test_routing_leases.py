@@ -17,7 +17,7 @@ from repro.naming import GdpName, make_client_metadata
 from repro.routing import Endpoint, GdpRouter, LeaseRefreshDaemon, RoutingDomain
 from repro.routing.glookup import expiry_from_wire, wire_expiry
 from repro.routing.pdu import Pdu, T_ADV_RESPONSE, T_DATA
-from repro.routing.router import ADVERT_DOMAIN_TAG
+from repro.routing.router import ADVERT_DOMAIN_TAG, FIB_TTL
 from repro.sim import SimNetwork
 
 
@@ -81,21 +81,21 @@ class TestWireExpiry:
 class TestLeaseCappedInstall:
     def test_install_caps_fib_expiry_at_lease(self, star):
         """A FIB entry must never outlive its advertisement evidence:
-        expiry = min(now + fib_ttl, lease)."""
+        expiry = min(now + FIB_TTL, lease)."""
         net, router, a, b = star
         name = GdpName(b"\xaa" * 32)
         lease = net.sim.now + 2.0
         router._install(name, b, lease=lease)
         _, expiry = router.fib[name]
         assert expiry == lease
-        assert expiry < net.sim.now + router.fib_ttl
+        assert expiry < net.sim.now + FIB_TTL
 
     def test_install_without_lease_uses_fib_ttl(self, star):
         net, router, a, b = star
         name = GdpName(b"\xab" * 32)
         router._install(name, b)
         _, expiry = router.fib[name]
-        assert expiry == pytest.approx(net.sim.now + router.fib_ttl)
+        assert expiry == pytest.approx(net.sim.now + FIB_TTL)
 
     def test_advertised_lease_lapses_in_glookup(self, star):
         """An endpoint advertising with a short lease disappears from

@@ -2,14 +2,18 @@
 
 Crash models a process death: the server goes silent on the wire and
 every piece of in-memory soft state (HMAC sessions, pending RPCs,
-subscriber sets) is gone.  Restart rebuilds each hosted replica by
-replaying the storage backend — the durable medium — so everything the
-server ever acknowledged survives, and nothing else does.  Crash is
-deliberately distinct from a partition, which keeps sessions alive.
+subscriber sets) is gone.  Restart rebuilds the hosting table and each
+hosted replica from the storage backend — the durable medium — so
+everything the server ever acknowledged survives, and nothing else
+does; a fresh server object over a reopened store gets the same.  Crash
+is deliberately distinct from a partition, which keeps sessions alive.
 """
+
+import os
 
 import pytest
 
+from repro import encoding
 from repro.errors import GdpError
 
 
@@ -160,3 +164,67 @@ class TestRestart:
         assert server.recover_from_storage() == 3
         server.crashed = False
         assert server.hosted[metadata.name].capsule.last_seqno == 3
+
+
+class TestFreshProcess:
+    """A real restart: a *fresh* server object over a reopened
+    ``SegmentedStore`` gets back what the store holds — the hosting
+    table included — with no ``host`` op and no simulator memory."""
+
+    def test_recovers_hosting_and_records_from_disk(self, process_world):
+        w = process_world
+        server = w.boot()
+        assert w.host(server, w.placement(1, [server.name, w.other.name]))["ok"]
+        assert w.append(server)["ok"]
+        server.storage.close()
+
+        fresh = w.boot()
+        assert fresh.recover_from_storage() == 3
+        hosted = fresh.hosted[w.name]
+        assert hosted.siblings == [w.other.name]
+        assert sorted(hosted.capsule.seqnos()) == [1, 2, 3]
+        assert fresh.last_recovery["hosting_refused"] == 0
+        assert fresh.catalog_entries() == [{"chain": hosted.chain.to_wire()}]
+
+    def test_retirement_survives_the_process(self, process_world):
+        w = process_world
+        server = w.boot()
+        v1 = w.placement(1, [server.name, w.other.name])
+        v2 = w.placement(2, [w.other.name])
+        assert w.host(server, v1)["ok"]
+        assert w.append(server)["ok"]
+        assert w.host(server, v2)["ok"]
+        assert w.name not in server.hosted
+        server.storage.close()
+
+        fresh = w.boot()
+        for placement in (v1, v2):
+            assert w.host(fresh, placement)["ok"]  # stale: a no-op
+            assert w.name not in fresh.hosted
+        assert fresh.recover_from_storage() == 0
+        for placement in (v1, v2):
+            assert w.host(fresh, placement)["ok"]
+            assert w.name not in fresh.hosted
+        assert fresh.storage.load_hosting(w.name)["placement"] == v2.to_wire()
+
+    def test_altered_placement_on_disk_hosts_nothing(self, process_world):
+        w = process_world
+        server = w.boot()
+        assert w.host(server, w.placement(1, [server.name, w.other.name]))["ok"]
+        assert w.append(server)["ok"]
+        server.storage.close()
+
+        manifest = os.path.join(w.root, w.name.hex(), "MANIFEST")
+        with open(manifest, "rb") as fh:
+            wire = encoding.decode(fh.read())
+        signature = wire["hosting"]["placement"]["signature"]
+        wire["hosting"]["placement"]["signature"] = bytes(
+            [signature[0] ^ 1]
+        ) + signature[1:]
+        with open(manifest, "wb") as fh:
+            fh.write(encoding.encode(wire))
+
+        fresh = w.boot()
+        assert fresh.recover_from_storage() == 0
+        assert w.name not in fresh.hosted
+        assert fresh.last_recovery["hosting_refused"] == 1

@@ -25,31 +25,36 @@ def capsule_with_data(capsule_factory, writer_key):
 
 
 class TestBackendContract:
+    """(The ``metadata`` / ``delete`` case names are stable test ids: they
+    predate the hosting record and ``drop_entries``.)"""
+
     def test_metadata_roundtrip(self, store, capsule_factory):
         capsule = capsule_factory()
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        assert store.load_metadata(capsule.name) == capsule.metadata.to_wire()
+        hosting = {"metadata": capsule.metadata.to_wire(), "placement": None}
+        store.store_hosting(capsule.name, hosting)
+        assert store.load_hosting(capsule.name) == hosting
 
     def test_metadata_idempotent(self, store, capsule_factory):
+        """The last hosting record wins, and it is not a log entry."""
         capsule = capsule_factory()
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        entries = list(store.load_entries(capsule.name))
-        assert sum(1 for tag, _ in entries if tag == "m") == 1
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
+        store.store_hosting(capsule.name, {"placement": {"version": 2}})
+        assert store.load_hosting(capsule.name) == {"placement": {"version": 2}}
+        assert list(store.load_entries(capsule.name)) == []
 
     def test_missing_metadata(self, store, capsule_factory):
-        assert store.load_metadata(capsule_factory().name) is None
+        assert store.load_hosting(capsule_factory().name) is None
 
     def test_records_persist_in_order(self, store, capsule_with_data):
         capsule, pairs = capsule_with_data
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for record, heartbeat in pairs:
             store.append_entries(
                 capsule.name,
                 [("r", record.to_wire()), ("h", heartbeat.to_wire())],
             )
         tags = [tag for tag, _ in store.load_entries(capsule.name)]
-        assert tags == ["m"] + ["r", "h"] * 5
+        assert tags == ["r", "h"] * 5
 
     def test_append_to_unhosted_rejected(self, store, capsule_with_data):
         capsule, pairs = capsule_with_data
@@ -58,25 +63,30 @@ class TestBackendContract:
 
     def test_list_capsules(self, store, capsule_factory):
         a, b = capsule_factory(), capsule_factory()
-        store.store_metadata(a.name, a.metadata.to_wire())
-        store.store_metadata(b.name, b.metadata.to_wire())
+        store.store_hosting(a.name, {"metadata": a.metadata.to_wire()})
+        store.store_hosting(b.name, {"metadata": b.metadata.to_wire()})
         assert set(store.list_capsules()) == {a.name, b.name}
 
-    def test_delete_capsule(self, store, capsule_factory):
-        capsule = capsule_factory()
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        store.delete_capsule(capsule.name)
-        assert store.list_capsules() == []
-        assert store.load_metadata(capsule.name) is None
+    def test_delete_capsule(self, store, capsule_with_data):
+        """A retire drops every record and heartbeat; the hosting record
+        (which says the capsule is retired) stays."""
+        capsule, pairs = capsule_with_data
+        hosting = {"metadata": capsule.metadata.to_wire()}
+        store.store_hosting(capsule.name, hosting)
+        store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
+        store.drop_entries(capsule.name)
+        assert store.list_capsules() == [capsule.name]
+        assert store.load_hosting(capsule.name) == hosting
+        assert list(store.load_entries(capsule.name)) == []
 
     def test_delete_missing_is_noop(self, store, capsule_factory):
-        store.delete_capsule(capsule_factory().name)
+        store.drop_entries(capsule_factory().name)
 
     def test_full_capsule_rebuild(self, store, capsule_with_data):
         """Records reloaded from storage revalidate into an identical
         capsule (recovery path)."""
         capsule, pairs = capsule_with_data
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for record, heartbeat in pairs:
             store.append_entries(
                 capsule.name,
@@ -95,19 +105,18 @@ class TestBackendContract:
         for record, heartbeat in pairs:
             entries.append(("r", record.to_wire()))
             entries.append(("h", heartbeat.to_wire()))
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for entry in entries:
             assert store.append_entries(capsule.name, [entry]) == 1
         singles = list(store.load_entries(capsule.name))
-        store.delete_capsule(capsule.name)
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.drop_entries(capsule.name)
         assert store.append_entries(capsule.name, entries) == 10
         assert list(store.load_entries(capsule.name)) == singles
-        assert [tag for tag, _ in singles] == ["m"] + ["r", "h"] * 5
+        assert [tag for tag, _ in singles] == ["r", "h"] * 5
 
     def test_append_entries_rejects_metadata_tag(self, store, capsule_with_data):
         capsule, _ = capsule_with_data
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         with pytest.raises(StorageError):
             store.append_entries(
                 capsule.name, [("m", capsule.metadata.to_wire())]
@@ -119,13 +128,13 @@ class TestBackendContract:
         """Every backend checks the whole run's tags before it writes:
         a bad tag anywhere leaves the log as it was."""
         capsule, pairs = capsule_with_data
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         with pytest.raises(StorageError, match="'x'"):
             store.append_entries(
                 capsule.name,
                 [("r", pairs[0][0].to_wire()), ("x", pairs[0][1].to_wire())],
             )
-        assert [tag for tag, _ in store.load_entries(capsule.name)] == ["m"]
+        assert list(store.load_entries(capsule.name)) == []
 
 
 class TestIterationOrderConformance:
@@ -142,7 +151,7 @@ class TestIterationOrderConformance:
         # Arrival order a replica might see under interleaved branch
         # sync: seqnos land 1, 4, 2, 6, 3, 5.
         arrival = [0, 3, 1, 5, 2, 4]
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for index in arrival:
             store.append_entries(capsule.name, [("r", pairs[index][0].to_wire())])
         seqnos = [
@@ -154,7 +163,7 @@ class TestIterationOrderConformance:
 
     def test_load_entries_is_a_snapshot(self, store, capsule_with_data):
         capsule, pairs = capsule_with_data
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for record, _ in pairs[:3]:
             store.append_entries(capsule.name, [("r", record.to_wire())])
         snapshot = store.load_entries(capsule.name)
@@ -175,12 +184,12 @@ class TestFileStoreSpecifics:
         capsule, pairs = capsule_with_data
         root = str(tmp_path / "persist")
         store = SegmentedStore(root)
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
         reopened = SegmentedStore(root)
         assert reopened.list_capsules() == [capsule.name]
         tags = [tag for tag, _ in reopened.load_entries(capsule.name)]
-        assert tags == ["m", "r"]
+        assert tags == ["r"]
 
     def test_empty_directory(self, tmp_path):
         assert SegmentedStore(str(tmp_path / "empty")).list_capsules() == []
@@ -197,11 +206,11 @@ class TestFileStoreSpecifics:
         # load_entries must still observe every acknowledged append.
         capsule, pairs = capsule_with_data
         store = SegmentedStore(str(tmp_path / "buffered"), fsync_policy="drain")
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for record, _ in pairs:
             store.append_entries(capsule.name, [("r", record.to_wire())])
         tags = [tag for tag, _ in store.load_entries(capsule.name)]
-        assert tags == ["m"] + ["r"] * 5
+        assert tags == ["r"] * 5
         store.close()
 
     def test_handle_pool_bounded(self, tmp_path, capsule_factory):
@@ -209,43 +218,46 @@ class TestFileStoreSpecifics:
         capsules = [capsule_factory() for _ in range(store._MAX_HANDLES + 5)]
         record_wire = {"seqno": 1, "payload": b"p", "pointers": []}
         for capsule in capsules:
-            store.store_metadata(capsule.name, capsule.metadata.to_wire())
+            store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
             store.append_entries(capsule.name, [("r", record_wire)])
         assert len(store._handles) == store._MAX_HANDLES
         # Evicted-handle capsules are still readable and appendable.
         first = capsules[0].name
         assert first not in store._handles
         store.append_entries(first, [("h", {"seqno": 1})])
-        assert [tag for tag, _ in store.load_entries(first)] == ["m", "r", "h"]
+        assert [tag for tag, _ in store.load_entries(first)] == ["r", "h"]
         store.close()
 
     def test_delete_releases_handle_and_recreate(self, tmp_path, capsule_with_data):
         capsule, pairs = capsule_with_data
-        store = SegmentedStore(str(tmp_path / "recreate"))
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        root = str(tmp_path / "recreate")
+        store = SegmentedStore(root)
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
-        store.delete_capsule(capsule.name)
+        store.drop_entries(capsule.name)
         assert capsule.name not in store._handles
-        assert store.load_metadata(capsule.name) is None
-        with pytest.raises(StorageError):
-            store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
-        # A deleted capsule can be hosted afresh with an empty log.
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
-        tags = [tag for tag, _ in store.load_entries(capsule.name)]
-        assert tags == ["m"]
+        assert list(store.load_entries(capsule.name)) == []
+        # A re-hosted capsule takes appends into a fresh chain, which a
+        # reopen keeps.
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
+        store.append_entries(capsule.name, [("r", pairs[1][0].to_wire())])
         store.close()
+        reopened = SegmentedStore(root)
+        seqnos = [wire["seqno"] for _, wire in reopened.load_entries(capsule.name)]
+        assert seqnos == [2]
+        reopened.close()
 
     def test_close_flushes_and_survives_reopen(self, tmp_path, capsule_with_data):
         capsule, pairs = capsule_with_data
         root = str(tmp_path / "flushclose")
         store = SegmentedStore(root, fsync_policy="drain")
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         for record, _ in pairs:
             store.append_entries(capsule.name, [("r", record.to_wire())])
         store.close()
         reopened = SegmentedStore(root)
         tags = [tag for tag, _ in reopened.load_entries(capsule.name)]
-        assert tags == ["m"] + ["r"] * 5
+        assert tags == ["r"] * 5
 
     @pytest.fixture()
     def fsyncs(self, monkeypatch):
@@ -267,7 +279,7 @@ class TestFileStoreSpecifics:
         bytes to the medium."""
         capsule, pairs = capsule_with_data
         store = SegmentedStore(str(tmp_path / "drain"), fsync_policy="drain")
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         del fsyncs[:]
         for record, heartbeat in pairs:
             store.append_entries(
@@ -285,7 +297,7 @@ class TestFileStoreSpecifics:
         """Under ``"always"``: one fsync per append call."""
         capsule, pairs = capsule_with_data
         store = SegmentedStore(str(tmp_path / "sync"), fsync_policy="always")
-        store.store_metadata(capsule.name, capsule.metadata.to_wire())
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
         before = len(fsyncs)
         store.append_entries(capsule.name, [("r", pairs[0][0].to_wire())])
         assert len(fsyncs) == before + 1

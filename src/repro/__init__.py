@@ -28,9 +28,10 @@ Quickstart (see also ``examples/quickstart.py``)::
     writer_key = SigningKey.generate()
     metadata = make_capsule_metadata(owner, writer_key.public,
                                      pointer_strategy="skiplist")
-    capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(metadata, writer_key)
     record, heartbeat = writer.append(b"hello, federated world")
+    replica = DataCapsule(metadata)  # what a DataCapsule-server holds
+    replica.admit([record], heartbeat)
 """
 
 __version__ = "1.0.0"

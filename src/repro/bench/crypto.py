@@ -88,9 +88,10 @@ def _build_capsule(n_records: int, pointer_strategy: str = "skiplist"):
         owner, writer_key.public, pointer_strategy=pointer_strategy
     )
     capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(metadata, writer_key)
     for i in range(n_records):
-        writer.append(b"bench-record-%d" % i)
+        record, heartbeat = writer.append(b"bench-record-%d" % i)
+        capsule.admit([record], heartbeat)
     return capsule, writer
 
 

@@ -52,7 +52,7 @@ _LINK_LATENCY = 0.001
 def _mint_history():
     """Mint the 5k-record history (the only wall-clock-expensive
     step)."""
-    from repro.capsule import CapsuleWriter, DataCapsule
+    from repro.capsule import CapsuleWriter
     from repro.crypto import SigningKey
     from repro.naming import make_capsule_metadata
 
@@ -61,8 +61,7 @@ def _mint_history():
     metadata = make_capsule_metadata(
         owner, writer_key.public, pointer_strategy="chain"
     )
-    capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(metadata, writer_key)
     minted = []
     for i in range(SYNC_RECORDS):
         minted.append(writer.append(b"sync-record-%06d" % i))

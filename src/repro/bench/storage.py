@@ -8,7 +8,8 @@ append, durability required — under ``FsyncPolicy("always")`` (an
 fsync per ack) and under ``FsyncPolicy("batch:65536")`` (the fleet's
 bounded-loss batched fsync).  Same engine, same frames; the ratio is
 what the policy's amortization buys, and the gate requires batching
-never to lose to fsync-per-ack.
+never to lose to fsync-per-ack.  Alternating trials (A/B/A/B...) let a
+slow phase of a shared disk hit both; the ratio is of their medians.
 
 **Sustained build + cold replay** (shape-checked).  A single capsule
 grown to 10M records (``--quick``: 200k) through seal/tier cycles
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -51,7 +53,9 @@ GATES = (
     Gate("sustained.replay.records_per_sec", "higher", band=None),
 )
 
-DURABLE_ACKS = 5_000
+#: fsynced acks per trial, and alternating trials per policy
+DURABLE_ACKS = 1_000
+DURABLE_PAIRS = 5
 #: the fsync policies raced in the durable-append scenario: an fsync
 #: per ack, and the fleet's bounded-loss batch
 ALWAYS, BATCHED = "always", "batch:65536"
@@ -96,7 +100,8 @@ def _heartbeat_wire(seqno: int) -> dict:
 
 def _bench_durable(root: str) -> dict:
     """One fsync-required ack at a time through the same engine under
-    :data:`ALWAYS` and under :data:`BATCHED`."""
+    :data:`ALWAYS` and under :data:`BATCHED`, alternating for
+    :data:`DURABLE_PAIRS` trials; each policy reports its median."""
     from repro.server.segmented import SegmentedStore
 
     name = _capsule_name("durable")
@@ -104,25 +109,26 @@ def _bench_durable(root: str) -> dict:
         [("r", _record_wire(i)), ("h", _heartbeat_wire(i))]
         for i in range(1, DURABLE_ACKS + 1)
     ]
-    results = {}
-    for policy in (ALWAYS, BATCHED):
-        store = SegmentedStore(
-            os.path.join(root, "d-" + policy.replace(":", "-")),
-            fsync_policy=policy,
-            segment_bytes=SUSTAINED_SEGMENT_BYTES,
-        )
-        store.store_hosting(name, _hosting_wire())
-        start = time.perf_counter()
-        for pair in pairs:
-            store.append_entries(name, pair)
-        store.sync()
-        elapsed = time.perf_counter() - start
-        store.close()
-        results[policy] = {
-            "seconds": round(elapsed, 3),
-            "acks_per_sec": round(DURABLE_ACKS / elapsed, 1),
-        }
-    return results
+    trials: dict[str, list[float]] = {ALWAYS: [], BATCHED: []}
+    for trial in range(DURABLE_PAIRS):
+        for policy in (ALWAYS, BATCHED):
+            store = SegmentedStore(
+                os.path.join(root, f"d{trial}-" + policy.replace(":", "-")),
+                fsync_policy=policy,
+                segment_bytes=SUSTAINED_SEGMENT_BYTES,
+            )
+            store.store_hosting(name, _hosting_wire())
+            start = time.perf_counter()
+            for pair in pairs:
+                store.append_entries(name, pair)
+            store.sync()
+            elapsed = time.perf_counter() - start
+            store.close()
+            trials[policy].append(round(DURABLE_ACKS / elapsed, 1))
+    return {
+        policy: {"acks_per_sec": statistics.median(rates), "trials": rates}
+        for policy, rates in trials.items()
+    }
 
 
 def _bench_sustained(root: str, quick: bool, note) -> dict:
@@ -203,7 +209,7 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
     (dict).  Wall-clock based — gate on the ratio, not the absolutes."""
     root = tempfile.mkdtemp(prefix="gdp-bench-storage-")
     try:
-        note(f"durable append: {DURABLE_ACKS} fsynced acks per policy")
+        note(f"durable append: {DURABLE_PAIRS} x {DURABLE_ACKS} acks per policy")
         durable = _bench_durable(root)
         note(
             "sustained build: "
@@ -217,7 +223,7 @@ def run(quick: bool = False, note=lambda message: None) -> dict:
     return {
         "schema": "gdp-bench-storage/2",
         "quick": quick,
-        "durable_append": {"acks": DURABLE_ACKS, **durable},
+        "durable_append": {"acks": DURABLE_ACKS, "pairs": DURABLE_PAIRS, **durable},
         "sustained": sustained,
         "ratios": {
             "durable_append_ratio": round(
@@ -237,7 +243,8 @@ def table(doc: dict) -> list:
         (
             ("scenario", f"{ALWAYS} /s", f"{BATCHED} /s", "ratio"),
             [(
-                f"durable append ({durable['acks']:,} fsynced acks)",
+                f"durable append ({durable['pairs']} x {durable['acks']:,} "
+                "fsynced acks, medians)",
                 f"{durable[ALWAYS]['acks_per_sec']:,.0f}",
                 f"{durable[BATCHED]['acks_per_sec']:,.0f}",
                 f"{doc['ratios']['durable_append_ratio']:.2f}x",

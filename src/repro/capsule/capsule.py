@@ -11,12 +11,10 @@ metadata.  A record enters any capsule only when one rule attests it (a
 verified heartbeat, or a hash pointer from an attested record): written
 runs (:func:`run_wire`) through :meth:`DataCapsule.admit`, all or
 nothing; fetched records — sync, log replay, the join — through
-:meth:`DataCapsule.admit_fetched`; a verified read through
-:meth:`DataCapsule.admit_range`, which checks its range proof itself.
-
-The same class backs every role in the system — writers build onto it,
-DataCapsule-servers store it, and readers accumulate verified state into
-it.  Its state is a CRDT with :meth:`merge_from` as the join (§V-A: "a
+:meth:`DataCapsule.admit_fetched`.  A client's reader keeps one with no
+records and accepts data through the check halves, :meth:`verify_range`
+(a read under its range proof) and :meth:`verify_run` (a pushed run).
+The state is a CRDT with :meth:`merge_from` as the join (§V-A: "a
 DataCapsule meets the definition of a Conflict-Free Replicated Data
 Type"): the union of attested record sets, idempotent and
 order-independent, so "append operations ... can be easily forwarded as
@@ -31,6 +29,7 @@ from repro.capsule.hashptr import PointerStrategy, get_strategy
 from repro.crypto.merkle import MerkleTree
 from repro.capsule.heartbeat import Heartbeat, detect_equivocation
 from repro.capsule.records import Record, metadata_anchor
+from repro.crypto.hashing import HashPointer
 from repro.errors import (
     BranchError,
     GdpError,
@@ -47,8 +46,9 @@ from repro.naming.metadata import (
 )
 from repro.naming.names import GdpName
 
-if TYPE_CHECKING:  # proofs builds on this module
+if TYPE_CHECKING:  # proofs and the writer build on this module
     from repro.capsule.proofs import RangeProof
+    from repro.capsule.writer import CapsuleWriter
 
 __all__ = ["DataCapsule"]
 
@@ -266,15 +266,17 @@ class DataCapsule:
     def admit(
         self, records: list[Record], heartbeat: Heartbeat
     ) -> tuple[list[Record], bool]:
-        """Admit a run of records attested by one heartbeat over its last
-        record (the tip) — every written run's way in, all or nothing.
+        """Admit a run under the heartbeat over its last record (the tip),
+        all or nothing: :meth:`verify_run`, then store.  Returns ``(new
+        records, heartbeat was new)``."""
+        heartbeat_new = self.verify_run(records, heartbeat)
+        return [record for record in records if self._store(record)], heartbeat_new
 
-        Every check runs before anything is stored: each record's
-        capsule, strategy shape and links; every record attested
-        (:meth:`_attest`) from the tip; then the heartbeat's signature,
-        tip binding and equivocation.  Returns ``(new records, heartbeat
-        was new)``.  Raises on any failure, leaving the capsule untouched.
-        """
+    def verify_run(self, records: list[Record], heartbeat: Heartbeat) -> bool:
+        """:meth:`admit`'s check half: each record's capsule, strategy
+        shape and links; every record attested (:meth:`_attest`) from the
+        tip; then the heartbeat's signature, tip binding and equivocation.
+        Raises on a failure; keeps the heartbeat, stores no record."""
         tip = records[-1]
         run = self._check_run(records)
         # attestation consumes the run: what is left is unattested
@@ -287,8 +289,7 @@ class DataCapsule:
                 f"heartbeat over record {tip.seqno}"
             )
         # add_heartbeat raises before it stores; nothing after it can fail
-        heartbeat_new = self.add_heartbeat(heartbeat, matching_record=tip)
-        return [record for record in records if self._store(record)], heartbeat_new
+        return self.add_heartbeat(heartbeat, matching_record=tip)
 
     def admit_fetched(
         self,
@@ -323,15 +324,14 @@ class DataCapsule:
                 new.append(record)
         return new, new_heartbeats
 
-    def admit_range(self, records: list[Record], proof: RangeProof) -> list[Record]:
-        """Admit a verified read — a reader's way in: the proof's
+    def verify_range(self, records: list[Record], proof: RangeProof) -> None:
+        """Check a read — how a reader accepts a range: the proof's
         heartbeat attests the last record through its header chain, each
-        record its predecessor; then :meth:`admit`'s record checks.
-        Returns the new records; raises, storing nothing, on a failure."""
+        record its predecessor; then :meth:`verify_run`'s record checks.
+        Raises on a failure; keeps the heartbeat, stores no record."""
         proof.verify_records(records, self._writer_key)
         self._check_run(records)
         self.add_heartbeat(proof.position.heartbeat)
-        return [record for record in records if self._store(record)]
 
     def _attest(self, held: dict[bytes, Record], seeds: list[Record]) -> list[Record]:
         """The attestation rule, the one test for what a replica may
@@ -479,10 +479,7 @@ class DataCapsule:
 
     def clone(self) -> "DataCapsule":
         """An independent replica holding what :meth:`merge_from` admits
-        of this one: every heartbeat, and every record a stored heartbeat
-        or stored successor attests.  A record taken under a later
-        heartbeat's proof (:meth:`admit_range`), with neither stored, is
-        not copied."""
+        of this one: every heartbeat, and every attested record."""
         replica = DataCapsule(self.metadata, verify_metadata=False)
         replica.merge_from(self)
         return replica
@@ -579,19 +576,18 @@ def run_from_wire(capsule: GdpName, body: Any) -> tuple[list[Record], Heartbeat]
 
 
 def build_record(
-    capsule: DataCapsule,
+    capsule: "DataCapsule | CapsuleWriter",
     seqno: int,
     payload: bytes,
     digest_of: dict[int, bytes],
 ) -> Record:
-    """Construct the unique strategy-conformant record for *seqno*.
+    """Construct the unique strategy-conformant record for *seqno* of
+    *capsule* (its ``name`` and ``strategy``: a replica or a writer).
 
     ``digest_of`` must supply digests for every strategy target (the
     metadata anchor is filled in automatically).  Used by writers and by
     tests that need hand-built histories.
     """
-    from repro.crypto.hashing import HashPointer
-
     pointers = []
     for target in capsule.strategy.targets(seqno):
         if target == 0:

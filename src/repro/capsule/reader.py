@@ -6,21 +6,20 @@ from untrusted infrastructure and is verified before acceptance:
 
 1. Presented metadata must hash to the name (self-certification).
 2. Heartbeats must carry the designated writer's signature.
-3. Records must be pinned against a verified heartbeat: every read
-   arrives as a range under its range proof, which
-   :meth:`DataCapsule.admit_range` checks itself (:meth:`accept_range`),
-   and a pushed run under the heartbeat over its tip
-   (:meth:`accept_run`).  SSW equivocation raises
+3. Records must be pinned against a verified heartbeat: a read as a
+   range under its range proof (:meth:`accept_range`), a push as a run
+   under the heartbeat over its tip (:meth:`accept_run`), each through
+   the check half of a replica's admission.  SSW equivocation raises
    :class:`EquivocationError`.
 4. Heartbeat sequence numbers must never regress below what this reader
    has already seen (anti-rollback: a stale replica can lag, but a
    *response* claiming an older history than the reader's own frontier
    is rejected — this is the reader-side freshness policy).
 
-The reader accumulates verified records into a local
-:class:`~repro.capsule.capsule.DataCapsule`, so repeated reads get
-cheaper and offline re-verification (:meth:`verify_everything`) is
-possible.
+A record is trusted because its proof links it to a signed heartbeat,
+not because the reader kept a copy: the reader keeps the metadata and
+the heartbeats it verified (the frontier, and the per-seqno evidence of
+equivocation and branches) and returns records without storing them.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ class VerifyingReader:
 
     @property
     def capsule(self) -> DataCapsule:
-        """The capsule name this object is bound to."""
+        """The verified metadata and heartbeats, as a record-less
+        :class:`DataCapsule` whose check halves accept data."""
         if self._capsule is None:
             raise SecurityError(
                 "reader has not yet accepted metadata for this capsule"
@@ -83,25 +83,19 @@ class VerifyingReader:
             )
 
     def accept_record(self, record: Record, proof: PositionProof) -> Record:
-        """Verify a single record against its proof and absorb it (a
-        one-record :meth:`accept_range`)."""
+        """Verify a single record against its proof (a one-record
+        :meth:`accept_range`)."""
         return self.accept_range(
             [record], RangeProof(proof, record.seqno, record.seqno)
         )[0]
 
-    def accept_range(
-        self, records: list[Record], proof: RangeProof
-    ) -> list[Record]:
-        """Verify a contiguous range against its proof and absorb it."""
-        self.capsule.admit_range(records, proof)
+    def accept_range(self, records: list[Record], proof: RangeProof) -> list[Record]:
+        """Verify a contiguous range against its proof; returns the
+        records, keeping only the proof's heartbeat."""
+        self.capsule.verify_range(records, proof)
         return records
 
     def accept_run(self, records: list[Record], heartbeat: Heartbeat) -> None:
-        """Admit a pushed run under the heartbeat over its tip, as a
-        replica admits it (:meth:`DataCapsule.admit`)."""
-        self.capsule.admit(records, heartbeat)
-
-    def verify_everything(self) -> int:
-        """Offline re-verification of the full accumulated history
-        against the frontier heartbeat; returns records covered."""
-        return self.capsule.verify_history(self.frontier)
+        """Verify a pushed run under the heartbeat over its tip, with
+        the checks a replica admits it under; keeps only the heartbeat."""
+        self.capsule.verify_run(records, heartbeat)

@@ -8,26 +8,29 @@ non-volatile memory to recover after writer failures), and any additional
 hashes the writer might need in near future".
 
 :class:`WriterState` is that local state, with optional file persistence
-standing in for the paper's non-volatile memory.  :class:`CapsuleWriter`
-(SSW) refuses to proceed without its state — losing it is exactly the
-failure QSW exists for.  :class:`QuasiWriter` (QSW) can *resume from a
-replica tip*; if the lost state had unreplicated appends, the resume
-creates a branch, which readers observe via the branches API and resolve
-with strong-eventual-consistency semantics (§VI-C).
+standing in for the paper's non-volatile memory; a writer holds no
+replica, and every replica admits the runs it returns.
+:class:`CapsuleWriter` (SSW) refuses to proceed without its state —
+losing it is exactly the failure QSW exists for.  :class:`QuasiWriter`
+(QSW) can *resume from a replica tip* (and the records its strategy
+still needs); if the lost state had unreplicated appends, the resume
+creates a branch, which readers observe via the branches API and
+resolve with strong-eventual-consistency semantics (§VI-C).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro import encoding
-from repro.capsule.capsule import DataCapsule
+from repro.capsule.capsule import build_record
+from repro.capsule.hashptr import PointerStrategy, get_strategy
 from repro.capsule.heartbeat import Heartbeat
-from repro.capsule.records import Record, metadata_anchor
-from repro.crypto.hashing import HashPointer
+from repro.capsule.records import Record
 from repro.crypto.keys import SigningKey
 from repro.errors import EncodingError, WriterStateError
+from repro.naming.metadata import PROP_POINTER_STRATEGY, Metadata
 from repro.naming.names import GdpName
 
 __all__ = ["WriterState", "CapsuleWriter", "QuasiWriter"]
@@ -97,25 +100,29 @@ class WriterState:
 class CapsuleWriter:
     """Strict Single-Writer (SSW): a linear, totally ordered history.
 
-    ``append`` produces a (record, heartbeat) pair ready to hand to the
-    client/transport layer; the capsule replica passed in (usually the
-    writer's own local copy) is updated en route.
+    ``append`` produces a signed (record, heartbeat) pair ready to hand
+    to the client/transport layer; nothing is kept but the digests the
+    strategy can still name.
     """
 
     def __init__(
         self,
-        capsule: DataCapsule,
+        metadata: Metadata,
         writer_key: SigningKey,
         *,
         state: WriterState | None = None,
         state_path: str | None = None,
         clock: Callable[[], int] | None = None,
     ):
-        if writer_key.public != capsule.writer_key:
+        metadata.verify()
+        if writer_key.public != metadata.writer_key:
             raise WriterStateError(
                 "signing key does not match the capsule's designated writer"
             )
-        self.capsule = capsule
+        self.name: GdpName = metadata.name
+        self.strategy: PointerStrategy = get_strategy(
+            metadata.properties[PROP_POINTER_STRATEGY]
+        )
         self._key = writer_key
         self._state_path = state_path
         self._clock = clock
@@ -124,8 +131,8 @@ class CapsuleWriter:
         elif state_path is not None and os.path.exists(state_path):
             self.state = WriterState.load(state_path)
         else:
-            self.state = WriterState(capsule.name)
-        if self.state.capsule != capsule.name:
+            self.state = WriterState(self.name)
+        if self.state.capsule != self.name:
             raise WriterStateError("writer state belongs to another capsule")
 
     @property
@@ -143,43 +150,24 @@ class CapsuleWriter:
             self.state.timestamp += 1
         return self.state.timestamp
 
-    def _build_pointers(self, seqno: int) -> list[HashPointer]:
-        pointers = []
-        for target in self.capsule.strategy.targets(seqno):
-            if target == 0:
-                pointers.append(metadata_anchor(self.capsule.name))
-                continue
-            digest = self.state.digests.get(target)
-            if digest is None:
-                raise WriterStateError(
-                    f"writer state lacks the digest of record {target} "
-                    f"needed by record {seqno}"
-                )
-            pointers.append(HashPointer(target, digest))
-        return pointers
-
     def _retire_stale_digests(self, last_seqno: int) -> None:
-        strategy = self.capsule.strategy
         self.state.digests = {
             seqno: digest
             for seqno, digest in self.state.digests.items()
-            if strategy.still_needed(seqno, last_seqno)
+            if self.strategy.still_needed(seqno, last_seqno)
         }
 
     def _mint(self, payload: bytes) -> Record:
         """Create the next record and advance the writer state."""
         seqno = self.state.last_seqno + 1
-        record = Record(
-            self.capsule.name, seqno, payload, self._build_pointers(seqno)
-        )
+        record = build_record(self, seqno, payload, self.state.digests)
         self.state.last_seqno = seqno
         self.state.digests[seqno] = record.digest
         self._retire_stale_digests(seqno)
         return record
 
     def append(self, payload: bytes) -> tuple[Record, Heartbeat]:
-        """Create, sign, and locally apply the next record (a batch of
-        one)."""
+        """Create and sign the next record (a batch of one)."""
         records, heartbeat = self.append_batch([payload])
         return records[0], heartbeat
 
@@ -192,18 +180,16 @@ class CapsuleWriter:
         record: a tip heartbeat pins the whole batch through the hash
         pointers, so a batch costs one signature (and one state save)
         instead of ``len(payloads)`` — the crypto half of the batched
-        append path's speedup.  The local replica takes the run through
-        ``DataCapsule.admit``, exactly as a server does.
+        append path's speedup.  The run is returned, not kept: every
+        replica takes it through ``DataCapsule.admit``.
         """
         if not payloads:
             return [], None
         records = [self._mint(payload) for payload in payloads]
         tip = records[-1]
         heartbeat = Heartbeat.create(
-            self._key, self.capsule.name, tip.seqno, tip.digest,
-            self._next_timestamp(),
+            self._key, self.name, tip.seqno, tip.digest, self._next_timestamp(),
         )
-        self.capsule.admit(records, heartbeat)
         if self._state_path is not None:
             self.state.save(self._state_path)
         return records, heartbeat
@@ -215,27 +201,28 @@ class QuasiWriter(CapsuleWriter):
     "The assumption in QSW mode is that there can be more than one
     concurrent writers from time to time, but such situations are rare"
     (§VI-C).  After losing local state, call :meth:`resume_from_tip` with
-    a record fetched from any replica; appends continue from there.  If
-    the lost state had newer records, the capsule gains a branch —
-    detected downstream, never silently overwritten.
+    a verified tip fetched from any replica (``ClientWriter.resume`` reads
+    it); appends continue from there.  If the lost state had newer
+    records, the capsule gains a branch — detected downstream, never
+    silently overwritten.
     """
 
-    def resume_from_tip(self, tip: Record) -> None:
+    def resume_from_tip(self, tip: Record, records: Iterable[Record] = ()) -> None:
         """Rebuild minimal writer state from a replica's tip record.
 
-        Only the tip's own digest plus whatever digests can be harvested
-        from records present in the local capsule replica are available;
-        strategies needing older digests (e.g. a checkpoint) recover them
-        from the replica too, or fail loudly on the next append.
+        The tip's own digest plus the digests of whichever verified
+        *records* the strategy still needs (e.g. a checkpoint) are kept;
+        a needed digest that was not passed in fails loudly
+        (:class:`HoleError`) on the append that needs it.
         """
-        if tip.capsule != self.capsule.name:
+        if tip.capsule != self.name:
             raise WriterStateError("tip belongs to another capsule")
         digests: dict[int, bytes] = {tip.seqno: tip.digest}
-        for record in self.capsule.records():
-            if self.capsule.strategy.still_needed(record.seqno, tip.seqno):
+        for record in records:
+            if self.strategy.still_needed(record.seqno, tip.seqno):
                 digests[record.seqno] = record.digest
         self.state = WriterState(
-            self.capsule.name,
+            self.name,
             last_seqno=tip.seqno,
             timestamp=max(self.state.timestamp, tip.seqno),
             digests=digests,

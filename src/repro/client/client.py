@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator
 
-from repro.capsule.capsule import DataCapsule, run_from_wire, run_wire
+from repro.capsule.capsule import run_from_wire, run_wire
 from repro.capsule.heartbeat import Heartbeat
 from repro.capsule.proofs import RangeProof
 from repro.capsule.reader import VerifyingReader
@@ -357,11 +357,11 @@ class GdpClient(Endpoint):
         state_path: str | None = None,
     ) -> "ClientWriter":
         """Open the (strict or quasi, per metadata) single-writer handle
-        for a capsule this client holds the writer key of."""
-        capsule = DataCapsule(metadata)
+        for a capsule this client holds the writer key of.  It keeps no
+        replica: the records it mints belong to the caller once acked."""
         quasi = metadata.properties.get("writer_mode") == MODE_QSW
         writer = (QuasiWriter if quasi else CapsuleWriter)(
-            capsule, writer_key, state_path=state_path,
+            metadata, writer_key, state_path=state_path,
             clock=lambda: int(self.ctx.now * 1000),
         )
         return ClientWriter(self, writer, acks=acks)
@@ -436,9 +436,8 @@ class GdpClient(Endpoint):
         return resynced
 
     def on_push(self, pdu: Pdu) -> None:
-        """Handle a pushed run: admitted into the reader's capsule as a
-        replica admits it, then delivered in seqno order
-        (duplicate-suppressed)."""
+        """Handle a pushed run: verified with the checks a replica admits
+        it under, then delivered in seqno order (duplicate-suppressed)."""
         try:
             capsule_name = GdpName(pdu.payload["capsule"])
         except (KeyError, TypeError, GdpError):
@@ -506,12 +505,30 @@ class ClientWriter:
         self.client = client
         self.writer = writer
         self.acks = acks
-        self.capsule_name = writer.capsule.name
+        self.capsule_name = writer.name
 
     @property
     def last_seqno(self) -> int:
         """The last locally minted sequence number."""
         return self.writer.last_seqno
+
+    def resume(self, *, timeout: float | None = 30.0) -> Generator:
+        """QSW crash recovery: verified reads of the tip (freshness-checked)
+        and of each record the strategy still needs, then resume from
+        them; returns the tip.  A stale tip makes the next append a
+        branch (§VI-C)."""
+        if not isinstance(self.writer, QuasiWriter):
+            raise CapsuleError("only a quasi-single-writer capsule resumes")
+        latest = yield from self.client.read_latest(self.capsule_name, timeout=timeout)
+        if latest is None:
+            raise CapsuleError("nothing to resume from: the capsule is empty")
+        tip, needed = latest.record, []
+        for seqno in range(1, tip.seqno):
+            if self.writer.strategy.still_needed(seqno, tip.seqno):
+                read = self.client.read(self.capsule_name, seqno, timeout=timeout)
+                needed += (yield from read).records
+        self.writer.resume_from_tip(tip, needed)
+        return tip
 
     def _request_run(
         self,
@@ -595,11 +612,9 @@ class ClientWriter:
         if current:
             chunks.append(current)
         # The writer is still the single serialization point: every
-        # record is minted (and locally inserted) before dispatch.
+        # record is minted before dispatch.
         minted = [self.writer.append_batch(chunk) for chunk in chunks]
-        all_records: list[Record] = []
-        for records, _ in minted:
-            all_records.extend(records)
+        all_records = [record for records, _ in minted for record in records]
 
         completed: deque = deque()
         state: dict = {"waiter": None}

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from repro.capsule import CapsuleWriter, DataCapsule, Record
 from repro.crypto.keys import SigningKey
 from repro.errors import GdpError
-from repro.naming.metadata import make_capsule_metadata
+from repro.naming.metadata import Metadata, make_capsule_metadata
 from repro.server.segmented import SegmentedStore, SimulatedCrash
 from repro.server.storage import replay
 
@@ -89,7 +89,7 @@ class TortureHistory:
     """A pre-minted signed history, reusable across many crash cases
     (minting signs every heartbeat, so it is the expensive part)."""
 
-    capsule: DataCapsule
+    metadata: Metadata
     steps: list[tuple[dict, dict]]  # (record_wire, heartbeat_wire)
     record_digests: list[bytes]
     checkpoint_every: int
@@ -114,8 +114,7 @@ def build_history(
         pointer_strategy=strategy,
         extra={"torture_seed": seed},
     )
-    capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(metadata, writer_key)
     steps = []
     digests = []
     for i in range(n_records):
@@ -127,7 +126,7 @@ def build_history(
     checkpoint_every = 0
     if strategy.startswith("checkpoint:"):
         checkpoint_every = int(strategy.split(":", 1)[1])
-    return TortureHistory(capsule, steps, digests, checkpoint_every)
+    return TortureHistory(metadata, steps, digests, checkpoint_every)
 
 
 @dataclass
@@ -180,14 +179,12 @@ def run_schedule(
     of the record and its heartbeat, as the server persists it, and
     counts as *acked* only once that call returned without the
     simulated crash firing."""
-    name = history.capsule.name
+    name = history.metadata.name
     store = _make_store(root, tier, config, hook)
     acked = 0
     crashed = False
     try:
-        store.store_hosting(
-            name, {"metadata": history.capsule.metadata.to_wire()}
-        )
+        store.store_hosting(name, {"metadata": history.metadata.to_wire()})
         for i, (record_wire, heartbeat_wire) in enumerate(history.steps):
             seqno = record_wire["seqno"]
             store.append_entries(name, [("r", record_wire), ("h", heartbeat_wire)])
@@ -226,15 +223,15 @@ def verify_recovery(
 ) -> TortureResult:
     """Reopen the store cold and check every recovery invariant."""
     violations: list[str] = []
-    name = history.capsule.name
+    name = history.metadata.name
     store = _make_store(root, tier, config)
     entries = list(store.load_entries(name))
-    replica = DataCapsule(history.capsule.metadata, verify_metadata=False)
+    replica = DataCapsule(history.metadata, verify_metadata=False)
     _, refused = replay(replica, entries)
     recovered_digests = {record.digest for record in replica.records()}
     # Every CRC-valid record frame, stored unchecked: what the persisted
     # index was built from.
-    framed = DataCapsule(history.capsule.metadata, verify_metadata=False)
+    framed = DataCapsule(history.metadata, verify_metadata=False)
     for tag, wire in entries:
         if tag == "r":
             try:
@@ -287,7 +284,7 @@ def verify_recovery(
     # Recovery must converge: a second reopen sees a clean tail and the
     # same record set.
     again = _make_store(root, tier, config)
-    rebuilt = DataCapsule(history.capsule.metadata, verify_metadata=False)
+    rebuilt = DataCapsule(history.metadata, verify_metadata=False)
     replay(rebuilt, again.load_entries(name))
     if rebuilt.canonical_summary() != replica.canonical_summary():
         violations.append("second reopen produced a different record set")

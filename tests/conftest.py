@@ -64,9 +64,10 @@ def capsule_factory(owner_key, writer_key):
 def filled_capsule(capsule_factory, writer_key):
     """A chain capsule with 12 appended records."""
     capsule = capsule_factory("chain")
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(capsule.metadata, writer_key)
     for i in range(12):
-        writer.append(b"record-%d" % i)
+        record, heartbeat = writer.append(b"record-%d" % i)
+        capsule.admit([record], heartbeat)
     return capsule
 
 
@@ -265,9 +266,9 @@ class ProcessWorld:
         self.metadata = self.console.design_capsule(writer_key.public)
         self.name = self.metadata.name
         self.other = DataCapsuleServer(SimNetwork(seed=3), "process_other")
-        records, heartbeat = CapsuleWriter(
-            DataCapsule(self.metadata), writer_key
-        ).append_batch([b"acked-%d" % i for i in range(3)])
+        records, heartbeat = CapsuleWriter(self.metadata, writer_key).append_batch(
+            [b"acked-%d" % i for i in range(3)]
+        )
         self.run = run_wire(records, heartbeat)
 
     def boot(self) -> DataCapsuleServer:

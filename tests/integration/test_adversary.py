@@ -383,8 +383,9 @@ class TestCompromisedGLookup:
 class TestEquivocatingWriter:
     def test_fork_is_cryptographically_attributable(self, capsule_factory, writer_key):
         capsule = capsule_factory("chain")
-        writer = CapsuleWriter(capsule, writer_key)
-        base, _ = writer.append(b"honest-prefix")
+        writer = CapsuleWriter(capsule.metadata, writer_key)
+        base, heartbeat = writer.append(b"honest-prefix")
+        capsule.admit([base], heartbeat)
         evil = EquivocatingWriter(capsule, writer_key)
         (rec_a, hb_a), (rec_b, hb_b) = evil.fork_at(base, b"story-a", b"story-b")
         # Both halves verify individually — the writer really signed both.
@@ -398,8 +399,9 @@ class TestEquivocatingWriter:
 
     def test_ssw_capsule_rejects_second_history(self, capsule_factory, writer_key):
         capsule = capsule_factory("chain")
-        writer = CapsuleWriter(capsule, writer_key)
-        base, _ = writer.append(b"prefix")
+        writer = CapsuleWriter(capsule.metadata, writer_key)
+        base, heartbeat = writer.append(b"prefix")
+        capsule.admit([base], heartbeat)
         evil = EquivocatingWriter(capsule, writer_key)
         (rec_a, hb_a), (rec_b, hb_b) = evil.fork_at(base, b"a", b"b")
         capsule.admit([rec_a], hb_a)

@@ -410,3 +410,52 @@ class TestKvStoreEdgeCases:
             return True
 
         assert g.run(scenario())
+
+
+def records_reachable(roots) -> int:
+    """How many :class:`Record` objects *roots* reach by references —
+    through instances, containers and closures, but not into a network
+    node (a writer's clock closes over its client, which reaches every
+    server), a module or a class."""
+    import gc
+    import types
+
+    from repro.capsule import Record
+    from repro.runtime.network import Node
+
+    seen, found, todo = set(), 0, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (Node, type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Record):
+            found += 1
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+class TestClientHoldsNoRecords:
+    def test_written_and_read_records_are_the_callers_alone(self, mini_gdp):
+        """A writer mints from digests and a reader keeps heartbeats: once
+        the caller drops the receipt and the read result, the client
+        holds none of the 64 records it wrote and read back."""
+        g = mini_gdp
+        payloads = [bytes([i]) * (16 << 10) for i in range(64)]
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            receipt = yield from writer.append_stream(payloads)
+            yield 1.0
+            result = yield from g.writer_client.read_range(metadata.name, 1, 64)
+            assert receipt.seqno == 64
+            assert [r.payload for r in result.records] == payloads
+            return writer
+
+        writer = g.run(scenario())
+        assert records_reachable([writer, *g.writer_client.readers.values()]) == 0

@@ -5,7 +5,7 @@ property the protocol exists to provide."""
 import random
 
 from repro.adversary import StorageTamperer
-from repro.capsule import CapsuleWriter, DataCapsule, Record
+from repro.capsule import CapsuleWriter, Record
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.naming import make_capsule_metadata
@@ -494,8 +494,7 @@ def _build_divergent_world(n_records: int, missing: set, *, seed: int):
         owner, writer_key.public, pointer_strategy="chain",
         extra={"n": n_records, "seed": seed},
     )
-    capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(metadata, writer_key)
     minted = [writer.append(b"rec-%05d" % i) for i in range(n_records)]
 
     net = SimNetwork(seed=seed)

@@ -26,7 +26,7 @@ class TestBasicFlow:
 
         assert g.run(scenario())
 
-    def test_reader_accumulates_verified_history(self, mini_gdp):
+    def test_reader_verifies_range_history(self, mini_gdp):
         g = mini_gdp
 
         def scenario():
@@ -36,11 +36,11 @@ class TestBasicFlow:
             for i in range(6):
                 yield from writer.append(b"r%d" % i)
             yield 1.0
-            yield from g.reader_client.read_range(metadata.name, 1, 6)
-            reader = g.reader_client.readers[metadata.name]
-            return reader.verify_everything()
+            return (yield from g.reader_client.read_range(metadata.name, 1, 6))
 
-        assert g.run(scenario()) == 6
+        result = g.run(scenario())
+        assert [r.seqno for r in result.records] == [1, 2, 3, 4, 5, 6]
+        assert result.proof.last == 6
 
     def test_empty_capsule_latest_none(self, mini_gdp):
         g = mini_gdp

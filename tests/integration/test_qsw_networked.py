@@ -7,6 +7,7 @@ appending, and readers across the federation observe a branched-but-
 convergent capsule with strong-eventual semantics.
 """
 
+import pytest
 
 from repro.capsule.branches import branch_points, resolve_linearization
 
@@ -28,10 +29,7 @@ class TestNetworkedQswRecovery:
             # Writer 'crashes'; a new handle with no state recovers by
             # reading the replica's tip.
             reborn = g.writer_client.open_writer(metadata, g.writer_key)
-            latest = yield from g.writer_client.read_latest(metadata.name)
-            tip = latest.record
-            reborn.writer.capsule.admit([tip], latest.proof.position.heartbeat)
-            reborn.writer.resume_from_tip(tip)
+            yield from reborn.resume()
             yield from reborn.append(b"post-recovery")
             yield 0.5
             return metadata
@@ -41,6 +39,42 @@ class TestNetworkedQswRecovery:
         assert capsule.last_seqno == 4
         assert not capsule.is_branched()
         assert capsule.verify_history() == 4
+
+    def test_resume_reads_the_digests_its_strategy_still_needs(self, mini_gdp):
+        """A checkpoint strategy's next record points past the tip: resume
+        reads that checkpoint back, verified, and the append links to it."""
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place(
+                "checkpoint:4", servers=[g.server_edge.metadata], writer_mode="qsw"
+            )
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append_stream([b"pre-%d" % i for i in range(10)])
+            reborn = g.writer_client.open_writer(metadata, g.writer_key)
+            tip = yield from reborn.resume()
+            return tip, (yield from reborn.append(b"post"))
+
+        tip, receipt = g.run(scenario())
+        assert tip.seqno == 10
+        assert receipt.record.seqno == 11 and receipt.acks == 1
+        assert receipt.record.pointer_to(8) is not None
+
+    def test_ssw_writer_does_not_resume(self, mini_gdp):
+        from repro.errors import CapsuleError
+
+        g = mini_gdp
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            with pytest.raises(CapsuleError):
+                yield from writer.resume()
+            return True
+
+        assert g.run(scenario())
 
     def test_recovery_from_stale_replica_branches_and_converges(self, mini_gdp):
         """Recovery from a replica missing the newest appends creates a
@@ -64,11 +98,8 @@ class TestNetworkedQswRecovery:
             # The writer crashes; the recovery client sits at the ROOT
             # and resumes from the stale root replica (tip = record 1).
             recovery = g.reader_client.open_writer(metadata, g.writer_key)
-            stale = yield from g.reader_client.read_latest(metadata.name)
-            tip = stale.record
+            tip = yield from recovery.resume()
             assert tip.seqno == 1  # the stale view
-            recovery.writer.capsule.admit([tip], stale.proof.position.heartbeat)
-            recovery.writer.resume_from_tip(tip)
             yield from recovery.append(b"root-branch-2")
             yield 1.0
             # Anti-entropy round both ways to converge.
@@ -125,7 +156,6 @@ class TestNetworkedQswRecovery:
             recovery = g.reader_client.open_writer(metadata, g.writer_key)
             latest = yield from g.reader_client.read_latest(metadata.name)
             tip = latest.record
-            recovery.writer.capsule.admit([tip], latest.proof.position.heartbeat)
             # SSW writers have no resume API; emulate a writer that
             # rebuilt state by hand and try to push the fork.
             recovery.writer.state.last_seqno = tip.seqno

@@ -54,9 +54,8 @@ class TestAppendIdempotency:
             yield from g.bootstrap()
             metadata = yield from g.place(servers=[g.server_edge.metadata])
             writer = g.writer_client.open_writer(metadata, g.writer_key)
-            yield from writer.append(b"r1")
+            r1 = (yield from writer.append(b"r1")).record
             # Forge record 3 skipping record 2 (bad shape for 'chain').
-            r1 = writer.writer.capsule.get(1)
             bogus = Record(
                 metadata.name, 3, b"skip", [HashPointer(2, r1.digest)]
             )

@@ -77,7 +77,7 @@ class TestScopePolicies:
 
 
 class TestCrashRecovery:
-    def test_filestore_server_recovers_records(self, mini_gdp, tmp_path):
+    def test_segmented_server_recovers_records(self, mini_gdp, tmp_path):
         """A server over the on-disk store (``SegmentedStore``)."""
         g = mini_gdp
         durable = DataCapsuleServer(

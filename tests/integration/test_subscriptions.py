@@ -115,12 +115,12 @@ class TestSubscriptions:
             yield from g.bootstrap()
             metadata = yield from g.place()
             yield from g.reader_client.subscribe(
-                metadata.name, lambda r, h: received.append(r.seqno)
+                metadata.name, lambda r, h: received.append((r.seqno, r.payload))
             )
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             record = (yield from writer.append(b"real")).record
-            heartbeat = writer.writer.capsule.latest_heartbeat
             yield 1.0
+            heartbeat = g.server_root.hosted[metadata.name].capsule.latest_heartbeat
             # The adversary pushes a forged record 2 reusing the real
             # heartbeat over record 1 (the tip must match it).
             forged = Record(
@@ -134,11 +134,10 @@ class TestSubscriptions:
             )
             g.server_root.send_pdu(push)
             yield 1.0
-            return g.reader_client.readers[metadata.name].capsule
+            return True
 
-        capsule = g.run(scenario())
-        assert received == [1]  # only the genuine record
-        assert capsule.get_all(2) == []
+        g.run(scenario())
+        assert received == [(1, b"real")]  # only the genuine record
 
     def test_push_deduplicated_across_replicas(self, mini_gdp):
         """Both replicas may push the same record (writer append +
@@ -165,13 +164,15 @@ class TestSubscriptions:
 
 class TestRunPushes:
     """A push is the run a replica admitted — ``{capsule, records,
-    heartbeat}``, one PDU per run — and the subscriber admits it through
-    ``DataCapsule.admit`` as a replica does."""
+    heartbeat}``, one PDU per run — and the subscriber checks it with
+    ``DataCapsule.verify_run``, the checks a replica admits it under."""
 
     @staticmethod
-    def _subscribed(g, received, pushes):
+    def _subscribed(g, received, pushes, payloads=None):
         """Process body: one replica, a subscribed reader whose inbound
-        pushes are counted; returns the capsule metadata."""
+        pushes are counted and whose callback records each delivered
+        seqno (and payload, given *payloads*); returns the capsule
+        metadata."""
         yield from g.bootstrap()
         metadata = yield from g.place(servers=[g.server_edge.metadata])
         on_push = g.reader_client.on_push
@@ -180,10 +181,13 @@ class TestRunPushes:
             pushes.append(pdu)
             on_push(pdu)
 
+        def deliver(record, heartbeat):
+            received.append(record.seqno)
+            if payloads is not None:
+                payloads.append(record.payload)
+
         g.reader_client.on_push = counting
-        yield from g.reader_client.subscribe(
-            metadata.name, lambda r, h: received.append(r.seqno)
-        )
+        yield from g.reader_client.subscribe(metadata.name, deliver)
         return metadata
 
     def test_a_batch_is_one_push(self, mini_gdp):
@@ -228,10 +232,10 @@ class TestRunPushes:
 
     def test_tampered_non_tip_record_delivers_nothing(self, mini_gdp):
         g = mini_gdp
-        received, pushes = [], []
+        received, pushes, delivered = [], [], []
 
         def scenario():
-            metadata = yield from self._subscribed(g, received, pushes)
+            metadata = yield from self._subscribed(g, received, pushes, delivered)
             writer = g.writer_client.open_writer(metadata, g.writer_key)
             records, heartbeat = writer.writer.append_batch([b"a", b"b", b"c"])
             run = _run(records, heartbeat)
@@ -243,11 +247,10 @@ class TestRunPushes:
                 )
             return metadata
 
-        metadata = g.run(scenario())
+        g.run(scenario())
         # the tampered run delivered nothing; the genuine one all three
         assert received == [1, 2, 3]
-        capsule = g.reader_client.readers[metadata.name].capsule
-        assert [r.payload for r in capsule.records()] == [b"a", b"b", b"c"]
+        assert delivered == [b"a", b"b", b"c"]
 
     def test_malformed_push_is_dropped(self, mini_gdp):
         g = mini_gdp

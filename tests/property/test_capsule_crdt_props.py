@@ -23,8 +23,7 @@ def history():
     metadata = make_capsule_metadata(
         _OWNER, _WRITER.public, extra={"crdt": "props"}
     )
-    capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, _WRITER)
+    writer = CapsuleWriter(metadata, _WRITER)
     pairs = [writer.append(b"rec-%d" % i) for i in range(14)]
     return metadata, pairs
 
@@ -129,7 +128,7 @@ def batch():
     metadata = make_capsule_metadata(
         _OWNER, _WRITER.public, extra={"crdt": "admit"}
     )
-    writer = CapsuleWriter(DataCapsule(metadata), _WRITER)
+    writer = CapsuleWriter(metadata, _WRITER)
     prefix = [writer.append(b"pre-%d" % i) for i in range(4)]
     run, heartbeat = writer.append_batch([b"run-%d" % i for i in range(5)])
     tip = run[-1]

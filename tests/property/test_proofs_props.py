@@ -31,9 +31,9 @@ def capsule_for(strategy: str) -> DataCapsule:
             extra={"pp": strategy},
         )
         capsule = DataCapsule(metadata)
-        writer = CapsuleWriter(capsule, _WRITER)
+        writer = CapsuleWriter(capsule.metadata, _WRITER)
         for i in range(_LENGTH):
-            writer.append(b"payload-%d" % i)
+            capsule.admit(*writer.append_batch([b"payload-%d" % i]))
         _CAPSULES[strategy] = capsule
     return _CAPSULES[strategy]
 

@@ -40,7 +40,7 @@ def history():
 
 def prefix_of(history: TortureHistory, n: int) -> TortureHistory:
     return TortureHistory(
-        history.capsule,
+        history.metadata,
         history.steps[:n],
         history.record_digests[:n],
         history.checkpoint_every,

@@ -140,9 +140,9 @@ _METADATA = _CONSOLE.design_capsule(_WRITER_KEY.public)
 _CHAIN = _CONSOLE.delegate(_METADATA, _server().metadata)
 _NAME = _METADATA.name
 _SENDER = _CONSOLE.client.name
-_RECORDS, _HEARTBEAT = CapsuleWriter(
-    DataCapsule(_METADATA), _WRITER_KEY
-).append_batch([b"first", b"second", b"third"])
+_RECORDS, _HEARTBEAT = CapsuleWriter(_METADATA, _WRITER_KEY).append_batch(
+    [b"first", b"second", b"third"]
+)
 _RUN = run_wire(_RECORDS, _HEARTBEAT)
 _GENUINE = {record.digest for record in _RECORDS}
 

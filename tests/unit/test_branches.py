@@ -17,16 +17,16 @@ from repro.capsule.branches import (
 def branched(capsule_factory, writer_key):
     """A QSW capsule with one branch at seqno 3: [1,2,3] then {4a} / {4b,5b}."""
     capsule = capsule_factory("chain", mode="qsw")
-    writer = QuasiWriter(capsule, writer_key)
+    writer = QuasiWriter(capsule.metadata, writer_key)
     for i in range(4):
-        writer.append(b"main-%d" % i)  # seqnos 1..4
+        capsule.admit(*writer.append_batch([b"main-%d" % i]))  # seqnos 1..4
     # Second writer instance resumed from seqno 3.
     side = DataCapsule(capsule.metadata, verify_metadata=False)
     side.admit(list(capsule.records())[:3], capsule.heartbeats_at(3)[0])
-    recovered = QuasiWriter(side, writer_key)
+    recovered = QuasiWriter(side.metadata, writer_key)
     recovered.resume_from_tip(side.get(3))
-    recovered.append(b"side-4")
-    recovered.append(b"side-5")
+    side.admit(*recovered.append_batch([b"side-4"]))
+    side.admit(*recovered.append_batch([b"side-5"]))
     merged = capsule.clone()
     merged.merge_from(side)
     return merged
@@ -104,14 +104,14 @@ class TestStrongEventualConsistency:
         """Replicas receiving the same branched records in different
         orders converge to identical linearizations."""
         capsule = capsule_factory("chain", mode="qsw")
-        writer = QuasiWriter(capsule, writer_key)
+        writer = QuasiWriter(capsule.metadata, writer_key)
         for i in range(3):
-            writer.append(b"%d" % i)
+            capsule.admit(*writer.append_batch([b"%d" % i]))
         side = DataCapsule(capsule.metadata, verify_metadata=False)
         side.admit(list(capsule.records())[:2], capsule.heartbeats_at(2)[0])
-        recovered = QuasiWriter(side, writer_key)
+        recovered = QuasiWriter(side.metadata, writer_key)
         recovered.resume_from_tip(side.get(2))
-        recovered.append(b"fork")
+        side.admit(*recovered.append_batch([b"fork"]))
 
         all_records = list(capsule.records()) + [list(side.records())[-1]]
         beats = {h.digest: h for h in [*capsule.heartbeats(), *side.heartbeats()]}

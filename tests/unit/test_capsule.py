@@ -51,7 +51,7 @@ class TestInsertValidation:
     def test_wrong_capsule_rejected(self, capsule_factory, writer_key):
         a = capsule_factory()
         b = capsule_factory()
-        writer = CapsuleWriter(a, writer_key)
+        writer = CapsuleWriter(a.metadata, writer_key)
         record, heartbeat = writer.append(b"x")
         with pytest.raises(IntegrityError):
             b.admit([record], heartbeat)
@@ -74,16 +74,18 @@ class TestInsertValidation:
 
     def test_insert_idempotent(self, capsule_factory, writer_key):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         record, hb = writer.append(b"x")
+        capsule.admit([record], hb)
         assert capsule.admit_fetched([record], [hb], {}) == ([], [])
         assert capsule.admit([record], hb) == ([], False)
         assert len(capsule) == 1
 
     def test_pointer_digest_mismatch_rejected(self, capsule_factory, writer_key):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
-        r1, _ = writer.append(b"one")
+        writer = CapsuleWriter(capsule.metadata, writer_key)
+        capsule.admit(*writer.append_batch([b"one"]))
+        r1 = capsule.get(1)
         # Record 3 pointing at seqno 2 but with a digest that belongs to
         # a *known* record under another seqno.
         evil = Record(capsule.name, 3, b"x", [HashPointer(2, r1.digest)])
@@ -97,7 +99,7 @@ class TestInsertValidation:
         from repro.errors import SignatureError
 
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         record, _ = writer.append(b"x")
         forged = Heartbeat.create(
             other_key, capsule.name, 1, record.digest, 1
@@ -109,7 +111,7 @@ class TestInsertValidation:
         from repro.capsule import Heartbeat
 
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         r1, _ = writer.append(b"x")
         hb = Heartbeat.create(writer_key, capsule.name, 2, b"\x07" * 32, 2)
         with pytest.raises(IntegrityError):
@@ -136,7 +138,7 @@ class TestReads:
 
     def test_read_range_with_hole(self, capsule_factory, writer_key):
         source = capsule_factory()
-        writer = CapsuleWriter(source, writer_key)
+        writer = CapsuleWriter(source.metadata, writer_key)
         pairs = [writer.append(b"%d" % i) for i in range(5)]
         sparse = DataCapsule(source.metadata, verify_metadata=False)
         for record, heartbeat in pairs:
@@ -175,14 +177,14 @@ class TestHistoryVerification:
     @pytest.mark.parametrize("strategy", ["chain", "skiplist", "checkpoint:4"])
     def test_full_history_verifies(self, capsule_factory, writer_key, strategy):
         capsule = capsule_factory(strategy)
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(20):
-            writer.append(b"r%d" % i)
+            capsule.admit(*writer.append_batch([b"r%d" % i]))
         assert capsule.verify_history() == 20
 
     def test_hole_detected(self, capsule_factory, writer_key):
         source = capsule_factory("chain")
-        writer = CapsuleWriter(source, writer_key)
+        writer = CapsuleWriter(source.metadata, writer_key)
         records = []
         for i in range(5):
             record, hb = writer.append(b"%d" % i)
@@ -196,7 +198,7 @@ class TestHistoryVerification:
 
     def test_stream_hole_tolerated(self, capsule_factory, writer_key):
         source = capsule_factory("stream:4")
-        writer = CapsuleWriter(source, writer_key)
+        writer = CapsuleWriter(source.metadata, writer_key)
         records = []
         for i in range(8):
             record, hb = writer.append(b"%d" % i)
@@ -215,9 +217,9 @@ class TestHistoryVerification:
 class TestCrdtJoin:
     def test_merge_absorbs_missing(self, capsule_factory, writer_key):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(8):
-            writer.append(b"%d" % i)
+            capsule.admit(*writer.append_batch([b"%d" % i]))
         empty = DataCapsule(capsule.metadata, verify_metadata=False)
         assert empty.merge_from(capsule) == 8
         assert empty.last_seqno == 8
@@ -225,13 +227,13 @@ class TestCrdtJoin:
 
     def test_merge_idempotent(self, capsule_factory, writer_key):
         capsule = capsule_factory()
-        CapsuleWriter(capsule, writer_key).append(b"x")
+        capsule.admit(*CapsuleWriter(capsule.metadata, writer_key).append_batch([b"x"]))
         replica = capsule.clone()
         assert replica.merge_from(capsule) == 0
 
     def test_merge_commutative(self, capsule_factory, writer_key):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         records = [writer.append(b"%d" % i) for i in range(6)]
         a = DataCapsule(capsule.metadata, verify_metadata=False)
         b = DataCapsule(capsule.metadata, verify_metadata=False)
@@ -251,9 +253,9 @@ class TestCrdtJoin:
         stored successor over it, is not absorbed by a merge or a
         clone."""
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(3):
-            writer.append(b"%d" % i)
+            capsule.admit(*writer.append_batch([b"%d" % i]))
         planted = build_record(capsule, 4, b"planted", {3: capsule.get(3).digest})
         capsule._store(planted)
         empty = DataCapsule(capsule.metadata, verify_metadata=False)
@@ -268,9 +270,9 @@ class TestCrdtJoin:
 
     def test_state_summary_and_missing_from(self, capsule_factory, writer_key):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(4):
-            writer.append(b"%d" % i)
+            capsule.admit(*writer.append_batch([b"%d" % i]))
         empty = DataCapsule(capsule.metadata, verify_metadata=False)
         assert empty.state_summary() == {"last_seqno": 0, "digests": {}}
         missing = [
@@ -289,7 +291,7 @@ class TestBuildRecord:
 
     def test_build_matches_writer(self, capsule_factory, writer_key):
         capsule = capsule_factory("chain")
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         r1, _ = writer.append(b"one")
         manual = build_record(
             DataCapsule(capsule.metadata, verify_metadata=False),

@@ -190,9 +190,9 @@ class TestRecordDigestCache:
             owner, writer_key.public, pointer_strategy="chain"
         )
         capsule = DataCapsule(metadata)
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(8):
-            writer.append(b"r%d" % i)
+            capsule.admit(*writer.append_batch([b"r%d" % i]))
         encodes = cache.counters()["crypto.encode"]
         proof = build_position_proof(capsule, 2)
         proof.verify(capsule.name, writer_key.public, expected_seqno=2)

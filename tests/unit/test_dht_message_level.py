@@ -488,8 +488,8 @@ class TestGrepGuard:
         # the on/off options nothing needed; the unsigned-response switch
         "def read_record(", "_sparse_seek", "tier_cache", "sync_index",
         "auto_compact", "sign_responses",
-        # the unattested way into a capsule beside admit / admit_fetched /
-        # admit_range, its shape-check switch and the replay that used it
+        # the unattested way into a capsule beside admit / admit_fetched,
+        # its shape-check switch and the replay that used it
         "def insert(", "enforce_strategy", "replay_entry",
         # the unverified ways to open a DataCapsule-server's reply beside
         # open_response, and the client switch that skipped verification
@@ -507,6 +507,9 @@ class TestGrepGuard:
         # nothing called
         "placement_versions", "current_catalog", "routing.catalog",
         "CatalogBuilder", "def store_metadata",
+        # the client's record copies: a read stored into the reader's
+        # capsule, and its re-verification of what it had kept
+        "def admit_range", "def verify_everything",
     )
 
     def test_back_compat_layer_stays_deleted(self):

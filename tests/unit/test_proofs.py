@@ -30,9 +30,9 @@ def built(request, owner_key, writer_key):
         extra={"proof_fixture": request.param},
     )
     capsule = DataCapsule(metadata)
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(capsule.metadata, writer_key)
     for i in range(40):
-        writer.append(b"payload-%d" % i)
+        capsule.admit(*writer.append_batch([b"payload-%d" % i]))
     return capsule
 
 
@@ -112,9 +112,9 @@ class TestProofEfficiency:
             extra={"eff": 1},
         )
         capsule = DataCapsule(metadata)
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(256):
-            writer.append(b"x")
+            capsule.admit(*writer.append_batch([b"x"]))
         proof = build_position_proof(capsule, 1)
         # 2*log2(256) = 16 hops upper bound.
         assert len(proof.headers) <= 17
@@ -127,9 +127,9 @@ class TestProofEfficiency:
             extra={"eff": 2},
         )
         capsule = DataCapsule(metadata)
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         for i in range(64):
-            writer.append(b"x")
+            capsule.admit(*writer.append_batch([b"x"]))
         proof = build_position_proof(capsule, 1)
         assert len(proof.headers) == 64
 

@@ -22,8 +22,10 @@ def filled(capsule_factory, writer_key):
     """A 30-record capsule (checkpoint heartbeats every 8) plus its
     (record, heartbeat) pairs."""
     capsule = capsule_factory(strategy="checkpoint:8")
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(capsule.metadata, writer_key)
     pairs = [writer.append(b"seg-%04d" % i * 4) for i in range(30)]
+    for record, heartbeat in pairs:
+        capsule.admit([record], heartbeat)
     return capsule, pairs
 
 
@@ -82,7 +84,7 @@ class TestSealing:
         self, tmp_path, capsule_factory, writer_key
     ):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         pairs = [writer.append(b"ooo-%d" % i) for i in range(8)]
         order = (0, 4, 1, 6, 2, 7, 3, 5)  # replication-style arrivals
         store = SegmentedStore(str(tmp_path), segment_bytes=500)

@@ -19,8 +19,10 @@ def store(request, tmp_path):
 @pytest.fixture()
 def capsule_with_data(capsule_factory, writer_key):
     capsule = capsule_factory()
-    writer = CapsuleWriter(capsule, writer_key)
+    writer = CapsuleWriter(capsule.metadata, writer_key)
     pairs = [writer.append(b"payload-%d" % i) for i in range(5)]
+    for record, heartbeat in pairs:
+        capsule.admit([record], heartbeat)
     return capsule, pairs
 
 
@@ -146,7 +148,7 @@ class TestIterationOrderConformance:
         self, store, capsule_factory, writer_key
     ):
         capsule = capsule_factory()
-        writer = CapsuleWriter(capsule, writer_key)
+        writer = CapsuleWriter(capsule.metadata, writer_key)
         pairs = [writer.append(b"branchy-%d" % i) for i in range(6)]
         # Arrival order a replica might see under interleaved branch
         # sync: seqnos land 1, 4, 2, 6, 3, 5.

@@ -12,8 +12,10 @@ def _replica_pair(capsule_factory, writer_key, count=12):
     """A full replica and an (initially empty) peer of the same capsule,
     plus the minted (record, heartbeat) list."""
     full = capsule_factory("chain")
-    writer = CapsuleWriter(full, writer_key)
+    writer = CapsuleWriter(full.metadata, writer_key)
     minted = [writer.append(b"idx-%02d" % i) for i in range(count)]
+    for record, heartbeat in minted:
+        full.admit([record], heartbeat)
     peer = DataCapsule(full.metadata)
     return full, peer, minted
 

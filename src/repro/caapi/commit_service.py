@@ -17,11 +17,12 @@ The plane has three pieces:
   Each committed record wraps the submitter identity, so provenance
   survives the indirection.  One shard on its own (the defaults) is
   the single-shard deployment.
-- :class:`ShardedCommitService` — the front.  It owns N shards, routes
-  ``submit`` by a deterministic key→shard hash, and serves a *signed*
-  :class:`ShardMap` so clients can verify the shard set once and route
-  directly (the front never becomes the choke point the sharding
-  removed).
+- :class:`ShardedCommitService` — the front.  It owns N shards and
+  serves a *signed* :class:`ShardMap`; every submitter verifies it once
+  and submits straight to the shard its key hashes to.  The front
+  takes no ``submit`` itself, so it never becomes the choke point the
+  sharding removed, and no shard reply reaches a client through an
+  unsigned relay.
 - **Optimistic concurrency** (SCL-style compare-seqno CAS): a
   submission may carry ``key`` + ``expect_seqno``.  The precondition is
   judged *at commit time in serialization order* — expect 0 means "key
@@ -47,7 +48,6 @@ from repro.errors import (
     CapsuleError,
     CommitConflictError,
     DelegationError,
-    GdpError,
     expect_bytes,
 )
 from repro.naming.metadata import Metadata
@@ -476,9 +476,8 @@ class CommitShard(GdpClient):
 
 
 class ShardedCommitService(GdpClient):
-    """The commit-plane front: routes ``submit`` by the deterministic
-    key→shard map and serves the signed :class:`ShardMap` so clients can
-    verify once and route directly."""
+    """The commit-plane front: owns the shards and serves the signed
+    :class:`ShardMap`, which clients verify once and route by."""
 
     def __init__(
         self,
@@ -496,7 +495,6 @@ class ShardedCommitService(GdpClient):
             shard.shard_index = index
             shard.shard_count = len(self.shards)
         self._map: ShardMap | None = None
-        self._c_routed = self.metrics.counter("commit.routed")
         self._c_map_served = self.metrics.counter("commit.map_served")
 
     @property
@@ -553,41 +551,6 @@ class ShardedCommitService(GdpClient):
             return {"ok": False, "error": "service not ready"}
         self._c_map_served.inc()
         return {"ok": True, "map": self._map.to_wire()}
-
-    @op(
-        "submit",
-        submitter=bytes,
-        data=bytes,
-        signature=object,
-        key=opt(str),
-        expect_seqno=opt(int),
-        credential=opt(object),
-    )
-    def _op_submit(self, pdu: Pdu, payload: dict) -> Any:
-        """Route a submission to its owning shard and relay the reply
-        (for clients that have not fetched the shard map; map holders
-        skip this hop entirely)."""
-        if self._map is None:
-            return {"ok": False, "error": "service not ready"}
-        index = self._map.route(payload.get("key"), payload["data"])
-        self._c_routed.inc()
-        result = self.ctx.future()
-        target = self.shards[index].name
-
-        def forward() -> Generator:
-            try:
-                reply = yield self.rpc(target, dict(payload), timeout=30.0)
-            except GdpError as exc:
-                result.resolve({
-                    "ok": False,
-                    "error": f"shard {index} unreachable: {exc}",
-                })
-                return
-            body = reply.get("body", reply) if isinstance(reply, dict) else reply
-            result.resolve(body)
-
-        self.ctx.spawn(forward(), name=f"commit.route:{index}")
-        return result
 
 
 def _submission_preimage(

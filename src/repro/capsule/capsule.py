@@ -520,15 +520,6 @@ class DataCapsule:
             self._sync_leaf_cache[seqno] = cached
         return cached
 
-    def seed_sync_leaves(self, leaves: dict[int, bytes]) -> tuple[int, int]:
-        """Prime the sync-leaf cache from a storage engine's persisted
-        index (``SegmentedStore.sync_leaves``); returns ``(seeded,
-        mismatched)``.  Each leaf is cross-checked against the records
-        held at its seqno, so a stale or corrupt index never poisons
-        :meth:`range_root`: a mismatch surfaces as a recovery event."""
-        seeded = sum(self.sync_leaf(seqno) == leaf for seqno, leaf in leaves.items())
-        return seeded, len(leaves) - seeded
-
     def range_root(self, lo: int, hi: int) -> bytes:
         """Merkle root over the sync leaves of seqnos ``lo..hi``
         (inclusive).  O(span) to build, cached until the next insert —

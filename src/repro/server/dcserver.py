@@ -54,7 +54,6 @@ from repro.errors import (
     CapsuleError,
     GdpError,
     RecordNotFoundError,
-    StorageError,
 )
 from repro.naming.metadata import Metadata, make_server_metadata
 from repro.naming.names import GdpName
@@ -126,15 +125,13 @@ class DataCapsuleServer(Endpoint):
         self.crashed = False
         #: last recover_from_storage() report: hosting records that
         #: failed re-verification, records replayed, frames the
-        #: attestation rule refused, sync leaves seeded from the
-        #: persisted segment index, and index-vs-replica mismatches (a
-        #: frame the log lost, or a torn run's refused records)
+        #: attestation rule refused, and stored frames that failed their
+        #: CRC (the backend's ``corrupt_frame_skipped`` events)
         self.last_recovery: dict = {
             "hosting_refused": 0,
             "records": 0,
             "refused": 0,
-            "seeded_leaves": 0,
-            "index_mismatches": 0,
+            "corrupt_frames": 0,
         }
         #: drain state: a draining server refuses new data ops, finishes
         #: in-flight ones, and flushes storage before shutdown
@@ -302,11 +299,10 @@ class DataCapsuleServer(Endpoint):
         behind.  Then every hosted log is replayed into its replica in
         place (:func:`~repro.server.storage.replay`): a frame the
         attestation rule refuses — a record altered at rest, a run torn
-        before its heartbeat — is counted, never stored.  A backend's
-        persisted sync index (``SegmentedStore``) seeds each capsule's
-        sync-leaf cache, cross-checked: a leaf that disagrees with the
-        replayed records is reported there too, not masked by matching
-        roots.
+        before its heartbeat — is counted, never stored.  A frame whose
+        CRC fails ends its segment's replay; the backend logs it and the
+        report counts it, and what the log lost there is missing from
+        the replica's sync leaves, so anti-entropy refetches it.
         """
         report = dict.fromkeys(self.last_recovery, 0)
         for name in self.storage.list_capsules():
@@ -321,19 +317,15 @@ class DataCapsuleServer(Endpoint):
                 report["hosting_refused"] += 1
                 continue
             self._apply_hosting(metadata, chain, placement)
+        events = self.storage.recovery_log
+        seen = len(events)
         for name, hosted in self.hosted.items():
-            capsule = hosted.capsule
-            new, refused = replay(capsule, self.storage.load_entries(name))
+            new, refused = replay(hosted.capsule, self.storage.load_entries(name))
             report["records"] += new
             report["refused"] += refused
-            try:
-                leaves = self.storage.sync_leaves(name)
-            except StorageError:
-                leaves = {}
-            if leaves:
-                seeded, mismatched = capsule.seed_sync_leaves(leaves)
-                report["seeded_leaves"] += seeded
-                report["index_mismatches"] += mismatched
+        report["corrupt_frames"] = sum(
+            1 for e in events[seen:] if e["event"] == "corrupt_frame_skipped"
+        )
         self.last_recovery = report
         return report["records"]
 

@@ -12,32 +12,30 @@ organising each capsule as a sequence of *segments*:
   as a *torn frame* on reopen, and the tail is physically truncated back
   to the last intact frame (logged once in :attr:`recovery_log`).
 - When the active segment reaches ``segment_bytes`` it is **sealed**:
-  fsynced, made immutable, and described by a sidecar ``.idx`` document
-  holding the per-seqno record digests that feed the Merkle sync
-  index — so a restart seeds anti-entropy from disk and cross-checks
-  the replayed records against it instead of re-deriving digests.
+  fsynced, made immutable, and listed as such in the ``MANIFEST`` with
+  its record count and seqno span.  A segment is its frames: nothing
+  beside them is derived from the records, so a restart's replay is the
+  only reader and the replica computes its own sync leaves from it.
 - Sealed segments are **compacted** when they fall entirely below the
   capsule's last *checkpoint* record (``note_checkpoint``): adjacent
   segments merge into one and superseded heartbeats are dropped
   (records are never dropped — the hash chain must re-verify).
 - Cold sealed segments beyond the ``hot_segments`` newest are
   **tiered** to an object store (the ``baselines/s3sim`` shape: a
-  flat key→blob PUT/GET/DELETE service); a replay GETs each one once,
-  and the ``.idx`` stays local so the sync leaves never need a GET.
+  flat key→blob PUT/GET/DELETE service); a replay GETs each one once.
 
 The server serves every read from its in-memory replica; the store is
-read only when a restart replays it (:meth:`SegmentedStore.load_entries`
-and :meth:`SegmentedStore.sync_leaves`), so it keeps no point-read
-index and no cross-call read cache.
+read only when a restart replays it (:meth:`SegmentedStore.load_entries`),
+so it keeps no point-read index and no cross-call read cache.
 
 Durability state machine (every mutation is crash-safe at each arrow;
 the torture suite in ``tests/torture/`` kills the store at every named
 crash point and asserts no acked record is lost):
 
     append:  buffer → [flush → fsync per FsyncPolicy] → ack
-    seal:    fsync(seg) → write idx.tmp → rename idx → MANIFEST
+    seal:    fsync(seg) → MANIFEST
     tier:    PUT object → MANIFEST(tier=object) → unlink local seg
-    compact: write merged seg+idx (fresh id) → MANIFEST → unlink olds
+    compact: write merged seg (fresh id) → MANIFEST → unlink olds
     hosting: MANIFEST (a new capsule's, before its first segment)
     drop:    DELETE tier objects → MANIFEST(fresh tail) → unlink olds
 
@@ -58,7 +56,7 @@ from collections import OrderedDict
 from typing import Callable, Iterator
 
 from repro import encoding
-from repro.crypto.hashing import hash_value, sha256
+from repro.capsule import Record
 from repro.errors import StorageError
 from repro.naming.names import GdpName
 from repro.server.durability import FsyncPolicy
@@ -80,44 +78,6 @@ _FLUSH_BYTES = 64 * 1024
 #: automatic compaction waits for a run of at least this many segments
 _COMPACT_MIN_SEGMENTS = 4
 
-#: sidecar-index packing: a (seqno, digest count) header, then that
-#: many digests.  The sidecar carries one leaf entry per record, so the
-#: leaves are a packed ``struct`` run instead of a canonically-encoded
-#: list — at bench scale (tens of thousands of records per segment)
-#: canonical encoding was the dominant seal cost.
-_IDX_LEAF = struct.Struct(">QH")
-_DIGEST_LEN = 32
-
-
-def _pack_leaves(leaves: dict[int, list[bytes]]) -> bytes:
-    out = bytearray()
-    for seqno in sorted(leaves):
-        digests = sorted(leaves[seqno])
-        out += _IDX_LEAF.pack(seqno, len(digests))
-        for digest in digests:
-            out += digest
-    return bytes(out)
-
-
-def _unpack_leaves(blob: bytes) -> Iterator[tuple[int, bytes]]:
-    """Yield ``(seqno, leaf)``: the digests are packed sorted, so a
-    seqno's leaf is one slice of the blob."""
-    offset = 0
-    size = len(blob)
-    while offset + _IDX_LEAF.size <= size:
-        seqno, count = _IDX_LEAF.unpack_from(blob, offset)
-        offset += _IDX_LEAF.size
-        end = offset + count * _DIGEST_LEN
-        yield seqno, blob[offset:end]
-        offset = end
-
-
-def _digests(leaf: bytes) -> list[bytes]:
-    return [
-        leaf[i : i + _DIGEST_LEN] for i in range(0, len(leaf), _DIGEST_LEN)
-    ]
-
-
 #: Every site where the torture harness may kill the store.  Names are
 #: ``<operation>.<boundary>``; ``append.torn`` additionally simulates a
 #: power loss mid-``write`` by leaving half a frame on disk.
@@ -127,7 +87,6 @@ CRASH_POINTS = (
     "append.buffered",
     "append.after",
     "seal.before",
-    "seal.index_written",
     "seal.pre_manifest",
     "seal.post_manifest",
     "tier.before",
@@ -215,7 +174,6 @@ class _CapsuleLog:
         "buffer",
         "size",
         "pending_fsync",
-        "leaves",
     )
 
     def __init__(self, name: GdpName, directory: str):
@@ -227,8 +185,6 @@ class _CapsuleLog:
         self.buffer = bytearray()  # active-segment bytes not yet write()n
         self.size = 0  # active file length incl. magic and buffer
         self.pending_fsync = 0  # bytes written/buffered since last fsync
-        #: the active segment's sync leaves: seqno -> record digests
-        self.leaves: dict[int, list[bytes]] = {}
 
     @property
     def active(self) -> SegmentInfo:
@@ -243,22 +199,6 @@ class _CapsuleLog:
         }
 
 
-def record_wire_digest(name_raw: bytes, wire: dict) -> bytes:
-    """The digest of a record *wire form*, computed without constructing
-    a :class:`~repro.capsule.records.Record` (no keys, no signature
-    checks) — byte-identical to ``Record.digest`` because both reduce to
-    ``hash_value("gdp.record", [capsule, seqno, payload_hash, ptrs])``.
-
-    Deliberately bypasses the process-wide digest memo: hashing the
-    ~100-byte header outright is cheaper than building the memo's
-    content-frozen key, and the append hot path calls this once per
-    record."""
-    return hash_value(
-        "gdp.record",
-        [name_raw, wire["seqno"], sha256(wire["payload"]), wire["pointers"]],
-    )
-
-
 class SegmentedStore(StorageBackend):
     """Segmented-log storage engine (see module docstring).
 
@@ -267,7 +207,6 @@ class SegmentedStore(StorageBackend):
         <capsule-hex>/MANIFEST        hosting record + segment chain;
                                       the commit point (atomic rewrite)
         <capsule-hex>/seg-00000001.seg   frames (magic + tag/len/crc)
-        <capsule-hex>/seg-00000001.idx   sealed-segment sidecar index
 
     *fsync_policy* (a :class:`FsyncPolicy` or its spec string) says
     when an append reaches the platter: ``"always"`` before every ack,
@@ -337,10 +276,6 @@ class SegmentedStore(StorageBackend):
     @staticmethod
     def _seg_path(directory: str, seg_id: int) -> str:
         return os.path.join(directory, f"seg-{seg_id:08d}.seg")
-
-    @staticmethod
-    def _idx_path(directory: str, seg_id: int) -> str:
-        return os.path.join(directory, f"seg-{seg_id:08d}.idx")
 
     def _tier_key(self, name: GdpName, seg_id: int) -> str:
         return f"{name.hex()}/seg-{seg_id:08d}.seg"
@@ -457,9 +392,6 @@ class SegmentedStore(StorageBackend):
                 # Debris from a crashed seal/compact that never reached
                 # its manifest commit point.
                 os.unlink(path)
-                idx = self._idx_path(directory, seg_id)
-                if os.path.exists(idx):
-                    os.unlink(idx)
                 self._log_event("debris_removed", name, segment=seg_id)
         for seg in log.segments:
             if seg.tier == "object" and seg.id in local:
@@ -471,19 +403,12 @@ class SegmentedStore(StorageBackend):
             # next active file: open a fresh tail.
             next_id = max((seg.id for seg in log.segments), default=0) + 1
             log.segments.append(SegmentInfo(next_id))
-        active = log.active
-        stale_idx = self._idx_path(directory, active.id)
-        if os.path.exists(stale_idx):
-            # An interrupted seal wrote the index but never committed
-            # the manifest; the tail replay below recomputes it.
-            os.unlink(stale_idx)
-            self._log_event("stale_index_removed", name, segment=active.id)
         self._replay_tail(log)
         return log
 
     def _replay_tail(self, log: _CapsuleLog) -> None:
         """Replay the active segment, truncating at the first torn or
-        corrupt frame, and rebuild its in-memory index."""
+        corrupt frame, and rebuild its span."""
         path = self._seg_path(log.dir, log.active.id)
         if not os.path.exists(path):
             with open(path, "wb") as fh:
@@ -496,7 +421,6 @@ class SegmentedStore(StorageBackend):
             data = fh.read()
         good = len(_MAGIC)
         active = log.active
-        log.leaves = {}
         active.records = 0
         active.first = 0
         active.last = 0
@@ -514,9 +438,7 @@ class SegmentedStore(StorageBackend):
                 if zlib.crc32(payload) != crc:
                     break  # corrupt frame: everything after is suspect
                 if chr(tag) == _TAG_RECORD:
-                    self._index_entry(
-                        log, _TAG_RECORD, encoding.decode(payload)
-                    )
+                    _extend_span(active, encoding.decode(payload)["seqno"])
                 offset = end
                 good = offset
         if good < len(data) or len(data) < len(_MAGIC):
@@ -575,7 +497,6 @@ class SegmentedStore(StorageBackend):
         log = self._require(name)
         self._crashpoint("append.before")
         chunk = bytearray()
-        appended = 0
 
         def commit() -> None:
             """Move the staged chunk into the active tail's buffer."""
@@ -588,18 +509,10 @@ class SegmentedStore(StorageBackend):
             log.pending_fsync += len(chunk)
             chunk = bytearray()
 
-        name_raw = name.raw
         hooked = self.crash_hook is not None
         segment_bytes = self.segment_bytes
         for tag, wire in entries:
             blob = encoding.encode(wire)
-            digest = None
-            if tag == _TAG_RECORD:
-                bucket = log.leaves.get(wire["seqno"])
-                if bucket is not None:
-                    digest = record_wire_digest(name_raw, wire)
-                    if digest in bucket:
-                        continue  # duplicate already in the tail
             frame = _FRAME.pack(ord(tag[0]), len(blob), zlib.crc32(blob))
             if hooked:
                 try:
@@ -617,8 +530,8 @@ class SegmentedStore(StorageBackend):
                     raise
             chunk += frame
             chunk += blob
-            self._index_entry(log, tag, wire, digest)
-            appended += 1
+            if tag == _TAG_RECORD:
+                _extend_span(log.active, wire["seqno"])
             if log.size + len(chunk) >= segment_bytes:
                 # Roll over mid-batch: a replication burst pushed
                 # through append_entries must not grow one unbounded
@@ -633,47 +546,9 @@ class SegmentedStore(StorageBackend):
         elif len(log.buffer) >= _FLUSH_BYTES:
             self._flush(log)
         self._crashpoint("append.after")
-        return appended
-
-    def _index_entry(
-        self,
-        log: _CapsuleLog,
-        tag: str,
-        wire: dict,
-        digest: bytes | None = None,
-    ) -> None:
-        """Fold one record into the active segment's span and sync
-        leaves (shared by the append path, tail replay and compaction).
-        *digest* is the record digest when the caller already computed
-        it for the duplicate check — hashing is the append path's
-        largest per-record cost, so it is never paid twice."""
-        if tag != _TAG_RECORD:
-            return
-        seqno = wire["seqno"]
-        active = log.active
-        active.records += 1
-        if active.first == 0 or seqno < active.first:
-            active.first = seqno
-        if seqno > active.last:
-            active.last = seqno
-        if digest is None:
-            digest = record_wire_digest(log.name.raw, wire)
-        bucket = log.leaves.setdefault(seqno, [])
-        if digest not in bucket:
-            bucket.append(digest)
+        return len(entries)
 
     # -- sealing / tiering / compaction --------------------------------------
-
-    def _index_wire(self, log: _CapsuleLog) -> dict:
-        active = log.active
-        return {
-            "segment": active.id,
-            "records": active.records,
-            "first": active.first,
-            "last": active.last,
-            "bytes": log.size,
-            "leaves": _pack_leaves(log.leaves),
-        }
 
     def _seal(self, log: _CapsuleLog) -> None:
         """Seal the active segment and open a fresh tail (crash-safe:
@@ -681,9 +556,6 @@ class SegmentedStore(StorageBackend):
         self._crashpoint("seal.before")
         self._fsync_active(log)
         active = log.active
-        idx_path = self._idx_path(log.dir, active.id)
-        self._write_atomic(idx_path, encoding.encode(self._index_wire(log)))
-        self._crashpoint("seal.index_written")
         active.sealed = True
         active.bytes = log.size
         next_id = max(seg.id for seg in log.segments) + 1
@@ -699,7 +571,6 @@ class SegmentedStore(StorageBackend):
             os.fsync(fh.fileno())
         log.size = len(_MAGIC)
         log.pending_fsync = 0
-        log.leaves = {}
         if log.checkpoint:
             self._maybe_compact(log)
         if self.tier is not None:
@@ -778,20 +649,15 @@ class SegmentedStore(StorageBackend):
         merged_id = max(seg.id for seg in log.segments) + 1
         frames = bytearray(_MAGIC)
         merged = SegmentInfo(merged_id, sealed=True)
-        # The merged segment's index is built by the code the append
-        # path and tail replay use, over a scratch log whose only
-        # segment is the merged one.
-        scratch = _CapsuleLog(log.name, log.dir)
-        scratch.segments.append(merged)
-        scanned = []  # (tag, payload, wire, record digest)
+        scanned = []  # (tag, payload, wire)
         pointers: dict[bytes, list[bytes]] = {}
         for seg in eligible:
             for tag, payload, _ in _iter_frames(self._segment_buffer(log, seg)):
-                wire, digest = encoding.decode(payload), None
+                wire = encoding.decode(payload)
                 if tag == _TAG_RECORD:
-                    digest = record_wire_digest(log.name.raw, wire)
+                    digest = Record.from_wire(log.name, wire).digest
                     pointers[digest] = [ptr[1] for ptr in wire["pointers"]]
-                scanned.append((tag, payload, wire, digest))
+                scanned.append((tag, payload, wire))
         # Replay keeps a record its heartbeat or an attested successor
         # attests, so a heartbeat goes only when a newer kept one reaches
         # its record by hash pointers: the one over a record before a
@@ -808,20 +674,17 @@ class SegmentedStore(StorageBackend):
                         attested.add(digest)
                         frontier.extend(pointers.get(digest, ()))
             kept.append(frame)
-        for tag, payload, wire, digest in reversed(kept):
+        for tag, payload, wire in reversed(kept):
             frames += _FRAME.pack(ord(tag), len(payload), zlib.crc32(payload))
             frames += payload
-            self._index_entry(scratch, tag, wire, digest)
-        scratch.size = merged.bytes = len(frames)
+            if tag == _TAG_RECORD:
+                _extend_span(merged, wire["seqno"])
+        merged.bytes = len(frames)
         seg_path = self._seg_path(log.dir, merged_id)
         with open(seg_path, "wb") as fh:
             fh.write(bytes(frames))
             fh.flush()
             os.fsync(fh.fileno())
-        self._write_atomic(
-            self._idx_path(log.dir, merged_id),
-            encoding.encode(self._index_wire(scratch)),
-        )
         self._crashpoint("compact.merged")
         merged_ids = {seg.id for seg in eligible}
         position = log.segments.index(eligible[0])
@@ -832,12 +695,9 @@ class SegmentedStore(StorageBackend):
         self._write_manifest(log)
         self._crashpoint("compact.pre_cleanup")
         for seg_id in merged_ids:
-            for path in (
-                self._seg_path(log.dir, seg_id),
-                self._idx_path(log.dir, seg_id),
-            ):
-                if os.path.exists(path):
-                    os.unlink(path)
+            path = self._seg_path(log.dir, seg_id)
+            if os.path.exists(path):
+                os.unlink(path)
         self._log_event(
             "compacted",
             log.name,
@@ -899,9 +759,9 @@ class SegmentedStore(StorageBackend):
                 for tag, payload, offset in _iter_frames(buf):
                     if zlib.crc32(payload) != _crc_at(buf, offset):
                         # Sealed-frame rot: stop this segment (the rest
-                        # is suspect) but keep later segments; the
-                        # recovery cross-check in the server surfaces
-                        # the gap as an integrity event.
+                        # is suspect) but keep later segments.  The
+                        # server's recovery counts the event, and
+                        # anti-entropy refetches what a sibling holds.
                         self._log_event(
                             "corrupt_frame_skipped",
                             name,
@@ -912,36 +772,6 @@ class SegmentedStore(StorageBackend):
                     yield tag, encoding.decode(payload)
 
         return entries()
-
-    def sync_leaves(self, name: GdpName) -> dict[int, bytes]:
-        """The persisted Merkle sync-index leaves for every seqno whose
-        records live wholly in sealed segments: ``seqno -> b"".join(``
-        sorted digests``)``, exactly :meth:`DataCapsule.sync_leaf`'s
-        value.  Reads each sealed ``.idx`` once.  Seqnos with records
-        still in the active tail are omitted (the capsule computes those
-        lazily), so a seeded cache can never mask a tail divergence."""
-        log = self._log_for(name)
-        if log is None:
-            return {}
-        leaves: dict[int, bytes] = {}
-        for seg in log.segments:
-            if not seg.sealed or seg.records == 0:
-                continue
-            path = self._idx_path(log.dir, seg.id)
-            try:
-                with open(path, "rb") as fh:
-                    packed = encoding.decode(fh.read())["leaves"]
-            except OSError as exc:
-                raise StorageError(f"index read failed: {exc}") from exc
-            for seqno, leaf in _unpack_leaves(packed):
-                have = leaves.get(seqno)
-                if have is not None and have != leaf:
-                    # records of one seqno sealed into two segments
-                    leaf = b"".join(sorted({*_digests(have), *_digests(leaf)}))
-                leaves[seqno] = leaf
-        for seqno in log.leaves:
-            leaves.pop(seqno, None)
-        return leaves
 
     # -- misc contract -------------------------------------------------------
 
@@ -958,8 +788,7 @@ class SegmentedStore(StorageBackend):
         return names
 
     def drop_entries(self, name: GdpName) -> None:
-        """Remove every segment, sidecar index and tiered object of a
-        capsule; the manifest, and so the hosting record, stays.  Tier
+        """Remove every segment and tiered object of a capsule; the manifest, and so the hosting record, stays.  Tier
         objects go first, then the manifest drops the segment chain
         (the commit point), then the local files.  A crash part-way
         leaves the hosting record, so recovery re-applies the retire,
@@ -1020,6 +849,16 @@ def _iter_frames(buf):
             break
         yield chr(tag), bytes(buf[offset + _FRAME.size : end]), offset
         offset = end
+
+
+def _extend_span(seg: SegmentInfo, seqno: int) -> None:
+    """Fold one record's seqno into *seg*'s count and span (the append
+    path, tail replay and compaction)."""
+    seg.records += 1
+    if seg.first == 0 or seqno < seg.first:
+        seg.first = seqno
+    if seqno > seg.last:
+        seg.last = seqno
 
 
 def _crc_at(buf, offset: int) -> int:

@@ -9,7 +9,7 @@ backends.  Per capsule a backend keeps two things: the *hosting record*
 (``store_hosting`` / ``load_hosting``: the metadata, this server's
 delegation chain and the owner-signed placement it last applied; the
 last write wins) and the log of records and heartbeats
-(``append_entries`` / ``load_entries`` + ``sync_leaves``).  What a
+(``append_entries`` / ``load_entries``).  What a
 server hosts after a restart is what its hosting records say, re-verified
 (``DataCapsuleServer.recover_from_storage``).  The two backends:
 
@@ -25,13 +25,15 @@ whatever comes back is admitted again by the capsule layer's
 attestation rule (:func:`replay`), so a record altered at rest is
 refused and counted, never replayed as the replica's record.  Records and
 heartbeats have one write, :meth:`StorageBackend.append_entries`: the
-server persists each admitted run with one call.
+server persists each admitted run with one call, and a backend keeps
+nothing derived from them — the replica computes its sync leaves from
+what the replay admitted.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.capsule import DataCapsule, Heartbeat, Record
 from repro.errors import GdpError, StorageError
@@ -45,6 +47,11 @@ _TAG_HEARTBEAT = "h"
 
 class StorageBackend(ABC):
     """Per-server persistent storage for capsule wire data."""
+
+    #: integrity events the backend observed reading its medium, in
+    #: order (``{"event": ..., "capsule": hex, ...}``); a backend whose
+    #: medium cannot tear or rot observes none
+    recovery_log: Sequence[dict] = ()
 
     @abstractmethod
     def store_hosting(self, name: GdpName, hosting: dict) -> None:
@@ -90,12 +97,6 @@ class StorageBackend(ABC):
     def sync(self) -> None:
         """Flush everything buffered to the durable medium (no-op for
         backends that persist synchronously)."""
-
-    def sync_leaves(self, name: GdpName) -> dict[int, bytes]:
-        """Persisted Merkle sync-index leaves (``seqno -> leaf``) that
-        recovery may seed a capsule's cache from; none for backends
-        that keep no index."""
-        return {}
 
     def note_checkpoint(self, name: GdpName, seqno: int) -> None:
         """*seqno* is a checkpoint record: history below it may be

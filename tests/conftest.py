@@ -254,7 +254,9 @@ def server_metadata_factory():
 
 class ProcessWorld:
     """One capsule whose owner signs placements for it on servers that
-    each boot as a fresh process over a :class:`SegmentedStore` root."""
+    each boot as a fresh process over a :class:`SegmentedStore` root.
+    Ops are delivered by direct dispatch; :meth:`sibling_on` gives a
+    booted server a reachable sibling when a test needs them to talk."""
 
     def __init__(self, root: str):
         self.root = root
@@ -271,11 +273,30 @@ class ProcessWorld:
         )
         self.run = run_wire(records, heartbeat)
 
-    def boot(self) -> DataCapsuleServer:
+    def boot(self, **store_options) -> DataCapsuleServer:
         """A fresh server process over the store root."""
         return DataCapsuleServer(
-            SimNetwork(seed=3), "process_s", storage=SegmentedStore(self.root)
+            SimNetwork(seed=3),
+            "process_s",
+            storage=SegmentedStore(self.root, **store_options),
         )
+
+    def sibling_on(self, server: DataCapsuleServer) -> DataCapsuleServer:
+        """A process named as :attr:`other` on *server*'s network, both
+        attached to one router and advertised (it stores nothing yet)."""
+        net = server.network
+        sibling = DataCapsuleServer(net, self.other.node_id)
+        clock = lambda: net.sim.now  # noqa: E731
+        router = GdpRouter(net, "process_r", RoutingDomain("global", clock=clock))
+        for node in (server, sibling):
+            node.attach(router)
+
+        def advertise():
+            yield server.advertise()
+            yield sibling.advertise()
+
+        net.sim.run_process(advertise(), "advertise")
+        return sibling
 
     def placement(self, version: int, servers) -> Placement:
         placement = Placement(self.name, version, servers)
@@ -297,11 +318,13 @@ class ProcessWorld:
             "placement": placement.to_wire(),
         })
 
-    def append(self, server: DataCapsuleServer) -> dict:
-        """Store the three-record run on *server*; its reply."""
+    def append(
+        self, server: DataCapsuleServer, op: str = "replicate_batch"
+    ) -> dict:
+        """Deliver the three-record run to *server* as *op* (a sibling's
+        ``replicate_batch`` or the writer's ``append_batch``); its reply."""
         return self._request(
-            server,
-            {"op": "replicate_batch", "capsule": self.name.raw, **self.run},
+            server, {"op": op, "capsule": self.name.raw, **self.run}
         )
 
 

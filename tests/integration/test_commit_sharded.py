@@ -136,7 +136,9 @@ class TestShardRouting:
         # The retry refetched the authoritative (signed) map.
         assert healed_map.services == tuple(s.name for s in shards)
 
-    def test_front_routes_for_mapless_clients(self, mini_gdp, owner_keys):
+    def test_front_takes_no_submit(self, mini_gdp, owner_keys):
+        """Submitters route by the signed map; a ``submit`` sent to the
+        front is an unknown op there and commits nothing."""
         g = mini_gdp
         front, shards, (alice, *_), setup = build_plane(g, owner_keys, 2)
 
@@ -152,9 +154,11 @@ class TestShardRouting:
             return shard_map, reply.get("body", reply)
 
         shard_map, body = g.run(scenario())
-        assert body["ok"] is True
-        assert body["shard"] == shard_map.shard_of("via/front")
-        assert body["seqno"] == 1
+        assert body["ok"] is False
+        assert body["error_kind"] == "unknown_op"
+        assert all(shard.version_of("via/front") == 0 for shard in shards)
+        for capsule in shard_map.capsules:
+            assert len(g.server_root.hosted[capsule].capsule) == 0
 
     def test_tampered_shard_map_rejected(self, mini_gdp, owner_keys):
         g = mini_gdp

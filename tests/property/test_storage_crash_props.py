@@ -6,8 +6,7 @@ segment size, tiering, compaction cadence, history length, and the
 land at arbitrary offsets relative to the crash.  The invariant is
 always the same — replaying the reopened log yields a verified prefix of
 the acked history and refuses nothing at or below the ack (a seal that
-split a run from its heartbeat may leave an unacked record refused), the
-persisted sync index matches the record frames it was built from, and
+split a run from its heartbeat may leave an unacked record refused), and
 the tail truncation is logged at most once (second reopen: never, and it
 replays to the same record set).
 """
@@ -93,7 +92,7 @@ class TestCrashRecovery:
     @given(config=configs, tier_on=st.booleans(), n=st.integers(5, 40))
     def test_clean_shutdown_loses_nothing(self, history, config, tier_on, n):
         """Without a crash, every knob combination round-trips the full
-        history: nothing truncated, nothing duplicated, index honest."""
+        history: nothing truncated, nothing lost, nothing refused."""
         sub = prefix_of(history, n)
         tier = MemoryObjectTier() if tier_on else None
         root = tempfile.mkdtemp(prefix="segclean-")

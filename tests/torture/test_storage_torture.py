@@ -5,8 +5,8 @@ cold segments to an object store, one that compacts below checkpoints —
 and asserts the full recovery invariant set from
 :mod:`repro.server.crashlab` after each simulated kill: no acked record
 lost, replay refusals only past the ack, no phantoms, the hash chain
-re-verifies, the tail truncation is logged at most once, the persisted
-sync index matches its frames, and a second reopen replays the same.
+re-verifies, the tail truncation is logged at most once, and a second
+reopen replays the same.
 
 The two schedules are deliberately complementary: tiering everything
 but the newest sealed segment (``hot_segments=1``) leaves no contiguous

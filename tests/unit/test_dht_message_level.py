@@ -510,6 +510,15 @@ class TestGrepGuard:
         # the client's record copies: a read stored into the reader's
         # capsule, and its re-verification of what it had kept
         "def admit_range", "def verify_everything",
+        # the store's persisted sync index: its read, the recovery seeding
+        # and cross-check, its second digest per record and its packing
+        "def sync_leaves", "seed_sync_leaves", "record_wire_digest",
+        "_pack_leaves", "index_mismatches",
+        # the index's sidecar file and the crash point between it and the
+        # seal's manifest commit
+        ".idx", "seal.index_written",
+        # the commit front's unsigned submit relay and its counter
+        "commit.routed",
     )
 
     def test_back_compat_layer_stays_deleted(self):

@@ -1,19 +1,16 @@
-"""SegmentedStore engine specifics: sealing, the persisted sync index,
-tiering, checkpoint compaction, recovery events, and stores whose
-``.idx`` files carry the older layout.  (Cross-backend contract
-coverage lives in ``test_storage.py``; crash-point sweeps in
-``tests/torture/``.)"""
+"""SegmentedStore engine specifics: sealing, tiering, checkpoint
+compaction, recovery events, and a capsule directory that holds only
+its frames and its manifest.  (Cross-backend contract coverage lives in
+``test_storage.py``; crash-point sweeps in ``tests/torture/``.)"""
 
 import hashlib
 import os
-import struct
 
 import pytest
 
-from repro import encoding
 from repro.baselines.s3sim import MemoryObjectTier
 from repro.capsule import CapsuleWriter, DataCapsule
-from repro.server.segmented import SegmentedStore, record_wire_digest
+from repro.server.segmented import SegmentedStore
 from repro.server.storage import replay
 
 
@@ -27,6 +24,15 @@ def filled(capsule_factory, writer_key):
     for record, heartbeat in pairs:
         capsule.admit([record], heartbeat)
     return capsule, pairs
+
+
+def assert_only_frames_and_manifest(capsule_dir):
+    """A capsule directory holds its ``seg-*.seg`` files and its
+    ``MANIFEST``, nothing else."""
+    for fname in os.listdir(capsule_dir):
+        assert fname == "MANIFEST" or (
+            fname.startswith("seg-") and fname.endswith(".seg")
+        ), fname
 
 
 def fill_store(store, capsule, pairs):
@@ -103,102 +109,6 @@ class TestSealing:
         reopened.close()
 
 
-class TestSyncIndex:
-    def test_sealed_leaves_match_capsule(self, tmp_path, filled):
-        capsule, pairs = filled
-        store = SegmentedStore(str(tmp_path), segment_bytes=700)
-        # 29 runs: the 30th would seal the tail it should leave open.
-        fill_store(store, capsule, pairs[:-1])
-        leaves = store.sync_leaves(capsule.name)
-        assert leaves, "sealed segments must persist their leaves"
-        for seqno, leaf in leaves.items():
-            assert leaf == capsule.sync_leaf(seqno)
-        # Seqnos still in the active tail are deliberately excluded —
-        # a seeded cache must never mask tail divergence.
-        tail = store.segments(capsule.name)[-1]
-        assert tail.records > 0
-        assert tail.last not in leaves
-        store.close()
-
-    def test_seed_sync_leaves_cross_checks(self, tmp_path, filled):
-        capsule, pairs = filled
-        store = SegmentedStore(str(tmp_path), segment_bytes=700)
-        fill_store(store, capsule, pairs)
-        leaves = store.sync_leaves(capsule.name)
-        seeded, mismatched = capsule.seed_sync_leaves(leaves)
-        assert seeded == len(leaves) and mismatched == 0
-        # A corrupted leaf is rejected, not cached.
-        bad = dict(leaves)
-        victim = next(iter(bad))
-        bad[victim] = b"\x00" * len(bad[victim])
-        seeded, mismatched = capsule.seed_sync_leaves({victim: bad[victim]})
-        assert seeded == 0 and mismatched == 1
-        store.close()
-
-    def test_seqno_split_across_segments_merges_its_leaf(
-        self, tmp_path, filled
-    ):
-        """A second record at a seqno that arrives after the first was
-        sealed lands in another segment; the seqno still gets one leaf
-        holding both digests, sorted, as ``DataCapsule.sync_leaf``."""
-        capsule, pairs = filled
-        store = SegmentedStore(str(tmp_path), segment_bytes=700)
-        fill_store(store, capsule, pairs)
-        first = pairs[2][0].to_wire()
-        branch = dict(first, payload=b"a second record at seqno 3")
-        store.append_entries(
-            capsule.name,
-            [("r", branch)] + [("h", hb.to_wire()) for _, hb in pairs[:8]],
-        )
-        holding = [
-            seg for seg in store.segments(capsule.name)
-            if seg.sealed and seg.first <= 3 <= seg.last
-        ]
-        assert len(holding) == 2
-        digests = [
-            record_wire_digest(capsule.name.raw, wire)
-            for wire in (first, branch)
-        ]
-        leaves = store.sync_leaves(capsule.name)
-        assert leaves[3] == b"".join(sorted(digests))
-        store.close()
-
-    def test_older_idx_layout_seeds_the_same_leaves(self, tmp_path, filled):
-        """An ``.idx`` written with the point-read index the engine once
-        kept (packed ``sparse`` / ``extras`` seqno→offset pairs beside
-        the leaves) opens and seeds exactly the same leaves."""
-        capsule, pairs = filled
-        root = str(tmp_path)
-        store = SegmentedStore(root, segment_bytes=700)
-        fill_store(store, capsule, pairs)
-        expected = store.sync_leaves(capsule.name)
-        store.close()
-        capsule_dir = os.path.join(root, capsule.name.hex())
-        rewritten = 0
-        for fname in sorted(os.listdir(capsule_dir)):
-            if not fname.endswith(".idx"):
-                continue
-            path = os.path.join(capsule_dir, fname)
-            with open(path, "rb") as fh:
-                idx = encoding.decode(fh.read())
-            assert set(idx) == {
-                "segment", "records", "first", "last", "bytes", "leaves"
-            }
-            # one packed (seqno, offset) pair each, as that layout held
-            idx["sparse"] = struct.pack(">QQ", idx["first"], 8)
-            idx["extras"] = struct.pack(">QQ", idx["last"], idx["bytes"] // 2)
-            with open(path, "wb") as fh:
-                fh.write(encoding.encode(idx))
-            rewritten += 1
-        assert rewritten > 1
-        reopened = SegmentedStore(root, segment_bytes=700)
-        leaves = reopened.sync_leaves(capsule.name)
-        assert leaves == expected
-        seeded, mismatched = capsule.seed_sync_leaves(leaves)
-        assert seeded == len(leaves) and mismatched == 0
-        reopened.close()
-
-
 class TestTiering:
     def test_cold_segments_move_to_object_store(self, tmp_path, filled):
         capsule, pairs = filled
@@ -212,21 +122,19 @@ class TestTiering:
         ]
         assert len(tiered) >= 3
         assert tier.puts == len(tiered)
-        # Local .seg files for tiered segments are gone; the sidecar
-        # indexes stay local (sync_leaves never needs a download).
+        # Local .seg files for tiered segments are gone, and a capsule
+        # directory holds only its local segments and its manifest.
         capsule_dir = os.path.join(str(tmp_path), capsule.name.hex())
         for seg in tiered:
             assert not os.path.exists(
                 os.path.join(capsule_dir, "seg-%08d.seg" % seg.id)
             )
-            assert os.path.exists(
-                os.path.join(capsule_dir, "seg-%08d.idx" % seg.id)
-            )
+        assert_only_frames_and_manifest(capsule_dir)
         store.close()
 
     def test_read_through_and_cache(self, tmp_path, filled):
         """A replay GETs each tiered segment once; nothing is cached
-        across replays, and the sync leaves need no GET at all."""
+        across replays."""
         capsule, pairs = filled
         tier = MemoryObjectTier()
         store = SegmentedStore(
@@ -245,8 +153,6 @@ class TestTiering:
             ]
             assert seqnos == list(range(1, 31))
             assert tier.gets == replay * tiered
-        assert store.sync_leaves(capsule.name)
-        assert tier.gets == 2 * tiered
         store.close()
 
     def test_delete_capsule_clears_tier_objects(self, tmp_path, filled):
@@ -292,9 +198,11 @@ class TestCompaction:
             1 for tag, _ in store.load_entries(capsule.name) if tag == "h"
         )
         assert heartbeat_count < len(pairs)
-        # The merged segment's leaves still seed the capsule cleanly.
-        leaves = store.sync_leaves(capsule.name)
-        assert capsule.seed_sync_leaves(leaves) == (len(leaves), 0)
+        # The replay of the merged log gives back the replica it was
+        # written from, so its sync leaves are the replica's.
+        replica = DataCapsule(capsule.metadata)
+        assert replay(replica, store.load_entries(capsule.name)) == (30, 0)
+        assert replica.range_root(1, 30) == capsule.range_root(1, 30)
         event = next(
             e for e in store.recovery_log if e["event"] == "compacted"
         )
@@ -302,9 +210,9 @@ class TestCompaction:
         store.close()
 
     def test_compacted_index_bytes_are_pinned(self, tmp_path, filled):
-        """The merged segment's ``.idx`` comes from the index builder
-        the append path and tail replay use; its bytes are pinned, two
-        out-of-order arrivals included."""
+        """Compaction output is pinned: the merged ``.seg`` (the kept
+        frames in write order, which the manifest indexes by span) has
+        a fixed size and hash, two out-of-order arrivals included."""
         capsule, pairs = filled
         pairs = list(pairs)
         pairs[2], pairs[3] = pairs[3], pairs[2]
@@ -316,15 +224,15 @@ class TestCompaction:
         event = next(
             e for e in store.recovery_log if e["event"] == "compacted"
         )
-        idx_path = store._idx_path(
+        seg_path = store._seg_path(
             store._require(capsule.name).dir, event["into"]
         )
-        with open(idx_path, "rb") as fh:
+        with open(seg_path, "rb") as fh:
             blob = fh.read()
-        assert len(blob) == 1076
+        assert len(blob) == 3798
         assert hashlib.sha256(blob).hexdigest() == (
-            "fae56f8cdcaeaf1894e0674e3a2c12a3"
-            "2911bc612c4734fed64b3f4479568171"
+            "c3ce0a1381e4afb9f943d9225f942532"
+            "f76b8ae930ca80aa0598087fca30aeab"
         )
         store.close()
 
@@ -341,6 +249,32 @@ class TestCompaction:
         new, refused = replay(replica, store.load_entries(capsule.name))
         assert (new, refused) == (29, 0)
         assert replica.get(10) == pairs[9][0]
+        store.close()
+
+    def test_directory_holds_only_frames_and_manifest(self, tmp_path, filled):
+        """Seals, a compaction, then tiering of the merged segment leave
+        nothing in the capsule directory beside ``seg-*.seg`` files and
+        the ``MANIFEST``."""
+        capsule, pairs = filled
+        root = str(tmp_path)
+        capsule_dir = os.path.join(root, capsule.name.hex())
+        store = SegmentedStore(root, segment_bytes=700)
+        fill_store(store, capsule, pairs[:20])
+        store.note_checkpoint(capsule.name, 16)
+        assert store.compact(capsule.name) >= 2
+        assert_only_frames_and_manifest(capsule_dir)
+        store.close()
+        tier = MemoryObjectTier()
+        store = SegmentedStore(root, segment_bytes=700, hot_segments=1, tier=tier)
+        entries = []
+        for record, heartbeat in pairs[20:]:
+            entries += [("r", record.to_wire()), ("h", heartbeat.to_wire())]
+        store.append_entries(capsule.name, entries)
+        tiered = [
+            seg for seg in store.segments(capsule.name) if seg.tier == "object"
+        ]
+        assert tiered and tier.puts == len(tiered)
+        assert_only_frames_and_manifest(capsule_dir)
         store.close()
 
     def test_compact_without_checkpoint_is_noop(self, tmp_path, filled):
@@ -441,18 +375,3 @@ class TestRecoveryEvents:
         )
         assert seqnos == list(range(1, 31))
         reopened.close()
-
-
-class TestActiveTailDedup:
-    def test_duplicate_record_suppressed(self, tmp_path, filled):
-        """Unlike FileStore, the segmented tail consults its in-memory
-        leaf index: a re-delivered record never lands twice on disk."""
-        capsule, pairs = filled
-        store = SegmentedStore(str(tmp_path))
-        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
-        wire = pairs[0][0].to_wire()
-        store.append_entries(capsule.name, [("r", wire)])
-        store.append_entries(capsule.name, [("r", wire)])
-        frames = [tag for tag, _ in store.load_entries(capsule.name)]
-        assert frames == ["r"]
-        store.close()

@@ -15,6 +15,7 @@ import pytest
 
 from repro import encoding
 from repro.errors import GdpError
+from repro.server.replication import sync_once
 
 
 def place_and_fill(g, n_records: int = 4):
@@ -228,3 +229,55 @@ class TestFreshProcess:
         assert fresh.recover_from_storage() == 0
         assert w.name not in fresh.hosted
         assert fresh.last_recovery["hosting_refused"] == 1
+
+    def test_rotted_sealed_frame_is_counted_and_refetched(self, process_world):
+        """A sealed frame that fails its CRC ends its segment's replay:
+        recovery counts it, and one anti-entropy round with the sibling
+        brings back every record the replica lost with it."""
+        w = process_world
+        server = w.boot(segment_bytes=1)  # every frame seals a segment
+        placement = w.placement(1, [server.name, w.other.name])
+        assert w.host(server, placement)["ok"]
+        assert w.append(server)["ok"]
+        server.storage.close()
+        # seg 2 holds record 2's frame alone: flip its last payload byte
+        path = os.path.join(w.root, w.name.hex(), "seg-00000002.seg")
+        with open(path, "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last[0] ^ 1]))
+
+        fresh = w.boot()
+        fresh.recover_from_storage()
+        assert fresh.last_recovery["corrupt_frames"] == 1
+        capsule = fresh.hosted[w.name].capsule
+        lost = {1, 2, 3} - set(capsule.seqnos())
+        assert 2 in lost
+        sibling = w.sibling_on(fresh)
+        assert w.host(sibling, placement)["ok"]
+        assert w.append(sibling)["ok"]
+        fetched = fresh.network.sim.run_process(
+            sync_once(fresh, w.name, sibling.name), "sync"
+        )
+        assert fetched == len(lost)
+        assert sorted(capsule.seqnos()) == [1, 2, 3]
+
+    def test_a_record_already_held_is_stored_once(self, process_world):
+        """``DataCapsule.admit`` is the one dedup: a re-sent
+        ``append_batch`` and a ``replicate_batch`` of records the
+        replica holds add no frame to its log."""
+        w = process_world
+        server = w.boot()
+        assert w.host(server, w.placement(1, [server.name]))["ok"]
+
+        def frames() -> int:
+            return len(list(server.storage.load_entries(w.name)))
+
+        assert w.append(server, "append_batch")["ok"]
+        stored = frames()
+        assert stored == 4  # three records and their heartbeat
+        assert w.append(server, "append_batch")["ok"]
+        assert frames() == stored
+        assert w.append(server)["ok"]
+        assert frames() == stored

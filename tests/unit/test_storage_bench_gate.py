@@ -21,7 +21,6 @@ def doc(durable=4.0, tiered=24):
             "replay": {
                 "seconds": 2.0,
                 "records_per_sec": 100_000.0,
-                "sync_leaves": 190_000,
             },
         },
     }

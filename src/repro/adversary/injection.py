@@ -153,20 +153,22 @@ class StorageTamperer:
 
     def corrupt_record(self, capsule_name: GdpName, seqno: int) -> None:
         """Replace a stored record's payload (keeping its metadata) —
-        the digest no longer matches, so reads fail verification."""
+        the digest no longer matches, so reads fail verification.  The
+        operator owns memory and disk: header and stored wire are forged."""
         hosted = self.server.hosted[capsule_name]
         capsule = hosted.capsule
-        record = capsule.get(seqno)
+        (record,) = self.server.stored_records(capsule_name, seqno)
         forged = Record(
             record.capsule,
             record.seqno,
             record.payload + b"!tampered!",
             record.pointers,
         )
-        # Reach into the store the way a hostile operator would: swap
-        # the bytes without updating any index.
+        self.server.storage.append_entries(capsule_name, [("r", forged.to_wire())])
+        # Reach into the replica the way a hostile operator would: swap
+        # the header without updating any index.
         capsule._by_digest.pop(record.digest)
-        capsule._by_digest[forged.digest] = forged
+        capsule._by_digest[forged.digest] = forged.header()
         bucket = capsule._by_seqno[seqno]
         bucket[bucket.index(record.digest)] = forged.digest
 

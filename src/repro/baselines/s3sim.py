@@ -110,12 +110,16 @@ class MemoryObjectTier:
         self.puts += 1
         self.bytes_put += len(data)
 
-    def get(self, key: str) -> bytes | None:
+    def get_range(self, key: str, start: int = 0, length: int | None = None):
+        """*length* bytes (None: the rest) of an object from *start*."""
         data = self.objects.get(key)
         if data is not None:
+            data = data[start : None if length is None else start + length]
             self.gets += 1
             self.bytes_got += len(data)
         return data
+
+    get = get_range
 
     def delete(self, key: str) -> None:
         self.objects.pop(key, None)
@@ -155,15 +159,22 @@ class DirectoryObjectTier:
         self.puts += 1
         self.bytes_put += len(data)
 
-    def get(self, key: str) -> bytes | None:
+    def get_range(self, key: str, start: int = 0, length: int | None = None):
+        """*length* bytes (None: the rest) of an object from *start*."""
         try:
-            with open(self._path(key), "rb") as fh:
-                data = fh.read()
+            fd = os.open(self._path(key), os.O_RDONLY)
         except FileNotFoundError:
             return None
+        try:
+            size = os.fstat(fd).st_size - start if length is None else length
+            data = os.pread(fd, size, start)
+        finally:
+            os.close(fd)
         self.gets += 1
         self.bytes_got += len(data)
         return data
+
+    get = get_range
 
     def delete(self, key: str) -> None:
         try:

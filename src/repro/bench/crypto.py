@@ -95,22 +95,6 @@ def _build_capsule(n_records: int, pointer_strategy: str = "skiplist"):
     return capsule, writer
 
 
-def _rebuilt_copy(capsule):
-    """A fresh DataCapsule holding the same history, repopulated from
-    wire forms — the state a replica has after anti-entropy."""
-    from repro.capsule import DataCapsule
-    from repro.capsule.heartbeat import Heartbeat
-    from repro.capsule.records import Record
-
-    clone = DataCapsule(capsule.metadata)
-    clone.admit_fetched(
-        [Record.from_wire(capsule.name, r.to_wire()) for r in capsule.records()],
-        [Heartbeat.from_wire(h.to_wire()) for h in capsule.heartbeats()],
-        {},
-    )
-    return clone
-
-
 def _bench_primitives(accel: dict, naive: dict, note) -> None:
     from repro.crypto import SigningKey, cache
 
@@ -164,7 +148,7 @@ def _bench_capsule_ops(accel: dict, naive: dict, note) -> None:
     accel["append"], naive["append"] = _paired(append_once)
 
     history, _ = _build_capsule(128)
-    replica = _rebuilt_copy(history)
+    replica = history.clone()  # the anti-entropy join's way in
 
     def verify_history_cold():
         cache.reset()

@@ -89,7 +89,10 @@ def _build_sync_world(owner, metadata, minted):
     then the divergence injected directly: server ``a`` holds the full
     history, server ``b`` is missing every ``SYNC_DIVERGENCE_STRIDE``-th
     record (and its heartbeat)."""
+    from repro.capsule.capsule import run_wire
     from repro.client import GdpClient, OwnerConsole
+    from repro.routing.pdu import T_DATA, Pdu
+    from repro.runtime.dispatch import dispatch_op
     from repro.server import DataCapsuleServer
 
     net, r0, r1 = _two_site_net(seed=1009)
@@ -111,12 +114,12 @@ def _build_sync_world(owner, metadata, minted):
         yield 0.5
 
     net.sim.run_process(setup(), "bench-sync-setup")
-    capsule_a = server_a.hosted[metadata.name].capsule
-    capsule_b = server_b.hosted[metadata.name].capsule
     for record, heartbeat in minted:
-        capsule_a.admit([record], heartbeat)
-        if record.seqno % SYNC_DIVERGENCE_STRIDE:
-            capsule_b.admit([record], heartbeat)
+        # a sibling's replicate_batch, delivered directly: admitted, stored
+        body = {"op": "replicate_batch", **run_wire([record], heartbeat)}
+        holders = [server_a] + [server_b] * bool(record.seqno % SYNC_DIVERGENCE_STRIDE)
+        for server in holders:
+            dispatch_op(server, Pdu(client.name, server.name, T_DATA, body), body)
     return net, server_a, server_b
 
 

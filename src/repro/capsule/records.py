@@ -40,13 +40,14 @@ class Record:
     the pointer wire forms, and the header digest are each computed once
     at construction (invalidation is impossible by construction), so
     replication merges, proof builds, and storage replay never re-encode
-    or re-hash the same record.
+    or re-hash the same record.  A replica holds only :meth:`header`.
     """
 
     __slots__ = (
         "capsule",
         "seqno",
         "payload",
+        "size",
         "pointers",
         "_digest",
         "_payload_hash",
@@ -78,6 +79,7 @@ class Record:
         object.__setattr__(self, "seqno", seqno)
         payload = expect_bytes(payload, "record payload", IntegrityError)
         object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "size", len(payload))
         object.__setattr__(self, "pointers", tuple(ordered))
         object.__setattr__(self, "_payload_hash", sha256(self.payload))
         object.__setattr__(
@@ -122,6 +124,25 @@ class Record:
             if ptr.seqno == seqno:
                 return ptr
         return None
+
+    def header(self) -> "Record":
+        """This record with ``payload`` None (``size`` keeps its length)."""
+        header = object.__new__(Record)
+        set_slot = object.__setattr__
+        for slot in _HEADER_SLOTS:
+            set_slot(header, slot, getattr(self, slot))
+        set_slot(header, "payload", None)
+        return header
+
+    def matches(self, wire: Any) -> bool:
+        """Whether *wire* has this record's seqno, pointers and payload
+        hash: a payload read back from a log is checked so, unrebuilt."""
+        try:
+            return (wire["seqno"], wire["pointers"], sha256(wire["payload"])) == (
+                self.seqno, [list(w) for w in self._pointers_wire], self._payload_hash
+            )
+        except (KeyError, TypeError):
+            return False
 
     def header_wire(self) -> dict:
         """The record minus its payload — what integrity proofs ship.
@@ -189,8 +210,11 @@ class Record:
 
     def __repr__(self) -> str:
         return (
-            f"Record(seqno={self.seqno}, payload={len(self.payload)}B, "
+            f"Record(seqno={self.seqno}, payload={self.size}B, "
             f"ptrs={[p.seqno for p in self.pointers]}, "
             f"digest={self._digest.hex()[:12]}...)"
         )
+
+
+_HEADER_SLOTS = tuple(slot for slot in Record.__slots__ if slot != "payload")
 

@@ -13,6 +13,11 @@ itself: storing a forged record would make it serve failing proofs and
 look malicious ("it is important to ensure that an honest infrastructure
 provider can't be framed by an adversary", §III-D).
 
+A replica holds record headers; its payloads live in its storage
+backend alone, and each one read back is checked against its header
+before it is served (a failure counts in ``server.storage.corrupt_frames``
+and a read then refetches the record from a sibling).
+
 Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 
 =============  =========================================================
@@ -54,6 +59,7 @@ from repro.errors import (
     CapsuleError,
     GdpError,
     RecordNotFoundError,
+    StorageError,
 )
 from repro.naming.metadata import Metadata, make_server_metadata
 from repro.naming.names import GdpName
@@ -145,6 +151,7 @@ class DataCapsuleServer(Endpoint):
         self._c_pushes = metrics.counter("server.pushes")
         self._c_sync_rounds = metrics.counter("server.sync_rounds")
         self._c_replies_refused = metrics.counter("server.replies_refused")
+        self._c_corrupt_frames = metrics.counter("server.storage.corrupt_frames")
 
     @property
     def stats(self) -> dict:
@@ -608,29 +615,74 @@ class DataCapsuleServer(Endpoint):
         range is answered with a prefix: records up to
         ``MAX_RANGE_REPLY_BYTES`` (always at least one) and a proof for
         exactly those; the reader continues after the last one served."""
-        capsule = self._hosted(payload).capsule
+        hosted = self._hosted(payload)
+        capsule = hosted.capsule
         last = payload.get("last")
         if last is None:
             if capsule.latest_heartbeat is None:
                 return {"ok": True, "records": []}
             last = capsule.latest_heartbeat.seqno
-        records = []
+        headers = []
         payload_room = MAX_RANGE_REPLY_BYTES
         framing_room = MAX_RANGE_REPLY_BYTES // 2
-        for record in capsule.read_range(payload.get("first", last), last):
-            payload_room -= len(record.payload)
+        for header in capsule.read_range(payload.get("first", last), last):
+            payload_room -= header.size
             # 64 B bounds the encoded seqno and each encoded pointer
-            framing_room -= 64 * (1 + len(record.pointers))
-            if records and (payload_room < 0 or framing_room < 0):
+            framing_room -= 64 * (1 + len(header.pointers))
+            if headers and (payload_room < 0 or framing_room < 0):
                 break
-            records.append(record)
-        proof = build_range_proof(capsule, records[0].seqno, records[-1].seqno)
+            headers.append(header)
+        proof = build_range_proof(capsule, headers[0].seqno, headers[-1].seqno)
         self._c_reads.inc()
-        return {
-            "ok": True,
-            "records": [r.to_wire() for r in records],
-            "proof": proof.to_wire(),
-        }
+        wires = self._stored_wires(hosted, headers)
+        body = {"ok": True, "records": wires, "proof": proof.to_wire()}
+        if None in wires:
+            repair = self._repair(hosted, headers, wires, body)
+            return self.ctx.spawn(repair, name="repair").completion
+        return body
+
+    def _stored_wires(self, hosted: HostedCapsule, headers: list[Record]) -> list:
+        """Per header the wire the backend's point read holds for it
+        (:meth:`~Record.matches`), or None, counted, where none does."""
+        stored = self.storage.read_records(hosted.capsule.name, {h.seqno for h in headers})
+        wires = [
+            next((w for w in stored.get(h.seqno, ()) if h.matches(w)), None)
+            for h in headers
+        ]
+        self._c_corrupt_frames.inc(wires.count(None))
+        return wires
+
+    def _repair(self, hosted: HostedCapsule, headers: list, wires: list, body: dict):
+        """Process body: fetch each record whose stored wire failed its
+        check from the siblings in turn, keep it only if it has the held
+        digest, store it again and serve *body*; raise if none has it."""
+        from repro.server.replication import _reply
+
+        name = hosted.capsule.name
+        missing = {headers[i].digest: i for i, wire in enumerate(wires) if wire is None}
+        for sibling in list(hosted.siblings):
+            seqnos = sorted({headers[i].seqno for i in missing.values()})
+            ask = {"op": "sync_fetch_batch", "capsule": name.raw, "seqnos": seqnos,
+                   "max_bytes": MAX_RANGE_REPLY_BYTES}
+            call = self.request(sibling, ask, timeout=REPLICATION_ACK_TIMEOUT)
+            reply = yield from _reply(self, sibling, name, call)
+            for wire in (reply or {}).get("records", []):
+                try:
+                    record = Record.from_wire(name, wire)
+                except GdpError:
+                    continue
+                if record.digest in missing:
+                    wires[missing.pop(record.digest)] = record.to_wire()
+                    self.storage.append_entries(name, [("r", record.to_wire())])
+            if not missing:
+                return body
+        raise StorageError(f"no sibling supplied {len(missing)} record(s) failing their check")
+
+    def stored_records(self, name: GdpName, seqno: int) -> list[Record]:
+        """The records held at *seqno*, payloads read back from the log."""
+        hosted = self.hosted[name]
+        wires = self._stored_wires(hosted, hosted.capsule.get_all(seqno))
+        return [Record.from_wire(name, wire) for wire in wires if wire is not None]
 
     @op("metadata", capsule=bytes)
     def _op_metadata(self, pdu: Pdu, payload: dict) -> dict:
@@ -735,7 +787,8 @@ class DataCapsuleServer(Endpoint):
         the requester makes progress).  The requester picks ``max_bytes``,
         so it is clamped to ``MAX_RANGE_REPLY_BYTES``: the reply must fit
         one transport frame.  ``served`` lists the seqnos actually
-        processed; the requester re-queues the rest."""
+        processed; the requester re-queues the rest.  A record whose
+        stored wire fails its check is left out (and counted)."""
         hosted = self._hosted(payload)
         budget = min(
             payload.get("max_bytes") or DEFAULT_SYNC_BATCH_BYTES,
@@ -745,7 +798,9 @@ class DataCapsuleServer(Endpoint):
         for seqno in payload["seqnos"]:
             seqno = int(seqno)
             entry_records = [
-                r.to_wire() for r in hosted.capsule.get_all(seqno)
+                wire
+                for wire in self._stored_wires(hosted, hosted.capsule.get_all(seqno))
+                if wire is not None
             ]
             entry_heartbeats = [
                 h.to_wire() for h in hosted.capsule.heartbeats_at(seqno)

@@ -19,14 +19,19 @@ organising each capsule as a sequence of *segments*:
 - Sealed segments are **compacted** when they fall entirely below the
   capsule's last *checkpoint* record (``note_checkpoint``): adjacent
   segments merge into one and superseded heartbeats are dropped
-  (records are never dropped — the hash chain must re-verify).
+  (records are never dropped — the hash chain must re-verify); a run
+  holding a frame that fails its CRC is left unmerged.
 - Cold sealed segments beyond the ``hot_segments`` newest are
   **tiered** to an object store (the ``baselines/s3sim`` shape: a
   flat key→blob PUT/GET/DELETE service); a replay GETs each one once.
 
-The server serves every read from its in-memory replica; the store is
-read only when a restart replays it (:meth:`SegmentedStore.load_entries`),
-so it keeps no point-read index and no cross-call read cache.
+A restart replays the log (:meth:`SegmentedStore.load_entries`); a
+running server reads its payloads back by seqno
+(:meth:`SegmentedStore.read_records`: an ``os.pread``, or a ranged GET
+of a tiered segment, no cache).  A frame is found through an in-memory
+``(seqno, offset, length)`` locator, never persisted: filled on append
+(and by the tail replay), by compaction for the frames it writes, and by
+one CRC-checked walk of a reopened sealed segment on its first read.
 
 Durability state machine (every mutation is crash-safe at each arrow;
 the torture suite in ``tests/torture/`` kills the store at every named
@@ -52,12 +57,14 @@ import mmap
 import os
 import struct
 import zlib
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro import encoding
 from repro.capsule import Record
-from repro.errors import StorageError
+from repro.errors import GdpError, StorageError
 from repro.naming.names import GdpName
 from repro.server.durability import FsyncPolicy
 from repro.server.storage import (
@@ -162,6 +169,29 @@ class SegmentInfo:
         )
 
 
+class _Locators:
+    """One segment's record frames — seqno, offset and length of each
+    wire, 24 bytes a frame — sorted by seqno (then write order)."""
+
+    __slots__ = ("seqnos", "spans")
+
+    def __init__(self):
+        self.seqnos = array("Q")
+        self.spans = array("Q")  # offset, length of each frame's wire
+
+    def add(self, seqno: int, offset: int, length: int) -> None:
+        at = bisect_right(self.seqnos, seqno)
+        self.seqnos.insert(at, seqno)
+        self.spans.insert(2 * at, length)
+        self.spans.insert(2 * at, offset)
+
+    def find(self, seqno: int) -> Iterator[tuple[int, int]]:
+        at = bisect_left(self.seqnos, seqno)
+        while at < len(self.seqnos) and self.seqnos[at] == seqno:
+            yield self.spans[2 * at], self.spans[2 * at + 1]
+            at += 1
+
+
 class _CapsuleLog:
     """In-memory state for one capsule's segment chain."""
 
@@ -174,6 +204,8 @@ class _CapsuleLog:
         "buffer",
         "size",
         "pending_fsync",
+        "locators",
+        "rotten",
     )
 
     def __init__(self, name: GdpName, directory: str):
@@ -185,6 +217,8 @@ class _CapsuleLog:
         self.buffer = bytearray()  # active-segment bytes not yet write()n
         self.size = 0  # active file length incl. magic and buffer
         self.pending_fsync = 0  # bytes written/buffered since last fsync
+        self.locators: dict[int, _Locators] = {}  # by segment id
+        self.rotten: set[int] = set()  # sealed segments a walk found rot in
 
     @property
     def active(self) -> SegmentInfo:
@@ -410,6 +444,7 @@ class SegmentedStore(StorageBackend):
         """Replay the active segment, truncating at the first torn or
         corrupt frame, and rebuild its span."""
         path = self._seg_path(log.dir, log.active.id)
+        locators = log.locators[log.active.id] = _Locators()
         if not os.path.exists(path):
             with open(path, "wb") as fh:
                 fh.write(_MAGIC)
@@ -427,20 +462,14 @@ class SegmentedStore(StorageBackend):
         if data[: len(_MAGIC)] != _MAGIC:
             good = 0  # torn creation: not even the magic survived
         else:
-            offset = len(_MAGIC)
-            size = len(data)
-            while offset + _FRAME.size <= size:
-                tag, length, crc = _FRAME.unpack_from(data, offset)
-                end = offset + _FRAME.size + length
-                if end > size:
-                    break  # torn payload
-                payload = data[offset + _FRAME.size : end]
-                if zlib.crc32(payload) != crc:
-                    break  # corrupt frame: everything after is suspect
-                if chr(tag) == _TAG_RECORD:
-                    _extend_span(active, encoding.decode(payload)["seqno"])
-                offset = end
-                good = offset
+            for tag, payload, offset in _checked_frames(data):
+                if tag is None:
+                    break
+                if tag == _TAG_RECORD:
+                    seqno = encoding.decode(payload)["seqno"]
+                    _extend_span(active, seqno)
+                    locators.add(seqno, offset + _FRAME.size, len(payload))
+                good = offset + _FRAME.size + len(payload)
         if good < len(data) or len(data) < len(_MAGIC):
             # The second clause catches a 0-byte (or sub-magic) active
             # file — a crash between creation and the magic write —
@@ -528,10 +557,13 @@ class SegmentedStore(StorageBackend):
                     torn = (bytes(chunk) + frame + blob)[: len(chunk) + 7]
                     fh.write(torn)
                     raise
-            chunk += frame
-            chunk += blob
             if tag == _TAG_RECORD:
                 _extend_span(log.active, wire["seqno"])
+                log.locators[log.active.id].add(
+                    wire["seqno"], log.size + len(chunk) + _FRAME.size, len(blob)
+                )
+            chunk += frame
+            chunk += blob
             if log.size + len(chunk) >= segment_bytes:
                 # Roll over mid-batch: a replication burst pushed
                 # through append_entries must not grow one unbounded
@@ -560,6 +592,7 @@ class SegmentedStore(StorageBackend):
         active.bytes = log.size
         next_id = max(seg.id for seg in log.segments) + 1
         log.segments.append(SegmentInfo(next_id))
+        log.locators[next_id] = _Locators()
         self._crashpoint("seal.pre_manifest")
         self._write_manifest(log)
         self._crashpoint("seal.post_manifest")
@@ -619,6 +652,7 @@ class SegmentedStore(StorageBackend):
                 and seg.tier == "local"
                 and seg.last <= log.checkpoint
                 and seg.records > 0
+                and seg.id not in log.rotten
             ):
                 run.append(seg)
             elif run:
@@ -644,15 +678,20 @@ class SegmentedStore(StorageBackend):
 
     def _compact(self, log: _CapsuleLog, eligible: list[SegmentInfo]) -> int:
         """Merge *eligible* (sealed, local, all below the checkpoint)
-        into one fresh segment, dropping superseded heartbeats."""
+        into one fresh segment, dropping superseded heartbeats; a frame
+        failing its CRC leaves the run unmerged (returns 0)."""
         self._crashpoint("compact.before")
         merged_id = max(seg.id for seg in log.segments) + 1
         frames = bytearray(_MAGIC)
         merged = SegmentInfo(merged_id, sealed=True)
+        locators = _Locators()
         scanned = []  # (tag, payload, wire)
         pointers: dict[bytes, list[bytes]] = {}
         for seg in eligible:
-            for tag, payload, _ in _iter_frames(self._segment_buffer(log, seg)):
+            for tag, payload, offset in _checked_frames(self._segment_buffer(log, seg)):
+                if tag is None:
+                    self._rotten(log, seg, offset)
+                    return 0
                 wire = encoding.decode(payload)
                 if tag == _TAG_RECORD:
                     digest = Record.from_wire(log.name, wire).digest
@@ -675,10 +714,11 @@ class SegmentedStore(StorageBackend):
                         frontier.extend(pointers.get(digest, ()))
             kept.append(frame)
         for tag, payload, wire in reversed(kept):
-            frames += _FRAME.pack(ord(tag), len(payload), zlib.crc32(payload))
-            frames += payload
             if tag == _TAG_RECORD:
                 _extend_span(merged, wire["seqno"])
+                locators.add(wire["seqno"], len(frames) + _FRAME.size, len(payload))
+            frames += _FRAME.pack(ord(tag), len(payload), zlib.crc32(payload))
+            frames += payload
         merged.bytes = len(frames)
         seg_path = self._seg_path(log.dir, merged_id)
         with open(seg_path, "wb") as fh:
@@ -693,6 +733,9 @@ class SegmentedStore(StorageBackend):
         ]
         log.segments.insert(position, merged)
         self._write_manifest(log)
+        for seg_id in merged_ids:
+            log.locators.pop(seg_id, None)
+        log.locators[merged_id] = locators
         self._crashpoint("compact.pre_cleanup")
         for seg_id in merged_ids:
             path = self._seg_path(log.dir, seg_id)
@@ -756,22 +799,72 @@ class SegmentedStore(StorageBackend):
                 buf = local.pop(seg.id, None)
                 if buf is None:
                     buf = self._segment_buffer(log, seg)
-                for tag, payload, offset in _iter_frames(buf):
-                    if zlib.crc32(payload) != _crc_at(buf, offset):
+                for tag, payload, offset in _checked_frames(buf):
+                    if tag is None:
                         # Sealed-frame rot: stop this segment (the rest
                         # is suspect) but keep later segments.  The
                         # server's recovery counts the event, and
                         # anti-entropy refetches what a sibling holds.
-                        self._log_event(
-                            "corrupt_frame_skipped",
-                            name,
-                            segment=seg.id,
-                            offset=offset,
-                        )
+                        self._rotten(log, seg, offset)
                         break
                     yield tag, encoding.decode(payload)
 
         return entries()
+
+    # -- point read ----------------------------------------------------------
+
+    def read_records(
+        self, name: GdpName, seqnos: Iterable[int]
+    ) -> dict[int, list[dict]]:
+        """The stored record wires at *seqnos*, read as exact byte ranges
+        (a frame that no longer decodes is left out, for the caller's
+        check against its header to count)."""
+        self._check_alive()
+        wanted = sorted(set(seqnos))
+        log = self._log_for(name)
+        found: dict[int, list[dict]] = {}
+        for seg in log.segments if log is not None else ():
+            inside = [seqno for seqno in wanted if seg.first <= seqno <= seg.last]
+            if not seg.records or not inside:
+                continue
+            locators = self._locators(log, seg)
+            hits = [(seqno, span) for seqno in inside for span in locators.find(seqno)]
+            if seg.tier == "object":
+                key = self._tier_key(log.name, seg.id)
+                blobs = [self.tier.get_range(key, *span) for _, span in hits]
+            else:
+                if not seg.sealed:
+                    self._flush(log)
+                fd = os.open(self._seg_path(log.dir, seg.id), os.O_RDONLY)
+                try:
+                    blobs = [os.pread(fd, length, offset) for _, (offset, length) in hits]
+                finally:
+                    os.close(fd)
+            for (seqno, _), blob in zip(hits, blobs):
+                try:
+                    found.setdefault(seqno, []).append(encoding.decode(blob))
+                except (GdpError, TypeError):
+                    continue
+        return found
+
+    def _locators(self, log: _CapsuleLog, seg: SegmentInfo) -> _Locators:
+        """*seg*'s locators; a reopened sealed segment is walked for them."""
+        locators = log.locators.get(seg.id)
+        if locators is None:
+            locators = _Locators()
+            for tag, payload, offset in _checked_frames(self._segment_buffer(log, seg)):
+                if tag is None:
+                    self._rotten(log, seg, offset)
+                elif tag == _TAG_RECORD:
+                    seqno = encoding.decode(payload)["seqno"]
+                    locators.add(seqno, offset + _FRAME.size, len(payload))
+            log.locators[seg.id] = locators
+        return locators
+
+    def _rotten(self, log: _CapsuleLog, seg: SegmentInfo, offset: int) -> None:
+        """Log a frame failing its CRC; *seg* is never compacted."""
+        log.rotten.add(seg.id)
+        self._log_event("corrupt_frame_skipped", log.name, segment=seg.id, offset=offset)
 
     # -- misc contract -------------------------------------------------------
 
@@ -836,19 +929,25 @@ class SegmentedStore(StorageBackend):
         self._handles.clear()
 
 
-def _iter_frames(buf):
-    """Yield ``(tag, payload, frame_offset)`` for intact frames; stops
-    at the first torn frame (CRC is *not* checked here — callers that
-    care verify it, keeping the sealed-segment hot path cheap)."""
+def _checked_frames(buf) -> Iterator[tuple[str | None, bytes, int]]:
+    """Yield ``(tag, payload, frame_offset)`` for each frame of a
+    segment's bytes, which are whole frames; a frame failing its CRC or
+    running past the end stops the walk with ``(None, b"", offset)``."""
     size = len(buf)
     offset = len(_MAGIC)
-    while offset + _FRAME.size <= size:
-        tag, length, _ = _FRAME.unpack_from(buf, offset)
-        end = offset + _FRAME.size + length
-        if end > size:
+    while offset < size:
+        if offset + _FRAME.size > size:
             break
-        yield chr(tag), bytes(buf[offset + _FRAME.size : end]), offset
+        tag, length, crc = _FRAME.unpack_from(buf, offset)
+        end = offset + _FRAME.size + length
+        payload = bytes(buf[offset + _FRAME.size : end])
+        if end > size or zlib.crc32(payload) != crc:
+            break
+        yield chr(tag), payload, offset
         offset = end
+    else:
+        return
+    yield None, b"", offset
 
 
 def _extend_span(seg: SegmentInfo, seqno: int) -> None:
@@ -859,8 +958,3 @@ def _extend_span(seg: SegmentInfo, seqno: int) -> None:
         seg.first = seqno
     if seqno > seg.last:
         seg.last = seqno
-
-
-def _crc_at(buf, offset: int) -> int:
-    _, _, crc = _FRAME.unpack_from(buf, offset)
-    return crc

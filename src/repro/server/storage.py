@@ -2,14 +2,17 @@
 
 The paper's server "uses SQLite for the back-end storage; each
 DataCapsule is stored in its own separate SQLite database" (§VIII) so
-random reads are efficient.  Here every read is served from the
-replica's in-memory :class:`DataCapsule`, and storage is a log the
-server recovers from on restart, behind one interface with two
-backends.  Per capsule a backend keeps two things: the *hosting record*
+random reads are efficient.  Here storage is a log, behind one interface
+with two backends, and the only copy of a replica's payloads: its
+in-memory :class:`DataCapsule` holds record headers, and every read joins
+them with the backend's point read (:meth:`StorageBackend.read_records`),
+each wire checked against its header before it is served.  Per capsule a
+backend keeps two things: the *hosting record*
 (``store_hosting`` / ``load_hosting``: the metadata, this server's
 delegation chain and the owner-signed placement it last applied; the
 last write wins) and the log of records and heartbeats
-(``append_entries`` / ``load_entries``).  What a
+(``append_entries``; read whole by ``load_entries`` on restart, by seqno
+through ``read_records``).  What a
 server hosts after a restart is what its hosting records say, re-verified
 (``DataCapsuleServer.recover_from_storage``).  The two backends:
 
@@ -86,6 +89,14 @@ class StorageBackend(ABC):
         that iterator."""
 
     @abstractmethod
+    def read_records(
+        self, name: GdpName, seqnos: Iterable[int]
+    ) -> dict[int, list[dict]]:
+        """The point read: the stored record wires at *seqnos* by seqno,
+        branches in write order, never bytes past a torn tail; the caller
+        checks each against the header it holds (:meth:`Record.matches`)."""
+
+    @abstractmethod
     def list_capsules(self) -> list[GdpName]:
         """Names of all capsules with stored state."""
 
@@ -111,16 +122,19 @@ class MemoryStore(StorageBackend):
     server keeps in memory — hosting table included — and recovers from
     the backend, exactly as a fresh process over a disk does.  Each
     capsule's hosting record sits in one slot of ``_hosting``; its log
-    is ``_data[name]``, a list of ``(tag, wire)`` entries."""
+    is ``_data[name]``, a list of ``(tag, wire)`` entries (its records
+    filed by seqno in ``_records[name]``)."""
 
     def __init__(self):
         self._hosting: dict[GdpName, dict] = {}
         self._data: dict[GdpName, list[tuple[str, dict]]] = {}
+        self._records: dict[GdpName, dict[int, list[dict]]] = {}
 
     def store_hosting(self, name: GdpName, hosting: dict) -> None:
         """Persist the hosting record (the last write wins)."""
         self._hosting[name] = hosting
         self._data.setdefault(name, [])
+        self._records.setdefault(name, {})
 
     def load_hosting(self, name: GdpName) -> dict | None:
         """The last stored hosting record, or None."""
@@ -135,6 +149,10 @@ class MemoryStore(StorageBackend):
         if log is None:
             raise StorageError(f"capsule {name.human()} is not hosted here")
         log.extend(entries)
+        by_seqno = self._records[name]
+        for tag, wire in entries:
+            if tag == _TAG_RECORD:
+                by_seqno.setdefault(wire["seqno"], []).append(wire)
         return len(entries)
 
     def load_entries(self, name: GdpName) -> Iterator[tuple[str, dict]]:
@@ -142,6 +160,21 @@ class MemoryStore(StorageBackend):
         tuple: the wire dicts are shared, the list is not, so appends
         racing the iteration cannot leak into it."""
         return iter(tuple(self._data.get(name, ())))
+
+    def read_records(
+        self, name: GdpName, seqnos: Iterable[int]
+    ) -> dict[int, list[dict]]:
+        """The stored wires at *seqnos*, each a fresh dict (as
+        :meth:`Record.to_wire` gives) over the stored payload."""
+        by_seqno = self._records.get(name, {})
+        return {
+            seqno: [
+                dict(wire, pointers=[list(p) for p in wire["pointers"]])
+                for wire in by_seqno[seqno]
+            ]
+            for seqno in seqnos
+            if seqno in by_seqno
+        }
 
     def list_capsules(self) -> list[GdpName]:
         """Names of all capsules with stored state."""
@@ -151,6 +184,7 @@ class MemoryStore(StorageBackend):
         """Remove every record and heartbeat; the hosting record stays."""
         if name in self._data:
             self._data[name] = []
+            self._records[name] = {}
 
 
 def replay(

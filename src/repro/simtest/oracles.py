@@ -532,8 +532,7 @@ def check_commit_order(world) -> list[Violation]:
         if shard._writer is None:
             continue  # plane never finished setup: nothing durable yet
         replicas = [
-            server.hosted[shard.capsule_name].capsule
-            for server in world.servers
+            server for server in world.servers
             if shard.capsule_name in server.hosted
         ]
         for entry in shard.commit_log:
@@ -542,8 +541,10 @@ def check_commit_order(world) -> list[Violation]:
             # survives as long as *some* stored record at its seqno
             # carries the matching provenance wrapper.
             found = False
-            for capsule in replicas:
-                for record in capsule.get_all(entry["seqno"]):
+            for server in replicas:
+                for record in server.stored_records(
+                    shard.capsule_name, entry["seqno"]
+                ):
                     try:
                         wrapped = read_committed_entry(record.payload)
                     except Exception:  # noqa: BLE001 — sibling garbage

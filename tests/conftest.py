@@ -281,11 +281,14 @@ class ProcessWorld:
             storage=SegmentedStore(self.root, **store_options),
         )
 
-    def sibling_on(self, server: DataCapsuleServer) -> DataCapsuleServer:
+    def sibling_on(
+        self, server: DataCapsuleServer, storage=None
+    ) -> DataCapsuleServer:
         """A process named as :attr:`other` on *server*'s network, both
-        attached to one router and advertised (it stores nothing yet)."""
+        attached to one router and advertised (it stores nothing yet, in
+        *storage* or a :class:`MemoryStore`)."""
         net = server.network
-        sibling = DataCapsuleServer(net, self.other.node_id)
+        sibling = DataCapsuleServer(net, self.other.node_id, storage=storage)
         clock = lambda: net.sim.now  # noqa: E731
         router = GdpRouter(net, "process_r", RoutingDomain("global", clock=clock))
         for node in (server, sibling):
@@ -331,3 +334,26 @@ class ProcessWorld:
 @pytest.fixture()
 def process_world(tmp_path) -> ProcessWorld:
     return ProcessWorld(str(tmp_path / "store"))
+
+
+class StoredReplica:
+    """A server's replica as a test inspects it: :meth:`get` returns the
+    record with its payload, read back through the server's point read
+    (the replica itself holds headers only); the rest is the replica."""
+
+    def __init__(self, server: DataCapsuleServer, name):
+        self._server = server
+        self._name = name
+
+    def get(self, seqno: int):
+        (record,) = self._server.stored_records(self._name, seqno)
+        return record
+
+    def __getattr__(self, attr: str):
+        return getattr(self._server.hosted[self._name].capsule, attr)
+
+
+@pytest.fixture()
+def stored_replica():
+    """``stored_replica(server, name)``: a :class:`StoredReplica`."""
+    return StoredReplica

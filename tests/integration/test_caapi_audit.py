@@ -34,7 +34,8 @@ class TestAuditedLog:
         assert capsule.last_seqno == 11
         summaries = [
             r.seqno for r in capsule.records()
-            if _parse_summary(r.payload) is not None
+            for stored in g.server_edge.stored_records(name, r.seqno)
+            if _parse_summary(stored.payload) is not None
         ]
         assert summaries == [5, 10]
 
@@ -145,7 +146,7 @@ class TestAuditedLog:
             # Swap the summary for a data record with a valid capsule
             # proof of its own.
             capsule = g.server_edge.hosted[log.name].capsule
-            data_record = capsule.get(1)
+            (data_record,) = g.server_edge.stored_records(log.name, 1)
             data_proof = build_position_proof(capsule, 1)
             return proof, data_record, data_proof
 

@@ -43,8 +43,12 @@ class TestEncryptedFiles:
             return file_name
 
         file_name = g.run(scenario())
-        hosted = g.server_edge.hosted[file_name].capsule
-        stored = b"".join(r.payload for r in hosted.records())
+        stored = b"".join(
+            wire["payload"]
+            for tag, wire in g.server_edge.storage.load_entries(file_name)
+            if tag == "r"
+        )
+        assert stored  # the log holds the file's records
         assert data[:256] not in stored  # plaintext never on the server
 
     def test_reader_without_key_cannot_decrypt(self, enc_fs):

@@ -6,11 +6,13 @@ import random
 
 from repro.adversary import StorageTamperer
 from repro.capsule import CapsuleWriter, Record
+from repro.capsule.capsule import run_wire
 from repro.client import GdpClient, OwnerConsole
 from repro.crypto import SigningKey
 from repro.naming import make_capsule_metadata
 from repro.routing import GdpRouter, RoutingDomain
 from repro.routing.pdu import T_DATA, T_RESPONSE, Pdu
+from repro.runtime.dispatch import dispatch_op
 from repro.runtime.middleware import DROP, DeliveryMiddleware
 from repro.server import (
     AntiEntropyDaemon,
@@ -53,7 +55,7 @@ class TestDeltaSyncEdgeCases:
         assert capsule.holes() == []
         assert capsule.verify_history() == 20
 
-    def test_single_record_divergence_mid_history(self, mini_gdp):
+    def test_single_record_divergence_mid_history(self, mini_gdp, stored_replica):
         """One record lost in the middle of a long shared prefix is
         found by bisection and fetched alone — not the whole prefix."""
         g = mini_gdp
@@ -88,13 +90,13 @@ class TestDeltaSyncEdgeCases:
         assert session.records_fetched == 1
         assert session.rounds == 1
         assert session.batches == 1
-        root = g.server_root.hosted[metadata.name].capsule
+        root = stored_replica(g.server_root, metadata.name)
         edge = g.server_edge.hosted[metadata.name].capsule
         assert root.get(9).payload == b"lost"
         assert root.canonical_summary() == edge.canonical_summary()
         assert root.verify_history() == 16
 
-    def test_divergence_at_checkpoint_boundary(self, mini_gdp):
+    def test_divergence_at_checkpoint_boundary(self, mini_gdp, stored_replica):
         """Losing exactly a checkpoint record (seqno a multiple of K
         under the ``checkpoint:K`` strategy) heals like any other seqno,
         and the healed history chain-walks through the checkpoint."""
@@ -123,7 +125,7 @@ class TestDeltaSyncEdgeCases:
 
         metadata, fetched = g.run(scenario())
         assert fetched == 1
-        capsule = g.server_root.hosted[metadata.name].capsule
+        capsule = stored_replica(g.server_root, metadata.name)
         assert capsule.get(8).payload == b"checkpoint-8"
         assert capsule.holes() == []
         assert capsule.verify_history() == 16
@@ -521,12 +523,13 @@ def _build_divergent_world(n_records: int, missing: set, *, seed: int):
         yield 0.5
 
     net.sim.run_process(setup(), "divergent-setup")
-    capsule_a = server_a.hosted[metadata.name].capsule
-    capsule_b = server_b.hosted[metadata.name].capsule
     for record, heartbeat in minted:
-        capsule_a.admit([record], heartbeat)
-        if record.seqno not in missing:
-            capsule_b.admit([record], heartbeat)
+        for server in (server_a, server_b):
+            if server is server_b and record.seqno in missing:
+                continue
+            # delivered as a sibling's replicate_batch: admitted and stored
+            body = {"op": "replicate_batch", **run_wire([record], heartbeat)}
+            dispatch_op(server, Pdu(client.name, server.name, T_DATA, body), body)
     return net, server_a, server_b, metadata
 
 

@@ -183,4 +183,6 @@ class TestNetworkedQswRecovery:
         # The honest history is intact.
         capsule = g.server_edge.hosted[metadata.name].capsule
         assert not capsule.is_branched()
-        assert capsule.get(2).payload == b"edge-only-2"
+        (record,) = g.server_edge.stored_records(metadata.name, 2)
+        assert record.digest == capsule.get(2).digest
+        assert record.payload == b"edge-only-2"

@@ -30,18 +30,18 @@ def quiesced_world(seed: int = SEED):
     return world
 
 
-def tamper_in_place(capsule, seqno: int) -> None:
-    """Swap a stored record's bytes without touching any index — the
-    digest key stays, the contents no longer hash to it.  (The cruder
+def tamper_in_place(server, name, seqno: int) -> None:
+    """Swap a held record for a forgery without touching any index —
+    the digest key stays, the contents no longer hash to it.  (The cruder
     re-indexing tamper of :class:`StorageTamperer` severs chain
     reachability and therefore presents as a hole, which the safety
     oracles rightly tolerate as availability loss.)"""
-    record = capsule.get(seqno)
+    (record,) = server.stored_records(name, seqno)
     forged = Record(
         record.capsule, record.seqno,
         record.payload + b"!tampered!", record.pointers,
     )
-    capsule._by_digest[record.digest] = forged
+    server.hosted[name].capsule._by_digest[record.digest] = forged.header()
 
 
 @pytest.fixture()
@@ -55,8 +55,7 @@ class TestHashChainOracle:
     def test_fires_on_tampered_record(self, clean_world):
         world = clean_world
         victim = world.servers[0]
-        capsule = victim.hosted[world.metadata.name].capsule
-        tamper_in_place(capsule, 1)
+        tamper_in_place(victim, world.metadata.name, 1)
         violations = run_oracles(world, names=["hash_chain"])
         assert violations, "tampered record went undetected"
         assert violations[0].oracle == "hash_chain"
@@ -86,8 +85,7 @@ class TestReadProofOracle:
     def test_fires_on_tampered_record(self, clean_world):
         world = clean_world
         victim = world.servers[0]
-        capsule = victim.hosted[world.metadata.name].capsule
-        tamper_in_place(capsule, 1)
+        tamper_in_place(victim, world.metadata.name, 1)
         violations = run_oracles(world, names=["read_proof"])
         assert any(
             v.oracle == "read_proof"
@@ -105,7 +103,7 @@ class TestStrictSingleWriter:
         world = clean_world
         victim = world.servers[1]
         capsule = victim.hosted[world.metadata.name].capsule
-        genuine = capsule.get(1)
+        (genuine,) = victim.stored_records(world.metadata.name, 1)
         # planted by a hostile operator, past every check (like tamper_in_place)
         capsule._store(Record(
             genuine.capsule, 1, genuine.payload + b"!planted!",
@@ -216,8 +214,7 @@ class TestStorageRoundTripOracle:
         data the next restart would invent."""
         world = clean_world
         victim = world.servers[1]
-        capsule = victim.hosted[world.metadata.name].capsule
-        wire = capsule.get(1).to_wire()
+        wire = victim.stored_records(world.metadata.name, 1)[0].to_wire()
         wire["payload"] = wire["payload"] + b"!phantom!"
         victim.storage.append_entries(world.metadata.name, [("r", wire)])
         violations = run_oracles(world, names=["storage_round_trip"])
@@ -229,8 +226,7 @@ class TestStorageRoundTripOracle:
     def test_skips_crashed_replicas(self, clean_world):
         world = clean_world
         victim = world.servers[0]
-        capsule = victim.hosted[world.metadata.name].capsule
-        wire = capsule.get(1).to_wire()
+        wire = victim.stored_records(world.metadata.name, 1)[0].to_wire()
         wire["payload"] = wire["payload"] + b"!phantom!"
         victim.storage.append_entries(world.metadata.name, [("r", wire)])
         victim.crashed = True

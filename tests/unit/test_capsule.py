@@ -4,7 +4,7 @@ import pytest
 
 from repro.capsule import CapsuleWriter, DataCapsule, Heartbeat, build_record
 from repro.capsule.records import Record
-from repro.crypto.hashing import HashPointer
+from repro.crypto.hashing import HashPointer, sha256
 from repro.errors import (
     HoleError,
     IntegrityError,
@@ -120,7 +120,12 @@ class TestInsertValidation:
 
 class TestReads:
     def test_get(self, filled_capsule):
-        assert filled_capsule.get(3).payload == b"record-2"
+        """A replica holds the header: no payload, its hash and size."""
+        header = filled_capsule.get(3)
+        assert header.seqno == 3
+        assert header.payload is None
+        assert header.payload_hash == sha256(b"record-2")
+        assert header.size == len(b"record-2")
 
     def test_get_missing(self, filled_capsule):
         with pytest.raises(RecordNotFoundError):

@@ -519,6 +519,9 @@ class TestGrepGuard:
         ".idx", "seal.index_written",
         # the commit front's unsigned submit relay and its counter
         "commit.routed",
+        # the frame walk that checked no CRC (compaction rewrote rot
+        # through it), and a bench copy that read payloads from a replica
+        "_iter_frames", "_crc_at", "_rebuilt_copy",
     )
 
     def test_back_compat_layer_stays_deleted(self):

@@ -14,6 +14,7 @@ from repro.errors import (
     IntegrityError,
     SecurityError,
 )
+from repro.crypto.hashing import sha256
 from repro.naming import Metadata
 
 
@@ -75,7 +76,7 @@ class TestRecordAcceptance:
         reader.accept_metadata(capsule.metadata)
         proof = build_position_proof(capsule, 7)
         record = reader.accept_record(capsule.get(7), proof)
-        assert record.payload == b"data-6"
+        assert record.payload_hash == sha256(b"data-6")
         assert reader.frontier.seqno == 15
 
     def test_reject_tampered_record(self, setup):

@@ -35,6 +35,15 @@ def assert_only_frames_and_manifest(capsule_dir):
         ), fname
 
 
+def flip_byte(path, payload: bytes) -> None:
+    """Flip one bit inside *payload*'s bytes in the file at *path*."""
+    with open(path, "r+b") as fh:
+        blob = fh.read()
+        at = blob.index(payload) + len(payload) // 2
+        fh.seek(at)
+        fh.write(bytes([blob[at] ^ 1]))
+
+
 def fill_store(store, capsule, pairs):
     store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
     entries = []
@@ -276,6 +285,42 @@ class TestCompaction:
         assert tiered and tier.puts == len(tiered)
         assert_only_frames_and_manifest(capsule_dir)
         store.close()
+
+    def test_compaction_never_launders_rot(self, tmp_path, filled):
+        """A sealed frame that fails its CRC is never rewritten under a
+        fresh one: compaction checks every frame, leaves the run that
+        holds it unmerged and logs it as a replay does, so the next open
+        still counts the rot instead of refusing a forged-looking frame."""
+        capsule, pairs = filled
+        root = str(tmp_path)
+        store = SegmentedStore(root, segment_bytes=1)  # one frame a segment
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
+        (r1, _), (r2, _), (r3, h3) = pairs[:3]
+        store.append_entries(capsule.name, [
+            ("r", r1.to_wire()), ("r", r2.to_wire()),
+            ("r", r3.to_wire()), ("h", h3.to_wire()),
+        ])
+        store.close()
+        flip_byte(os.path.join(root, capsule.name.hex(), "seg-00000002.seg"), r2.payload)
+
+        def corrupt(log):
+            return [e for e in log if e["event"] == "corrupt_frame_skipped"]
+
+        store = SegmentedStore(root, segment_bytes=1)
+        store.note_checkpoint(capsule.name, 3)
+        assert store.compact(capsule.name) == 0
+        assert [e["segment"] for e in corrupt(store.recovery_log)] == [2]
+        assert store.compact(capsule.name) == 0  # the rot is not walked again
+        assert len(corrupt(store.recovery_log)) == 1
+        store.close()
+        reopened = SegmentedStore(root, segment_bytes=1)
+        replica = DataCapsule(capsule.metadata)
+        # record 3 comes back under its heartbeat; record 1 waits for the
+        # pointer of the rotted record 2 (anti-entropy refetches both)
+        assert replay(replica, reopened.load_entries(capsule.name)) == (1, 1)
+        assert len(corrupt(reopened.recovery_log)) >= 1
+        assert replica.seqnos() == [3]
+        reopened.close()
 
     def test_compact_without_checkpoint_is_noop(self, tmp_path, filled):
         capsule, pairs = filled

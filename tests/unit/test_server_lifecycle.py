@@ -14,8 +14,13 @@ import os
 import pytest
 
 from repro import encoding
+from repro.baselines.s3sim import MemoryObjectTier
+from repro.capsule import DataCapsule, Record
+from repro.capsule.proofs import RangeProof
 from repro.errors import GdpError
+from repro.runtime.context import Future
 from repro.server.replication import sync_once
+from repro.server.segmented import SegmentedStore
 
 
 def place_and_fill(g, n_records: int = 4):
@@ -262,6 +267,61 @@ class TestFreshProcess:
         )
         assert fetched == len(lost)
         assert sorted(capsule.seqnos()) == [1, 2, 3]
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["local", "tiered"])
+    def test_live_rot_is_counted_and_repaired_from_a_sibling(
+        self, process_world, tmp_path, tiered
+    ):
+        """A running replica reads payloads back from its own log, so it
+        meets rot there: a sealed (or tiered) frame whose payload no
+        longer matches the held header is counted, the record is fetched
+        from the sibling, checked against the held digest and stored
+        again, and the read is served the verified payload; the next
+        read is served from the repaired frame with the sibling gone."""
+        w = process_world
+        tier = MemoryObjectTier() if tiered else None
+        server = w.boot(segment_bytes=1, hot_segments=0, tier=tier)
+        sibling = w.sibling_on(server, SegmentedStore(str(tmp_path / "sibling")))
+        placement = w.placement(1, [server.name, sibling.name])
+        for replica in (server, sibling):
+            assert w.host(replica, placement)["ok"]
+            assert w.append(replica)["ok"]
+        key = f"{w.name.hex()}/seg-00000002.seg"  # record 2's frame alone
+        if tier is None:
+            path = os.path.join(w.root, w.name.hex(), "seg-00000002.seg")
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        else:
+            blob = tier.objects[key]
+        at = blob.index(b"acked-1")
+        blob = blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+        if tier is None:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        else:
+            tier.objects[key] = blob
+        corrupt = server.metrics.counter("server.storage.corrupt_frames")
+
+        def read_2() -> dict:
+            body = {"op": "read_range", "capsule": w.name.raw, "first": 2, "last": 2}
+            reply = w._request(server, body)
+            if isinstance(reply, Future):
+                def wait():
+                    return (yield reply)
+
+                reply = server.network.sim.run_process(wait(), "read")
+            assert reply["ok"], reply
+            records = [Record.from_wire(w.name, wire) for wire in reply["records"]]
+            DataCapsule(w.metadata).verify_range(
+                records, RangeProof.from_wire(reply["proof"])
+            )
+            return [record.payload for record in records]
+
+        assert read_2() == [b"acked-1"]
+        assert corrupt.value == 1
+        sibling.crash()
+        assert read_2() == [b"acked-1"]
+        assert corrupt.value == 1
 
     def test_a_record_already_held_is_stored_once(self, process_world):
         """``DataCapsule.admit`` is the one dedup: a re-sent

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.capsule import CapsuleWriter, DataCapsule
+from repro.baselines.s3sim import MemoryObjectTier
+from repro.capsule import CapsuleWriter, DataCapsule, build_record
 from repro.errors import StorageError
+from repro.server.segmented import SimulatedCrash
 from repro.server.storage import MemoryStore, SegmentedStore, replay
 
 
@@ -137,6 +139,87 @@ class TestBackendContract:
                 [("r", pairs[0][0].to_wire()), ("x", pairs[0][1].to_wire())],
             )
         assert list(store.load_entries(capsule.name)) == []
+
+    def test_point_read_agrees_across_backends(
+        self, tmp_path, capsule_factory, writer_key
+    ):
+        """``read_records`` gives the same wires from both backends, the
+        branches at a seqno in write order, across seals, tiering,
+        compaction, a reopen (sealed segments located afresh) and
+        ``drop_entries``."""
+        capsule = capsule_factory("checkpoint:4")
+        writer = CapsuleWriter(capsule.metadata, writer_key)
+        pairs = [writer.append(b"point-%02d" % i * 16) for i in range(24)]
+        digests = {record.seqno: record.digest for record, _ in pairs}
+        branch = build_record(capsule, 5, b"branch-5", digests)
+        # the later half first, then the branch ahead of the record it forks
+        entries = [("r", record.to_wire()) for record, _ in pairs[12:]]
+        entries += [("r", branch.to_wire())]
+        entries += [("r", record.to_wire()) for record, _ in pairs[:12]]
+        entries += [("h", pairs[-1][1].to_wire())]
+        expected: dict = {}
+        for tag, wire in entries:
+            if tag == "r":
+                expected.setdefault(wire["seqno"], []).append(wire)
+        assert [w["payload"] for w in expected[5]] == [b"branch-5", pairs[4][0].payload]
+        tier = MemoryObjectTier()
+
+        def segmented():
+            return SegmentedStore(
+                str(tmp_path / "seg"), segment_bytes=600, hot_segments=2, tier=tier
+            )
+
+        memory, disk = MemoryStore(), segmented()
+        for store in (memory, disk):
+            store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
+            for entry in entries:
+                store.append_entries(capsule.name, [entry])
+        seqnos = range(1, 27)  # 25 and 26 were never written
+
+        def agreed() -> dict:
+            wires = memory.read_records(capsule.name, seqnos)
+            assert disk.read_records(capsule.name, seqnos) == wires
+            return wires
+
+        assert agreed() == expected
+        tiers = {seg.tier for seg in disk.segments(capsule.name) if seg.sealed}
+        assert tiers == {"local", "object"}
+        disk.note_checkpoint(capsule.name, 24)
+        assert disk.compact(capsule.name) >= 2
+        assert agreed() == expected
+        disk.close()
+        disk = segmented()
+        assert agreed() == expected
+        for store in (memory, disk):
+            store.drop_entries(capsule.name)
+        assert agreed() == {}
+
+    def test_point_read_never_reaches_past_a_torn_tail(
+        self, tmp_path, capsule_with_data
+    ):
+        """A frame torn by a crash mid-append is never read back: the
+        dead store serves nothing, the reopened one what was intact."""
+        capsule, pairs = capsule_with_data
+        armed = []
+
+        def crash(site):
+            if armed and site == "append.torn":
+                raise SimulatedCrash(site)
+
+        root = str(tmp_path / "torn")
+        store = SegmentedStore(root, crash_hook=crash)
+        store.store_hosting(capsule.name, {"metadata": capsule.metadata.to_wire()})
+        for record, _ in pairs[:4]:
+            store.append_entries(capsule.name, [("r", record.to_wire())])
+        armed.append(True)
+        with pytest.raises(SimulatedCrash):
+            store.append_entries(capsule.name, [("r", pairs[4][0].to_wire())])
+        with pytest.raises(StorageError):
+            store.read_records(capsule.name, [5])
+        reopened = SegmentedStore(root)
+        assert reopened.read_records(capsule.name, range(1, 6)) == {
+            record.seqno: [record.to_wire()] for record, _ in pairs[:4]
+        }
 
 
 class TestIterationOrderConformance:

@@ -238,6 +238,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import IN_PROCESS, SUITES
 
     everything = args.suite == "all"
+    if everything and args.json:
+        os.makedirs(args.json, exist_ok=True)
     worst = 0
     for name in IN_PROCESS if everything else (args.suite,):
         suite = SUITES[name]

@@ -7,21 +7,21 @@ any evidence is attached.  This module provides the packed substrate
 both tables share:
 
 :class:`PackedMap`
-    32-byte keys kept sorted in two parallel packed arrays — each key's
-    first 8 bytes as an ``array('Q')`` of big-endian ints, searched by
-    ``bisect`` in C, and the remaining 24 bytes in one ``bytes`` blob —
-    plus a fixed-width ``bytearray`` value sidecar and a small dict
-    write-log merged in batches.  A merge is a handful of slices joined
-    at C speed, so sustained inserts cost an amortized O(log n) search
-    plus a few bytes of memcpy each — not a per-record Python loop.
+    32-byte keys kept sorted in pages of a few thousand keys — each
+    key's first 8 bytes in an ``array('Q')`` of big-endian ints,
+    searched by ``bisect`` in C, the other 24 bytes and the fixed-width
+    values in one ``bytearray`` — plus a small dict write-log merged in
+    batches.  A merge rewrites one page at a time at its exact size, so
+    it never holds a second copy of the table.
 
 :class:`ExpiryWheel`
     Lease expirations bucketed by coarse time slot, each bucket a
-    packed ``bytearray`` of 32-byte name tokens with an int-heap over
+    packed ``bytearray`` of fixed-width tokens with an int-heap over
     the slot indices.  Purging processes only the buckets whose slot
-    has fully elapsed — O(expired-processed), never O(table) — which
-    is what keeps lease refresh and withdraw purge affordable at 1M
-    names (ROADMAP item 1).
+    has fully elapsed — O(expired-processed), never O(table).  Both
+    tables file a name's 8-byte prefix when the name is new or its lease
+    moves to an earlier slot, and a purge meeting a live name files it
+    again: one token per name keeps 1M-name purges affordable.
 
 :class:`CompactFib`
     The router's name -> (next-hop, expiry) cache on top of both: the
@@ -54,40 +54,48 @@ _PREFIX = struct.Struct(">Q")
 #: the same int in ``array('Q')``'s own byte order (merge input)
 _NATIVE_Q = struct.Struct("=Q")
 
-#: write-log size that triggers a merge into the sorted base arrays
+#: write-log size that triggers a merge into the sorted base pages
 DEFAULT_MERGE_THRESHOLD = 8192
+#: keys per page a merge aims for; it cuts a page grown past twice this
+PAGE_KEYS = 2048
 
-#: slot of a key the write log holds (the base arrays were not searched)
+#: slot of a key the write log holds; a base slot is ``page << 32 | index``
 _IN_LOG = -2
+#: the page a key below every page head would be merged into
+_NO_PAGE = (array("Q"), bytearray())
+
+
+def _search(prefixes: array, blob, prefix: int, key: bytes, lo: int = 0):
+    """``(idx, found)``: the first page index >= *lo* with a key >= *key*."""
+    idx = bisect_left(prefixes, prefix, lo)
+    if idx == len(prefixes) or prefixes[idx] != prefix:
+        return idx, False
+    suffix = key[PREFIX_BYTES:]
+    if blob.startswith(suffix, idx * SUFFIX_BYTES):
+        return idx, True
+    # Several keys share this prefix: binary search their suffixes.
+    end = bisect_right(prefixes, prefix, idx)
+    at = lambda i: blob[i * SUFFIX_BYTES : (i + 1) * SUFFIX_BYTES]  # noqa: E731
+    idx = bisect_left(range(end), suffix, idx, key=at)
+    return idx, idx < end and at(idx) == suffix
 
 
 class PackedMap:
     """A sorted packed map: 32-byte keys -> fixed-width packed values.
 
-    Layout: merged keys are split in two sorted parallel arrays —
-    ``_prefixes``, an ``array('Q')`` of each key's first 8 bytes read
-    as a big-endian int, and ``_suffixes``, one ``bytes`` blob of the
-    other 24 bytes per key — so (prefix, suffix) order is byte order
-    and a key still costs 32 bytes.  ``_base_vals`` is the parallel
-    value sidecar (``bytearray``: a value is updated in place).  Writes
-    land in ``_log`` (a dict; ``None`` marks a pending delete) and are
-    merged once the log reaches ``merge_threshold``.
-
-    A search is one ``bisect_left`` over the prefixes in C and one
-    24-byte suffix compare; only keys sharing a prefix (never for
-    digests, always for small-int test keys) fall back to a binary
-    search over their suffixes.  The merge locates each sorted log key
-    the same way and builds the new arrays from slices joined in C.
+    Merged keys live in sorted pages ``(prefixes, blob)``: each key's
+    first 8 bytes as a big-endian int, then the other 24 bytes of each
+    key and the values (updated in place) — (prefix, suffix) order is
+    byte order.  Keys sharing a prefix (never digests, always small-int
+    test keys) never span two pages and fall back to a suffix search.
+    Writes land in ``_log`` (``None`` marks a pending delete); ``_fresh``
+    indexes by prefix the logged keys the pages lack.  A full log merges
+    only as a new key is written, which moves no page slot: a slot that
+    a search returned stays valid through deletes and updates.
     """
 
     __slots__ = (
-        "value_size",
-        "merge_threshold",
-        "_prefixes",
-        "_suffixes",
-        "_base_vals",
-        "_log",
-        "_count",
+        "value_size", "merge_threshold", "_heads", "_pages", "_log", "_fresh", "_count"
     )
 
     def __init__(
@@ -101,67 +109,57 @@ class PackedMap:
         self.value_size = value_size
         self.merge_threshold = merge_threshold
         self._log: dict[bytes, bytes | None] = {}
+        self._fresh: dict[int, Any] = {}  # prefix -> key, or a dict of keys
         self.clear()
 
-    # -- search over the packed base arrays ------------------------------
-
-    def _locate(self, key: bytes, lo: int = 0) -> tuple[int, bool]:
-        """``(idx, found)``: the first base index >= *lo* whose key is
-        >= *key*, and whether that key is *key*."""
-        prefixes = self._prefixes
-        prefix = _PREFIX.unpack_from(key)[0]
-        idx = bisect_left(prefixes, prefix, lo)
-        if idx == len(prefixes) or prefixes[idx] != prefix:
-            return idx, False
-        suffix, off = key[PREFIX_BYTES:], idx * SUFFIX_BYTES
-        if self._suffixes[off : off + SUFFIX_BYTES] == suffix:
-            return idx, True
-        # Several base keys share this prefix: binary search their suffixes.
-        end = bisect_right(prefixes, prefix, idx)
-        idx = bisect_left(range(end), suffix, idx, key=self._suffix_at)
-        return idx, idx < end and self._suffix_at(idx) == suffix
-
-    def _suffix_at(self, idx: int) -> bytes:
-        return self._suffixes[idx * SUFFIX_BYTES : (idx + 1) * SUFFIX_BYTES]
+    # -- search over the packed base pages -------------------------------
 
     def _find(self, key: bytes) -> tuple[bytes | None, int]:
-        """``(value, slot)`` for *key*, searching the base at most once.
-        The slot (base index, ``_IN_LOG``, or -1) lets a read-then-write
-        path call :meth:`_set_at` / :meth:`_delete_at` without searching
-        again; it is valid until the next write."""
+        """``(value, slot)`` for *key*; the slot (a base slot, ``_IN_LOG``
+        or -1) spares :meth:`_set_at` / :meth:`_delete_at` a search."""
         logged = self._log.get(key, _MISSING)
         if logged is not _MISSING:
             return logged, _IN_LOG  # None for a pending delete
-        idx, found = self._locate(key)
-        if not found:
+        prefix = _PREFIX.unpack_from(key)[0]
+        p = bisect_right(self._heads, prefix) - 1
+        prefixes, blob = self._pages[p] if p >= 0 else _NO_PAGE
+        idx = bisect_left(prefixes, prefix)
+        if idx == len(prefixes) or prefixes[idx] != prefix:
             return None, -1
-        vsz = self.value_size
-        return bytes(self._base_vals[idx * vsz : (idx + 1) * vsz]), idx
+        if not blob.startswith(key[PREFIX_BYTES:], idx * SUFFIX_BYTES):
+            idx, found = _search(prefixes, blob, prefix, key, idx)
+            if not found:
+                return None, -1
+        off = len(prefixes) * SUFFIX_BYTES + idx * self.value_size
+        return bytes(blob[off : off + self.value_size]), p << 32 | idx
 
     def _set_at(self, key: bytes, value: bytes, slot: int) -> None:
         """:meth:`set` at the slot :meth:`_find` returned."""
         if slot >= 0:
-            # In-place sidecar update: the cheap lease-refresh path.
-            vsz = self.value_size
-            self._base_vals[slot * vsz : (slot + 1) * vsz] = value
+            # In-place value update: the cheap lease-refresh path.
+            prefixes, blob = self._pages[slot >> 32]
+            off = len(prefixes) * SUFFIX_BYTES + (slot & 0xFFFFFFFF) * self.value_size
+            blob[off : off + self.value_size] = value
             return
-        if self._log.get(key) is None:  # a new key or a pending delete
+        if slot == -1:  # a new key: merge a full log, index the key for named()
+            if len(self._log) >= self.merge_threshold:
+                self._merge()
+            prefix = _PREFIX.unpack_from(key)[0]
+            have = self._fresh.setdefault(prefix, key)
+            if have is not key:  # keys sharing a prefix
+                if type(have) is not dict:
+                    have = self._fresh[prefix] = {have: None}
+                have[key] = None
+        if slot == -1 or self._log[key] is None:  # new, or a pending delete
             self._count += 1
         self._log[key] = value
-        if len(self._log) >= self.merge_threshold:
-            self._merge()
 
     def _delete_at(self, key: bytes, slot: int) -> bool:
         """:meth:`delete` at the slot :meth:`_find` returned."""
         if slot == -1 or (slot == _IN_LOG and self._log[key] is None):
             return False  # absent, or already a pending delete
-        if slot == _IN_LOG and not self._locate(key)[1]:
-            del self._log[key]  # log-only record: drop outright
-        else:
-            self._log[key] = None
+        self._log[key] = None  # the merge drops it, in the pages or not
         self._count -= 1
-        if len(self._log) >= self.merge_threshold:
-            self._merge()
         return True
 
     # -- core operations -------------------------------------------------
@@ -180,6 +178,29 @@ class PackedMap:
         """Remove *key*; returns whether it was present."""
         return self._delete_at(key, self._find(key)[1])
 
+    def named(self, head: bytes) -> list[tuple[bytes, bytes, int]]:
+        """``(key, value, slot)`` of every live key whose first 8 bytes
+        are *head* — what a wheel token resolves to."""
+        log, out, vsz = self._log, [], self.value_size
+        prefix = _PREFIX.unpack(head)[0]
+        p = bisect_right(self._heads, prefix) - 1
+        prefixes, blob = self._pages[p] if p >= 0 else _NO_PAGE
+        idx, vals = bisect_left(prefixes, prefix), len(prefixes) * SUFFIX_BYTES
+        while idx < len(prefixes) and prefixes[idx] == prefix:
+            key = head + blob[idx * SUFFIX_BYTES : (idx + 1) * SUFFIX_BYTES]
+            value = log.get(key, _MISSING)
+            if value is _MISSING:
+                value = bytes(blob[vals + idx * vsz : vals + (idx + 1) * vsz])
+                out.append((key, value, p << 32 | idx))
+            elif value is not None:
+                out.append((key, value, _IN_LOG))
+            idx += 1
+        fresh = self._fresh.get(prefix, ())
+        for key in (fresh,) if type(fresh) is bytes else fresh:
+            if log.get(key) is not None:
+                out.append((key, log[key], _IN_LOG))
+        return out
+
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
 
@@ -192,75 +213,104 @@ class PackedMap:
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """All live (key, packed value) pairs."""
-        log, vals, vsz = self._log, self._base_vals, self.value_size
-        for idx, prefix in enumerate(self._prefixes):
-            key = _PREFIX.pack(prefix) + self._suffix_at(idx)
-            if key not in log:
-                yield key, bytes(vals[idx * vsz : (idx + 1) * vsz])
+        log, vsz = self._log, self.value_size
+        for prefixes, blob in self._pages:
+            vals = len(prefixes) * SUFFIX_BYTES
+            for idx, prefix in enumerate(prefixes):
+                off = idx * SUFFIX_BYTES
+                key = _PREFIX.pack(prefix) + blob[off : off + SUFFIX_BYTES]
+                if key not in log:
+                    yield key, bytes(blob[vals + idx * vsz : vals + (idx + 1) * vsz])
         for key, value in log.items():
             if value is not None:
                 yield key, value
 
     def clear(self) -> None:
         """Drop everything."""
-        self._prefixes = array("Q")
-        self._suffixes = b""
-        self._base_vals = bytearray()
+        self._heads: tuple[int, ...] = ()
+        self._pages: tuple[tuple[array, bytearray], ...] = ()
         self._log.clear()
+        self._fresh.clear()
         self._count = 0
 
     def compact(self) -> None:
-        """Force-merge the write log into the sorted base arrays."""
+        """Force-merge the write log into the sorted base pages."""
         self._merge()
 
     def _merge(self) -> None:
         log = self._log
         if not log:
             return
-        vsz, n = self.value_size, len(self._prefixes)
+        keys = sorted(log)
+        old = list(self._pages) or [_NO_PAGE]
+        heads, pages, start = self._heads, [], 0
+        self._pages = ()
+        for p in range(len(old)):
+            page, old[p] = old[p], None  # freed once rewritten
+            end = len(keys)  # this page's keys sort below the next head
+            if p + 1 < len(heads):
+                end = bisect_left(keys, _PREFIX.pack(heads[p + 1]), start)
+            if start == end:
+                pages.append(page)
+            else:
+                pages.extend(self._rewrite(*page, keys[start:end]))
+            start = end
+        self._pages = tuple(page for page in pages if page[0])
+        self._heads = tuple(page[0][0] for page in self._pages)
+        log.clear()
+        self._fresh.clear()
+
+    def _rewrite(self, prefixes: array, blob: bytearray, keys: list) -> list:
+        """One page with its sorted log *keys* applied, as exact-size
+        pages: one grown past twice :data:`PAGE_KEYS` is cut at prefix ends."""
+        log, vsz, n = self._log, self.value_size, len(prefixes)
+        at, found_at, pos, total = [], [], 0, n  # per log key: where, and if found
+        for key in keys:  # one search per log key
+            idx, found = _search(prefixes, blob, _PREFIX.unpack_from(key)[0], key, pos)
+            at.append(idx)
+            found_at.append(found)
+            total += (log[key] is not None) - found
+            pos = idx + found
+        parts = total // PAGE_KEYS if total > 2 * PAGE_KEYS else 1
+        cuts = {k * n // parts for k in range(1, parts)} - {0}
+        cuts = sorted({bisect_right(prefixes, prefixes[c - 1], c) for c in cuts} - {n})
         # Pieces are bytes copies: array or memoryview slices are
         # GC-tracked, and one per log key would trigger collections.
-        prefixes = self._prefixes.tobytes()
-        suffixes, vals = self._suffixes, self._base_vals
-        out_p: list = []  # prefix, suffix and value pieces
-        out_s: list = []
-        out_v: list = []
-        pos = 0
-        for key, value in sorted(log.items()):
-            idx, found = self._locate(key, pos)
-            if idx > pos:
-                out_p.append(prefixes[pos * PREFIX_BYTES : idx * PREFIX_BYTES])
-                out_s.append(suffixes[pos * SUFFIX_BYTES : idx * SUFFIX_BYTES])
-                out_v.append(vals[pos * vsz : idx * vsz])
-            pos = idx + 1 if found else idx  # a found key is replaced or deleted
-            if value is not None:
-                out_p.append(_NATIVE_Q.pack(_PREFIX.unpack_from(key)[0]))
-                out_s.append(key[PREFIX_BYTES:])
-                out_v.append(value)
-        if pos < n:
-            out_p.append(prefixes[pos * PREFIX_BYTES :])
-            out_s.append(suffixes[pos * SUFFIX_BYTES :])
-            out_v.append(vals[pos * vsz :])
-        # The merged base holds exactly the live keys; sizing the array
-        # up front avoids array('Q', bytes)'s 1/16 over-allocation.
-        self._prefixes = array("Q", [0]) * self._count
-        memoryview(self._prefixes).cast("B")[:] = b"".join(out_p)
-        self._suffixes = b"".join(out_s)
-        self._base_vals = bytearray(b"").join(out_v)
-        log.clear()
+        pre, vals, out, pos, i = prefixes.tobytes(), n * SUFFIX_BYTES, [], 0, 0
+        for cut in cuts + [n]:  # keys[i:j] sort below the prefix at the cut
+            j = len(keys)
+            if cut < n:
+                j = bisect_left(keys, _PREFIX.pack(prefixes[cut]), i)
+            out_p, out_s, out_v = [], [], []  # prefix, suffix and value pieces
+            run = zip(at[i:j] + [cut], found_at[i:j] + [0], keys[i:j] + [b""])
+            for idx, found, key in run:
+                if idx > pos:  # the untouched keys before this one
+                    out_p.append(pre[pos * PREFIX_BYTES : idx * PREFIX_BYTES])
+                    out_s.append(blob[pos * SUFFIX_BYTES : idx * SUFFIX_BYTES])
+                    out_v.append(blob[vals + pos * vsz : vals + idx * vsz])
+                pos = idx + found  # a found key is replaced or deleted
+                if log.get(key) is not None:
+                    out_p.append(_NATIVE_Q.pack(_PREFIX.unpack_from(key)[0]))
+                    out_s.append(key[PREFIX_BYTES:])
+                    out_v.append(log[key])
+            i = j
+            # Sized up front: array('Q', bytes) over-allocates by 1/16.
+            page = array("Q", [0]) * (sum(map(len, out_p)) // PREFIX_BYTES)
+            memoryview(page).cast("B")[:] = b"".join(out_p)
+            out_s += out_v
+            out.append((page, bytearray().join(out_s)))
+        return out
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes of the packed state (prefix array,
-        suffix blob, value sidecar and the write log)."""
-        return (
-            sys.getsizeof(self._prefixes)
-            + sys.getsizeof(self._suffixes)
-            + sys.getsizeof(self._base_vals)
-            + sys.getsizeof(self._log)
-            + sum(
-                sys.getsizeof(k) + (sys.getsizeof(v) if v is not None else 0)
-                for k, v in self._log.items()
-            )
+        """Approximate resident bytes of the packed state (heads, pages,
+        the write log and its prefix index)."""
+        size = sys.getsizeof
+        return sum(
+            [size(self._heads), size(self._pages), size(self._log), size(self._fresh)]
+            + [size(page) + size(page[0]) + size(page[1]) for page in self._pages]
+            + [size(k) + size(v) * (v is not None) for k, v in self._log.items()]
+            + [size(p) + size(v) * (type(v) is dict) for p, v in self._fresh.items()]
+            + list(map(size, self._heads))
         )
 
 
@@ -269,7 +319,8 @@ _MISSING: Any = object()
 
 
 class ExpiryWheel:
-    """A coarse timing wheel over 32-byte name tokens.
+    """A coarse timing wheel over fixed-width tokens (32-byte names by
+    default; the packed tables file 8-byte prefixes).
 
     ``schedule(token, expiry)`` files the token in the bucket for
     ``floor(expiry / granularity)``; ``expired(now)`` yields every
@@ -282,20 +333,24 @@ class ExpiryWheel:
     *when* dead entries get reclaimed.
     """
 
-    __slots__ = ("granularity", "_buckets", "_heap")
+    __slots__ = ("granularity", "token_bytes", "_buckets", "_heap")
 
-    def __init__(self, granularity: float = 1.0):
+    def __init__(self, granularity: float = 1.0, token_bytes: int = KEY_BYTES):
         if granularity <= 0:
             raise ValueError("granularity must be positive")
         self.granularity = granularity
+        self.token_bytes = token_bytes
         self._buckets: dict[int, bytearray] = {}
         self._heap: list[int] = []
 
-    def schedule(self, token: bytes, expiry: float) -> None:
-        """File *token* to fire once *expiry* has fully elapsed."""
-        if len(token) != KEY_BYTES:
-            raise ValueError("wheel tokens must be 32 bytes")
+    def schedule(self, token: bytes, expiry: float, filed: float | None = None) -> None:
+        """File *token* to fire once *expiry* has fully elapsed, unless
+        it is filed already at *filed*, in a slot no later."""
+        if len(token) != self.token_bytes:
+            raise ValueError(f"wheel tokens must be {self.token_bytes} bytes")
         slot = int(expiry // self.granularity)
+        if filed is not None and filed // self.granularity <= slot:
+            return
         bucket = self._buckets.get(slot)
         if bucket is None:
             bucket = self._buckets[slot] = bytearray()
@@ -310,13 +365,12 @@ class ExpiryWheel:
 
     def expired(self, now: float) -> Iterator[bytes]:
         """Yield (and consume) every token whose slot has elapsed."""
-        heap = self._heap
-        granularity = self.granularity
+        heap, granularity, width = self._heap, self.granularity, self.token_bytes
         while heap and (heap[0] + 1) * granularity <= now:
             slot = heapq.heappop(heap)
-            bucket = self._buckets.pop(slot, b"")
-            for off in range(0, len(bucket), KEY_BYTES):
-                yield bytes(bucket[off : off + KEY_BYTES])
+            bucket = bytes(self._buckets.pop(slot, b""))
+            for off in range(0, len(bucket), width):
+                yield bucket[off : off + width]
 
     def clear(self) -> None:
         """Drop all scheduled tokens."""
@@ -325,7 +379,7 @@ class ExpiryWheel:
 
     def __len__(self) -> int:
         """Scheduled token count (stale duplicates included)."""
-        return sum(len(b) for b in self._buckets.values()) // KEY_BYTES
+        return sum(len(b) for b in self._buckets.values()) // self.token_bytes
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes of buckets + heap."""
@@ -344,8 +398,9 @@ class CompactFib:
 
     Keys live in a :class:`PackedMap` (44 packed bytes per route:
     32-byte name + 4-byte interned next-hop index + 8-byte expiry);
-    next-hop nodes are interned once per neighbor.  Every insert files
-    the name on an :class:`ExpiryWheel`, and ``maybe_purge()`` — an
+    next-hop nodes are interned once per neighbor.  A new name (or one
+    whose lease moves to an earlier slot) files its 8-byte prefix on an
+    :class:`ExpiryWheel`, and ``maybe_purge()`` — an
     O(1) head check the router runs on install activity — physically
     reclaims expired entries instead of leaving them to rot until a
     lookup happens to touch them.
@@ -359,7 +414,7 @@ class CompactFib:
 
     def __init__(self, *, clock: Callable[[], float] | None = None):
         self._map = PackedMap(_FIB_VALUE.size)
-        self._wheel = ExpiryWheel()
+        self._wheel = ExpiryWheel(token_bytes=PREFIX_BYTES)
         self._clock = clock or (lambda: 0.0)
         #: interned next-hop nodes (index -> node; id(node) -> index)
         self._hops: list[Any] = []
@@ -376,8 +431,10 @@ class CompactFib:
             idx = len(self._hops)
             self._hops.append(node)
             self._hop_index[id(node)] = idx
-        self._map.set(name.raw, _FIB_VALUE.pack(idx, expiry))
-        self._wheel.schedule(name.raw, expiry)
+        packed, slot = self._map._find(name.raw)
+        self._map._set_at(name.raw, _FIB_VALUE.pack(idx, expiry), slot)
+        filed = None if packed is None else _FIB_VALUE.unpack(packed)[1]
+        self._wheel.schedule(name.raw[:PREFIX_BYTES], expiry, filed)
 
     def get(self, name: GdpName, default: Any = None) -> Any:
         packed = self._map.get(name.raw)
@@ -451,15 +508,16 @@ class CompactFib:
         table = self._map
         wheel = self._wheel
         for token in wheel.expired(now):
-            packed, slot = table._find(token)
-            if packed is None:
-                continue  # already dropped/replaced: stale token
-            expiry = _FIB_VALUE.unpack(packed)[1]
-            if expiry <= now:
-                table._delete_at(token, slot)
-                reclaimed += 1
-            else:
-                wheel.schedule(token, expiry)  # refreshed since filing
+            soonest = None  # the earliest live expiry under this prefix
+            for key, packed, slot in table.named(token):
+                expiry = _FIB_VALUE.unpack(packed)[1]
+                if expiry <= now:
+                    table._delete_at(key, slot)
+                    reclaimed += 1
+                elif soonest is None or expiry < soonest:
+                    soonest = expiry
+            if soonest is not None:  # refreshed since filing
+                wheel.schedule(token, soonest)
         self.purged += reclaimed
         return reclaimed
 

@@ -21,9 +21,9 @@ Storage is a backing behind the policy; the in-process one is packed
 for million-name namespaces: names live in a sorted
 :class:`~repro.routing.fib.PackedMap` (32-byte key + 12-byte sidecar
 per name), delegation evidence is interned in a refcounted pool — one
-record per distinct (where, principal, chain, certs) combination, not
-one per entry — and lease expirations ride an
-:class:`~repro.routing.fib.ExpiryWheel` so purging dead names costs
+record per distinct (where, principal, chain, certs) combination — and
+a name's earliest lease files its 8-byte prefix once on an
+:class:`~repro.routing.fib.ExpiryWheel`, so purging dead names costs
 O(expired), never O(table).  :class:`RouteEntry` objects are
 reconstructed at the lookup edge, so every consumer still sees the
 verified-entry API.
@@ -40,7 +40,7 @@ from repro.delegation.chain import ServiceChain, verify_routing_chain
 from repro.errors import AdvertisementError, ScopeViolationError
 from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
-from repro.routing.fib import ExpiryWheel, PackedMap
+from repro.routing.fib import PREFIX_BYTES, ExpiryWheel, PackedMap
 from repro.routing.wirecache import decode_blob, encode_blob
 from repro.runtime.metrics import MetricsRegistry
 
@@ -282,6 +282,12 @@ _SPILL = 0xFFFFFFFF
 _NO_EXPIRY = float("inf")
 
 
+def _soonest(pairs: list) -> float | None:
+    """The earliest lease among *pairs* (None when none has one)."""
+    leases = [expiry for _, expiry in pairs if expiry != _NO_EXPIRY]
+    return min(leases) if leases else None
+
+
 def _evidence_key(payload: tuple) -> tuple:
     """Content identity of an evidence payload, built from component
     signatures (deterministic ECDSA: same content <=> same signature).
@@ -386,7 +392,7 @@ class _PackedTable:
     :class:`~repro.routing.fib.PackedMap` (name -> evidence id, expiry;
     multi-principal names — anycast replica sets — spill to a side
     dict), evidence interned in an :class:`_EvidencePool`, leases on an
-    :class:`~repro.routing.fib.ExpiryWheel`.  Every answer is inline.
+    :class:`~repro.routing.fib.ExpiryWheel` by prefix.  Every answer is inline.
     """
 
     __slots__ = ("_clock", "_map", "_spill", "_pool", "_wheel", "_c_purged")
@@ -396,7 +402,7 @@ class _PackedTable:
         self._map = PackedMap(_VALUE.size)
         self._spill: dict[bytes, list[tuple[int, float]]] = {}
         self._pool = _EvidencePool()
-        self._wheel = ExpiryWheel()
+        self._wheel = ExpiryWheel(token_bytes=PREFIX_BYTES)
         self._c_purged = metrics.counter("glookup.purged")
 
     def _load(self, raw: bytes) -> tuple[list[tuple[int, float]], int]:
@@ -409,6 +415,11 @@ class _PackedTable:
         if ev == _SPILL:
             return list(self._spill.get(raw, [])), slot
         return [(ev, expiry)], slot
+
+    def _pairs(self, raw: bytes, packed: bytes) -> list[tuple[int, float]]:
+        """:meth:`_load`'s pairs for a packed value :meth:`PackedMap.named` found."""
+        ev, expiry = _VALUE.unpack(packed)
+        return list(self._spill.get(raw, [])) if ev == _SPILL else [(ev, expiry)]
 
     def _write(self, raw: bytes, pairs: list, slot: int) -> None:
         """Store the pair list for a raw name at the slot :meth:`_load`
@@ -461,10 +472,11 @@ class _PackedTable:
         ev = self._pool.acquire(payload)
         expiry = _NO_EXPIRY if entry.expires_at is None else entry.expires_at
         pairs, slot = self._load(raw)
+        filed = _soonest(pairs)
         kept = self._without(pairs, entry.principal.raw)
         self._write(raw, kept + [(ev, expiry)], slot)
         if expiry != _NO_EXPIRY:
-            self._wheel.schedule(raw, expiry)
+            self._wheel.schedule(raw[:PREFIX_BYTES], expiry, filed)
 
     def _without(self, pairs: list, principal_raw: bytes) -> list:
         """*pairs* minus *principal_raw*'s binding, whose evidence
@@ -507,9 +519,15 @@ class _PackedTable:
         proportional to the tokens processed, never the table size."""
         reclaimed = 0
         for token in self._wheel.expired(now):
-            pairs, slot = self._load(token)
-            if pairs:  # else the name was already dropped: stale token
-                reclaimed += len(pairs) - len(self._cull(token, pairs, slot, now))
+            live = []  # every binding still live under this prefix
+            for raw, packed, slot in self._map.named(token):
+                pairs = self._pairs(raw, packed)
+                live += self._cull(raw, pairs, slot, now)
+                reclaimed += len(pairs)
+            reclaimed -= len(live)
+            soonest = _soonest(live)
+            if soonest is not None:  # refreshed since filing
+                self._wheel.schedule(token, soonest)
         self._c_purged.inc(reclaimed)
         return reclaimed
 

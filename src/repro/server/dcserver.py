@@ -660,6 +660,7 @@ class DataCapsuleServer(Endpoint):
 
         name = hosted.capsule.name
         missing = {headers[i].digest: i for i, wire in enumerate(wires) if wire is None}
+        failed = {headers[i].seqno for i in missing.values()}
         for sibling in list(hosted.siblings):
             seqnos = sorted({headers[i].seqno for i in missing.values()})
             ask = {"op": "sync_fetch_batch", "capsule": name.raw, "seqnos": seqnos,
@@ -674,7 +675,11 @@ class DataCapsuleServer(Endpoint):
                 if record.digest in missing:
                     wires[missing.pop(record.digest)] = record.to_wire()
                     self.storage.append_entries(name, [("r", record.to_wire())])
-            if not missing:
+            if not missing:  # the failing frames leave the read path
+                held = hosted.capsule.get_all
+                self.storage.read_records(
+                    name, failed, lambda w: any(h.matches(w) for h in held(w["seqno"]))
+                )
                 return body
         raise StorageError(f"no sibling supplied {len(missing)} record(s) failing their check")
 

@@ -191,6 +191,12 @@ class _Locators:
             yield self.spans[2 * at], self.spans[2 * at + 1]
             at += 1
 
+    def drop(self, seqno: int, span: tuple[int, int]) -> None:
+        at = bisect_left(self.seqnos, seqno)
+        while (self.spans[2 * at], self.spans[2 * at + 1]) != span:
+            at += 1
+        del self.seqnos[at], self.spans[2 * at : 2 * at + 2]
+
 
 class _CapsuleLog:
     """In-memory state for one capsule's segment chain."""
@@ -814,11 +820,12 @@ class SegmentedStore(StorageBackend):
     # -- point read ----------------------------------------------------------
 
     def read_records(
-        self, name: GdpName, seqnos: Iterable[int]
+        self, name: GdpName, seqnos: Iterable[int], keep=None
     ) -> dict[int, list[dict]]:
         """The stored record wires at *seqnos*, read as exact byte ranges
         (a frame that no longer decodes is left out, for the caller's
-        check against its header to count)."""
+        check against its header to count; with *keep*, it and every
+        wire failing *keep* lose their locator, unpersisted)."""
         self._check_alive()
         wanted = sorted(set(seqnos))
         log = self._log_for(name)
@@ -840,11 +847,15 @@ class SegmentedStore(StorageBackend):
                     blobs = [os.pread(fd, length, offset) for _, (offset, length) in hits]
                 finally:
                     os.close(fd)
-            for (seqno, _), blob in zip(hits, blobs):
+            for (seqno, span), blob in zip(hits, blobs):
                 try:
-                    found.setdefault(seqno, []).append(encoding.decode(blob))
+                    wire = encoding.decode(blob)
                 except (GdpError, TypeError):
-                    continue
+                    wire = None
+                if keep is not None and (wire is None or not keep(wire)):
+                    locators.drop(seqno, span)
+                elif wire is not None:
+                    found.setdefault(seqno, []).append(wire)
         return found
 
     def _locators(self, log: _CapsuleLog, seg: SegmentInfo) -> _Locators:

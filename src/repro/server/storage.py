@@ -90,11 +90,13 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def read_records(
-        self, name: GdpName, seqnos: Iterable[int]
+        self, name: GdpName, seqnos: Iterable[int], keep=None
     ) -> dict[int, list[dict]]:
         """The point read: the stored record wires at *seqnos* by seqno,
         branches in write order, never bytes past a torn tail; the caller
-        checks each against the header it holds (:meth:`Record.matches`)."""
+        checks each against the header it holds (:meth:`Record.matches`).
+        A wire failing *keep* leaves the read path for good (its frame
+        stays in the log)."""
 
     @abstractmethod
     def list_capsules(self) -> list[GdpName]:
@@ -162,11 +164,14 @@ class MemoryStore(StorageBackend):
         return iter(tuple(self._data.get(name, ())))
 
     def read_records(
-        self, name: GdpName, seqnos: Iterable[int]
+        self, name: GdpName, seqnos: Iterable[int], keep=None
     ) -> dict[int, list[dict]]:
         """The stored wires at *seqnos*, each a fresh dict (as
         :meth:`Record.to_wire` gives) over the stored payload."""
         by_seqno = self._records.get(name, {})
+        if keep is not None:
+            seqnos = [seqno for seqno in seqnos if seqno in by_seqno]
+            by_seqno.update({n: list(filter(keep, by_seqno[n])) for n in seqnos})
         return {
             seqno: [
                 dict(wire, pointers=[list(p) for p in wire["pointers"]])

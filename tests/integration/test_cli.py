@@ -91,3 +91,21 @@ class TestSimtestCommand:
         # strips the schedule to nothing.
         assert "shrink: 2 -> 0 faults (2 removed)" in out
         assert "simtest: 0/1 episodes passed" in out
+
+
+class TestBenchCommand:
+    def test_suite_all_creates_its_json_directory(self, tmp_path, monkeypatch):
+        from repro import bench
+        from repro.bench import gate
+
+        fake = bench.Suite(
+            run=lambda quick, note: {"score": 10.0},
+            gates=(gate.Gate("score", "higher", floor=1.0),),
+            table=lambda doc: [f"score {doc['score']}"],
+            baseline="BENCH_fake.json",
+        )
+        monkeypatch.setitem(bench.SUITES, "fake", fake)
+        monkeypatch.setattr(bench, "IN_PROCESS", ("fake", "fake"))
+        out = tmp_path / "not" / "made"
+        assert main(["bench", "--suite", "all", "--json", str(out)]) == 0
+        assert gate.load(out / "BENCH_fake.current.json") == {"score": 10.0}

@@ -1,6 +1,9 @@
 """Unit tests: packed routing tables (PackedMap / ExpiryWheel /
 CompactFib) — the million-name substrate under the FIB and GLookup."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.naming import GdpName
@@ -226,3 +229,40 @@ class TestCompactFib:
         fib._map.compact()
         # Packed record is 44 bytes; wheel adds one 32-byte token.
         assert fib.memory_bytes() / n < 120
+
+
+def digest(label: bytes, i: int) -> bytes:
+    return hashlib.sha256(label + b":%d" % i).digest()
+
+
+class TestMemoryHonesty:
+    def test_merge_allocates_a_page_not_a_second_table(self):
+        # Everything the map holds is traced, so the peak over a merge
+        # counts what the merge allocates beyond what it frees.
+        tracemalloc.start()
+        try:
+            m = PackedMap(12)
+            for i in range(50_000):
+                m.set(digest(b"merge", i), bytes(12))
+            size = m.memory_bytes()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            m.compact()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(m) == 50_000
+        assert peak < size / 4
+
+    def test_fib_memory_bytes_matches_what_it_allocates(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fib = CompactFib()
+            hop = object()
+            for i in range(20_000):
+                fib[GdpName(digest(b"fib", i))] = (hop, 100.5 + i % 50)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert abs(fib.memory_bytes() - traced) <= 0.15 * traced

@@ -319,9 +319,19 @@ class TestFreshProcess:
 
         assert read_2() == [b"acked-1"]
         assert corrupt.value == 1
+        # The rotted frame has left the read path: a tiered read of
+        # record 2 makes one ranged GET, of the repaired frame alone.
+        gets = []
+        if tier is not None:
+            real_get = tier.get_range
+            tier.get_range = lambda *args: gets.append(args) or real_get(*args)
+        assert read_2() == [b"acked-1"]
+        assert len(gets) == (1 if tiered else 0)
         sibling.crash()
+        gets.clear()
         assert read_2() == [b"acked-1"]
         assert corrupt.value == 1
+        assert len(gets) == (1 if tiered else 0)
 
     def test_a_record_already_held_is_stored_once(self, process_world):
         """``DataCapsule.admit`` is the one dedup: a re-sent

@@ -526,7 +526,9 @@ def _a5_cell(n_replicas: int, interval: float) -> dict:
             "period_s": interval,
             "converge_s": round(seconds, 3),
             "converge_vs_bound": round(seconds / (8 * interval + 2), 3),
-            "records_fetched": sum(d.records_fetched for d in daemons),
+            "records_fetched": sum(
+                s.metrics.counter("server.sync.fetched").value for s in servers
+            ),
         }
 
     return net.sim.run_process(scenario())

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import statistics
 import time
 import tracemalloc
 
@@ -360,9 +361,10 @@ def _bench_dht_churn() -> dict:
 
 
 def _bench_trace_overhead() -> dict:
-    """Best wall time of the Fig. 6 loop per configuration, rounds
-    interleaved so drift hits all three alike (the extra first round is
-    the warm-up; a minimum ignores it)."""
+    """Wall time of the Fig. 6 loop per configuration, rounds
+    interleaved so drift hits all three alike.  ``disabled_vs_plain`` is
+    the median of each round's own disabled / plain ratio (the extra
+    first round, the warm-up, dropped); the others use best times."""
     from repro.bench.paper import forwarding_star
     from repro.crypto import cache
 
@@ -374,7 +376,7 @@ def _bench_trace_overhead() -> dict:
         net.enable_tracing()
 
     modes = {"plain": None, "disabled": disabled, "full": full}
-    best = dict.fromkeys(modes, float("inf"))
+    times: dict[str, list[float]] = {mode: [] for mode in modes}
     try:
         for _ in range(TRACE_ROUNDS + 1):
             for mode, configure in modes.items():
@@ -384,14 +386,15 @@ def _bench_trace_overhead() -> dict:
                 )
                 t0 = time.perf_counter()
                 drive()
-                best[mode] = min(best[mode], time.perf_counter() - t0)
+                times[mode].append(time.perf_counter() - t0)
     finally:
         cache.bind_metrics(None)  # enable_node_metrics bound a dead world
+    disabled_ratios = [d / p for d, p in zip(times["disabled"], times["plain"])]
     return {
         "pdus": TRACE_PAIRS * TRACE_PDUS_PER_PAIR,
-        "plain_ms": round(best["plain"] * 1000, 2),
-        "disabled_vs_plain": round(best["disabled"] / best["plain"], 3),
-        "full_vs_plain": round(best["full"] / best["plain"], 3),
+        "plain_ms": round(min(times["plain"]) * 1000, 2),
+        "disabled_vs_plain": round(statistics.median(disabled_ratios[1:]), 3),
+        "full_vs_plain": round(min(times["full"]) / min(times["plain"]), 3),
     }
 
 

@@ -2,7 +2,6 @@
 
 from repro.client.client import ClientWriter, GdpClient
 from repro.client.owner import CapsulePlacement, OwnerConsole
-from repro.client.qos import ProviderStats, QosTracker
 from repro.client.results import AppendReceipt, ReadResult
 
 __all__ = [
@@ -12,6 +11,4 @@ __all__ = [
     "AppendReceipt",
     "OwnerConsole",
     "CapsulePlacement",
-    "QosTracker",
-    "ProviderStats",
 ]

@@ -80,8 +80,14 @@ class GdpClient(Endpoint):
         super().__init__(network, node_id, metadata, key)
         #: retry/backoff envelope for anycast ops hitting dead routes
         self.failover = failover or FailoverPolicy()
-        #: optional QoS accountability tracker (see repro.client.qos)
-        self.qos = None
+        #: corr_id -> send time, until the reply is attributed
+        self._sent: dict[int, float] = {}
+        #: server -> its (ok, errors, latency) QoS instruments
+        self._providers: dict[GdpName, tuple] = {}
+        self._c_timeouts = self.metrics.counter("qos.timeouts")
+        self._c_resubscribes = self.metrics.counter("client.resubscribed")
+        self._c_pushes = self.metrics.counter("client.pushes_delivered")
+        self._c_duplicates = self.metrics.counter("client.duplicate_pushes")
         self.readers: dict[GdpName, VerifyingReader] = {}
         self._sessions: dict[GdpName, SessionKey] = {}
         #: capsule -> replica that answered our last op (the client-side
@@ -98,18 +104,36 @@ class GdpClient(Endpoint):
         *,
         timeout: float | None = 30.0,
     ) -> tuple[int, Any]:
-        """:meth:`Endpoint.request`, timed by the QoS tracker when one
-        is attached."""
+        """:meth:`Endpoint.request`, its send time kept until
+        :meth:`accept` charges the reply's latency to its signer."""
         corr_id, future = super().request(dst, payload, timeout=timeout)
-        if self.qos is not None:
-            self.qos.request_sent(corr_id)
-
-            def qos_watch(fut, corr_id=corr_id):
-                if isinstance(fut._error, TimeoutError_):
-                    self.qos.request_timed_out(corr_id)
-
-            future.add_callback(qos_watch)
+        self._sent[corr_id] = self.ctx.now
         return corr_id, future
+
+    def _expired(self, corr_id: int) -> None:
+        super()._expired(corr_id)
+        self._sent.pop(corr_id, None)
+        self._c_timeouts.inc()
+
+    def _on_no_route(self, pdu: Pdu) -> None:
+        self._sent.pop(pdu.corr_id, None)
+        super()._on_no_route(pdu)
+
+    def _attribute(self, corr_id: int, server: GdpName, ok: bool) -> None:
+        """Charge reply *corr_id* to *server*, its verified signer: an
+        ok or error count, and its latency when we timed the request."""
+        instruments = self._providers.get(server)
+        if instruments is None:
+            prefix = f"qos.{server.hex()}."
+            instruments = self._providers[server] = (
+                self.metrics.counter(prefix + "ok"),
+                self.metrics.counter(prefix + "errors"),
+                self.metrics.histogram(prefix + "latency"),
+            )
+        instruments[0 if ok else 1].inc()
+        sent = self._sent.pop(corr_id, None)
+        if sent is not None:
+            instruments[2].observe(self.ctx.now - sent)
 
     def accept(
         self,
@@ -126,7 +150,7 @@ class GdpClient(Endpoint):
         :class:`CapsuleError` (:class:`DurabilityError`: acks not met).
 
         Every verified reply, signed or session-MACed, is attributed to
-        its server in the QoS tracker.  With *resolve*, the verified
+        its server in the ``qos.*`` instruments.  With *resolve*, the verified
         server (of a refusal too) becomes *capsule*'s cached resolution."""
         body, signer = open_response(
             wrapped, requester=self.name, corr_id=corr_id, capsule=capsule,
@@ -134,8 +158,7 @@ class GdpClient(Endpoint):
         )
         if resolve:
             self._resolutions[capsule] = signer
-        if self.qos is not None:
-            self.qos.response_attributed(corr_id, signer, bool(body.get("ok")))
+        self._attribute(corr_id, signer, bool(body.get("ok")))
         if not body.get("ok"):
             error = str(body.get("error", "server refused"))
             raise (DurabilityError if "durability" in error else CapsuleError)(error)
@@ -410,16 +433,24 @@ class GdpClient(Endpoint):
             # Initial subscribe: only *future* records are promised.
             sub.last_delivered = from_seqno - 1
             return from_seqno
-        sub.resubscribes += 1
+        self._c_resubscribes.inc()
         for seqno in range(sub.last_delivered + 1, from_seqno):
             try:
                 result = yield from self.read(capsule, seqno)
             except GdpError:
                 continue  # a hole the fleet lost: tolerated, not fatal
-            record = result.record
-            if sub.deliver(record.seqno):
-                sub.callback(record, result.proof.position.heartbeat)
+            self._deliver(sub, result.record, result.proof.position.heartbeat)
         return from_seqno
+
+    def _deliver(self, sub: Subscription, record: Record, heartbeat) -> None:
+        """Hand *record* to *sub*'s callback unless its seqno is at or
+        below the last one delivered (a duplicate)."""
+        if sub.last_delivered is not None and record.seqno <= sub.last_delivered:
+            self._c_duplicates.inc()
+            return
+        sub.last_delivered = max(sub.last_delivered or 0, record.seqno)
+        self._c_pushes.inc()
+        sub.callback(record, heartbeat)
 
     def resync_subscriptions(self) -> Generator:
         """Re-subscribe every active subscription (after a heal, or any
@@ -454,8 +485,7 @@ class GdpClient(Endpoint):
             # stream with the first's: suppress anything already
             # delivered so the application sees each record once.
             for record in sorted(records, key=lambda r: r.seqno):
-                if sub.deliver(record.seqno):
-                    sub.callback(record, heartbeat)
+                self._deliver(sub, record, heartbeat)
         except GdpError:
             # Forged or corrupt push from the network: drop, never
             # surface unverified data to the application.

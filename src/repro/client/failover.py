@@ -69,9 +69,6 @@ class Subscription:
         "subgrant",
         "last_delivered",
         "server",
-        "delivered",
-        "duplicates",
-        "resubscribes",
         "_probe_delivered",
     )
 
@@ -88,19 +85,7 @@ class Subscription:
         self.last_delivered: int | None = None
         #: the replica whose pushes we are currently receiving
         self.server: GdpName | None = None
-        self.delivered = 0
-        self.duplicates = 0
-        self.resubscribes = 0
         self._probe_delivered = -1
-
-    def deliver(self, seqno: int) -> bool:
-        """Record a delivery attempt; returns False for a duplicate."""
-        if self.last_delivered is not None and seqno <= self.last_delivered:
-            self.duplicates += 1
-            return False
-        self.last_delivered = max(self.last_delivered or 0, seqno)
-        self.delivered += 1
-        return True
 
 
 class SubscriptionMonitor(Periodic):
@@ -135,7 +120,6 @@ class SubscriptionMonitor(Periodic):
             rng=rng,
         )
         self.client = client
-        self.resubscribes = 0
 
     def _tick(self) -> Generator:
         for capsule, sub in list(self.client._subscriptions.items()):
@@ -157,6 +141,5 @@ class SubscriptionMonitor(Periodic):
                 continue
             try:
                 yield from self.client._resubscribe(capsule, sub)
-                self.resubscribes += 1
             except GdpError:
                 continue  # still unreachable: next tick retries

@@ -62,7 +62,7 @@ from repro.routing.pdu import (
 )
 from repro.runtime.network import Node
 
-__all__ = ["DhtNode", "KademliaDht", "DhtStats", "LookupResult"]
+__all__ = ["DhtNode", "KademliaDht", "LookupResult"]
 
 KEY_BITS = 256
 
@@ -78,25 +78,6 @@ RECORD_TTL = 30.0
 PING_STALENESS = 30.0
 
 _REPLY_TYPES = frozenset((T_DHT_NODES, T_DHT_VALUES, T_DHT_STORE_ACK, T_DHT_PONG))
-
-
-class DhtStats:
-    """Shared RPC accounting across one DHT's nodes.
-
-    ``messages`` counts lookup-plane RPCs (FIND_NODE / FIND_VALUE /
-    STORE) for the O(log n) complexity assertions; maintenance pings are
-    tracked separately so background bucket upkeep doesn't pollute the
-    per-operation cost numbers.
-    """
-
-    __slots__ = ("messages", "pings", "timeouts", "demotions", "under_replicated")
-
-    def __init__(self):
-        self.messages = 0
-        self.pings = 0
-        self.timeouts = 0
-        self.demotions = 0
-        self.under_replicated = 0
 
 
 class LookupResult:
@@ -176,7 +157,9 @@ class DhtNode(Node):
     Peers are reached through :attr:`peers`, a transport address ->
     peer handle table (a linked node on the simulator, a channel on
     sockets) filled by whoever wires the underlay; an address missing
-    from it is unreachable.
+    from it is unreachable.  Every node counts in its network's one
+    ``dht`` scope: ``dht.messages`` (lookup-plane RPCs), ``dht.pings``
+    (bucket upkeep), ``dht.timeouts`` and ``dht.demotions``.
     """
 
     def __init__(
@@ -186,12 +169,15 @@ class DhtNode(Node):
         k: int = 8,
         *,
         alpha: int = 3,
-        stats: DhtStats | None = None,
     ):
         self.name = name
         self.k = k
         self.alpha = alpha
-        self.stats = stats if stats is not None else DhtStats()
+        ring = network.metrics.node("dht")
+        self._c_messages = ring.counter("dht.messages")
+        self._c_pings = ring.counter("dht.pings")
+        self._c_timeouts = ring.counter("dht.timeouts")
+        self._c_demotions = ring.counter("dht.demotions")
         self.buckets: list[list[GdpName]] = [[] for _ in range(KEY_BITS)]
         #: per-bucket candidates waiting for a ping-before-evict verdict
         self.replacements: dict[int, list[GdpName]] = {}
@@ -297,7 +283,7 @@ class DhtNode(Node):
 
     def _demote(self, peer: GdpName) -> None:
         """Drop an unresponsive peer; promote the freshest replacement."""
-        self.stats.demotions += 1
+        self._c_demotions.inc()
         index = self._bucket_index(peer)
         bucket = self.buckets[index]
         if peer not in bucket:
@@ -402,9 +388,9 @@ class DhtNode(Node):
             future = self.ctx.future()
             self._pending[pdu.corr_id] = future
             if ptype == T_DHT_PING:
-                self.stats.pings += 1
+                self._c_pings.inc()
             else:
-                self.stats.messages += 1
+                self._c_messages.inc()
                 if op is not None:
                     op.messages += 1
             try:
@@ -418,7 +404,7 @@ class DhtNode(Node):
                 )
             except TimeoutError_:
                 self._pending.pop(pdu.corr_id, None)
-                self.stats.timeouts += 1
+                self._c_timeouts.inc()
                 continue
             return reply if isinstance(reply, dict) else None
         self._demote(peer_name)
@@ -591,7 +577,9 @@ class KademliaDht:
         self.net = network
         self.k = k
         self.alpha = alpha
-        self.stats = DhtStats()
+        #: the ring's metrics scope (its nodes count here too)
+        self.metrics = network.metrics.node("dht")
+        self._c_under_replicated = self.metrics.counter("dht.under_replicated")
         self.nodes: dict[GdpName, DhtNode] = {}
 
     # -- membership --------------------------------------------------------
@@ -599,9 +587,7 @@ class KademliaDht:
     def join(self, name: GdpName) -> DhtNode:
         """Add a node whose one contact is a bootstrap member (the
         lowest name); :meth:`join_proc` then integrates it."""
-        node = DhtNode(
-            self.net, name, self.k, alpha=self.alpha, stats=self.stats
-        )
+        node = DhtNode(self.net, name, self.k, alpha=self.alpha)
         if self.nodes:
             bootstrap = self.nodes[min(self.nodes)]
             node.observe(bootstrap.name, addr=bootstrap.node_id)
@@ -713,7 +699,7 @@ class KademliaDht:
         # peers happened to respond, so a put that lands short because
         # holders are dark is *counted*, never silently absorbed.
         if acked < min(self.k, max(len(self.nodes), 1)):
-            self.stats.under_replicated += 1
+            self._c_under_replicated.inc()
         result.acked = acked
         return result
 

@@ -85,7 +85,6 @@ class _DhtTable:
         # bench/tests can assert the O(log n) hop bound (§VII).
         self._c_dht_lookups = metrics.counter("dht.lookups")
         self._c_dht_messages = metrics.counter("dht.messages")
-        self._c_dht_under_replicated = metrics.counter("dht.under_replicated")
         self._c_dht_refused = metrics.counter("dht.records_refused")
         self._h_dht_hops = metrics.histogram("dht.hops")
 
@@ -115,13 +114,9 @@ class _DhtTable:
         home = self._home_node()
         home.merge_record(name, dict(record))
         home.ctx.spawn(
-            self._put_proc(name, [dict(record)]), f"dht-publish:{name.human()}"
+            self.dht.put_records_proc(self.home, name, [dict(record)]),
+            f"dht-publish:{name.human()}",
         )
-
-    def _put_proc(self, name: GdpName, records: list[dict]):
-        result = yield from self.dht.put_records_proc(self.home, name, records)
-        if result.acked < min(self.dht.k, len(self.dht)):
-            self._c_dht_under_replicated.inc()
 
     # -- the backing surface ------------------------------------------------
 
@@ -234,7 +229,7 @@ class _DhtTable:
                 del self._published[name]
                 self._names.discard(name)
                 continue
-            yield from self._put_proc(name, fresh)
+            yield from self.dht.put_records_proc(self.home, name, fresh)
             republished += 1
         return republished
 
@@ -271,7 +266,6 @@ class _DhtTable:
             "k": self.dht.k,
             "live_nodes": len(live_nodes),
             "names": names,
-            "under_replicated_puts": self.dht.stats.under_replicated,
         }
 
 

@@ -14,6 +14,7 @@ without breaking anything.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.errors import (
@@ -282,8 +283,14 @@ class Endpoint(Node):
         self._pending_rpcs[request.corr_id] = future
         self.send_pdu(request)
         if timeout is not None:
-            return self.ctx.timeout(future, timeout, what)
+            return self.ctx.timeout(
+                future, timeout, what, partial(self._expired, request.corr_id)
+            )
         return future
+
+    def _expired(self, corr_id: int) -> None:
+        """Request *corr_id*'s deadline passed unanswered: forget it."""
+        self._pending_rpcs.pop(corr_id, None)
 
     # -- inbound dispatch ----------------------------------------------------
 

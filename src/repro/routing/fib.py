@@ -410,7 +410,7 @@ class CompactFib:
     ``fib.items()``) keep working unchanged.
     """
 
-    __slots__ = ("_map", "_wheel", "_clock", "_hops", "_hop_index", "purged")
+    __slots__ = ("_map", "_wheel", "_clock", "_hops", "_hop_index")
 
     def __init__(self, *, clock: Callable[[], float] | None = None):
         self._map = PackedMap(_FIB_VALUE.size)
@@ -419,8 +419,6 @@ class CompactFib:
         #: interned next-hop nodes (index -> node; id(node) -> index)
         self._hops: list[Any] = []
         self._hop_index: dict[int, int] = {}
-        #: total entries physically reclaimed by the wheel
-        self.purged = 0
 
     # -- dict-compatible surface -----------------------------------------
 
@@ -518,7 +516,6 @@ class CompactFib:
                     soonest = expiry
             if soonest is not None:  # refreshed since filing
                 wheel.schedule(token, soonest)
-        self.purged += reclaimed
         return reclaimed
 
     def memory_bytes(self) -> int:
@@ -531,4 +528,4 @@ class CompactFib:
         )
 
     def __repr__(self) -> str:
-        return f"CompactFib(routes={len(self)}, purged={self.purged})"
+        return f"CompactFib(routes={len(self)})"

@@ -34,6 +34,8 @@ class LeaseRefreshDaemon(Periodic):
     :class:`~repro.runtime.context.Periodic`'s.  Crashed endpoints
     (``endpoint.crashed`` truthy) skip their turn — their routes are
     *supposed* to lapse; ``restart()`` re-advertises explicitly.
+    Outcomes count in the endpoint's ``lease.refreshed`` and
+    ``lease.failed``.
     """
 
     def __init__(
@@ -59,8 +61,6 @@ class LeaseRefreshDaemon(Periodic):
             rng=rng,
         )
         self.endpoint = endpoint
-        self.refreshes = 0
-        self.failures = 0
 
     def _tick(self) -> Generator:
         if getattr(self.endpoint, "crashed", False):
@@ -75,9 +75,9 @@ class LeaseRefreshDaemon(Periodic):
                 max(self.interval, 1.0),
                 f"lease refresh {self.endpoint.node_id}",
             )
-            self.refreshes += 1
+            self.endpoint.metrics.counter("lease.refreshed").inc()
         except GdpError:
             # Rejected, unroutable, or timed out this round; the
             # next tick (well inside the remaining lease) retries
             # with a fresh HELLO.
-            self.failures += 1
+            self.endpoint.metrics.counter("lease.failed").inc()

@@ -131,6 +131,7 @@ class GdpRouter(Node):
         self._c_failovers = metrics.counter("router.failovers")
         self._c_negative_hits = metrics.counter("glookup.negative_hits")
         self._c_parked = metrics.counter("router.parked")
+        self._c_fib_purged = metrics.counter("router.fib_purged")
         domain.add_router(self)
 
     # -- link layer -------------------------------------------------------
@@ -449,7 +450,7 @@ class GdpRouter(Node):
                 return node
             # Expired: treat as a miss.  Physical reclamation is the
             # lease wheel's job, not this lookup's.
-            self.fib.maybe_purge()
+            self._c_fib_purged.inc(self.fib.maybe_purge())
         # 1b. Negative cache: a recent full miss short-circuits the
         #     GLookup climb so dead names cannot cause per-PDU lookup
         #     storms through the hierarchy.
@@ -627,7 +628,7 @@ class GdpRouter(Node):
         if lease is not None:
             expiry = min(expiry, lease)
         self.fib[dst] = (hop, expiry)
-        self.fib.maybe_purge()
+        self._c_fib_purged.inc(self.fib.maybe_purge())
         self._neg_cache.pop(dst, None)
 
     def add_static_route(self, name: GdpName, peer: Any) -> None:

@@ -229,9 +229,13 @@ class RuntimeContext:
         ``.completion``)."""
         return Process(self, generator, name)
 
-    def timeout(self, future: Future, deadline: float, what: str = "") -> Future:
+    def timeout(
+        self, future: Future, deadline: float, what: str = "",
+        on_expiry: Callable[[], None] | None = None,
+    ) -> Future:
         """A future that resolves like *future* but fails with
-        :class:`TimeoutError_` if *deadline* seconds pass first."""
+        :class:`TimeoutError_` if *deadline* seconds pass first (then
+        *on_expiry*, when given, runs too)."""
         wrapped = self.future()
 
         def on_done(fut: Future) -> None:
@@ -242,6 +246,8 @@ class RuntimeContext:
 
         def on_deadline() -> None:
             wrapped.fail(TimeoutError_(f"timed out after {deadline}s: {what}"))
+            if on_expiry is not None:
+                on_expiry()
 
         future.add_callback(on_done)
         timer = self.schedule(deadline, on_deadline)

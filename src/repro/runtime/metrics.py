@@ -15,6 +15,8 @@ sites.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["Counter", "Histogram", "NodeMetrics", "MetricsRegistry", "NULL"]
 
 
@@ -39,10 +41,17 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Histogram:
-    """A named value distribution (count / total / min / max)."""
+#: histogram buckets per power of two (a bucket spans at most 1/8 of
+#: its lower edge); values <= 0 share one bucket, edge 0.0
+SUB_BUCKETS = 8
+_NONPOSITIVE = (0.5, -2048)  # (mantissa, exponent): ldexp underflows to 0.0
 
-    __slots__ = ("name", "count", "total", "min", "max")
+
+class Histogram:
+    """A named value distribution: count / total / min / max, and
+    log-bucketed counts for :meth:`quantile`."""
+
+    __slots__ = ("name", "count", "total", "min", "max", "buckets")
 
     def __init__(self, name: str):
         self.name = name
@@ -56,6 +65,23 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+        mantissa, exponent = math.frexp(value) if value > 0 else _NONPOSITIVE
+        key = exponent * SUB_BUCKETS + int((mantissa - 0.5) * 2 * SUB_BUCKETS)
+        self.buckets[key] = self.buckets.get(key, 0) + 1
+
+    def quantile(self, q: float) -> float | None:
+        """The upper edge of the bucket holding the *q*-quantile
+        observation (None when empty): never below the exact quantile,
+        and above it by less than one bucket's width."""
+        if not self.count:
+            return None
+        rank = max(1, math.ceil(q * self.count))
+        for key in sorted(self.buckets):
+            rank -= self.buckets[key]
+            if rank <= 0:
+                break
+        exponent, sub = divmod(key, SUB_BUCKETS)
+        return math.ldexp(0.5 + (sub + 1) / (2 * SUB_BUCKETS), exponent)
 
     def reset(self) -> None:
         """Forget all observations."""
@@ -63,6 +89,7 @@ class Histogram:
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
+        self.buckets: dict[int, int] = {}
 
     @property
     def mean(self) -> float:
@@ -100,6 +127,9 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         pass
+
+    def quantile(self, q: float) -> None:
+        return None
 
     def reset(self) -> None:
         pass

@@ -9,12 +9,7 @@ from repro.server.segmented import (
     SegmentInfo,
     SimulatedCrash,
 )
-from repro.server.replication import (
-    AntiEntropyDaemon,
-    SyncConfig,
-    SyncSession,
-    sync_once,
-)
+from repro.server.replication import AntiEntropyDaemon, sync_once
 from repro.server.secure import (
     mac_response,
     open_response,
@@ -32,8 +27,6 @@ __all__ = [
     "QUORUM",
     "ALL",
     "AntiEntropyDaemon",
-    "SyncConfig",
-    "SyncSession",
     "sync_once",
     "FsyncPolicy",
     "StorageBackend",

@@ -44,7 +44,7 @@ Request ops (payload ``{"op": ..., ...}`` over T_DATA PDUs):
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Generator
 
 from repro.capsule.capsule import DataCapsule, run_from_wire, run_wire
 from repro.capsule.heartbeat import Heartbeat
@@ -606,6 +606,18 @@ class DataCapsuleServer(Endpoint):
             return None
         return body if body.get("ok") else None
 
+    def sibling_reply(self, call, *, capsule: GdpName, sibling: GdpName) -> Generator:
+        """Process body: the reply to *call* (a :meth:`request` result)
+        through :meth:`accept_sibling_reply`; None without one."""
+        corr_id, future = call
+        try:
+            yield future
+        except GdpError:  # settled without a reply: the opener says so
+            pass
+        return self.accept_sibling_reply(
+            future, corr_id, capsule=capsule, sibling=sibling
+        )
+
     @op("read_range", capsule=bytes, first=opt(int), last=opt(int))
     def _op_read_range(self, pdu: Pdu, payload: dict) -> dict:
         """The one read op: records ``first..last`` under a range proof
@@ -656,8 +668,6 @@ class DataCapsuleServer(Endpoint):
         """Process body: fetch each record whose stored wire failed its
         check from the siblings in turn, keep it only if it has the held
         digest, store it again and serve *body*; raise if none has it."""
-        from repro.server.replication import _reply
-
         name = hosted.capsule.name
         missing = {headers[i].digest: i for i, wire in enumerate(wires) if wire is None}
         failed = {headers[i].seqno for i in missing.values()}
@@ -666,7 +676,7 @@ class DataCapsuleServer(Endpoint):
             ask = {"op": "sync_fetch_batch", "capsule": name.raw, "seqnos": seqnos,
                    "max_bytes": MAX_RANGE_REPLY_BYTES}
             call = self.request(sibling, ask, timeout=REPLICATION_ACK_TIMEOUT)
-            reply = yield from _reply(self, sibling, name, call)
+            reply = yield from self.sibling_reply(call, capsule=name, sibling=sibling)
             for wire in (reply or {}).get("records", []):
                 try:
                     record = Record.from_wire(name, wire)

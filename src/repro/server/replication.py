@@ -14,7 +14,7 @@ length:
    roots end the round after ~100 bytes on the wire.
 2. ``sync_nodes`` — on mismatch, the shared prefix is binary-bisected:
    each round asks for the roots of the current divergent subranges
-   (at most ``SyncConfig.max_ranges`` per request) and keeps only the
+   (at most ``MAX_SYNC_RANGES`` per request) and keeps only the
    halves that differ, down to single seqnos.  O(log n) round trips,
    O(d·log n) hashes for d divergent records.
 3. ``sync_fetch_batch`` — divergent seqnos plus the missing suffix are
@@ -22,16 +22,17 @@ length:
    limit and deterministic exponential retry/backoff.
 
 Every reply is acted on only once it opens through the one verifier
-(:meth:`~repro.server.dcserver.DataCapsuleServer.accept_sibling_reply`):
+(:meth:`~repro.server.dcserver.DataCapsuleServer.sibling_reply`):
 signed by the sibling asked, for this request and this capsule.  A
-forged "roots agree" fails the round (``SyncSession.failures``) instead
+forged "roots agree" fails the round (``server.sync.failures``) instead
 of ending it.  Sync stores only what the write ops' one attestation rule admits
 (``DataCapsule.admit_fetched``): heartbeats first, including the tip
 heartbeat on ``sync_root``; then each record a verified heartbeat or an
 attested record's hash pointer attests.  The rest wait for a later
 reply of the round (say the batch carrying a stream's tip heartbeat)
-and are dropped, counted as refused, when it ends.  Per-(capsule, peer)
-:class:`SyncSession` bookkeeping feeds the daemon's stats.
+and are dropped, counted as refused, when it ends.  The requesting
+server counts its rounds in ``server.sync.{rounds,fetched,heartbeats,
+refused,batches,retries,failures}``.
 
 Because capsule state is a join-semilattice (record-set union), rounds
 stay idempotent and order-independent; transient *holes* left by the
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Generator
 
@@ -52,68 +52,26 @@ from repro.capsule.records import Record
 from repro.errors import GdpError
 from repro.naming.names import GdpName
 from repro.runtime.context import Periodic
-from repro.server.dcserver import DataCapsuleServer, HostedCapsule
+from repro.server.dcserver import (
+    DEFAULT_SYNC_BATCH_BYTES,
+    MAX_SYNC_RANGES,
+    DataCapsuleServer,
+    HostedCapsule,
+)
 
-__all__ = [
-    "AntiEntropyDaemon",
-    "SyncConfig",
-    "SyncSession",
-    "sync_once",
-]
+__all__ = ["AntiEntropyDaemon", "sync_once"]
 
-
-@dataclass(frozen=True)
-class SyncConfig:
-    """Tunables for one delta-sync round."""
-
-    #: max seqnos requested per fetch batch
-    batch_records: int = 64
-    #: server-side reply budget per batch (bytes of records+heartbeats)
-    batch_bytes: int = 64 * 1024
-    #: fetch batches kept in flight concurrently
-    window: int = 4
-    #: bisection probes per sync_nodes request
-    max_ranges: int = 64
-    #: bisection depth safety valve (2^64 seqnos is beyond any capsule)
-    max_rounds: int = 64
-    #: per-batch retry attempts after the first failure
-    max_retries: int = 2
-    #: deterministic exponential backoff: base * 2^attempt, capped
-    backoff_base: float = 0.25
-    backoff_max: float = 4.0
-
-
-DEFAULT_CONFIG = SyncConfig()
-
-
-@dataclass
-class SyncSession:
-    """Per-(capsule, peer) sync bookkeeping kept across rounds."""
-
-    capsule: GdpName
-    peer: GdpName
-    rounds: int = 0
-    records_fetched: int = 0
-    heartbeats_fetched: int = 0
-    #: records malformed, or still unattested when their round ended
-    records_refused: int = 0
-    batches: int = 0
-    retries: int = 0
-    failures: int = 0
-    last_synced: float = field(default=-1.0)
-
-
-def _reply(server: DataCapsuleServer, sibling, capsule_name, call) -> Generator:
-    """Process body: the reply to *call* (``server.request``'s result)
-    through ``server.accept_sibling_reply``; None without one."""
-    corr_id, future = call
-    try:
-        yield future
-    except GdpError:  # settled without a reply: the opener says so
-        pass
-    return server.accept_sibling_reply(
-        future, corr_id, capsule=capsule_name, sibling=sibling
-    )
+#: max seqnos requested per fetch batch
+BATCH_RECORDS = 64
+#: fetch batches kept in flight concurrently
+WINDOW = 4
+#: bisection depth safety valve (2^64 seqnos is beyond any capsule)
+MAX_ROUNDS = 64
+#: per-batch retry attempts after the first failure
+MAX_RETRIES = 2
+#: deterministic exponential backoff: BACKOFF_BASE * 2^attempt, capped
+BACKOFF_BASE = 0.25
+BACKOFF_MAX = 4.0
 
 
 def _decoded(wires: list, decode: Callable) -> tuple[list, int]:
@@ -134,8 +92,6 @@ def _bisect(
     capsule,
     common: int,
     timeout: float,
-    config: SyncConfig,
-    session: SyncSession,
 ) -> Generator:
     """Find the divergent seqnos in the shared prefix ``[1, common]``
     (already known to mismatch) by binary bisection over range roots."""
@@ -144,7 +100,7 @@ def _bisect(
     divergent: list[int] = []
     worklist: list[tuple[int, int]] = [(1, common)]
     rounds = 0
-    while worklist and rounds < config.max_rounds:
+    while worklist and rounds < MAX_ROUNDS:
         rounds += 1
         probes: list[tuple[int, int]] = []
         for lo, hi in worklist:
@@ -155,8 +111,8 @@ def _bisect(
         # One round trip per level: every probe chunk of this level is
         # in flight at once (bisection is only sequential across levels).
         inflight = []
-        for start in range(0, len(probes), config.max_ranges):
-            chunk = probes[start:start + config.max_ranges]
+        for start in range(0, len(probes), MAX_SYNC_RANGES):
+            chunk = probes[start:start + MAX_SYNC_RANGES]
             inflight.append((chunk, server.request(
                 sibling,
                 {
@@ -168,10 +124,12 @@ def _bisect(
             )))
         failed = False
         for chunk, call in inflight:
-            body = yield from _reply(server, sibling, capsule.name, call)
+            body = yield from server.sibling_reply(
+                call, capsule=capsule.name, sibling=sibling
+            )
             hashes = body.get("hashes", []) if body is not None else None
             if hashes is None or len(hashes) != len(chunk):
-                session.failures += 1
+                server.metrics.counter("server.sync.failures").inc()
                 failed = True
                 continue
             for (lo, hi), remote_root in zip(chunk, hashes):
@@ -193,22 +151,21 @@ def _fetch_batches(
     sibling: GdpName,
     seqnos: list[int],
     timeout: float,
-    config: SyncConfig,
-    session: SyncSession,
 ) -> Generator:
     """Windowed, size-capped, retried record transfer; returns how many
     records were stored and how many refused (malformed, or held
     unattested until the round ended)."""
     capsule = hosted.capsule
     capsule_name = capsule.name
+    count = server.metrics.counter
     pending: deque = deque()
-    for start in range(0, len(seqnos), config.batch_records):
-        pending.append((seqnos[start:start + config.batch_records], 0))
+    for start in range(0, len(seqnos), BATCH_RECORDS):
+        pending.append((seqnos[start:start + BATCH_RECORDS], 0))
     inflight: deque = deque()
     fetched = refused = 0
     held: dict[bytes, Record] = {}
     while pending or inflight:
-        while pending and len(inflight) < config.window:
+        while pending and len(inflight) < WINDOW:
             chunk, attempt = pending.popleft()
             call = server.request(
                 sibling,
@@ -216,24 +173,23 @@ def _fetch_batches(
                     "op": "sync_fetch_batch",
                     "capsule": capsule_name.raw,
                     "seqnos": list(chunk),
-                    "max_bytes": config.batch_bytes,
+                    "max_bytes": DEFAULT_SYNC_BATCH_BYTES,
                 },
                 timeout=timeout,
             )
             inflight.append((chunk, attempt, call))
-            session.batches += 1
+            count("server.sync.batches").inc()
         chunk, attempt, call = inflight.popleft()
-        body = yield from _reply(server, sibling, capsule_name, call)
+        body = yield from server.sibling_reply(
+            call, capsule=capsule_name, sibling=sibling
+        )
         if body is None:
-            if attempt < config.max_retries:
-                session.retries += 1
-                yield min(
-                    config.backoff_base * (2 ** attempt),
-                    config.backoff_max,
-                )
+            if attempt < MAX_RETRIES:
+                count("server.sync.retries").inc()
+                yield min(BACKOFF_BASE * (2 ** attempt), BACKOFF_MAX)
                 pending.append((chunk, attempt + 1))
             else:
-                session.failures += 1
+                count("server.sync.failures").inc()
             continue
         records, malformed = _decoded(
             body.get("records", []), partial(Record.from_wire, capsule_name)
@@ -243,7 +199,7 @@ def _fetch_batches(
         server._store_admitted(hosted, new, new_heartbeats)
         fetched += len(new)
         refused += malformed
-        session.heartbeats_fetched += len(new_heartbeats)
+        count("server.sync.heartbeats").inc(len(new_heartbeats))
         served = set(body.get("served", chunk))
         leftover = [s for s in chunk if s not in served]
         # The server always serves at least one seqno, so a leftover
@@ -263,23 +219,20 @@ def sync_once(
     sibling: GdpName,
     *,
     timeout: float = 15.0,
-    config: SyncConfig | None = None,
-    session: SyncSession | None = None,
 ) -> Generator:
     """One Merkle-delta synchronization round with one sibling (a sim
     process body); returns the number of records fetched."""
-    config = config or DEFAULT_CONFIG
-    session = session or SyncSession(capsule=capsule_name, peer=sibling)
     hosted = server.hosted[capsule_name]
     capsule = hosted.capsule
-    session.rounds += 1
-    body = yield from _reply(server, sibling, capsule_name, server.request(
+    count = server.metrics.counter
+    count("server.sync.rounds").inc()
+    body = yield from server.sibling_reply(server.request(
         sibling,
         {"op": "sync_root", "capsule": capsule_name.raw},
         timeout=timeout,
-    ))
+    ), capsule=capsule_name, sibling=sibling)
     if body is None:
-        session.failures += 1
+        count("server.sync.failures").inc()
         return 0
     # The tip heartbeat rides on the root reply and is admitted first:
     # the frontier advances even when the record sets already match.
@@ -297,37 +250,31 @@ def sync_once(
             # The peer's advertised root already covers exactly [1, common].
             remote_common_root = body.get("root")
         else:
-            node_body = yield from _reply(
-                server, sibling, capsule_name, server.request(
-                    sibling,
-                    {
-                        "op": "sync_nodes",
-                        "capsule": capsule_name.raw,
-                        "ranges": [[1, common]],
-                    },
-                    timeout=timeout,
-                ),
-            )
+            node_body = yield from server.sibling_reply(server.request(
+                sibling,
+                {
+                    "op": "sync_nodes",
+                    "capsule": capsule_name.raw,
+                    "ranges": [[1, common]],
+                },
+                timeout=timeout,
+            ), capsule=capsule_name, sibling=sibling)
             if node_body is None or len(node_body.get("hashes", [])) != 1:
-                session.failures += 1
+                count("server.sync.failures").inc()
                 return 0
             remote_common_root = node_body["hashes"][0]
         if remote_common_root != capsule.range_root(1, common):
             divergent = yield from _bisect(
-                server, sibling, capsule, common, timeout, config, session
+                server, sibling, capsule, common, timeout
             )
             candidates = divergent + candidates
     if not candidates:
-        session.last_synced = server.ctx.now
         return 0
     fetched, refused = yield from _fetch_batches(
-        server, hosted, sibling, candidates, timeout, config, session
+        server, hosted, sibling, candidates, timeout
     )
-    if refused:
-        server.metrics.counter("server.sync.refused").inc(refused)
-    session.records_fetched += fetched
-    session.records_refused += refused
-    session.last_synced = server.ctx.now
+    count("server.sync.fetched").inc(fetched)
+    count("server.sync.refused").inc(refused)
     return fetched
 
 
@@ -352,7 +299,6 @@ class AntiEntropyDaemon(Periodic):
         *,
         jitter: float = 0.25,
         rng: random.Random | None = None,
-        config: SyncConfig | None = None,
     ):
         super().__init__(
             server.ctx,
@@ -362,17 +308,8 @@ class AntiEntropyDaemon(Periodic):
             rng=rng,
         )
         self.server = server
-        self.config = config or DEFAULT_CONFIG
+        #: rounds run so far (it picks each round's sibling)
         self.rounds = 0
-        self.records_fetched = 0
-        self.sessions: dict[tuple[GdpName, GdpName], SyncSession] = {}
-
-    def session_for(self, capsule_name: GdpName, sibling: GdpName) -> SyncSession:
-        """The persistent per-(capsule, peer) session (created lazily)."""
-        key = (capsule_name, sibling)
-        if key not in self.sessions:
-            self.sessions[key] = SyncSession(capsule=capsule_name, peer=sibling)
-        return self.sessions[key]
 
     def _tick(self) -> Generator:
         if self.server.crashed:
@@ -384,11 +321,8 @@ class AntiEntropyDaemon(Periodic):
             sibling = hosted.siblings[self.rounds % len(hosted.siblings)]
             # A gossip round must not outwait its own period, or a
             # dead sibling head-of-line-blocks the daemon.
-            fetched = yield from sync_once(
+            yield from sync_once(
                 self.server, capsule_name, sibling,
                 timeout=max(self.interval, 1.0),
-                config=self.config,
-                session=self.session_for(capsule_name, sibling),
             )
-            self.records_fetched += fetched
         self.rounds += 1

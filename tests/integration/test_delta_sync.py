@@ -14,14 +14,13 @@ from repro.routing import GdpRouter, RoutingDomain
 from repro.routing.pdu import T_DATA, T_RESPONSE, Pdu
 from repro.runtime.dispatch import dispatch_op
 from repro.runtime.middleware import DROP, DeliveryMiddleware
-from repro.server import (
-    AntiEntropyDaemon,
-    DataCapsuleServer,
-    SyncConfig,
-    SyncSession,
-    sync_once,
-)
+from repro.server import AntiEntropyDaemon, DataCapsuleServer, replication, sync_once
 from repro.sim import SimNetwork
+
+
+def synced(server, name):
+    """*server*'s ``server.sync.<name>`` count (it asked for the rounds)."""
+    return server.metrics.counter(f"server.sync.{name}").value
 
 
 class TestDeltaSyncEdgeCases:
@@ -60,9 +59,6 @@ class TestDeltaSyncEdgeCases:
         found by bisection and fetched alone — not the whole prefix."""
         g = mini_gdp
         link = g.r_edge.link_to(g.r_root)
-        session = SyncSession(
-            capsule=None, peer=None  # filled by assertion reads only
-        )
 
         def scenario():
             yield from g.bootstrap()
@@ -80,16 +76,15 @@ class TestDeltaSyncEdgeCases:
                 yield from writer.append(b"post-%d" % i)
             yield 0.5
             fetched = yield from sync_once(
-                g.server_root, metadata.name, g.server_edge.name,
-                session=session,
+                g.server_root, metadata.name, g.server_edge.name
             )
             return metadata, fetched
 
         metadata, fetched = g.run(scenario())
         assert fetched == 1
-        assert session.records_fetched == 1
-        assert session.rounds == 1
-        assert session.batches == 1
+        assert synced(g.server_root, "fetched") == 1
+        assert synced(g.server_root, "rounds") == 1
+        assert synced(g.server_root, "batches") == 1
         root = stored_replica(g.server_root, metadata.name)
         edge = g.server_edge.hosted[metadata.name].capsule
         assert root.get(9).payload == b"lost"
@@ -130,9 +125,10 @@ class TestDeltaSyncEdgeCases:
         assert capsule.holes() == []
         assert capsule.verify_history() == 16
 
-    def test_partition_heal_mid_batch(self, mini_gdp):
+    def test_partition_heal_mid_batch(self, mini_gdp, monkeypatch):
         """Fetch batches dropped mid-transfer are retried with backoff;
-        the round still converges and the session records the retries."""
+        the round still converges and the requesting server counts the
+        retries."""
         g = mini_gdp
         link = g.r_edge.link_to(g.r_root)
         dropped = {"n": 0}
@@ -149,11 +145,11 @@ class TestDeltaSyncEdgeCases:
                     return DROP
                 return None
 
-        config = SyncConfig(
-            batch_records=4, window=2,
-            max_retries=3, backoff_base=0.05, backoff_max=0.2,
-        )
-        session = SyncSession(capsule=None, peer=None)
+        monkeypatch.setattr(replication, "BATCH_RECORDS", 4)
+        monkeypatch.setattr(replication, "WINDOW", 2)
+        monkeypatch.setattr(replication, "MAX_RETRIES", 3)
+        monkeypatch.setattr(replication, "BACKOFF_BASE", 0.05)
+        monkeypatch.setattr(replication, "BACKOFF_MAX", 0.2)
 
         def scenario():
             yield from g.bootstrap()
@@ -171,7 +167,7 @@ class TestDeltaSyncEdgeCases:
             drop_first_batches = g.net.delivery.use(DropFirstBatches())
             fetched = yield from sync_once(
                 g.server_root, metadata.name, g.server_edge.name,
-                timeout=1.0, config=config, session=session,
+                timeout=1.0,
             )
             g.net.delivery.remove(drop_first_batches)
             return metadata, fetched
@@ -179,8 +175,8 @@ class TestDeltaSyncEdgeCases:
         metadata, fetched = g.run(scenario())
         assert dropped["n"] == 2
         assert fetched == 12
-        assert session.retries == 2
-        assert session.failures == 0
+        assert synced(g.server_root, "retries") == 2
+        assert synced(g.server_root, "failures") == 0
         root = g.server_root.hosted[metadata.name].capsule
         edge = g.server_edge.hosted[metadata.name].capsule
         assert root.canonical_summary() == edge.canonical_summary()
@@ -289,7 +285,6 @@ class TestAttestedSync:
     def test_tampered_sibling_record_is_not_absorbed(self, mini_gdp):
         g = mini_gdp
         link = g.r_edge.link_to(g.r_root)
-        session = SyncSession(capsule=None, peer=None)
         root, edge = g.server_root, g.server_edge
 
         def scenario():
@@ -308,9 +303,7 @@ class TestAttestedSync:
                 yield from writer.append(b"post-%d" % i)
             yield 0.5
             StorageTamperer(edge).corrupt_record(metadata.name, 5)
-            fetched = yield from sync_once(
-                root, metadata.name, edge.name, session=session
-            )
+            fetched = yield from sync_once(root, metadata.name, edge.name)
             return metadata, fetched
 
         def stored_at(seqno):
@@ -322,8 +315,7 @@ class TestAttestedSync:
 
         metadata, fetched = g.run(scenario())
         assert fetched == 0
-        assert session.records_refused == 1
-        assert root.metrics.counter("server.sync.refused").value == 1
+        assert synced(root, "refused") == 1
         assert root.hosted[metadata.name].capsule.get_all(5) == []
         assert stored_at(5) == []
         root.restart()
@@ -335,12 +327,10 @@ class TestAttestedSync:
 
         def repair():
             yield 1.0  # let the restarted servers re-advertise
-            return (yield from sync_once(
-                root, metadata.name, edge.name, session=session
-            ))
+            return (yield from sync_once(root, metadata.name, edge.name))
 
         assert g.run(repair()) == 1
-        assert session.records_refused == 1
+        assert synced(root, "refused") == 1
         assert len(stored_at(5)) == 1
         repaired = root.hosted[metadata.name].capsule
         assert (
@@ -355,7 +345,6 @@ class TestAttestedSync:
         repair; the next clean round repairs."""
         g = mini_gdp
         link = g.r_edge.link_to(g.r_root)
-        session = SyncSession(capsule=None, peer=None)
         root, edge = g.server_root, g.server_edge
 
         def scenario():
@@ -374,9 +363,7 @@ class TestAttestedSync:
             yield 0.5
             forger = g.net.delivery.use(RootsAgree(root, metadata.name))
             try:
-                fetched = yield from sync_once(
-                    root, metadata.name, edge.name, session=session
-                )
+                fetched = yield from sync_once(root, metadata.name, edge.name)
             finally:
                 g.net.delivery.remove(forger)
             return metadata, forger, fetched
@@ -384,17 +371,15 @@ class TestAttestedSync:
         metadata, forger, fetched = g.run(scenario())
         assert forger.forged == 1
         assert fetched == 0
-        assert session.failures == 1
+        assert synced(root, "failures") == 1
         assert root.metrics.counter("server.replies_refused").value == 1
         assert root.hosted[metadata.name].capsule.last_seqno == 2
 
         def repair():
-            return (yield from sync_once(
-                root, metadata.name, edge.name, session=session
-            ))
+            return (yield from sync_once(root, metadata.name, edge.name))
 
         assert g.run(repair()) == 3
-        assert session.failures == 1
+        assert synced(root, "failures") == 1
         assert (
             root.hosted[metadata.name].capsule.canonical_summary()
             == edge.hosted[metadata.name].capsule.canonical_summary()
@@ -443,15 +428,14 @@ class TestAttestedSync:
         )
         assert repaired.verify_history() == 8
 
-    def test_multi_batch_repair_in_one_round(self, mini_gdp):
+    def test_multi_batch_repair_in_one_round(self, mini_gdp, monkeypatch):
         """A fresh replica of an ``append_stream`` capsule (heartbeats
         only at the writer's batch tips) repairs five fetch batches in
         one round: the first batch carries no heartbeat and waits for
         the second to attest it."""
         g = mini_gdp
         link = g.r_edge.link_to(g.r_root)
-        config = SyncConfig(batch_records=8)
-        session = SyncSession(capsule=None, peer=None)
+        monkeypatch.setattr(replication, "BATCH_RECORDS", 8)
 
         def scenario():
             yield from g.bootstrap()
@@ -466,16 +450,15 @@ class TestAttestedSync:
             g.r_edge.flush_fib()
             g.r_root.flush_fib()
             fetched = yield from sync_once(
-                g.server_root, metadata.name, g.server_edge.name,
-                config=config, session=session,
+                g.server_root, metadata.name, g.server_edge.name
             )
             return metadata, fetched
 
         metadata, fetched = g.run(scenario())
         assert fetched == 40
-        assert session.rounds == 1
-        assert session.batches == 5
-        assert session.records_refused == 0
+        assert synced(g.server_root, "rounds") == 1
+        assert synced(g.server_root, "batches") == 5
+        assert synced(g.server_root, "refused") == 0
         root = g.server_root.hosted[metadata.name].capsule
         edge = g.server_edge.hosted[metadata.name].capsule
         assert [h.seqno for h in root.heartbeats()] == [10, 20, 30, 40]

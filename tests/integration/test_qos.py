@@ -2,14 +2,33 @@
 
 import pytest
 
-from repro.client.qos import QosTracker
+from repro.client.qos import violators
 
 
 @pytest.fixture()
 def tracked(mini_gdp):
-    g = mini_gdp
-    g.reader_client.qos = QosTracker(clock=lambda: g.net.sim.now)
-    return g
+    """The mini GDP: every client attributes its verified replies."""
+    return mini_gdp
+
+
+def attributed(client):
+    """Hex names of the servers *client* attributed a reply to."""
+    return {
+        name.split(".")[1]
+        for name in client.metrics.snapshot()
+        if name.startswith("qos.") and name.endswith(".ok")
+    }
+
+
+def provider(client, server):
+    """*client*'s QoS instruments for *server*: ok and error counts and
+    the latency histogram."""
+    prefix = f"qos.{server.hex()}."
+    return (
+        client.metrics.counter(prefix + "ok").value,
+        client.metrics.counter(prefix + "errors").value,
+        client.metrics.histogram(prefix + "latency"),
+    )
 
 
 class TestAttribution:
@@ -28,14 +47,13 @@ class TestAttribution:
             return True
 
         g.run(scenario())
-        report = g.reader_client.qos.report()
         # reader_client sits at the root; anycast serves it from
         # server_root — every read attributed there.
-        assert g.server_root.name in report
-        stats = report[g.server_root.name]
-        assert stats.ok_count >= 3
-        assert stats.error_count == 0
-        assert stats.mean_latency is not None and stats.mean_latency > 0
+        assert g.server_root.name.hex() in attributed(g.reader_client)
+        ok, errors, latency = provider(g.reader_client, g.server_root.name)
+        assert ok >= 3
+        assert errors == 0
+        assert latency.count and latency.mean > 0
 
     def test_latency_reflects_distance(self, tracked):
         """Reads served across the WAN cost measurably more than the
@@ -53,8 +71,8 @@ class TestAttribution:
             return True
 
         g.run(scenario())
-        stats = g.reader_client.qos.report()[g.server_edge.name]
-        assert stats.mean_latency > 0.04  # ≥ 1 RTT over the 20 ms link
+        _, _, latency = provider(g.reader_client, g.server_edge.name)
+        assert latency.mean > 0.04  # ≥ 1 RTT over the 20 ms link
 
     def test_error_responses_counted(self, tracked):
         g = tracked
@@ -69,8 +87,8 @@ class TestAttribution:
             return True
 
         g.run(scenario())
-        stats = g.reader_client.qos.report()[g.server_root.name]
-        assert stats.error_count >= 1
+        _, errors, _ = provider(g.reader_client, g.server_root.name)
+        assert errors >= 1
 
     def test_timeouts_counted_without_attribution(self, tracked):
         g = tracked
@@ -96,7 +114,7 @@ class TestAttribution:
             return True
 
         g.run(scenario())
-        assert g.reader_client.qos.timeouts == 1
+        assert g.reader_client.metrics.counter("qos.timeouts").value == 1
 
 
 class TestSlaViolations:
@@ -112,13 +130,11 @@ class TestSlaViolations:
             return True
 
         g.run(scenario())
-        qos = g.reader_client.qos
+        client = g.reader_client
         # The cross-WAN provider violates a 10 ms SLA...
-        assert [s.server for s in qos.violators(max_mean_latency=0.010)] == [
-            g.server_edge.name
-        ]
+        assert violators(client, max_mean_latency=0.010) == [g.server_edge.name]
         # ...but not a generous 10 s one.
-        assert qos.violators(max_mean_latency=10.0) == []
+        assert violators(client, max_mean_latency=10.0) == []
 
     def test_violators_by_error_rate(self, tracked):
         g = tracked
@@ -133,11 +149,10 @@ class TestSlaViolations:
             return True
 
         g.run(scenario())
-        qos = g.reader_client.qos
         # The flow was one ok (metadata fetch) + one error (bad read):
         # error rate 0.5, breaching a 0.4 SLA.
-        violators = qos.violators(max_error_rate=0.4)
-        assert [s.server for s in violators] == [g.server_root.name]
+        breached = violators(g.reader_client, max_error_rate=0.4)
+        assert breached == [g.server_root.name]
 
     def test_min_requests_gate(self, tracked):
         g = tracked
@@ -151,5 +166,6 @@ class TestSlaViolations:
             return True
 
         g.run(scenario())
-        qos = g.reader_client.qos
-        assert qos.violators(max_mean_latency=0.0, min_requests=100) == []
+        assert violators(
+            g.reader_client, max_mean_latency=0.0, min_requests=100
+        ) == []

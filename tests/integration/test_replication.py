@@ -79,7 +79,7 @@ class TestAntiEntropy:
             return metadata
 
         metadata = g.run(scenario())
-        assert daemon.records_fetched == 4
+        assert g.server_root.metrics.counter("server.sync.fetched").value == 4
         assert g.server_root.hosted[metadata.name].capsule.last_seqno == 4
 
     def test_sync_is_idempotent(self, mini_gdp):

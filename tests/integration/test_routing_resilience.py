@@ -66,7 +66,7 @@ class TestLeaseLifecycle:
             return result.record.payload
 
         assert g.run(scenario()) == b"still-here"
-        assert daemon.refreshes >= 2
+        assert g.server_edge.metrics.counter("lease.refreshed").value >= 2
 
 
 class TestClientFailover:
@@ -142,7 +142,9 @@ class TestClientFailover:
             assert resynced == 1
             yield from writer.append(b"post", acks="any")
             yield 0.5  # final push lands
-            assert sub.resubscribes == 1
+            assert g.reader_client.metrics.counter(
+                "client.resubscribed"
+            ).value == 1
             assert sub.server is not None
             assert sub.server != serving.name
             return True

@@ -7,7 +7,9 @@ import tracemalloc
 import pytest
 
 from repro.naming import GdpName
+from repro.routing import GdpRouter, RoutingDomain
 from repro.routing.fib import CompactFib, ExpiryWheel, PackedMap
+from repro.sim import SimNetwork
 
 
 def raw(i: int) -> bytes:
@@ -190,7 +192,22 @@ class TestCompactFib:
         state["now"] = 20.0
         assert fib.maybe_purge() == 100
         assert len(fib) == 0
-        assert fib.purged == 100
+
+    def test_router_counts_fib_purges_in_its_scope(self):
+        """The router owning a FIB counts what its purges reclaim in
+        ``router.fib_purged``."""
+        net = SimNetwork()
+        router = GdpRouter(net, "r", RoutingDomain("d", clock=lambda: net.sim.now))
+        hop = object()
+        for i in range(100):
+            router.fib[GdpName(raw(i))] = (hop, 10.0 + (i % 3))
+
+        def later():
+            yield 20.0
+            router._install(GdpName(raw(1000)), hop)  # installs, then purges
+
+        net.sim.run_process(later())
+        assert router.metrics.counter("router.fib_purged").value == 100
 
     def test_refreshed_entry_survives_purge(self):
         fib, state = self.make()

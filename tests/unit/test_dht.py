@@ -80,10 +80,10 @@ class TestKademlia:
 
     def test_logarithmic_lookup_cost(self, run_dht):
         dht = build_dht(SimNetwork(), [name(i) for i in range(128)], k=8)
-        dht.stats.messages = 0
+        dht.metrics.counter("dht.messages").reset()
         run_dht(dht, dht.get_proc(name(0), name(5000)))
         # Iterative lookup should touch far fewer than all nodes.
-        assert dht.stats.messages < 64
+        assert dht.metrics.counter("dht.messages").value < 64
 
     def test_join_grows_network(self, run_dht):
         dht = build_dht(SimNetwork(), [name(i) for i in range(10)])

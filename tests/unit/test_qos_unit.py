@@ -1,98 +1,130 @@
-"""QosTracker mechanics (no network)."""
+"""QoS attribution mechanics (no network): what a client's request,
+reply and deadline hooks leave in its ``qos.*`` instruments, and
+:func:`violators` over them."""
 
-from repro.client.qos import ProviderStats, QosTracker
+from repro.client import GdpClient
+from repro.client.qos import violators
 from repro.naming import GdpName
+from repro.sim import SimNetwork
 
 S1 = GdpName(b"\x01" * 32)
 S2 = GdpName(b"\x02" * 32)
 
 
-def make_tracker():
-    clock = {"now": 0.0}
-    tracker = QosTracker(clock=lambda: clock["now"])
-    return tracker, clock
+def make_client():
+    net = SimNetwork()
+    return GdpClient(net, "c"), net
+
+
+def advance(net, seconds):
+    def wait():
+        yield seconds
+
+    net.sim.run_process(wait())
+
+
+def sent(client, corr_id):
+    """What :meth:`GdpClient.request` records for *corr_id*."""
+    client._sent[corr_id] = client.ctx.now
+
+
+def provider(client, server):
+    """(ok, errors, latency histogram) attributed to *server*."""
+    prefix = f"qos.{server.hex()}."
+    return (
+        client.metrics.counter(prefix + "ok").value,
+        client.metrics.counter(prefix + "errors").value,
+        client.metrics.histogram(prefix + "latency"),
+    )
+
+
+def attributed(client):
+    return {
+        name for name in client.metrics.snapshot()
+        if name.startswith("qos.") and name != "qos.timeouts"
+    }
 
 
 class TestTracking:
     def test_latency_measured(self):
-        tracker, clock = make_tracker()
-        tracker.request_sent(1)
-        clock["now"] = 0.25
-        tracker.response_attributed(1, S1, ok=True)
-        stats = tracker.report()[S1]
-        assert stats.latencies == [0.25]
-        assert stats.mean_latency == 0.25
+        client, net = make_client()
+        sent(client, 1)
+        advance(net, 0.25)
+        client._attribute(1, S1, ok=True)
+        _, _, latency = provider(client, S1)
+        assert (latency.count, latency.min, latency.max) == (1, 0.25, 0.25)
+        assert latency.mean == 0.25
 
     def test_multiple_providers_separate(self):
-        tracker, clock = make_tracker()
-        tracker.request_sent(1)
-        tracker.response_attributed(1, S1, ok=True)
-        tracker.request_sent(2)
-        tracker.response_attributed(2, S2, ok=False)
-        report = tracker.report()
-        assert report[S1].ok_count == 1 and report[S1].error_count == 0
-        assert report[S2].ok_count == 0 and report[S2].error_count == 1
+        client, net = make_client()
+        sent(client, 1)
+        client._attribute(1, S1, ok=True)
+        sent(client, 2)
+        client._attribute(2, S2, ok=False)
+        assert provider(client, S1)[:2] == (1, 0)
+        assert provider(client, S2)[:2] == (0, 1)
 
     def test_unmatched_response_still_counts(self):
-        tracker, clock = make_tracker()
-        tracker.response_attributed(99, S1, ok=True)  # no request_sent
-        stats = tracker.report()[S1]
-        assert stats.ok_count == 1
-        assert stats.latencies == []
-        assert stats.mean_latency is None
+        client, net = make_client()
+        client._attribute(99, S1, ok=True)  # no request recorded
+        ok, _, latency = provider(client, S1)
+        assert ok == 1
+        assert latency.count == 0
+        assert latency.quantile(0.5) is None
 
     def test_timeout_counted(self):
-        tracker, clock = make_tracker()
-        tracker.request_sent(1)
-        tracker.request_timed_out(1)
-        assert tracker.timeouts == 1
-        assert tracker.report() == {}
+        client, net = make_client()
+        sent(client, 1)
+        client._expired(1)
+        assert client.metrics.counter("qos.timeouts").value == 1
+        assert attributed(client) == set()
+        assert client._sent == {}
 
     def test_p95(self):
-        tracker, clock = make_tracker()
+        client, net = make_client()
+        latencies = []
         for i in range(100):
-            tracker.request_sent(i)
-            clock["now"] += 0.001 * (i + 1)
-            tracker.response_attributed(i, S1, ok=True)
-            clock["now"] = 0.0
-        stats = tracker.report()[S1]
-        assert stats.p95_latency >= sorted(stats.latencies)[94]
+            sent(client, i)
+            start = net.sim.now
+            advance(net, 0.001 * (i + 1))
+            latencies.append(net.sim.now - start)
+            client._attribute(i, S1, ok=True)
+        _, _, latency = provider(client, S1)
+        assert latency.quantile(0.95) >= sorted(latencies)[94]
 
 
 class TestViolators:
-    def fill(self, tracker, clock, server, latency, ok_pattern):
+    def fill(self, client, net, server, latency, ok_pattern):
         for i, ok in enumerate(ok_pattern):
             corr = hash((server, i)) % 10**9
-            clock["now"] = 0.0
-            tracker.request_sent(corr)
-            clock["now"] = latency
-            tracker.response_attributed(corr, server, ok=ok)
+            sent(client, corr)
+            advance(net, latency)
+            client._attribute(corr, server, ok=ok)
 
     def test_latency_violation(self):
-        tracker, clock = make_tracker()
-        self.fill(tracker, clock, S1, 0.5, [True] * 4)
-        self.fill(tracker, clock, S2, 0.01, [True] * 4)
-        violators = tracker.violators(max_mean_latency=0.1)
-        assert [v.server for v in violators] == [S1]
+        client, net = make_client()
+        self.fill(client, net, S1, 0.5, [True] * 4)
+        self.fill(client, net, S2, 0.01, [True] * 4)
+        assert violators(client, max_mean_latency=0.1) == [S1]
 
     def test_error_rate_violation(self):
-        tracker, clock = make_tracker()
-        self.fill(tracker, clock, S1, 0.01, [True, False, False, False])
-        self.fill(tracker, clock, S2, 0.01, [True, True, True, True])
-        violators = tracker.violators(max_error_rate=0.5)
-        assert [v.server for v in violators] == [S1]
+        client, net = make_client()
+        self.fill(client, net, S1, 0.01, [True, False, False, False])
+        self.fill(client, net, S2, 0.01, [True, True, True, True])
+        assert violators(client, max_error_rate=0.5) == [S1]
 
     def test_min_requests_filters_noise(self):
-        tracker, clock = make_tracker()
-        self.fill(tracker, clock, S1, 0.5, [True])
-        assert tracker.violators(max_mean_latency=0.1, min_requests=2) == []
+        client, net = make_client()
+        self.fill(client, net, S1, 0.5, [True])
+        assert violators(client, max_mean_latency=0.1, min_requests=2) == []
 
     def test_no_thresholds_no_violators(self):
-        tracker, clock = make_tracker()
-        self.fill(tracker, clock, S1, 0.5, [False] * 3)
-        assert tracker.violators() == []
+        client, net = make_client()
+        self.fill(client, net, S1, 0.5, [False] * 3)
+        assert violators(client) == []
 
     def test_error_rate_zero_when_empty(self):
-        stats = ProviderStats(S1)
-        assert stats.error_rate == 0.0
-        assert stats.mean_latency is None
+        client, net = make_client()
+        _, _, latency = provider(client, S1)  # instruments, no replies
+        assert violators(client, max_error_rate=0.0, min_requests=0) == []
+        assert latency.count == 0

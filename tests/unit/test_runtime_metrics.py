@@ -31,6 +31,27 @@ class TestHistogram:
 
     def test_empty_histogram(self):
         assert Histogram("lat").summary()["count"] == 0
+        assert Histogram("lat").quantile(0.5) is None
+
+    def test_quantile_is_its_bucket_upper_edge(self):
+        """A quantile never reads below the exact one, and above it by
+        less than one bucket (1/8 of a power of two)."""
+        values = [0.001 * (i + 1) for i in range(1000)]
+        histogram = Histogram("lat")
+        for value in reversed(values):
+            histogram.observe(value)
+        for q in (0.01, 0.5, 0.95, 0.99, 1.0):
+            exact = values[round(q * 1000) - 1]
+            assert exact <= histogram.quantile(q) <= exact * 1.125
+        assert histogram.quantile(1.0) == 1.125  # 1.0 opens [1, 1.125)
+        assert histogram.quantile(0.0) == histogram.quantile(0.001)
+
+    def test_quantile_of_values_at_or_below_zero_is_zero(self):
+        histogram = Histogram("hops")
+        for value in (0, 0, 0, 5):
+            histogram.observe(value)
+        assert histogram.quantile(0.75) == 0.0
+        assert histogram.quantile(1.0) == 5.5
 
 
 class TestRegistry:

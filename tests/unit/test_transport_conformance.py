@@ -374,7 +374,7 @@ class TestSubstrateConformance:
             assert put.acked == 4
             got = net.ctx.run_process(dht.get_proc(last, key))
             assert got.values == [b"both"]
-            assert dht.stats.timeouts == 0
+            assert dht.metrics.counter("dht.timeouts").value == 0
         finally:
             close(net)
 

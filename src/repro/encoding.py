@@ -37,8 +37,10 @@ from typing import Any
 from repro.errors import EncodingError
 
 __all__ = [
+    "Encoded",
     "encode",
     "decode",
+    "extend_list",
     "encode_uvarint",
     "decode_uvarint",
     "pack_float",
@@ -53,6 +55,46 @@ _TAG_BYTES = ord("B")
 _TAG_STR = ord("S")
 _TAG_LIST = ord("L")
 _TAG_DICT = ord("D")
+_UNDECODED = object()
+
+
+class Encoded:
+    """A value carried as its canonical bytes :attr:`data`, decoded
+    strictly on first use unless built with it.  It reads as its value
+    (``c[key]``, ``c.get(key)``, ``==``); ``c[key] = item`` drops the
+    bytes, any other change to the value leaves them stale."""
+
+    __slots__ = ("data", "_value")
+
+    def __init__(self, data: bytes, value: Any = _UNDECODED):
+        self.data: bytes | None = data
+        self._value = value
+
+    @property
+    def undecoded(self) -> bool:
+        """Whether nothing has decoded, and so nothing changed, the value."""
+        return self._value is _UNDECODED
+
+    @property
+    def value(self) -> Any:
+        if self._value is _UNDECODED:
+            self._value = decode(self.data)
+        return self._value
+
+    def __getattr__(self, name: str) -> Any:
+        if name[0] == "_":  # no value to defer to before __init__ ran
+            raise AttributeError(name)
+        return getattr(self.value, name)
+
+    def __getitem__(self, key):
+        return self.value[key]
+
+    def __setitem__(self, key, item) -> None:
+        self.value[key] = item
+        self.data = None
+
+    def __eq__(self, other: object) -> bool:
+        return self.value == (other.value if isinstance(other, Encoded) else other)
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -175,16 +217,30 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out.append(_TAG_DICT)
         out += encode_uvarint(len(body))
         out += body
+    elif isinstance(value, Encoded):
+        if value.data is not None:
+            out += value.data
+        else:
+            _encode_into(value.value, out)
     else:
         raise EncodingError(f"unsupported type: {type(value).__name__}")
 
 
 def encode(value: Any) -> bytes:
     """Canonically encode *value*; raises :class:`EncodingError` on
-    unsupported types or non-string dict keys."""
+    unsupported types or non-string dict keys.  An :class:`Encoded` is
+    spliced as its bytes, not walked."""
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
+
+
+def extend_list(encoded: bytes, *items: bytes) -> bytes:
+    """``encode(lst + extra)`` from ``encode(lst)`` and each extra
+    item's encoding: the items are spliced, not walked."""
+    length, start = decode_uvarint(encoded, 1)
+    tail = b"".join(items)
+    return b"L" + encode_uvarint(length + len(tail)) + encoded[start:] + tail
 
 
 def pack_float(value: float) -> bytes:
@@ -208,7 +264,7 @@ def unpack_float(raw: bytes) -> float:
     return _struct.unpack(">d", raw)[0]
 
 
-def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
+def _decode_at(data: bytes, offset: int, carry: str | None = None) -> tuple[Any, int]:
     if offset >= len(data):
         raise EncodingError("truncated value")
     tag = data[offset]
@@ -259,16 +315,24 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
             if prev_key_enc is not None and key_enc <= prev_key_enc:
                 raise EncodingError("dict keys out of canonical order")
             prev_key_enc = key_enc
-            value, inner = _decode_at(payload, inner)
+            if carry is not None and key == carry:  # its framing only
+                size, start = decode_uvarint(payload, inner + 1)
+                if start + size > length:
+                    raise EncodingError("truncated payload")
+                value, inner = Encoded(payload[inner : start + size]), start + size
+            else:
+                value, inner = _decode_at(payload, inner)
             result[key] = value
         return result, end
     raise EncodingError(f"unknown tag byte {tag:#x}")
 
 
-def decode(data: bytes) -> Any:
+def decode(data: bytes, carry: str | None = None) -> Any:
     """Decode a canonically encoded value; rejects trailing garbage and
-    any non-canonical form."""
-    value, end = _decode_at(bytes(data), 0)
+    any non-canonical form.  With *carry*, a top-level map's field of
+    that name comes back as an :class:`Encoded` of its exact span: its
+    length is checked now, the rest when it is first used."""
+    value, end = _decode_at(bytes(data), 0, carry)
     if end != len(data):
         raise EncodingError("trailing bytes after value")
     return value

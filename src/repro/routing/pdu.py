@@ -51,6 +51,7 @@ DEFAULT_TTL = 64
 
 _HEADER_STRUCT = struct.Struct(">32s32sQHB5x")
 assert _HEADER_STRUCT.size == HEADER_BYTES
+_ENVELOPE = {"auth", "body"}  # a secure reply's keys (repro.server.secure)
 
 
 def payload_size(payload: Any) -> int:
@@ -218,7 +219,8 @@ class Pdu:
         """Parse a binary wire form produced by :meth:`encode_wire`.
 
         Raises :class:`WireFormatError` on truncation, trailing junk
-        inside the payload, or an unknown type code.
+        inside the payload, or an unknown type code.  A secure reply's
+        body stays its received bytes, for its opener to check.
         """
         if len(data) < HEADER_BYTES:
             raise WireFormatError(
@@ -227,7 +229,10 @@ class Pdu:
         src_raw, dst_raw, corr_id, ttl, code = _HEADER_STRUCT.unpack_from(data)
         ptype = ptype_from_code(code)
         try:
-            payload = encoding.decode(data[HEADER_BYTES:])
+            payload = encoding.decode(data[HEADER_BYTES:], carry="body")
+            body = payload.get("body") if isinstance(payload, dict) else None
+            if isinstance(body, encoding.Encoded) and payload.keys() != _ENVELOPE:
+                payload["body"] = body.value
         except Exception as exc:
             raise WireFormatError(f"bad PDU payload: {exc}") from exc
         pdu = cls(

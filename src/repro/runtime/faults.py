@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
+from repro.encoding import Encoded
 from repro.routing.pdu import Pdu
 from repro.runtime.metrics import Counter
 from repro.runtime.middleware import DROP, DeliveryMiddleware
@@ -125,7 +126,10 @@ class TamperFaults(_Fault):
 
     def _tamper(self, pdu) -> None:
         """Flip bytes somewhere in the payload (recursively finds a
-        bytes field to corrupt)."""
+        bytes field to corrupt; a carrier walked becomes its value)."""
+
+        def plain(value: Any) -> Any:
+            return value.value if isinstance(value, Encoded) else value
 
         def corrupt(value: Any) -> Any:
             if isinstance(value, bytes) and value:
@@ -136,19 +140,21 @@ class TamperFaults(_Fault):
                 return flipped
             if isinstance(value, dict):
                 for key in sorted(value):
+                    value[key] = plain(value[key])
                     new = corrupt(value[key])
                     if new is not value[key]:
                         value[key] = new
                         return value
             if isinstance(value, list):
                 for i, item in enumerate(value):
+                    value[i] = item = plain(item)
                     new = corrupt(item)
                     if new is not item:
                         value[i] = new
                         return value
             return value
 
-        pdu.payload = corrupt(pdu.payload)
+        pdu.payload = corrupt(plain(pdu.payload))
         pdu._payload_bytes = None
 
 

@@ -31,13 +31,13 @@ a client's answer, a sibling's durability ack or anti-entropy reply.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro import encoding
 from repro.crypto.hmac_session import SessionKey
 from repro.crypto.keys import SigningKey
 from repro.delegation.chain import ServiceChain
-from repro.errors import IntegrityError, SignatureError, expect_bytes
+from repro.errors import EncodingError, IntegrityError, SignatureError, expect_bytes
 from repro.naming.metadata import Metadata
 from repro.naming.names import GdpName
 
@@ -52,8 +52,30 @@ __all__ = [
 _DOMAIN = b"gdp.response"
 
 
-def _preimage(client: GdpName, corr_id: int, body: Any) -> bytes:
-    return _DOMAIN + encoding.encode([client.raw, corr_id, body])
+def _preimage(client: GdpName, corr_id: int, body: bytes) -> bytes:
+    """``[client, corr_id, body]`` encoded, from *body*'s encoding."""
+    return _DOMAIN + encoding.extend_list(encoding.encode([client.raw, corr_id]), body)
+
+
+def _opened(
+    body: Any, client: GdpName, corr_id: int, check: Callable[[bytes], Any]
+) -> dict:
+    """Run *check* over the preimage of *body*'s bytes; return the body
+    decoded from those bytes.  Received bytes nothing has decoded are
+    checked as they are; any other view is re-encoded first."""
+    carried = isinstance(body, encoding.Encoded)
+    try:
+        if carried and body.undecoded:
+            data = body.data
+        else:  # built in this process, or read (maybe changed) since it arrived
+            data = encoding.encode(body.value if carried else body)
+        check(_preimage(client, corr_id, data))
+        body = encoding.decode(data)
+    except EncodingError as exc:
+        raise IntegrityError(f"malformed secure response body: {exc}") from exc
+    if not isinstance(body, dict):
+        raise IntegrityError("secure response body is not a map")
+    return body
 
 
 def sign_response(
@@ -64,13 +86,14 @@ def sign_response(
     corr_id: int,
     body: Any,
 ) -> dict:
-    """Wrap *body* in a signed secure response."""
+    """Wrap *body*, encoded once, in a signed secure response."""
+    body = encoding.Encoded(encoding.encode(body), body)
     wrapped = {
         "body": body,
         "auth": {
             "mode": "sig",
             "server_metadata": server_metadata.to_wire(),
-            "signature": server_key.sign(_preimage(client, corr_id, body)),
+            "signature": server_key.sign(_preimage(client, corr_id, body.data)),
         },
     }
     if chain is not None:
@@ -105,13 +128,13 @@ def verify_signed_response(
         )
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed secure response: {exc}") from exc
-    if not isinstance(body, dict):
-        raise IntegrityError("secure response body is not a map")
     server_metadata.verify()
-    if not server_metadata.self_key.verify(
-        _preimage(client, corr_id, body), signature
-    ):
-        raise SignatureError("secure response signature invalid")
+
+    def check(preimage: bytes) -> None:
+        if not server_metadata.self_key.verify(preimage, signature):
+            raise SignatureError("secure response signature invalid")
+
+    body = _opened(body, client, corr_id, check)
     if capsule is not None and body.get("ok"):
         # Error bodies assert no capsule data, so they need no chain —
         # a replica that does not (yet) hold a record must be able to
@@ -168,12 +191,14 @@ def open_response(
 def mac_response(
     session: SessionKey, client: GdpName, corr_id: int, body: Any
 ) -> dict:
-    """Wrap *body* with the steady-state HMAC authenticator."""
+    """Wrap *body*, encoded once, with the steady-state HMAC
+    authenticator."""
+    body = encoding.Encoded(encoding.encode(body), body)
     return {
         "body": body,
         "auth": {
             "mode": "hmac",
-            "mac": session.mac(_preimage(client, corr_id, body)),
+            "mac": session.mac(_preimage(client, corr_id, body.data)),
         },
     }
 
@@ -190,7 +215,4 @@ def verify_mac_response(
         mac = expect_bytes(auth["mac"], "response mac", IntegrityError)
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed secure response: {exc}") from exc
-    if not isinstance(body, dict):
-        raise IntegrityError("secure response body is not a map")
-    session.check(_preimage(client, corr_id, body), mac)
-    return body
+    return _opened(body, client, corr_id, lambda preimage: session.check(preimage, mac))

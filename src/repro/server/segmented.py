@@ -821,15 +821,15 @@ class SegmentedStore(StorageBackend):
 
     def read_records(
         self, name: GdpName, seqnos: Iterable[int], keep=None
-    ) -> dict[int, list[dict]]:
-        """The stored record wires at *seqnos*, read as exact byte ranges
-        (a frame that no longer decodes is left out, for the caller's
-        check against its header to count; with *keep*, it and every
-        wire failing *keep* lose their locator, unpersisted)."""
+    ) -> dict[int, list[encoding.Encoded]]:
+        """The stored record wires at *seqnos*, carriers of exact byte
+        ranges (a frame that no longer decodes is left out, for the
+        caller's check against its header to count; with *keep*, it and
+        every wire failing *keep* lose their locator, unpersisted)."""
         self._check_alive()
         wanted = sorted(set(seqnos))
         log = self._log_for(name)
-        found: dict[int, list[dict]] = {}
+        found: dict[int, list[encoding.Encoded]] = {}
         for seg in log.segments if log is not None else ():
             inside = [seqno for seqno in wanted if seg.first <= seqno <= seg.last]
             if not seg.records or not inside:
@@ -855,7 +855,7 @@ class SegmentedStore(StorageBackend):
                 if keep is not None and (wire is None or not keep(wire)):
                     locators.drop(seqno, span)
                 elif wire is not None:
-                    found.setdefault(seqno, []).append(wire)
+                    found.setdefault(seqno, []).append(encoding.Encoded(blob, wire))
         return found
 
     def _locators(self, log: _CapsuleLog, seg: SegmentInfo) -> _Locators:

@@ -39,6 +39,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, Sequence
 
 from repro.capsule import DataCapsule, Heartbeat, Record
+from repro.encoding import Encoded, encode
 from repro.errors import GdpError, StorageError
 from repro.naming.names import GdpName
 
@@ -91,9 +92,10 @@ class StorageBackend(ABC):
     @abstractmethod
     def read_records(
         self, name: GdpName, seqnos: Iterable[int], keep=None
-    ) -> dict[int, list[dict]]:
-        """The point read: the stored record wires at *seqnos* by seqno,
-        branches in write order, never bytes past a torn tail; the caller
+    ) -> dict[int, list[Encoded]]:
+        """The point read: the stored record wires at *seqnos* by seqno
+        (:class:`~repro.encoding.Encoded` carriers), branches in write
+        order, never bytes past a torn tail; the caller
         checks each against the header it holds (:meth:`Record.matches`).
         A wire failing *keep* leaves the read path for good (its frame
         stays in the log)."""
@@ -165,18 +167,15 @@ class MemoryStore(StorageBackend):
 
     def read_records(
         self, name: GdpName, seqnos: Iterable[int], keep=None
-    ) -> dict[int, list[dict]]:
-        """The stored wires at *seqnos*, each a fresh dict (as
-        :meth:`Record.to_wire` gives) over the stored payload."""
+    ) -> dict[int, list[Encoded]]:
+        """The stored wires at *seqnos*, each a carrier of its canonical
+        bytes (its value decoded fresh from them)."""
         by_seqno = self._records.get(name, {})
         if keep is not None:
             seqnos = [seqno for seqno in seqnos if seqno in by_seqno]
             by_seqno.update({n: list(filter(keep, by_seqno[n])) for n in seqnos})
         return {
-            seqno: [
-                dict(wire, pointers=[list(p) for p in wire["pointers"]])
-                for wire in by_seqno[seqno]
-            ]
+            seqno: [Encoded(encode(wire)) for wire in by_seqno[seqno]]
             for seqno in seqnos
             if seqno in by_seqno
         }

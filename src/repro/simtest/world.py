@@ -7,10 +7,10 @@ the four delivery-fault middlewares installed *disarmed* so fault
 windows can arm them without perturbing the RNG streams outside their
 windows.
 
-It also carries the episode's ground truth for the oracles: the
-writer's local capsule (every record ever minted), the seqnos that were
-acknowledged under ``acks=all`` (must survive on every replica), and
-the deterministic operation log.
+It also carries the episode's ground truth for the oracles: the seqnos
+acknowledged under ``acks=all`` (must survive on every replica), the
+pushes, commit receipts and probe findings the clients saw, and the
+deterministic operation log.  No client copy of the records exists.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Property tests: the canonical encoding is a total injective
 round-trippable function on its value domain."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +64,85 @@ class TestEncodingProperties:
         forward = dict(items)
         backward = dict(reversed(items))
         assert encoding.encode(forward) == encoding.encode(backward)
+
+
+def _carried(value, rng):
+    """*value* with some of its parts, itself included, swapped for
+    :class:`encoding.Encoded` carriers (built with their value or not)."""
+    if isinstance(value, list):
+        value = [_carried(item, rng) for item in value]
+    elif isinstance(value, dict):
+        value = {key: _carried(item, rng) for key, item in value.items()}
+    if rng.random() < 0.5:
+        return value
+    data = encoding.encode(value)
+    return encoding.Encoded(data, value) if rng.random() < 0.5 else encoding.Encoded(data)
+
+
+def _map(*encoded: bytes) -> bytes:
+    inner = b"".join(encoded)
+    return b"D" + encoding.encode_uvarint(len(inner)) + inner
+
+
+class TestCarrierProperties:
+    @given(wire_values, st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_splicing_a_carrier_encodes_as_walking_its_value(self, value, rng):
+        carried = _carried(value, rng)
+        assert encoding.encode(carried) == encoding.encode(value)
+        assert carried == value
+
+    @given(st.dictionaries(st.text(max_size=8), wire_values, min_size=1, max_size=6),
+           wire_values)
+    @settings(max_examples=200)
+    def test_a_carrier_changed_through_it_encodes_its_new_value(self, mapping, item):
+        carried = encoding.Encoded(encoding.encode(mapping))
+        key = sorted(mapping)[0]
+        carried[key] = item
+        assert encoding.encode(carried) == encoding.encode({**mapping, key: item})
+
+    @given(st.lists(wire_values, max_size=4), st.lists(wire_values, max_size=4))
+    @settings(max_examples=200)
+    def test_extend_list_splices_encoded_items(self, head, extra):
+        spliced = encoding.extend_list(
+            encoding.encode(head), *map(encoding.encode, extra)
+        )
+        assert spliced == encoding.encode(head + extra)
+
+    @given(st.dictionaries(st.text(max_size=8), wire_values, max_size=6), st.text(max_size=8))
+    @settings(max_examples=300)
+    def test_a_carried_field_decodes_as_a_full_decode(self, mapping, key):
+        data = encoding.encode(mapping)
+        full = encoding.decode(data)
+        carried = encoding.decode(data, carry=key)
+        assert carried.keys() == full.keys()
+        for name, value in carried.items():
+            if name == key:
+                assert isinstance(value, encoding.Encoded) and value.undecoded
+                assert value.data == encoding.encode(full[name])
+                assert value.value == full[name]
+            else:
+                assert value == full[name]
+        assert encoding.encode(carried) == data
+
+    @given(wire_values, st.booleans())
+    @settings(max_examples=300)
+    def test_bad_bytes_inside_a_carried_field_are_refused_when_used(self, value, cut):
+        """Framing is checked when the field is carried; truncated or
+        non-canonical bytes inside it only when it is first used."""
+        from repro.errors import EncodingError
+
+        inner = encoding.encode(value)
+        # a list whose last item lost a byte, or that starts with a 0
+        # encoded non-minimally
+        inner = inner[:-1] if cut else b"I\x01\x00" + inner
+        field = b"L" + encoding.encode_uvarint(len(inner)) + inner
+        data = _map(encoding.encode("body"), field)
+        carried = encoding.decode(data, carry="body")["body"]
+        assert carried.data == field
+        with pytest.raises(EncodingError):
+            carried.value
+        with pytest.raises(EncodingError):
+            encoding.decode(data)
+        with pytest.raises(EncodingError):  # the carried field's own framing
+            encoding.decode(_map(encoding.encode("body"), field[:-1]), carry="body")

@@ -17,9 +17,11 @@ from repro.client.failover import Subscription
 from repro.crypto import SigningKey
 from repro.crypto.keys import VerifyingKey
 from repro.delegation import AdCert, Placement
+from repro import encoding
 from repro.errors import (
     CapsuleError,
     DelegationError,
+    EncodingError,
     GdpError,
     IntegrityError,
     NameError_,
@@ -118,6 +120,50 @@ class TestWireCodecProperties:
         wire[74] = 0xEE  # no ptype registered anywhere near 238
         with pytest.raises(WireFormatError):
             Pdu.decode_wire(bytes(wire))
+
+
+class TestSecureReplyBodies:
+    """A secure reply's body (a payload of just ``auth`` and ``body``)
+    stays its received bytes; any other payload decodes whole."""
+
+    @given(pdus, payloads, payloads)
+    @settings(max_examples=200)
+    def test_reply_body_stays_its_received_bytes(self, pdu, auth, body):
+        pdu.payload = {"auth": auth, "body": body}
+        wire = pdu.encode_wire()
+        decoded = Pdu.decode_wire(wire)
+        carried = decoded.payload["body"]
+        assert isinstance(carried, encoding.Encoded) and carried.undecoded
+        assert decoded.payload["auth"] == auth
+        assert carried.data == encoding.encode(body)
+        assert carried.value == encoding.decode(encoding.encode(body))
+        assert decoded.encode_wire() == wire
+        assert Pdu(pdu.src, pdu.dst, pdu.ptype, decoded.payload).encode_wire()[80:] == wire[80:]
+
+    @given(pdus, payloads, st.dictionaries(st.text(max_size=8), payloads, min_size=1, max_size=3))
+    @settings(max_examples=150)
+    def test_other_payloads_decode_whole(self, pdu, body, others):
+        others.pop("auth", None)
+        pdu.payload = {**others, "body": body}
+        decoded = Pdu.decode_wire(pdu.encode_wire())
+        assert not isinstance(decoded.payload["body"], encoding.Encoded)
+        assert decoded.payload == pdu.payload
+
+    @given(pdus, payloads, st.booleans())
+    @settings(max_examples=150)
+    def test_bad_bytes_inside_a_reply_body_are_refused_when_used(self, pdu, body, cut):
+        inner = encoding.encode(body)
+        inner = inner[:-1] if cut else b"I\x01\x00" + inner
+        field = b"L" + encoding.encode_uvarint(len(inner)) + inner
+        pieces = encoding.encode("auth") + encoding.encode(None)
+        pieces += encoding.encode("body") + field
+        payload = b"D" + encoding.encode_uvarint(len(pieces)) + pieces
+        decoded = Pdu.decode_wire(pdu.encode_wire()[:HEADER_BYTES] + payload)
+        with pytest.raises(EncodingError):
+            decoded.payload["body"].value
+        decoded.payload["x"] = 1  # not a secure reply: the body decodes whole
+        with pytest.raises(WireFormatError):
+            Pdu.decode_wire(pdu.encode_wire()[:HEADER_BYTES] + encoding.encode(decoded.payload))
 
 
 # -- what a PDU carries: records, heartbeats, runs, pushes -----------------

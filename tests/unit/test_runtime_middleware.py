@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+
+from repro.encoding import Encoded, encode
+from repro.errors import SecurityError
 from repro.naming.names import GdpName
 from repro.routing.pdu import Pdu, T_DATA
 from repro.runtime.faults import DelayFaults, DropFaults, TamperFaults
@@ -153,6 +157,50 @@ class TestFaultMiddlewares:
         assert processed is not None
         assert fault.count == 1
         assert pdu.payload["blob"] != b"hello"
+
+    def test_tamper_replaces_carriers_it_walks_with_their_values(self):
+        """Same walk and RNG draws as over the plain payload, and no
+        carrier's bytes survive on the walked path."""
+        def payload(carry):
+            body = {"ok": True, "records": [{"payload": b"abc", "seqno": 1}]}
+            if carry:
+                body["records"][0] = Encoded(encode(body["records"][0]), body["records"][0])
+                body = Encoded(encode(body), body)
+            return {"auth": {"mac": b"\x01" * 8}, "body": body}
+
+        net = SimNetwork(seed=1)
+        plain, carried = make_pdu(payload(False)), make_pdu(payload(True))
+        for pdu in (plain, carried):
+            TamperFaults(net, rate=1.0, rng=random.Random(7))._tamper(pdu)
+        assert not isinstance(carried.payload["body"], Encoded)
+        assert not isinstance(carried.payload["body"]["records"][0], Encoded)
+        assert carried.payload == plain.payload != payload(False)
+        assert carried.payload_bytes == encode(plain.payload)
+
+    def test_tampered_signed_reply_carrying_bytes_is_refused(self, mini_gdp):
+        """In the simulator a server's reply carries its body's bytes; a
+        tampered one is still refused by the client."""
+        g = mini_gdp
+        tampered = []
+
+        def carried_reply(pdu):
+            body = pdu.payload.get("body") if isinstance(pdu.payload, dict) else None
+            hit = pdu.dst == g.reader_client.name and isinstance(body, Encoded)
+            tampered.extend([pdu] if hit else [])
+            return hit
+
+        def scenario():
+            yield from g.bootstrap()
+            metadata = yield from g.place()
+            writer = g.writer_client.open_writer(metadata, g.writer_key)
+            yield from writer.append(b"carried", acks="all")
+            TamperFaults(g.net, rate=1.0, rng=random.Random(3), match=carried_reply).install()
+            with pytest.raises(SecurityError):
+                yield from g.reader_client.read(metadata.name, 1)
+            return True
+
+        assert g.run(scenario())
+        assert tampered and not isinstance(tampered[-1].payload["body"], Encoded)
 
     def test_delay_faults_redeliver_late(self):
         net = SimNetwork(seed=1)

@@ -178,14 +178,17 @@ def _response_world():
 
 
 def _bench_response(accel: dict, naive: dict, note) -> None:
-    """A ``sig`` response as a remote client checks it: signature new."""
+    """A ``sig`` response as a client checks it, from its bytes: signature new."""
+    from repro import encoding
     from repro.crypto import cache
     from repro.server.secure import sign_response, verify_signed_response
 
     server, server_md, chain, capsule, client = _response_world()
     # More than a trial gets through (``_paired`` clears between trials).
     pool = [
-        sign_response(server, server_md, chain, client, i, {"ok": True, "n": i})
+        encoding.encode(
+            sign_response(server, server_md, chain, client, i, {"ok": True, "n": i})
+        )
         for i in range(1024)
     ]
     cache.reset()  # signing primed the signature memo
@@ -194,7 +197,8 @@ def _bench_response(accel: dict, naive: dict, note) -> None:
     def verify_response():
         corr_id = counter["n"] = (counter["n"] + 1) % len(pool)
         verify_signed_response(
-            pool[corr_id], client=client, corr_id=corr_id, capsule=capsule
+            encoding.decode(pool[corr_id], carry="body"),
+            client=client, corr_id=corr_id, capsule=capsule,
         )
 
     note("response verify")
@@ -203,8 +207,8 @@ def _bench_response(accel: dict, naive: dict, note) -> None:
 
 def _bench_session(note) -> dict:
     """A2: a 512 B response authenticated by the server and checked by
-    the client — a signature per message against the HMAC session one
-    handshake buys.  The three are timed interleaved, as in ``_paired``."""
+    the client from its bytes — a signature per message against the
+    HMAC session one handshake buys.  Timed interleaved, as ``_paired``."""
     from repro import encoding
     from repro.crypto import Handshake, SigningKey
     from repro.crypto.hmac_session import SessionKey, hkdf
@@ -223,7 +227,8 @@ def _bench_session(note) -> dict:
             server, server_md, chain, client, corr_id, body
         )
         secure.verify_signed_response(
-            wrapped, client=client, corr_id=corr_id, capsule=capsule
+            encoding.decode(encoding.encode(wrapped), carry="body"),
+            client=client, corr_id=corr_id, capsule=capsule,
         )
         return wrapped
 
@@ -231,7 +236,8 @@ def _bench_session(note) -> dict:
         corr_id = counter["n"] = counter["n"] + 1
         wrapped = secure.mac_response(server_session, client, corr_id, body)
         secure.verify_mac_response(
-            client_session, wrapped, client=client, corr_id=corr_id
+            client_session, encoding.decode(encoding.encode(wrapped), carry="body"),
+            client=client, corr_id=corr_id,
         )
         return wrapped
 

@@ -159,9 +159,9 @@ class Record:
     def to_wire(self) -> dict:
         """Wire-encodable representation.
 
-        Fresh outer dict and pointer lists every call (callers — tests,
-        tamperers — may mutate them), but built from the cached wire
-        tuples, so no pointer re-encoding happens.
+        Fresh outer dict and pointer lists every call (callers may
+        mutate them), but built from the cached wire tuples, so no
+        pointer re-encoding happens.
         """
         return {
             "seqno": self.seqno,

@@ -201,9 +201,7 @@ class GdpClient(Endpoint):
         policy = policy or self.failover
         last_error: GdpError | None = None
         for attempt in range(max(policy.attempts, 1)):
-            corr_id, future = self.request(
-                capsule, dict(payload), timeout=timeout
-            )
+            corr_id, future = self.request(capsule, payload, timeout=timeout)
             try:
                 wrapped = yield future
             except (RoutingError, TimeoutError_) as exc:

@@ -61,13 +61,13 @@ _UNDECODED = object()
 class Encoded:
     """A value carried as its canonical bytes :attr:`data`, decoded
     strictly on first use unless built with it.  It reads as its value
-    (``c[key]``, ``c.get(key)``, ``==``); ``c[key] = item`` drops the
-    bytes, any other change to the value leaves them stale."""
+    (``c[key]``, ``c.get(key)``, ``==``) and has no write surface:
+    :func:`encode` splices :attr:`data`, whatever the value holds."""
 
     __slots__ = ("data", "_value")
 
     def __init__(self, data: bytes, value: Any = _UNDECODED):
-        self.data: bytes | None = data
+        self.data = data
         self._value = value
 
     @property
@@ -88,10 +88,6 @@ class Encoded:
 
     def __getitem__(self, key):
         return self.value[key]
-
-    def __setitem__(self, key, item) -> None:
-        self.value[key] = item
-        self.data = None
 
     def __eq__(self, other: object) -> bool:
         return self.value == (other.value if isinstance(other, Encoded) else other)
@@ -218,10 +214,7 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out += encode_uvarint(len(body))
         out += body
     elif isinstance(value, Encoded):
-        if value.data is not None:
-            out += value.data
-        else:
-            _encode_into(value.value, out)
+        out += value.data
     else:
         raise EncodingError(f"unsupported type: {type(value).__name__}")
 

@@ -124,17 +124,10 @@ class Metadata:
         _cache.remember_metadata(self._name.raw, self.signature)
 
     def to_wire(self) -> dict:
-        """Wire-encodable representation.
-
-        ``properties`` is copied: the sim delivers PDUs by reference and
-        the tamper fault middleware corrupts payloads in place, so
-        handing out the live dict would let one tampered advertisement
-        permanently corrupt this endpoint's own identity (the values are
-        immutable bytes/str, so a shallow copy isolates fully).
-        """
+        """Wire-encodable representation."""
         return {
             "kind": self.kind,
-            "properties": dict(self.properties),
+            "properties": self.properties,
             "signature": self.signature,
         }
 

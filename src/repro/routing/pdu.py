@@ -52,6 +52,7 @@ DEFAULT_TTL = 64
 _HEADER_STRUCT = struct.Struct(">32s32sQHB5x")
 assert _HEADER_STRUCT.size == HEADER_BYTES
 _ENVELOPE = {"auth", "body"}  # a secure reply's keys (repro.server.secure)
+_UNDECODED = object()
 
 
 def payload_size(payload: Any) -> int:
@@ -164,7 +165,7 @@ class Pdu:
     """One routable message in the flat namespace."""
 
     __slots__ = (
-        "src", "dst", "ptype", "corr_id", "ttl", "payload", "_payload_bytes"
+        "src", "dst", "ptype", "corr_id", "ttl", "_payload", "_payload_bytes"
     )
 
     def __init__(
@@ -179,19 +180,41 @@ class Pdu:
         self.src = src
         self.dst = dst
         self.ptype = ptype
-        self.payload = payload
+        self._payload = payload
         self.corr_id = corr_id if corr_id is not None else next(_id_counter)
         self.ttl = ttl
         self._payload_bytes: bytes | None = None
 
     @property
+    def payload(self) -> Any:
+        """The payload; one received as bytes decodes on first read, and
+        a secure reply's body stays its bytes, for its opener to check.
+        Setting it drops the cached bytes."""
+        if self._payload is _UNDECODED:
+            payload = encoding.decode(self._payload_bytes, carry="body")
+            body = payload.get("body") if isinstance(payload, dict) else None
+            if isinstance(body, encoding.Encoded) and payload.keys() != _ENVELOPE:
+                payload["body"] = body.value
+            self._payload = payload
+        return self._payload
+
+    @payload.setter
+    def payload(self, value: Any) -> None:
+        self._payload = value
+        self._payload_bytes = None
+
+    @property
     def payload_bytes(self) -> bytes:
-        """The canonical encoding of the payload, cached on the PDU
-        (it is immutable) so sim size accounting and the socket wire
-        share one serialization."""
+        """The canonical encoding of the payload, cached on the PDU so
+        sim size accounting and the socket wire share one serialization.
+        Setting it replaces the payload by bytes to decode on next read."""
         if self._payload_bytes is None:
             self._payload_bytes = encoding.encode(self.payload)
         return self._payload_bytes
+
+    @payload_bytes.setter
+    def payload_bytes(self, data: bytes) -> None:
+        self._payload, self._payload_bytes = _UNDECODED, data
 
     @property
     def size_bytes(self) -> int:
@@ -218,40 +241,39 @@ class Pdu:
     def decode_wire(cls, data: bytes) -> "Pdu":
         """Parse a binary wire form produced by :meth:`encode_wire`.
 
-        Raises :class:`WireFormatError` on truncation, trailing junk
-        inside the payload, or an unknown type code.  A secure reply's
-        body stays its received bytes, for its opener to check.
+        The payload decodes now, so a malformed frame is refused at
+        receipt: raises :class:`WireFormatError` on truncation, trailing
+        junk inside the payload, or an unknown type code.
         """
         if len(data) < HEADER_BYTES:
             raise WireFormatError(
                 f"PDU truncated: {len(data)} bytes < {HEADER_BYTES} header"
             )
         src_raw, dst_raw, corr_id, ttl, code = _HEADER_STRUCT.unpack_from(data)
-        ptype = ptype_from_code(code)
+        src, dst = GdpName(src_raw), GdpName(dst_raw)
+        pdu = cls(src, dst, ptype_from_code(code), None, corr_id, ttl)
+        pdu.payload_bytes = bytes(data[HEADER_BYTES:])
         try:
-            payload = encoding.decode(data[HEADER_BYTES:], carry="body")
-            body = payload.get("body") if isinstance(payload, dict) else None
-            if isinstance(body, encoding.Encoded) and payload.keys() != _ENVELOPE:
-                payload["body"] = body.value
+            pdu.payload  # decoded now, strictly
         except Exception as exc:
             raise WireFormatError(f"bad PDU payload: {exc}") from exc
-        pdu = cls(
-            GdpName(src_raw), GdpName(dst_raw), ptype, payload,
-            corr_id=corr_id, ttl=ttl,
-        )
-        pdu._payload_bytes = bytes(data[HEADER_BYTES:])
         return pdu
 
     def response(self, ptype: str, payload: Any) -> "Pdu":
         """Build the reply PDU (dst/src swapped, same correlation id)."""
         return Pdu(self.dst, self.src, ptype, payload, corr_id=self.corr_id)
 
+    def shipped(self) -> "Pdu":
+        """The copy a receiver gets: this PDU's payload bytes alone,
+        decoded by :attr:`payload` on first read."""
+        copy = Pdu(self.src, self.dst, self.ptype, None, self.corr_id, self.ttl)
+        copy.payload_bytes = self.payload_bytes
+        return copy
+
     def decremented(self) -> "Pdu":
-        """A copy with TTL reduced by one (forwarding)."""
-        copy = Pdu(
-            self.src, self.dst, self.ptype, self.payload,
-            corr_id=self.corr_id, ttl=self.ttl - 1,
-        )
+        """A copy with TTL reduced by one (forwarding); it decodes nothing."""
+        ttl = self.ttl - 1
+        copy = Pdu(self.src, self.dst, self.ptype, self._payload, self.corr_id, ttl)
         copy._payload_bytes = self._payload_bytes
         return copy
 

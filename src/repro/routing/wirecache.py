@@ -10,11 +10,8 @@ copies on the way back.
 This module interns evidence at the canonical-bytes level:
 
 - :func:`encode_blob` returns the canonical encoded ``bytes`` of an
-  object's wire form, cached per live object.  Bytes are immutable, so
-  — unlike a shared wire *dict* — a cached blob can be embedded in any
-  number of entry wires without tamper-middleware aliasing hazards
-  (see ``Metadata.to_wire``'s defensive copy for why dicts can't be
-  shared).
+  object's wire form, cached per live object, to embed in any number
+  of entry wires.
 - :func:`decode_blob` decodes a blob back to an evidence object,
   keyed by the exact bytes — so all 10k entries fetched from the DHT
   share *one* decoded Metadata/RtCert object instead of 10k copies.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
-from repro.encoding import Encoded
+from repro.encoding import decode, encode
 from repro.routing.pdu import Pdu
 from repro.runtime.metrics import Counter
 from repro.runtime.middleware import DROP, DeliveryMiddleware
@@ -124,42 +124,34 @@ class TamperFaults(_Fault):
             self.counter.inc()
         return None
 
-    def _tamper(self, pdu) -> None:
-        """Flip bytes somewhere in the payload (recursively finds a
-        bytes field to corrupt; a carrier walked becomes its value)."""
-
-        def plain(value: Any) -> Any:
-            return value.value if isinstance(value, Encoded) else value
+    def _tamper(self, pdu: Pdu) -> None:
+        """Flip one byte of the in-flight bytes: decode them, flip a byte
+        of the first non-empty bytes field a walk in sorted-key order
+        finds, and re-encode them."""
 
         def corrupt(value: Any) -> Any:
             if isinstance(value, bytes) and value:
                 index = self.rng.randrange(len(value))
-                flipped = bytes(
-                    b ^ 0xFF if i == index else b for i, b in enumerate(value)
-                )
-                return flipped
+                return value[:index] + bytes([value[index] ^ 0xFF]) + value[index + 1:]
             if isinstance(value, dict):
                 for key in sorted(value):
-                    value[key] = plain(value[key])
                     new = corrupt(value[key])
                     if new is not value[key]:
                         value[key] = new
                         return value
             if isinstance(value, list):
                 for i, item in enumerate(value):
-                    value[i] = item = plain(item)
                     new = corrupt(item)
                     if new is not item:
                         value[i] = new
                         return value
             return value
 
-        pdu.payload = corrupt(plain(pdu.payload))
-        pdu._payload_bytes = None
+        pdu.payload_bytes = encode(corrupt(decode(pdu.payload_bytes)))
 
 
 class ReplayFaults(_Fault):
-    """Deliver an extra copy of a fraction of matching PDUs later."""
+    """Deliver a fresh copy of a fraction of matching PDUs' bytes later."""
 
     __slots__ = ("seconds",)
     counter_name = "faults.replayed"
@@ -170,10 +162,7 @@ class ReplayFaults(_Fault):
 
     def on_deliver(self, link, sender, receiver, message, size):
         if self._hit(message):
-            copy = Pdu(
-                message.src, message.dst, message.ptype,
-                message.payload, corr_id=message.corr_id, ttl=message.ttl,
-            )
+            copy = message.shipped()
             self.network.ctx.schedule(
                 self.seconds,
                 lambda: receiver.receive(copy, sender, link),

@@ -108,8 +108,9 @@ class SimTransport(Transport):
     """Transport over the simulated link layer.
 
     Peers are adjacent :class:`~repro.runtime.network.Node` objects; ``send``
-    charges the duplex link exactly as ``Node.send`` always did, so the
-    refactor is invisible to simulation timing, RNG draws, and traces.
+    charges the duplex link for the PDU's wire size and ships
+    :meth:`~repro.routing.pdu.Pdu.shipped`, a copy holding only its
+    payload bytes, so every receiver decodes its own copy, as over TCP.
     """
 
     def __init__(self, node, *, max_frame: int = DEFAULT_MAX_FRAME):
@@ -128,7 +129,7 @@ class SimTransport(Transport):
         if link._busy_until[(self.node, peer)] > self.node.ctx.now:
             self.backpressure += 1
         self.sent += 1
-        link.transmit(self.node, pdu, pdu.size_bytes)
+        link.transmit(self.node, pdu.shipped(), pdu.size_bytes)
 
 
 class LocalChannel:
@@ -138,6 +139,10 @@ class LocalChannel:
     server to its router) without a loopback TCP hop.  Sending on one
     end schedules delivery into the other end's transport on the shared
     runtime context, so reentrancy behaves like a real transport.
+
+    It is the one hop that hands over the PDU object, not its bytes: the
+    router just decoded every inbound PDU off TCP, so shipping bytes
+    here would decode each request twice.
     """
 
     __slots__ = ("ctx", "node_id", "closed", "_peer_end", "_peer_transport")

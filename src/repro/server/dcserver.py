@@ -526,7 +526,7 @@ class DataCapsuleServer(Endpoint):
             # Fast path: ack now, propagate in the background (§VI-B);
             # anti-entropy repairs anything this loses.
             for sibling in hosted.siblings:
-                self.rpc(sibling, dict(replicate), timeout=None)
+                self.rpc(sibling, replicate, timeout=None)
             return body
         required = policy.required_acks(replica_count)
         return self._collect_acks(hosted, replicate, required, body)
@@ -570,7 +570,7 @@ class DataCapsuleServer(Endpoint):
 
         for sibling in hosted.siblings:
             corr_id, future = self.request(
-                sibling, dict(replicate), timeout=REPLICATION_ACK_TIMEOUT
+                sibling, replicate, timeout=REPLICATION_ACK_TIMEOUT
             )
 
             def on_ack(fut: Future, corr_id=corr_id, sibling=sibling) -> None:
@@ -847,7 +847,7 @@ class DataCapsuleServer(Endpoint):
             return
         run = run_wire(records, heartbeat)
         for subscriber in sorted(hosted.subscribers, key=lambda n: n.raw):
-            self.send_pdu(Pdu(self.name, subscriber, pdutypes.T_PUSH, dict(run)))
+            self.send_pdu(Pdu(self.name, subscriber, pdutypes.T_PUSH, run))
             self._c_pushes.inc()
 
 

@@ -60,17 +60,13 @@ def _preimage(client: GdpName, corr_id: int, body: bytes) -> bytes:
 def _opened(
     body: Any, client: GdpName, corr_id: int, check: Callable[[bytes], Any]
 ) -> dict:
-    """Run *check* over the preimage of *body*'s bytes; return the body
-    decoded from those bytes.  Received bytes nothing has decoded are
-    checked as they are; any other view is re-encoded first."""
-    carried = isinstance(body, encoding.Encoded)
+    """Run *check* over the preimage of *body*'s received bytes; return
+    the body decoded from those bytes."""
+    if not isinstance(body, encoding.Encoded) or not body.undecoded:
+        raise IntegrityError("secure response body is not its received bytes")
     try:
-        if carried and body.undecoded:
-            data = body.data
-        else:  # built in this process, or read (maybe changed) since it arrived
-            data = encoding.encode(body.value if carried else body)
-        check(_preimage(client, corr_id, data))
-        body = encoding.decode(data)
+        check(_preimage(client, corr_id, body.data))
+        body = encoding.decode(body.data)
     except EncodingError as exc:
         raise IntegrityError(f"malformed secure response body: {exc}") from exc
     if not isinstance(body, dict):

@@ -23,7 +23,8 @@ from repro.server import DataCapsuleServer
 class AckForger(DeliveryMiddleware):
     """An on-path forger at a replica's uplink: it swallows the
     ``replicate_batch`` a replica sends a sibling and answers the
-    replica itself under that request's corr_id with ``forge(request)``."""
+    replica itself under that request's corr_id with a shipped copy of
+    ``forge(request)``."""
 
     def __init__(self, network, forge):
         self.network = network
@@ -39,7 +40,7 @@ class AckForger(DeliveryMiddleware):
             and payload.get("op") == "replicate_batch"
         ):
             return None
-        reply = message.response(T_RESPONSE, self.forge(message))
+        reply = message.response(T_RESPONSE, self.forge(message)).shipped()
         self.network.ctx.schedule(
             0.001, lambda: sender.receive(reply, receiver, link)
         )
@@ -165,11 +166,11 @@ class TestForgedReplicationAcks:
             if forgery == "unsigned":
                 return {"ok": True}
             # The sibling's own signed refusal of this very request,
-            # with ``ok`` flipped after signing.
+            # its body encoded afresh with ``ok`` flipped after signing.
             refusal = servers[request.dst]._wrap(
                 request, None, {"ok": False, "error": "refused"}
             )
-            refusal["body"]["ok"] = True
+            refusal["body"] = {**refusal["body"].value, "ok": True}
             if forgery == "malformed":
                 # The sibling's public identity, but a signature that
                 # is not bytes: refused, not a crash of the replica.

@@ -16,7 +16,10 @@ from repro.simtest import run_episode
 
 #: (seed, profile, episode-passes, trace sha256) — the reference
 #: episodes; ``dht_root`` is the default profile on the DHT-backed global
-#: tier, and the ``dht_churn`` pins cover crash windows on it.  In
+#: tier, and the ``dht_churn`` pins cover crash windows on it.  The
+#: ``commit`` pin (seed 5010: drops, tampers and replays over racing
+#: CAS submitters) and the ``crash_bias`` pin (seed 5: crashes and
+#: partitions) make all four simtest profiles part of this gate.  In
 #: seed 42 a tampered ``sync_fetch_batch`` reply offers s0 a second
 #: record at seqno 1 that no heartbeat attests.  Anti-entropy refuses it
 #: (s0's ``server.sync.refused`` is 1), so it never spreads: the later
@@ -71,6 +74,10 @@ REFERENCE_EPISODES = [
      "457dffec5fda7f919789901e2e877aba986290dbe896c8a0ca3f2994173bbd00"),
     (4, "dht_root", True,
      "09ad55c29b9041e861535e70f4123fe3f12ac761c9cffd217067d1b3a368a721"),
+    (5010, "commit", True,
+     "2b54ac113bfc61c22220f680172995bb1ecf3bb89b0237eaa44952126ac466b2"),
+    (5, "crash_bias", True,
+     "fb1c2beb338ea2796c08da1fea4bf26458f8c307f5143520a43a75f4c38600fb"),
 ]
 
 

@@ -3,8 +3,9 @@
 Two replicas on :class:`SegmentedStore` take 256 records of 16 KiB under
 ``acks="all"``.  Their payloads live in each replica's log alone, so what
 the fleet still holds in memory after the appends is a small fraction of
-the bytes written; a replica that kept its payloads would hold about
-twice them (one copy per replica).
+the bytes written; replicas that kept their payloads would hold about
+twice them, one copy per replica, since each replica decodes its own
+copy of the bytes it received (in the simulator as over TCP).
 """
 
 import gc

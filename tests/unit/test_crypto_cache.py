@@ -23,6 +23,7 @@ from repro.naming import (
     make_capsule_metadata,
     make_server_metadata,
 )
+from repro.routing.pdu import T_RESPONSE, Pdu
 from repro.server.secure import sign_response, verify_signed_response
 
 NAME = GdpName(b"\x33" * 32)
@@ -365,9 +366,12 @@ class TestWarmCachesStillCheckEverything:
                 owner, capsule.name, server_md.name, expires_at=expires_at
             )
             chain = ServiceChain(capsule, adcert, server_md)
-            return sign_response(
+            wrapped = sign_response(
                 server, server_md, chain, self.CLIENT, corr_id, {"ok": True}
             )
+            # as the client receives it: shipped, then decoded
+            reply = Pdu(server_md.name, self.CLIENT, T_RESPONSE, wrapped, corr_id)
+            return Pdu.decode_wire(reply.encode_wire()).payload
 
         warm = response(1)
         for _ in range(2):  # every memo now holds this evidence

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from repro.encoding import Encoded, encode
+from repro.encoding import Encoded
 from repro.errors import SecurityError
 from repro.naming.names import GdpName
 from repro.routing.pdu import Pdu, T_DATA
-from repro.runtime.faults import DelayFaults, DropFaults, TamperFaults
+from repro.runtime.faults import DelayFaults, DropFaults, ReplayFaults, TamperFaults
 from repro.runtime.middleware import (
     DROP,
     Delay,
@@ -17,7 +17,7 @@ from repro.runtime.middleware import (
     NodeMiddleware,
     NodePipeline,
 )
-from repro.sim.net import SimNetwork
+from repro.sim.net import Node, SimNetwork
 
 
 def make_pdu(payload=None):
@@ -158,28 +158,43 @@ class TestFaultMiddlewares:
         assert fault.count == 1
         assert pdu.payload["blob"] != b"hello"
 
-    def test_tamper_replaces_carriers_it_walks_with_their_values(self):
-        """Same walk and RNG draws as over the plain payload, and no
-        carrier's bytes survive on the walked path."""
-        def payload(carry):
-            body = {"ok": True, "records": [{"payload": b"abc", "seqno": 1}]}
-            if carry:
-                body["records"][0] = Encoded(encode(body["records"][0]), body["records"][0])
-                body = Encoded(encode(body), body)
-            return {"auth": {"mac": b"\x01" * 8}, "body": body}
-
+    def test_tamper_on_one_link_leaves_the_other_copies_alone(self):
+        """Each link ships its own bytes: a tamper hit on the link to one
+        sibling changes only what that sibling receives, not the other
+        sibling's copy nor the sender's run."""
         net = SimNetwork(seed=1)
-        plain, carried = make_pdu(payload(False)), make_pdu(payload(True))
-        for pdu in (plain, carried):
-            TamperFaults(net, rate=1.0, rng=random.Random(7))._tamper(pdu)
-        assert not isinstance(carried.payload["body"], Encoded)
-        assert not isinstance(carried.payload["body"]["records"][0], Encoded)
-        assert carried.payload == plain.payload != payload(False)
-        assert carried.payload_bytes == encode(plain.payload)
+
+        class Sink(Node):
+            def __init__(self, node_id):
+                super().__init__(net, node_id)
+                self.inbox = []
+
+            def receive(self, message, sender, link):
+                self.inbox.append(message)
+
+        def nested_run():
+            return {"op": "replicate_batch", "records": [{"seqno": 1, "payload": bytes(8)}]}
+
+        sender, first, second = Sink("sender"), Sink("first"), Sink("second")
+        for sink in (first, second):
+            net.connect(sender, sink, latency=0.001, bandwidth=1e6)
+        transport = net.transport_for(sender)
+        run = nested_run()
+        pdus = {sink: make_pdu(dict(run)) for sink in (first, second)}
+        TamperFaults(
+            net, rate=1.0, rng=random.Random(7), match=lambda pdu: pdu.corr_id == pdus[first].corr_id
+        ).install()
+        for sink, pdu in pdus.items():
+            transport.send(sink, pdu)
+        net.sim.run()
+        assert first.inbox[0].payload != nested_run()
+        assert second.inbox[0].payload == nested_run()
+        assert run == nested_run()
 
     def test_tampered_signed_reply_carrying_bytes_is_refused(self, mini_gdp):
         """In the simulator a server's reply carries its body's bytes; a
-        tampered one is still refused by the client."""
+        tampered one reaches the client as the flipped bytes, never
+        decoded, and is refused by the check over them."""
         g = mini_gdp
         tampered = []
 
@@ -200,7 +215,25 @@ class TestFaultMiddlewares:
             return True
 
         assert g.run(scenario())
-        assert tampered and not isinstance(tampered[-1].payload["body"], Encoded)
+        body = tampered[-1].payload["body"]
+        assert isinstance(body, Encoded) and body.undecoded
+
+    def test_replay_redelivers_a_fresh_copy_of_the_bytes(self):
+        """A replayed PDU is decoded afresh from the bytes that crossed,
+        whatever the first receiver did with its decoded payload."""
+        net = SimNetwork(seed=1)
+        received = []
+
+        class Sink:
+            def receive(self, message, sender, link):
+                received.append(message)
+
+        ReplayFaults(net, seconds=0.5, rate=1.0, rng=random.Random(7)).install()
+        pdu = make_pdu({"x": 1}).shipped()
+        assert net.delivery.run(None, None, Sink(), pdu, 1) is not None
+        pdu.payload["x"] = 2  # the on-time receiver changes its copy
+        net.sim.run()
+        assert received[0] is not pdu and received[0].payload == {"x": 1}
 
     def test_delay_faults_redeliver_late(self):
         net = SimNetwork(seed=1)

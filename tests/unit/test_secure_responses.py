@@ -44,7 +44,7 @@ class TestSignedResponses:
             CLIENT, 42, {"ok": True, "value": 7},
         )
         body, server = verify_signed_response(
-            wrapped, client=CLIENT, corr_id=42,
+            _received(wrapped), client=CLIENT, corr_id=42,
             capsule=world["capsule_md"].name,
         )
         assert body == {"ok": True, "value": 7}
@@ -54,7 +54,7 @@ class TestSignedResponses:
         wrapped = sign_response(
             world["server"], world["server_md"], None, CLIENT, 1, {"ok": True}
         )
-        verify_signed_response(wrapped, client=CLIENT, corr_id=1)
+        verify_signed_response(_received(wrapped), client=CLIENT, corr_id=1)
 
     def test_capsule_required_but_missing_chain(self, world):
         wrapped = sign_response(
@@ -72,7 +72,7 @@ class TestSignedResponses:
             world["server"], world["server_md"], None, CLIENT, 1, {"ok": True}
         )
         with pytest.raises(SignatureError):
-            verify_signed_response(wrapped, client=CLIENT, corr_id=2)
+            verify_signed_response(_received(wrapped), client=CLIENT, corr_id=2)
 
     def test_wrong_client_rejected(self, world):
         wrapped = sign_response(
@@ -80,7 +80,7 @@ class TestSignedResponses:
         )
         with pytest.raises(SignatureError):
             verify_signed_response(
-                wrapped, client=GdpName(b"\x88" * 32), corr_id=1
+                _received(wrapped), client=GdpName(b"\x88" * 32), corr_id=1
             )
 
     def test_tampered_body_rejected(self, world):
@@ -88,9 +88,9 @@ class TestSignedResponses:
             world["server"], world["server_md"], None, CLIENT, 1,
             {"ok": True, "value": 7},
         )
-        wrapped["body"]["value"] = 8
+        wrapped["body"] = {"ok": True, "value": 8}
         with pytest.raises(SignatureError):
-            verify_signed_response(wrapped, client=CLIENT, corr_id=1)
+            verify_signed_response(_received(wrapped), client=CLIENT, corr_id=1)
 
     def test_chain_for_wrong_capsule_rejected(self, world):
         wrapped = sign_response(
@@ -133,7 +133,7 @@ class TestMacResponses:
         server_side, client_side = self.make_sessions()
         wrapped = mac_response(server_side, CLIENT, 9, {"ok": True})
         body = verify_mac_response(
-            client_side, wrapped, client=CLIENT, corr_id=9
+            client_side, _received(wrapped), client=CLIENT, corr_id=9
         )
         assert body == {"ok": True}
 
@@ -146,9 +146,9 @@ class TestMacResponses:
     def test_tampered_body_rejected(self):
         server_side, client_side = self.make_sessions()
         wrapped = mac_response(server_side, CLIENT, 9, {"ok": True})
-        wrapped["body"]["ok"] = False
+        wrapped["body"] = {"ok": False}
         with pytest.raises(IntegrityError):
-            verify_mac_response(client_side, wrapped, client=CLIENT, corr_id=9)
+            verify_mac_response(client_side, _received(wrapped), client=CLIENT, corr_id=9)
 
     def test_wrong_session_rejected(self):
         server_side, _ = self.make_sessions()
@@ -214,6 +214,11 @@ def _shipped(wrapped) -> bytes:
     return Pdu(SERVER, CLIENT, T_RESPONSE, wrapped, corr_id=5).encode_wire()
 
 
+def _received(wrapped) -> dict:
+    """*wrapped* as a client receives it: shipped, then decoded."""
+    return Pdu.decode_wire(_shipped(wrapped)).payload
+
+
 @pytest.fixture()
 def encode_calls(monkeypatch):
     """Every ``encoding.encode`` call as ``(value, encoded length)``."""
@@ -268,7 +273,8 @@ class TestBodyEncodedOnce:
 
     def test_a_view_handed_out_before_opening_is_re_encoded(self, world):
         """A decoded reply whose body a middleware reads and changes in
-        place is checked as the changed view, not the received bytes."""
+        place is refused: the opener takes only received bytes that
+        nothing has decoded, so no view is ever re-encoded and checked."""
         for wrapped, opened in _replies(world, READ_BODY):
             received = Pdu.decode_wire(_shipped(wrapped))
             received.payload["body"]["records"][0]["payload"] = b"evil"
